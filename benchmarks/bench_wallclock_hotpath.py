@@ -43,7 +43,7 @@ from repro.db.proteome import ProteomeConfig
 from repro.index.arena import FragmentArena
 from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.search.database import DatabaseConfig, IndexedDatabase
-from repro.search.scoring import ScoringOutcome, _lgamma_vec, _matched_mask, score_many
+from repro.search.scoring import ScoringOutcome, _lgamma_vec, score_many
 from repro.spectra.model import Spectrum
 from repro.spectra.preprocess import PreprocessConfig, preprocess_spectrum
 from repro.spectra.synthetic import SyntheticRunConfig, generate_run
@@ -122,6 +122,20 @@ def legacy_filter(index: SLMIndex, spectrum: Spectrum):
         counts = np.zeros(n, dtype=np.int32)
     cands = np.flatnonzero(counts >= settings.shared_peak_threshold).astype(np.int32)
     return cands, counts[cands]
+
+
+def _matched_mask(
+    theoretical: np.ndarray, query_mzs: np.ndarray, tolerance: float
+) -> np.ndarray:
+    """Boolean mask over ``theoretical``: within ``tolerance`` of any query peak."""
+    if theoretical.size == 0 or query_mzs.size == 0:
+        return np.zeros(theoretical.shape, dtype=bool)
+    pos = np.searchsorted(query_mzs, theoretical)
+    left = np.clip(pos - 1, 0, query_mzs.size - 1)
+    right = np.clip(pos, 0, query_mzs.size - 1)
+    d_left = np.abs(theoretical - query_mzs[left])
+    d_right = np.abs(theoretical - query_mzs[right])
+    return np.minimum(d_left, d_right) <= tolerance
 
 
 def legacy_score(

@@ -89,6 +89,16 @@ class Workspace:
         """Return an uninitialized length-``size`` view named ``name``."""
         return self._grow(name, size, dtype, np.empty)
 
+    def zeros(self, name: str, size: int, dtype) -> np.ndarray:
+        """Length-``size`` view of a buffer that is all zero when grown.
+
+        For sparse scatter tables (mark a few entries, read, unmark):
+        the caller resets exactly the entries it touched before the
+        next ``zeros`` call with the same name, so the O(size) clear is
+        paid once per growth instead of once per use.
+        """
+        return self._grow(name, size, dtype, np.zeros)
+
     def iota(self, size: int, dtype=np.int64) -> np.ndarray:
         """Read-only-by-convention view of ``[0, 1, ..., size - 1]``.
 
@@ -126,9 +136,8 @@ def concat_ranges(
     """Concatenate integer ranges ``[starts[i], stops[i])`` — vectorized.
 
     Equivalent to ``np.concatenate([np.arange(a, b) for a, b in
-    zip(starts, stops)])`` without the Python loop.  Built branch-free
-    the way the batched filtration kernel builds its gather: position
-    ``j`` of the output, falling in segment ``s``, equals
+    zip(starts, stops)])`` without the Python loop.  Built branch-free:
+    position ``j`` of the output, falling in segment ``s``, equals
     ``(starts[s] - prefix[s]) + j`` where ``prefix`` is the exclusive
     prefix sum of the segment spans — so one ``repeat`` of the
     per-segment bases plus one ascending-iota add produce the whole
@@ -418,7 +427,9 @@ class FragmentArena:
         idx = concat_ranges(starts, stops, workspace=workspace, name="arena.gather")
         if workspace is not None:
             flat = workspace.take("arena.gather.mzs", idx.size, np.float64)
-            np.take(self.mzs, idx, out=flat)
+            # idx comes from the offsets, so it is in range; "clip"
+            # only skips the buffered copy mode="raise" pays with out=.
+            np.take(self.mzs, idx, out=flat, mode="clip")
         else:
             flat = self.mzs[idx]
         return flat, sizes

@@ -39,7 +39,7 @@ from repro.constants import (
     DEFAULT_SHARED_PEAK_THRESHOLD,
 )
 from repro.errors import ConfigurationError
-from repro.index.arena import FragmentArena, Workspace, concat_ranges, thread_workspace
+from repro.index.arena import FragmentArena, Workspace, thread_workspace
 from repro.spectra.model import Spectrum
 
 __all__ = ["SLMIndexSettings", "FilterResult", "SLMIndex", "FILTER_BATCH_KEY_BUDGET"]
@@ -51,10 +51,9 @@ __all__ = ["SLMIndexSettings", "FilterResult", "SLMIndex", "FILTER_BATCH_KEY_BUD
 FILTER_BATCH_KEY_BUDGET = 1 << 22
 
 #: Bound on the ions gathered by one batch (the dominant transient:
-#: the int64 gather plus the int32 parent scratch, ~96 MB at this
-#: default).  A batch projected to gather more is split by spectrum;
-#: a single spectrum may still exceed it, exactly as the per-spectrum
-#: path could.
+#: 4 B/ion of gathered ``int32`` parent ids, 32 MB at this default).
+#: A batch projected to gather more is split by spectrum; a single
+#: spectrum may still exceed it.
 FILTER_BATCH_ION_BUDGET = 1 << 23
 
 
@@ -320,50 +319,11 @@ class SLMIndex:
 
         Counts matched ion entries per peptide: every indexed ion whose
         bucket falls inside a query peak's tolerance window adds one.
-        The whole spectrum is processed with vectorized segment
-        gathering (no per-peak Python loop).
+        A batch of one through the :meth:`filter_many` kernel.
         """
-        n = self.n_peptides
-        if n == 0 or self.n_ions == 0 or spectrum.n_peaks == 0:
+        if self.n_peptides == 0 or self.n_ions == 0 or spectrum.n_peaks == 0:
             return self._empty_result()
-        r = self.settings.resolution
-        frag_tol = self.settings.fragment_tolerance
-        lo = np.floor((spectrum.mzs - frag_tol) / r).astype(np.int64)
-        hi = np.floor((spectrum.mzs + frag_tol) / r).astype(np.int64) + 1
-        np.clip(lo, 0, self.n_buckets, out=lo)
-        np.clip(hi, 0, self.n_buckets, out=hi)
-        valid = hi > lo
-        lo, hi = lo[valid], hi[valid]
-        buckets_scanned = int((hi - lo).sum())
-
-        offsets = self.bucket_offsets
-        starts = offsets[lo]
-        stops = offsets[hi]
-        # Concatenate the ranges [starts_i, stops_i) without a Python
-        # loop, into thread-local scratch (reused across queries).
-        ws = thread_workspace()
-        gather = concat_ranges(starts, stops, workspace=ws, name="slm.filter")
-        total = gather.size
-        ions_scanned = total
-        if total:
-            parents_hit = ws.take("slm.filter.parents", total, np.int32)
-            np.take(self.ion_parents, gather, out=parents_hit)
-            counts = np.bincount(parents_hit, minlength=n)
-        else:
-            counts = np.zeros(n, dtype=np.int64)
-
-        if not self.settings.is_open_search:
-            self._apply_precursor_window(counts, spectrum.neutral_mass)
-
-        cands = np.flatnonzero(counts >= self.settings.shared_peak_threshold).astype(
-            np.int32
-        )
-        return FilterResult(
-            candidates=cands,
-            shared_peaks=counts[cands].astype(np.int32),
-            buckets_scanned=buckets_scanned,
-            ions_scanned=ions_scanned,
-        )
+        return self._filter_batch([spectrum], thread_workspace())[0]
 
     def _empty_result(self) -> FilterResult:
         """A zero-work :class:`FilterResult` (no candidates, nothing scanned)."""
@@ -385,18 +345,17 @@ class SLMIndex:
 
         Instead of walking the spectra one at a time, every spectrum's
         peak-tolerance windows are flattened into **one** vectorized
-        range concatenation over ``bucket_offsets`` and one ``np.take``
+        window pass over ``bucket_offsets`` and one slice-copy gather
         of ``ion_parents`` for the whole batch, followed by segmented
         per-spectrum bincounts over contiguous slices of the shared
         gather — the HiCOPS-style cache-friendly array pass that
-        amortizes kernel-launch overhead across the whole query batch
-        (~1.7x over the per-spectrum loop on the benchmark workload).
+        amortizes kernel-launch overhead across the whole query batch.
 
         Results are **bit-identical** to per-spectrum :meth:`filter`
-        calls: the per-element window arithmetic is unchanged, counting
+        calls (which run the same kernel on a batch of one): counting
         is integer-exact regardless of batching, and each spectrum's
-        candidates come from the same ``flatnonzero`` over its own
-        count vector.
+        candidates come from a ``flatnonzero`` over its own count
+        vector.
 
         Parameters
         ----------
@@ -434,19 +393,19 @@ class SLMIndex:
     ) -> List[FilterResult]:
         """One bounded batch of the cross-spectrum filtration kernel.
 
-        The expensive stages — window arithmetic, the bucket-offset
-        lookups, the range concatenation, and the ion-parent gather —
-        run **once** over every spectrum's peaks concatenated.  The
-        gather indices are built branch-free as ``repeat(start -
-        prefix, size) + iota`` instead of :func:`concat_ranges`'s
-        fill/scatter/cumsum: same values element-for-element, but no
-        serial cumsum dependency, which measures ~4x faster at batch
-        sizes.  Counting then walks the gathered parents per spectrum
-        segment: each spectrum's bincount scatters into its own small
-        histogram, which stays cache-resident — profiling showed this
-        beats one keyed ``spectrum * n + parent`` bincount over the
-        combined key space, whose key construction alone costs two
-        extra passes over every gathered ion.
+        The window arithmetic and the bucket-offset lookups run
+        **once** over every spectrum's peaks concatenated.  A peak's
+        window is a contiguous bucket range, and the index is
+        bucket-major, so the ions it touches are one contiguous slice
+        ``ion_parents[start:stop]``: the gather is a concatenation of
+        those slices, copied straight into the ``int32`` scratch — no
+        per-ion index array is ever built.  Counting then walks the
+        gathered parents per spectrum segment: each spectrum's bincount
+        scatters into its own small histogram, which stays
+        cache-resident — profiling showed this beats one keyed
+        ``spectrum * n + parent`` bincount over the combined key space,
+        whose key construction alone costs two extra passes over every
+        gathered ion.
         """
         n = self.n_peptides
         nb = len(batch)
@@ -463,10 +422,9 @@ class SLMIndex:
             return [self._empty_result() for _ in batch]
         all_mzs = np.concatenate([s.mzs for s in batch]) if nb > 1 else batch[0].mzs
 
-        # Same per-element window arithmetic as :meth:`filter`.  After
-        # clipping, hi >= lo always holds (hi > lo pre-clip and clip is
-        # monotone), so empty windows are zero-width spans that drop
-        # out of every segment sum and out of concat_ranges itself.
+        # After clipping, hi >= lo always holds (hi > lo pre-clip and
+        # clip is monotone), so empty windows are zero-width spans that
+        # drop out of every segment sum and out of the gather.
         lo = np.floor((all_mzs - frag_tol) / r).astype(np.int64)
         hi = np.floor((all_mzs + frag_tol) / r).astype(np.int64) + 1
         np.clip(lo, 0, self.n_buckets, out=lo)
@@ -500,14 +458,15 @@ class SLMIndex:
 
         parents_hit = ws.take("slm.filter_batch.parents", total, np.int32)
         if total:
-            # Branch-free concat_ranges: position j of window w is
-            # (starts[w] - size_cum[w]) + (size_cum[w] + j) — repeat
-            # the per-window base, add the global ascending index.
-            # Zero-width windows repeat nothing, exactly as the
-            # cumsum-based concat_ranges drops them.
-            gather = np.repeat(starts - size_cum[:-1], sizes)
-            gather += ws.iota(total, np.int64)
-            np.take(self.ion_parents, gather, out=parents_hit)
+            ion_parents = self.ion_parents
+            np.concatenate(
+                [
+                    ion_parents[a:b]
+                    for a, b in zip(starts.tolist(), stops.tolist())
+                    if b > a
+                ],
+                out=parents_hit,
+            )
 
         windowed = not self.settings.is_open_search
         threshold = self.settings.shared_peak_threshold

@@ -151,11 +151,7 @@ def run_rank_queries(
         cands[si] = outcome.candidates_scored
         residues[si] = outcome.residues_scored
         counts[si] = fres.candidates.size
-        keep = (
-            np.lexsort((entry_ids[fres.candidates], -outcome.scores))[:top_k]
-            if fres.candidates.size
-            else np.empty(0, dtype=np.int64)
-        )
+        keep = _top_k_order(entry_ids, fres.candidates, outcome.scores, top_k)
         local_psms.append(
             (
                 fres.candidates[keep].astype(np.int64),
@@ -171,6 +167,25 @@ def run_rank_queries(
         candidates_scored=cands,
         residues_scored=residues,
     )
+
+
+def _top_k_order(
+    entry_ids: np.ndarray, candidates: np.ndarray, scores: np.ndarray, top_k: int
+) -> np.ndarray:
+    """Positions of the ``top_k`` best candidates, best first.
+
+    Equal to ``np.lexsort((entry_ids[candidates], -scores))[:top_k]``:
+    ``np.partition`` finds the ``top_k``-th best score, and only the
+    candidates scoring at least that — every tie at the cut included —
+    go through the (score desc, global id asc) sort.
+    """
+    neg = -scores
+    if 0 < top_k < candidates.size:
+        pool = np.flatnonzero(neg <= np.partition(neg, top_k - 1)[top_k - 1])
+        if pool.size >= top_k:  # false only when a NaN score sits at the cut
+            order = np.lexsort((entry_ids[candidates[pool]], neg[pool]))[:top_k]
+            return pool[order]
+    return np.lexsort((entry_ids[candidates], neg))[:top_k]
 
 
 def merge_rank_payloads(

@@ -14,16 +14,31 @@ time — scoring cost scales with peptide length, one of the two
 mechanisms that make contiguous (length-sorted) Chunk partitions
 imbalanced.
 
-Two candidate-assembly paths exist, bit-identical by construction:
+The kernel is **match-driven**.  Roughly nine in ten gathered candidate
+fragments lie near no query peak, so matching runs in two stages:
 
-* **arena** (hot path): all candidate fragments are gathered from a
-  flat :class:`~repro.index.arena.FragmentArena` with one vectorized
-  range concatenation — no per-candidate Python loop — and residue
-  counters come from the arena's ``lengths`` array,
-* **legacy**: per-candidate arrays from ``fragments`` (or regenerated
-  with :func:`~repro.chem.fragments.fragment_mzs`) are concatenated in
-  candidate order.  Kept as the reference the equivalence tests pin
-  the arena path against.
+1. a *coarse* test (:func:`_coarse_survivors`) quantises every gathered
+   fragment to a 0.01 Da bucket and looks it up in a per-spectrum byte
+   table marking each query peak's ``±(tolerance + 1 bucket)`` window.
+   It is conservative — every fragment the exact test would match
+   survives — and costs a handful of flat passes with no search;
+2. the *exact* test (nearest query peak by ``searchsorted``, ``|Δ|`` to
+   both neighbours, ties to the left, ``<= tolerance``) then runs on
+   the survivors only.  These are the float expressions that define a
+   match; the coarse stage never decides one.
+
+Matched credits are scattered into a zeroed full-length vector and
+folded per candidate with ``np.add.reduceat``, so the reduction tree —
+and the last-ulp rounding — is that of a dense credit vector (see
+ROADMAP invariants).  Small gathers skip stage 1 (the table set-up
+would not repay) and take the exact test directly.
+
+Candidate fragments come from a flat
+:class:`~repro.index.arena.FragmentArena` (one vectorized range
+concatenation, residues from ``lengths``) or, for the reference paths
+the equivalence tests pin it against, from per-candidate ``fragments``
+arrays / :func:`~repro.chem.fragments.fragment_mzs`, concatenated in
+candidate order — the same operand sequence either way.
 """
 
 from __future__ import annotations
@@ -66,22 +81,67 @@ class ScoringOutcome:
     residues_scored: int
 
 
-def _matched_mask(
-    theoretical: np.ndarray, query_mzs: np.ndarray, tolerance: float
-) -> np.ndarray:
-    """Boolean mask over ``theoretical``: within ``tolerance`` of any query peak.
+#: Coarse-stage bucket width is ``1 / _COARSE_INV_WIDTH`` Da.
+_COARSE_INV_WIDTH = 100.0
 
-    ``query_mzs`` must be ascending (guaranteed by
-    :class:`~repro.spectra.model.Spectrum`).
+#: Gathers smaller than this skip the coarse stage: marking and
+#: unmarking the table costs about as much as the exact test on this
+#: many fragments (precursor-windowed searches score a handful of
+#: candidates per spectrum and always land below it).
+_COARSE_MIN_FRAGMENTS = 4096
+
+#: Largest coarse table, in buckets (~42 000 Da); spectra reaching
+#: beyond it take the exact test directly.
+_COARSE_MAX_BUCKETS = 1 << 22
+
+
+def _coarse_survivors(
+    theoretical: np.ndarray, query_mzs: np.ndarray, tolerance: float, ws: Workspace
+) -> np.ndarray | None:
+    """Ascending positions of ``theoretical`` that may match a query peak.
+
+    A superset of the exact matches: ``|t - q| <= tolerance`` puts
+    ``floor(t * 100)`` within one bucket of ``floor((q ± tolerance) *
+    100)``, and every peak marks that range widened by one bucket each
+    side.  Fragments below the table clamp to bucket 0 (marked only if
+    a window reaches it), fragments above — and NaN — to a final bucket
+    no window marks.  Marks left behind by an interrupted call could
+    only add survivors.
+
+    Returns ``None`` when the table cannot repay (small gather, windows
+    marking more buckets than there are fragments) or cannot be built
+    (non-finite or out-of-range query m/z): the caller then runs the
+    exact test on everything.  ``query_mzs`` must be non-empty.
     """
-    if theoretical.size == 0 or query_mzs.size == 0:
-        return np.zeros(theoretical.shape, dtype=bool)
-    pos = np.searchsorted(query_mzs, theoretical)
-    left = np.clip(pos - 1, 0, query_mzs.size - 1)
-    right = np.clip(pos, 0, query_mzs.size - 1)
-    d_left = np.abs(theoretical - query_mzs[left])
-    d_right = np.abs(theoretical - query_mzs[right])
-    return np.minimum(d_left, d_right) <= tolerance
+    m = theoretical.size
+    if m < _COARSE_MIN_FRAGMENTS:
+        return None
+    lo = np.floor((query_mzs - tolerance) * _COARSE_INV_WIDTH) - 1.0
+    hi = np.floor((query_mzs + tolerance) * _COARSE_INV_WIDTH) + 1.0
+    # Positive-form comparisons: NaN anywhere fails them.
+    if not (lo[0] >= -_COARSE_MAX_BUCKETS and hi[-1] < _COARSE_MAX_BUCKETS):
+        return None
+    width = (hi - lo).max() + 1.0
+    if not 0 < query_mzs.size * width <= m:
+        return None
+    width = int(width)
+    cells = (lo.astype(np.intp)[:, None] + np.arange(width, dtype=np.intp)).ravel()
+    np.maximum(cells, 0, out=cells)
+    top = int(cells[-1]) + 1  # past every marked bucket (lo is ascending)
+    table = ws.zeros("score.coarse.table", top + 1, np.bool_)
+    table[cells] = True
+
+    pos = ws.take("score.coarse.pos", m, np.float64)
+    np.multiply(theoretical, _COARSE_INV_WIDTH, out=pos)
+    np.fmax(pos, 0.0, out=pos)
+    np.fmin(pos, float(top), out=pos)
+    idx = ws.take("score.coarse.idx", m, np.intp)
+    np.copyto(idx, pos, casting="unsafe")
+    marked = ws.take("score.coarse.marked", m, np.bool_)
+    # idx is already in range; "clip" only avoids mode="raise"'s buffered out=.
+    np.take(table, idx, out=marked, mode="clip")
+    table[cells] = False
+    return np.flatnonzero(marked)
 
 
 def score_candidates(
@@ -168,59 +228,37 @@ def score_candidates(
 
     q_mzs = spectrum.mzs
     q_int = spectrum.intensities
-    # Batch all candidates' fragments: one mask/nearest computation,
-    # then per-candidate segment sums via cumulative-sum differences
-    # (robust to zero-length segments, unlike reduceat).
     bounds = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sizes, out=bounds[1:])
 
     m = theo_all.size
     intensity_sums = np.zeros(n, dtype=np.float64)
+    matched = np.zeros(n, dtype=np.int32)
     if q_mzs.size and m:
-        # One fused pass computes the match mask over every gathered
-        # fragment — the same formulas the separate mask/credit passes
-        # evaluated (bit-identical), but without the duplicate
-        # searchsorted/|Δ| work, and folded into scratch buffers so
-        # the per-spectrum loop allocates almost nothing.
-        qn = q_mzs.size
-        pos = np.searchsorted(q_mzs, theo_all)
-        left = ws.take("score.left", m, np.int64)
-        np.subtract(pos, 1, out=left)
-        np.maximum(left, 0, out=left)
-        right = pos
-        np.minimum(right, qn - 1, out=right)
-        d_left = ws.take("score.d_left", m, np.float64)
-        np.take(q_mzs, left, out=d_left)
-        np.subtract(theo_all, d_left, out=d_left)
-        np.abs(d_left, out=d_left)
-        d_right = ws.take("score.d_right", m, np.float64)
-        np.take(q_mzs, right, out=d_right)
-        np.subtract(theo_all, d_right, out=d_right)
-        np.abs(d_right, out=d_right)
-        use_left = ws.take("score.use_left", m, np.bool_)
-        np.less_equal(d_left, d_right, out=use_left)
-        mask = ws.take("score.mask", m, np.bool_)
-        np.minimum(d_left, d_right, out=d_left)
-        np.less_equal(d_left, fragment_tolerance, out=mask)
-
-        mask_cum = ws.take("score.mask_cum", m + 1, np.int64)
-        mask_cum[0] = 0
-        np.cumsum(mask, out=mask_cum[1:])
-        matched = (mask_cum[bounds[1:]] - mask_cum[bounds[:-1]]).astype(np.int32)
+        survivors = _coarse_survivors(theo_all, q_mzs, fragment_tolerance, ws)
+        theo = theo_all if survivors is None else theo_all[survivors]
+        # The exact test: nearest query peak on either side, ties to
+        # the left.  These expressions define a match bit-for-bit.
+        pos = np.searchsorted(q_mzs, theo)
+        left = np.maximum(pos - 1, 0)
+        right = np.minimum(pos, q_mzs.size - 1)
+        d_left = np.abs(theo - q_mzs[left])
+        d_right = np.abs(theo - q_mzs[right])
+        hit = np.flatnonzero(np.minimum(d_left, d_right) <= fragment_tolerance)
+        nearest = np.where(d_left <= d_right, left, right)[hit]
+        # Matched positions in the full gather, ascending.
+        at = hit if survivors is None else survivors[hit]
+        matched = np.diff(np.searchsorted(at, bounds)).astype(np.int32)
 
         # Intensity credit: for each matched theoretical fragment, the
-        # intensity of its nearest query peak.  The credit vector must
-        # keep its zeros for unmatched positions: the segment fold
+        # intensity of its nearest query peak.  The credit vector
+        # keeps a zero at every unmatched position: the segment fold
         # below uses pairwise summation, so the reduction tree — and
         # with it the last-ulp rounding — depends on element *count*,
         # not just the nonzero values.
-        nearest = right
-        np.copyto(nearest, left, where=use_left)
         credit = ws.take("score.credit", m, np.float64)
-        np.take(q_int, nearest, out=credit)
-        unmatched = use_left
-        np.logical_not(mask, out=unmatched)
-        credit[unmatched] = 0.0
+        credit.fill(0.0)
+        credit[at] = q_int[nearest]
 
         # Per-candidate sums must not depend on neighbouring
         # candidates (bit-identical scores regardless of which rank
@@ -230,8 +268,6 @@ def score_candidates(
         seg = np.add.reduceat(credit, seg_starts)
         nonempty = sizes > 0
         intensity_sums[nonempty] = seg[nonempty]
-    else:
-        matched = np.zeros(n, dtype=np.int32)
 
     scores = np.where(
         matched > 0,

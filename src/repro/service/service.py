@@ -1518,7 +1518,10 @@ class SearchService:
         decision = policy.observe(walls, cpus)
         if decision is None:
             return
-        self._pending_decision = (decision, None)
+        with self._state.cond:
+            if self._pending_decision is not None:
+                return  # an explicit rebalance() took the slot meanwhile
+            self._pending_decision = (decision, None)
         if self._tracer.enabled:
             # Satellite: the LI gauge's windowed watermarks ride on the
             # trigger event — the peak imbalance the window actually saw,
@@ -1548,10 +1551,13 @@ class SearchService:
         healed or deferred by the pool (see ``_migrate``); an explicit
         one routes its error to the caller's future.
         """
-        pending = self._pending_decision
-        if pending is None or self._pool is None:
-            return
-        self._pending_decision = None
+        state = self._state
+        with state.cond:
+            pending = self._pending_decision
+            if pending is None or self._pool is None:
+                return
+            self._pending_decision = None
+            state.cond.notify_all()  # an explicit rebalance() may await the slot
         decision, future = pending
         if future is not None and not future.set_running_or_notify_cancel():
             return  # explicit caller cancelled while queued
@@ -1707,7 +1713,11 @@ class SearchService:
         defaults to equal speeds over the target width (a plain
         weighted-LPT re-plan); ``n_workers`` defaults to the current
         pool size and is clamped to ``min_workers``/``max_workers``
-        when bounds are configured.  Returns the migration summary
+        when bounds are configured.  If another decision is already
+        queued (typically the automatic policy's own, waiting for the
+        same between-rounds point) the call waits for it to apply
+        first; ``timeout`` (default ``config.timeout``) bounds the
+        whole call.  Returns the migration summary
         dict; raises :class:`~repro.errors.WorkerError` when a changed
         rank's re-attach exhausted its retries (the session still
         adopts the new plan — the dead rank heals on its next respawn).
@@ -1742,14 +1752,24 @@ class SearchService:
         )
         future: Future = Future()
         state = self._state
+        wait_s = timeout if timeout is not None else self.config.timeout
+        deadline = time.monotonic() + wait_s
         with state.cond:
-            if self._pending_decision is not None:
+            # The slot may hold the automatic policy's own decision,
+            # queued until the next between-rounds point: wait for the
+            # pipeline thread to apply it rather than failing the call.
+            if not state.cond.wait_for(
+                lambda: self._pending_decision is None or state.stopping,
+                timeout=wait_s,
+            ):
                 raise ServiceError(
-                    "a rebalance is already pending; retry after it applies"
+                    f"a rebalance was still pending after {wait_s:g} s"
                 )
+            if state.stopping:
+                raise ServiceError("rebalance() on a service that is closing")
             self._pending_decision = (decision, future)
             state.cond.notify_all()
-        return future.result(timeout if timeout is not None else self.config.timeout)
+        return future.result(max(0.0, deadline - time.monotonic()))
 
     # -- introspection ---------------------------------------------------
 

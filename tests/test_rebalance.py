@@ -390,6 +390,58 @@ def test_explicit_rebalance_validation_and_clamping(tiny_db, batches):
         service.rebalance(n_workers=2)  # closed session
 
 
+def test_explicit_rebalance_waits_for_a_queued_automatic_decision(
+    tiny_db, batches, serial_refs
+):
+    """The automatic policy's own decision sits in the slot until the
+    next between-rounds point; an explicit ``rebalance()`` arriving in
+    that gap must queue behind it (bounded by its timeout), not fail
+    with "already pending".  The pipeline thread is held at the gate so
+    the interleaving is forced, not raced."""
+    import threading
+
+    with SearchService(tiny_db, ServiceConfig(n_workers=2)) as service:
+        service.submit(batches[0])
+        gate = threading.Event()
+        apply_pending = service._stage_rebalance
+
+        def gated_stage_rebalance():
+            gate.wait()
+            apply_pending()
+
+        service._stage_rebalance = gated_stage_rebalance
+        automatic = RebalanceDecision(
+            speeds=(1.0, 1.0), n_workers=2, window_li=0.5, reason="li"
+        )
+        with service._state.cond:
+            service._pending_decision = (automatic, None)
+
+        outcome = {}
+
+        def explicit():
+            try:
+                outcome["summary"] = service.rebalance(n_workers=3, timeout=60.0)
+            except Exception as exc:  # noqa: BLE001 - asserted on below
+                outcome["error"] = exc
+
+        caller = threading.Thread(target=explicit)
+        try:
+            # Slot still taken when the caller's patience runs out.
+            with pytest.raises(ServiceError, match="still pending"):
+                service.rebalance(n_workers=3, timeout=0.2)
+            caller.start()
+            caller.join(0.3)
+            assert caller.is_alive() and not outcome  # waiting, not refused
+        finally:
+            gate.set()  # never leave the pipeline thread parked
+        caller.join(60.0)
+        assert not caller.is_alive()
+        assert "error" not in outcome, outcome
+        assert outcome["summary"]["n_workers"] == 3 and service.n_workers == 3
+        results, _ = service.submit(batches[1])
+        assert_same_results(serial_refs[1], results)
+
+
 # -- satellite: retry-of-retry during re-attach ------------------------
 
 
