@@ -5,15 +5,12 @@ amortizes, on a stream of identical-shape query batches:
 
 * **one-shot** — a fresh :class:`~repro.parallel.ParallelSearchEngine`
   per batch: every batch pays worker spawn + interpreter import +
-  arena attach (~0.5 s on a laptop-class host) and pickles the
-  preprocessed peak arrays to every worker,
+  arena attach (~0.5 s on a laptop-class host),
 * **resident** — one :class:`~repro.service.SearchService` session:
   spawn + spill + attach are paid once in ``open()``; each
-  ``submit()`` pickles only an O(manifest) command per worker and the
-  peak arrays travel through a memmap-shared
-  :class:`~repro.parallel.SharedSpectraStore`,
+  ``submit()`` sends the packed batch in the round's one command,
 * **pipelined** — the same session driven through
-  ``SearchService.stream``: the master preprocesses + spills batch
+  ``SearchService.stream``: the master preprocesses + packs batch
   N+1 and merges batch N while the workers query, so the per-batch
   *completion interval* drops below the sequential per-submit latency
   by however much master-side work the overlap hides.
@@ -31,8 +28,6 @@ Metrics written to ``BENCH_service.json``:
   wall time that ran behind worker rounds,
 * ``resident.open_s`` vs ``resident.steady_batch_s`` — the amortized
   session cost against the steady-state latency floor,
-* ``scatter.*`` — pickled bytes per batch before (peak arrays to every
-  worker) and after (manifest commands): O(peaks) → O(manifest),
 * ``observability.*`` — steady-state latency of three paired sessions
   (bare, in-memory flight recorder, JSONL file tracer);
   ``overhead_ratio`` and ``ring_overhead_ratio`` are what the
@@ -58,7 +53,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import platform
 import tempfile
 import time
@@ -76,11 +70,6 @@ from repro.parallel import ParallelEngineConfig, ParallelSearchEngine
 from repro.search.database import DatabaseConfig, IndexedDatabase
 from repro.search.serial import SerialSearchEngine
 from repro.service import SearchService, ServiceConfig, aggregate_batch_stats
-from repro.spectra.preprocess import (
-    PreprocessConfig,
-    preprocess_batch,
-    spectra_peak_bytes,
-)
 from repro.spectra.synthetic import SyntheticRunConfig, generate_run
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -130,7 +119,6 @@ def run(quick: bool = False) -> dict:
 
     # -- one-shot: a fresh engine (fresh spawn) per batch ---------------
     oneshot_totals = []
-    oneshot_scatter = 0
     for i, batch in enumerate(batches):
         engine = ParallelSearchEngine(
             db,
@@ -139,17 +127,10 @@ def run(quick: bool = False) -> dict:
         res = engine.run(batch)
         identical = identical and same_results(references[i], res)
         oneshot_totals.append(res.phase_times["total"])
-        # What the one-shot scatter pickles per batch: the preprocessed
-        # peak arrays, to every worker.
-        processed = preprocess_batch(batch, PreprocessConfig())
-        oneshot_scatter = max(
-            oneshot_scatter, len(pickle.dumps(processed)) * N_WORKERS
-        )
         del engine
 
     # -- resident: one session, the same stream ------------------------
     resident_totals = []
-    peak_bytes = 0
     with SearchService(
         db, ServiceConfig(n_workers=N_WORKERS, index=settings)
     ) as service:
@@ -159,10 +140,8 @@ def run(quick: bool = False) -> dict:
             res, stats = service.submit(batch)
             identical = identical and same_results(references[i], res)
             resident_totals.append(stats.total_s)
-            peak_bytes = max(peak_bytes, stats.peak_bytes)
         resident_session = aggregate_batch_stats(service.batch_stats)
         respawns = service.respawn_total
-    resident_scatter = resident_session.scatter_bytes_max
     identical = identical and respawns == 0
 
     # -- pipelined: the same stream through the overlapped session ------
@@ -283,12 +262,6 @@ def run(quick: bool = False) -> dict:
             "overlap_s_total": overlap_total,
             "pipeline_depth_max": depth_max,
         },
-        "scatter": {
-            "oneshot_pickled_bytes_per_batch": oneshot_scatter,
-            "resident_pickled_bytes_per_batch": resident_scatter,
-            "resident_peak_bytes_equivalent": peak_bytes,
-            "pickled_ratio": resident_scatter / oneshot_scatter,
-        },
         "speedup": {
             # The headline: spawn + import + attach paid once per
             # session instead of once per batch.
@@ -330,10 +303,7 @@ def run(quick: bool = False) -> dict:
             "+ arena attach; resident.steady_batch_s is a submit() on an "
             "already-attached session (min over batches >= 1); "
             "pipelined.steady_batch_s is the min completion interval of "
-            "the overlapped stream (same-session throughput view).  The "
-            "scatter figures are actual pipe bytes: the resident "
-            "payload is an O(manifest) command pickled once per batch, "
-            "the peak arrays travel via the memmap-shared spectra store."
+            "the overlapped stream (same-session throughput view)."
         ),
     }
     return report
@@ -381,12 +351,6 @@ def main() -> None:
         f"ring steady batch   : {o['ring_steady_batch_s'] * 1e3:8.1f} ms "
         f"(x{o['ring_overhead_ratio']:.3f} of bare, "
         f"{o['ring_records_seen']} records through the flight recorder)"
-    )
-    s = report["scatter"]
-    print(
-        f"scatter bytes/batch : {s['oneshot_pickled_bytes_per_batch']} -> "
-        f"{s['resident_pickled_bytes_per_batch']} "
-        f"(x{s['pickled_ratio']:.4f})"
     )
     for key, value in report["speedup"].items():
         unit = " s" if key.endswith("_s") else "x"

@@ -36,20 +36,16 @@ Service checks (``--service-baseline``/``--service-fresh``):
 2. resident-vs-oneshot per-batch speedup >= ``--service-floor``
    (the session must actually amortize the spawn/spill overhead —
    a service that silently re-attaches per batch lands at ~1.0),
-3. the resident pickled scatter per batch stays <=
-   ``--scatter-ceiling`` of the one-shot pickled spectra payload
-   (peak arrays sneaking back into the command pickle is a
-   regression even when latency looks fine),
-4. pipelined-vs-sequential steady-state throughput >=
+3. pipelined-vs-sequential steady-state throughput >=
    ``--pipeline-floor`` (the overlapped session must never be a real
    loss against sequential submits on the same resident pool; the
    floor sits below 1.0 for the timing noise of quick CI workloads —
    the committed full-workload figure is the trajectory to beat),
-5. enabled JSONL tracing costs <= ``--obs-overhead`` of the untraced
+4. enabled JSONL tracing costs <= ``--obs-overhead`` of the untraced
    steady-state latency and the traced session's trace is schema-clean
    (``observability.trace_schema_errors == 0``) — telemetry must stay
    out of the hot loops,
-6. the default in-memory flight recorder costs <= ``--obs-overhead``
+5. the default in-memory flight recorder costs <= ``--obs-overhead``
    of the bare (recorder-off) steady-state latency
    (``observability.ring_overhead_ratio``) — it is always on in
    production, so it gets the same ceiling as file tracing.
@@ -217,19 +213,6 @@ def check_service(args, failures: list) -> None:
                 f"resident-vs-oneshot speedup {resident:.2f}x below "
                 f"{args.min_ratio:.2f} x committed ({required:.2f}x)"
             )
-
-    scatter = fresh.get("scatter", {})
-    ratio = float(scatter.get("pickled_ratio", float("nan")))
-    print(
-        f"service scatter ratio (resident/oneshot pickled bytes): "
-        f"{ratio:.4f} (required <= {args.scatter_ceiling:.2f})"
-    )
-    if not ratio <= args.scatter_ceiling:  # catches NaN too
-        failures.append(
-            f"resident scatter ratio {ratio:.4f} above ceiling "
-            f"{args.scatter_ceiling:.2f} — peak arrays are being pickled "
-            "into the per-batch command payload"
-        )
 
     pipelined = float(
         fresh["speedup"].get("pipelined_vs_sequential", float("nan"))
@@ -494,14 +477,6 @@ def main() -> int:
         "records per batch off the measured path, so 5 percent covers "
         "timing noise; a ratio above it means tracing crept into the "
         "per-spectrum or per-rank hot loops)",
-    )
-    parser.add_argument(
-        "--scatter-ceiling",
-        type=float,
-        default=0.1,
-        help="maximum resident/oneshot pickled-bytes ratio per batch "
-        "(default: 0.1 — the resident command payload is O(manifest), "
-        "~0.002 of the pickled peak arrays on the committed workload)",
     )
     parser.add_argument(
         "--parallel-floor",

@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--trace", type=Path, default=None, metavar="FILE",
                      help="export a structured JSONL trace of the "
                      "session to FILE: spans for every pipeline stage "
-                     "(prepare/spill/dispatch/worker.query per rank/"
+                     "(prepare/dispatch/worker.query per rank/"
                      "collect/merge, shard route/demux) and events for "
                      "every supervision transition (retry, backoff, "
                      "respawn, hedge, degraded); validate with "

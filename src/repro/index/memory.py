@@ -74,11 +74,11 @@ not *terms*:
   — the ``take`` sub-arena plus partial index — but now resident for
   the whole session instead of being rebuilt per run,
 * **query batches** add a per-session term: one
-  :class:`~repro.parallel.shared_spectra.SharedSpectraStore` spill per
-  in-flight batch (~16 B × batch peaks on disk, one page-cache copy
-  shared by all workers), deleted as soon as the batch's results are
-  merged — steady-state spectra residency is one batch, not the
-  stream, and the per-worker pickled payload is O(manifest).
+  :class:`~repro.spectra.packed.PackedSpectra` per in-flight batch
+  (~16 B × batch peaks), held by the master until the round is
+  collected and by each worker for the round — steady-state spectra
+  residency is two batches on the master, one per worker, not the
+  stream, and nothing on disk.
 """
 
 from __future__ import annotations

@@ -36,12 +36,11 @@ timestamps are seconds on the injected master clock):
 ==============  ======================  ==================================
 span name       required attrs          emitted by / meaning
 ==============  ======================  ==================================
-``prepare``     ``batch``               master: preprocess one batch
-``spill``       ``batch``               master: spill peaks to the store
+``prepare``     ``batch``               master: preprocess + pack one batch
 ``dispatch``    ``batch``               master: scatter commands to ranks
 ``collect``     ``batch``               master: wait for worker replies
 ``merge``       ``batch``               master: merge rank payloads
-``worker.open`` ``batch, rank``         worker: per-rank store open/read
+``worker.open`` ``batch, rank``         worker: per-rank batch unpack
                                         (re-anchored from reply payload)
 ``worker.query``  ``batch, rank,        worker: per-rank query phase —
                   cpu_s``               the LI vector's wall entries;

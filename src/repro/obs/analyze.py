@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 #: Master pipeline stages of one service, in execution order.
-_SERVICE_STAGES = ("prepare", "spill", "dispatch", "collect", "merge")
+_SERVICE_STAGES = ("prepare", "dispatch", "collect", "merge")
 #: Fleet-level stages of the shard router.
 _FLEET_STAGES = ("route", "demux")
 #: LI agreement tolerance: events carry ``li_wall`` rounded to 9
@@ -359,14 +359,14 @@ def analyze_trace(
         elif "collect" in stages:
             chain.append(("collect", stages["collect"]))
         critical = max(chain, key=lambda e: e[1])[0] if chain else ""
-        # Overlap: this batch's prepare/spill/merge seconds that ran
+        # Overlap: this batch's prepare/merge seconds that ran
         # inside any *other* batch's round window — the master work
         # the pipeline hid behind worker compute.
         other_windows = _merged_intervals(
             [w for obi, w in windows.items() if obi != bi]
         )
         overlap = 0.0
-        for name in ("prepare", "spill", "merge", "demux"):
+        for name in ("prepare", "merge", "demux"):
             for span in spans.get(name, ()):
                 overlap += _overlap_with(span, other_windows)
         batches.append(
@@ -428,7 +428,7 @@ def analyze_trace(
     lis = [b.li_event for b in batches if b.li_event is not None]
     overlap_total = sum(b.overlap_s for b in batches)
     master_total = sum(
-        sum(b.stages.get(n, 0.0) for n in ("prepare", "spill", "merge", "demux"))
+        sum(b.stages.get(n, 0.0) for n in ("prepare", "merge", "demux"))
         for b in batches
     )
     return TraceAnalysis(

@@ -45,6 +45,11 @@ __all__ = ["DEFAULT_CAPACITY", "RingTracer", "flight_dump"]
 #: of the serving pipeline's span/event volume, a few MB at most.
 DEFAULT_CAPACITY = 4096
 
+_DUMP_PREFIX = "repro-flight-"
+#: Black boxes :func:`flight_dump` keeps per directory — a rank that
+#: flaps under ``degraded_ok`` dumps once per degraded batch.
+_MAX_DUMPS = 32
+
 
 class _RingBuffer:
     """Locked bounded record store shared by a tracer and its views."""
@@ -163,7 +168,7 @@ class RingTracer(Tracer):
         self,
         directory: Union[str, Path, None] = None,
         *,
-        prefix: str = "repro-flight-",
+        prefix: str = _DUMP_PREFIX,
     ) -> str:
         """Dump into a fresh uniquely-named file under ``directory``
         (default: the system temp dir); returns the file's path."""
@@ -174,13 +179,9 @@ class RingTracer(Tracer):
         fd, path = tempfile.mkstemp(
             prefix=prefix, suffix=".jsonl", dir=str(target)
         )
+        os.close(fd)
         try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                for record in self.records():
-                    fh.write(
-                        json.dumps(record, separators=(",", ":"), default=str)
-                        + "\n"
-                    )
+            self.dump(path)
         except BaseException:
             os.unlink(path)
             raise
@@ -188,6 +189,17 @@ class RingTracer(Tracer):
 
     # The ring owns no file handle: flush/close are inherited no-ops,
     # so the serving tier can treat any tracer uniformly at shutdown.
+
+
+def _prune_dumps(newest: Path) -> None:
+    """Keep ``newest`` and the :data:`_MAX_DUMPS` - 1 youngest other
+    black boxes in its directory; delete the rest."""
+    others = sorted(
+        (p for p in newest.parent.glob(f"{_DUMP_PREFIX}*.jsonl") if p != newest),
+        key=lambda p: p.stat().st_mtime_ns,
+    )
+    for path in others[: max(0, len(others) - (_MAX_DUMPS - 1))]:
+        path.unlink(missing_ok=True)
 
 
 def flight_dump(
@@ -203,7 +215,8 @@ def flight_dump(
     box records *why* it exists), writes the ring to a fresh file
     under ``directory``, and returns its path — or ``None`` when
     there is no recorder, it is empty, or the dump itself fails (a
-    black-box hiccup must never mask the original fault).
+    black-box hiccup must never mask the original fault).  The
+    directory then keeps its newest :data:`_MAX_DUMPS` dumps.
     """
     if ring is None or ring.n_records == 0:
         return None
@@ -212,6 +225,11 @@ def flight_dump(
         attrs["batch"] = batch
     ring.event("flight.dump", attrs)
     try:
-        return ring.dump_to_dir(directory)
+        path = ring.dump_to_dir(directory)
     except OSError:
         return None
+    try:
+        _prune_dumps(Path(path))
+    except OSError:
+        pass
+    return path

@@ -42,7 +42,6 @@ __all__ = [
 SPAN_ATTRS: Dict[str, Tuple[str, ...]] = {
     # Master-side pipeline stages (service.py).
     "prepare": ("batch",),
-    "spill": ("batch",),
     "dispatch": ("batch",),
     "collect": ("batch",),
     "merge": ("batch",),

@@ -36,9 +36,9 @@ same rank program (:mod:`repro.search.rank`) on real OS processes:
   that proves the supervision layer heals every fault class
   bit-identically,
 * :mod:`repro.parallel.shared_spectra` — the
-  :class:`~repro.parallel.shared_spectra.SharedSpectraStore` giving
-  preprocessed query batches the same memmap-shared treatment, so the
-  per-batch scatter payload is O(manifest), never pickled peak arrays,
+  :class:`~repro.parallel.shared_spectra.SharedSpectraStore`, a file
+  carrier for a :class:`~repro.spectra.packed.PackedSpectra` batch
+  (library use; the service ships the same columns in-band),
 * :mod:`repro.parallel.transport` — the pluggable
   :class:`~repro.parallel.transport.Transport` registry behind both
   pools' worker bootstrap: the pools speak only the

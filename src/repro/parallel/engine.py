@@ -16,7 +16,8 @@ are real OS work:
    workers reopen it read-only via ``np.memmap``, so the system holds
    one physical copy of the fragment data regardless of worker count.
 3. **Scatter.**  Each worker's pickled task is only its entry-id
-   manifest + the spectra + settings (O(entries/worker + spectra)).
+   manifest + the batch's flat columns + settings
+   (O(entries/worker + peaks)).
 4. **Parallel build + query (workers).**  Real processes run the
    shared rank body and report real wall/CPU seconds per phase.
 5. **Gather & merge (master).**  Identical to the simulated engine's
@@ -53,6 +54,7 @@ from repro.search.engine import make_lbe_plan
 from repro.search.psm import RankStats, SearchResults
 from repro.search.rank import merge_rank_payloads, rank_stats_from_report
 from repro.spectra.model import Spectrum
+from repro.spectra.packed import PackedSpectra
 from repro.spectra.preprocess import PreprocessConfig, preprocess_batch
 
 __all__ = ["ParallelEngineConfig", "ParallelSearchEngine"]
@@ -205,6 +207,7 @@ class ParallelSearchEngine:
         t_start = wall()
         plan = self.plan
         processed = preprocess_batch(spectra, cfg.preprocess)
+        packed = PackedSpectra.from_spectra(processed)
         manifests = [
             np.asarray(plan.rank_global_ids(r), dtype=np.int64)
             for r in range(cfg.n_workers)
@@ -220,7 +223,7 @@ class ParallelSearchEngine:
                 store_dir=str(store.directory),
                 entry_ids=manifests[r],
                 settings=cfg.index,
-                spectra=processed,
+                spectra=packed,
                 top_k=cfg.top_k,
             )
             for r in range(cfg.n_workers)

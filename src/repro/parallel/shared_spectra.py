@@ -1,44 +1,37 @@
 """Spill a preprocessed query batch to disk; reopen it memmap-shared.
 
-The scatter side of the communication-lower-bounds argument
-(arXiv:2009.14123): once the index is resident and shared, the query
-*spectra* become the per-batch communication volume.  Pickling the
-peak arrays to every worker makes that volume O(n_workers × peaks);
-:class:`SharedSpectraStore` makes it O(1) the same way
-:class:`~repro.parallel.shared_arena.SharedArenaStore` does for the
-fragment arena:
+The file carrier for :class:`~repro.spectra.packed.PackedSpectra`:
+:meth:`SharedSpectraStore.spill` packs a batch of (already
+preprocessed) :class:`~repro.spectra.model.Spectrum` objects and saves
+one raw ``.npy`` file per column plus a small JSON manifest;
+:meth:`SharedSpectraStore.load` reopens the two peak columns with
+``np.load(..., mmap_mode="r")`` and rebuilds the ``Spectrum`` list as
+zero-copy slices of the maps, so N readers share one page-cache copy.
 
-* :meth:`SharedSpectraStore.spill` flattens a batch of (already
-  preprocessed) :class:`~repro.spectra.model.Spectrum` objects into
-  raw uncompressed ``.npy`` files — one flat peak m/z array, one flat
-  intensity array, int64 CSR peak offsets, and per-spectrum scan ids,
-  precursor m/z values and charges — bound by a small JSON manifest,
-* :meth:`SharedSpectraStore.load` reopens every array with
-  ``np.load(..., mmap_mode="r")`` and rebuilds the ``Spectrum`` list
-  as zero-copy slices of the maps.
-
-However many workers ``load()`` one batch, the OS page cache holds one
-physical copy of the peak data; the worker-side *pickled* payload per
-batch is only the store path plus scalars — O(batch manifest), never
-O(peaks).  ``true_peptide`` ground-truth labels travel as an int64
-column (−1 encodes ``None``) so synthetic-data round-trips stay exact.
+The serving path does not use it: at the 8-60 KB a batch weighs,
+creating, reopening and removing eight files per batch costs more than
+pickling the same bytes, so the service sends the columns in-band.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError, FormatError
 from repro.spectra.model import Spectrum
+from repro.spectra.packed import PackedSpectra
 
 __all__ = ["SharedSpectraStore"]
 
 _MANIFEST_NAME = "spectra_manifest.json"
 _FORMAT_VERSION = 1
+_COLUMNS = tuple(f.name for f in fields(PackedSpectra))  # one file each
+_MAPPED = ("mzs", "intensities")  # the peak data: reopened as memmaps
 
 
 class SharedSpectraStore:
@@ -70,37 +63,13 @@ class SharedSpectraStore:
             raise ConfigurationError("cannot spill an empty spectra batch")
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        n = len(spectra)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        for i, s in enumerate(spectra):
-            offsets[i + 1] = offsets[i] + s.n_peaks
-        mzs = np.concatenate([s.mzs for s in spectra]) if offsets[-1] else np.empty(0)
-        intensities = (
-            np.concatenate([s.intensities for s in spectra])
-            if offsets[-1]
-            else np.empty(0)
-        )
-        scan_ids = np.array([s.scan_id for s in spectra], dtype=np.int64)
-        precursor_mzs = np.array([s.precursor_mz for s in spectra], dtype=np.float64)
-        charges = np.array([s.charge for s in spectra], dtype=np.int64)
-        true_peptides = np.array(
-            [-1 if s.true_peptide is None else s.true_peptide for s in spectra],
-            dtype=np.int64,
-        )
-        np.save(directory / "peak_mzs.npy", np.ascontiguousarray(mzs, dtype=np.float64))
-        np.save(
-            directory / "peak_intensities.npy",
-            np.ascontiguousarray(intensities, dtype=np.float64),
-        )
-        np.save(directory / "peak_offsets.npy", offsets)
-        np.save(directory / "scan_ids.npy", scan_ids)
-        np.save(directory / "precursor_mzs.npy", precursor_mzs)
-        np.save(directory / "charges.npy", charges)
-        np.save(directory / "true_peptides.npy", true_peptides)
+        packed = PackedSpectra.from_spectra(spectra)
+        for column in _COLUMNS:
+            np.save(directory / f"{column}.npy", getattr(packed, column))
         manifest = {
             "version": _FORMAT_VERSION,
-            "n_spectra": n,
-            "n_peaks": int(offsets[-1]),
+            "n_spectra": packed.n_spectra,
+            "n_peaks": int(packed.mzs.size),
         }
         (directory / _MANIFEST_NAME).write_text(
             json.dumps(manifest, indent=2) + "\n", encoding="ascii"
@@ -145,32 +114,28 @@ class SharedSpectraStore:
             )
         d = self.directory
         try:
-            mzs = np.load(d / "peak_mzs.npy", mmap_mode=mmap_mode)
-            intensities = np.load(d / "peak_intensities.npy", mmap_mode=mmap_mode)
-            offsets = np.load(d / "peak_offsets.npy")
-            scan_ids = np.load(d / "scan_ids.npy")
-            precursor_mzs = np.load(d / "precursor_mzs.npy")
-            charges = np.load(d / "charges.npy")
-            true_peptides = np.load(d / "true_peptides.npy")
+            packed = PackedSpectra(
+                **{
+                    column: np.load(
+                        d / f"{column}.npy",
+                        mmap_mode=mmap_mode if column in _MAPPED else None,
+                    )
+                    for column in _COLUMNS
+                }
+            )
         except FileNotFoundError as missing:
             raise FormatError(
                 f"spectra store {d} is missing {missing.filename!r}"
             ) from None
-        spectra: List[Spectrum] = []
-        for i in range(self.n_spectra):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            true = int(true_peptides[i])
-            spectra.append(
-                Spectrum(
-                    scan_id=int(scan_ids[i]),
-                    precursor_mz=float(precursor_mzs[i]),
-                    charge=int(charges[i]),
-                    mzs=mzs[lo:hi],
-                    intensities=intensities[lo:hi],
-                    true_peptide=None if true < 0 else true,
-                )
+        defect = packed.defect()
+        if defect is None and packed.n_spectra != self.n_spectra:
+            defect = (
+                f"{packed.n_spectra} spectra on disk, "
+                f"{self.n_spectra} in the manifest"
             )
-        return spectra
+        if defect is not None:
+            raise FormatError(f"spectra store {d} is torn: {defect}")
+        return packed.to_spectra()
 
     # -- introspection --------------------------------------------------
 
@@ -184,13 +149,6 @@ class SharedSpectraStore:
         """Total peaks across the batch."""
         return int(self.manifest["n_peaks"])
 
-    def file_bytes(self) -> Dict[str, int]:
-        """On-disk bytes per store file (the shared-copy footprint)."""
-        return {
-            p.name: p.stat().st_size
-            for p in sorted(self.directory.glob("*.npy"))
-        }
-
     def nbytes(self) -> int:
-        """Total on-disk bytes — the one physical copy all workers share."""
-        return sum(self.file_bytes().values())
+        """Total on-disk bytes — the one physical copy all readers share."""
+        return sum(p.stat().st_size for p in self.directory.glob("*.npy"))

@@ -4,17 +4,15 @@
 everything a :class:`~repro.parallel.pool.ProcessBackend` executes
 must live at module scope in an importable module.  This module holds
 
-* :func:`search_rank_worker` — the one-shot rank program: open the
-  memmap-shared arena store, carve this rank's sub-arena, build the
-  partial index, query every spectrum (all through the same
-  :mod:`repro.search.rank` body the simulated engine runs), and
-  report the payload plus real wall/CPU phase timings,
 * :func:`service_attach_worker` / :func:`service_query_worker` — the
-  same body split at the attach/query boundary for the persistent
-  pool: attach opens the arena store and builds the partial index
-  **once**, then every query round reopens only that batch's
-  memmap-shared spectra store — the per-batch pickled payload is a
-  :class:`QueryTask` (a path plus scalars), never peak arrays,
+  rank body (the same :mod:`repro.search.rank` code the simulated
+  engine runs, plus real wall/CPU phase timings) split at the
+  attach/query boundary for the persistent pool: attach opens the
+  memmap-shared arena store and builds the partial index
+  **once**, then every query round unpacks the batch's flat columns
+  straight out of its :class:`QueryTask` — no file per batch,
+* :func:`search_rank_worker` — the one-shot rank program: those two
+  bodies back to back,
 * tiny diagnostic programs (:func:`echo_worker`, :func:`crash_worker`,
   :func:`exit_worker`, :func:`sleep_worker`, and the ``resident_*`` /
   ``query_*`` family for the persistent pool) used by the backends'
@@ -26,20 +24,18 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ServiceError
 from repro.index.slm import SLMIndexSettings
 from repro.parallel.shared_arena import SharedArenaStore
-from repro.parallel.shared_spectra import SharedSpectraStore
 from repro.search.rank import (
     build_rank_index,
     run_rank_queries,
     summarize_rank_output,
 )
-from repro.spectra.model import Spectrum
+from repro.spectra.packed import PackedSpectra
 
 __all__ = [
     "RankTask",
@@ -49,68 +45,6 @@ __all__ = [
     "service_attach_worker",
     "service_query_worker",
 ]
-
-
-@dataclass(frozen=True)
-class RankTask:
-    """Everything one search worker needs, in picklable form.
-
-    The bulk data (the fragment arena) is *not* here — workers reach
-    it zero-copy through ``store_dir``.  What does get pickled is the
-    rank's entry-id manifest, the (already preprocessed) query
-    spectra, and the settings: O(entries/worker + spectra), not
-    O(arena).
-    """
-
-    store_dir: str
-    entry_ids: np.ndarray
-    settings: SLMIndexSettings
-    spectra: Sequence[Spectrum]
-    top_k: int
-
-
-def search_rank_worker(rank: int, size: int, task: RankTask) -> dict:
-    """The process-backend rank program.
-
-    Returns a plain dict (picklable) with the merge payload, the
-    partial-index statistics, aggregate work counters, and real
-    wall/CPU seconds per phase.  Bit-identity with the other engines
-    is inherited from :mod:`repro.search.rank` — this function adds
-    only I/O and timing around the shared body.
-    """
-    t0 = time.perf_counter()
-    store = SharedArenaStore.open(task.store_dir)
-    arena = store.load(mmap_mode="r")
-    open_wall = time.perf_counter() - t0
-
-    t0, c0 = time.perf_counter(), time.process_time()
-    sub_arena, index = build_rank_index(arena, task.entry_ids, task.settings)
-    build_wall = time.perf_counter() - t0
-    build_cpu = time.process_time() - c0
-
-    t0, c0 = time.perf_counter(), time.process_time()
-    out = run_rank_queries(
-        index,
-        sub_arena,
-        task.entry_ids,
-        task.spectra,
-        top_k=task.top_k,
-    )
-    query_wall = time.perf_counter() - t0
-    query_cpu = time.process_time() - c0
-
-    report = summarize_rank_output(out)
-    report.update(
-        rank=rank,
-        n_entries=len(index),
-        n_ions=index.n_ions,
-        open_s=open_wall,
-        build_s=build_wall,
-        build_cpu_s=build_cpu,
-        query_s=query_wall,
-        query_cpu_s=query_cpu,
-    )
-    return report
 
 
 # -- persistent-service rank programs ----------------------------------
@@ -134,18 +68,18 @@ class AttachTask:
 class QueryTask:
     """One resident worker's per-batch command (picklable).
 
-    This is the whole per-batch scatter payload: the batch's
-    spectra-store path plus scalars — O(batch manifest).  The peak
-    arrays are never pickled; workers reach them zero-copy through
-    ``spectra_dir``.  The payload-accounting assertions in the service
-    suite pin this down.  ``batch_index`` is echoed back in the report
-    so the pipelined session can assert that the replies it collects
-    belong to the batch it dispatched (a torn round could otherwise be
+    This is the whole per-batch scatter: the preprocessed batch as
+    flat columns plus scalars, one message per rank.  The session
+    hands every rank the *same* task object, so the pool pickles it
+    once per round and writes that one buffer to each pipe (the
+    payload-accounting assertions in the service suite pin this
+    down).  ``batch_index`` is echoed back in the report so the
+    pipelined session can assert that the replies it collects belong
+    to the batch it dispatched (a torn round could otherwise be
     merged silently into the wrong future).
     """
 
-    spectra_dir: str
-    n_spectra: int
+    spectra: PackedSpectra
     top_k: int
     batch_index: int = -1
 
@@ -188,8 +122,7 @@ def service_attach_worker(rank: int, size: int, task: AttachTask) -> tuple:
 def service_query_worker(rank: int, size: int, state: dict, task: QueryTask) -> dict:
     """QUERY body: run one batch against the resident index state.
 
-    Reopens the batch's memmap-shared spectra store (O(metadata) —
-    peak pages fault in lazily while filtering) and runs the exact
+    Unpacks the batch's columns into slice views and runs the exact
     rank body every other backend runs, so session results are
     bit-identical to the serial engine by construction.
     """
@@ -198,14 +131,11 @@ def service_query_worker(rank: int, size: int, state: dict, task: QueryTask) -> 
             f"worker {rank} received a query before any attach"
         )
     t0 = time.perf_counter()
-    store = SharedSpectraStore.open(task.spectra_dir)
-    if store.n_spectra != task.n_spectra:
-        raise ServiceError(
-            f"batch store at {task.spectra_dir} holds {store.n_spectra} "
-            f"spectra but the command says {task.n_spectra}; refusing a "
-            "torn batch"
-        )
-    spectra = store.load(mmap_mode="r")
+    # Structure only: the master validated the values before sending.
+    defect = task.spectra.defect()
+    if defect is not None:
+        raise ServiceError(f"refusing a torn batch: {defect}")
+    spectra = task.spectra.to_spectra()
     open_wall = time.perf_counter() - t0
 
     t0, c0 = time.perf_counter(), time.process_time()
@@ -240,6 +170,34 @@ def service_query_worker(rank: int, size: int, state: dict, task: QueryTask) -> 
         ),
     )
     return report
+
+
+# -- one-shot rank program -----------------------------------------------
+
+
+@dataclass(frozen=True)
+class RankTask(AttachTask):
+    """Everything one one-shot search worker needs, in picklable form:
+    an attach recipe plus the (already preprocessed) query batch as
+    flat columns — O(entries/worker + peaks), not O(arena)."""
+
+    spectra: PackedSpectra
+    top_k: int
+
+
+def search_rank_worker(rank: int, size: int, task: RankTask) -> dict:
+    """The process-backend rank program: ATTACH, then one QUERY.
+
+    Returns the two reports merged into one plain dict (merge payload,
+    partial-index statistics, work counters, real wall/CPU seconds per
+    phase).
+    """
+    state, report = service_attach_worker(rank, size, task)
+    query = service_query_worker(
+        rank, size, state, QueryTask(task.spectra, task.top_k)
+    )
+    query["open_s"] += report["open_s"]
+    return {**report, **query}
 
 
 # -- diagnostic programs (backend tests / deployment smoke checks) -----

@@ -1,21 +1,21 @@
 """Persistent search service: resident workers, streaming query batches.
 
 The one-shot :class:`~repro.parallel.ParallelSearchEngine` pays spawn +
-import + arena attach on every ``run()`` and pickles the query peak
-arrays to every worker — fine for a single batch, fatal for serving
-sustained traffic.  This package amortizes all of it across a session:
+import + arena attach on every ``run()`` — fine for a single batch,
+fatal for serving sustained traffic.  This package amortizes all of it
+across a session:
 
 * :class:`~repro.service.service.SearchService` — the session API:
   ``open()`` spawns a :class:`~repro.parallel.persistent.PersistentPool`,
   spills the arena once (through the process-wide spill cache) and
   attaches every worker; ``submit(spectra)`` preprocesses a batch,
-  spills it to a :class:`~repro.parallel.shared_spectra.SharedSpectraStore`
-  and dispatches an O(manifest) command to the resident workers;
+  packs it into flat :class:`~repro.spectra.packed.PackedSpectra`
+  columns and sends them inside the round's one command;
   ``close()`` drains the pipeline and shuts the pool down.  The
   session is a **software pipeline** over the batch stream:
   ``submit_async(spectra)`` returns a future, ``stream(batches)``
   drives an iterable with up to ``max_pending`` batches in flight, and
-  the master preprocesses/spills batch N+1 and merges batch N while
+  the master preprocesses/packs batch N+1 and merges batch N while
   the workers query — ``submit()`` is the blocking wrapper.  Results
   are bit-identical to the serial engine for every policy × worker
   count — the workers run the same :mod:`repro.search.rank` body as

@@ -12,29 +12,32 @@ Session lifecycle (the amortization structure)::
 — worker spawn + interpreter import, the arena spill (through the
 process-wide spill cache, so an engine over the same database shares
 it), and the per-rank partial-index build.  ``submit()`` then costs
-only: preprocess, spill the batch to a memmap-shared
-:class:`~repro.parallel.shared_spectra.SharedSpectraStore`, one
-O(manifest) pickled :class:`~repro.parallel.worker.QueryTask` per
-worker, the workers' query phase, and the master merge.  The pickled
-scatter volume per batch is recorded in :class:`BatchStats`
-(``scatter_bytes``) next to what pickling the peak arrays would have
-cost (``peak_bytes``) — the communication-lower-bounds story in
-numbers.
+only: preprocess, pack the batch into flat
+:class:`~repro.spectra.packed.PackedSpectra` columns, one
+:class:`~repro.parallel.worker.QueryTask` carrying them to every
+worker, the workers' query phase, and the master merge — no file or
+directory per batch or per session beyond the arena spill.  The
+scatter is **one pickle per round, n sends** (``scatter_bytes`` =
+``n_workers`` × that pickle; ``peak_bytes`` is the raw peak data in
+it).  In-band is deliberate: the communication-lower-bounds paper
+(PAPERS.md) counts messages as well as words, and a file carrier adds
+eight file creates / reopens / unlinks per rank per batch — at 8–60 KB
+a batch, messages, not bytes, were the cost.
 
 The pipelined session
 ---------------------
-Every batch still runs the same five stages, but the session is a
+Every batch runs the same four master stages, but the session is a
 **software pipeline over the batch stream** (HiCOPS overlaps its
 serial master phases with parallel compute the same way): a single
 master-side pipeline thread drives the stages so that the master works
 on neighbouring batches while the workers query the current one::
 
-    batch N   :  prep+spill ──▶ dispatch ═══ workers query ═══▶ collect ──▶ merge
-    batch N+1 :               prep+spill ──────────────▲              dispatch ═══ ...
-                              (runs while N's round          (N+1 scatters before
-                               is on the pipe)                N's merge runs)
+    batch N   :  prep+pack ──▶ dispatch ═══ workers query ═══▶ collect ──▶ merge
+    batch N+1 :              prep+pack ───────────────▲              dispatch ═══ ...
+                             (runs while N's round          (N+1 scatters before
+                              is on the pipe)                N's merge runs)
 
-* the **prepare stage** (preprocess + spectra spill) of batch N+1 runs
+* the **prepare stage** (preprocess + pack) of batch N+1 runs
   on the pipeline thread while the workers are busy with batch N's
   round (between :meth:`~repro.parallel.persistent.PersistentPool.dispatch`
   and :meth:`~repro.parallel.persistent.RoundHandle.collect`),
@@ -44,10 +47,9 @@ on neighbouring batches while the workers query the current one::
 * the pool still serializes the pipe protocol: at most **one round is
   on the pipe at a time** (the dispatch lock inside the pool), so the
   crash/respawn/deadline contract is per-round, exactly as before,
-* batch N+1's spilled spectra store lives from its prepare until its
-  own collect — at most two batch directories exist at once (the
-  in-flight batch's and the prepared successor's), and each is removed
-  as soon as its round is collected.
+* a batch's packed columns live from its prepare until its round is
+  collected (a retry or hedge re-sends them) — at most two batches'
+  are held at once, the in-flight one's and its prepared successor's.
 
 ``submit_async(spectra)`` returns a
 :class:`concurrent.futures.Future` resolving to ``(SearchResults,
@@ -138,15 +140,13 @@ migration emits ``rebalance.trigger`` / ``rebalance.migrate`` (and
 ``close()`` drains: every already-admitted batch completes (each stage
 bounded by the pool deadline) before the workers shut down, so
 in-flight futures resolve deterministically — never hang, never leak.
-``open()`` also sweeps stale spill/spectra stores left behind by
-earlier crashed sessions (see
+``open()`` also sweeps stale spill stores left behind by earlier
+crashed sessions (see
 :func:`~repro.parallel.shared_arena.sweep_stale_stores`).
 """
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 import threading
 import time
 import weakref
@@ -178,9 +178,7 @@ from repro.parallel.shared_arena import (
     SharedSpill,
     shared_spill_for,
     sweep_stale_stores,
-    write_owner_marker,
 )
-from repro.parallel.shared_spectra import SharedSpectraStore
 from repro.parallel.worker import (
     AttachTask,
     QueryTask,
@@ -202,11 +200,8 @@ from repro.service.rebalance import (
     RebalancePolicy,
 )
 from repro.spectra.model import Spectrum
-from repro.spectra.preprocess import (
-    PreprocessConfig,
-    preprocess_batch,
-    spectra_peak_bytes,
-)
+from repro.spectra.packed import PackedSpectra
+from repro.spectra.preprocess import PreprocessConfig, preprocess_batch
 
 __all__ = [
     "ServiceConfig",
@@ -426,8 +421,9 @@ class BatchStats:
         0-based position of this batch within the session.
     n_spectra:
         Query spectra in the batch.
-    preprocess_s / spill_s / parallel_s / merge_s / total_s:
-        Master-observed wall seconds per phase (``parallel_s`` spans
+    preprocess_s / parallel_s / merge_s / total_s:
+        Master-observed wall seconds per phase (``preprocess_s``
+        includes packing; ``parallel_s`` spans
         dispatch → collect return; ``total_s`` spans prepare start →
         merge end, including any time the master overlapped other
         batches' stages with this batch's round).
@@ -443,12 +439,11 @@ class BatchStats:
     scatter_bytes:
         Actual command bytes written to the worker pipes for this
         batch — the shared :class:`~repro.parallel.worker.QueryTask`
-        is pickled once and its buffer reused for every worker, so
-        this is O(batch manifest) by construction.
+        is pickled once and its buffer sent to every worker, so this
+        is ``n_workers ×`` one pickle (plus any retry / hedge re-sends).
     peak_bytes:
-        What pickling the preprocessed peak arrays to every worker
-        would have cost (``n_workers ×`` the batch's peak bytes) — the
-        baseline ``scatter_bytes`` replaces.
+        ``n_workers ×`` the preprocessed batch's raw peak bytes —
+        ``scatter_bytes`` less per-spectrum columns and framing.
     respawned:
         Workers respawned (and re-attached) to serve this batch.
     wait_s:
@@ -485,7 +480,6 @@ class BatchStats:
     batch_index: int
     n_spectra: int
     preprocess_s: float
-    spill_s: float
     parallel_s: float
     merge_s: float
     total_s: float
@@ -503,7 +497,7 @@ class BatchStats:
     degraded_ranks: Tuple[int, ...] = ()
     flight_record: Optional[str] = None
     #: Master-observed per-rank wall / process-CPU seconds of the whole
-    #: query round on the pipe (store open + query body + any straggler
+    #: query round on the pipe (unpack + query body + any straggler
     #: or injected delay) — a superset of ``query_wall_s`` that sees
     #: *everything* that makes a rank slow, which is why the elastic
     #: rebalance policy watches these vectors rather than the workers'
@@ -655,9 +649,9 @@ class _PendingBatch:
 
     __slots__ = (
         "spectra", "future", "batch_index", "enqueued_at", "depth",
-        "batch_dir", "n_processed", "peak_bytes", "handle",
+        "packed", "handle",
         "dispatched_at", "round", "error", "t_start", "wait_s",
-        "prep_s", "spill_s", "collect_wait_s", "parallel_s",
+        "prep_s", "collect_wait_s", "parallel_s",
         "prepared_overlapped", "released", "plan", "attach_stats",
     )
 
@@ -670,9 +664,7 @@ class _PendingBatch:
         self.batch_index = batch_index
         self.enqueued_at = enqueued_at
         self.depth = depth
-        self.batch_dir: Optional[Path] = None
-        self.n_processed = 0
-        self.peak_bytes = 0
+        self.packed: Optional[PackedSpectra] = None
         self.handle = None
         self.dispatched_at = 0.0
         self.round: Optional[PoolBatchResult] = None
@@ -680,7 +672,6 @@ class _PendingBatch:
         self.t_start = 0.0
         self.wait_s = 0.0
         self.prep_s = 0.0
-        self.spill_s = 0.0
         self.collect_wait_s = 0.0
         self.parallel_s = 0.0
         self.prepared_overlapped = False
@@ -733,7 +724,7 @@ def _pipeline_main(state: _PipelineState, service_ref) -> None:
 
     Holds the service only through ``service_ref`` while idle, so a
     session dropped without ``close()`` stays collectable; its
-    finalizers then reap the workers and the session directory.
+    finalizers then reap the workers and the arena spill.
     """
     inflight: Optional[_PendingBatch] = None
     while True:
@@ -776,7 +767,7 @@ def _pipeline_main(state: _PipelineState, service_ref) -> None:
             return
         nxt = item if isinstance(item, _PendingBatch) else None
         try:
-            # Stage 1 — prepare N+1 (preprocess + spill) while N's
+            # Stage 1 — prepare N+1 (preprocess + pack) while N's
             # round, if any, is still on the pipe.
             if nxt is not None and not service._stage_prepare(
                 nxt, overlapped=inflight is not None
@@ -855,8 +846,6 @@ class SearchService:
         self._plan: LBEPlan | None = None
         self._spill: SharedSpill | None = None
         self._pool: PersistentPool | None = None
-        self._session_dir: Path | None = None
-        self._session_cleanup: weakref.finalize | None = None
         self._closed = False
         self._n_batches = 0
         self._n_submitted = 0
@@ -932,8 +921,8 @@ class SearchService:
             return self
         cfg = self.config
         t_open = time.perf_counter()
-        # Reap spill/spectra stores orphaned by earlier crashed
-        # sessions before creating our own — best-effort, a reaper
+        # Reap spill stores orphaned by earlier crashed sessions
+        # before creating our own — best-effort, a reaper
         # hiccup must never block a session from opening.
         try:
             sweep_stale_stores()
@@ -942,15 +931,6 @@ class SearchService:
         plan = self.plan
         arena = self.database.arena_for(cfg.index.fragmentation)
         self._spill = shared_spill_for(arena, cfg.index.resolution)
-        self._session_dir = Path(tempfile.mkdtemp(prefix="repro-spectra-"))
-        # Finalizer registered before first use: a hard crash between
-        # here and close() still removes the session dir at GC.  The
-        # owner marker keeps sweep_stale_stores off the live session
-        # however long it idles.
-        self._session_cleanup = weakref.finalize(
-            self, shutil.rmtree, str(self._session_dir), ignore_errors=True
-        )
-        write_owner_marker(self._session_dir)
         pool = PersistentPool(
             cfg.n_workers,
             start_method=cfg.start_method,
@@ -1053,8 +1033,6 @@ class SearchService:
             if self._pool is not None:
                 self._pool.close()
                 self._pool = None
-            if self._session_cleanup is not None:
-                self._session_cleanup()  # remove the session dir now
             self._spill = None
         if was_open and self._tracer.enabled:
             self._tracer.event("session.close", {"n_batches": self._n_batches})
@@ -1152,7 +1130,7 @@ class SearchService:
     # -- pipeline stages (run on the pipeline thread) --------------------
 
     def _stage_prepare(self, batch: _PendingBatch, *, overlapped: bool) -> bool:
-        """Preprocess + spill one batch; False (and a failed future) on error."""
+        """Preprocess + pack one batch; False (and a failed future) on error."""
         if not batch.future.set_running_or_notify_cancel():
             # The caller cancelled the future while the batch was still
             # queued: honour it, skip every stage, free the slot.  Once
@@ -1166,30 +1144,21 @@ class SearchService:
         batch.wait_s = batch.t_start - batch.enqueued_at
         batch.prepared_overlapped = overlapped
         try:
-            processed = preprocess_batch(batch.spectra, self.config.preprocess)
-            batch.prep_s = wall() - batch.t_start
-            t0 = wall()
-            batch.batch_dir = self._session_dir / f"batch_{batch.batch_index:06d}"
-            SharedSpectraStore.spill(processed, batch.batch_dir)
-            batch.spill_s = wall() - t0
-            batch.n_processed = len(processed)
-            batch.peak_bytes = (
-                spectra_peak_bytes(processed) * self.n_workers
+            # preprocess_batch constructs, and so validates, every
+            # spectrum it returns — the only value check a batch gets.
+            batch.packed = PackedSpectra.from_spectra(
+                preprocess_batch(batch.spectra, self.config.preprocess)
             )
+            batch.prep_s = wall() - batch.t_start
             if self._tracer.enabled:
                 self._tracer.span(
                     "prepare",
                     batch.t_start,
                     batch.prep_s,
-                    {"batch": batch.batch_index, "n_spectra": batch.n_processed},
-                )
-                self._tracer.span(
-                    "spill", t0, batch.spill_s, {"batch": batch.batch_index}
+                    {"batch": batch.batch_index, "n_spectra": len(batch.spectra)},
                 )
             return True
         except BaseException as exc:  # noqa: BLE001 - routed to the future
-            if batch.batch_dir is not None:
-                shutil.rmtree(batch.batch_dir, ignore_errors=True)
             self._fail_batch(batch, exc)
             return False
 
@@ -1197,8 +1166,7 @@ class SearchService:
         """Scatter one batch's round; False (and a failed future) on error."""
         cfg = self.config
         task = QueryTask(
-            spectra_dir=str(batch.batch_dir),
-            n_spectra=batch.n_processed,
+            spectra=batch.packed,
             top_k=cfg.top_k,
             batch_index=batch.batch_index,
         )
@@ -1223,7 +1191,6 @@ class SearchService:
                 )
             return True
         except BaseException as exc:  # noqa: BLE001 - routed to the future
-            shutil.rmtree(batch.batch_dir, ignore_errors=True)
             self._fail_batch(batch, exc)
             return False
 
@@ -1245,10 +1212,6 @@ class SearchService:
                     batch.collect_wait_s,
                     {"batch": batch.batch_index},
                 )
-            # The workers hold no references to the batch store after
-            # the round; drop it (best-effort — pages may still be
-            # mapped briefly, which POSIX tolerates).
-            shutil.rmtree(batch.batch_dir, ignore_errors=True)
 
     def _stage_finalize(
         self, batch: _PendingBatch, *, merged_overlapped: bool
@@ -1330,7 +1293,6 @@ class SearchService:
         )
         phase_times = {
             "serial_prep": batch.prep_s,
-            "spill": batch.spill_s,
             "build": 0.0,  # paid once at open(), not per batch
             "query": max(s.query_time for s in all_stats),
             "query_cpu": max(s.query_cpu_time for s in all_stats),
@@ -1350,19 +1312,19 @@ class SearchService:
         )
         overlap_s = merge_s if merged_overlapped else 0.0
         if batch.prepared_overlapped:
-            overlap_s += batch.prep_s + batch.spill_s
+            overlap_s += batch.prep_s
         stats = BatchStats(
             batch_index=batch.batch_index,
             n_spectra=len(batch.spectra),
             preprocess_s=batch.prep_s,
-            spill_s=batch.spill_s,
             parallel_s=batch.parallel_s,
             merge_s=merge_s,
             total_s=total_s,
             query_wall_s=tuple(s.query_time for s in all_stats),
             query_cpu_s=tuple(s.query_cpu_time for s in all_stats),
             scatter_bytes=pool_round.scatter_bytes,
-            peak_bytes=batch.peak_bytes,
+            peak_bytes=plan.n_ranks
+            * (batch.packed.mzs.nbytes + batch.packed.intensities.nbytes),
             respawned=pool_round.respawned,
             wait_s=batch.wait_s,
             pipeline_depth=batch.depth,
@@ -1510,7 +1472,7 @@ class SearchService:
         ):
             return
         # The round-level vectors (pipe-observed) see every source of
-        # rank slowness — body, store open, injected or real host skew
+        # rank slowness — body, unpack, injected or real host skew
         # — so they, not the workers' self-reported query times, drive
         # the decision.
         walls = stats.round_wall_s or stats.query_wall_s

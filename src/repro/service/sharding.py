@@ -342,7 +342,7 @@ class ShardedBatchStats(BatchStats):
     """Fleet-level :class:`BatchStats` plus per-shard breakdown.
 
     The inherited fields aggregate over the dispatched shards: wall
-    phases (``preprocess_s`` / ``spill_s`` / ``parallel_s``) take the
+    phases (``preprocess_s`` / ``parallel_s``) take the
     **max** (the shards run concurrently), counters (``merge_s`` /
     ``scatter_bytes`` / ``peak_bytes`` / ``respawned`` / ``retries`` /
     ``hedged``) take the **sum**, and ``degraded_ranks`` is the
@@ -891,7 +891,6 @@ class ShardedSearchService:
 
         phase_times = {
             "serial_prep": pmax("serial_prep"),
-            "spill": pmax("spill"),
             "build": 0.0,
             "query": pmax("query"),
             "query_cpu": pmax("query_cpu"),
@@ -920,7 +919,6 @@ class ShardedSearchService:
             batch_index=batch.batch_index,
             n_spectra=n_spectra,
             preprocess_s=smax("preprocess_s"),
-            spill_s=smax("spill_s"),
             parallel_s=smax("parallel_s"),
             merge_s=ssum("merge_s") + merge_s,
             total_s=total_s,

@@ -6,7 +6,8 @@ Stands in for the paper's query-side pipeline (Section V-A.2):
   LC-MS/MS run generator),
 * ``msconvert`` MS2 output → :mod:`~repro.spectra.ms2` (reader/writer),
 * SLM-Transform's fragment extraction → :mod:`~repro.spectra.preprocess`
-  (top-N peak picking and normalization).
+  (top-N peak picking and normalization),
+* the master → worker wire form → :mod:`~repro.spectra.packed`.
 """
 
 from repro.spectra.model import Spectrum

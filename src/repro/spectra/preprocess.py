@@ -31,7 +31,6 @@ __all__ = [
     "PreprocessConfig",
     "preprocess_spectrum",
     "preprocess_batch",
-    "spectra_peak_bytes",
 ]
 
 #: Element budget of one padded selection matrix (rows × max peaks).
@@ -257,13 +256,3 @@ def preprocess_batch(
             )
         )
     return out
-
-
-def spectra_peak_bytes(spectra: Sequence[Spectrum]) -> int:
-    """Total peak-array bytes (m/z + intensity) across ``spectra``.
-
-    The scatter-accounting baseline: what pickling a batch's peak
-    arrays to one worker would cost, against which the service's
-    O(manifest) command payloads are compared.
-    """
-    return int(sum(s.mzs.nbytes + s.intensities.nbytes for s in spectra))

@@ -9,6 +9,7 @@ supervision events.
 """
 
 import json
+import os
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.obs import (
     validate_record,
     validate_trace_file,
 )
+from repro.obs.ring import _MAX_DUMPS
 from repro.parallel.faults import FaultPlan, FaultSpec
 from repro.service import (
     SearchService,
@@ -113,6 +115,38 @@ def test_flight_dump_appends_reason_event_and_writes_file(tmp_path):
     n, errors = validate_trace_file(path)
     assert errors == [] and n == 2
     assert flight_dump(None, tmp_path, "none") is None
+
+
+def test_flight_dump_prunes_oldest_first(tmp_path):
+    """The directory keeps its newest _MAX_DUMPS black boxes; files
+    that are not flight dumps are never touched."""
+    bystander = tmp_path / "notes.jsonl"
+    bystander.write_text("{}\n")
+    ring = RingTracer(clock=lambda: 0.0)
+    ring.event("respawn", {"rank": 0})
+    paths = []
+    for i in range(_MAX_DUMPS + 8):
+        path = flight_dump(ring, tmp_path, "unit-test", batch=i)
+        # Pin distinct, increasing mtimes: the cap is by age.
+        os.utime(path, ns=(i * 10**9, i * 10**9))
+        paths.append(path)
+    kept = sorted(str(p) for p in tmp_path.glob("repro-flight-*.jsonl"))
+    assert kept == sorted(paths[-_MAX_DUMPS:])
+    assert bystander.exists()
+
+
+def test_flight_dump_survives_unprunable_directory(tmp_path, monkeypatch):
+    """A pruning failure must not cost the caller the dump's path."""
+    from repro.obs import ring as ring_mod
+
+    def boom(newest):
+        raise PermissionError("flight dir is not listable")
+
+    monkeypatch.setattr(ring_mod, "_prune_dumps", boom)
+    ring = RingTracer(clock=lambda: 0.0)
+    ring.event("respawn", {"rank": 0})
+    path = flight_dump(ring, tmp_path, "unit-test")
+    assert path is not None and os.path.exists(path)
 
 
 # -- default installation in the serving tier --------------------------
@@ -207,6 +241,34 @@ def test_degraded_batch_dumps_black_box_on_stats(
     # The dump is cut *after* the degraded batch's summary event, so
     # the black box explains itself.
     assert 1 in {r["batch"] for r in kinds["batch"]}
+
+
+def test_flapping_rank_cannot_fill_the_flight_dir(tiny_db, batches, tmp_path):
+    """40 consecutive degraded batches (rank 1 raises on every query)
+    leave at most _MAX_DUMPS black boxes, the newest ones, and every
+    batch's stats still name a dump that existed when it was cut."""
+    plan = FaultPlan.scoped(
+        FaultSpec(kind="raise", stage="query", rank=1, once=False)
+    )
+    config = ServiceConfig(
+        n_workers=2, max_retries=0, degraded_ok=True, fault_plan=plan,
+        metrics=MetricsRegistry(), flight_dir=tmp_path,
+    )
+    records = []
+    with SearchService(tiny_db, config) as service:
+        for i in range(40):
+            _, stats = service.submit(batches[i % len(batches)])
+            assert stats.degraded_ranks == (1,)
+            assert stats.flight_record is not None
+            assert os.path.exists(stats.flight_record)
+            records.append(stats.flight_record)
+    kept = {str(p) for p in tmp_path.iterdir()}
+    assert len(kept) == _MAX_DUMPS
+    # Newest survive, oldest went; two dumps cut within one filesystem
+    # timestamp tick may swap places at the boundary (the unit test
+    # above pins the exact order with explicit mtimes).
+    assert set(records[-(_MAX_DUMPS - 2):]) <= kept
+    assert kept <= set(records[-(_MAX_DUMPS + 2):])
 
 
 def test_no_dump_when_recorder_disabled(tiny_db, batches, tmp_path):

@@ -275,7 +275,7 @@ def test_session_trace_is_schema_valid_with_per_rank_spans_and_li_gauge(
     kinds = _by_kind(_records(trace))
     assert len(kinds["session.open"]) == 1
     assert len(kinds["session.close"]) == 1
-    for stage in ("prepare", "spill", "dispatch", "collect", "merge"):
+    for stage in ("prepare", "dispatch", "collect", "merge"):
         assert sorted(r["batch"] for r in kinds[stage]) == [0, 1, 2]
     # Per-rank query spans: one per (batch, rank), wall + CPU attrs
     # matching the stats vectors the master kept.

@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import ConfigurationError, FormatError
 from repro.parallel import SharedSpectraStore
-from repro.spectra.preprocess import preprocess_batch, spectra_peak_bytes
+from repro.spectra.preprocess import preprocess_batch
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ def test_manifest_counts(spilled):
     assert store.n_spectra == len(processed)
     assert store.n_peaks == sum(s.n_peaks for s in processed)
     # Peak payload dominates the on-disk footprint.
-    assert store.nbytes() >= spectra_peak_bytes(processed)
+    assert store.nbytes() >= 16 * store.n_peaks
 
 
 def test_empty_batch_rejected(tmp_path):
@@ -77,6 +77,19 @@ def test_missing_array_file_is_diagnosed(spilled, tmp_path):
     processed, _ = spilled
     directory = tmp_path / "torn"
     store = SharedSpectraStore.spill(processed, directory)
-    (directory / "peak_mzs.npy").unlink()
+    (directory / "mzs.npy").unlink()
     with pytest.raises(FormatError, match="missing"):
+        store.load()
+
+
+def test_truncated_column_is_refused_not_sliced(spilled, tmp_path):
+    """load() rebuilds spectra without re-validating their values, so a
+    column that no longer matches the offset table must be caught by
+    the structural check."""
+    processed, _ = spilled
+    directory = tmp_path / "short"
+    store = SharedSpectraStore.spill(processed, directory)
+    mzs = np.load(directory / "mzs.npy")
+    np.save(directory / "mzs.npy", mzs[:-1])
+    with pytest.raises(FormatError, match="torn"):
         store.load()

@@ -3,11 +3,12 @@
 The acceptance bar from the issue: a session over a persistent pool
 returns bit-identical results to the serial engine for every policy ×
 {2,3} workers across >= 3 consecutive ``submit()`` calls on the *same
-resident workers*, and the worker-side batch payloads contain no
-pickled peak arrays (payload-size accounting).
+resident workers*, and the batch travels in-band as one pickle per
+round sent to every worker (payload-size accounting).
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,8 @@ from repro.errors import ConfigurationError, ServiceError, WorkerError
 from repro.parallel.worker import QueryTask
 from repro.search.serial import SerialSearchEngine
 from repro.service import BatchStats, SearchService, ServiceConfig
-from repro.spectra.preprocess import preprocess_batch, spectra_peak_bytes
+from repro.spectra.packed import PackedSpectra
+from repro.spectra.preprocess import preprocess_batch
 
 
 def assert_same_results(serial, service_results):
@@ -63,24 +65,36 @@ def test_session_bit_identical_across_three_submits(
         assert service.respawn_total == 0
 
 
-def test_batch_payloads_carry_no_peak_arrays(tiny_db, batches):
-    """Payload-size accounting: the per-worker pickled command is
-    O(manifest) — orders of magnitude under the batch's peak bytes,
-    and independent of the batch's peak count."""
-    with SearchService(tiny_db, ServiceConfig(n_workers=2)) as service:
+def test_batch_payload_is_one_pickle_sent_to_every_worker(tiny_db, batches):
+    """Payload-size accounting: the round's command carries the packed
+    batch, is pickled once, and that one buffer goes to every worker —
+    so the pipe bytes are n_workers × one pickle, and one pickle is the
+    batch's peak bytes plus the small per-spectrum columns and framing."""
+    n_workers = 2
+    with SearchService(tiny_db, ServiceConfig(n_workers=n_workers)) as service:
         _, stats_big = service.submit(batches[0])
         _, stats_small = service.submit(batches[1])
-    processed = preprocess_batch(batches[0])
-    peak_bytes = spectra_peak_bytes(processed)
-    assert stats_big.peak_bytes == 2 * peak_bytes
-    # The actual scatter is manifest-sized: a path + scalars per worker.
-    assert stats_big.scatter_bytes < 2048
-    assert stats_big.scatter_bytes < stats_big.peak_bytes / 10
-    # ... and does not scale with the batch's peak payload.
-    assert abs(stats_big.scatter_bytes - stats_small.scatter_bytes) < 64
-    # Belt and braces: a QueryTask pickle really is free of peak data.
-    task = QueryTask(spectra_dir="/tmp/somewhere", n_spectra=1000, top_k=5)
-    assert len(pickle.dumps(task)) < 512
+    for batch, stats in ((batches[0], stats_big), (batches[1], stats_small)):
+        processed = preprocess_batch(batch)
+        peak_bytes = sum(s.mzs.nbytes + s.intensities.nbytes for s in processed)
+        assert stats.peak_bytes == n_workers * peak_bytes
+        # One pickle per round: every rank received the same buffer.
+        assert stats.scatter_bytes % n_workers == 0
+        per_rank = stats.scatter_bytes // n_workers
+        packed = PackedSpectra.from_spectra(processed)
+        task = QueryTask(
+            spectra=packed, top_k=5,
+            batch_index=stats.batch_index,
+        )
+        # The pool's buffer wraps the task in (command, fn, task): a
+        # function reference and a short string on top of the task.
+        assert 0 < per_rank - len(pickle.dumps(task)) < 128
+        # ... and the task is the peak bytes plus 40 B of per-spectrum
+        # columns per spectrum and a fixed few hundred bytes of framing.
+        overhead = per_rank - stats.peak_bytes // n_workers
+        assert 0 < overhead < 1024 + 40 * len(batch)
+    # The scatter scales with the batch it carries, nothing else.
+    assert stats_small.scatter_bytes < stats_big.scatter_bytes
 
 
 def test_batch_stats_phases_are_real(tiny_db, tiny_spectra):
@@ -88,7 +102,7 @@ def test_batch_stats_phases_are_real(tiny_db, tiny_spectra):
         results, stats = service.submit(tiny_spectra)
     assert isinstance(stats, BatchStats)
     assert stats.n_spectra == len(tiny_spectra)
-    for name in ("preprocess_s", "spill_s", "parallel_s", "total_s"):
+    for name in ("preprocess_s", "parallel_s", "total_s"):
         assert getattr(stats, name) > 0.0
     assert stats.query_wall_max_s > 0.0
     assert stats.query_cpu_max_s > 0.0
@@ -151,16 +165,6 @@ def test_empty_batch_rejected(tiny_db):
             service.submit([])
 
 
-def test_session_dir_removed_on_close(tiny_db, tiny_spectra):
-    service = SearchService(tiny_db, ServiceConfig(n_workers=2))
-    service.open()
-    session_dir = service._session_dir
-    service.submit(tiny_spectra)
-    assert session_dir.is_dir()
-    service.close()
-    assert not session_dir.exists()
-
-
 def test_worker_raise_mid_batch_fails_batch_not_session(
     tiny_db, batches, serial_refs
 ):
@@ -170,9 +174,12 @@ def test_worker_raise_mid_batch_fails_batch_not_session(
 
     with SearchService(tiny_db, ServiceConfig(n_workers=2)) as service:
         pids = service.worker_pids()
-        # Point the batch at a store path that does not exist: every
-        # worker raises (FormatError) and reports the remote traceback.
-        bad = QueryTask(spectra_dir="/nonexistent/store", n_spectra=1, top_k=5)
+        # Send a torn payload (a peak column cut short): every worker
+        # raises (ServiceError) and reports the remote traceback.
+        packed = PackedSpectra.from_spectra(preprocess_batch(batches[0]))
+        bad = QueryTask(
+            spectra=replace(packed, mzs=packed.mzs[:-1]), top_k=5
+        )
         with pytest.raises(WorkerError, match="worker 0 raised"):
             service._pool.run_batch(worker_mod.service_query_worker, [bad, bad])
         results, stats = service.submit(batches[0])

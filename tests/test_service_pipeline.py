@@ -12,7 +12,9 @@ admission is enforced for async submits.
 
 import threading
 import time
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.errors import PipelineError, ServiceError, WorkerError
@@ -224,11 +226,17 @@ def test_stale_and_double_collect_guards(tiny_db, tiny_spectra):
     """Misusing the split-round protocol raises PipelineError, and the
     session keeps working afterwards."""
     from repro.parallel.worker import QueryTask, service_query_worker
+    from repro.spectra.packed import PackedSpectra
 
     with SearchService(tiny_db, ServiceConfig(n_workers=2)) as service:
         results, _ = service.submit(tiny_spectra)
         pool = service._pool
-        task = QueryTask(spectra_dir="/nonexistent", n_spectra=1, top_k=5)
+        # A payload with an offset table but no scan ids: refused.
+        torn = replace(
+            PackedSpectra.from_spectra(tiny_spectra),
+            scan_ids=np.empty(0, dtype=np.int64),
+        )
+        task = QueryTask(spectra=torn, top_k=5)
         handle = pool.dispatch(service_query_worker, [task, task])
         with pytest.raises(PipelineError, match="already on the pipe"):
             pool.dispatch(service_query_worker, [task, task])

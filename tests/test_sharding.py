@@ -368,7 +368,7 @@ def test_fleet_introspection(tiny_db, batches):
 def test_aggregate_batch_stats():
     def stats(i, total, **kw):
         base = dict(
-            batch_index=i, n_spectra=4, preprocess_s=0.0, spill_s=0.0,
+            batch_index=i, n_spectra=4, preprocess_s=0.0,
             parallel_s=0.0, merge_s=0.0, total_s=total,
             query_wall_s=(), query_cpu_s=(), scatter_bytes=10 * i,
             peak_bytes=0, respawned=0,
@@ -412,7 +412,7 @@ def test_aggregate_batch_stats():
     sharded = aggregate_batch_stats([
         ShardedBatchStats(**{
             **dict(batch_index=0, n_spectra=4, preprocess_s=0.0,
-                   spill_s=0.0, parallel_s=0.0, merge_s=0.0, total_s=1.0,
+                   parallel_s=0.0, merge_s=0.0, total_s=1.0,
                    query_wall_s=(), query_cpu_s=(),
                    scatter_bytes=0, peak_bytes=0, respawned=0),
             "degraded_shards": (0,),

@@ -85,9 +85,6 @@ def test_stage_walls_match_batch_stats(traced_session):
         assert timeline.stages["prepare"] == pytest.approx(
             stats.preprocess_s, abs=1e-8
         )
-        assert timeline.stages["spill"] == pytest.approx(
-            stats.spill_s, abs=1e-8
-        )
         assert timeline.stages["merge"] == pytest.approx(
             stats.merge_s, abs=1e-8
         )
@@ -123,7 +120,7 @@ def test_analysis_structure_and_rendering(traced_session):
     assert analysis.event_counts["batch"] == 3
     assert set(analysis.rank_util) == {0, 1}
     assert all(0.0 < u <= 1.0 for u in analysis.rank_util.values())
-    for name in ("prepare", "spill", "dispatch", "collect", "merge"):
+    for name in ("prepare", "dispatch", "collect", "merge"):
         assert analysis.stage_totals[name].count == 3
     for timeline in analysis.batches:
         labels = [label for label, _ in timeline.critical_path]
@@ -195,10 +192,8 @@ def _synthetic_trace(merge_s, rank1_s):
     t = 1.0
     for bi in range(2):
         records += [
-            {"type": "span", "name": "prepare", "ts": t, "dur": 0.010,
+            {"type": "span", "name": "prepare", "ts": t, "dur": 0.012,
              "batch": bi},
-            {"type": "span", "name": "spill", "ts": t + 0.010,
-             "dur": 0.002, "batch": bi},
             {"type": "span", "name": "dispatch", "ts": t + 0.012,
              "dur": 0.001, "batch": bi},
             {"type": "span", "name": "worker.query", "ts": t + 0.013,
