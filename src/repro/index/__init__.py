@@ -10,15 +10,16 @@ LBE partitions:
 * :mod:`~repro.index.slm` — the index proper: fragment ions quantized
   at resolution ``r`` into a CSR bucket layout with parent-peptide
   back-references; shared-peak filtration queries.
-* :mod:`~repro.index.chunks` — the shared-memory chunking scheme of the
-  paper's Fig. 1 (sort by precursor mass, split into bounded chunks).
+* :mod:`~repro.index.chunks` — the paper's Fig. 1 scheme (sort by
+  precursor mass, split into bounded chunks) over a rank's sub-arena:
+  the rank index of every windowed search.
 * :mod:`~repro.index.memory` — byte-accurate memory accounting used to
   reproduce Fig. 5 at paper scale.
 """
 
 from repro.index.arena import FragmentArena, Workspace, concat_ranges
 from repro.index.slm import SLMIndex, SLMIndexSettings, FilterResult
-from repro.index.chunks import ChunkedIndex, ChunkingConfig
+from repro.index.chunks import ChunkedIndex
 from repro.index.memory import IndexMemoryModel, MemoryBreakdown
 from repro.index.serialize import load_index, save_index
 
@@ -30,7 +31,6 @@ __all__ = [
     "SLMIndexSettings",
     "FilterResult",
     "ChunkedIndex",
-    "ChunkingConfig",
     "IndexMemoryModel",
     "MemoryBreakdown",
     "load_index",

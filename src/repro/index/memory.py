@@ -19,7 +19,13 @@ the C++ original's layout, cross-validated (in tests) against the
 * transient build overhead: the bucket-major sort holds the unsorted
   flat bucket/parent arrays alongside the final ones → 2× ion bytes
   during build (eliminated when internal chunking is enabled, because
-  chunks are built one at a time).
+  chunks are built one at a time),
+* with internal chunking, a distributed rank holds what
+  :class:`~repro.index.chunks.ChunkedIndex` holds: one **int32**
+  bucket-offset array *per chunk* (4 bytes a bucket, charged at the
+  full bucket extent — an upper bound, since each chunk's array stops
+  at its own top bucket) and an int32 position map (mass rank →
+  manifest position), one entry per indexed entry.
 
 Separately from the C++-layout terms above (which drop fragment m/z
 values after quantization), our reproduction retains a host-side
@@ -83,9 +89,11 @@ not *terms*:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.index import chunks
 
 __all__ = ["MemoryBreakdown", "IndexMemoryModel"]
 
@@ -202,16 +210,29 @@ class IndexMemoryModel:
         mapping table (one int32 per entry).  The transient build
         overhead applies per rank but concurrently across the system,
         so system-wide it is still 1× the (distributed) ion bytes.
+
+        With ``internal_chunking`` every rank holds a
+        :class:`~repro.index.chunks.ChunkedIndex` instead: an int32
+        offset array per chunk of
+        :data:`~repro.index.chunks.CHUNK_ENTRIES` entries, and its
+        position map, counted with the mapping bytes.
         """
         if n_ranks < 1:
             raise ConfigurationError(f"n_ranks must be >= 1, got {n_ranks}")
         ion = int(n_entries * self.ions_per_entry * self.bytes_per_ion)
-        offsets = self.n_buckets * 8 * n_ranks
         peptide = int(
             n_entries * (self.mean_sequence_length + self.peptide_overhead_bytes)
         )
         mapping = 4 * n_entries
-        transient = 0 if internal_chunking else ion
+        if internal_chunking:
+            per_rank = math.ceil(n_entries / n_ranks)
+            chunks_per_rank = math.ceil(per_rank / chunks.CHUNK_ENTRIES)
+            offsets = self.n_buckets * 4 * chunks_per_rank * n_ranks
+            mapping += 4 * n_entries
+            transient = 0
+        else:
+            offsets = self.n_buckets * 8 * n_ranks
+            transient = ion
         return MemoryBreakdown(
             ion_bytes=ion,
             offsets_bytes=offsets,

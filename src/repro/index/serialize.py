@@ -245,15 +245,6 @@ def load_index(
     ]
 
     # Rebuild the object around the stored arrays without recomputing.
-    index = SLMIndex.__new__(SLMIndex)
-    index.settings = settings
-    index.peptides = peptides
-    index.n_peptides = len(peptides)
-    index.masses = masses
-    index.arena = None  # archives predate/omit the arena; queries don't need it
-    index._ion_counts = None  # recovered lazily from ion_parents on demand
-    index._masses64 = None  # widened lazily on the first windowed query
-    index.ion_parents = ion_parents
-    index.bucket_offsets = bucket_offsets
-    index.n_buckets = int(bucket_offsets.size - 1)
-    return index
+    return SLMIndex.from_sorted_arrays(
+        settings, masses, ion_parents, bucket_offsets, peptides=peptides
+    )

@@ -239,11 +239,42 @@ class SLMIndex:
         if owns_arena:
             # Nobody shares an internally-built arena: keeping it (or
             # its quantization/sort caches) would retain fragment data
-            # the pre-arena construction freed on return — a resident
-            # regression for e.g. ChunkedIndex, whose whole point is
-            # bounding memory.  Per-peptide ion counts were already
-            # captured above.
+            # the pre-arena construction freed on return.  Per-peptide
+            # ion counts were already captured above.
             self.arena = None
+
+    @classmethod
+    def from_sorted_arrays(
+        cls,
+        settings: SLMIndexSettings,
+        masses: np.ndarray,
+        ion_parents: np.ndarray,
+        bucket_offsets: np.ndarray,
+        *,
+        peptides: Sequence[Peptide] | None = None,
+    ) -> "SLMIndex":
+        """Wrap already bucket-major arrays in an index, computing nothing.
+
+        ``ion_parents`` holds the parent local id of every ion in
+        bucket-major order and ``bucket_offsets`` its CSR offsets (any
+        integer dtype; length = top bucket + 2), ``masses`` the float32
+        neutral mass per local id.  This is how an archive is reloaded
+        (:func:`~repro.index.serialize.load_index`) and how
+        :class:`~repro.index.chunks.ChunkedIndex` makes its leaves:
+        views into arrays it sorted once for the whole rank.
+        """
+        index = cls.__new__(cls)
+        index.settings = settings
+        index.peptides = None if peptides is None else list(peptides)
+        index.n_peptides = int(masses.size)
+        index.masses = masses
+        index.arena = None
+        index._ion_counts = None  # recovered lazily from ion_parents on demand
+        index._masses64 = None  # widened lazily on the first windowed query
+        index.ion_parents = ion_parents
+        index.bucket_offsets = bucket_offsets
+        index.n_buckets = int(bucket_offsets.size - 1)
+        return index
 
     # -- introspection -------------------------------------------------
 
@@ -280,8 +311,8 @@ class SLMIndex:
 
         Masses are *stored* float32 (the 4-byte-per-entry paper layout)
         but every precursor-window comparison happens in float64 — the
-        same dtype :meth:`~repro.index.chunks.ChunkedIndex.chunks_for`
-        prunes chunks with — so flat, chunked, and batched filtration
+        same dtype :class:`~repro.index.chunks.ChunkedIndex` prunes
+        chunks with — so flat, chunked, and batched filtration
         evaluate one consistent predicate at window boundaries.  The
         widening itself is exact (every float32 is a float64).
         """

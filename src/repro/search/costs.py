@@ -70,7 +70,17 @@ class QueryCostModel:
         return n_spectra * self.per_spectrum_preprocess
 
     def filter_cost(self, result: FilterResult) -> float:
-        """Cost of one filtration, from its work counters."""
+        """Cost of one filtration, from its work counters.
+
+        The counters are whatever the rank's index gathered.  A
+        *windowed* rank runs the precursor-major
+        :class:`~repro.index.chunks.ChunkedIndex`, whose counters cover
+        only the chunks the window reached — so virtual query times of
+        windowed simulated runs are lower than a flat index would be
+        charged, as the paper's cost model charges a chunked index.
+        Open search builds the flat index and is charged as before;
+        every ``bench_fig*`` figure is open search.
+        """
         return self.filter_cost_counts(
             result.buckets_scanned, result.ions_scanned
         )

@@ -1,7 +1,7 @@
 """Backend-agnostic rank-side execution of the distributed search.
 
 Every execution backend runs the same per-rank body: carve the rank's
-sub-arena from the shared fragment arena, build the partial SLM index,
+sub-arena from the shared fragment arena, build the partial index,
 filter and score every query spectrum through the batched kernels, and
 keep each spectrum's top-k tie-broken by *global* entry id so per-rank
 lists merge into exactly the serial engine's ordering.  This module is
@@ -19,6 +19,37 @@ construction rather than by parallel maintenance: the float operand
 sequences, the candidate ordering, and the tie-breaking live here and
 nowhere else.
 
+Who builds which index
+----------------------
+:func:`build_rank_index` picks on ``settings.is_open_search`` and on
+nothing else:
+
+* **open search** → one flat :class:`~repro.index.slm.SLMIndex` over
+  the sub-arena.  Every entry is a potential candidate, so there is
+  nothing to prune.
+* **windowed search** → a precursor-major
+  :class:`~repro.index.chunks.ChunkedIndex` over the same sub-arena
+  (the paper's Fig. 1 scheme): entries ranked by mass, cut into chunks,
+  and a spectrum filtered only against the chunks its ``±ΔM`` window
+  reaches.
+
+:class:`~repro.search.serial.SerialSearchEngine` builds its own flat
+index either way — it is the oracle the rank body is checked against.
+
+Both indexes return candidates as **manifest positions, ascending**
+(the chunked one maps its mass-ranked leaf ids back and sorts), which
+is the id space everything after filtration lives in: scoring gathers
+fragments from the manifest-ordered sub-arena, top-k tie-breaks through
+``entry_ids[candidates]``, and the master's mapping table translates
+manifest positions to global ids.  None of them can tell which index
+ran.
+
+The work counters can: ``ions_scanned`` / ``buckets_scanned`` report
+what was actually gathered, so a windowed rank reports a few chunks'
+worth instead of the whole rank's (and the simulated engine charges
+virtual time accordingly).  ``counts``, ``candidates_scored``,
+``residues_scored`` and the PSMs are the same to the last digit.
+
 Everything returned is plain numpy + builtins (picklable), because the
 process backend ships :class:`RankQueryOutput` across a pipe.
 """
@@ -32,6 +63,7 @@ import numpy as np
 
 from repro.core.mapping import MappingTable
 from repro.index.arena import FragmentArena, Workspace, thread_workspace
+from repro.index.chunks import ChunkedIndex
 from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.search.psm import RankStats, SpectrumResult
 from repro.search.scoring import score_many
@@ -93,7 +125,7 @@ def build_rank_index(
     arena: FragmentArena,
     entry_ids: np.ndarray,
     settings: SLMIndexSettings,
-) -> Tuple[FragmentArena, SLMIndex]:
+) -> Tuple[FragmentArena, SLMIndex | ChunkedIndex]:
     """Carve ``entry_ids``'s sub-arena and build the rank's partial index.
 
     The sub-arena is gathered in C from the (possibly memmap-backed)
@@ -101,18 +133,23 @@ def build_rank_index(
     quantizations and sort orders travel with the manifest, so the
     rank never re-quantizes or re-argsorts.  The index is built
     **peptide-free** (local ids are manifest positions; masses come
-    from the arena), and the sub-arena's quantization caches are
-    dropped after the build: scoring only needs the flat m/z data.
+    from the arena): flat for open search, precursor-major for a
+    windowed one (see the module docstring).  The sub-arena's
+    quantization caches are dropped after the build: scoring only
+    needs the flat m/z data.
     """
     ids = np.asarray(entry_ids, dtype=np.int64)
     sub = arena.take(ids)
-    index = SLMIndex(None, settings, arena=sub)
+    if settings.is_open_search:
+        index = SLMIndex(None, settings, arena=sub)
+    else:
+        index = ChunkedIndex(sub, settings)
     sub.drop_quantization_caches()
     return sub, index
 
 
 def run_rank_queries(
-    index: SLMIndex,
+    index: SLMIndex | ChunkedIndex,
     sub_arena: FragmentArena,
     entry_ids: np.ndarray,
     spectra: Sequence[Spectrum],

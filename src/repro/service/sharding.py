@@ -304,9 +304,12 @@ class ShardPlan:
         ``None`` / infinite tolerance = open search = every shard.
         The windowed predicate is the chunked index's difference form
         (see the module docstring) — it can never skip a shard holding
-        an entry the flat filter would keep.
+        an entry the flat filter would keep.  A non-finite mass (only
+        reachable by mutating a validated spectrum) can be proven
+        outside no shard, so it too goes to every shard — whose master
+        re-validates and refuses it — rather than silently to none.
         """
-        if tolerance is None or np.isinf(tolerance):
+        if tolerance is None or np.isinf(tolerance) or not np.isfinite(neutral_mass):
             return [s.shard_id for s in self.shards]
         tol = float(tolerance)
         nm = neutral_mass

@@ -7,6 +7,7 @@ never copied on construction, only validated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,9 +59,12 @@ class Spectrum:
             )
         if self.charge < 1:
             raise InvalidSpectrumError(f"charge must be >= 1, got {self.charge}")
-        if self.precursor_mz <= 0:
+        # NaN passes every ordered comparison, and a NaN neutral mass
+        # turns the flat precursor window into an open search while
+        # chunk and shard pruning drop everything — so test finiteness.
+        if not (math.isfinite(self.precursor_mz) and self.precursor_mz > 0):
             raise InvalidSpectrumError(
-                f"precursor m/z must be positive, got {self.precursor_mz}"
+                f"precursor m/z must be positive and finite, got {self.precursor_mz}"
             )
         if self.mzs.size and np.any(self.mzs <= 0):
             raise InvalidSpectrumError("fragment m/z values must be positive")

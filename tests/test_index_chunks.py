@@ -1,4 +1,4 @@
-"""Tests for the shared-memory chunked index (paper Fig. 1 scheme)."""
+"""Tests for the precursor-major chunked index (paper Fig. 1 scheme)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,8 @@ import pytest
 from repro.chem.fragments import fragment_mzs
 from repro.chem.peptide import Peptide
 from repro.errors import ConfigurationError
-from repro.index.chunks import ChunkedIndex, ChunkingConfig
+from repro.index.arena import FragmentArena
+from repro.index.chunks import ChunkedIndex
 from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.spectra.model import Spectrum
 from repro.constants import PROTON
@@ -23,6 +24,11 @@ PEPTIDES = [
 SETTINGS = SLMIndexSettings(shared_peak_threshold=2)
 
 
+def chunked(settings=SETTINGS, chunk_entries=2):
+    arena = FragmentArena.from_peptides(PEPTIDES, settings.fragmentation)
+    return ChunkedIndex(arena, settings, chunk_entries=chunk_entries)
+
+
 def spectrum_of(peptide, charge=2):
     mzs = fragment_mzs(peptide)
     return Spectrum(
@@ -35,41 +41,41 @@ def spectrum_of(peptide, charge=2):
 
 
 def test_chunk_count():
-    ci = ChunkedIndex(PEPTIDES, SETTINGS, ChunkingConfig(max_peptides_per_chunk=2))
+    ci = chunked()
     assert ci.n_chunks == 3
     assert len(ci) == 6
 
 
 def test_chunks_sorted_by_mass():
-    ci = ChunkedIndex(PEPTIDES, SETTINGS, ChunkingConfig(max_peptides_per_chunk=2))
-    ranges = ci.chunk_mass_ranges
-    for (lo1, hi1), (lo2, hi2) in zip(ranges, ranges[1:]):
-        assert hi1 <= lo2 + 1e-9
-        assert lo1 <= hi1
+    ci = chunked()
+    assert np.all(ci.mass_min <= ci.mass_max)
+    assert np.all(ci.mass_max[:-1] <= ci.mass_min[1:])
+    assert np.array_equal(
+        np.array([p.mass for p in PEPTIDES], dtype=np.float32)[ci.positions],
+        np.concatenate([leaf.masses for leaf in ci.chunks]),
+    )
 
 
 def test_filter_ids_in_input_space():
-    """Chunked filtration must agree with one flat index, id-for-id."""
-    ci = ChunkedIndex(PEPTIDES, SETTINGS, ChunkingConfig(max_peptides_per_chunk=2))
+    """Chunked filtration must agree with one flat index, array for array."""
+    ci = chunked()
     flat = SLMIndex(PEPTIDES, SETTINGS)
     for target in range(len(PEPTIDES)):
         q = spectrum_of(PEPTIDES[target])
         a = ci.filter(q)
         b = flat.filter(q)
-        assert np.array_equal(np.sort(a.candidates), np.sort(b.candidates))
-        da = dict(zip(a.candidates.tolist(), a.shared_peaks.tolist()))
-        db = dict(zip(b.candidates.tolist(), b.shared_peaks.tolist()))
-        assert da == db
+        assert np.array_equal(a.candidates, b.candidates)
+        assert np.array_equal(a.shared_peaks, b.shared_peaks)
 
 
 def test_open_search_visits_all_chunks():
-    ci = ChunkedIndex(PEPTIDES, SETTINGS, ChunkingConfig(max_peptides_per_chunk=2))
+    ci = chunked()
     assert ci.chunks_for(spectrum_of(PEPTIDES[0])) == [0, 1, 2]
 
 
 def test_windowed_search_prunes_chunks():
     windowed = SLMIndexSettings(shared_peak_threshold=2, precursor_tolerance=1.0)
-    ci = ChunkedIndex(PEPTIDES, windowed, ChunkingConfig(max_peptides_per_chunk=2))
+    ci = chunked(windowed)
     # The lightest peptide's window should not touch the heaviest chunk.
     visited = ci.chunks_for(spectrum_of(PEPTIDES[0]))
     assert 0 in visited
@@ -80,12 +86,15 @@ def test_windowed_counters_smaller_than_open():
     windowed = SLMIndexSettings(shared_peak_threshold=2, precursor_tolerance=1.0)
     open_s = SLMIndexSettings(shared_peak_threshold=2)
     q = spectrum_of(PEPTIDES[0])
-    cfg = ChunkingConfig(max_peptides_per_chunk=2)
-    ions_windowed = ChunkedIndex(PEPTIDES, windowed, cfg).filter(q).ions_scanned
-    ions_open = ChunkedIndex(PEPTIDES, open_s, cfg).filter(q).ions_scanned
-    assert ions_windowed <= ions_open
+    ions_windowed = chunked(windowed).filter(q).ions_scanned
+    ions_open = chunked(open_s).filter(q).ions_scanned
+    assert 0 < ions_windowed < ions_open
 
 
 def test_invalid_chunking_rejected():
     with pytest.raises(ConfigurationError):
-        ChunkingConfig(max_peptides_per_chunk=0)
+        chunked(chunk_entries=0)
+    arena = FragmentArena.from_peptides(PEPTIDES)
+    massless = FragmentArena(arena.mzs, arena.offsets)
+    with pytest.raises(ConfigurationError, match="masses"):
+        ChunkedIndex(massless, SETTINGS)

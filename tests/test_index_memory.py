@@ -1,9 +1,12 @@
 """Tests for the index memory model (Fig. 5 substrate)."""
 
+import numpy as np
 import pytest
 
 from repro.chem.peptide import Peptide
 from repro.errors import ConfigurationError
+from repro.index import chunks
+from repro.index.chunks import ChunkedIndex
 from repro.index.memory import IndexMemoryModel, MemoryBreakdown
 from repro.index.slm import SLMIndex, SLMIndexSettings
 
@@ -70,6 +73,59 @@ def test_internal_chunking_removes_transient():
     assert bd.transient_bytes == 0
     bd_d = m.distributed(1_000_000, 4, internal_chunking=True)
     assert bd_d.transient_bytes == 0
+
+
+def test_internal_chunking_charges_per_chunk_offsets_and_position_maps(monkeypatch):
+    m = IndexMemoryModel()
+    n, p = 1_000_000, 4
+    flat, chunked = m.distributed(n, p), m.distributed(n, p, internal_chunking=True)
+    chunks_per_rank = -(-(n // p) // chunks.CHUNK_ENTRIES)
+    assert chunked.offsets_bytes == 4 * m.n_buckets * chunks_per_rank * p
+    assert chunked.mapping_bytes == flat.mapping_bytes + 4 * n
+    assert chunked.ion_bytes == flat.ion_bytes
+    # One chunk per rank: half the flat index's int64 offsets.
+    monkeypatch.setattr(chunks, "CHUNK_ENTRIES", n)
+    assert 2 * m.distributed(n, p, internal_chunking=True).offsets_bytes == (
+        flat.offsets_bytes
+    )
+
+
+def test_internal_chunking_tracks_the_live_chunked_rank_index(tiny_db, monkeypatch):
+    """The model's chunked terms against a live index's array bytes."""
+    monkeypatch.setattr(chunks, "CHUNK_ENTRIES", 64)
+    settings = SLMIndexSettings(precursor_tolerance=2.0)
+    arena = tiny_db.arena_for(settings.fragmentation)
+    n_ranks = 2
+    n = arena.n_entries - arena.n_entries % n_ranks
+    ranks = [
+        ChunkedIndex(arena.take(np.arange(r, n, n_ranks)), settings)
+        for r in range(n_ranks)
+    ]
+    leaves = [leaf for index in ranks for leaf in index.chunks]
+    assert len(leaves) > 2 * n_ranks
+    top_bucket = max(leaf.n_buckets for leaf in leaves) - 1
+    m = IndexMemoryModel(
+        ions_per_entry=sum(index.n_ions for index in ranks) / n,
+        max_mz=(top_bucket + 0.5) * settings.resolution,
+        resolution=settings.resolution,
+    )
+    assert m.n_buckets == top_bucket + 1
+    flat = m.distributed(n, n_ranks)
+    chunked = m.distributed(n, n_ranks, internal_chunking=True)
+
+    assert chunked.mapping_bytes - flat.mapping_bytes == sum(
+        index.positions.nbytes for index in ranks
+    )
+    assert chunked.ion_bytes == pytest.approx(
+        sum(leaf.ion_parents.nbytes for leaf in leaves), abs=4
+    )
+    # Offsets: the model charges every chunk the full bucket extent;
+    # the live arrays (one more slot each) stop at the chunk's own top
+    # bucket, so the heaviest is charged exactly and the sum is bounded.
+    assert chunked.offsets_bytes == 4 * m.n_buckets * len(leaves)
+    live = [leaf.bucket_offsets.nbytes - 4 for leaf in leaves]
+    assert max(live) == 4 * m.n_buckets
+    assert 0.25 * chunked.offsets_bytes < sum(live) <= chunked.offsets_bytes
 
 
 def test_breakdown_properties():

@@ -31,6 +31,7 @@ from repro.errors import (
     ShardError,
     WorkerError,
 )
+from repro.index.slm import SLMIndexSettings
 from repro.obs import MetricsRegistry
 from repro.parallel.faults import FaultPlan, FaultSpec
 from repro.parallel.worker import QueryTask, service_query_worker
@@ -304,6 +305,12 @@ def _hostile_batches(spectra):
     batch = fresh()
     batch[0].charge = 0
     out["zero charge"] = (batch, InvalidSpectrumError)
+    # NaN passes ``<= 0``; a NaN neutral mass would make the flat
+    # precursor window an open search and chunk/shard pruning drop all.
+    for name, bad in (("NaN", np.nan), ("infinite", np.inf)):
+        batch = fresh()
+        batch[2].precursor_mz = bad
+        out[f"{name} precursor m/z"] = (batch, InvalidSpectrumError)
     return out
 
 
@@ -365,3 +372,24 @@ def test_hostile_batches_through_the_sharded_fleet(tiny_db, tiny_spectra):
         results, _ = fleet.submit(tiny_spectra)
         assert_same_results(serial.run(tiny_spectra), results)
         assert fleet.respawn_total == 0
+
+
+def test_windowed_sessions_refuse_a_nan_precursor(tiny_db, tiny_spectra):
+    """Windowed routing and chunk pruning both compare against the
+    neutral mass: a NaN must be refused, not routed nowhere and
+    answered with silence."""
+    windowed = SLMIndexSettings(precursor_tolerance=3.0)
+    serial = SerialSearchEngine(tiny_db, windowed)
+    batch = [s.copy() for s in tiny_spectra]
+    batch[2].precursor_mz = np.nan
+    config = ServiceConfig(n_workers=1, index=windowed, metrics=MetricsRegistry())
+    with SearchService(tiny_db, config) as service:
+        with pytest.raises(InvalidSpectrumError, match="precursor"):
+            service.submit(batch)
+        results, _ = service.submit(tiny_spectra)
+        assert_same_results(serial.run(tiny_spectra), results)
+    with ShardedSearchService(tiny_db, config, n_shards=2) as fleet:
+        with pytest.raises(ShardError, match="shard"):
+            fleet.submit(batch)
+        results, _ = fleet.submit(tiny_spectra)
+        assert_same_results(serial.run(tiny_spectra), results)

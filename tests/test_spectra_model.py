@@ -51,6 +51,13 @@ def test_negative_precursor_rejected():
         make([100.0], [1.0], precursor_mz=-1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_precursor_rejected(bad):
+    """NaN passes ``<= 0``; it must not pass construction."""
+    with pytest.raises(InvalidSpectrumError, match="precursor"):
+        make([100.0], [1.0], precursor_mz=bad)
+
+
 def test_nonpositive_mz_rejected():
     with pytest.raises(InvalidSpectrumError, match="positive"):
         make([0.0, 100.0], [1.0, 1.0])

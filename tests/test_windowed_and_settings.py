@@ -7,12 +7,16 @@ coarser resolutions — partitioning must stay semantics-free in all of
 them.
 """
 
+import numpy as np
 import pytest
 
 from repro.chem.fragments import FragmentationSettings
+from repro.index import chunks
 from repro.index.slm import SLMIndexSettings
 from repro.search.engine import DistributedSearchEngine, EngineConfig
+from repro.search.rank import build_rank_index
 from repro.search.serial import SerialSearchEngine
+from repro.service import SearchService, ServiceConfig
 
 SETTINGS_MATRIX = {
     "windowed": SLMIndexSettings(precursor_tolerance=3.0),
@@ -27,6 +31,16 @@ SETTINGS_MATRIX = {
 }
 
 
+def assert_equals_serial(serial, results):
+    assert len(serial.spectra) == len(results.spectra)
+    for a, b in zip(serial.spectra, results.spectra):
+        assert a.scan_id == b.scan_id
+        assert a.n_candidates == b.n_candidates
+        assert [(p.entry_id, p.score, p.shared_peaks) for p in a.psms] == [
+            (p.entry_id, p.score, p.shared_peaks) for p in b.psms
+        ]
+
+
 @pytest.mark.parametrize("name", sorted(SETTINGS_MATRIX))
 def test_distributed_equals_serial_under_settings(tiny_db, tiny_spectra, name):
     settings = SETTINGS_MATRIX[name]
@@ -34,11 +48,50 @@ def test_distributed_equals_serial_under_settings(tiny_db, tiny_spectra, name):
     dist = DistributedSearchEngine(
         tiny_db, EngineConfig(n_ranks=3, policy="cyclic", index=settings)
     ).run(tiny_spectra)
-    for a, b in zip(serial.spectra, dist.spectra):
-        assert a.n_candidates == b.n_candidates, name
-        assert [(p.entry_id, p.score, p.shared_peaks) for p in a.psms] == [
-            (p.entry_id, p.score, p.shared_peaks) for p in b.psms
-        ], name
+    assert_equals_serial(serial, dist)
+
+
+@pytest.mark.parametrize("policy", ["chunk", "cyclic", "random", "lpt"])
+@pytest.mark.parametrize("tolerance", [0.5, 3.0])
+def test_windowed_equals_serial_with_many_chunks_per_rank(
+    tiny_db, tiny_spectra, monkeypatch, policy, tolerance
+):
+    """The precursor-major rank index, cut into ~20 chunks per rank,
+    under every partition policy: the (flat) serial engine's answer."""
+    monkeypatch.setattr(chunks, "CHUNK_ENTRIES", 16)
+    settings = SLMIndexSettings(precursor_tolerance=tolerance)
+    arena = tiny_db.arena_for(settings.fragmentation)
+    _, index = build_rank_index(
+        arena, np.arange(0, len(tiny_db.entries), 3), settings
+    )
+    assert index.n_chunks > 10
+    serial = SerialSearchEngine(tiny_db, settings).run(tiny_spectra)
+    dist = DistributedSearchEngine(
+        tiny_db, EngineConfig(n_ranks=3, policy=policy, index=settings)
+    ).run(tiny_spectra)
+    assert_equals_serial(serial, dist)
+    # The windows reach few chunks, and the work counters say so.
+    assert sum(r.ions_scanned for r in dist.rank_stats) < sum(
+        r.ions_scanned for r in serial.rank_stats
+    )
+
+
+def test_windowed_service_equals_serial_across_a_migration(tiny_db, tiny_spectra):
+    """``rebalance()`` re-attaches every rank: the chunked index is
+    rebuilt over the new manifests and the answer does not move."""
+    settings = SLMIndexSettings(precursor_tolerance=3.0)
+    serial = SerialSearchEngine(tiny_db, settings).run(tiny_spectra)
+    with SearchService(tiny_db, ServiceConfig(n_workers=2, index=settings)) as service:
+        results, _ = service.submit(tiny_spectra)
+        assert_equals_serial(serial, results)
+        summary = service.rebalance(n_workers=3)
+        assert summary["migrated"] is True and service.n_workers == 3
+        results, _ = service.submit(tiny_spectra)
+        assert_equals_serial(serial, results)
+        assert results.n_ranks == 3
+        service.rebalance(n_workers=2, speeds=[1.0, 3.0])
+        results, _ = service.submit(tiny_spectra)
+        assert_equals_serial(serial, results)
 
 
 def test_windowed_distributed_fewer_candidates(tiny_db, tiny_spectra):
