@@ -1,9 +1,9 @@
 """Ablation — sensitivity of load balance to Algorithm 1's parameters.
 
-DESIGN.md calls out two grouping design choices the paper leaves
-under-explored: the cutoff criterion (1 vs 2) and the group-size cap
-``gsize``.  This bench measures 16-rank load imbalance across those
-settings on the 18 M-scale workload.
+The paper leaves two grouping design choices under-explored: the
+cutoff criterion (1 vs 2) and the group-size cap ``gsize``.  This
+bench measures 16-rank load imbalance across those settings on the
+18 M-scale workload.
 
 A structural finding this ablation surfaces: with the continuation
 variant of Cyclic used here (`owner(i) = i mod p` over the sorted

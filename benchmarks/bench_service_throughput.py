@@ -3,9 +3,10 @@
 Measures what the persistent service (:mod:`repro.service`) actually
 amortizes, on a stream of identical-shape query batches:
 
-* **one-shot** — a fresh :class:`~repro.parallel.ParallelSearchEngine`
-  per batch: every batch pays worker spawn + interpreter import +
-  arena attach (~0.5 s on a laptop-class host),
+* **one-shot** — a fresh :class:`~repro.service.ParallelSearchEngine`
+  per batch, i.e. a session opened and closed around every batch: each
+  batch pays worker spawn + interpreter import + arena spill + attach
+  (~0.5 s on a laptop-class host),
 * **resident** — one :class:`~repro.service.SearchService` session:
   spawn + spill + attach are paid once in ``open()``; each
   ``submit()`` sends the packed batch in the round's one command,
@@ -66,10 +67,14 @@ from repro.obs import (
     MetricsRegistry,
     validate_trace_file,
 )
-from repro.parallel import ParallelEngineConfig, ParallelSearchEngine
 from repro.search.database import DatabaseConfig, IndexedDatabase
 from repro.search.serial import SerialSearchEngine
-from repro.service import SearchService, ServiceConfig, aggregate_batch_stats
+from repro.service import (
+    ParallelSearchEngine,
+    SearchService,
+    ServiceConfig,
+    aggregate_batch_stats,
+)
 from repro.spectra.synthetic import SyntheticRunConfig, generate_run
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -122,7 +127,7 @@ def run(quick: bool = False) -> dict:
     for i, batch in enumerate(batches):
         engine = ParallelSearchEngine(
             db,
-            ParallelEngineConfig(n_workers=N_WORKERS, index=settings),
+            ServiceConfig(n_workers=N_WORKERS, index=settings),
         )
         res = engine.run(batch)
         identical = identical and same_results(references[i], res)

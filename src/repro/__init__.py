@@ -3,7 +3,7 @@ Algorithm for Speeding up Parallel Peptide Search in Mass-Spectrometry
 based Proteomics* (Haseeb, Afzali & Saeed, IPDPSW 2019).
 
 The package provides every system the paper depends on, rebuilt in
-Python (see DESIGN.md for the substitution rationale):
+Python:
 
 * :mod:`repro.chem` — peptide chemistry (masses, PTMs, fragments)
 * :mod:`repro.db` — proteome generation, digestion, dedup, FASTA
@@ -11,7 +11,13 @@ Python (see DESIGN.md for the substitution rationale):
 * :mod:`repro.index` — the SLM-Transform fragment-ion index
 * :mod:`repro.core` — **LBE itself**: grouping, partitioning, mapping
 * :mod:`repro.mpi` — simulated MPI runtime with virtual time
-* :mod:`repro.search` — serial + distributed search engines, metrics
+* :mod:`repro.search` — serial + simulated-distributed search engines,
+  the shared rank body, metrics
+* :mod:`repro.parallel` — real OS worker processes: the resident pool,
+  the memmap-shared arena, fault injection
+* :mod:`repro.service` — real-process search: the one-shot engine, the
+  resident session, the sharded fleet, elastic rebalancing
+* :mod:`repro.obs` — tracing, metrics, flight recorder, trace analysis
 * :mod:`repro.bench` — the experiment harness for Figures 5–11
 
 Quickstart::

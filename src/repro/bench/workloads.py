@@ -6,8 +6,7 @@ file.  A pure-Python single container cannot hold 50 M-entry indexes,
 so the suite scales sizes down **ratio-preserving** (default ×600:
 30 k … 82 k entries) and scales query counts accordingly; every
 reported quantity (imbalance %, speedup ×, GB per million entries) is
-normalized, so the downscale preserves the figures' shapes (DESIGN.md
-§2 discusses validity).
+normalized, so the downscale preserves the figures' shapes.
 
 Index size is controlled through the number of synthetic protein
 families, which entries track nearly linearly; the realized entry

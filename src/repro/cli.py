@@ -73,12 +73,12 @@ from repro.obs import (
     render_gantt,
     validate_trace_file,
 )
-from repro.parallel import ParallelEngineConfig, ParallelSearchEngine
 from repro.search.database import IndexedDatabase
 from repro.search.engine import DistributedSearchEngine, EngineConfig
 from repro.search.metrics import load_imbalance
 from repro.search.report import write_psm_report
 from repro.service import (
+    ParallelSearchEngine,
     SearchService,
     ServiceConfig,
     ShardedSearchService,
@@ -365,7 +365,7 @@ def _search_once(
     if getattr(args, "backend", "simulated") == "process":
         engine = ParallelSearchEngine(
             db,
-            ParallelEngineConfig(
+            ServiceConfig(
                 n_workers=args.ranks,
                 policy=policy,
                 policy_seed=args.seed,

@@ -6,8 +6,7 @@ virtual: every rank owns a :class:`~repro.mpi.simtime.VirtualClock`
 advanced by explicit compute charges and by a latency/bandwidth
 communication cost model.  Rank code executes for real (in threads);
 only the clock is simulated, which makes load-imbalance and speedup
-experiments deterministic — see DESIGN.md §2 for why this substitution
-preserves the paper's measured quantities.
+experiments deterministic.
 
 Public API:
 

@@ -1,14 +1,18 @@
 """Long-lived spawn workers looping on a command pipe.
 
-:class:`~repro.parallel.pool.ProcessBackend` pays the full spawn +
-import + attach cost on every ``run()`` — fine for one batch, fatal
-for serving a stream of them.  :class:`PersistentPool` keeps the
-workers *resident*: each worker is spawned once, receives one
+:class:`PersistentPool` is the one real-process pool: every search
+that runs on OS workers — a resident session, a sharded fleet, and
+the one-shot engine (a session for one batch) — runs through it.  It
+keeps the workers *resident*: each worker is spawned once with only
+``(rank, n_workers, fault_plan)`` as arguments, receives one
 ``ATTACH`` command that builds its long-lived state (for the search
 service: open the memmap-shared arena store and build the rank's
 partial index), then answers any number of ``QUERY`` commands against
-that state until ``SHUTDOWN``.  HiCOPS keeps its parallel machinery
-resident across query batches for exactly this amortization.
+that state until ``SHUTDOWN``.  Every payload travels over the
+deadline-supervised command pipe, never in the spawn arguments, so
+even a worker that dies during bootstrap cannot block the master.
+HiCOPS keeps its parallel machinery resident across query batches for
+exactly this amortization.
 
 Failure semantics
 -----------------

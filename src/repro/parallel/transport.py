@@ -1,18 +1,17 @@
 """Pluggable worker transports: how pool workers are spawned and reached.
 
-The resident pool (:mod:`repro.parallel.persistent`) and the one-shot
-backend (:mod:`repro.parallel.pool`) used to construct
-``multiprocessing`` pipes and processes inline — which welded every
-layer above them (engine, service, sharded serving tier) to one
-bootstrap mechanism.  This module is the seam that unwelds them, in
-the style of chainermn's communicator registry: the pools speak to a
+The resident pool (:mod:`repro.parallel.persistent`) never constructs
+``multiprocessing`` pipes or processes itself — inline construction
+would weld every layer above it (one-shot engine, service, sharded
+serving tier) to one bootstrap mechanism.  This module is the seam, in
+the style of chainermn's communicator registry: the pool speaks to a
 :class:`WorkerChannel` (send a command, receive a reply, observe
 liveness) and a named :class:`Transport` decides what is behind it —
 an in-process ``multiprocessing`` pipe today
 (:class:`PipeTransport`), a socket to a remote host tomorrow, without
 touching the supervision or routing layers.
 
-Contract every transport must honor (what the pools' crash/deadline
+Contract every transport must honor (what the pool's crash/deadline
 supervision is written against):
 
 * :meth:`Transport.spawn` returns a channel whose worker is already
@@ -44,8 +43,8 @@ __all__ = [
 class WorkerChannel:
     """One live worker endpoint: a process handle plus its message pipe.
 
-    The pools never touch ``multiprocessing`` primitives directly —
-    everything they need (scatter a command, drain a reply, watch for
+    The pool never touches ``multiprocessing`` primitives directly —
+    everything it needs (scatter a command, drain a reply, watch for
     death, tear down) is on this object, so a transport that backs it
     with something other than a local spawn process only has to
     provide the same observable behavior.
@@ -135,7 +134,7 @@ class WorkerChannel:
 class Transport:
     """How a pool bootstraps workers and reaches them.
 
-    Subclasses implement :meth:`spawn`; everything else the pools do
+    Subclasses implement :meth:`spawn`; everything else the pool does
     goes through the returned :class:`WorkerChannel`.  Register new
     transports in :data:`TRANSPORTS` (or via :func:`register_transport`)
     and select them by name — the engine/service/sharding layers carry
@@ -146,25 +145,19 @@ class Transport:
     name = "abstract"
 
     def spawn(
-        self,
-        target: Callable,
-        args: Tuple = (),
-        *,
-        name: str,
-        duplex: bool = True,
+        self, target: Callable, args: Tuple = (), *, name: str
     ) -> WorkerChannel:
         """Start one worker running ``target(conn, *args)``.
 
         The transport constructs the channel endpoint handed to the
         worker as its first argument; the returned
-        :class:`WorkerChannel` is the master's end.  ``duplex=False``
-        gives a reply-only channel (the one-shot backend's shape).
+        :class:`WorkerChannel` is the master's end.
         """
         raise NotImplementedError
 
 
 class PipeTransport(Transport):
-    """Local ``multiprocessing`` workers on duplex OS pipes (default).
+    """Local ``multiprocessing`` workers on bidirectional OS pipes (default).
 
     Parameters
     ----------
@@ -186,14 +179,9 @@ class PipeTransport(Transport):
         self._ctx = mp.get_context(start_method)
 
     def spawn(
-        self,
-        target: Callable,
-        args: Tuple = (),
-        *,
-        name: str,
-        duplex: bool = True,
+        self, target: Callable, args: Tuple = (), *, name: str
     ) -> WorkerChannel:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=duplex)
+        parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=target,
             args=(child_conn, *args),
@@ -208,7 +196,7 @@ class PipeTransport(Transport):
 
 
 #: Name → transport class.  ``pipe`` is the in-process default; a
-#: socket transport slots in here without touching the pools.
+#: socket transport slots in here without touching the pool.
 TRANSPORTS: Dict[str, Type[Transport]] = {PipeTransport.name: PipeTransport}
 
 

@@ -1,22 +1,19 @@
 """Worker-side rank programs (module-level, picklable by reference).
 
 ``spawn`` workers import the function they run by qualified name, so
-everything a :class:`~repro.parallel.pool.ProcessBackend` executes
-must live at module scope in an importable module.  This module holds
+everything a :class:`~repro.parallel.persistent.PersistentPool`
+executes must live at module scope in an importable module.  This
+module holds
 
 * :func:`service_attach_worker` / :func:`service_query_worker` — the
   rank body (the same :mod:`repro.search.rank` code the simulated
   engine runs, plus real wall/CPU phase timings) split at the
-  attach/query boundary for the persistent pool: attach opens the
-  memmap-shared arena store and builds the partial index
-  **once**, then every query round unpacks the batch's flat columns
-  straight out of its :class:`QueryTask` — no file per batch,
-* :func:`search_rank_worker` — the one-shot rank program: those two
-  bodies back to back,
-* tiny diagnostic programs (:func:`echo_worker`, :func:`crash_worker`,
-  :func:`exit_worker`, :func:`sleep_worker`, and the ``resident_*`` /
-  ``query_*`` family for the persistent pool) used by the backends'
-  tests and for smoke-checking a deployment.
+  attach/query boundary: attach opens the memmap-shared arena store
+  and builds the partial index **once**, then every query round
+  unpacks the batch's flat columns straight out of its
+  :class:`QueryTask` — no file per batch,
+* tiny diagnostic programs (the ``resident_*`` family) used by the
+  pool's tests and for smoke-checking a deployment.
 """
 
 from __future__ import annotations
@@ -38,8 +35,6 @@ from repro.search.rank import (
 from repro.spectra.packed import PackedSpectra
 
 __all__ = [
-    "RankTask",
-    "search_rank_worker",
     "AttachTask",
     "QueryTask",
     "service_attach_worker",
@@ -172,66 +167,7 @@ def service_query_worker(rank: int, size: int, state: dict, task: QueryTask) -> 
     return report
 
 
-# -- one-shot rank program -----------------------------------------------
-
-
-@dataclass(frozen=True)
-class RankTask(AttachTask):
-    """Everything one one-shot search worker needs, in picklable form:
-    an attach recipe plus the (already preprocessed) query batch as
-    flat columns — O(entries/worker + peaks), not O(arena)."""
-
-    spectra: PackedSpectra
-    top_k: int
-
-
-def search_rank_worker(rank: int, size: int, task: RankTask) -> dict:
-    """The process-backend rank program: ATTACH, then one QUERY.
-
-    Returns the two reports merged into one plain dict (merge payload,
-    partial-index statistics, work counters, real wall/CPU seconds per
-    phase).
-    """
-    state, report = service_attach_worker(rank, size, task)
-    query = service_query_worker(
-        rank, size, state, QueryTask(task.spectra, task.top_k)
-    )
-    query["open_s"] += report["open_s"]
-    return {**report, **query}
-
-
-# -- diagnostic programs (backend tests / deployment smoke checks) -----
-
-
-def echo_worker(rank: int, size: int, payload) -> tuple:
-    """Return ``(rank, size, payload)`` — the minimal liveness check."""
-    return rank, size, payload
-
-
-def crash_worker(rank: int, size: int, payload) -> None:
-    """Raise on the rank given in ``payload`` (others echo)."""
-    if rank == payload:
-        raise ValueError(f"deliberate crash on rank {rank}")
-
-
-def exit_worker(rank: int, size: int, payload) -> None:
-    """Hard-exit (no report) on the rank given in ``payload``."""
-    if rank == payload:
-        os._exit(13)
-
-
-def sleep_worker(rank: int, size: int, payload) -> float:
-    """Sleep ``payload`` seconds — deadline/timeout testing."""
-    time.sleep(float(payload))
-    return float(payload)
-
-
-def unpicklable_result_worker(rank: int, size: int, payload):
-    """Return something the result pipe cannot pickle."""
-    return lambda: rank
-
-
-# -- persistent-pool diagnostic programs -------------------------------
+# -- diagnostic programs (pool tests / deployment smoke checks) --------
 
 
 def resident_attach(rank: int, size: int, payload) -> tuple:
@@ -265,3 +201,8 @@ def resident_sleep(rank: int, size: int, state, payload) -> float:
     """Sleep ``payload`` seconds — per-batch deadline testing."""
     time.sleep(float(payload))
     return float(payload)
+
+
+def resident_unpicklable_result(rank: int, size: int, state, payload):
+    """Return something the reply pipe cannot pickle."""
+    return lambda: rank

@@ -327,10 +327,10 @@ def summarize_rank_output(out: RankQueryOutput) -> dict:
     """Flatten a :class:`RankQueryOutput` into a picklable report dict.
 
     This is the merge payload plus summed work counters — the common
-    core of every worker-side report (the one-shot process backend and
-    the persistent service add their own timing keys on top).  Keeping
-    the dict shape in one place is what keeps the master-side merge
-    and :func:`rank_stats_from_report` in lockstep across backends.
+    core of every worker-side report (the process workers add their
+    own timing keys on top).  Keeping the dict shape in one place is
+    what keeps the master-side merge and :func:`rank_stats_from_report`
+    in lockstep across backends.
     """
     return {
         "counts": out.counts,

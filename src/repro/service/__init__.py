@@ -1,9 +1,8 @@
 """Persistent search service: resident workers, streaming query batches.
 
-The one-shot :class:`~repro.parallel.ParallelSearchEngine` pays spawn +
-import + arena attach on every ``run()`` — fine for a single batch,
-fatal for serving sustained traffic.  This package amortizes all of it
-across a session:
+Worker spawn + interpreter import + arena attach cost the same whether
+a session then serves one batch or a million.  This package pays them
+once per session:
 
 * :class:`~repro.service.service.SearchService` — the session API:
   ``open()`` spawns a :class:`~repro.parallel.persistent.PersistentPool`,
@@ -21,6 +20,10 @@ across a session:
   count — the workers run the same :mod:`repro.search.rank` body as
   every other backend, and the pipeline reorders when stages run,
   never what they compute.
+* :class:`~repro.service.engine.ParallelSearchEngine` — the one-shot
+  form: ``run(spectra)`` opens a session, submits the one batch, and
+  closes it, reporting the whole open-through-close cost as its
+  ``total`` phase time (``repro search --backend process``).
 * Per-batch :class:`~repro.service.service.BatchStats` record real
   wall/CPU phase seconds and the actual pickled scatter bytes, so the
   amortization claim is measurable, not aspirational
@@ -50,6 +53,7 @@ stdin manifest of paths (``--shards N`` selects the sharded tier;
 ``--rebalance-li`` arms elastic rebalancing).
 """
 
+from repro.service.engine import ParallelSearchEngine
 from repro.service.rebalance import (
     RebalanceConfig,
     RebalanceDecision,
@@ -72,6 +76,7 @@ from repro.service.sharding import (
 __all__ = [
     "BatchStats",
     "DatabaseShard",
+    "ParallelSearchEngine",
     "RebalanceConfig",
     "RebalanceDecision",
     "RebalancePolicy",

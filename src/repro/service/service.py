@@ -8,10 +8,10 @@ Session lifecycle (the amortization structure)::
         results, stats = service.submit(batch)   # QUERY round per batch
     service.close()           # SHUTDOWN
 
-``open()`` pays every per-run cost the one-shot engine pays per batch
-— worker spawn + interpreter import, the arena spill (through the
-process-wide spill cache, so an engine over the same database shares
-it), and the per-rank partial-index build.  ``submit()`` then costs
+``open()`` pays every once-per-session cost — worker spawn +
+interpreter import, the arena spill (through the process-wide spill
+cache, so sessions over the same database share it), and the per-rank
+partial-index build.  ``submit()`` then costs
 only: preprocess, pack the batch into flat
 :class:`~repro.spectra.packed.PackedSpectra` columns, one
 :class:`~repro.parallel.worker.QueryTask` carrying them to every
@@ -905,8 +905,8 @@ class SearchService:
     def open(self) -> "SearchService":
         """Spawn the pool, spill the arena, attach every worker.
 
-        Everything here is the once-per-session cost the one-shot
-        engine pays per run; :attr:`open_s` records it.  Idempotent —
+        Everything here is the once-per-session cost (a one-shot
+        engine run pays it per batch); :attr:`open_s` records it.  Idempotent —
         reopening an open session is a no-op; reopening a closed one
         raises.  Serialized on the dispatch lock so concurrent
         ``open()`` calls cannot double-spawn pools.

@@ -9,7 +9,7 @@ same encoding real mzML uses — so files are round-trippable and
 binary-exact.
 
 This is intentionally *not* a full PSI mzML implementation (no CV
-params, no indexed wrapper); DESIGN.md lists it as a substitution.
+params, no indexed wrapper): it substitutes for one.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Cross-component determinism: same seeds — same artifacts, bit for bit.
 
-The reproduction's claims rest on determinism (DESIGN.md §5); these
-tests pin it end-to-end, including through file serialization, so a
-regression anywhere in the seed plumbing fails loudly.
+The reproduction's claims rest on determinism; these tests pin it
+end-to-end, including through file serialization, so a regression
+anywhere in the seed plumbing fails loudly.
 """
 
 import io

@@ -1,18 +1,29 @@
-"""Process-backend engine vs serial reference: exact equivalence.
+"""One-shot process engine vs serial reference, and the spill it shares.
 
-The acceptance bar for the real-process backend is the same one the
-simulated engine carries: for every partition policy and worker
-count, search results — candidate counts, PSM identities, scores,
-tie-breaking — are *bit-identical* to the serial engine's.  Real
-parallelism must change where the work runs, never what it computes.
+``ParallelSearchEngine.run`` is a :class:`SearchService` opened for one
+batch, so it carries the same acceptance bar as the session: for every
+partition policy and worker count, search results — candidate counts,
+PSM identities, scores, tie-breaking — are *bit-identical* to the
+serial engine's.  Real parallelism must change where the work runs,
+never what it computes.  The arena spill behind every session is one
+refcounted tmpdir per database, shared by concurrent sessions.
 """
+
+import gc
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.parallel import ParallelEngineConfig, ParallelSearchEngine
 from repro.search.serial import SerialSearchEngine
+from repro.service import ParallelSearchEngine, SearchService, ServiceConfig
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def assert_same_results(serial, parallel):
@@ -36,7 +47,7 @@ def test_process_backend_equals_serial(
     tiny_db, tiny_spectra, serial_reference, policy, n_workers
 ):
     engine = ParallelSearchEngine(
-        tiny_db, ParallelEngineConfig(n_workers=n_workers, policy=policy)
+        tiny_db, ServiceConfig(n_workers=n_workers, policy=policy)
     )
     res = engine.run(tiny_spectra)
     assert_same_results(serial_reference, res)
@@ -46,7 +57,7 @@ def test_process_backend_equals_serial(
 
 def test_rank_stats_cover_all_work(tiny_db, tiny_spectra, serial_reference):
     res = ParallelSearchEngine(
-        tiny_db, ParallelEngineConfig(n_workers=2, policy="cyclic")
+        tiny_db, ServiceConfig(n_workers=2, policy="cyclic")
     ).run(tiny_spectra)
     assert sum(s.n_entries for s in res.rank_stats) == tiny_db.n_entries
     assert (
@@ -56,177 +67,126 @@ def test_rank_stats_cover_all_work(tiny_db, tiny_spectra, serial_reference):
 
 
 def test_phase_times_are_real_and_positive(tiny_db, tiny_spectra):
+    t0 = time.perf_counter()
     res = ParallelSearchEngine(
-        tiny_db, ParallelEngineConfig(n_workers=2, policy="cyclic")
+        tiny_db, ServiceConfig(n_workers=2, policy="cyclic")
     ).run(tiny_spectra)
-    for key in ("build", "query", "query_cpu", "parallel_wall", "total"):
-        assert res.phase_times[key] > 0.0
+    elapsed = time.perf_counter() - t0
+    phases = res.phase_times
+    for key in ("open", "build", "query", "query_cpu", "parallel_wall", "total"):
+        assert phases[key] > 0.0
     # Worker phases are bounded by the master-observed parallel section.
-    assert res.phase_times["query"] <= res.phase_times["parallel_wall"]
+    assert phases["query"] <= phases["parallel_wall"]
+    # build is the slowest rank's attach-time index build ...
+    assert phases["build"] == max(s.build_time for s in res.rank_stats)
+    # ... and total spans open through close: the session's open and
+    # the batch's round both fall inside it, and it inside the call.
+    assert phases["open"] + phases["parallel_wall"] <= phases["total"] <= elapsed
     for stats in res.rank_stats:
         assert stats.query_time > 0.0
         assert stats.query_cpu_time > 0.0
 
 
+def test_empty_input_returns_empty_results(tiny_db):
+    res = ParallelSearchEngine(tiny_db, ServiceConfig(n_workers=3)).run([])
+    assert res.spectra == [] and res.n_ranks == 3
+    assert [s.rank for s in res.rank_stats] == [0, 1, 2]
+    assert res.execution_time == 0.0
+
+
 def test_plan_partitions_all_entries(tiny_db):
-    engine = ParallelSearchEngine(tiny_db, ParallelEngineConfig(n_workers=3))
-    assert int(engine.plan.partition_sizes().sum()) == tiny_db.n_entries
-
-
-def test_engine_reuses_spilled_store(tiny_db, tiny_spectra):
-    engine = ParallelSearchEngine(
-        tiny_db, ParallelEngineConfig(n_workers=2, policy="cyclic")
-    )
-    a = engine.run(tiny_spectra)
-    store_dir = engine._store.directory
-    b = engine.run(tiny_spectra)
-    assert engine._store.directory == store_dir
-    assert_same_results(a, b)
-    # The second run's spill phase is a cache hit.
-    assert b.phase_times["spill"] <= a.phase_times["spill"]
-
-
-def test_explicit_store_dir_is_kept_and_reused(tiny_db, tiny_spectra, tmp_path):
-    store_dir = tmp_path / "spill"
-    config = ParallelEngineConfig(
-        n_workers=2, policy="cyclic", store_dir=store_dir
-    )
-    first = ParallelSearchEngine(tiny_db, config)
-    res_a = first.run(tiny_spectra)
-    assert (store_dir / "mzs.npy").is_file()
-    spilled_mtime = (store_dir / "mzs.npy").stat().st_mtime_ns
-    # A second engine attaches to the existing spill instead of
-    # rewriting it (rewriting could tear live memmaps).
-    second = ParallelSearchEngine(tiny_db, config)
-    res_b = second.run(tiny_spectra)
-    assert (store_dir / "mzs.npy").stat().st_mtime_ns == spilled_mtime
-    assert_same_results(res_a, res_b)
-
-
-def test_mismatched_store_dir_rejected(tiny_db, small_db, tiny_spectra, tmp_path):
-    store_dir = tmp_path / "spill"
-    ParallelSearchEngine(
-        tiny_db,
-        ParallelEngineConfig(n_workers=2, store_dir=store_dir),
-    ).run(tiny_spectra)
-    other = ParallelSearchEngine(
-        small_db, ParallelEngineConfig(n_workers=2, store_dir=store_dir)
-    )
-    with pytest.raises(ConfigurationError, match="refusing to reuse"):
-        other._ensure_store()
+    plan = SearchService(tiny_db, ServiceConfig(n_workers=3)).plan
+    assert int(plan.partition_sizes().sum()) == tiny_db.n_entries
 
 
 def test_workers_see_only_their_partition(tiny_db, tiny_spectra):
     """Per-worker index sizes match the plan (no replicated database)."""
-    engine = ParallelSearchEngine(
-        tiny_db, ParallelEngineConfig(n_workers=3, policy="cyclic")
-    )
-    res = engine.run(tiny_spectra)
-    expected = engine.plan.partition_sizes()
+    with SearchService(tiny_db, ServiceConfig(n_workers=3)) as service:
+        res, _ = service.submit(tiny_spectra)
+        expected = service.plan.partition_sizes()
     got = np.array([s.n_entries for s in res.rank_stats], dtype=np.int64)
     assert np.array_equal(expected, got)
 
 
-def test_invalid_config_rejected():
-    with pytest.raises(ConfigurationError):
-        ParallelEngineConfig(n_workers=0)
-    with pytest.raises(ConfigurationError):
-        ParallelEngineConfig(top_k=0)
-    with pytest.raises(ConfigurationError):
-        ParallelEngineConfig(timeout=-1.0)
+# -- a worker that dies while bootstrapping ----------------------------
+
+# Deliberately no ``if __name__ == "__main__":`` guard: every spawned
+# worker re-runs this body while bootstrapping and dies in it.  With
+# 1 worker its manifest is the whole database — over 64 KB of entry
+# ids, more than a pipe buffer holds — so a master that shipped it
+# in the spawn arguments would block in ``spawn`` forever.
+_UNGUARDED_SCRIPT = textwrap.dedent(
+    """
+    from repro.db.proteome import ProteomeConfig
+    from repro.search.database import DatabaseConfig, IndexedDatabase
+    from repro.service import ParallelSearchEngine, ServiceConfig
+    from repro.spectra.synthetic import SyntheticRunConfig, generate_run
+
+    db = IndexedDatabase.build(
+        DatabaseConfig(
+            proteome=ProteomeConfig(n_families=10, seed=4242),
+            max_variants_per_peptide=8,
+        )
+    )
+    assert db.n_entries * 8 > 64 * 1024, db.n_entries
+    spectra = generate_run(db.entries, SyntheticRunConfig(n_spectra=8, seed=7))
+    ParallelSearchEngine(db, ServiceConfig(n_workers=1, timeout=30)).run(spectra)
+    """
+)
+
+
+def test_worker_dying_in_bootstrap_raises_never_hangs(tmp_path):
+    script = tmp_path / "unguarded.py"
+    script.write_text(_UNGUARDED_SCRIPT, encoding="ascii")
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR), TMPDIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "WorkerError" in proc.stderr, proc.stderr[-2000:]
 
 
 # -- shared spill cache (one tmpdir spill per arena) -------------------
 
 
-def test_engines_over_same_database_share_one_spill(tiny_db, tiny_spectra):
-    """Two engines over one database attach to the same tmpdir spill
+def test_sessions_over_same_database_share_one_spill(
+    tiny_db, tiny_spectra, serial_reference
+):
+    """Two sessions over one database attach to the same tmpdir spill
     (no second spill), and results stay bit-identical."""
-    a = ParallelSearchEngine(
-        tiny_db, ParallelEngineConfig(n_workers=2, policy="cyclic")
-    )
-    b = ParallelSearchEngine(
-        tiny_db, ParallelEngineConfig(n_workers=3, policy="chunk")
-    )
-    res_a = a.run(tiny_spectra)
-    mtime = (a._store.directory / "mzs.npy").stat().st_mtime_ns
-    res_b = b.run(tiny_spectra)
-    assert b._store.directory == a._store.directory
-    # Attached, not re-spilled (rewriting could tear live memmaps).
-    assert (b._store.directory / "mzs.npy").stat().st_mtime_ns == mtime
-    assert_same_results(res_a, res_b)
+    with SearchService(tiny_db, ServiceConfig(n_workers=2)) as a:
+        directory = a._spill.store.directory
+        mtime = (directory / "mzs.npy").stat().st_mtime_ns
+        with SearchService(
+            tiny_db, ServiceConfig(n_workers=3, policy="chunk")
+        ) as b:
+            assert b._spill.store.directory == directory
+            # Attached, not re-spilled (rewriting could tear live memmaps).
+            assert (directory / "mzs.npy").stat().st_mtime_ns == mtime
+            res_b, _ = b.submit(tiny_spectra)
+        res_a, _ = a.submit(tiny_spectra)
+    assert_same_results(serial_reference, res_a)
+    assert_same_results(serial_reference, res_b)
 
 
-def test_first_engine_death_does_not_remove_shared_spill(tiny_db, tiny_spectra):
-    """The spill is refcounted: it outlives any single engine and is
-    removed only when the last holder is garbage-collected."""
-    import gc
-
-    a = ParallelSearchEngine(tiny_db, ParallelEngineConfig(n_workers=2))
-    b = ParallelSearchEngine(tiny_db, ParallelEngineConfig(n_workers=2))
-    a.run(tiny_spectra)
-    b._ensure_store()
-    directory = a._store.directory
+def test_first_session_close_does_not_remove_shared_spill(
+    tiny_db, tiny_spectra, serial_reference
+):
+    """The spill is refcounted: it outlives the first session's
+    ``close()`` and is removed when the last holder is collected."""
+    a = SearchService(tiny_db, ServiceConfig(n_workers=2)).open()
+    b = SearchService(tiny_db, ServiceConfig(n_workers=2)).open()
+    directory = a._spill.store.directory
+    a.close()
     del a
     gc.collect()
     assert directory.is_dir()  # b still maps it
-    assert_same_results(
-        ParallelSearchEngine(
-            tiny_db, ParallelEngineConfig(n_workers=2)
-        ).run(tiny_spectra),
-        b.run(tiny_spectra),
-    )
-    del b
+    res, _ = b.submit(tiny_spectra)
+    assert_same_results(serial_reference, res)
+    b.close()
     gc.collect()
     assert not directory.exists()  # last holder gone -> tmpdir gone
-
-
-# -- stale-store sweep (hard-crash leak window) ------------------------
-
-
-def test_sweep_removes_stale_dirs_and_keeps_live_ones(tmp_path):
-    from repro.parallel import sweep_stale_stores
-
-    torn = tmp_path / "repro-arena-torn"  # crashed between mkdtemp and spill
-    torn.mkdir()
-    orphan = tmp_path / "repro-spectra-orphan"  # complete but long dead
-    orphan.mkdir()
-    (orphan / "spectra_manifest.json").write_text("{}")
-    live = tmp_path / "repro-arena-live"  # complete and recent
-    live.mkdir()
-    (live / "arena_manifest.json").write_text("{}")
-    unrelated = tmp_path / "other-dir"
-    unrelated.mkdir()
-
-    removed = sweep_stale_stores(
-        tmp_path, incomplete_age_s=0.0, complete_age_s=0.0
-    )
-    assert removed == 3  # with age 0 even "live" qualifies ...
-    assert not torn.exists() and not orphan.exists() and not live.exists()
-    assert unrelated.is_dir()  # ... but foreign dirs are never touched
-
-    # With realistic thresholds a fresh complete store survives.
-    fresh = tmp_path / "repro-arena-fresh"
-    fresh.mkdir()
-    (fresh / "arena_manifest.json").write_text("{}")
-    assert sweep_stale_stores(tmp_path) == 0
-    assert fresh.is_dir()
-
-
-def test_sweep_never_touches_stores_with_a_live_owner(tmp_path):
-    """An owner.pid of a living process vetoes removal regardless of
-    age — an idle long-running session must survive any sweep."""
-    from repro.parallel import sweep_stale_stores, write_owner_marker
-
-    live = tmp_path / "repro-spectra-session"
-    live.mkdir()
-    write_owner_marker(live)  # this test process is the live owner
-    dead = tmp_path / "repro-spectra-orphan"
-    dead.mkdir()
-    (dead / "owner.pid").write_text("999999999\n")  # no such process
-
-    removed = sweep_stale_stores(
-        tmp_path, incomplete_age_s=0.0, complete_age_s=0.0
-    )
-    assert removed == 1
-    assert live.is_dir() and not dead.exists()

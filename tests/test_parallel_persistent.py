@@ -1,10 +1,10 @@
 """Persistent-pool contract tests: residency, state, and failure modes.
 
 The resident pool must amortize spawn cost (same worker PIDs across
-batches, attach state intact) while keeping ``ProcessBackend``'s "no
-failure mode hangs" guarantee — plus session survival: any worker
-failure fails at most the in-flight batch, and the pool respawns and
-re-attaches dead ranks automatically before the next one.
+batches, attach state intact) while guaranteeing that no failure mode
+hangs — plus session survival: any worker failure fails at most the
+in-flight batch, and the pool respawns and re-attaches dead ranks
+automatically before the next one.
 """
 
 import time
@@ -19,6 +19,7 @@ from repro.parallel.worker import (
     resident_echo,
     resident_exit,
     resident_sleep,
+    resident_unpicklable_result,
 )
 
 
@@ -39,6 +40,13 @@ def test_attach_reports_and_batches_in_rank_order(pool):
     assert res.n_workers == 2
     assert res.respawned == 0
     assert res.makespan == max(res.wall_times)
+
+
+def test_single_worker_runs():
+    with PersistentPool(1, timeout=60.0) as pool:
+        pool.attach(resident_attach, ["solo"])
+        res = pool.run_batch(resident_echo, [42])
+    assert [r[:3] for r in res.results] == [(0, "solo", 42)]
 
 
 def test_workers_stay_resident_across_batches(pool):
@@ -138,6 +146,36 @@ def test_unpicklable_payload_cannot_desync_the_pipes(pool):
     assert "pickle" in str(excinfo.value).lower()
     # The next batch must see ITS payloads, not round-1 leftovers.
     res = pool.run_batch(resident_echo, ["x", "y"])
+    assert [r[:3] for r in res.results] == [
+        (0, "state-a", "x"),
+        (1, "state-b", "y"),
+    ]
+
+
+def test_unpicklable_fn_raises_the_real_error(pool):
+    """A callable the scatter cannot pickle re-raises its own pickling
+    error — not an AssertionError from cleanup — and the pool stays
+    usable."""
+    with pytest.raises(Exception) as excinfo:
+        pool.run_batch(lambda rank, size, state, payload: rank, ["x", "y"])
+    assert not isinstance(excinfo.value, AssertionError)
+    assert "pickle" in str(excinfo.value).lower()
+    res = pool.run_batch(resident_echo, ["x", "y"])
+    assert [r[:3] for r in res.results] == [
+        (0, "state-a", "x"),
+        (1, "state-b", "y"),
+    ]
+
+
+def test_unpicklable_result_reports_cause_worker_stays_resident(pool):
+    """A reply the worker cannot pickle surfaces as WorkerError naming
+    the cause; the worker keeps looping and answers the next round."""
+    pids = pool.worker_pids()
+    with pytest.raises(WorkerError, match="while sending the result"):
+        pool.run_batch(resident_unpicklable_result, [None, None])
+    res = pool.run_batch(resident_echo, ["x", "y"])
+    assert res.respawned == 0
+    assert pool.worker_pids() == pids
     assert [r[:3] for r in res.results] == [
         (0, "state-a", "x"),
         (1, "state-b", "y"),

@@ -208,3 +208,34 @@ def test_service_open_runs_the_sweep(tiny_db, tmp_path, monkeypatch):
         assert not orphan.exists()
         # The session itself is unaffected by the sweep.
         assert all(pid is not None for pid in service.worker_pids())
+
+
+def test_sweep_removes_stale_dirs_and_keeps_live_ones(tmp_path):
+    """Unowned dirs (no ``owner.pid``) are judged by age alone, against
+    the caller's thresholds; foreign dirs are never touched."""
+    from repro.parallel.shared_arena import sweep_stale_stores
+
+    torn = tmp_path / "repro-arena-torn"  # crashed between mkdtemp and spill
+    torn.mkdir()
+    orphan = tmp_path / "repro-spectra-orphan"  # complete but long dead
+    orphan.mkdir()
+    (orphan / "spectra_manifest.json").write_text("{}")
+    live = tmp_path / "repro-arena-live"  # complete and recent
+    live.mkdir()
+    (live / "arena_manifest.json").write_text("{}")
+    unrelated = tmp_path / "other-dir"
+    unrelated.mkdir()
+
+    removed = sweep_stale_stores(
+        tmp_path, incomplete_age_s=0.0, complete_age_s=0.0
+    )
+    assert removed == 3  # with age 0 even "live" qualifies ...
+    assert not torn.exists() and not orphan.exists() and not live.exists()
+    assert unrelated.is_dir()  # ... but foreign dirs are never touched
+
+    # With realistic thresholds a fresh complete store survives.
+    fresh = tmp_path / "repro-arena-fresh"
+    fresh.mkdir()
+    (fresh / "arena_manifest.json").write_text("{}")
+    assert sweep_stale_stores(tmp_path) == 0
+    assert fresh.is_dir()
