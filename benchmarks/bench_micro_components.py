@@ -8,15 +8,15 @@ pytest-benchmark's usual multi-round statistics:
 * shared-peak filtration of one query,
 * candidate scoring of one query,
 * Algorithm 1 grouping,
-* bounded edit distance,
+* the bit-parallel edit-distance kernel over one grouping round,
 * the three partition policies.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.editdist import bounded_edit_distance
-from repro.core.grouping import GroupingConfig, group_peptides
+from repro.core.editdist import EncodedSequences
+from repro.core.grouping import GroupingConfig, group_peptides, sorted_order
 from repro.core.partition import make_policy
 from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.search.scoring import score_candidates
@@ -82,11 +82,13 @@ def test_grouping_algorithm1(benchmark, workload):
     assert grouping.n_sequences == 3000
 
 
-def test_bounded_edit_distance(benchmark):
-    a = "ACDEFGHIKLMNPQRSTVWYACDEFGHIK"
-    b = "ACDEFGHLKLMNPQRSTVWYACDEGHIKK"
-    dist = benchmark(bounded_edit_distance, a, b, 10)
-    assert dist <= 10
+def test_bounded_edit_distance(benchmark, workload):
+    """Algorithm 1's first round: every sorted neighbour pair at once."""
+    sequences = workload.database.base_sequences()
+    encoded = EncodedSequences([sequences[i] for i in sorted_order(sequences)])
+    seeds = np.arange(encoded.lengths.size - 1)
+    dist = benchmark(encoded.distances, seeds, seeds + 1)
+    assert dist.size == seeds.size and int(dist.min()) >= 0
 
 
 @pytest.mark.parametrize("policy", ["chunk", "cyclic", "random"])

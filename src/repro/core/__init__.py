@@ -3,7 +3,7 @@
 The pipeline of Section III:
 
 1. :mod:`~repro.core.grouping` clusters similar peptide sequences
-   (Algorithm 1) using the bounded edit distance of
+   (Algorithm 1) using the bit-parallel edit-distance kernel of
    :mod:`~repro.core.editdist`;
 2. :mod:`~repro.core.partition` spreads the groups across ranks with
    the Chunk / Cyclic / Random policies of Section III-D;
@@ -14,7 +14,7 @@ The pipeline of Section III:
    search engine.
 """
 
-from repro.core.editdist import bounded_edit_distance, edit_distance
+from repro.core.editdist import EncodedSequences, edit_distance
 from repro.core.grouping import Grouping, GroupingConfig, group_peptides
 from repro.core.partition import (
     PartitionAssignment,
@@ -29,7 +29,7 @@ from repro.core.mapping import MappingTable
 from repro.core.planner import LBEPlan, plan_distribution
 
 __all__ = [
-    "bounded_edit_distance",
+    "EncodedSequences",
     "edit_distance",
     "Grouping",
     "GroupingConfig",

@@ -1,22 +1,42 @@
-"""Levenshtein edit distance with banding and early exit.
+"""Levenshtein edit distance: a scalar reference and a bit-parallel pair kernel.
 
-Algorithm 1 compares every sequence against the current group seed, so
-edit distance dominates grouping cost.  Two facts bound the work:
+Algorithm 1 compares sequences against group seeds, so edit distance is
+the whole cost of grouping.  Two implementations live here:
 
-* group membership only needs the distance *up to a cutoff* — anything
-  larger starts a new group regardless of its exact value;
-* if ``|len(a) - len(b)| > bound`` the distance certainly exceeds the
-  bound (each length difference costs at least one edit).
+* :func:`edit_distance` — the textbook two-row dynamic program over one
+  pair.  It is the reference the tests compare the kernel against.
+* :class:`EncodedSequences` — a sequence set encoded once, answering
+  exact distances for many ``(pattern, text)`` pairs per call with
+  Myers' bit-vector algorithm in Hyyrö's formulation.  It is what
+  :func:`~repro.core.grouping.group_peptides` runs.
 
-:func:`bounded_edit_distance` exploits both with the classic banded
-dynamic program: only cells within ``bound`` of the diagonal are
-evaluated (O(min(n,m)·bound) time) and the scan exits as soon as a full
-row exceeds the bound.
+Kernel layout.  The sequences become one padded code matrix over their
+own alphabet (``np.unique`` over UTF-32 code points, so any ``str``
+works).  Each sequence gets one ``Peq`` row: ``peq[k, c]`` holds a
+``W``-word ``uint64`` bitmask with bit ``i`` set where sequence ``k``
+has symbol ``c`` at position ``i``, ``W = ceil(longest / 64)``.  One
+DP column for every pair of a call is about twenty ``uint64`` ufunc
+passes, so a call costs ``longest text × W`` array steps and no
+per-pair Python.  The add and the shifts carry across words, which
+keeps one code path for 6-residue peptides (``W = 1``) and whole
+proteins alike.  The top DP row of a global distance is ``j``, so the
+horizontal-positive vector shifts a 1 into bit 0 every column.
+
+Memory is ``n × alphabet × W`` words for the masks plus ``n × longest``
+small integers for the codes.
 """
 
 from __future__ import annotations
 
-__all__ = ["edit_distance", "bounded_edit_distance"]
+from typing import Sequence
+
+import numpy as np
+
+__all__ = ["edit_distance", "EncodedSequences"]
+
+_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+_ONE = np.uint64(1)
+_TOP = np.uint64(63)
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -44,54 +64,93 @@ def edit_distance(a: str, b: str) -> int:
     return previous[-1]
 
 
-def bounded_edit_distance(a: str, b: str, bound: int) -> int:
-    """Levenshtein distance capped at ``bound``.
+class EncodedSequences:
+    """A sequence set encoded for batched exact Levenshtein distances.
 
-    Returns the exact distance when it is ``<= bound`` and ``bound + 1``
-    otherwise (a "greater than bound" sentinel).  ``bound < 0`` returns
-    ``bound + 1`` immediately (nothing can satisfy a negative bound).
-
-    The band around the diagonal has half-width ``bound``; cells
-    outside it can never contribute to a path of cost ``<= bound``.
+    Attributes
+    ----------
+    lengths:
+        int64 code-point count per sequence.
+    codes:
+        ``(n, longest)`` symbol ids, zero-padded past each row's end.
+    peq:
+        ``(n, alphabet, W)`` uint64 match masks (see module docstring).
     """
-    if bound < 0:
-        return bound + 1
-    if a == b:
-        return 0
-    n, m = len(a), len(b)
-    if abs(n - m) > bound:
-        return bound + 1
-    if n < m:  # keep the outer loop over the longer string
-        a, b, n, m = b, a, m, n
-    if m == 0:
-        return n if n <= bound else bound + 1
-    big = bound + 1
-    previous = [j if j <= bound else big for j in range(m + 1)]
-    for i in range(1, n + 1):
-        ca = a[i - 1]
-        # Band: |i - j| <= bound  =>  j in [i - bound, i + bound].
-        j_lo = max(1, i - bound)
-        j_hi = min(m, i + bound)
-        current = [big] * (m + 1)
-        current[0] = i if i <= bound else big
-        row_min = current[0] if j_lo == 1 else big
-        for j in range(j_lo, j_hi + 1):
-            cb = b[j - 1]
-            cost = 0 if ca == cb else 1
-            best = previous[j - 1] + cost
-            above = previous[j] + 1
-            if above < best:
-                best = above
-            left = current[j - 1] + 1
-            if left < best:
-                best = left
-            if best > big:
-                best = big
-            current[j] = best
-            if best < row_min:
-                row_min = best
-        if row_min > bound:
-            return big
-        previous = current
-    result = previous[m]
-    return result if result <= bound else big
+
+    __slots__ = ("lengths", "codes", "peq")
+
+    def __init__(self, sequences: Sequence[str]) -> None:
+        n = len(sequences)
+        self.lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=n)
+        longest = int(self.lengths.max()) if n else 0
+        points = np.frombuffer(
+            "".join(sequences).encode("utf-32-le", "surrogatepass"), dtype="<u4"
+        )
+        alphabet, symbols = np.unique(points, return_inverse=True)
+        in_row = np.arange(longest) < self.lengths[:, None]
+        self.codes = np.zeros((n, longest), dtype=np.min_scalar_type(alphabet.size))
+        self.codes[in_row] = symbols
+        words = max(1, -(-longest // 64))
+        self.peq = np.zeros((n, max(1, alphabet.size), words), dtype=np.uint64)
+        for i in range(longest):
+            rows = np.flatnonzero(in_row[:, i])
+            self.peq[rows, self.codes[rows, i], i // 64] |= _ONE << np.uint64(i % 64)
+
+    def distances(self, patterns: np.ndarray, texts: np.ndarray) -> np.ndarray:
+        """Exact ``d(seq[patterns[p]], seq[texts[p]])`` for every pair ``p``.
+
+        Distances are symmetric, so which side is the pattern only
+        changes the cost: ``W`` follows the longest pattern of the call
+        and the step count the longest text.
+        """
+        pat = np.asarray(patterns, dtype=np.int64)
+        txt = np.asarray(texts, dtype=np.int64)
+        m = self.lengths[pat]
+        n = self.lengths[txt]
+        if not pat.size:
+            return np.zeros(0, dtype=np.int64)
+        # Longest text first: the pairs still reading at column j are a
+        # prefix, so each step works on slices, never on masks.
+        by_text = np.argsort(-n, kind="stable")
+        pat, txt, m, n = pat[by_text], txt[by_text], m[by_text], n[by_text]
+        words = max(1, -(-int(m.max()) // 64))
+        peq = self.peq[:, :, :words]
+        last = np.maximum(m - 1, 0)
+        hit = np.zeros((pat.size, words), dtype=np.uint64)
+        hit[np.arange(pat.size), last // 64] = _ONE << (last % 64).astype(np.uint64)
+        hit[m == 0] = 0
+        pv = np.full((pat.size, words), _ONES)
+        mv = np.zeros((pat.size, words), dtype=np.uint64)
+        score = m.copy()
+        reading = np.searchsorted(-n, -np.arange(int(n[0])), side="left")
+        for j, k in enumerate(reading.tolist()):
+            eq_words = peq[pat[:k], self.codes[txt[:k], j]]
+            for w in range(words):
+                eq = eq_words[:, w]
+                p, q = pv[:k, w], mv[:k, w]
+                xv = eq | q
+                total = (eq & p) + p
+                wrapped = total < p
+                if w:  # the add's carry out of word w-1 enters word w
+                    total += carry
+                    wrapped |= total < carry
+                carry = wrapped
+                xh = (total ^ p) | eq
+                ph = q | ~(xh | p)
+                mh = p & xh
+                score[:k] += (ph & hit[:k, w]) != 0
+                score[:k] -= (mh & hit[:k, w]) != 0
+                ph_top, mh_top = ph >> _TOP, mh >> _TOP
+                ph <<= _ONE
+                mh <<= _ONE
+                if w:  # the shifts carry the top bits of word w-1
+                    ph |= ph_carry
+                    mh |= mh_carry
+                else:  # global distance: the top DP row is j
+                    ph |= _ONE
+                ph_carry, mh_carry = ph_top, mh_top
+                pv[:k, w] = mh | ~(xv | ph)
+                mv[:k, w] = ph & xv
+        out = np.empty_like(score)
+        out[by_text] = np.where(m == 0, n, score)
+        return out

@@ -10,7 +10,12 @@ CSR structure:
 
 * ``mzs`` — one flat ``float64`` array holding every entry's fragment
   m/z values, entry-major, each entry's slice sorted ascending (the
-  order :func:`~repro.chem.fragments.fragment_mzs` emits),
+  order :func:`~repro.chem.fragments.fragment_mzs` emits).
+  :meth:`FragmentArena.from_peptides` writes it straight from the
+  batched kernel :func:`~repro.chem.fragments.fragment_mzs_batch`:
+  offsets come from the residue counts alone, then each block of
+  entries fills its slice in place, so no per-entry array is
+  allocated and scratch stays at one block,
 * ``offsets`` — ``int64``, length ``n_entries + 1``; entry ``i`` owns
   ``mzs[offsets[i] : offsets[i + 1]]``,
 * per-resolution **bucket caches** — parallel ``int64`` arrays holding
@@ -43,7 +48,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.chem.fragments import FragmentationSettings, fragment_mzs
+from repro.chem.fragments import FragmentationSettings, fragment_mzs_batch
 from repro.chem.peptide import Peptide
 from repro.errors import ConfigurationError
 
@@ -240,10 +245,13 @@ class FragmentArena:
         peptides: Sequence[Peptide],
         fragmentation: FragmentationSettings = FragmentationSettings(),
     ) -> "FragmentArena":
-        """Generate and flatten fragments for ``peptides`` (one pass)."""
-        arrays = [fragment_mzs(p, fragmentation) for p in peptides]
-        return cls.from_arrays(
-            arrays,
+        """Generate the fragments of ``peptides`` straight into CSR form."""
+        mzs, offsets = fragment_mzs_batch(
+            [p.sequence for p in peptides], [p.mods for p in peptides], fragmentation
+        )
+        return cls(
+            mzs,
+            offsets,
             lengths=np.fromiter(
                 (p.length for p in peptides), dtype=np.int64, count=len(peptides)
             ),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from repro.chem.fragments import FragmentationSettings, fragment_mzs
+from repro.chem.fragments import FRAGMENT_BLOCK, FragmentationSettings, fragment_mzs
 from repro.chem.peptide import Peptide
 from repro.errors import ConfigurationError
 from repro.index.arena import FragmentArena, Workspace, concat_ranges
@@ -120,6 +120,20 @@ def test_arena_matches_per_peptide_arrays():
     assert np.array_equal(
         arena.masses, np.array([p.mass for p in PEPTIDES], dtype=np.float32)
     )
+
+
+@pytest.mark.parametrize("n", [FRAGMENT_BLOCK - 1, FRAGMENT_BLOCK, FRAGMENT_BLOCK + 1])
+def test_arena_blocks_equal_one_row_runs(small_db, n):
+    """The blocked build equals one kernel row per entry, byte for byte
+    (``test_chem_fragments`` pins the one-row result to the
+    per-peptide loop)."""
+    entries = [p for p in small_db.entries if p.is_modified][:n]
+    assert len(entries) == n
+    settings = FragmentationSettings(charges=(1, 2))
+    arena = FragmentArena.from_peptides(entries, settings)
+    rows = FragmentArena.from_arrays([fragment_mzs(p, settings) for p in entries])
+    assert arena.mzs.tobytes() == rows.mzs.tobytes()
+    assert arena.offsets.tobytes() == rows.offsets.tobytes()
 
 
 def test_arena_views_are_zero_copy_and_cached():

@@ -1,4 +1,12 @@
-"""Tests for Algorithm 1 (peptide sequence grouping)."""
+"""Tests for Algorithm 1 (peptide sequence grouping).
+
+The property suite at the end pins :func:`group_peptides` (vectorised
+rounds of the bit-parallel kernel) to :func:`scalar_greedy_scan`, a
+**test-only** copy of the one-comparison-at-a-time scan it replaced.
+Inputs are drawn from a numpy seed that Hypothesis passes as an explicit
+argument, so a falsifying example prints it, and ``print_blob`` adds the
+reproduction decorator.
+"""
 
 import numpy as np
 import pytest
@@ -141,3 +149,104 @@ def test_deterministic():
     b = group_peptides(seqs)
     assert np.array_equal(a.order, b.order)
     assert np.array_equal(a.group_sizes, b.group_sizes)
+
+
+# -- property suite: vectorised rounds == the scalar greedy scan --------
+
+PROPERTY = settings(max_examples=120, deadline=None, print_blob=True)
+
+ALPHABETS = ["ACDEFGHIKLMNPQRSTVWY", "AC", "αβγ☃é𝔸"]
+#: A symbol in none of the alphabets: substituting it at k distinct
+#: positions puts a mutant at exactly k edits from its source.
+FRESH = "Z"
+
+
+def scalar_greedy_scan(sequences, config):
+    """Algorithm 1 exactly as the paper writes it: one comparison per step."""
+    n = len(sequences)
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    order = sorted(range(n), key=lambda i: (len(sequences[i]), sequences[i]))
+    sizes = [1]
+    seed = sequences[order[0]]
+    for k in range(1, n):
+        seq = sequences[order[k]]
+        if config.criterion == 1:
+            cutoff = max(config.d, len(seq) // 2)
+        else:
+            cutoff = int(config.d_prime * max(len(seed), len(seq)))
+        if edit_distance(seed, seq) > cutoff or sizes[-1] == config.gsize:
+            seed = seq
+            sizes.append(1)
+        else:
+            sizes[-1] += 1
+    return np.asarray(order, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
+
+
+def near_cutoff_families(rng, alphabet, config, n_families):
+    """Random bases (lengths 0-70) plus mutants at cutoff-1/cutoff/cutoff+1.
+
+    Mutations substitute :data:`FRESH` at the tail, so a mutant sorts
+    next to its base and sits at an exactly known distance from it.
+    """
+    out = []
+    for _ in range(n_families):
+        length = int(rng.choice([rng.integers(0, 71), rng.integers(60, 70)]))
+        base = "".join(rng.choice(list(alphabet), size=length))
+        out.append(base)
+        cutoff = config.cutoff_for(base, base)
+        for edits in (cutoff - 1, cutoff, cutoff + 1):
+            edits = min(max(edits, 0), length)
+            if rng.random() < 0.7:
+                out.append(base[: length - edits] + FRESH * edits)
+        out.extend([base] * int(rng.integers(0, 3)))  # repeats
+    return out
+
+
+CONFIGS = st.builds(
+    GroupingConfig,
+    criterion=st.sampled_from([1, 2]),
+    d=st.sampled_from([0, 1, 2, 3, 40]),
+    d_prime=st.one_of(
+        st.sampled_from([0.0, 0.86, 1.0]), st.floats(0.0, 1.0, allow_nan=False)
+    ),
+    gsize=st.integers(1, 25),
+)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alphabet=st.sampled_from(ALPHABETS),
+    config=CONFIGS,
+    n_families=st.integers(1, 12),
+)
+def test_vectorised_rounds_equal_scalar_greedy_scan(seed, alphabet, config, n_families):
+    rng = np.random.default_rng(seed)
+    sequences = near_cutoff_families(rng, alphabet, config, n_families)
+    rng.shuffle(sequences)
+    got = group_peptides(sequences, config)
+    order, sizes = scalar_greedy_scan(sequences, config)
+    assert np.array_equal(got.order, order)
+    assert np.array_equal(got.group_sizes, sizes)
+
+
+@PROPERTY
+@given(seqs=SEQS, config=CONFIGS)
+def test_vectorised_rounds_equal_scalar_scan_on_short_peptides(seqs, config):
+    got = group_peptides(seqs, config)
+    order, sizes = scalar_greedy_scan(seqs, config)
+    assert np.array_equal(got.order, order)
+    assert np.array_equal(got.group_sizes, sizes)
+
+
+@pytest.mark.parametrize("length", [63, 64, 65, 70])
+def test_word_boundary_lengths(length):
+    """Seeds and candidates straddling the 64-symbol word boundary."""
+    base = "AC" * 40
+    seqs = [base[:length], base[: length - 1] + "Z", base[:length][::-1], base[: length + 1]]
+    for config in (GroupingConfig(criterion=1, d=0), GroupingConfig(d_prime=0.02)):
+        got = group_peptides(seqs, config)
+        order, sizes = scalar_greedy_scan(seqs, config)
+        assert np.array_equal(got.order, order)
+        assert np.array_equal(got.group_sizes, sizes)
