@@ -10,7 +10,8 @@ Python:
 * :mod:`repro.spectra` — MS/MS spectra, MS2 io, synthetic runs
 * :mod:`repro.index` — the SLM-Transform fragment-ion index
 * :mod:`repro.core` — **LBE itself**: grouping, partitioning, mapping
-* :mod:`repro.mpi` — simulated MPI runtime with virtual time
+* :mod:`repro.mpi` — virtual time: per-rank clocks, the comm cost
+  model and the ledger collectives of the simulated engine
 * :mod:`repro.search` — serial + simulated-distributed search engines,
   the shared rank body, metrics
 * :mod:`repro.parallel` — real OS worker processes: the resident pool,
@@ -40,7 +41,6 @@ from repro.core import (
 )
 from repro.db import DigestionConfig, ProteomeConfig, generate_proteome
 from repro.index import SLMIndex, SLMIndexSettings
-from repro.mpi import Communicator, run_spmd
 from repro.search import (
     DatabaseConfig,
     DistributedSearchEngine,
@@ -65,8 +65,6 @@ __all__ = [
     "generate_proteome",
     "SLMIndex",
     "SLMIndexSettings",
-    "Communicator",
-    "run_spmd",
     "DatabaseConfig",
     "DistributedSearchEngine",
     "EngineConfig",

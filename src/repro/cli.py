@@ -126,10 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     srch.add_argument("--ranks", type=int, default=4)
     srch.add_argument("--backend", default="simulated",
                       choices=("simulated", "process"),
-                      help="simulated = threads over the virtual-time "
-                      "fabric (deterministic virtual seconds); process = "
-                      "real OS workers over a memmap-shared arena (real "
-                      "wall-clock seconds)")
+                      help="simulated = ranks run in turn in one thread, "
+                      "charged to virtual clocks (deterministic virtual "
+                      "seconds); process = real OS workers over a "
+                      "memmap-shared arena (real wall-clock seconds)")
     srch.add_argument("--policy", default="cyclic",
                       choices=("chunk", "cyclic", "random", "lpt"))
     srch.add_argument("--report", type=Path, default=None,

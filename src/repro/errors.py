@@ -38,12 +38,6 @@ class PartitionError(ReproError, RuntimeError):
     (e.g. assignment is not a disjoint cover of the input)."""
 
 
-class CommunicatorError(ReproError, RuntimeError):
-    """Misuse of the simulated MPI communicator (rank out of range,
-    mismatched collective participation, message to self without
-    buffering, ...)."""
-
-
 class WorkerError(ReproError, RuntimeError):
     """A real-OS-process worker of the parallel backend failed: it
     raised (the message carries the remote traceback), died without

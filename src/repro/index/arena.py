@@ -121,9 +121,12 @@ _tls = threading.local()
 def thread_workspace() -> Workspace:
     """The calling thread's shared :class:`Workspace` (created lazily).
 
-    Simulated MPI ranks run as threads, so kernel scratch must be
-    thread-local; within a thread all indexes/scorers share one
-    workspace (buffers grow to the largest request and stay warm).
+    A :class:`Workspace` is not thread-safe, and one process may enter
+    the kernels from several threads at once (a library caller's
+    threads, or caller threads beside the search service's pipeline
+    thread), so kernel scratch stays thread-local; within a thread all
+    indexes/scorers share one workspace (buffers grow to the largest
+    request and stay warm).
     """
     ws = getattr(_tls, "workspace", None)
     if ws is None:

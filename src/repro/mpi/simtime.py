@@ -1,10 +1,18 @@
-"""Virtual time for the simulated cluster.
+"""Virtual time for the simulated cluster: a ledger of per-rank clocks.
 
 Each rank owns a :class:`VirtualClock`.  Compute work advances a clock
 explicitly (the search engine charges its deterministic work counters
 times calibrated per-op costs); communication advances clocks through
 the :class:`CommCostModel` (latency + payload size / bandwidth, with a
 log2-tree factor for collectives, matching textbook MPI cost models).
+
+Nothing here runs concurrently.  The collectives the engine needs —
+:func:`scatter`, :func:`barrier` and :func:`gather`, all rooted at
+rank 0 — are closed-form updates of the whole clock list, applied
+after every rank has charged its own compute up to that point.  A
+rank's clock only ever depends on its own charges and on the times
+these functions hand it, so replaying ranks one after another gives
+the same clocks as running them side by side.
 
 Virtual time is what all figures report: it is reproducible across
 machines and schedulers, unlike wall time on a shared 2-core container.
@@ -15,12 +23,20 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass
 from math import ceil, log2
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["VirtualClock", "CommCostModel", "payload_nbytes"]
+__all__ = [
+    "VirtualClock",
+    "CommCostModel",
+    "payload_nbytes",
+    "scatter",
+    "barrier",
+    "gather",
+]
 
 
 class VirtualClock:
@@ -109,3 +125,41 @@ class CommCostModel:
             return 0.0
         rounds = ceil(log2(n_ranks))
         return rounds * self.p2p(nbytes)
+
+
+def scatter(
+    clocks: Sequence[VirtualClock], nbytes: int, model: CommCostModel
+) -> None:
+    """Scatter ``nbytes`` in total from rank 0 to every rank.
+
+    The root pays one tree collective over the whole payload; every
+    other rank receives at the root's departure time (tree pipelining
+    is folded into the root-side charge).
+    """
+    depart = clocks[0].advance(model.collective(nbytes, len(clocks)))
+    for clock in clocks[1:]:
+        clock.sync_to(depart)
+
+
+def barrier(clocks: Sequence[VirtualClock]) -> None:
+    """Synchronize all ranks: every clock jumps to the latest one."""
+    latest = max(clock.now for clock in clocks)
+    for clock in clocks:
+        clock.sync_to(latest)
+
+
+def gather(
+    clocks: Sequence[VirtualClock], nbytes: Sequence[int], model: CommCostModel
+) -> None:
+    """Gather one message per rank at rank 0 (``nbytes[r]`` from rank r).
+
+    Each non-root rank pays one point-to-point send; the root waits for
+    the latest departure, then pays one latency per received message.
+    The root's own contribution stays local and costs nothing.
+    """
+    root = clocks[0]
+    latest = root.now
+    for clock, size in zip(clocks[1:], nbytes[1:]):
+        latest = max(latest, clock.advance(model.p2p(size)))
+    root.sync_to(latest)
+    root.advance(model.latency * (len(clocks) - 1))

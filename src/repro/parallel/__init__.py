@@ -1,9 +1,9 @@
 """Real multi-process execution backend with a memmap-shared arena.
 
-The simulated cluster (:mod:`repro.mpi`) runs ranks as threads over
-virtual clocks — ideal for deterministic load-imbalance experiments,
-useless for measuring the paper's actual claim: wall-clock speedup
-from load-balanced parallel peptide search.  This package executes the
+The simulated cluster (:mod:`repro.mpi`) runs ranks one after another
+and charges a ledger of virtual clocks — ideal for deterministic
+load-imbalance experiments, useless for measuring the paper's actual
+claim: wall-clock speedup from load-balanced parallel peptide search.  This package executes the
 same rank program (:mod:`repro.search.rank`) on real OS processes, for
 :mod:`repro.service` (the resident session and the one-shot
 :class:`~repro.service.engine.ParallelSearchEngine`, a session for one

@@ -6,16 +6,27 @@ Execution follows the paper's Fig. 3/4 flow:
    expand to entry space, partition with the configured policy, build
    the mapping table; virtual cost charged to rank 0.
 2. **Manifest scatter.**  Rank 0 scatters each rank's global-entry-id
-   manifest (communication charged through the cost model).
+   manifest: a ledger :func:`~repro.mpi.simtime.scatter` charges the
+   root one tree collective and starts every other rank at its
+   departure.
 3. **Partial index build (parallel).**  Each rank builds an SLM index
-   over its entries and discards everything else.
+   over its entries and discards everything else; a ledger
+   :func:`~repro.mpi.simtime.barrier` ends the phase.
 4. **Distributed querying (parallel).**  Every rank preprocesses and
    searches *all* query spectra against its partial index, tracking
    work counters; per-rank query-phase virtual durations are the load
    imbalance inputs (Fig. 6).
 5. **Gather & merge (master).**  Ranks send per-spectrum candidate
-   counts and local-id top-k matches; the master maps local → global
+   counts and local-id top-k matches, charged by a ledger
+   :func:`~repro.mpi.simtime.gather`; the master maps local → global
    ids through the O(1) mapping table and merges top-k lists.
+
+The ranks really run one after another in the calling thread: each
+builds its index, searches, keeps only its work counters and payload,
+and drops the index before the next rank starts.  Virtual time is then
+charged from those counters, clock by clock, with the collectives as
+closed-form updates of the clock list — so peak memory is one rank's
+index, not ``n_ranks`` of them.
 
 The distributed result is bit-identical to the serial engine's (same
 candidates, scores, tie-breaking) for every policy and rank count —
@@ -25,7 +36,7 @@ enforced by the integration tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,16 +46,22 @@ from repro.core.partition import PartitionAssignment, make_policy
 from repro.core.predict import WorkModel
 from repro.core.planner import LBEPlan
 from repro.errors import ConfigurationError
-from repro.index.arena import concat_ranges
+from repro.index.arena import FragmentArena, concat_ranges
 from repro.index.slm import SLMIndexSettings
-from repro.mpi.comm import Communicator
-from repro.mpi.launcher import run_spmd
-from repro.mpi.simtime import CommCostModel
+from repro.mpi.simtime import (
+    CommCostModel,
+    VirtualClock,
+    barrier,
+    gather,
+    payload_nbytes,
+    scatter,
+)
 from repro.search.costs import QueryCostModel, SerialCostModel
 from repro.search.database import IndexedDatabase
-from repro.search.psm import RankStats, SearchResults, SpectrumResult
+from repro.search.psm import RankStats, SearchResults
 from repro.search.rank import (
     RankPayload,
+    RankQueryOutput,
     build_rank_index,
     merge_rank_payloads,
     run_rank_queries,
@@ -65,7 +82,8 @@ class EngineConfig:
     n_ranks:
         MPI process count ``p``.
     policy:
-        Partition policy name: ``chunk`` / ``cyclic`` / ``random``.
+        Partition policy name: ``chunk`` / ``cyclic`` / ``random`` /
+        ``lpt`` (predictive, weighted by each rank's machine speed).
     policy_seed:
         Seed for the Random policy's shuffles.
     grouping:
@@ -79,7 +97,7 @@ class EngineConfig:
     query_costs / serial_costs:
         Virtual cost models.
     comm:
-        Communication cost model of the simulated fabric.
+        Communication cost model of the ledger collectives.
     machine_jitter:
         Relative per-rank CPU speed spread (Gaussian σ).  The paper's
         cluster machines were only "nearly symmetrical" (Section
@@ -172,7 +190,7 @@ def make_lbe_plan(
     is still in entry-id space: each rank's entry manifest is the
     concatenation of its bases' contiguous entry ranges.
 
-    Shared by every execution backend (simulated fabric, real
+    Shared by every execution backend (simulated ledger, real
     processes): identical plans are what make their results
     comparable rank-for-rank.  ``rank_speeds`` feeds the predictive
     ``lpt`` policy (relative per-rank speeds; ``None`` = homogeneous).
@@ -271,107 +289,82 @@ class DistributedSearchEngine:
         arena.sort_order_for(cfg.index.resolution)
         # Every rank preprocesses every query (charged to its clock);
         # the computation is deterministic and rank-independent, so the
-        # real work is hoisted out of the rank program and shared.
+        # real work is hoisted out of the rank loop and shared.
         processed_spectra = preprocess_batch(spectra, cfg.preprocess)
+        manifests = [
+            np.asarray(plan.rank_global_ids(r), dtype=np.int64)
+            for r in range(cfg.n_ranks)
+        ]
+        # Phases 3-4 for real, one rank at a time.
+        ranks = [
+            _run_rank(arena, rank, ids, processed_spectra, cfg)
+            for rank, ids in enumerate(manifests)
+        ]
+        all_stats = [stats for stats, _ in ranks]
+        outputs = [out for _, out in ranks]
 
-        def rank_program(comm: Communicator):
-            stats = RankStats(rank=comm.rank)
-            # Compute-cost multiplier: machine speed (heterogeneity)
-            # over the hybrid intra-rank speedup (paper §VIII).
-            speed = cfg.machine_speed(comm.rank) / cfg.intra_rank_speedup
+        # Virtual time.  Compute-cost multiplier per rank: machine speed
+        # (heterogeneity) over the hybrid intra-rank speedup (§VIII).
+        clocks = [VirtualClock() for _ in range(cfg.n_ranks)]
+        speeds = [
+            cfg.machine_speed(r) / cfg.intra_rank_speedup
+            for r in range(cfg.n_ranks)
+        ]
+        costs = cfg.query_costs
 
-            def charge(seconds: float) -> None:
-                comm.charge_compute(seconds * speed)
+        # Phase 1: serial prep on the master.  Phase 2: manifest scatter.
+        prep = cfg.serial_costs.prep_cost(db.n_entries, db.n_bases)
+        clocks[0].advance(prep)
+        scatter(clocks, sum(payload_nbytes(m) for m in manifests), cfg.comm)
 
-            # Phase 1: serial prep on the master.
-            if comm.is_master:
-                comm.charge_compute(
-                    cfg.serial_costs.prep_cost(db.n_entries, db.n_bases)
-                )
-                manifests = [
-                    np.asarray(plan.rank_global_ids(r), dtype=np.int64)
-                    for r in range(comm.size)
-                ]
-            else:
-                manifests = None
+        # Phase 3: partial index build, closed by a barrier.
+        starts = [clock.now for clock in clocks]
+        for clock, speed, stats in zip(clocks, speeds, all_stats):
+            clock.advance(costs.build_cost(stats.n_entries, stats.n_ions) * speed)
+        barrier(clocks)
+        for clock, t0, stats in zip(clocks, starts, all_stats):
+            stats.build_time = clock.now - t0
 
-            # Phase 2: manifest scatter.
-            my_entry_ids = comm.scatter(manifests, root=0)
-
-            # Phase 3: partial index build — the backend-agnostic body
-            # carves a sub-arena in C from the shared arena (fragments,
-            # masses, bucket caches all travel with the manifest) and
-            # builds a peptide-free partial index over it.
-            t0 = comm.clock.now
-            my_arena, index = build_rank_index(arena, my_entry_ids, cfg.index)
-            charge(cfg.query_costs.build_cost(len(index), index.n_ions))
-            stats.n_entries = len(index)
-            stats.n_ions = index.n_ions
-            comm.barrier()
-            stats.build_time = comm.clock.now - t0
-
-            # Phase 4: distributed querying (every rank, every
-            # spectrum) through the shared rank body; virtual time is
-            # charged spectrum-by-spectrum from its work counters.
-            t0 = comm.clock.now
-            out = run_rank_queries(
-                index,
-                my_arena,
-                my_entry_ids,
-                processed_spectra,
-                top_k=cfg.top_k,
-            )
+        # Phase 4: querying, charged spectrum by spectrum from the rank
+        # body's work counters.
+        for clock, speed, stats, out in zip(clocks, speeds, all_stats, outputs):
+            t0 = clock.now
             for si in range(len(spectra)):
-                charge(cfg.query_costs.per_spectrum_preprocess)
-                charge(
-                    cfg.query_costs.filter_cost_counts(
+                clock.advance(costs.per_spectrum_preprocess * speed)
+                clock.advance(
+                    costs.filter_cost_counts(
                         int(out.buckets_scanned[si]), int(out.ions_scanned[si])
                     )
+                    * speed
                 )
-                charge(
-                    cfg.query_costs.scoring_cost_counts(
+                clock.advance(
+                    costs.scoring_cost_counts(
                         int(out.candidates_scored[si]),
                         int(out.residues_scored[si]),
                     )
+                    * speed
                 )
-            stats.buckets_scanned = int(out.buckets_scanned.sum())
-            stats.ions_scanned = int(out.ions_scanned.sum())
-            stats.candidates_scored = int(out.candidates_scored.sum())
-            stats.residues_scored = int(out.residues_scored.sum())
-            stats.query_time = comm.clock.now - t0
+            stats.query_time = clock.now - t0
 
-            # Phase 5: gather to master.
-            t0 = comm.clock.now
-            payload: RankPayload = out.payload
-            gathered = comm.gather(payload, root=0)
-            stats.comm_time = comm.clock.now - t0
+        # Phase 5: gather to the master, then merge there.
+        payloads: List[RankPayload] = [out.payload for out in outputs]
+        starts = [clock.now for clock in clocks]
+        gather(clocks, [payload_nbytes(p) for p in payloads], cfg.comm)
+        for clock, t0, stats in zip(clocks, starts, all_stats):
+            stats.comm_time = clock.now - t0
+        merged, n_psms = merge_rank_payloads(
+            payloads, spectra, plan.mapping, cfg.top_k
+        )
+        clocks[0].advance(cfg.serial_costs.merge_cost(n_psms))
 
-            merged: List[SpectrumResult] | None = None
-            if comm.is_master:
-                merged, n_psms = merge_rank_payloads(
-                    gathered, spectra, plan.mapping, cfg.top_k
-                )
-                comm.charge_compute(cfg.serial_costs.merge_cost(n_psms))
-            return stats, merged
-
-        spmd = run_spmd(rank_program, cfg.n_ranks, cost_model=cfg.comm)
-
-        all_stats = [res[0] for res in spmd.results]
-        merged = spmd.results[0][1]
-        assert merged is not None  # master always merges
-        master_clock = spmd.clock_times[0]
-
-        prep = self.config.serial_costs.prep_cost(db.n_entries, db.n_bases)
-        build = max(s.build_time for s in all_stats)
-        query = max(s.query_time for s in all_stats)
         total_psms = sum(len(sr.psms) for sr in merged)
         phase_times = {
             "serial_prep": prep,
-            "build": build,
-            "query": query,
+            "build": max(s.build_time for s in all_stats),
+            "query": max(s.query_time for s in all_stats),
             "gather": max(s.comm_time for s in all_stats),
-            "merge": self.config.serial_costs.merge_cost(total_psms),
-            "total": master_clock,
+            "merge": cfg.serial_costs.merge_cost(total_psms),
+            "total": clocks[0].now,
         }
 
         return SearchResults(
@@ -381,4 +374,33 @@ class DistributedSearchEngine:
             policy_name=cfg.policy,
             n_ranks=cfg.n_ranks,
         )
+
+
+def _run_rank(
+    arena: FragmentArena,
+    rank: int,
+    entry_ids: np.ndarray,
+    spectra: Sequence[Spectrum],
+    cfg: EngineConfig,
+) -> Tuple[RankStats, RankQueryOutput]:
+    """One rank's real work: partial index build, then every query.
+
+    The backend-agnostic body carves a sub-arena in C from the shared
+    arena (fragments, masses, bucket caches all travel with the
+    manifest) and builds a peptide-free partial index over it.  Only
+    the work counters and the query output leave this function, so the
+    index and sub-arena are freed before the next rank builds its own.
+    """
+    sub_arena, index = build_rank_index(arena, entry_ids, cfg.index)
+    out = run_rank_queries(index, sub_arena, entry_ids, spectra, top_k=cfg.top_k)
+    stats = RankStats(
+        rank=rank,
+        n_entries=len(index),
+        n_ions=index.n_ions,
+        buckets_scanned=int(out.buckets_scanned.sum()),
+        ions_scanned=int(out.ions_scanned.sum()),
+        candidates_scored=int(out.candidates_scored.sum()),
+        residues_scored=int(out.residues_scored.sum()),
+    )
+    return stats, out
 

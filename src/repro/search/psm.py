@@ -81,7 +81,7 @@ class RankStats:
         Total residues across scored candidates (scoring cost basis).
     build_time / query_time / comm_time:
         Seconds spent in each phase — virtual seconds under the
-        simulated fabric, real wall seconds under the process backend.
+        simulated engine, real wall seconds under the process backend.
     query_cpu_time:
         Query-phase process CPU seconds (real backends only; the
         simulated engine leaves 0).  On a core-per-worker machine this

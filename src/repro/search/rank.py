@@ -8,8 +8,8 @@ lists merge into exactly the serial engine's ordering.  This module is
 that body, factored out of :class:`~repro.search.engine.DistributedSearchEngine`
 so that
 
-* the **simulated** engine (threads over the virtual MPI fabric) calls
-  it and charges virtual time from the returned work counters,
+* the **simulated** engine (ranks run in turn in one thread) calls it
+  and charges virtual time from the returned work counters,
 * the **process** backend (:mod:`repro.parallel`) calls it inside real
   OS workers over a memmap-shared arena and reports real seconds,
 * serial baselines can call it inline with a whole-database manifest.

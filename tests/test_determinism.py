@@ -65,9 +65,9 @@ def test_policy_seed_isolated_from_results():
         ]
 
 
-def test_threaded_execution_does_not_affect_virtual_time():
-    """Repeated runs interleave threads differently; virtual clocks
-    must not notice (5 repetitions)."""
+def test_repeated_runs_have_identical_virtual_time():
+    """Virtual clocks are bit-identical across repeated runs (5
+    repetitions)."""
     wl = make_workload(WorkloadConfig(size_m=0.8, n_spectra=8, seed=6))
     cfg = EngineConfig(n_ranks=6, policy="cyclic")
     baseline = None

@@ -1,10 +1,18 @@
-"""Tests for virtual clocks and the communication cost model."""
+"""Tests for virtual clocks, the communication cost model and the
+ledger collectives."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.mpi.simtime import CommCostModel, VirtualClock, payload_nbytes
+from repro.mpi.simtime import (
+    CommCostModel,
+    VirtualClock,
+    barrier,
+    gather,
+    payload_nbytes,
+    scatter,
+)
 
 
 def test_clock_starts_at_zero():
@@ -73,3 +81,47 @@ def test_collective_cost_log_rounds():
 def test_negative_costs_rejected():
     with pytest.raises(ConfigurationError):
         CommCostModel(latency=-1.0)
+
+
+def clocks_at(*times):
+    return [VirtualClock(t) for t in times]
+
+
+def test_barrier_synchronizes_clocks():
+    clocks = clocks_at(0.0, 1.0, 2.0, 3.0)  # rank r worked r seconds
+    barrier(clocks)
+    assert [c.now for c in clocks] == [3.0] * 4
+
+
+def test_scatter_syncs_receivers_to_root_departure():
+    model = CommCostModel(latency=1.0, seconds_per_byte=0.0)
+    clocks = clocks_at(10.0, 0.0)  # root computed 10 s first
+    scatter(clocks, 64, model)
+    assert clocks[0].now == 11.0  # 10 compute + one round
+    assert clocks[1].now == 11.0  # synced to the arrival
+
+
+def test_scatter_costs_log2_tree_rounds_over_total_bytes():
+    model = CommCostModel(latency=1.0, seconds_per_byte=0.5)
+    single = clocks_at(2.0)
+    scatter(single, 100, model)
+    assert single[0].now == 2.0  # p = 1: nothing to send
+    clocks = clocks_at(0.0, 0.0, 500.0, 0.0, 0.0)
+    scatter(clocks, 100, model)
+    assert clocks[0].now == 3 * (1.0 + 50.0)  # ceil(log2 5) rounds
+    assert [c.now for c in clocks[1:]] == [153.0, 500.0, 153.0, 153.0]
+
+
+def test_gather_root_waits_for_latest_departure_then_pays_latency():
+    model = CommCostModel(latency=1.0, seconds_per_byte=0.01)
+    clocks = clocks_at(5.0, 2.0, 30.0, 4.0)
+    gather(clocks, [999, 100, 200, 300], model)
+    # Non-roots pay one send each; the root's own bytes cost nothing.
+    assert [c.now for c in clocks[1:]] == [4.0, 33.0, 8.0]
+    assert clocks[0].now == 33.0 + 1.0 * 3  # latest departure + (p-1) latencies
+
+
+def test_gather_on_one_rank_is_free():
+    clocks = clocks_at(7.0)
+    gather(clocks, [10**6], CommCostModel(latency=1.0, seconds_per_byte=1.0))
+    assert clocks[0].now == 7.0

@@ -6,9 +6,13 @@ engine's results (candidate counts, PSM identities, scores), because
 partitioning must never change search semantics — only load placement.
 """
 
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
+import repro.search.engine as engine_module
 from repro.errors import ConfigurationError
 from repro.search.engine import DistributedSearchEngine, EngineConfig
 from repro.search.metrics import load_imbalance
@@ -143,3 +147,55 @@ def test_policy_affects_placement_not_results(small_db, small_spectra):
     chunk_ions = [s.ions_scanned for s in runs["chunk"].rank_stats]
     cyclic_ions = [s.ions_scanned for s in runs["cyclic"].rank_stats]
     assert np.std(chunk_ions) > np.std(cyclic_ions)
+
+
+def test_rank_body_exception_propagates(small_db, small_spectra, monkeypatch):
+    """A rank body that raises surfaces its own exception, unwrapped."""
+    engine = DistributedSearchEngine(small_db, EngineConfig(n_ranks=4))
+    rank2_ids = engine.plan.rank_global_ids(2)
+    real = engine_module.run_rank_queries
+
+    def failing_on_rank2(index, sub_arena, entry_ids, *args, **kwargs):
+        if np.array_equal(entry_ids, rank2_ids):
+            raise ValueError("boom on rank 2")
+        return real(index, sub_arena, entry_ids, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "run_rank_queries", failing_on_rank2)
+    with pytest.raises(ValueError, match="boom on rank 2"):
+        engine.run(small_spectra)
+
+
+def test_virtual_run_starts_no_thread(small_db, small_spectra, monkeypatch):
+    def no_threads(self):
+        raise AssertionError(f"thread {self.name!r} started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    res = DistributedSearchEngine(
+        small_db, EngineConfig(n_ranks=16, policy="cyclic")
+    ).run(small_spectra)
+    assert len(res.rank_stats) == 16
+
+
+def test_virtual_run_holds_one_rank_index_at_a_time(
+    small_db, small_spectra, monkeypatch
+):
+    """Each rank's index is freed before the next rank builds its own."""
+    real = engine_module.build_rank_index
+    live = set()
+    peak = 0
+
+    def tracked(*args, **kwargs):
+        nonlocal peak
+        sub_arena, index = real(*args, **kwargs)
+        token = object()
+        live.add(token)
+        weakref.finalize(index, live.discard, token)
+        peak = max(peak, len(live))
+        return sub_arena, index
+
+    monkeypatch.setattr(engine_module, "build_rank_index", tracked)
+    DistributedSearchEngine(
+        small_db, EngineConfig(n_ranks=16, policy="cyclic")
+    ).run(small_spectra)
+    assert peak == 1
+    assert not live
