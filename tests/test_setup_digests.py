@@ -1,12 +1,12 @@
-"""Pinned set-up outputs: grouping, arena and plans, byte for byte.
+"""Pinned set-up outputs: entry table, grouping, arena and plans, byte for byte.
 
-The set-up kernels (vectorised Algorithm 1, batched fragment arena)
-replaced per-item Python loops under a promise of byte-identical
-outputs.  The sha256 digests below were recorded with the per-item
-implementations on one fixed database; every downstream consumer
-(partitioning, the mapping table, rank indexes, scores) is a pure
-function of these arrays, so equal digests mean every plan and every
-search result is unchanged by construction.
+The set-up kernels (single-pass database build, vectorised Algorithm 1,
+batched fragment arena) replaced per-item Python loops under a promise
+of byte-identical outputs.  The sha256 digests below were recorded with
+the per-item implementations on fixed databases; every downstream
+consumer (partitioning, the mapping table, rank indexes, scores) is a
+pure function of these tables and arrays, so equal digests mean every
+plan and every search result is unchanged by construction.
 """
 
 import hashlib
@@ -14,7 +14,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.db.proteome import ProteomeConfig
+from repro.db.fasta import FastaRecord
+from repro.db.proteome import ProteomeConfig, generate_proteome
 from repro.search.database import DatabaseConfig, IndexedDatabase
 from repro.search.engine import make_lbe_plan
 
@@ -39,6 +40,15 @@ PLAN_DIGESTS = {
 }
 
 
+ENTRY_TABLE_DIGESTS = {
+    "families16": "95dc2be03af7e42add903c7b138b3531e26e5f4587fba062bcde707753a7f10b",
+    "families16/unbounded": "a63ad606698439e21c62f457d395c9518ac706fa3b2b76a6641b92f5c66b7ab5",
+    "edge_records": "b8966e589a88a93f7b4ebefe39f86173eb4ba8ec3b4655f282a567929ac57169",
+}
+
+PROTEOME = ProteomeConfig(n_families=16, seed=4242)
+
+
 def digest(*arrays: np.ndarray) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -48,11 +58,75 @@ def digest(*arrays: np.ndarray) -> str:
     return h.hexdigest()
 
 
+def entry_table_digest(db) -> str:
+    """sha256 over every entry (sequence, mods, protein id, mass) and the offsets.
+
+    Floats enter as ``float.hex`` and positions/ids with their Python
+    type, so a one-ulp mass change or an ``np.int64`` position shows.
+    """
+    h = hashlib.sha256()
+    for pep in db.entries:
+        mods = ",".join(
+            f"{type(pos).__name__}{pos}:{float.hex(delta)}" for pos, delta in pep.mods
+        )
+        h.update(
+            f"{pep.sequence}|{mods}|{type(pep.protein_id).__name__}"
+            f"{pep.protein_id}|{float.hex(pep.mass)}\n".encode()
+        )
+    h.update(digest(db.entry_offsets).encode())
+    return h.hexdigest()
+
+
+def edge_records():
+    """Protein records that hit every branch of the digest's input handling.
+
+    Lowercase residues, ambiguous residues (X/B/Z) that split a protein,
+    KP/RP sites trypsin must not cut, peptides exactly at and one past
+    each end of the 6..40 length window, a 40-mer above the 5000 Da
+    mass cap, and a peptide shared by two proteins (dedup keeps the
+    first protein id).  Synthetic proteins, partly lowercased and with
+    ambiguous residues spliced in, add volume.
+    """
+    handmade = [
+        FastaRecord("kp_rp", "AAAAAKPGGGGGRPCCCCCKDDDDDRPEEEEEKFFFFFR"),
+        FastaRecord("lower", "mnqkcmaaaagggggkmmmnnnqqqrttttttk"),
+        FastaRecord("ambiguous", "GGGGGKXAAAAAAKBCCCCCCRZDDDDDDKAAXA"),
+        FastaRecord(
+            "length_edges",
+            "GGGGK" + "GGGGGK" + "A" * 39 + "K" + "A" * 40 + "K" + "S" * 38 + "R",
+        ),
+        FastaRecord("mass_cap", "W" * 39 + "K" + "MNQKCMK"),
+        FastaRecord("shared", "PEPTIDEKMNQKCMAAAGGGGGKFFFFFR"),
+        FastaRecord("shared_again", "LLLLLLKMNQKCMAAAGGGGGKYYYYYR"),
+    ]
+    synthetic = []
+    for i, rec in enumerate(generate_proteome(ProteomeConfig(n_families=3, seed=11)).records):
+        seq = rec.sequence
+        cut = (7 * i + 5) % max(len(seq) - 1, 1)
+        seq = seq[:cut].lower() + "XBZ"[i % 3] + seq[cut:]
+        synthetic.append(FastaRecord(rec.header, seq))
+    return handmade + synthetic
+
+
 @pytest.fixture(scope="module")
 def database():
-    return IndexedDatabase.build(
-        DatabaseConfig(proteome=ProteomeConfig(n_families=16, seed=4242))
+    return IndexedDatabase.build(DatabaseConfig(proteome=PROTEOME))
+
+
+def test_entry_table_matches_pinned_digest(database):
+    assert entry_table_digest(database) == ENTRY_TABLE_DIGESTS["families16"]
+
+
+def test_unbounded_variant_entry_table_matches_pinned_digest():
+    db = IndexedDatabase.build(
+        DatabaseConfig(proteome=PROTEOME, max_variants_per_peptide=None)
     )
+    assert entry_table_digest(db) == ENTRY_TABLE_DIGESTS["families16/unbounded"]
+
+
+def test_records_entry_table_matches_pinned_digest():
+    db = IndexedDatabase.build(records=edge_records())
+    assert entry_table_digest(db) == ENTRY_TABLE_DIGESTS["edge_records"]
 
 
 def setup_digests(db) -> dict:
