@@ -16,6 +16,23 @@ subject to a cap on the number of modified residues per peptide
 
 The default :func:`paper_modifications` reproduces the paper's setting:
 deamidation on N/Q, Gly-Gly adduct on K/C, oxidation on M.
+
+Variant expansion is one pass per base peptide with nothing
+re-derived.  :class:`ModificationSet` caches a per-residue delta table
+(``residue_deltas``, deltas in modification-set order, the order of
+``site_deltas``) and, from it, the ``(position, delta)`` choice tuples
+of every residue and position (``site_choices``).  A base's modifiable
+positions are read off that cache once; each variant's mods tuple comes
+straight out of ``itertools`` already position-sorted, one choice per
+position, every position inside the base.  Its mass is
+``base.mass + d1 + d2 + …`` in position order — the same float
+additions :func:`~repro.chem.peptide.peptide_mass` performs.  Those are
+exactly the preconditions of :meth:`Peptide._trusted
+<repro.chem.peptide.Peptide._trusted>` (validated sequence, sorted
+in-range mods, ``peptide_mass``'s mass), so every variant is built with
+it and equals the validating ``Peptide(sequence, mods, protein_id)`` bit
+for bit.  That is why a base must be unmodified: its mass is then
+exactly the residue fold.
 """
 
 from __future__ import annotations
@@ -34,6 +51,9 @@ __all__ = [
     "VariantEnumerator",
     "paper_modifications",
 ]
+
+#: The ``(position, delta)`` alternatives for one modifiable position.
+SiteChoices = Tuple[Tuple[int, float], ...]
 
 #: Unimod monoisotopic deltas for the paper's modifications.
 DEAMIDATION_DELTA = 0.98401558
@@ -116,6 +136,18 @@ class ModificationSet:
             raise ConfigurationError(f"duplicate modification names in {names!r}")
         self.modifications: Tuple[Modification, ...] = tuple(modifications)
         self.max_modified_residues = int(max_modified_residues)
+        table: Dict[str, List[float]] = {}
+        for mod in self.modifications:
+            for aa in dict.fromkeys(mod.residues):
+                table.setdefault(aa, []).append(float(mod.delta))
+        #: Residue → its candidate deltas, in modification-set order.
+        self.residue_deltas: Dict[str, Tuple[float, ...]] = {
+            aa: tuple(deltas) for aa, deltas in table.items()
+        }
+        # (length, residue → per-position choice tuples) for
+        # :meth:`site_choices`; replaced whole when a longer sequence
+        # arrives, so a reader never sees a half-grown table.
+        self._choices: Tuple[int, Dict[str, List[SiteChoices]]] = (0, {})
 
     def __iter__(self) -> Iterator[Modification]:
         return iter(self.modifications)
@@ -126,14 +158,30 @@ class ModificationSet:
     def site_deltas(self, sequence: str) -> Dict[int, List[float]]:
         """Map each modifiable position of ``sequence`` to its candidate deltas.
 
-        A position targeted by several modifications lists every delta;
-        variants choose at most one delta per position.
+        A position targeted by several modifications lists every delta,
+        in modification-set order; variants choose at most one delta per
+        position.
         """
-        out: Dict[int, List[float]] = {}
-        for mod in self.modifications:
-            for pos in mod.sites(sequence):
-                out.setdefault(pos, []).append(mod.delta)
-        return out
+        table = self.residue_deltas
+        return {i: list(table[aa]) for i, aa in enumerate(sequence) if aa in table}
+
+    def site_choices(self, sequence: str) -> List[SiteChoices]:
+        """The ``(position, delta)`` choices of each modifiable position.
+
+        One tuple per modifiable position of ``sequence``, in position
+        order, deltas in modification-set order.  The tuples are cached
+        per residue and position, so every base of a database build —
+        and every variant's mods — shares them.
+        """
+        length, columns = self._choices
+        if len(sequence) > length:
+            length = len(sequence)
+            columns = {
+                aa: [tuple((i, delta) for delta in deltas) for i in range(length)]
+                for aa, deltas in self.residue_deltas.items()
+            }
+            self._choices = (length, columns)
+        return [columns[aa][i] for i, aa in enumerate(sequence) if aa in columns]
 
 
 class VariantEnumerator:
@@ -173,52 +221,56 @@ class VariantEnumerator:
     def variants(self, peptide: Peptide) -> Iterator[Peptide]:
         """Yield the unmodified peptide followed by its modified variants.
 
-        Variants inherit ``protein_id`` from the base peptide.
+        Variants inherit ``protein_id`` from the base peptide, which must
+        be unmodified (its mass is the start of every variant's).
         """
+        if peptide.mods:
+            raise ConfigurationError(
+                f"variants are enumerated from an unmodified base, got {peptide}"
+            )
         yield peptide
-        produced = 0
-        budget = self.max_variants_per_peptide
-        site_deltas = self.mods.site_deltas(peptide.sequence)
-        if not site_deltas:
+        sequence = peptide.sequence
+        # A variant's mods are one choice from each of k positions, and
+        # itertools hands them out already in position order.
+        sites = self.mods.site_choices(sequence)
+        if not sites:
             return
-        positions = sorted(site_deltas)
-        max_k = min(self.mods.max_modified_residues, len(positions))
-        for k in range(1, max_k + 1):
-            for combo in itertools.combinations(positions, k):
-                for deltas in itertools.product(*(site_deltas[p] for p in combo)):
-                    if budget is not None and produced >= budget:
-                        return
-                    yield Peptide(
-                        peptide.sequence,
-                        tuple(zip(combo, deltas)),
-                        protein_id=peptide.protein_id,
-                    )
-                    produced += 1
+        max_k = min(self.mods.max_modified_residues, len(sites))
+        all_mods = itertools.chain.from_iterable(
+            itertools.product(*combo)
+            for k in range(1, max_k + 1)
+            for combo in itertools.combinations(sites, k)
+        )
+        if self.max_variants_per_peptide is not None:
+            all_mods = itertools.islice(all_mods, self.max_variants_per_peptide)
+        trusted = Peptide._trusted
+        protein_id = peptide.protein_id
+        base_mass = peptide.mass
+        for mods in all_mods:
+            mass = base_mass
+            for _, delta in mods:
+                mass += delta
+            yield trusted(sequence, mods, protein_id, mass)
 
     def count_variants(self, sequence: str) -> int:
         """Return the number of *modified* variants of ``sequence``.
 
         Counts without materializing (respects the truncation cap), so
-        the workload builder can size an index cheaply.
+        the workload builder can size an index cheaply: the number with
+        ``k`` modified residues is the ``k``-th elementary symmetric
+        polynomial of the per-position choice counts.
         """
-        site_deltas = self.mods.site_deltas(validate_sequence(sequence))
-        if not site_deltas:
-            return 0
-        positions = sorted(site_deltas)
-        choice_counts = [len(site_deltas[p]) for p in positions]
-        max_k = min(self.mods.max_modified_residues, len(positions))
-        total = 0
-        for k in range(1, max_k + 1):
-            for combo in itertools.combinations(range(len(positions)), k):
-                prod = 1
-                for idx in combo:
-                    prod *= choice_counts[idx]
-                total += prod
-                if (
-                    self.max_variants_per_peptide is not None
-                    and total >= self.max_variants_per_peptide
-                ):
-                    return self.max_variants_per_peptide
+        table = self.mods.residue_deltas
+        max_k = min(self.mods.max_modified_residues, len(validate_sequence(sequence)))
+        with_k = [1] + [0] * max_k
+        for aa in sequence:
+            if aa in table:
+                choices = len(table[aa])
+                for k in range(max_k, 0, -1):
+                    with_k[k] += with_k[k - 1] * choices
+        total = sum(with_k[1:])
+        if self.max_variants_per_peptide is not None:
+            return min(total, self.max_variants_per_peptide)
         return total
 
     def expand(self, peptides: Sequence[Peptide]) -> List[Peptide]:

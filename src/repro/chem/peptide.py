@@ -4,6 +4,12 @@ A :class:`Peptide` couples an amino-acid sequence with an optional
 tuple of localized modifications ``(position, delta_mass)``.  Peptides
 are immutable and hashable so they can be used as dictionary keys in
 the deduplication and mapping layers.
+
+``Peptide(...)`` validates its sequence, sorts its mods and sums its
+mass.  The database build (digest → dedup → variant expansion) already
+knows all three for every entry it makes, so it constructs through
+:meth:`Peptide._trusted` instead, which stores them as given; the
+result equals the validating construction bit for bit.
 """
 
 from __future__ import annotations
@@ -93,6 +99,31 @@ class Peptide:
         object.__setattr__(self, "mods", ordered)
         object.__setattr__(self, "_mass", peptide_mass(self.sequence, ordered))
 
+    @staticmethod
+    def _trusted(
+        sequence: str,
+        mods: Tuple[Tuple[int, float], ...],
+        protein_id: int,
+        mass: float,
+    ) -> "Peptide":
+        """Construct without validating, sorting or summing anything.
+
+        Precondition (the caller's, unchecked): ``sequence`` is a
+        non-empty string over the canonical alphabet; ``mods`` is a
+        tuple of ``(int, float)`` pairs sorted by position, one per
+        position, every position inside the sequence; and ``mass`` is
+        ``peptide_mass(sequence, mods)`` bit for bit — ``WATER_MONO``
+        plus each residue mass, then each delta, added left to right.
+        Under it the result equals ``Peptide(sequence, mods, protein_id)``
+        in ``==``, ``hash``, ``mass`` and ``annotated()``.
+        """
+        pep = _new_peptide(Peptide)
+        _set_sequence(pep, sequence)
+        _set_mods(pep, mods)
+        _set_protein_id(pep, protein_id)
+        _set_mass(pep, mass)
+        return pep
+
     @property
     def mass(self) -> float:
         """Neutral monoisotopic mass in Da (cached at construction)."""
@@ -130,3 +161,12 @@ class Peptide:
 
     def __str__(self) -> str:
         return self.annotated()
+
+
+# The slot setters ``Peptide._trusted`` writes through: a frozen
+# dataclass refuses ``setattr``, and the raw slot descriptors are the
+# cheapest way around that.
+_new_peptide = object.__new__
+_set_sequence, _set_mods, _set_protein_id, _set_mass = (
+    Peptide.__dict__[name].__set__ for name in ("sequence", "mods", "protein_id", "_mass")
+)

@@ -48,11 +48,10 @@ from typing import List, Sequence
 from repro.bench.experiments import ExperimentConfig, ExperimentSuite
 from repro.bench.reporting import series_table
 from repro.core.grouping import GroupingConfig, group_peptides
-from repro.db.dedup import deduplicate_peptides
-from repro.db.digest import DigestionConfig, digest_proteome
+from repro.db.dedup import first_occurrences
+from repro.db.digest import DigestionConfig, digest_rows
 from repro.db.fasta import FastaRecord, read_fasta, write_fasta, write_grouped_fasta
 from repro.db.proteome import ProteomeConfig, generate_proteome
-from repro.chem.peptide import Peptide
 from repro.errors import (
     ConfigurationError,
     ServiceError,
@@ -73,7 +72,7 @@ from repro.obs import (
     render_gantt,
     validate_trace_file,
 )
-from repro.search.database import IndexedDatabase
+from repro.search.database import DatabaseConfig, IndexedDatabase
 from repro.search.engine import DistributedSearchEngine, EngineConfig
 from repro.search.metrics import load_imbalance
 from repro.search.report import write_psm_report
@@ -297,10 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_database(fasta: Path, max_variants: int) -> IndexedDatabase:
     """The FASTA → digest → dedup → variant-expansion build, shared by
     every command that indexes a proteome (`search`, `index`, `serve`)."""
-    records = list(read_fasta(fasta))
-    peptides = deduplicate_peptides(digest_proteome(records))
-    return IndexedDatabase.from_peptides(
-        peptides, max_variants_per_peptide=max_variants
+    return IndexedDatabase.build(
+        DatabaseConfig(max_variants_per_peptide=max_variants),
+        records=list(read_fasta(fasta)),
     )
 
 
@@ -312,8 +310,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     fasta_path = args.out_dir / "proteome.fasta"
     write_fasta(fasta_path, proteome.records)
 
-    peptides = deduplicate_peptides(digest_proteome(proteome.records))
-    db = IndexedDatabase.from_peptides(peptides, max_variants_per_peptide=8)
+    db = IndexedDatabase.build(
+        DatabaseConfig(max_variants_per_peptide=8), records=proteome.records
+    )
     spectra = generate_run(
         db.entries, SyntheticRunConfig(n_spectra=args.spectra, seed=args.seed + 1)
     )
@@ -331,12 +330,12 @@ def _cmd_digest(args: argparse.Namespace) -> int:
         min_length=args.min_length,
         max_length=args.max_length,
     )
-    peptides = deduplicate_peptides(digest_proteome(records, config))
+    unique = first_occurrences(digest_rows(records, config))
     write_fasta(
         args.out,
-        (FastaRecord(f"pep{i}", p.sequence) for i, p in enumerate(peptides)),
+        (FastaRecord(f"pep{i}", row[0]) for i, row in enumerate(unique)),
     )
-    print(f"digested {len(records)} proteins -> {len(peptides)} unique "
+    print(f"digested {len(records)} proteins -> {len(unique)} unique "
           f"peptides -> {args.out}")
     return 0
 

@@ -20,8 +20,8 @@ from repro.db.fasta import (
     write_grouped_fasta,
 )
 from repro.db.proteome import ProteomeConfig, SyntheticProteome, generate_proteome
-from repro.db.digest import DigestionConfig, digest_protein, digest_proteome
-from repro.db.dedup import deduplicate_peptides
+from repro.db.digest import DigestionConfig, digest_protein, digest_proteome, digest_rows
+from repro.db.dedup import deduplicate_peptides, first_occurrences
 
 __all__ = [
     "FastaRecord",
@@ -33,7 +33,9 @@ __all__ = [
     "SyntheticProteome",
     "generate_proteome",
     "DigestionConfig",
+    "digest_rows",
     "digest_protein",
     "digest_proteome",
+    "first_occurrences",
     "deduplicate_peptides",
 ]

@@ -8,17 +8,37 @@ defaults: length 6..40, mass 100..5000 Da, 2 missed cleavages).
 
 Residues outside the canonical alphabet (X, B, Z, U, O, J from real
 databases) split the protein: fragments containing them are dropped,
-mirroring common search-engine behaviour.
+mirroring common search-engine behaviour.  That split is also the
+validation of FASTA input: every emitted sequence is canonical by
+construction.
+
+The digest is a single pass, :func:`digest_rows`, that yields plain
+``(sequence, protein_id, mass)`` rows — no :class:`Peptide` objects.
+Per cleavage start the mass is one incremental left fold,
+``WATER_MONO + r1 + r2 + …``: missed cleavage ``mc + 1`` extends the
+fold of ``mc`` by the next segment's residues, so the result is
+:func:`~repro.chem.peptide.peptide_mass` bit for bit without re-summing
+any residue.  The same fold decides the mass window, exactly (see
+:func:`digest_rows`).  The database build deduplicates these rows on
+their sequence strings before any object exists
+(:mod:`repro.db.dedup`).  :func:`peptides_from_rows` turns rows into
+peptides through :meth:`Peptide._trusted
+<repro.chem.peptide.Peptide._trusted>`, whose precondition — a
+validated sequence, position-sorted in-range mods (here none), and
+``peptide_mass``'s mass — every row meets by construction;
+:func:`digest_protein` / :func:`digest_proteome` are that over
+:func:`digest_rows`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Tuple
 
 from repro.chem.peptide import Peptide
 from repro.constants import (
-    ALPHABET_SET,
+    ALPHABET,
     DIGEST_MAX_LENGTH,
     DIGEST_MAX_MASS,
     DIGEST_MIN_LENGTH,
@@ -30,7 +50,21 @@ from repro.constants import (
 from repro.db.fasta import FastaRecord
 from repro.errors import ConfigurationError
 
-__all__ = ["DigestionConfig", "digest_protein", "digest_proteome", "cleavage_sites"]
+__all__ = [
+    "DigestionConfig",
+    "digest_rows",
+    "digest_protein",
+    "digest_proteome",
+    "peptides_from_rows",
+    "cleavage_sites",
+]
+
+#: One digested peptide: ``(sequence, protein_id, neutral mass)``.
+DigestRow = Tuple[str, int, float]
+
+_NON_CANONICAL = re.compile(f"[^{ALPHABET}]+")
+_CUT_AFTER = re.compile("[KR](?=.)", re.DOTALL)
+_CUT_AFTER_UNLESS_P = re.compile("[KR](?=[^P])", re.DOTALL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,27 +114,58 @@ def cleavage_sites(sequence: str, *, suppress_proline: bool = True) -> List[int]
     positions ``a < b``.  The returned list always starts with 0 and
     ends with ``len(sequence)``.
     """
-    sites = [0]
-    last = len(sequence) - 1
-    for i, aa in enumerate(sequence):
-        if aa in ("K", "R") and i < last:
-            if suppress_proline and sequence[i + 1] == "P":
-                continue
-            sites.append(i + 1)
-    sites.append(len(sequence))
-    return sites
+    pattern = _CUT_AFTER_UNLESS_P if suppress_proline else _CUT_AFTER
+    return [0, *(m.end() for m in pattern.finditer(sequence)), len(sequence)]
 
 
-def _segments_without_ambiguous(sequence: str) -> Iterator[str]:
-    """Split ``sequence`` at non-canonical residues, yielding clean runs."""
-    start = 0
-    for i, aa in enumerate(sequence):
-        if aa not in ALPHABET_SET:
-            if i > start:
-                yield sequence[start:i]
-            start = i + 1
-    if start < len(sequence):
-        yield sequence[start:]
+def digest_rows(
+    records: Iterable[FastaRecord],
+    config: DigestionConfig = DigestionConfig(),
+    *,
+    first_id: int = 0,
+) -> Iterator[DigestRow]:
+    """Digest ``records`` into ``(sequence, protein_id, mass)`` rows.
+
+    Protein ids count up from ``first_id`` in record order.  Rows come
+    per protein in order of increasing start position, then increasing
+    missed-cleavage count, matching Digestor's output order; duplicates
+    are kept.
+
+    The mass is the incremental fold described in the module docstring.
+    The mass window applies to ``WATER_MONO + sum(residues)``, which
+    rounds differently from the fold (and differently again on Python
+    3.12+, whose ``sum`` compensates).  The two differ by less than
+    ``mass_slack``, so the fold decides every fragment farther than that
+    from an edge; only the rest evaluate the window's own expression.
+    """
+    min_len, max_len = config.min_length, config.max_length
+    min_mass, max_mass = config.min_mass, config.max_mass
+    # Two n-term left folds of positive terms differ by under
+    # n * 2**-52 of their sum; n <= max_len near either edge.
+    mass_slack = max_len * max_mass * 2.0**-50
+    span = config.missed_cleavages + 1
+    for protein_id, record in enumerate(records, first_id):
+        for segment in _NON_CANONICAL.split(record.sequence.upper()):
+            residue_masses = [AA_MONO[aa] for aa in segment]
+            sites = cleavage_sites(segment, suppress_proline=config.suppress_proline)
+            for si in range(len(sites) - 1):
+                start = end = sites[si]
+                mass = WATER_MONO
+                for stop in sites[si + 1 : si + 1 + span]:
+                    if stop - start > max_len:
+                        break
+                    for residue in residue_masses[end:stop]:
+                        mass += residue
+                    end = stop
+                    if stop - start < min_len:
+                        continue
+                    if not min_mass + mass_slack < mass < max_mass - mass_slack:
+                        if not min_mass - mass_slack <= mass <= max_mass + mass_slack:
+                            continue
+                        residues = sum(residue_masses[start:stop])
+                        if not min_mass <= WATER_MONO + residues <= max_mass:
+                            continue
+                    yield segment[start:stop], protein_id, mass
 
 
 def digest_protein(
@@ -109,36 +174,23 @@ def digest_protein(
     *,
     protein_id: int = -1,
 ) -> List[Peptide]:
-    """Digest one protein into fully tryptic peptides.
-
-    Peptides are emitted in order of increasing start position, then
-    increasing missed-cleavage count, matching Digestor's output order.
-    """
-    peptides: List[Peptide] = []
-    for segment in _segments_without_ambiguous(record.sequence.upper()):
-        sites = cleavage_sites(segment, suppress_proline=config.suppress_proline)
-        n = len(sites)
-        for si in range(n - 1):
-            for mc in range(config.missed_cleavages + 1):
-                sj = si + 1 + mc
-                if sj >= n:
-                    break
-                fragment = segment[sites[si] : sites[sj]]
-                if not config.min_length <= len(fragment) <= config.max_length:
-                    continue
-                mass = WATER_MONO + sum(AA_MONO[aa] for aa in fragment)
-                if not config.min_mass <= mass <= config.max_mass:
-                    continue
-                peptides.append(Peptide(fragment, protein_id=protein_id))
-    return peptides
+    """Digest one protein into fully tryptic peptides (:func:`digest_rows`)."""
+    return peptides_from_rows(digest_rows([record], config, first_id=protein_id))
 
 
 def digest_proteome(
-    records: Sequence[FastaRecord],
+    records: Iterable[FastaRecord],
     config: DigestionConfig = DigestionConfig(),
 ) -> List[Peptide]:
     """Digest every protein of ``records``; peptides carry protein ids."""
-    out: List[Peptide] = []
-    for pid, record in enumerate(records):
-        out.extend(digest_protein(record, config, protein_id=pid))
-    return out
+    return peptides_from_rows(digest_rows(records, config))
+
+
+def peptides_from_rows(rows: Iterable[DigestRow]) -> List[Peptide]:
+    """Unmodified peptides of digest rows, through ``Peptide._trusted``.
+
+    Digest rows meet its precondition by construction: canonical
+    sequences, no mods, and the mass is ``peptide_mass``'s own fold.
+    """
+    trusted = Peptide._trusted
+    return [trusted(sequence, (), protein_id, mass) for sequence, protein_id, mass in rows]

@@ -12,6 +12,19 @@ entry_offsets[b+1]``, with the unmodified peptide first.  Grouping runs
 on base sequences (Section III-C: variants belong to their base's
 group) and is expanded to entry space with
 :meth:`IndexedDatabase.expand_grouping`.
+
+:meth:`IndexedDatabase.build` is one pass that re-derives nothing per
+entry.  The digest yields ``(sequence, protein_id, mass)`` rows whose
+masses are incremental folds (:mod:`repro.db.digest`); dedup keeps the
+first row of each sequence string, so duplicates never become objects;
+each unique row becomes a base peptide, and each base its variants
+(:mod:`repro.chem.modifications`), through the one trusted constructor
+:meth:`Peptide._trusted <repro.chem.peptide.Peptide._trusted>`.  Its
+precondition — sequence already validated, mods position-sorted and in
+range, mass equal to ``peptide_mass``'s fold — holds by construction
+here: the digest's split at non-alphabet residues is what validates
+FASTA input.  Input from outside the build (an index archive, decoys)
+still goes through the validating ``Peptide(...)``.
 """
 
 from __future__ import annotations
@@ -25,8 +38,8 @@ from repro.chem.fragments import FragmentationSettings
 from repro.chem.modifications import ModificationSet, VariantEnumerator, paper_modifications
 from repro.chem.peptide import Peptide
 from repro.core.grouping import Grouping, GroupingConfig, group_peptides
-from repro.db.dedup import deduplicate_peptides
-from repro.db.digest import DigestionConfig, digest_proteome
+from repro.db.dedup import first_occurrences
+from repro.db.digest import DigestionConfig, digest_rows, peptides_from_rows
 from repro.db.fasta import FastaRecord
 from repro.db.proteome import ProteomeConfig, generate_proteome
 from repro.errors import ConfigurationError, PartitionError
@@ -97,7 +110,7 @@ class IndexedDatabase:
         *,
         max_variants_per_peptide: int | None = 16,
     ) -> "IndexedDatabase":
-        """Expand ``base_peptides`` into an entry database."""
+        """Expand ``base_peptides`` (unmodified) into an entry database."""
         mods = modifications if modifications is not None else paper_modifications()
         enum = VariantEnumerator(mods, max_variants_per_peptide=max_variants_per_peptide)
         entries: List[Peptide] = []
@@ -147,14 +160,16 @@ class IndexedDatabase:
         """Full pipeline: proteome → digest → dedup → expand.
 
         ``records`` overrides the synthetic proteome (e.g. proteins
-        read from a FASTA file).
+        read from a FASTA file).  Dedup runs on the digest's sequence
+        strings, so only unique bases ever become peptides.
         """
         if records is None:
             records = generate_proteome(config.proteome).records
-        digested = digest_proteome(records, config.digestion)
-        unique = deduplicate_peptides(digested)
+        bases = peptides_from_rows(
+            first_occurrences(digest_rows(records, config.digestion))
+        )
         return cls.from_peptides(
-            unique,
+            bases,
             config.modifications,
             max_variants_per_peptide=config.max_variants_per_peptide,
         )

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PipelineError, ServiceError, WorkerError
+from repro.parallel import FaultPlan, FaultSpec
 from repro.search.serial import SerialSearchEngine
 from repro.service import SearchService, ServiceConfig
 from repro.spectra.synthetic import SyntheticRunConfig, generate_run
@@ -105,24 +106,19 @@ def test_pipelined_equals_sequential_submits(
 def test_worker_death_fails_only_its_batch(
     tiny_db, stream_batches, stream_refs
 ):
-    """Kill a worker right after batch 1's round is scattered (batch 2
-    is already spilled by then — the pipeline prepares N+1 during N's
-    round): batch 1's future fails with WorkerError, every other queued
-    batch still returns bit-identical results."""
-    config = ServiceConfig(n_workers=2, max_pending=4)
+    """Rank 1 dies while it holds batch 1's query (batch 2 is already
+    spilled by then — the pipeline prepares N+1 during N's round):
+    batch 1's future fails with WorkerError, every other queued batch
+    still returns bit-identical results.  The crash is a scheduled fault
+    inside the worker, so the worker can never reply first."""
+    config = ServiceConfig(
+        n_workers=2,
+        max_pending=4,
+        fault_plan=FaultPlan.scoped(
+            FaultSpec(kind="crash", stage="query", rank=1, batch=1)
+        ),
+    )
     with SearchService(tiny_db, config) as service:
-        pool = service._pool
-        orig_dispatch = pool.dispatch
-        rounds = []
-
-        def killing_dispatch(fn, payloads):
-            handle = orig_dispatch(fn, payloads)
-            rounds.append(handle)
-            if len(rounds) == 2:  # batch index 1's round
-                pool._channels[1].proc.terminate()
-            return handle
-
-        pool.dispatch = killing_dispatch
         futures = [service.submit_async(b) for b in stream_batches[:4]]
         with pytest.raises(WorkerError):
             futures[1].result(timeout=120)
