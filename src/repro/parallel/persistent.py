@@ -31,6 +31,11 @@ crash before attach    ATTACH round fails for the rank; supervision
                        the exit code.
 raise during attach    error reply, worker stays resident; retry
                        re-sends the attach payload — heals for R >= 1.
+death between rounds   the next dispatch respawns the rank without
+                       blocking: its attempt expects the replayed ATTACH,
+                       then the command.  A death in that replay retries
+                       within the same budget — heals for R >= 1, else
+                       :class:`WorkerError` naming the re-attach.
 crash mid-query        death detected via the process sentinel; retry
                        respawns + re-attaches the rank and re-dispatches
                        **only its payload** with exponential backoff —
@@ -41,9 +46,9 @@ crash before reply     same as crash mid-query (work computed but never
 raise mid-query        error reply carrying the remote traceback; the
                        worker keeps looping (pipe stays synchronized);
                        retry re-sends the payload to the same worker.
-hang                   the per-rank round deadline expires, the stuck
-                       worker is terminated (it cannot be
-                       resynchronized) and the rank retried as a death.
+hang                   the rank's deadline expires, the stuck worker is
+                       terminated (it cannot be resynchronized) and the
+                       rank retried as a death.
 slow (straggler)       not a failure: with ``hedge_after`` set, the
                        soft deadline launches a speculative duplicate
                        of each still-outstanding rank's task on a
@@ -57,17 +62,23 @@ retries exhausted      default: the round raises the lowest failing
                        returns a partial :class:`PoolBatchResult` whose
                        ``failed_ranks`` mask names the missing ranks
                        (their ``results`` entries are ``None``).
-crash during a live    the re-attach retries like any rank failure:
-re-attach              respawn + replay with exponential backoff —
-(:meth:`reconfigure`)  heals for R >= 1 even when the death happens
-                       *during the replayed attach itself* (the
-                       retry-of-retry path: each replay consumes one
-                       more attempt from the same per-rank budget).
+crash during a live    :meth:`reconfigure` re-attaches every changed and
+re-attach              grown rank concurrently as one ATTACH round; each
+(:meth:`reconfigure`)  retries like any rank failure, even when the death
+                       happens *during the replayed attach itself* (each
+                       replay consumes one more attempt from the same
+                       per-rank budget).
 crash in a worker      surviving ranks are untouched; the dead new
 added by a resize      slot retries exactly like a re-attach above.
                        A resize never destabilizes ranks it did not
                        touch.
 =====================  ==================================================
+
+There is **one deadline rule**: an attempt's deadline restarts at each
+reply it waits for — when its command is sent, and again when a
+replayed ATTACH answered and the command follows.  Retries, respawn
+replays and hedges all obey it, and one rank's replay never moves
+another rank's deadline.
 
 Live reconfiguration (the rebalance actuator)
 ---------------------------------------------
@@ -116,8 +127,11 @@ the pipe at a time** (a second ``dispatch`` before ``collect`` raises
 :class:`~repro.errors.PipelineError`): the pipe protocol is strict
 request/response per worker, and a single in-flight round is exactly
 what keeps the crash/respawn/deadline contract per round unchanged.
-The round's deadline starts at ``dispatch`` time; a retry resets the
-retried rank's deadline only.
+
+``collect`` runs :meth:`PersistentPool._supervise`, the one wait loop:
+attach rounds, re-attach, respawn replays, retries and hedges are all
+``_Attempt`` records it waits on together, each reply is read by one
+reader, and every failure goes through one retry rule (:func:`_decide`).
 
 The scatter pickles each **distinct payload object once** — when every
 rank receives the same task object (the service's per-batch command),
@@ -139,7 +153,7 @@ import weakref
 from dataclasses import dataclass
 from multiprocessing import connection
 from multiprocessing.reduction import ForkingPickler
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, PipelineError, ServiceError, WorkerError
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -151,6 +165,42 @@ __all__ = ["PersistentPool", "PoolBatchResult", "RoundHandle"]
 _ATTACH = "attach"
 _QUERY = "query"
 _SHUTDOWN = "shutdown"
+
+# Per-rank attempt states: pending -> answered | failed -> retrying |
+# hedged -> promoted | degraded.
+_PENDING, _ANSWERED, _FAILED, _RETRYING = "pending", "answered", "failed", "retrying"
+_HEDGED, _PROMOTED, _DEGRADED = "hedged", "promoted", "degraded"
+
+# What the one retry rule (_decide) makes of a failure.
+_RETRY, _DEFER, _DEGRADE, _FAIL = "retry", "defer", "degrade", "fail"
+
+
+def _decide(
+    attempt: int,
+    max_retries: int,
+    hedge_racing: bool,
+    command: str,
+    degraded_ok: bool,
+) -> str:
+    """The one retry rule: the fate of a rank's ``attempt``-th failure
+    in one round (pure — no clock, no process).
+
+    Retry while the per-rank budget lasts; past it, defer while a hedge
+    still races for the rank (decided again once the hedge cannot
+    answer); then mask the rank in a ``degraded_ok`` QUERY round, else
+    fail — attach rounds never degrade.
+    """
+    if attempt <= max_retries:
+        return _RETRY
+    if hedge_racing:
+        return _DEFER
+    if degraded_ok and command == _QUERY:
+        return _DEGRADE
+    return _FAIL
+
+
+def _pickled(command: str, fn: Callable, payload: Any) -> bytes:
+    return bytes(ForkingPickler.dumps((command, fn, payload)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,10 +249,28 @@ class PoolBatchResult:
         """Number of worker slots in the round (including failed ones)."""
         return len(self.results)
 
-    @property
-    def makespan(self) -> float:
-        """The slowest worker's elapsed seconds."""
-        return max(self.wall_times) if self.wall_times else 0.0
+
+@dataclass(slots=True, eq=False)
+class _Attempt:
+    """One reply-bearing piece of work on one channel.
+
+    ``expect`` lists the replies still owed, each with the pickled
+    command that asks for it: ``[command]``, ``[ATTACH, command]`` for
+    a respawned or hedge worker (the command is sent once the replayed
+    ATTACH answered), or ``[ATTACH]`` for an attach or re-attach.  The
+    head is the one on the pipe.  ``state`` is the rank's place in the
+    supervision machine; ``anchor`` is the master clock at which a
+    command sent after dispatch went out (its reply spans are offsets
+    from there).
+    """
+
+    rank: int
+    channel: WorkerChannel
+    expect: List[Tuple[str, bytes]]
+    state: str
+    deadline: float = 0.0
+    anchor: Optional[float] = None
+    error: Optional[WorkerError] = None
 
 
 class RoundHandle:
@@ -217,6 +285,9 @@ class RoundHandle:
     a stale handle, or dispatching again while this round is still on
     the pipe raises :class:`~repro.errors.PipelineError`.
 
+    The handle is also the round's supervision record: its attempts,
+    per-rank tries, results and failures.
+
     Attributes
     ----------
     command:
@@ -225,33 +296,44 @@ class RoundHandle:
         ``time.monotonic()`` instant the round (initially) must finish
         by; a retried rank gets a fresh deadline of its own.
     respawned:
-        Workers respawned (and re-attached) to scatter this round.
+        Workers respawned (and re-attached) for this round so far.
     scatter_bytes:
         Actual pickled command bytes written to the pipes.
     """
 
-    __slots__ = ("_pool", "command", "deadline", "respawned", "scatter_bytes",
-                 "fn", "payloads", "dispatched_at", "_collected", "_aborted")
+    __slots__ = (
+        "_pool", "command", "fn", "payloads", "dispatched_at", "deadline",
+        "respawned", "scatter_bytes", "retries", "hedged", "results",
+        "walls", "cpus", "tries", "failed", "degraded", "primary", "hedges",
+        "live", "_buffers", "_collected", "_aborted",
+    )
 
     def __init__(
         self,
-        pool: "PersistentPool",
+        pool: Optional["PersistentPool"],
         command: str,
-        deadline: float,
-        respawned: int,
-        scatter_bytes: int,
         fn: Callable,
         payloads: List[Any],
-        dispatched_at: float,
+        timeout: float,
     ) -> None:
+        n = len(payloads)
         self._pool = pool
         self.command = command
-        self.deadline = deadline
-        self.respawned = respawned
-        self.scatter_bytes = scatter_bytes
         self.fn = fn
         self.payloads = payloads
-        self.dispatched_at = dispatched_at
+        self.dispatched_at = time.monotonic()
+        self.deadline = self.dispatched_at + timeout
+        self.respawned = self.scatter_bytes = self.retries = self.hedged = 0
+        self.results: List[Any] = [None] * n
+        self.walls = [0.0] * n
+        self.cpus = [0.0] * n
+        self.tries = [0] * n  # failures per rank so far
+        self.failed: dict[int, WorkerError] = {}
+        self.degraded: dict[int, WorkerError] = {}
+        self.primary: dict[int, _Attempt] = {}  # each rank's current attempt
+        self.hedges: dict[int, _Attempt] = {}  # racing duplicates
+        self.live: List[_Attempt] = []  # attempts still owed a reply
+        self._buffers: dict[int, bytes] = {}
         self._collected = False
         self._aborted = False
 
@@ -263,6 +345,44 @@ class RoundHandle:
     def collect(self) -> PoolBatchResult:
         """Await every worker's reply; see :class:`RoundHandle`."""
         return self._pool._collect(self)
+
+    def _buffer(self, rank: int) -> bytes:
+        """The pickled command for ``rank``: each distinct payload
+        object is pickled once and its buffer reused for every rank
+        that receives it."""
+        payload = self.payloads[rank]
+        buf = self._buffers.get(id(payload))
+        if buf is None:
+            buf = self._buffers[id(payload)] = _pickled(self.command, self.fn, payload)
+        return buf
+
+    def _result(self) -> PoolBatchResult:
+        """How the round ends once nothing is live: the lowest failing
+        rank's error — deterministically, not whichever failure came
+        first — or the result, masked by any degraded ranks."""
+        if self.failed:
+            raise self.failed[min(self.failed)]
+        return PoolBatchResult(
+            results=self.results,
+            wall_times=self.walls,
+            cpu_times=self.cpus,
+            respawned=self.respawned,
+            scatter_bytes=self.scatter_bytes,
+            retries=self.retries,
+            hedged=self.hedged,
+            failed_ranks=tuple(sorted(self.degraded)),
+        )
+
+
+def _payload_batch(payload) -> Optional[int]:
+    """Batch coordinate of a round payload, if it carries one.
+
+    The service's :class:`~repro.parallel.worker.QueryTask` echoes its
+    ``batch_index``; diagnostic payloads carry none (trace events then
+    omit the ``batch`` attribute).
+    """
+    batch = getattr(payload, "batch_index", None)
+    return batch if isinstance(batch, int) and batch >= 0 else None
 
 
 def _persistent_worker_entry(
@@ -293,12 +413,11 @@ def _persistent_worker_entry(
         if command == _ATTACH:
             stage, batch = "attach", None
         else:
-            # Batch coordinate for fault scheduling: the payload's own
-            # batch_index when it carries one (the service's QueryTask
-            # echoes it), else this worker's query ordinal.
+            # Fault-scheduling coordinate: the payload's own batch
+            # index when it carries one, else this worker's ordinal.
             stage = "query"
-            batch = getattr(payload, "batch_index", None)
-            if not isinstance(batch, int) or batch < 0:
+            batch = _payload_batch(payload)
+            if batch is None:
                 batch = query_ordinal
             query_ordinal += 1
         try:
@@ -344,32 +463,20 @@ def _persistent_worker_entry(
     conn.close()
 
 
-def _payload_batch(payload) -> Optional[int]:
-    """Batch coordinate of a round payload for trace events, if any.
-
-    The service's :class:`~repro.parallel.worker.QueryTask` echoes its
-    ``batch_index``; diagnostic payloads carry none and events simply
-    omit the ``batch`` attribute.
-    """
-    batch = getattr(payload, "batch_index", None)
-    return batch if isinstance(batch, int) and batch >= 0 else None
-
-
-class _Hedge:
-    """One speculative straggler duplicate: a fresh attached worker
-    racing the original rank, first answer wins."""
-
-    __slots__ = ("channel", "attach_done", "deadline", "query_anchor")
-
-    def __init__(self, channel: WorkerChannel, deadline: float) -> None:
-        self.channel = channel
-        self.attach_done = False
-        self.deadline = deadline
-        # Master clock at the hedge's attach reply — the moment its
-        # query actually starts.  Reply spans are offsets from that
-        # moment, not from the round's dispatch; promote_hedge uses
-        # this to re-base them into the round's timeline.
-        self.query_anchor: Optional[float] = None
+def _retire(channels: Iterable[Optional[WorkerChannel]], grace: float) -> None:
+    """Shut workers down: SHUTDOWN, a join bounded by ``grace`` seconds
+    overall, then terminate and close whatever is left."""
+    channels = [channel for channel in channels if channel is not None]
+    deadline = time.monotonic() + grace
+    for channel in channels:
+        if channel.alive:
+            try:
+                channel.send((_SHUTDOWN,))
+            except (BrokenPipeError, OSError):
+                pass
+    for channel in channels:
+        channel.join(timeout=max(0.0, deadline - time.monotonic()))
+        channel.stop()
 
 
 class PersistentPool:
@@ -383,8 +490,8 @@ class PersistentPool:
         ``multiprocessing`` start method; ``spawn`` (default) for a
         fresh interpreter per worker on every platform.
     timeout:
-        Real-seconds deadline per command round (attach or batch);
-        per-rank, reset by a retry.
+        Real-seconds deadline per awaited reply (attach or batch);
+        per-rank, restarted by a retry or a replayed attach.
     max_retries:
         Per-rank re-dispatch budget per round.  0 (default) keeps the
         historical fail-fast contract; >= 1 makes a round survive
@@ -470,7 +577,6 @@ class PersistentPool:
         )
         self._transport = transport_obj
         self._tracer = tracer
-        self._channels: List[Optional[WorkerChannel]] = [None] * n_workers
         self._attach: Optional[Tuple[Callable, List[Any]]] = None
         self._closed = False
         self._respawn_total = 0
@@ -482,8 +588,9 @@ class PersistentPool:
         # dispatch and collect — that window is what the pipelined
         # service overlaps with master-side work.
         self._round_lock = threading.Lock()
-        for rank in range(n_workers):
-            self._spawn(rank)
+        self._channels: List[Optional[WorkerChannel]] = [
+            self._spawn(rank) for rank in range(n_workers)
+        ]
         # Safety net: a pool dropped without close() must not leave
         # orphan processes.  The finalizer captures the channel list,
         # not self, so it cannot keep the pool alive (the list is
@@ -514,37 +621,16 @@ class PersistentPool:
             return
         self._closed = True  # reject new rounds before taking the lock
         with self._round_lock:
-            self._close_locked()
-
-    def _close_locked(self) -> None:
-        if self._inflight is not None and self._inflight.pending:
-            # Dispatched but nobody is collecting: kill the workers so
-            # teardown cannot block on their unread replies.
-            for channel in self._channels:
-                if channel is not None:
-                    channel.terminate_quietly()
-            self._inflight._aborted = True
-            self._inflight = None
-        deadline = time.monotonic() + min(self.timeout, 10.0)
-        for rank in range(self.n_workers):
-            channel = self._channels[rank]
-            if channel is None or not channel.alive:
-                continue
-            try:
-                channel.send((_SHUTDOWN,))
-            except (BrokenPipeError, OSError):
-                continue
-        for rank in range(self.n_workers):
-            channel = self._channels[rank]
-            if channel is None:
-                continue
-            channel.join(timeout=max(0.0, deadline - time.monotonic()))
-            channel.terminate_quietly()
-        for rank in range(self.n_workers):
-            channel = self._channels[rank]
-            if channel is not None:
-                channel.close()
-            self._channels[rank] = None
+            if self._inflight is not None and self._inflight.pending:
+                # Dispatched but nobody is collecting: kill the workers
+                # so teardown cannot block on their unread replies.
+                for channel in self._channels:
+                    if channel is not None:
+                        channel.terminate_quietly()
+                self._inflight._aborted = True
+                self._inflight = None
+            _retire(self._channels, min(self.timeout, 10.0))
+            self._channels[:] = [None] * len(self._channels)
 
     @property
     def closed(self) -> bool:
@@ -563,44 +649,12 @@ class PersistentPool:
             for channel in self._channels
         ]
 
-    # -- spawning --------------------------------------------------------
-
-    def _spawn(self, rank: int) -> None:
-        self._channels[rank] = self._transport.spawn(
+    def _spawn(self, rank: int, role: str = "resident") -> WorkerChannel:
+        return self._transport.spawn(
             _persistent_worker_entry,
             (rank, self.n_workers, self._fault_plan),
-            name=f"repro-resident-{rank}",
+            name=f"repro-{role}-{rank}",
         )
-
-    def _respawn(self, rank: int, deadline: float) -> Optional[Tuple[Any, float, float]]:
-        """Replace a dead worker and replay its ATTACH.
-
-        Returns the replayed attach's ``(report, wall, cpu)`` — an
-        ATTACH-round retry uses it directly as the rank's result — or
-        ``None`` when no attach has been recorded yet.
-        """
-        channel = self._channels[rank]
-        if channel is not None:
-            channel.stop()
-        self._spawn(rank)
-        self._respawn_total += 1
-        if self._tracer.enabled:
-            self._tracer.event("respawn", {"rank": rank})
-        if self._attach is not None:
-            fn, payloads = self._attach
-            self._channels[rank].send((_ATTACH, fn, payloads[rank]))
-            return self._receive(rank, deadline)
-        return None
-
-    def _ensure_alive(self, deadline: float) -> int:
-        """Respawn (and re-attach) any rank that died between rounds."""
-        respawned = 0
-        for rank in range(self.n_workers):
-            channel = self._channels[rank]
-            if channel is None or not channel.alive:
-                self._respawn(rank, deadline)
-                respawned += 1
-        return respawned
 
     # -- command rounds --------------------------------------------------
 
@@ -645,11 +699,12 @@ class PersistentPool:
         that is the pipeline-safe migration barrier.
 
         Returns ``{rank: (report, wall_s, cpu_s)}`` for every rank
-        that was (re-)attached.  Failures retry with the pool's
-        standard respawn/backoff budget; a rank that exhausts it is
+        that was (re-)attached.  The ranks re-attach concurrently, as
+        one supervised ATTACH round with the pool's standard
+        respawn/backoff budget; a rank that exhausts it is
         **terminated** (so its next respawn replays the new payloads)
         and the remaining ranks still re-attach — only then does the
-        first failure raise as :class:`~repro.errors.WorkerError`.
+        lowest failing rank raise as :class:`~repro.errors.WorkerError`.
         The invariant on every exit path, raising or not: each changed
         rank either holds its new resident state or is dead pending a
         respawn into it — no rank is ever left alive with the old
@@ -681,30 +736,11 @@ class PersistentPool:
                         f"changed ranks {bad} outside the new rank "
                         f"space [0, {new_n})"
                     )
-            # Shrink: retire surplus ranks (graceful SHUTDOWN, then the
-            # hammer) and drop their slots.  The channel list is mutated
-            # in place — the leak finalizer holds the list object.
-            shutdown_deadline = time.monotonic() + min(self.timeout, 5.0)
-            for rank in range(new_n, old_n):
-                channel = self._channels[rank]
-                if channel is None:
-                    continue
-                if channel.alive:
-                    try:
-                        channel.send((_SHUTDOWN,))
-                    except (BrokenPipeError, OSError):
-                        pass
-            for rank in range(new_n, old_n):
-                channel = self._channels[rank]
-                if channel is None:
-                    continue
-                channel.join(
-                    timeout=max(0.0, shutdown_deadline - time.monotonic())
-                )
-                channel.terminate_quietly()
-                channel.close()
+            # Shrink: retire surplus ranks and drop their slots; grow:
+            # open empty slots for _launch to spawn into.  The channel
+            # list is mutated in place — the leak finalizer holds it.
+            _retire(self._channels[new_n:], min(self.timeout, 5.0))
             del self._channels[new_n:]
-            # Grow: open empty slots; _reattach_rank spawns into them.
             self._channels.extend(None for _ in range(old_n, new_n))
             self.n_workers = new_n
             self._attach = (fn, payloads)
@@ -712,81 +748,17 @@ class PersistentPool:
                 self._tracer.event(
                     "pool.resize", {"n_from": old_n, "n_to": new_n}
                 )
-            ranks |= set(range(old_n, new_n))
-            reports: dict = {}
-            failures: dict = {}
-            for rank in sorted(ranks):
-                try:
-                    reports[rank] = self._reattach_rank(rank)
-                except WorkerError as exc:
-                    # _reattach_rank already terminated the rank, so it
-                    # is dead pending a respawn into the NEW payloads —
-                    # keep going: the other changed ranks must not be
-                    # stranded on their old state.
-                    failures[rank] = exc
-            if failures:
-                raise failures[min(failures)]
-            return reports
-
-    def _reattach_rank(self, rank: int) -> Tuple[Any, float, float]:
-        """Send the remembered ATTACH to one rank (spawning it first
-        when the slot is empty), with the standard retry budget."""
-        attempts = 0
-        while True:
-            deadline = time.monotonic() + self.timeout
-            try:
-                channel = self._channels[rank]
-                if channel is not None and not channel.alive:
-                    # Dead slot: _respawn replays the (new) attach itself.
-                    report = self._respawn(rank, deadline)
-                    if report is None:  # unreachable: _attach is set
-                        raise WorkerError(
-                            f"no attach recorded for rank {rank}", rank=rank
-                        )
-                    return report
-                if channel is None:
-                    # Fresh slot from pool growth: plain spawn, no
-                    # respawn accounting — nothing died here.
-                    self._spawn(rank)
-                fn, payloads = self._attach
-                self._channels[rank].send((_ATTACH, fn, payloads[rank]))
-                return self._receive(rank, deadline)
-            except WorkerError as exc:
-                failure = exc
-            except (BrokenPipeError, OSError) as exc:
-                failure = WorkerError(
-                    f"worker {rank} died during re-attach: {exc}", rank=rank
+            ranks = sorted(ranks | set(range(old_n, new_n)))
+            job = RoundHandle(self, _ATTACH, fn, payloads, self.timeout)
+            result = self._supervise(self._scatter(job, ranks))
+            return {
+                rank: (
+                    result.results[rank],
+                    result.wall_times[rank],
+                    result.cpu_times[rank],
                 )
-            attempts += 1
-            if attempts > self.max_retries:
-                failure.rank = rank
-                failure.retries = attempts - 1
-                # A failed attach may leave the worker alive but
-                # holding its OLD resident state; kill it so the next
-                # respawn replays the new payload instead.
-                channel = self._channels[rank]
-                if channel is not None:
-                    channel.terminate_quietly()
-                raise failure
-            delay = self.backoff_s * (2 ** (attempts - 1))
-            if self._tracer.enabled:
-                self._tracer.event(
-                    "retry",
-                    {
-                        "rank": rank,
-                        "attempt": attempts,
-                        "command": _ATTACH,
-                        "dead": True,
-                    },
-                )
-                self._tracer.event("backoff", {"rank": rank, "delay_s": delay})
-            if delay > 0:
-                time.sleep(delay)
-            # The failed worker cannot be resynchronized: kill it so the
-            # next attempt takes the respawn path.
-            channel = self._channels[rank]
-            if channel is not None:
-                channel.terminate_quietly()
+                for rank in ranks
+            }
 
     def run_batch(
         self, fn: Callable[[int, int, Any, Any], Any], payloads: Sequence[Any]
@@ -822,76 +794,18 @@ class PersistentPool:
             raise ConfigurationError(
                 f"{len(payloads)} payloads for {self.n_workers} workers"
             )
-        payloads = list(payloads)
         with self._round_lock:
-            return self._dispatch_locked(command, fn, payloads)
-
-    def _dispatch_locked(
-        self, command: str, fn: Callable, payloads: List[Any]
-    ) -> RoundHandle:
-        # Re-check under the lock: a concurrent close() that won the
-        # lock first has already torn the pipes down.
-        self._check_open()
-        if self._inflight is not None and self._inflight.pending:
-            raise PipelineError(
-                "a round is already on the pipe; collect() its handle "
-                "before dispatching the next one"
-            )
-        dispatched_at = time.monotonic()
-        deadline = dispatched_at + self.timeout
-        respawned = self._ensure_alive(deadline)
-        dispatched: List[int] = []
-        # Each distinct payload object is pickled once and its buffer
-        # reused for every rank that receives it — for the service's
-        # shared per-batch command that is one pickle for the whole
-        # scatter, and the measured bytes are the actual pipe traffic.
-        buffers: dict[int, bytes] = {}
-        scatter_bytes = 0
-        for rank in range(self.n_workers):
-            try:
-                payload = payloads[rank]
-                buf = buffers.get(id(payload))
-                if buf is None:
-                    buf = bytes(ForkingPickler.dumps((command, fn, payload)))
-                    buffers[id(payload)] = buf
-                self._channels[rank].send_bytes(buf)
-                scatter_bytes += len(buf)
-            except (BrokenPipeError, OSError):
-                # Died between the liveness check and the send: one
-                # respawn attempt, then give up on the round.
-                try:
-                    self._respawn(rank, deadline)
-                    respawned += 1
-                    self._channels[rank].send_bytes(buf)
-                    scatter_bytes += len(buf)
-                except (WorkerError, BrokenPipeError, OSError) as exc:
-                    # Aborting mid-scatter would leave the ranks already
-                    # dispatched with undrained replies — stale messages
-                    # that a later round would misread as its own
-                    # results.  Kill them instead; the next round
-                    # respawns everything with clean pipes.
-                    self._abort_dispatched(dispatched)
-                    raise WorkerError(
-                        f"worker {rank} died immediately after respawn: {exc}",
-                        rank=rank,
-                    ) from None
-                except BaseException:
-                    self._abort_dispatched(dispatched)
-                    raise
-            except BaseException:
-                # Any other scatter failure (e.g. an unpicklable payload
-                # raising TypeError in ForkingPickler.dumps) aborts the
-                # scatter the same way — dispatched ranks must never be
-                # left with undrained replies.
-                self._abort_dispatched(dispatched)
-                raise
-            dispatched.append(rank)
-        handle = RoundHandle(
-            self, command, deadline, respawned, scatter_bytes,
-            fn, payloads, dispatched_at,
-        )
-        self._inflight = handle
-        return handle
+            # Re-check under the lock: a concurrent close() that won
+            # the lock first has already torn the pipes down.
+            self._check_open()
+            if self._inflight is not None and self._inflight.pending:
+                raise PipelineError(
+                    "a round is already on the pipe; collect() its handle "
+                    "before dispatching the next one"
+                )
+            job = RoundHandle(self, command, fn, list(payloads), self.timeout)
+            self._inflight = self._scatter(job, range(self.n_workers))
+            return job
 
     def _collect(self, handle: RoundHandle) -> PoolBatchResult:
         with self._round_lock:
@@ -907,7 +821,7 @@ class PersistentPool:
                     "stale round handle: a newer round has been dispatched"
                 )
             try:
-                return self._collect_locked(handle)
+                return self._supervise(handle)
             finally:
                 # Success or WorkerError, the round is off the pipe:
                 # healthy workers were drained, dead ones respawn on
@@ -915,346 +829,153 @@ class PersistentPool:
                 handle._collected = True
                 self._inflight = None
 
-    def _collect_locked(self, handle: RoundHandle) -> PoolBatchResult:
-        """Supervised gather: drain replies, retry failed ranks, hedge
-        stragglers, and finish the round one way — full result, partial
-        (degraded) result, or the lowest failing rank's error."""
-        results: List[Any] = [None] * self.n_workers
-        walls = [0.0] * self.n_workers
-        cpus = [0.0] * self.n_workers
-        pending = set(range(self.n_workers))
-        deadlines = {rank: handle.deadline for rank in pending}
-        attempts = {rank: 0 for rank in pending}
-        failures: dict[int, WorkerError] = {}
-        provisional: dict[int, WorkerError] = {}  # awaiting an outstanding hedge
-        resolved: set[int] = set()
-        hedges: dict[int, _Hedge] = {}
-        counters = {"retries": 0, "respawns": 0, "hedged": 0}
-        tracer = self._tracer
+    # -- supervision -----------------------------------------------------
 
-        def trace_event(kind: str, rank: int, **attrs) -> None:
-            """Emit one supervision event (call only when tracer.enabled)."""
-            batch = _payload_batch(handle.payloads[rank])
-            if batch is not None:
-                attrs["batch"] = batch
-            attrs["rank"] = rank
-            tracer.event(kind, attrs)
-        # The soft straggler deadline arms once per round, QUERY only,
-        # and needs attach state to clone (a hedge must re-attach).
-        hedge_at: Optional[float] = None
+    def _scatter(self, job: RoundHandle, ranks: Iterable[int]) -> RoundHandle:
+        """Start one attempt per rank.  A scatter that cannot finish
+        (e.g. an unpicklable payload) kills the ranks it already
+        reached — their replies would desync the next round, which
+        respawns them with clean pipes."""
+        try:
+            for rank in ranks:
+                job.scatter_bytes += len(self._launch(job, rank).expect[-1][1])
+        except BaseException:
+            for attempt in job.live:
+                attempt.channel.terminate_quietly()
+            raise
+        return job
+
+    def _launch(self, job: RoundHandle, rank: int) -> _Attempt:
+        """Start ``rank``'s attempt at ``job``'s command on its worker.
+
+        A dead worker is respawned first (an empty slot left by growth
+        is simply spawned).  A fresh worker owes the remembered ATTACH
+        before any other command, so its attempt expects
+        ``[ATTACH, command]`` — in an attach round the replay *is* the
+        command.
+        """
+        expect = [(job.command, job._buffer(rank))]
+        channel = self._channels[rank]
+        if channel is None or not channel.alive:
+            if channel is not None:
+                channel.stop()
+                self._respawn_total += 1
+                job.respawned += 1
+                if self._tracer.enabled:
+                    self._tracer.event("respawn", {"rank": rank})
+            channel = self._channels[rank] = self._spawn(rank)
+            if job.command != _ATTACH and self._attach is not None:
+                expect.insert(0, self._replay(rank))
+        attempt = _Attempt(rank, channel, expect, _PENDING)
+        self._send(attempt)
+        job.primary[rank] = attempt
+        job.live.append(attempt)
+        return attempt
+
+    def _hedge(self, job: RoundHandle, rank: int) -> None:
+        """Race a duplicate of ``rank``'s command on a fresh worker
+        that replays the remembered ATTACH first."""
+        hedge = _Attempt(
+            rank,
+            self._spawn(rank, "hedge"),
+            [self._replay(rank), (job.command, job._buffer(rank))],
+            _HEDGED,
+        )
+        self._send(hedge)
+        job.hedges[rank] = hedge
+        job.live.append(hedge)
+        job.hedged += 1
+        if self._tracer.enabled:
+            self._trace(job, "hedge.launch", rank)
+
+    def _replay(self, rank: int) -> Tuple[str, bytes]:
+        """The remembered ATTACH for ``rank``, as an expected reply."""
+        fn, payloads = self._attach
+        return _ATTACH, _pickled(_ATTACH, fn, payloads[rank])
+
+    def _send(self, attempt: _Attempt) -> None:
+        """Write the command at the head of ``attempt.expect``; the
+        attempt's deadline restarts now (the one deadline rule)."""
+        try:
+            attempt.channel.send_bytes(attempt.expect[0][1])
+        except (BrokenPipeError, OSError):
+            pass  # a dead worker surfaces through the reader
+        attempt.deadline = time.monotonic() + self.timeout
+
+    def _supervise(self, job: RoundHandle) -> PoolBatchResult:
+        """The one wait loop: every reply the pool waits for.
+
+        Waits on every live attempt of ``job`` at once — primaries,
+        their retries and respawn replays, and hedges — reads each
+        through :meth:`_read` and moves its rank on through
+        :meth:`_settle`.  The soft ``hedge_after`` deadline arms once
+        per QUERY round.  Returns :meth:`RoundHandle._result` once
+        nothing is live.
+        """
+        hedge_at = None
         if (
             self.hedge_after is not None
-            and handle.command == _QUERY
+            and job.command == _QUERY
             and self._attach is not None
         ):
-            hedge_at = handle.dispatched_at + self.hedge_after
-
-        def rank_resolved(rank: int) -> None:
-            """The original worker answered: first answer wins — a
-            still-racing hedge is terminated so its late duplicate can
-            never merge."""
-            resolved.add(rank)
-            hedge = hedges.pop(rank, None)
-            if hedge is not None:
-                hedge.channel.stop()
-                if tracer.enabled:
-                    trace_event("hedge.loss", rank, winner="original")
-
-        def promote_hedge(rank: int, hedge: _Hedge, message) -> None:
-            """The hedge answered first: take its result and install it
-            as the rank's resident worker (it holds full attach state);
-            the superseded original is terminated."""
-            _, result, wall, cpu = message
-            # The winner's reply spans are offsets from *its* query
-            # start (after its own attach), not from the round's
-            # dispatch — shift them so merge-time re-anchoring (which
-            # adds the round's dispatch time) lands them where the
-            # hedge really ran.  Without this, a hedged rank's
-            # worker.query span would overlap the straggler's stall.
-            if hedge.query_anchor is not None and isinstance(result, dict):
-                spans = result.get("spans")
-                if spans:
-                    shift = hedge.query_anchor - handle.dispatched_at
-                    result["spans"] = tuple(
-                        (name, rel + shift, dur) for name, rel, dur in spans
-                    )
-            original = self._channels[rank]
-            if original is not None:
-                original.stop()
-            self._channels[rank] = hedge.channel
-            self._respawn_total += 1
-            counters["respawns"] += 1
-            results[rank], walls[rank], cpus[rank] = result, wall, cpu
-            resolved.add(rank)
-            pending.discard(rank)
-            provisional.pop(rank, None)
-            failures.pop(rank, None)
-            del hedges[rank]
-            if tracer.enabled:
-                trace_event("hedge.win", rank)
-
-        def launch_hedge(rank: int) -> None:
-            fn_attach, attach_payloads = self._attach
-            channel = self._transport.spawn(
-                _persistent_worker_entry,
-                (rank, self.n_workers, self._fault_plan),
-                name=f"repro-hedge-{rank}",
-            )
-            try:
-                # Attach and query back-to-back; the worker answers the
-                # attach report first, then the query result.
-                channel.send((_ATTACH, fn_attach, attach_payloads[rank]))
-                channel.send_bytes(
-                    bytes(
-                        ForkingPickler.dumps(
-                            (handle.command, handle.fn, handle.payloads[rank])
-                        )
-                    )
-                )
-            except (BrokenPipeError, OSError):
-                channel.stop()
-                return
-            hedges[rank] = _Hedge(channel, time.monotonic() + self.timeout)
-            counters["hedged"] += 1
-            if tracer.enabled:
-                trace_event("hedge.launch", rank)
-
-        def hedge_failed(rank: int) -> None:
-            """A hedge crashed, raised, or timed out: discard it; the
-            rank keeps riding its original worker unless that already
-            failed permanently, in which case the failure lands now."""
-            hedge = hedges.pop(rank)
-            hedge.channel.stop()
-            if tracer.enabled:
-                trace_event("hedge.loss", rank, winner="none")
-            if rank in provisional:
-                failures[rank] = provisional.pop(rank)
-
-        def fail_rank(rank: int, exc: WorkerError, dead: bool) -> None:
-            """Retry the rank with exponential backoff, or record its
-            permanent failure (deferred while a hedge still races)."""
-            while True:
-                # Trust liveness over the caller's flag: a dead worker's
-                # pipe polls readable (EOF), so its failure arrives via
-                # _consume like a raise — re-sending to it would burn a
-                # retry on a broken pipe.
-                channel = self._channels[rank]
-                if channel is None or not channel.alive:
-                    dead = True
-                attempts[rank] += 1
-                if attempts[rank] > self.max_retries:
-                    exc.rank = rank
-                    exc.retries = attempts[rank] - 1
-                    if rank in hedges:
-                        provisional[rank] = exc
-                    else:
-                        failures[rank] = exc
-                    return
-                counters["retries"] += 1
-                delay = self.backoff_s * (2 ** (attempts[rank] - 1))
-                if tracer.enabled:
-                    trace_event(
-                        "retry",
-                        rank,
-                        attempt=attempts[rank],
-                        command=handle.command,
-                        dead=dead,
-                    )
-                    trace_event("backoff", rank, delay_s=delay)
-                if delay > 0:
-                    time.sleep(delay)
-                try:
-                    if dead:
-                        report = self._respawn(
-                            rank, time.monotonic() + self.timeout
-                        )
-                        counters["respawns"] += 1
-                        if handle.command == _ATTACH and report is not None:
-                            # The replayed attach IS the retried work.
-                            results[rank], walls[rank], cpus[rank] = report
-                            rank_resolved(rank)
-                            return
-                    self._channels[rank].send_bytes(
-                        bytes(
-                            ForkingPickler.dumps(
-                                (handle.command, handle.fn, handle.payloads[rank])
-                            )
-                        )
-                    )
-                    deadlines[rank] = time.monotonic() + self.timeout
-                    pending.add(rank)
-                    return
-                except WorkerError as retry_exc:
-                    exc, dead = retry_exc, True
-                except (BrokenPipeError, OSError) as pipe_exc:
-                    exc = WorkerError(
-                        f"worker {rank} died during retry re-dispatch: "
-                        f"{pipe_exc}",
-                        rank=rank,
-                    )
-                    dead = True
-
+            hedge_at = job.dispatched_at + self.hedge_after
         try:
-            while pending or hedges:
-                now = time.monotonic()
-                # Hard per-rank deadlines: a stuck worker cannot be
-                # resynchronized — kill it, then retry as a death.
-                for rank in sorted(pending):
-                    if now >= deadlines[rank]:
-                        self._channels[rank].terminate_quietly()
-                        pending.discard(rank)
-                        fail_rank(
-                            rank,
-                            WorkerError(
-                                f"worker {rank} exceeded the resident round "
-                                f"deadline ({self.timeout:.0f}s) and was "
-                                f"terminated",
-                                rank=rank,
-                            ),
-                            dead=True,
-                        )
-                for rank in sorted(hedges):
-                    if now >= hedges[rank].deadline:
-                        hedge_failed(rank)
-                # Soft straggler deadline: one speculative duplicate
-                # per still-outstanding rank, once per round.
-                if hedge_at is not None and now >= hedge_at:
-                    for rank in sorted(pending - set(hedges)):
-                        launch_hedge(rank)
-                    hedge_at = None
-                if not pending and not hedges:
-                    break
-                wakeups = [deadlines[rank] for rank in pending]
-                wakeups.extend(hedge.deadline for hedge in hedges.values())
+            while job.live:
+                if hedge_at is not None and time.monotonic() >= hedge_at:
+                    hedge_at = None  # one hedge per outstanding rank
+                    for attempt in sorted(job.live, key=_by_rank):
+                        if attempt.state == _PENDING:
+                            self._hedge(job, attempt.rank)
+                wakeup = min(attempt.deadline for attempt in job.live)
                 if hedge_at is not None:
-                    wakeups.append(hedge_at)
-                waitees: List[Any] = []
-                for rank in pending:
-                    waitees.extend(self._channels[rank].wait_objects())
-                for hedge in hedges.values():
-                    waitees.extend(hedge.channel.wait_objects())
+                    wakeup = min(wakeup, hedge_at)
                 connection.wait(
-                    waitees, timeout=max(0.0, min(wakeups) - time.monotonic())
+                    [obj for a in job.live for obj in a.channel.wait_objects()],
+                    timeout=max(0.0, wakeup - time.monotonic()),
                 )
-                for rank in sorted(pending):
-                    channel = self._channels[rank]
-                    if channel.poll():
-                        failure = self._consume(rank, results, walls, cpus)
-                        pending.discard(rank)
-                        if failure is None:
-                            rank_resolved(rank)
-                        else:
-                            fail_rank(rank, failure, dead=False)
-                    elif not channel.alive:
-                        channel.join()
-                        if channel.poll():
-                            failure = self._consume(rank, results, walls, cpus)
-                            pending.discard(rank)
-                            if failure is None:
-                                rank_resolved(rank)
-                            else:
-                                fail_rank(rank, failure, dead=False)
-                        else:
-                            pending.discard(rank)
-                            fail_rank(
-                                rank,
-                                WorkerError(
-                                    f"worker {rank} died mid-batch without "
-                                    f"reporting (exit code "
-                                    f"{channel.exitcode})",
-                                    rank=rank,
-                                    exit_code=channel.exitcode,
-                                ),
-                                dead=True,
-                            )
-                for rank in sorted(hedges):
-                    hedge = hedges.get(rank)
-                    while hedge is not None and rank in hedges:
-                        if hedge.channel.poll():
-                            try:
-                                message = hedge.channel.recv()
-                            except (EOFError, OSError):
-                                hedge_failed(rank)
-                                break
-                            if message[0] == "error":
-                                hedge_failed(rank)
-                                break
-                            if not hedge.attach_done:
-                                hedge.attach_done = True
-                                hedge.query_anchor = time.monotonic()
-                                continue  # the query reply may follow
-                            if rank in resolved:
-                                # First answer already won; the hedge's
-                                # late duplicate must never merge.
-                                hedge_failed(rank)
-                                break
-                            promote_hedge(rank, hedge, message)
-                            break
-                        if not hedge.channel.alive:
-                            hedge.channel.join()
-                            if hedge.channel.poll():
-                                continue
-                            hedge_failed(rank)
-                            break
-                        break
+                for attempt in sorted(job.live, key=_by_rank):
+                    if attempt in job.live:
+                        outcome = self._read(job, attempt)
+                        if outcome is not None:
+                            self._settle(job, attempt, outcome)
         finally:
             # No hedge may outlive its round, whatever path exits it.
-            for rank in list(hedges):
-                hedges.pop(rank).channel.stop()
-        failures.update(provisional)
-        respawned = handle.respawned + counters["respawns"]
-        if failures:
-            if self.degraded_ok and handle.command == _QUERY:
-                if tracer.enabled:
-                    for rank in sorted(failures):
-                        trace_event(
-                            "degraded.rank",
-                            rank,
-                            retries=failures[rank].retries,
-                        )
-                return PoolBatchResult(
-                    results=results,
-                    wall_times=walls,
-                    cpu_times=cpus,
-                    respawned=respawned,
-                    scatter_bytes=handle.scatter_bytes,
-                    retries=counters["retries"],
-                    hedged=counters["hedged"],
-                    failed_ranks=tuple(sorted(failures)),
+            for hedge in job.hedges.values():
+                hedge.channel.stop()
+        return job._result()
+
+    def _read(self, job: RoundHandle, attempt: _Attempt):
+        """The one reader: take at most one reply off ``attempt``.
+
+        Returns ``None`` while the attempt still waits (a replayed
+        ATTACH that answered sends its command and keeps waiting), the
+        command's ``(result, wall, cpu)``, or the :class:`WorkerError`
+        of a raise, a death, or an expired deadline.
+        """
+        channel, rank = attempt.channel, attempt.rank
+        if not channel.poll():
+            if channel.alive:
+                if time.monotonic() < attempt.deadline:
+                    return None
+                # A stuck worker cannot be resynchronized: kill it and
+                # let the failure retry as a death.
+                channel.terminate_quietly()
+                return WorkerError(
+                    f"worker {rank} exceeded the resident round deadline "
+                    f"({self.timeout:.0f}s) and was terminated",
+                    rank=rank,
                 )
-            # Healthy workers have been drained, so the pipes stay in
-            # request/response sync; dead ones respawn next round.  The
-            # lowest failing rank is surfaced deterministically, not
-            # whichever reply happened to arrive first.
-            raise failures[min(failures)]
-        return PoolBatchResult(
-            results=results,
-            wall_times=walls,
-            cpu_times=cpus,
-            respawned=respawned,
-            scatter_bytes=handle.scatter_bytes,
-            retries=counters["retries"],
-            hedged=counters["hedged"],
-        )
-
-    def _abort_dispatched(self, dispatched: List[int]) -> None:
-        """Kill ranks whose command was already sent in an aborted
-        scatter — their replies would desync the next round."""
-        for rank in dispatched:
-            self._channels[rank].terminate_quietly()
-
-    def _consume(
-        self, rank: int, results, walls, cpus
-    ) -> Optional[WorkerError]:
-        """Read one reply; return (not raise) a failure so the round
-        can keep draining the other workers before surfacing it."""
-        channel = self._channels[rank]
+            channel.join()  # dead: a final reply may still be buffered
         try:
             message = channel.recv()
         except (EOFError, OSError):
             channel.join()
+            if attempt.expect[0][0] == _QUERY:
+                where = "mid-batch"
+            else:
+                where = "during re-attach" if job.command == _QUERY else "during attach"
             return WorkerError(
-                f"worker {rank} died mid-batch without reporting "
+                f"worker {rank} died {where} without reporting "
                 f"(exit code {channel.exitcode})",
                 rank=rank,
                 exit_code=channel.exitcode,
@@ -1266,43 +987,122 @@ class PersistentPool:
                 f"--- remote traceback ---\n{remote_tb}",
                 rank=rank,
             )
-        _, result, wall, cpu = message
-        results[rank] = result
-        walls[rank] = wall
-        cpus[rank] = cpu
-        return None
+        attempt.expect.pop(0)
+        if attempt.expect:
+            # The replayed ATTACH answered: the command goes out now.
+            attempt.anchor = time.monotonic()
+            self._send(attempt)
+            return None
+        return message[1:]
 
-    def _receive(self, rank: int, deadline: float) -> Tuple[Any, float, float]:
-        """Await one rank's reply (used for replayed ATTACH rounds);
-        returns ``(result, wall, cpu)``."""
-        channel = self._channels[rank]
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                channel.terminate_quietly()
-                raise WorkerError(
-                    f"worker {rank} exceeded the deadline while re-attaching",
-                    rank=rank,
+    def _settle(self, job: RoundHandle, attempt: _Attempt, outcome) -> None:
+        """Move ``attempt``'s rank on by one outcome: an answer, a hedge
+        won or lost, or a failure for the retry rule."""
+        rank = attempt.rank
+        job.live.remove(attempt)
+        failed = isinstance(outcome, WorkerError)
+        if attempt.state == _HEDGED:
+            del job.hedges[rank]
+            primary = job.primary[rank]
+            if failed:
+                attempt.channel.stop()
+                if self._tracer.enabled:
+                    self._trace(job, "hedge.loss", rank, winner="none")
+                if primary.state == _FAILED:  # deferred behind this hedge
+                    self._apply_rule(job, primary)
+                return
+            # First answer wins: the hedge holds full attach state, so
+            # it becomes the rank's resident worker; the straggler (or
+            # its pending retry) is terminated.
+            if primary in job.live:
+                job.live.remove(primary)
+            self._channels[rank].stop()
+            self._channels[rank] = attempt.channel
+            self._respawn_total += 1
+            job.respawned += 1
+            attempt.state = _PROMOTED
+            job.primary[rank] = attempt
+            if self._tracer.enabled:
+                self._trace(job, "hedge.win", rank)
+        elif failed:
+            attempt.state, attempt.error = _FAILED, outcome
+            job.tries[rank] += 1
+            if len(attempt.expect) > 1:
+                # Its replayed ATTACH failed: the worker holds no state
+                # to run the command on.
+                attempt.channel.terminate_quietly()
+            self._apply_rule(job, attempt)
+            return
+        else:
+            attempt.state = _ANSWERED
+            hedge = job.hedges.pop(rank, None)
+            if hedge is not None:
+                job.live.remove(hedge)
+                hedge.channel.stop()  # its late duplicate must never merge
+                if self._tracer.enabled:
+                    self._trace(job, "hedge.loss", rank, winner="original")
+        result, wall, cpu = outcome
+        if attempt.anchor is not None and isinstance(result, dict):
+            # Reply spans are offsets from the command's own send, not
+            # the round's dispatch; re-base them so merge-time
+            # re-anchoring lands them where the work really ran.
+            spans = result.get("spans")
+            if spans:
+                shift = attempt.anchor - job.dispatched_at
+                result["spans"] = tuple(
+                    (name, rel + shift, dur) for name, rel, dur in spans
                 )
-            connection.wait(channel.wait_objects(), timeout=remaining)
-            if channel.poll():
-                results = [None] * self.n_workers
-                walls = [0.0] * self.n_workers
-                cpus = [0.0] * self.n_workers
-                failure = self._consume(rank, results, walls, cpus)
-                if failure is not None:
-                    raise failure
-                return results[rank], walls[rank], cpus[rank]
-            if not channel.alive:
-                channel.join()
-                if channel.poll():
-                    continue
-                raise WorkerError(
-                    f"worker {rank} died while re-attaching "
-                    f"(exit code {channel.exitcode})",
-                    rank=rank,
-                    exit_code=channel.exitcode,
+        job.results[rank], job.walls[rank], job.cpus[rank] = result, wall, cpu
+
+    def _apply_rule(self, job: RoundHandle, attempt: _Attempt) -> None:
+        """Carry out :func:`_decide` for a failed attempt."""
+        rank, exc = attempt.rank, attempt.error
+        tries = job.tries[rank]
+        decision = _decide(
+            tries, self.max_retries, rank in job.hedges, job.command,
+            self.degraded_ok,
+        )
+        if decision == _DEFER:
+            return  # decided again once the hedge cannot answer
+        if decision == _RETRY:
+            attempt.state = _RETRYING
+            job.retries += 1
+            delay = self.backoff_s * (2 ** (tries - 1))
+            if self._tracer.enabled:
+                self._trace(
+                    job, "retry", rank, attempt=tries, command=job.command,
+                    dead=not attempt.channel.alive,
                 )
+                self._trace(job, "backoff", rank, delay_s=delay)
+            if delay > 0:
+                time.sleep(delay)
+            self._launch(job, rank).anchor = time.monotonic()
+            return
+        exc.rank, exc.retries = rank, tries - 1
+        if decision == _DEGRADE:
+            attempt.state = _DEGRADED
+            job.degraded[rank] = exc
+            if self._tracer.enabled:
+                self._trace(job, "degraded.rank", rank, retries=exc.retries)
+            return
+        job.failed[rank] = exc
+        if job.command == _ATTACH:
+            # A failed attach may leave the worker alive on its OLD
+            # state; kill it so its respawn replays the new payload.
+            attempt.channel.terminate_quietly()
+
+    def _trace(self, job: RoundHandle, kind: str, rank: int, **attrs) -> None:
+        """Emit one supervision event (call only when tracing)."""
+        batch = _payload_batch(job.payloads[rank])
+        if batch is not None:
+            attrs["batch"] = batch
+        attrs["rank"] = rank
+        self._tracer.event(kind, attrs)
+
+
+def _by_rank(attempt: _Attempt) -> Tuple[int, bool]:
+    """Supervision order: by rank, a rank's primary before its hedge."""
+    return attempt.rank, attempt.state == _HEDGED
 
 
 def _reap_pool(channels) -> None:

@@ -179,6 +179,26 @@ def resident_attach(rank: int, size: int, payload) -> tuple:
     }
 
 
+def resident_attach_flagged(rank: int, size: int, payload) -> tuple:
+    """ATTACH body with master-armed one-shot faults.
+
+    ``payload`` is ``(value, delay_s, flags)``: the attach sleeps
+    ``delay_s`` seconds, then — while a file named in ``flags`` exists
+    — deletes the first such file and hard-exits (code 7), or for a
+    ``*.hang`` flag sleeps far past any test deadline.  Otherwise it
+    is :func:`resident_attach` of ``value``.
+    """
+    value, delay_s, flags = payload
+    time.sleep(delay_s)
+    for flag in flags:
+        if os.path.exists(flag):
+            os.remove(flag)
+            if flag.endswith(".hang"):
+                time.sleep(600.0)
+            os._exit(7)
+    return resident_attach(rank, size, value)
+
+
 def resident_echo(rank: int, size: int, state, payload) -> tuple:
     """QUERY body proving state survives batches: echo state + payload."""
     return rank, state["payload"], payload, state["pid"], os.getpid()

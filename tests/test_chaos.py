@@ -23,7 +23,12 @@ import pytest
 from repro.errors import ConfigurationError, WorkerError
 from repro.parallel import FaultInjected, FaultPlan, FaultSpec, PersistentPool, maybe_inject
 from repro.parallel.faults import FAULT_PLAN_ENV
-from repro.parallel.worker import resident_attach, resident_echo
+from repro.parallel.worker import (
+    resident_attach,
+    resident_attach_flagged,
+    resident_echo,
+    resident_sleep,
+)
 from repro.search.report import read_psm_report, write_psm_report
 from repro.search.serial import SerialSearchEngine
 from repro.service import SearchService, ServiceConfig
@@ -253,6 +258,33 @@ def test_pool_crash_heals_with_retry_accounting():
         assert res.retries == 1
         assert res.respawned == 1
         assert res.failed_ranks == ()
+    finally:
+        pool.close()
+
+
+def test_pool_replay_hang_leaves_other_ranks_deadline_alone(tmp_path):
+    """Rank 1 crashes mid-query; its respawn's replayed ATTACH hangs
+    until the deadline kills it, and a second respawn heals.  Rank 0
+    answers while rank 1's replay hangs: its reply is consumed, its
+    deadline never moves, and it is neither retried nor respawned."""
+    hang = tmp_path / "replay.hang"
+    plan = FaultPlan.scoped(
+        FaultSpec(kind="crash", stage="query", rank=1, batch=0)
+    )
+    pool = PersistentPool(2, timeout=4.0, max_retries=2, backoff_s=0.01,
+                          fault_plan=plan)
+    try:
+        pool.attach(resident_attach_flagged,
+                    [("a", 0.0, ()), ("b", 0.0, (str(hang),))])
+        pid0 = pool.worker_pids()[0]
+        hang.touch()
+        start = time.monotonic()
+        res = pool.run_batch(resident_sleep, [2.0, 0.0])
+        assert res.results == [2.0, 0.0]
+        assert res.retries == 2 and res.respawned == 2
+        assert pool.worker_pids()[0] == pid0
+        assert res.wall_times[0] < 4.0
+        assert time.monotonic() - start < 30.0
     finally:
         pool.close()
 
