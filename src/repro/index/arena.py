@@ -139,7 +139,6 @@ def concat_ranges(
     stops: np.ndarray,
     *,
     workspace: Workspace | None = None,
-    name: str = "concat_ranges",
 ) -> np.ndarray:
     """Concatenate integer ranges ``[starts[i], stops[i])`` — vectorized.
 
@@ -159,11 +158,8 @@ def concat_ranges(
 
     The result is always a freshly allocated ``int64`` array (safe to
     keep across calls).  ``workspace`` supplies the cached ascending
-    iota so repeated calls skip the O(n) sequence write; ``name`` is
-    accepted for API compatibility but no longer selects a scratch
-    buffer.
+    iota so repeated calls skip the O(n) sequence write.
     """
-    del name  # retained for API compatibility; result is always fresh
     starts = np.asarray(starts, dtype=np.int64)
     stops = np.asarray(stops, dtype=np.int64)
     spans = stops - starts
@@ -435,7 +431,7 @@ class FragmentArena:
         starts = self.offsets[ids]
         stops = self.offsets[ids + 1]
         sizes = stops - starts
-        idx = concat_ranges(starts, stops, workspace=workspace, name="arena.gather")
+        idx = concat_ranges(starts, stops, workspace=workspace)
         if workspace is not None:
             flat = workspace.take("arena.gather.mzs", idx.size, np.float64)
             # idx comes from the offsets, so it is in range; "clip"

@@ -12,34 +12,48 @@ copies:
   predicate tests) and cut into runs of :data:`CHUNK_ENTRIES`,
 * the rank's ions — already bucket-major through the arena's cached
   sort order — are re-sorted **once**, stably, by chunk id, which makes
-  them ``(chunk, bucket)``-major in one flat ``int32`` parent array,
-* each chunk is an :class:`~repro.index.slm.SLMIndex` *leaf* made of
-  views into those flat arrays plus its own ``int32`` bucket offsets,
-  trimmed to the chunk's top bucket, and queried through the very
-  kernel the flat index runs (``SLMIndex._filter_batch``).
+  them ``(chunk, bucket)``-major in one flat ``int32`` array of parent
+  mass ranks,
+* one flat ``int32`` bucket-offset CSR holds every chunk's offsets,
+  relative to the chunk's first ion and trimmed to the chunk's own top
+  bucket; :attr:`ChunkedIndex.offset_bounds` says where each chunk's
+  run starts, :attr:`ChunkedIndex.ion_bounds` where its ions start.
+
+Filtration is one array pass per batch (:meth:`ChunkedIndex.filter_many`):
+every (spectrum, reached chunk, peak) window is expanded at once, its
+ions are gathered in one ``concat_ranges`` + ``take``, and only the
+ions whose parent can pass the precursor window are counted — a
+conservative mass-rank interval per spectrum (masses are sorted, so
+the window is one run of ranks) filters the gather, the few survivors
+are counted and thresholded, and the exact difference-form predicate
+``|float64(mass) - neutral| <= tol`` decides the rest.  That equals
+counting everything and masking after, because the window mask only
+ever zeroes counts.
 
 Who builds it: :func:`repro.search.rank.build_rank_index`, and only
 when the settings carry a precursor window.  Open search would visit
-every chunk — all of the flat index's work plus the per-chunk
-overhead — so it keeps the flat :class:`~repro.index.slm.SLMIndex`,
-which is also what the serial oracle always uses.
+every chunk and count over a dense spectra × entries key space, so it
+keeps the flat :class:`~repro.index.slm.SLMIndex`, which is also what
+the serial oracle always uses.  Open-search settings still work here
+(every chunk is reached; the interval is every rank).
 
 Why candidates come back in **manifest-position** order: scoring
 gathers fragments from the manifest-ordered sub-arena, the mapping
 table translates manifest positions to global ids, and top-k breaks
 ties on them — none of which should know the index re-ranked its
-entries.  Leaf-local ids are mapped through :attr:`ChunkedIndex.positions`
+entries.  Mass ranks are mapped through :attr:`ChunkedIndex.positions`
 and sorted ascending, so a :class:`~repro.index.slm.FilterResult`'s
 ``candidates`` and ``shared_peaks`` equal the flat index's array for
 array.
 
 Why the work counters fall: ``ions_scanned`` / ``buckets_scanned`` sum
-over the leaves a spectrum visited, i.e. they count the ions actually
-gathered.  A windowed query gathers a few chunks' ions instead of the
-rank's, so ``ions_scanned`` drops by roughly ``chunks visited / chunks``;
-``buckets_scanned`` shifts a little either way (a window straddling two
-chunks walks its bucket ranges twice; a leaf clips them at its own top
-bucket).  Candidates, and everything computed from them, do not move.
+over the (chunk, peak) windows of the chunks a spectrum reaches, i.e.
+they count the ions actually gathered.  A windowed query gathers a few
+chunks' ions instead of the rank's, so ``ions_scanned`` drops by
+roughly ``chunks visited / chunks``; ``buckets_scanned`` shifts a
+little either way (a window straddling two chunks walks its bucket
+ranges twice; each chunk clips them at its own top bucket).
+Candidates, and everything computed from them, do not move.
 """
 
 from __future__ import annotations
@@ -49,22 +63,26 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.index.arena import FragmentArena, Workspace
-from repro.index.slm import (
-    FILTER_BATCH_KEY_BUDGET,
-    FilterResult,
-    SLMIndex,
-    SLMIndexSettings,
-)
+from repro.index import slm
+from repro.index.arena import FragmentArena, Workspace, concat_ranges, thread_workspace
+from repro.index.slm import FilterResult, SLMIndexSettings
 from repro.spectra.model import Spectrum
 
 __all__ = ["CHUNK_ENTRIES", "ChunkedIndex"]
 
-#: Entries per chunk.  Few large chunks: filtration time is flat from
-#: 512- to 8192-entry chunks (the floor is the per-peak slice loop of
-#: the leaf kernel, paid once per visited chunk, not the ions gathered),
-#: while every chunk adds one bucket-offset array to the rank's memory.
+#: Entries per chunk.  The trade: a windowed query gathers every ion of
+#: each chunk its window reaches, so filtration time grows with the
+#: chunk (the batch's windows are expanded in one pass whatever the
+#: chunk count), while every chunk adds one bucket-offset run —
+#: ~4 B per bucket of its m/z range — to the rank's memory.  It also
+#: sets the ``ions_scanned`` / ``buckets_scanned`` counters the
+#: virtual-time cost model charges, so changing it moves them.
 CHUNK_ENTRIES = 8192
+
+#: Relative widening of the per-spectrum mass-rank interval, so the
+#: interval (found by ``searchsorted`` on ``neutral ∓ tol``) holds every
+#: entry the difference-form predicate keeps despite rounding.
+_INTERVAL_SLACK = 1e-9
 
 
 class ChunkedIndex:
@@ -80,26 +98,42 @@ class ChunkedIndex:
         which :func:`~repro.search.rank.build_rank_index` would call on
         return anyway) so the rest of the build reuses their memory.
     settings:
-        Index/query settings, shared by every leaf.
+        Index/query settings.
     chunk_entries:
         Entries per chunk; tests shrink it to force many chunks.
         Everything else uses :data:`CHUNK_ENTRIES`.
 
     Attributes
     ----------
-    chunks:
-        One :class:`~repro.index.slm.SLMIndex` leaf per chunk, in
-        ascending mass order; leaf-local id ``j`` of chunk ``c`` is
-        mass rank ``c * chunk_entries + j``.
     positions:
         ``int32``; mass rank → manifest position (the stable argsort of
-        the float32 masses).
+        the float32 masses).  Chunk ``c`` holds mass ranks
+        ``[c * chunk_entries, (c + 1) * chunk_entries)``.
+    masses64:
+        ``float64``; the float32 mass of each mass rank, widened
+        (ascending) — the values the window predicate tests.
+    ion_parents:
+        ``int32`` parent mass rank of every ion, ``(chunk, bucket)``-major.
+    ion_bounds:
+        ``int64``, ``n_chunks + 1``; chunk ``c`` owns
+        ``ion_parents[ion_bounds[c] : ion_bounds[c + 1]]``.
+    bucket_offsets:
+        ``int32`` flat CSR: chunk ``c``'s bucket ``b`` (``b <=
+        chunk_buckets[c]``) starts at ion ``ion_bounds[c] +
+        bucket_offsets[offset_bounds[c] + b]``.
+    offset_bounds:
+        ``int64``, ``n_chunks + 1``; where each chunk's offset run
+        starts in :attr:`bucket_offsets` (each run is one longer than
+        the chunk's bucket count).
+    chunk_buckets:
+        ``int64``; buckets per chunk (its top bucket + 1, 0 if it holds
+        no ions) — the clip of every window over that chunk.
     n_ions:
         Total indexed ion entries.
     mass_min / mass_max:
         ``float64``; each chunk's float32 mass extrema, widened — the
-        *same* rounded masses the leaves mask with, so chunk pruning
-        and the leaf's precursor window agree at window boundaries.
+        *same* rounded masses the window predicate tests, so chunk
+        pruning and the predicate agree at window boundaries.
     """
 
     def __init__(
@@ -123,10 +157,10 @@ class ChunkedIndex:
 
         order = np.argsort(arena.masses, kind="stable")
         self.positions = order.astype(np.int32)
-        masses = arena.masses[order]
+        self.masses64 = arena.masses[order].astype(np.float64)
         first = np.arange(0, n, size)
-        self.mass_min = masses[first].astype(np.float64)
-        self.mass_max = masses[np.minimum(first + size, n) - 1].astype(np.float64)
+        self.mass_min = self.masses64[first]
+        self.mass_max = self.masses64[np.minimum(first + size, n) - 1]
 
         # --- transient construction state (freed on return) ---------
         # The arena's (derived, cached) order makes the ions
@@ -149,35 +183,33 @@ class ChunkedIndex:
         arena.drop_quantization_caches()
         by_chunk = np.argsort(ion_chunk, kind="stable")
         del ion_chunk
-        ion_parents = ion_rank[by_chunk]
-        ion_parents %= size
+        self.ion_parents = ion_rank[by_chunk]
         del ion_rank
         ion_buckets = np.repeat(
             np.arange(per_bucket.size, dtype=np.int32), per_bucket
         )[by_chunk]
         del by_chunk, per_bucket
-        ion_bounds = np.zeros(n_chunks + 1, dtype=np.int64)
-        np.cumsum(np.add.reduceat(arena.counts[order], first), out=ion_bounds[1:])
+        self.ion_bounds = np.zeros(n_chunks + 1, dtype=np.int64)
+        np.cumsum(
+            np.add.reduceat(arena.counts[order], first), out=self.ion_bounds[1:]
+        )
 
-        self.chunks: List[SLMIndex] = []
-        for c in range(n_chunks):
-            a, b = int(ion_bounds[c]), int(ion_bounds[c + 1])
-            n_buckets = int(ion_buckets[b - 1]) + 1 if b > a else 0
-            offsets = np.zeros(n_buckets + 1, dtype=np.int32)
-            if n_buckets:
-                np.cumsum(
-                    np.bincount(ion_buckets[a:b], minlength=n_buckets),
-                    out=offsets[1:],
-                )
-            self.chunks.append(
-                SLMIndex.from_sorted_arrays(
-                    settings,
-                    masses[c * size : (c + 1) * size],
-                    ion_parents[a:b],
-                    offsets,
-                )
+        # Each chunk's offsets run over its own buckets only: the top
+        # bucket of a (chunk, bucket)-major run is its last ion's.
+        filled = np.diff(self.ion_bounds) > 0
+        last = ion_buckets[self.ion_bounds[1:] - 1] if ion_buckets.size else 0
+        self.chunk_buckets = np.where(filled, np.int64(1) + last, 0)
+        self.offset_bounds = np.zeros(n_chunks + 1, dtype=np.int64)
+        np.cumsum(self.chunk_buckets + 1, out=self.offset_bounds[1:])
+        self.bucket_offsets = np.zeros(int(self.offset_bounds[-1]), dtype=np.int32)
+        for c in np.flatnonzero(filled).tolist():
+            a, b = self.ion_bounds[c], self.ion_bounds[c + 1]
+            o, top = self.offset_bounds[c], self.chunk_buckets[c]
+            np.cumsum(
+                np.bincount(ion_buckets[a:b], minlength=top),
+                out=self.bucket_offsets[o + 1 : o + top + 1],
             )
-        self.n_ions = int(ion_parents.size)
+        self.n_ions = int(self.ion_parents.size)
 
     # -- introspection -------------------------------------------------
 
@@ -187,7 +219,7 @@ class ChunkedIndex:
     @property
     def n_chunks(self) -> int:
         """Number of chunks."""
-        return len(self.chunks)
+        return int(self.chunk_buckets.size)
 
     # -- querying ------------------------------------------------------
 
@@ -196,10 +228,10 @@ class ChunkedIndex:
 
         Open search → all true.  Windowed → evaluated in float64 over
         the float32-rounded chunk extrema, with the *difference-form*
-        predicate the leaf filter uses (``|mass - neutral| <= tol``).
-        Because float subtraction against a fixed ``neutral`` is
-        monotone in ``mass``, a chunk is pruned only when every
-        member's ``mass - neutral`` provably falls outside
+        predicate the candidates are tested with (``|mass - neutral|
+        <= tol``).  Because float subtraction against a fixed
+        ``neutral`` is monotone in ``mass``, a chunk is pruned only
+        when every member's ``mass - neutral`` provably falls outside
         ``[-tol, tol]`` — so pruning can never drop an entry the flat
         index would keep, and chunked filtration stays bit-identical to
         it even exactly at window boundaries.
@@ -222,62 +254,139 @@ class ChunkedIndex:
         self,
         spectra: Sequence[Spectrum],
         *,
-        max_batch_keys: int = FILTER_BATCH_KEY_BUDGET,
         workspace: Workspace | None = None,
     ) -> List[FilterResult]:
         """Batched filtration: one :class:`FilterResult` per spectrum.
 
-        Spectra are grouped by the chunks their precursor windows
-        reach, each reached leaf runs the cross-spectrum batched kernel
-        over its group, and each spectrum's per-leaf parts are mapped
-        to manifest positions and sorted ascending — the flat index's
-        order.  ``max_batch_keys`` / ``workspace`` are handed to the
-        leaves (see :meth:`SLMIndex.filter_many`).
+        The whole batch is one array pass (see the module docstring);
+        a batch projected to gather more than
+        :data:`~repro.index.slm.FILTER_BATCH_ION_BUDGET` ions, or to
+        count over a larger key space, is split by spectrum.
+        ``workspace`` supplies scratch buffers; it defaults to the
+        calling thread's.
         """
         spectra = list(spectra)
-        reached = self._reached([s.neutral_mass for s in spectra])
-        cand_parts: List[List[np.ndarray]] = [[] for _ in spectra]
-        count_parts: List[List[np.ndarray]] = [[] for _ in spectra]
-        buckets = [0] * len(spectra)
-        ions = [0] * len(spectra)
-        for c in np.flatnonzero(reached.any(axis=0)).tolist():
-            group = np.flatnonzero(reached[:, c]).tolist()
-            leaf_results = self.chunks[c].filter_many(
-                [spectra[si] for si in group],
-                max_batch_keys=max_batch_keys,
-                workspace=workspace,
+        if not spectra or self.n_ions == 0:
+            return [_empty_result(0) for _ in spectra]
+        ws = workspace if workspace is not None else thread_workspace()
+        return self._filter_batch(spectra, ws)
+
+    def _filter_batch(
+        self, batch: Sequence[Spectrum], ws: Workspace
+    ) -> List[FilterResult]:
+        """One bounded batch of the windowed filtration kernel."""
+        nb = len(batch)
+        settings = self.settings
+        r = settings.resolution
+        frag_tol = settings.fragment_tolerance
+        neutral = np.fromiter((s.neutral_mass for s in batch), np.float64, nb)
+        peak_counts = np.fromiter((s.n_peaks for s in batch), np.int64, nb)
+        peak_bounds = np.zeros(nb + 1, dtype=np.int64)
+        np.cumsum(peak_counts, out=peak_bounds[1:])
+        reached = self._reached(neutral)
+        spec, chunk = np.nonzero(reached)  # spectrum-major (spectrum, chunk) pairs
+        if not spec.size or not peak_bounds[-1]:
+            return [_empty_result(0) for _ in batch]
+
+        # One window per (reached pair, peak of its spectrum), in
+        # spectrum-major order, clipped to the pair's chunk.
+        all_mzs = np.concatenate([s.mzs for s in batch])
+        lo = np.floor((all_mzs - frag_tol) / r).astype(np.int64)
+        hi = np.floor((all_mzs + frag_tol) / r).astype(np.int64) + 1
+        win_peak = concat_ranges(peak_bounds[spec], peak_bounds[spec + 1], workspace=ws)
+        win_chunk = np.repeat(chunk, peak_counts[spec])
+        top = self.chunk_buckets[win_chunk]
+        lo = np.clip(lo[win_peak], 0, top)
+        hi = np.clip(hi[win_peak], 0, top)
+        base = self.offset_bounds[win_chunk]
+        ion_base = self.ion_bounds[win_chunk]
+        starts = self.bucket_offsets[base + lo] + ion_base
+        stops = self.bucket_offsets[base + hi] + ion_base
+
+        # Windows of one spectrum are contiguous, and so are its ions.
+        win_bounds = np.zeros(nb + 1, dtype=np.int64)
+        np.cumsum(reached.sum(axis=1) * peak_counts, out=win_bounds[1:])
+        span_cum = np.zeros(hi.size + 1, dtype=np.int64)
+        np.cumsum(hi - lo, out=span_cum[1:])
+        size_cum = np.zeros(hi.size + 1, dtype=np.int64)
+        np.cumsum(stops - starts, out=size_cum[1:])
+        ion_bounds = size_cum[win_bounds]
+        total = int(ion_bounds[-1])
+
+        # The mass-rank run each spectrum's window can keep, widened
+        # for rounding; padded to one width so a single unsigned
+        # compare tests every ion (the exact predicate comes after).
+        n = len(self)
+        if settings.is_open_search:
+            rank_lo = np.zeros(nb, dtype=np.int64)
+            width = n
+        else:
+            tol = float(settings.precursor_tolerance)  # type: ignore[arg-type]
+            slack = _INTERVAL_SLACK * (np.abs(neutral) + tol)
+            rank_lo = np.searchsorted(self.masses64, neutral - tol - slack, "left")
+            rank_hi = np.searchsorted(self.masses64, neutral + tol + slack, "right")
+            width = int((rank_hi - rank_lo).max())
+        keys = nb * width
+
+        budget = slm.FILTER_BATCH_ION_BUDGET
+        if (total > budget or keys > budget) and nb > 1:
+            # Split by spectrum at half the gathered ions (each
+            # spectrum's result depends only on its own windows).
+            cut = int(np.searchsorted(ion_bounds, total // 2)) if total > budget else nb // 2
+            cut = min(max(cut, 1), nb - 1)
+            return self._filter_batch(batch[:cut], ws) + self._filter_batch(
+                batch[cut:], ws
             )
-            first = c * self.chunk_entries
-            for si, res in zip(group, leaf_results):
-                buckets[si] += res.buckets_scanned
-                ions[si] += res.ions_scanned
-                if res.candidates.size:
-                    cand_parts[si].append(self.positions[first + res.candidates])
-                    count_parts[si].append(res.shared_peaks)
+
+        buckets = (span_cum[win_bounds[1:]] - span_cum[win_bounds[:-1]]).tolist()
+        per_spec = np.diff(ion_bounds)
+        ions = per_spec.tolist()
+        if not total or not width:
+            return [_empty_result(b, i) for b, i in zip(buckets, ions)]
+
+        parents = ws.take("chunks.parents", total, np.int32)
+        # The gather index is in range by construction; "clip" only
+        # skips the buffered copy mode="raise" pays with out=.
+        np.take(
+            self.ion_parents,
+            concat_ranges(starts, stops, workspace=ws),
+            out=parents,
+            mode="clip",
+        )
+        rel = ws.take("chunks.rel", total, np.int32)
+        np.subtract(parents, np.repeat(rank_lo.astype(np.int32), per_spec), out=rel)
+        kept = np.flatnonzero(rel.view(np.uint32) < width)
+
+        # Count the survivors over (spectrum, rank - rank_lo) keys.
+        kept_spec = np.searchsorted(ion_bounds, kept, "right") - 1
+        counts = np.bincount(kept_spec * width + rel[kept], minlength=keys)
+        hits = np.flatnonzero(counts >= settings.shared_peak_threshold)
+        hit_spec = hits // width
+        hit_rank = hits - hit_spec * width + rank_lo[hit_spec]
+        if not settings.is_open_search:
+            inside = ~(np.abs(self.masses64[hit_rank] - neutral[hit_spec]) > tol)
+            hits, hit_spec, hit_rank = hits[inside], hit_spec[inside], hit_rank[inside]
+        cands = self.positions[hit_rank]
+        order = np.lexsort((cands, hit_spec))
+        cands = cands[order]
+        shared = counts[hits[order]].astype(np.int32)
+        cand_bounds = np.searchsorted(hit_spec[order], np.arange(nb + 1)).tolist()
         return [
-            _assemble(cand_parts[si], count_parts[si], buckets[si], ions[si])
-            for si in range(len(spectra))
+            FilterResult(
+                candidates=cands[cand_bounds[i] : cand_bounds[i + 1]],
+                shared_peaks=shared[cand_bounds[i] : cand_bounds[i + 1]],
+                buckets_scanned=buckets[i],
+                ions_scanned=ions[i],
+            )
+            for i in range(nb)
         ]
 
 
-def _assemble(
-    cand_parts: List[np.ndarray],
-    count_parts: List[np.ndarray],
-    buckets: int,
-    ions: int,
-) -> FilterResult:
-    """Merge one spectrum's per-leaf parts into manifest-position order."""
-    if cand_parts:
-        candidates = np.concatenate(cand_parts)
-        shared = np.concatenate(count_parts)
-        order = np.argsort(candidates)
-        candidates, shared = candidates[order], shared[order]
-    else:
-        candidates = np.empty(0, dtype=np.int32)
-        shared = np.empty(0, dtype=np.int32)
+def _empty_result(buckets: int, ions: int = 0) -> FilterResult:
+    """No candidates, with the given work counters."""
     return FilterResult(
-        candidates=candidates,
-        shared_peaks=shared,
-        buckets_scanned=buckets,
-        ions_scanned=ions,
+        candidates=np.empty(0, dtype=np.int32),
+        shared_peaks=np.empty(0, dtype=np.int32),
+        buckets_scanned=int(buckets),
+        ions_scanned=int(ions),
     )

@@ -22,6 +22,14 @@ The index also reports exact *work counters* (buckets and ion entries
 touched, candidates produced) which the distributed runtime converts to
 virtual time; this is what makes load-imbalance experiments
 deterministic.
+
+This flat index is the open-search rank index and the serial oracle's.
+A windowed rank index is :class:`~repro.index.chunks.ChunkedIndex`,
+which keeps its own flat precursor-major arrays and shares only
+:class:`FilterResult`, the settings, :data:`FILTER_BATCH_ION_BUDGET`
+and the window predicate's form with this class.  Besides the
+constructor, :meth:`SLMIndex.from_sorted_arrays` rebuilds an index from
+a saved archive.
 """
 
 from __future__ import annotations
@@ -53,7 +61,8 @@ FILTER_BATCH_KEY_BUDGET = 1 << 22
 #: Bound on the ions gathered by one batch (the dominant transient:
 #: 4 B/ion of gathered ``int32`` parent ids, 32 MB at this default).
 #: A batch projected to gather more is split by spectrum; a single
-#: spectrum may still exceed it.
+#: spectrum may still exceed it.  :class:`~repro.index.chunks.ChunkedIndex`
+#: splits by it too, and also bounds its counting key space with it.
 FILTER_BATCH_ION_BUDGET = 1 << 23
 
 
@@ -259,9 +268,7 @@ class SLMIndex:
         bucket-major order and ``bucket_offsets`` its CSR offsets (any
         integer dtype; length = top bucket + 2), ``masses`` the float32
         neutral mass per local id.  This is how an archive is reloaded
-        (:func:`~repro.index.serialize.load_index`) and how
-        :class:`~repro.index.chunks.ChunkedIndex` makes its leaves:
-        views into arrays it sorted once for the whole rank.
+        (:func:`~repro.index.serialize.load_index`).
         """
         index = cls.__new__(cls)
         index.settings = settings

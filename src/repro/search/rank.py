@@ -37,7 +37,7 @@ nothing else:
 index either way — it is the oracle the rank body is checked against.
 
 Both indexes return candidates as **manifest positions, ascending**
-(the chunked one maps its mass-ranked leaf ids back and sorts), which
+(the chunked one maps its mass ranks back and sorts), which
 is the id space everything after filtration lives in: scoring gathers
 fragments from the manifest-ordered sub-arena, top-k tie-breaks through
 ``entry_ids[candidates]``, and the master's mapping table translates

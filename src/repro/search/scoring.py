@@ -33,6 +33,16 @@ and the last-ulp rounding — is that of a dense credit vector (see
 ROADMAP invariants).  Small gathers skip stage 1 (the table set-up
 would not repay) and take the exact test directly.
 
+Batches: :func:`score_many` scores runs of consecutive small-gather
+spectra — a precursor-windowed search scores a handful of candidates
+per spectrum — as one *block* (:func:`_score_block`): one gather, one
+exact test, one credit vector and one fold for the whole run, so numpy
+call overhead is paid per block instead of per spectrum.  Each spectrum
+still binary-searches its own peaks, and each candidate's fold covers
+the same credits, zeros included, as in :func:`score_candidates`, so
+the outcomes are byte-identical.  Spectra with large gathers (every
+open-search spectrum) keep the per-spectrum two-stage path.
+
 Candidate fragments come from a flat
 :class:`~repro.index.arena.FragmentArena` (one vectorized range
 concatenation, residues from ``lengths``) or, for the reference paths
@@ -93,6 +103,11 @@ _COARSE_MIN_FRAGMENTS = 4096
 #: Largest coarse table, in buckets (~42 000 Da); spectra reaching
 #: beyond it take the exact test directly.
 _COARSE_MAX_BUCKETS = 1 << 22
+
+#: Bound on the fragments one :func:`score_many` block gathers
+#: (512 KB of float64 m/z); a single spectrum's gather stays below
+#: ``_COARSE_MIN_FRAGMENTS`` to join a block at all.
+_BLOCK_FRAGMENTS = 1 << 16
 
 
 def _coarse_survivors(
@@ -296,28 +311,162 @@ def score_many(
     """Score many spectra's candidate sets in one batched call.
 
     ``candidate_lists[i]`` holds the candidate ids of ``spectra[i]``;
-    outcomes align with the inputs and are identical to per-spectrum
-    :func:`score_candidates` calls.  The batched entry point keeps the
-    engines' per-spectrum loops allocation-light: the gather/credit
-    scratch stays warm across the whole run.
+    outcomes align with the inputs and are byte-identical to
+    per-spectrum :func:`score_candidates` calls.
+
+    With an arena that carries ``lengths``, consecutive spectra whose
+    gathers are small (fewer than ``_COARSE_MIN_FRAGMENTS`` fragments,
+    so :func:`score_candidates` would skip the coarse stage) are scored
+    in blocks of up to :data:`_BLOCK_FRAGMENTS` fragments — one gather,
+    one exact test, one credit vector and one fold per block instead of
+    per spectrum (:func:`_score_block`).  Every other spectrum — a
+    large gather, or candidates but nothing to match — and every
+    reference path (``peptides`` / ``fragments``) goes through
+    :func:`score_candidates` itself.
     """
     if len(spectra) != len(candidate_lists):
         raise ConfigurationError(
             f"{len(spectra)} spectra for {len(candidate_lists)} candidate lists"
         )
-    return [
-        score_candidates(
-            s,
+
+    def one(i: int) -> ScoringOutcome:
+        return score_candidates(
+            spectra[i],
             peptides,
-            cands,
+            candidate_lists[i],
             fragment_tolerance=fragment_tolerance,
             fragmentation=fragmentation,
             fragments=fragments,
             arena=arena,
             workspace=workspace,
         )
-        for s, cands in zip(spectra, candidate_lists)
-    ]
+
+    n_spectra = len(spectra)
+    if arena is None or arena.lengths is None or not n_spectra:
+        return [one(i) for i in range(n_spectra)]
+    ws = workspace if workspace is not None else thread_workspace()
+
+    n_cands = np.fromiter((c.size for c in candidate_lists), np.int64, n_spectra)
+    cand_bounds = np.zeros(n_spectra + 1, dtype=np.int64)
+    np.cumsum(n_cands, out=cand_bounds[1:])
+    cids = np.concatenate(candidate_lists).astype(np.int64, copy=False)
+    frag_cum = np.zeros(cids.size + 1, dtype=np.int64)
+    np.cumsum(arena.counts[cids], out=frag_cum[1:])
+    gathered = np.diff(frag_cum[cand_bounds]).tolist()
+    scored = (n_cands > 0).tolist()
+    cand_bounds_list = cand_bounds.tolist()
+
+    outcomes: List[ScoringOutcome] = [None] * n_spectra  # type: ignore[list-item]
+
+    def flush(block: List[int]) -> None:
+        # A block's set-up costs more than it saves for one spectrum.
+        if sum(scored[i] for i in block) > 1:
+            _score_block(
+                block, spectra, cids, cand_bounds_list, frag_cum,
+                arena, fragment_tolerance, ws, outcomes,
+            )
+        else:
+            for i in block:
+                outcomes[i] = one(i)
+
+    block: List[int] = []
+    block_fragments = 0
+    for i, m in enumerate(gathered):
+        small = not scored[i] or (spectra[i].n_peaks and 0 < m < _COARSE_MIN_FRAGMENTS)
+        if block and (not small or block_fragments + m > _BLOCK_FRAGMENTS):
+            flush(block)
+            block, block_fragments = [], 0
+        if small:
+            block.append(i)
+            block_fragments += m
+        else:
+            outcomes[i] = one(i)
+    flush(block)
+    return outcomes
+
+
+def _score_block(
+    block: List[int],
+    spectra: Sequence[Spectrum],
+    cids: np.ndarray,
+    cand_bounds: List[int],
+    frag_cum: np.ndarray,
+    arena: FragmentArena,
+    tolerance: float,
+    ws: Workspace,
+    outcomes: List[ScoringOutcome],
+) -> None:
+    """Score consecutive small-gather spectra as one block, in place.
+
+    ``block`` lists consecutive spectrum positions, each with no
+    candidates or with peaks and a gather below the coarse cut-off, at
+    least two of them with candidates.  The block's candidates are one
+    slice of ``cids``, so one gather covers them.  Each spectrum keeps its own ``searchsorted`` against
+    its own peaks; the rest of the exact test runs once over the
+    block, against every member's peaks laid end to end with its first
+    and last peak repeated, so ``pos`` and ``pos + 1`` index exactly
+    the ``max(pos - 1, 0)`` / ``min(pos, n - 1)`` neighbours
+    :func:`score_candidates` compares.  The credit vector keeps every
+    zero and each candidate's fold starts where the per-spectrum fold
+    would (clipped to its spectrum's last fragment), so each segment
+    sums the same values in the same order: the scores are
+    byte-identical (ROADMAP invariant on ``reduceat``).
+    """
+    c0, c1 = cand_bounds[block[0]], cand_bounds[block[-1] + 1]
+    members = [i for i in block if cand_bounds[i + 1] > cand_bounds[i]]
+    theo, sizes = arena.gather_flat(cids[c0:c1], workspace=ws)
+    first = [cand_bounds[i] for i in members]
+    stop = [cand_bounds[i + 1] for i in members]
+    frag_lo = (frag_cum[first] - frag_cum[c0]).tolist()
+    frag_hi = frag_cum[stop] - frag_cum[c0]
+    n_peaks = np.fromiter(
+        (spectra[i].n_peaks for i in members), np.int64, len(members)
+    )
+    # Peaks end to end, each member's first and last repeated.
+    peak_end = np.cumsum(n_peaks)
+    repeats = np.ones(int(peak_end[-1]), dtype=np.int64)
+    repeats[peak_end - n_peaks] += 1
+    repeats[peak_end - 1] += 1
+    layout = np.repeat(np.arange(repeats.size), repeats)
+    q_mzs = np.concatenate([spectra[i].mzs for i in members])[layout]
+    q_int = np.concatenate([spectra[i].intensities for i in members])[layout]
+    q_start = (peak_end - n_peaks + 2 * np.arange(len(members))).tolist()
+
+    pos = ws.take("score.block.pos", theo.size, np.intp)
+    for k, (i, a, b) in enumerate(zip(members, frag_lo, frag_hi.tolist())):
+        np.add(np.searchsorted(spectra[i].mzs, theo[a:b]), q_start[k], out=pos[a:b])
+
+    d_left = np.abs(theo - q_mzs[pos])
+    d_right = np.abs(theo - q_mzs[pos + 1])
+    hit = np.flatnonzero(np.minimum(d_left, d_right) <= tolerance)
+    left = pos[hit]
+    nearest = np.where(d_left[hit] <= d_right[hit], left, left + 1)
+    bounds = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    matched = np.diff(np.searchsorted(hit, bounds)).astype(np.int32)
+
+    credit = ws.take("score.credit", theo.size, np.float64)
+    credit.fill(0.0)
+    credit[hit] = q_int[nearest]
+    # Each fold starts where score_candidates starts it: clipped to
+    # the last fragment of the candidate's own spectrum.
+    last = np.repeat(frag_hi - 1, np.subtract(stop, first))
+    seg = np.add.reduceat(credit, np.minimum(bounds[:-1], last))
+    intensity_sums = np.where(sizes > 0, seg, 0.0)
+    scores = np.where(
+        matched > 0, _lgamma_counts(matched) + np.log1p(intensity_sums), 0.0
+    )
+    res_cum = np.zeros(c1 - c0 + 1, dtype=np.int64)
+    np.cumsum(arena.lengths[cids[c0:c1]], out=res_cum[1:])
+    res_cum = res_cum.tolist()
+    for i in block:
+        a, b = cand_bounds[i] - c0, cand_bounds[i + 1] - c0
+        outcomes[i] = ScoringOutcome(
+            scores=scores[a:b],
+            n_matched=matched[a:b],
+            candidates_scored=b - a,
+            residues_scored=res_cum[b] - res_cum[a],
+        )
 
 
 #: Vectorized ln(Γ(x)); scipy-free (math.lgamma broadcast by numpy).

@@ -102,6 +102,17 @@ def chunk_sizes(n):
     return sorted({size for size in (1, 2, n - 1, n, n + 1) if size >= 1})
 
 
+def chunk_leaf(arena, ci, c):
+    """Test-only flat index over chunk ``c``'s members: what it must count.
+
+    A chunk's windows are clipped to its own top bucket and gather only
+    its own ions, which is exactly a flat index built over its members.
+    """
+    size = ci.chunk_entries
+    members = ci.positions[c * size : (c + 1) * size]
+    return SLMIndex(None, ci.settings, arena=arena.take(members))
+
+
 def assert_equals_flat(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -164,17 +175,35 @@ def test_chunked_equals_flat_for_every_chunk_size(**case):
 
 
 @PROPERTY
+@given(open_tol=st.sampled_from([None, np.inf]), **CASES)
+def test_open_search_settings_on_a_chunked_index_equal_flat(open_tol, **case):
+    """Every chunk reached and every rank kept: still the flat answer."""
+    arena, spectra, settings = draw_case(**case)
+    settings = SLMIndexSettings(
+        shared_peak_threshold=settings.shared_peak_threshold,
+        precursor_tolerance=open_tol,
+    )
+    want = SLMIndex(None, settings, arena=arena).filter_many(spectra)
+    for size in chunk_sizes(arena.n_entries):
+        got = ChunkedIndex(arena, settings, chunk_entries=size).filter_many(spectra)
+        assert_equals_flat(got, want)
+        # Every ion sits in exactly one chunk, and every chunk is reached.
+        assert [g.ions_scanned for g in got] == [w.ions_scanned for w in want]
+
+
+@PROPERTY
 @given(**CASES)
 def test_counters_sum_over_the_visited_leaves(**case):
     arena, spectra, settings = draw_case(**case)
     flat = SLMIndex(None, settings, arena=arena).filter_many(spectra)
     for size in chunk_sizes(arena.n_entries):
         ci = ChunkedIndex(arena, settings, chunk_entries=size)
+        leaf = [chunk_leaf(arena, ci, c) for c in range(ci.n_chunks)]
         visited_any = False
         for s, got, want in zip(spectra, ci.filter_many(spectra), flat):
             visited = ci.chunks_for(s)
             visited_any |= 0 < len(visited) < ci.n_chunks
-            leaves = [ci.chunks[c].filter(s) for c in visited]
+            leaves = [leaf[c].filter(s) for c in visited]
             assert got.ions_scanned == sum(r.ions_scanned for r in leaves)
             assert got.buckets_scanned == sum(r.buckets_scanned for r in leaves)
             assert got.ions_scanned <= want.ions_scanned
@@ -284,7 +313,8 @@ def test_zero_ion_entries_and_zero_peak_spectra():
     )
     settings = SLMIndexSettings(shared_peak_threshold=1, precursor_tolerance=2.0)
     ci = ChunkedIndex(arena, settings, chunk_entries=1)
-    assert [leaf.n_ions for leaf in ci.chunks] == [0, 2, 0, 0]
+    assert np.diff(ci.ion_bounds).tolist() == [0, 2, 0, 0]
+    assert ci.chunk_buckets.tolist() == [0, int(200.0 / settings.resolution) + 1, 0, 0]
     got = ci.filter_many([_spectrum(1000.5), _spectrum(1000.5, mzs=())])
     assert got[0].candidates.tolist() == [1]
     assert got[1].candidates.size == 0 and got[1].ions_scanned == 0
@@ -297,11 +327,21 @@ def test_leaf_offsets_are_int32_and_trimmed_to_the_chunks_top_bucket():
         masses=np.array([500.0, 1500.0], dtype=np.float32),
     )
     settings = SLMIndexSettings(precursor_tolerance=2.0)
-    light, heavy = ChunkedIndex(arena, settings, chunk_entries=1).chunks
-    assert light.bucket_offsets.dtype == heavy.bucket_offsets.dtype == np.int32
-    assert light.ion_parents.dtype == np.int32
-    assert light.n_buckets == int(100.0 / settings.resolution) + 1
-    assert heavy.n_buckets == int(900.0 / settings.resolution) + 1
+    ci = ChunkedIndex(arena, settings, chunk_entries=1)
+    assert ci.bucket_offsets.dtype == ci.ion_parents.dtype == np.int32
+    light, heavy = (
+        int(100.0 / settings.resolution) + 1,
+        int(900.0 / settings.resolution) + 1,
+    )
+    assert ci.chunk_buckets.tolist() == [light, heavy]
+    # One run per chunk, one slot past its top bucket, chunk-relative:
+    # each starts at 0 and ends at its own ion count.
+    assert ci.offset_bounds.tolist() == [0, light + 1, light + heavy + 2]
+    runs = np.split(ci.bucket_offsets, ci.offset_bounds[1:-1])
+    assert [(run[0], run[-1]) for run in runs] == [(0, 1), (0, 2)]
+    for c, run in enumerate(runs):
+        leaf = chunk_leaf(arena, ci, c)
+        assert np.array_equal(run, leaf.bucket_offsets)
 
 
 # -- who builds which index --------------------------------------------

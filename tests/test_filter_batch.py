@@ -166,7 +166,9 @@ def test_filter_many_bit_identical_on_synthetic_run():
 
 
 @pytest.mark.parametrize("precursor_tolerance", [None, 1.0])
-def test_chunked_filter_many_matches_per_spectrum(precursor_tolerance):
+def test_chunked_filter_many_matches_per_spectrum(precursor_tolerance, monkeypatch):
+    import repro.index.slm as slm_mod
+
     settings = SLMIndexSettings(
         shared_peak_threshold=1, precursor_tolerance=precursor_tolerance
     )
@@ -174,8 +176,18 @@ def test_chunked_filter_many_matches_per_spectrum(precursor_tolerance):
     spectra = mixed_spectra()
     batched = ci.filter_many(spectra)
     assert_results_equal(batched, [ci.filter(s) for s in spectra])
-    # Tiny key budget exercises multi-batch execution inside each chunk.
-    assert_results_equal(ci.filter_many(spectra, max_batch_keys=1), batched)
+    # A one-ion budget splits the batch by spectrum down to batches of one.
+    calls = []
+    kernel = ChunkedIndex._filter_batch
+
+    def spy(self, batch, ws):
+        calls.append(len(batch))
+        return kernel(self, batch, ws)
+
+    monkeypatch.setattr(slm_mod, "FILTER_BATCH_ION_BUDGET", 1)
+    monkeypatch.setattr(ChunkedIndex, "_filter_batch", spy)
+    assert_results_equal(ci.filter_many(spectra), batched)
+    assert calls.count(1) >= len(spectra) - 2  # spectra without ions need no split
 
 
 def test_chunked_filter_many_matches_flat_index():
@@ -281,9 +293,9 @@ def test_concat_ranges_workspace_reuse_stays_correct(pairs_a, pairs_b):
         return starts, starts + np.array([w for _, w in pairs], dtype=np.int64)
 
     ws = Workspace()
-    got_a = concat_ranges(*args(pairs_a), workspace=ws, name="t")
+    got_a = concat_ranges(*args(pairs_a), workspace=ws)
     copy_a = got_a.copy()  # consume before the next call clobbers it
-    got_b = concat_ranges(*args(pairs_b), workspace=ws, name="t")
+    got_b = concat_ranges(*args(pairs_b), workspace=ws)
     assert np.array_equal(copy_a, naive(pairs_a))
     assert np.array_equal(got_b, naive(pairs_b))
 
@@ -306,8 +318,8 @@ def test_concat_ranges_workspace_views_alias_buffer():
     ws = Workspace()
     starts = np.array([3, 10], dtype=np.int64)
     stops = np.array([6, 12], dtype=np.int64)
-    first = concat_ranges(starts, stops, workspace=ws, name="alias")
-    second = concat_ranges(starts, stops, workspace=ws, name="alias")
+    first = concat_ranges(starts, stops, workspace=ws)
+    second = concat_ranges(starts, stops, workspace=ws)
     # Same request size -> the scratch view aliases the same buffer.
     assert first.base is second.base
     assert np.array_equal(second, np.array([3, 4, 5, 10, 11]))

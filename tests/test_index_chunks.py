@@ -50,10 +50,10 @@ def test_chunks_sorted_by_mass():
     ci = chunked()
     assert np.all(ci.mass_min <= ci.mass_max)
     assert np.all(ci.mass_max[:-1] <= ci.mass_min[1:])
-    assert np.array_equal(
-        np.array([p.mass for p in PEPTIDES], dtype=np.float32)[ci.positions],
-        np.concatenate([leaf.masses for leaf in ci.chunks]),
-    )
+    masses = np.array([p.mass for p in PEPTIDES], dtype=np.float32)[ci.positions]
+    assert np.array_equal(masses.astype(np.float64), ci.masses64)
+    first = np.arange(0, len(ci), ci.chunk_entries)
+    assert np.array_equal(ci.mass_min, ci.masses64[first])
 
 
 def test_filter_ids_in_input_space():

@@ -101,9 +101,9 @@ def test_internal_chunking_tracks_the_live_chunked_rank_index(tiny_db, monkeypat
         ChunkedIndex(arena.take(np.arange(r, n, n_ranks)), settings)
         for r in range(n_ranks)
     ]
-    leaves = [leaf for index in ranks for leaf in index.chunks]
-    assert len(leaves) > 2 * n_ranks
-    top_bucket = max(leaf.n_buckets for leaf in leaves) - 1
+    buckets = [int(b) for index in ranks for b in index.chunk_buckets]
+    assert len(buckets) > 2 * n_ranks
+    top_bucket = max(buckets) - 1
     m = IndexMemoryModel(
         ions_per_entry=sum(index.n_ions for index in ranks) / n,
         max_mz=(top_bucket + 0.5) * settings.resolution,
@@ -117,13 +117,16 @@ def test_internal_chunking_tracks_the_live_chunked_rank_index(tiny_db, monkeypat
         index.positions.nbytes for index in ranks
     )
     assert chunked.ion_bytes == pytest.approx(
-        sum(leaf.ion_parents.nbytes for leaf in leaves), abs=4
+        sum(index.ion_parents.nbytes for index in ranks), abs=4
     )
     # Offsets: the model charges every chunk the full bucket extent;
-    # the live arrays (one more slot each) stop at the chunk's own top
+    # the live runs (one more slot each) stop at the chunk's own top
     # bucket, so the heaviest is charged exactly and the sum is bounded.
-    assert chunked.offsets_bytes == 4 * m.n_buckets * len(leaves)
-    live = [leaf.bucket_offsets.nbytes - 4 for leaf in leaves]
+    assert chunked.offsets_bytes == 4 * m.n_buckets * len(buckets)
+    live = [4 * b for b in buckets]
+    assert sum(index.bucket_offsets.nbytes for index in ranks) == sum(live) + 4 * len(
+        buckets
+    )
     assert max(live) == 4 * m.n_buckets
     assert 0.25 * chunked.offsets_bytes < sum(live) <= chunked.offsets_bytes
 
