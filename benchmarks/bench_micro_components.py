@@ -18,6 +18,7 @@ import pytest
 from repro.core.editdist import EncodedSequences
 from repro.core.grouping import GroupingConfig, group_peptides, sorted_order
 from repro.core.partition import make_policy
+from repro.index.arena import FragmentArena
 from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.search.scoring import score_candidates
 from repro.spectra.preprocess import preprocess_spectrum
@@ -30,10 +31,7 @@ def workload(suite):
 
 @pytest.fixture(scope="module")
 def built_index(workload):
-    db = workload.database
-    return SLMIndex(
-        db.entries, SLMIndexSettings(), fragments=db.fragments_for()
-    )
+    return SLMIndex(workload.database.arena_for(), SLMIndexSettings())
 
 
 @pytest.fixture(scope="module")
@@ -44,13 +42,18 @@ def query(workload, built_index):
 
 
 def test_index_build(benchmark, workload):
-    db = workload.database
-    frags = db.fragments_for()
-    entries = db.entries[:5000]
-    frag_slice = frags[:5000]
+    """Cold build over the first 5000 entries: each round quantizes and
+    sorts a fresh arena."""
+    arena = workload.database.arena_for()
+    offsets = arena.offsets[:5001]
+    mzs = arena.mzs[: offsets[-1]]
+    lengths, masses = arena.lengths[:5000], arena.masses[:5000]
 
     index = benchmark(
-        lambda: SLMIndex(entries, SLMIndexSettings(), fragments=frag_slice)
+        lambda: SLMIndex(
+            FragmentArena(mzs, offsets, lengths=lengths, masses=masses),
+            SLMIndexSettings(),
+        )
     )
     assert index.n_ions > 0
 
@@ -63,15 +66,12 @@ def test_filter_one_query(benchmark, built_index, query):
 
 def test_score_one_query(benchmark, workload, built_index, query):
     spectrum, fres = query
-    db = workload.database
-    frags = db.fragments_for()
     out = benchmark(
         score_candidates,
         spectrum,
-        db.entries,
+        workload.database.arena_for(),
         fres.candidates,
         fragment_tolerance=0.05,
-        fragments=frags,
     )
     assert out.candidates_scored == fres.candidates.size
 

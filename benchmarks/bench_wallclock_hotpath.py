@@ -7,8 +7,9 @@ synthetic workload, comparing
 * **legacy**: faithful copies of the pre-arena implementations
   (per-peptide quantization loop in the index build, per-candidate
   Python assembly in scoring, per-call allocations in filtration),
-  fed the same precomputed per-peptide fragment arrays the old
-  ``IndexedDatabase.fragments_for`` cache provided, and
+  fed precomputed per-peptide fragment arrays (copies of the arena's
+  per-entry slices, the list-of-arrays shape the pre-arena cache
+  held), and
 * **arena**: the current kernels through the public API
   (:class:`~repro.index.slm.SLMIndex` over a
   :class:`~repro.index.arena.FragmentArena`, ``filter_many`` /
@@ -92,7 +93,7 @@ def legacy_build(peptides, settings: SLMIndexSettings, fragments) -> tuple:
 
 def legacy_filter(index: SLMIndex, spectrum: Spectrum):
     """Pre-arena filtration: fresh steps/counts allocations per call."""
-    n = len(index.peptides)
+    n = index.n_peptides
     settings = index.settings
     if n == 0 or index.n_ions == 0 or spectrum.n_peaks == 0:
         return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
@@ -237,8 +238,9 @@ def run(quick: bool = False, threshold: int = 4) -> dict:
     # runs: the legacy path gets the old list-of-arrays cache shape,
     # the arena path gets the flat arena (quantized once, as every
     # engine over a database shares the cached quantization).
-    fragments = [np.array(v) for v in db.fragments_for(settings.fragmentation)]
     arena = db.arena_for(settings.fragmentation)
+    bounds = arena.offsets.tolist()
+    fragments = [arena.mzs[a:b].copy() for a, b in zip(bounds[:-1], bounds[1:])]
     arena.buckets_for(settings.resolution)
 
     t_legacy_build, _ = _best_of(
@@ -250,17 +252,17 @@ def run(quick: bool = False, threshold: int = 4) -> dict:
     # from the same precomputed fragment arrays, paying flatten +
     # quantize + sort, the apples-to-apples match for legacy_build
     # (which re-quantizes and re-sorts every call).
-    t_arena_build, index = _best_of(
-        repeats, lambda: SLMIndex(db.entries, settings, arena=arena)
-    )
+    t_arena_build, index = _best_of(repeats, lambda: SLMIndex(arena, settings))
     t_arena_build_cold, _ = _best_of(
         repeats,
         lambda: SLMIndex(
-            db.entries,
-            settings,
-            arena=FragmentArena.from_arrays(
-                fragments, lengths=arena.lengths, masses=arena.masses
+            FragmentArena(
+                np.concatenate(fragments),
+                arena.offsets.copy(),
+                lengths=arena.lengths,
+                masses=arena.masses,
             ),
+            settings,
         ),
     )
 

@@ -430,10 +430,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_index(args: argparse.Namespace) -> int:
     db = _build_database(args.fasta, args.max_variants)
     settings = SLMIndexSettings()
-    index = SLMIndex(
-        db.entries, settings, arena=db.arena_for(settings.fragmentation)
-    )
-    save_index(args.out, index, compress=False)
+    index = SLMIndex(db.arena_for(settings.fragmentation), settings)
+    save_index(args.out, index, db.entries, compress=False)
     print(
         f"indexed {db.n_entries} entries ({index.n_ions} ions) from "
         f"{db.n_bases} peptides -> {args.out} (uncompressed, memmap-ready)"
@@ -454,8 +452,8 @@ def _serve_database(args: argparse.Namespace):
         # variant enumeration.  The fragment arena is still generated
         # from the peptide table at open() — the archive stores the
         # built index's CSR, not the arena (see the ROADMAP open item).
-        index = load_index(args.index, mmap_mode="r")
-        return IndexedDatabase.from_index_entries(index.peptides), index.settings
+        peptides, index = load_index(args.index, mmap_mode="r")
+        return IndexedDatabase.from_index_entries(peptides), index.settings
     return _build_database(args.fasta, args.max_variants), SLMIndexSettings()
 
 

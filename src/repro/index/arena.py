@@ -21,30 +21,29 @@ CSR structure:
 * per-resolution **bucket caches** — parallel ``int64`` arrays holding
   ``floor(mz / r)``, quantized once per resolution and shared by every
   index built over the arena,
-* optional parallel per-entry metadata: ``lengths`` (residue counts,
-  the scoring cost basis) and ``masses`` (float32 neutral masses, the
-  precursor-filter input).
+* parallel per-entry metadata, always present: ``lengths`` (residue
+  counts, the scoring cost basis) and ``masses`` (float32 neutral
+  masses, the precursor-filter input).
 
 Consumers:
 
-* :class:`~repro.index.slm.SLMIndex` builds its bucket-major CSR with
-  one ``argsort`` over an arena bucket slice — no per-peptide loop,
-  no transient list-of-arrays,
+* :class:`~repro.index.slm.SLMIndex` and
+  :class:`~repro.index.chunks.ChunkedIndex` take one arena as their
+  only input and build their CSR structures from its cached bucket
+  quantization and sort order,
 * :func:`~repro.search.scoring.score_candidates` gathers all candidate
   fragments with one vectorized range concatenation,
-* :class:`~repro.search.engine.DistributedSearchEngine` carves
-  per-rank sub-arenas with :meth:`FragmentArena.take` instead of
-  rebuilding Python lists entry-by-entry.
+* every rank carves its sub-arena with :meth:`FragmentArena.take`.
 
-Every path is bit-identical to the per-peptide-array layout it
-replaced: the arena is exactly the concatenation of the old arrays,
-so downstream float arithmetic sees the same operand sequences.
+The arena is exactly the concatenation of each entry's
+:func:`~repro.chem.fragments.fragment_mzs` array, so downstream float
+arithmetic sees the same operand sequences as a per-entry layout.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -190,9 +189,9 @@ class FragmentArena:
     offsets:
         int64 CSR offsets, length ``n_entries + 1``.
     lengths:
-        Optional int64 residue count per entry.
+        int64 residue count per entry.
     masses:
-        Optional float32 neutral mass per entry.
+        float32 neutral mass per entry.
     """
 
     __slots__ = (
@@ -201,7 +200,6 @@ class FragmentArena:
         "lengths",
         "masses",
         "_counts",
-        "_views",
         "_bucket_cache",
         "_order_cache",
     )
@@ -211,8 +209,8 @@ class FragmentArena:
         mzs: np.ndarray,
         offsets: np.ndarray,
         *,
-        lengths: np.ndarray | None = None,
-        masses: np.ndarray | None = None,
+        lengths: np.ndarray,
+        masses: np.ndarray,
     ) -> None:
         mzs = np.asarray(mzs, dtype=np.float64)
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -223,16 +221,15 @@ class FragmentArena:
                 f"arena offsets end at {int(offsets[-1])} but mzs holds {mzs.size}"
             )
         n = offsets.size - 1
-        if lengths is not None and len(lengths) != n:
+        if len(lengths) != n:
             raise ConfigurationError(f"{len(lengths)} lengths for {n} entries")
-        if masses is not None and len(masses) != n:
+        if len(masses) != n:
             raise ConfigurationError(f"{len(masses)} masses for {n} entries")
         self.mzs = mzs
         self.offsets = offsets
-        self.lengths = None if lengths is None else np.asarray(lengths, dtype=np.int64)
-        self.masses = None if masses is None else np.asarray(masses, dtype=np.float32)
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.masses = np.asarray(masses, dtype=np.float32)
         self._counts: np.ndarray | None = None
-        self._views: List[np.ndarray] | None = None
         self._bucket_cache: Dict[float, np.ndarray] = {}
         self._order_cache: Dict[float, np.ndarray] = {}
 
@@ -257,24 +254,6 @@ class FragmentArena:
             masses=np.array([p.mass for p in peptides], dtype=np.float32),
         )
 
-    @classmethod
-    def from_arrays(
-        cls,
-        arrays: Sequence[np.ndarray],
-        *,
-        lengths: np.ndarray | None = None,
-        masses: np.ndarray | None = None,
-    ) -> "FragmentArena":
-        """Flatten precomputed per-entry fragment arrays into an arena."""
-        n = len(arrays)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        if n:
-            np.cumsum([a.size for a in arrays], out=offsets[1:])
-            mzs = np.concatenate(arrays) if offsets[-1] else np.empty(0, dtype=np.float64)
-        else:
-            mzs = np.empty(0, dtype=np.float64)
-        return cls(mzs, offsets, lengths=lengths, masses=masses)
-
     # -- introspection --------------------------------------------------
 
     @property
@@ -297,30 +276,17 @@ class FragmentArena:
     @property
     def nbytes(self) -> int:
         """Resident bytes: flat arrays, metadata, and bucket caches."""
-        total = self.mzs.nbytes + self.offsets.nbytes
-        if self.lengths is not None:
-            total += self.lengths.nbytes
-        if self.masses is not None:
-            total += self.masses.nbytes
+        total = (
+            self.mzs.nbytes
+            + self.offsets.nbytes
+            + self.lengths.nbytes
+            + self.masses.nbytes
+        )
         for cached in self._bucket_cache.values():
             total += cached.nbytes
         for cached in self._order_cache.values():
             total += cached.nbytes
         return total
-
-    def fragments_of(self, entry_id: int) -> np.ndarray:
-        """Zero-copy view of entry ``entry_id``'s fragment m/z values."""
-        return self.mzs[self.offsets[entry_id] : self.offsets[entry_id + 1]]
-
-    def views(self) -> List[np.ndarray]:
-        """Per-entry zero-copy views (the legacy list-of-arrays shape).
-
-        Cached so repeated callers share one list object; the views
-        alias :attr:`mzs`, so no fragment data is duplicated.
-        """
-        if self._views is None:
-            self._views = [self.fragments_of(i) for i in range(self.n_entries)]
-        return self._views
 
     # -- quantization ---------------------------------------------------
 
@@ -397,8 +363,8 @@ class FragmentArena:
         sub = FragmentArena(
             self.mzs[idx],
             new_offsets,
-            lengths=None if self.lengths is None else self.lengths[ids],
-            masses=None if self.masses is None else self.masses[ids],
+            lengths=self.lengths[ids],
+            masses=self.masses[ids],
         )
         for resolution, buckets in self._bucket_cache.items():
             sub._bucket_cache[resolution] = buckets[idx]

@@ -92,7 +92,7 @@ class ChunkedIndex:
     ----------
     arena:
         The rank's sub-arena (local ids are its entry positions — the
-        rank's manifest order).  Must carry per-entry ``masses``.  Its
+        rank's manifest order); its ``masses`` order the entries.  Its
         quantization caches are read once and then **dropped**
         (:meth:`~repro.index.arena.FragmentArena.drop_quantization_caches`,
         which :func:`~repro.search.rank.build_rank_index` would call on
@@ -146,10 +146,6 @@ class ChunkedIndex:
         size = CHUNK_ENTRIES if chunk_entries is None else int(chunk_entries)
         if size < 1:
             raise ConfigurationError(f"chunk_entries must be >= 1, got {size}")
-        if arena.masses is None:
-            raise ConfigurationError(
-                "a chunked index needs arena masses to order its entries"
-            )
         self.settings = settings
         self.chunk_entries = size
         n = arena.n_entries

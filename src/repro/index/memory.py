@@ -287,8 +287,11 @@ class IndexMemoryModel:
             bd = self.distributed(n_entries, n_ranks)
         return bd.steady_gb / (n_entries / 1e6)
 
-    def measure_actual(self, index) -> MemoryBreakdown:  # noqa: ANN001
+    def measure_actual(self, index, peptides) -> MemoryBreakdown:  # noqa: ANN001
         """Byte counts of a live :class:`~repro.index.slm.SLMIndex`.
+
+        ``peptides`` is the entry table beside the index (its sequences
+        count toward the peptide bytes).
 
         Used by tests to confirm the structural model tracks reality
         (numpy's int64 offsets and float32 masses differ slightly from
@@ -297,7 +300,7 @@ class IndexMemoryModel:
         ion = int(index.ion_parents.nbytes)
         offsets = int(index.bucket_offsets.nbytes)
         peptide = int(
-            sum(len(p.sequence) for p in index.peptides) + index.masses.nbytes
+            sum(len(p.sequence) for p in peptides) + index.masses.nbytes
         )
         return MemoryBreakdown(
             ion_bytes=ion,

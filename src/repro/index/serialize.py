@@ -4,8 +4,11 @@ The shared-memory scheme of the paper's Fig. 1 assumes chunks "may be
 stored on disks when not in use"; the distributed engine likewise
 benefits from building partial indexes once and reloading them per
 run.  The archive stores the numpy structures verbatim plus the
-peptide table (sequences, modifications, protein ids) and the settings
-needed to validate compatibility on load.
+peptide table the index's local ids point into (sequences,
+modifications, protein ids) and the settings needed to validate
+compatibility on load.  The index itself holds no peptides, so the
+table travels beside it: :func:`save_index` takes it as an argument and
+:func:`load_index` returns it with the index.
 
 Zero-copy loading
 -----------------
@@ -32,7 +35,7 @@ from __future__ import annotations
 import json
 import zipfile
 from pathlib import Path
-from typing import List, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,27 +89,34 @@ def _settings_from_payload(payload: str) -> SLMIndexSettings:
 
 
 def save_index(
-    path: Union[str, Path], index: SLMIndex, *, compress: bool = True
+    path: Union[str, Path],
+    index: SLMIndex,
+    peptides: Sequence[Peptide],
+    *,
+    compress: bool = True,
 ) -> Path:
-    """Serialize ``index`` to ``path`` (``.npz``); returns the path.
+    """Serialize ``index`` and its peptide table to ``path`` (``.npz``).
 
-    Peptide modifications are flattened into three parallel arrays
-    (owner peptide, position, delta) so the archive stays pure-numpy.
+    ``peptides[i]`` is the entry behind the index's local id ``i``, so
+    the table must be exactly ``index.n_peptides`` long.  Peptide
+    modifications are flattened into three parallel arrays (owner
+    peptide, position, delta) so the archive stays pure-numpy.
     ``compress=False`` writes an uncompressed archive — larger on
     disk, but the only layout :func:`load_index` can memory-map.
+    Returns the path.
     """
     path = Path(path)
-    if index.peptides is None:
+    if len(peptides) != index.n_peptides:
         raise ConfigurationError(
-            "cannot serialize a peptide-free index (built from an arena "
-            "with peptides=None); archives store the peptide table"
+            f"peptide table holds {len(peptides)} entries for an index "
+            f"over {index.n_peptides}"
         )
-    sequences = np.array([p.sequence for p in index.peptides], dtype="U64")
-    protein_ids = np.array([p.protein_id for p in index.peptides], dtype=np.int64)
+    sequences = np.array([p.sequence for p in peptides], dtype="U64")
+    protein_ids = np.array([p.protein_id for p in peptides], dtype=np.int64)
     mod_owner: List[int] = []
     mod_pos: List[int] = []
     mod_delta: List[float] = []
-    for local_id, pep in enumerate(index.peptides):
+    for local_id, pep in enumerate(peptides):
         for pos, delta in pep.mods:
             mod_owner.append(local_id)
             mod_pos.append(pos)
@@ -177,12 +187,13 @@ def _mmap_npz_member(
 
 def load_index(
     path: Union[str, Path], *, mmap_mode: str | None = None
-) -> SLMIndex:
-    """Load an index archive written by :func:`save_index`.
+) -> Tuple[List[Peptide], SLMIndex]:
+    """Load an archive written by :func:`save_index`: ``(peptides, index)``.
 
     The numpy structures are restored verbatim (no fragment
     regeneration), so loading is fast and bit-exact: a loaded index
-    filters identically to the one that was saved.
+    filters identically to the one that was saved, and ``peptides`` is
+    the table that was saved beside it.
 
     Parameters
     ----------
@@ -245,6 +256,5 @@ def load_index(
     ]
 
     # Rebuild the object around the stored arrays without recomputing.
-    return SLMIndex.from_sorted_arrays(
-        settings, masses, ion_parents, bucket_offsets, peptides=peptides
-    )
+    index = SLMIndex.from_sorted_arrays(settings, masses, ion_parents, bucket_offsets)
+    return peptides, index

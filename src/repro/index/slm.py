@@ -8,8 +8,8 @@ Structure (mirroring the SLM-Transform C++ layout):
   parent-peptide local ids (4 bytes/ion, as in the original whose 2G-ion
   limit equals 8 GB),
 * a bucket-offset array (CSR) maps a bucket id to its ion-entry slice,
-* a peptide table stores neutral masses (float32) for the optional
-  precursor window filter.
+* a mass table stores each entry's neutral mass (float32) for the
+  optional precursor window filter.
 
 Querying a spectrum walks each query peak's tolerance window
 (±ΔF → a contiguous bucket range), gathers parent ids, and counts the
@@ -27,9 +27,11 @@ This flat index is the open-search rank index and the serial oracle's.
 A windowed rank index is :class:`~repro.index.chunks.ChunkedIndex`,
 which keeps its own flat precursor-major arrays and shares only
 :class:`FilterResult`, the settings, :data:`FILTER_BATCH_ION_BUDGET`
-and the window predicate's form with this class.  Besides the
-constructor, :meth:`SLMIndex.from_sorted_arrays` rebuilds an index from
-a saved archive.
+and the window predicate's form with this class.  Both take the same
+input: one complete :class:`~repro.index.arena.FragmentArena`
+(``SLMIndex(arena, settings)``).  An archive written by
+:func:`~repro.index.serialize.save_index` holds the built arrays, and
+:meth:`SLMIndex.from_sorted_arrays` wraps them again without a build.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.chem.fragments import FragmentationSettings, fragment_mzs
-from repro.chem.peptide import Peptide
+from repro.chem.fragments import FragmentationSettings
 from repro.constants import (
     DEFAULT_FRAGMENT_TOLERANCE,
     DEFAULT_RESOLUTION,
@@ -50,13 +51,7 @@ from repro.errors import ConfigurationError
 from repro.index.arena import FragmentArena, Workspace, thread_workspace
 from repro.spectra.model import Spectrum
 
-__all__ = ["SLMIndexSettings", "FilterResult", "SLMIndex", "FILTER_BATCH_KEY_BUDGET"]
-
-#: Default bound on the combined ``spectra × peptides`` key space of one
-#: batched-filtration call (see :meth:`SLMIndex.filter_many`): it caps
-#: the spectra per batch at ``max_batch_keys // n_peptides``, bounding
-#: the per-batch candidate/histogram bookkeeping.
-FILTER_BATCH_KEY_BUDGET = 1 << 22
+__all__ = ["SLMIndexSettings", "FilterResult", "SLMIndex"]
 
 #: Bound on the ions gathered by one batch (the dominant transient:
 #: 4 B/ion of gathered ``int32`` parent ids, 32 MB at this default).
@@ -136,36 +131,20 @@ class FilterResult:
 
 
 class SLMIndex:
-    """A searchable fragment-ion index over a list of peptides.
+    """A searchable fragment-ion index over one fragment arena.
 
     Parameters
     ----------
-    peptides:
-        The peptides (base + modified variants) to index.  Local ids
-        are positions in this sequence.  May be ``None`` when an
-        ``arena`` carrying per-entry ``masses`` is supplied: querying
-        only needs the flat arrays, so backends that ship the arena to
-        worker processes (the memmap-shared process backend) build
-        **peptide-free** indexes without ever materializing — or
-        pickling — :class:`~repro.chem.peptide.Peptide` objects.
-        Peptide-free indexes cannot be serialized with
-        :func:`~repro.index.serialize.save_index` or queried with
-        :meth:`filter_bruteforce`.
+    arena:
+        The :class:`~repro.index.arena.FragmentArena` to index; local
+        ids are its entry positions.  The build reuses the arena's
+        cached bucket quantization and sort order, and the precursor
+        filter reads the arena's float32 ``masses``.  The index keeps
+        those masses and the per-entry ion counts, not the arena, and
+        holds no peptide table: callers that need peptides keep them
+        beside the index (see :func:`~repro.index.serialize.save_index`).
     settings:
         Index/query settings.
-    fragments:
-        Optional precomputed fragment m/z arrays aligned with
-        ``peptides`` (see
-        :meth:`repro.search.database.IndexedDatabase.fragments_for`);
-        skips per-peptide fragment generation during construction.
-    arena:
-        Optional :class:`~repro.index.arena.FragmentArena` aligned with
-        ``peptides``; the fastest construction path (one argsort over a
-        pre-quantized flat bucket slice, no per-peptide loop).  Takes
-        precedence over ``fragments``.  A caller-provided arena is kept
-        on ``self.arena`` (shared storage); arenas built internally
-        from ``fragments``/``peptides`` are transient and freed after
-        construction (``self.arena`` is ``None``).
 
     Notes
     -----
@@ -175,61 +154,20 @@ class SLMIndex:
     model accounts for it.
     """
 
-    def __init__(
-        self,
-        peptides: Sequence[Peptide] | None,
-        settings: SLMIndexSettings = SLMIndexSettings(),
-        *,
-        fragments: Sequence[np.ndarray] | None = None,
-        arena: FragmentArena | None = None,
-    ) -> None:
+    def __init__(self, arena: FragmentArena, settings: SLMIndexSettings) -> None:
         self.settings = settings
-        self.peptides: List[Peptide] | None = (
-            None if peptides is None else list(peptides)
-        )
-        owns_arena = arena is None
-        if self.peptides is None:
-            if arena is None:
-                raise ConfigurationError(
-                    "SLMIndex needs an arena when peptides is None"
-                )
-            if arena.masses is None:
-                raise ConfigurationError(
-                    "a peptide-free SLMIndex needs arena masses for the "
-                    "precursor filter"
-                )
-            n = arena.n_entries
-        else:
-            n = len(self.peptides)
+        n = arena.n_entries
         self.n_peptides = n
-        if arena is not None:
-            if arena.n_entries != n:
-                raise ConfigurationError(
-                    f"arena covers {arena.n_entries} entries for {n} peptides"
-                )
-        elif fragments is not None:
-            if len(fragments) != n:
-                raise ConfigurationError(
-                    f"{len(fragments)} fragment arrays for {n} peptides"
-                )
-            arena = FragmentArena.from_arrays(fragments)
-        else:
-            arena = FragmentArena.from_peptides(self.peptides, settings.fragmentation)
-        if arena.masses is not None:
-            self.masses = arena.masses
-        else:
-            self.masses = np.array([p.mass for p in self.peptides], dtype=np.float32)
-        self.arena = arena
+        self.masses = arena.masses
         self._ion_counts: np.ndarray | None = arena.counts
         self._masses64: np.ndarray | None = None
 
         # --- transient construction state (freed on return) ---------
-        # The flat bucket array is entry-major, exactly the
-        # concatenation of the per-peptide quantized arrays the old
-        # loop produced (zero-fragment entries contribute nothing), so
-        # the (arena-cached) stable sort order yields bit-identical
-        # CSR structures; bucket counts come straight from the
-        # unsorted array (bincount is order-independent).
+        # The flat bucket array is entry-major (zero-fragment entries
+        # contribute nothing), so the (arena-cached) stable sort order
+        # makes the ions bucket-major with ties in entry order; bucket
+        # counts come straight from the unsorted array (bincount is
+        # order-independent).
         all_buckets = arena.buckets_for(settings.resolution)
         all_parents = np.repeat(
             np.arange(n, dtype=np.int32), arena.counts
@@ -245,12 +183,6 @@ class SLMIndex:
         self.bucket_offsets = np.zeros(self.n_buckets + 1, dtype=np.int64)
         if self.n_buckets:
             np.cumsum(counts, out=self.bucket_offsets[1:])
-        if owns_arena:
-            # Nobody shares an internally-built arena: keeping it (or
-            # its quantization/sort caches) would retain fragment data
-            # the pre-arena construction freed on return.  Per-peptide
-            # ion counts were already captured above.
-            self.arena = None
 
     @classmethod
     def from_sorted_arrays(
@@ -259,8 +191,6 @@ class SLMIndex:
         masses: np.ndarray,
         ion_parents: np.ndarray,
         bucket_offsets: np.ndarray,
-        *,
-        peptides: Sequence[Peptide] | None = None,
     ) -> "SLMIndex":
         """Wrap already bucket-major arrays in an index, computing nothing.
 
@@ -272,10 +202,8 @@ class SLMIndex:
         """
         index = cls.__new__(cls)
         index.settings = settings
-        index.peptides = None if peptides is None else list(peptides)
         index.n_peptides = int(masses.size)
         index.masses = masses
-        index.arena = None
         index._ion_counts = None  # recovered lazily from ion_parents on demand
         index._masses64 = None  # widened lazily on the first windowed query
         index.ion_parents = ion_parents
@@ -344,14 +272,6 @@ class SLMIndex:
         outside = np.abs(self.masses64 - neutral_mass) > prec_tol
         counts[outside] = 0
 
-    def _bucket_window(self, mz: float) -> tuple[int, int]:
-        """Bucket id range [lo, hi) covering ``mz ± ΔF``, clipped."""
-        r = self.settings.resolution
-        tol = self.settings.fragment_tolerance
-        lo = int(np.floor((mz - tol) / r))
-        hi = int(np.floor((mz + tol) / r)) + 1
-        return max(lo, 0), min(hi, self.n_buckets)
-
     def filter(self, spectrum: Spectrum) -> FilterResult:
         """Shared-peak filtration of ``spectrum`` against this index.
 
@@ -376,7 +296,6 @@ class SLMIndex:
         self,
         spectra: Sequence[Spectrum],
         *,
-        max_batch_keys: int = FILTER_BATCH_KEY_BUDGET,
         workspace: Workspace | None = None,
     ) -> List[FilterResult]:
         """Batched filtration: one :class:`FilterResult` per spectrum.
@@ -388,43 +307,23 @@ class SLMIndex:
         per-spectrum bincounts over contiguous slices of the shared
         gather — the HiCOPS-style cache-friendly array pass that
         amortizes kernel-launch overhead across the whole query batch.
+        A batch projected to gather more than
+        :data:`FILTER_BATCH_ION_BUDGET` ions is split by spectrum.
 
         Results are **bit-identical** to per-spectrum :meth:`filter`
         calls (which run the same kernel on a batch of one): counting
         is integer-exact regardless of batching, and each spectrum's
         candidates come from a ``flatnonzero`` over its own count
-        vector.
-
-        Parameters
-        ----------
-        spectra:
-            Query spectra (any sequence; consumed in order).
-        max_batch_keys:
-            Bound on the combined ``spectra_in_batch × peptides`` key
-            space of one batch; spectra are processed in groups of
-            ``max(1, max_batch_keys // n_peptides)`` so transient
-            state (the shared gather and the per-spectrum histograms)
-            stays bounded however large the run is.
-        workspace:
-            Scratch-buffer workspace; defaults to the calling thread's
-            shared workspace.
+        vector.  ``workspace`` supplies scratch buffers; it defaults to
+        the calling thread's.
         """
         spectra = list(spectra)
         if not spectra:
             return []
-        if max_batch_keys < 1:
-            raise ConfigurationError(
-                f"max_batch_keys must be >= 1, got {max_batch_keys}"
-            )
-        n = self.n_peptides
-        if n == 0 or self.n_ions == 0:
+        if self.n_peptides == 0 or self.n_ions == 0:
             return [self._empty_result() for _ in spectra]
         ws = workspace if workspace is not None else thread_workspace()
-        group = max(1, max_batch_keys // n)
-        results: List[FilterResult] = []
-        for i in range(0, len(spectra), group):
-            results.extend(self._filter_batch(spectra[i : i + group], ws))
-        return results
+        return self._filter_batch(spectra, ws)
 
     def _filter_batch(
         self, batch: Sequence[Spectrum], ws: Workspace
@@ -528,45 +427,3 @@ class SLMIndex:
                 )
             )
         return results
-
-    def filter_bruteforce(self, spectrum: Spectrum) -> FilterResult:
-        """Reference implementation: per-peptide peak matching.
-
-        Quadratic; used only by tests to validate :meth:`filter`.
-        Matching uses the same bucket quantization and the same
-        ion-multiplicity semantics as the index (each (ion, peak
-        window) containment adds one), so both paths agree exactly.
-        """
-        if self.peptides is None:
-            raise ConfigurationError(
-                "filter_bruteforce needs peptide objects; this index was "
-                "built peptide-free over an arena"
-            )
-        n = self.n_peptides
-        counts = np.zeros(n, dtype=np.int32)
-        inv_r = 1.0 / self.settings.resolution
-        for local_id, pep in enumerate(self.peptides):
-            mzs = fragment_mzs(pep, self.settings.fragmentation)
-            if mzs.size == 0:
-                continue
-            pep_buckets = np.sort(np.floor(mzs * inv_r).astype(np.int64))
-            shared = 0
-            for mz in spectrum.mzs:
-                lo, hi = self._bucket_window(float(mz))
-                if lo >= hi:
-                    continue
-                i = np.searchsorted(pep_buckets, lo, side="left")
-                j = np.searchsorted(pep_buckets, hi, side="left")
-                shared += int(j - i)
-            counts[local_id] = shared
-        if not self.settings.is_open_search:
-            self._apply_precursor_window(counts, spectrum.neutral_mass)
-        cands = np.flatnonzero(counts >= self.settings.shared_peak_threshold).astype(
-            np.int32
-        )
-        return FilterResult(
-            candidates=cands,
-            shared_peaks=counts[cands],
-            buckets_scanned=0,
-            ions_scanned=0,
-        )

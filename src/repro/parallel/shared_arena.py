@@ -7,7 +7,7 @@ rather than be copied per worker; HiCOPS realizes that on flat arrays.
 :class:`~repro.index.arena.FragmentArena`:
 
 * :meth:`SharedArenaStore.spill` writes each flat array — ``mzs``,
-  ``offsets``, optional ``lengths``/``masses``, plus every cached
+  ``offsets``, ``lengths``, ``masses``, plus every cached
   per-resolution bucket quantization and bucket-major sort order — as
   its own **uncompressed** ``.npy`` file under one directory, with a
   small JSON manifest binding them together (resolutions are keyed by
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 _MANIFEST_NAME = "arena_manifest.json"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 #: Temp-dir prefixes owned by this package (arena spills and
 #: per-session spectra stores); :func:`sweep_stale_stores` only ever
@@ -136,14 +136,10 @@ class SharedArenaStore:
             "version": _FORMAT_VERSION,
             "n_entries": int(arena.n_entries),
             "n_ions": int(arena.n_ions),
-            "lengths": arena.lengths is not None,
-            "masses": arena.masses is not None,
             "resolutions": [],
         }
-        if arena.lengths is not None:
-            np.save(directory / "lengths.npy", arena.lengths)
-        if arena.masses is not None:
-            np.save(directory / "masses.npy", arena.masses)
+        np.save(directory / "lengths.npy", arena.lengths)
+        np.save(directory / "masses.npy", arena.masses)
         resolutions = sorted(
             set(arena._bucket_cache) | set(arena._order_cache)
         )
@@ -204,16 +200,8 @@ class SharedArenaStore:
         try:
             mzs = np.load(d / "mzs.npy", mmap_mode=mmap_mode)
             offsets = np.load(d / "offsets.npy", mmap_mode=mmap_mode)
-            lengths = (
-                np.load(d / "lengths.npy", mmap_mode=mmap_mode)
-                if self.manifest["lengths"]
-                else None
-            )
-            masses = (
-                np.load(d / "masses.npy", mmap_mode=mmap_mode)
-                if self.manifest["masses"]
-                else None
-            )
+            lengths = np.load(d / "lengths.npy", mmap_mode=mmap_mode)
+            masses = np.load(d / "masses.npy", mmap_mode=mmap_mode)
             arena = FragmentArena(mzs, offsets, lengths=lengths, masses=masses)
             for entry in self.manifest["resolutions"]:
                 resolution = float.fromhex(entry["hex"])

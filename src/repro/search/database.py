@@ -235,17 +235,6 @@ class IndexedDatabase:
             self._arena_cache[fragmentation] = cached
         return cached
 
-    def fragments_for(
-        self, fragmentation: FragmentationSettings = FragmentationSettings()
-    ) -> List[np.ndarray]:
-        """Fragment m/z arrays of every entry (zero-copy arena views).
-
-        Legacy list-of-arrays shape over :meth:`arena_for`'s storage;
-        the list object is cached inside the arena, so repeated calls
-        return the identical object.
-        """
-        return self.arena_for(fragmentation).views()
-
     # -- grouping expansion ------------------------------------------------
 
     def group_bases(self, config: GroupingConfig = GroupingConfig()) -> Grouping:

@@ -387,7 +387,7 @@ def _run_rank(
 
     The backend-agnostic body carves a sub-arena in C from the shared
     arena (fragments, masses, bucket caches all travel with the
-    manifest) and builds a peptide-free partial index over it.  Only
+    manifest) and builds the partial index over it.  Only
     the work counters and the query output leave this function, so the
     index and sub-arena are freed before the next rank builds its own.
     """

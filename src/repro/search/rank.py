@@ -131,17 +131,16 @@ def build_rank_index(
     The sub-arena is gathered in C from the (possibly memmap-backed)
     master arena — fragments, masses, and any cached bucket
     quantizations and sort orders travel with the manifest, so the
-    rank never re-quantizes or re-argsorts.  The index is built
-    **peptide-free** (local ids are manifest positions; masses come
-    from the arena): flat for open search, precursor-major for a
-    windowed one (see the module docstring).  The sub-arena's
-    quantization caches are dropped after the build: scoring only
-    needs the flat m/z data.
+    rank never re-quantizes or re-argsorts.  Local ids are manifest
+    positions and masses come from the arena; the index is flat for
+    open search, precursor-major for a windowed one (see the module
+    docstring).  The sub-arena's quantization caches are dropped after
+    the build: scoring only needs the flat m/z data.
     """
     ids = np.asarray(entry_ids, dtype=np.int64)
     sub = arena.take(ids)
     if settings.is_open_search:
-        index = SLMIndex(None, settings, arena=sub)
+        index = SLMIndex(sub, settings)
     else:
         index = ChunkedIndex(sub, settings)
     sub.drop_quantization_caches()
@@ -171,7 +170,6 @@ def run_rank_queries(
         spectra,
         [f.candidates for f in filtered],
         fragment_tolerance=index.settings.fragment_tolerance,
-        fragmentation=index.settings.fragmentation,
         arena=sub_arena,
         workspace=ws,
     )

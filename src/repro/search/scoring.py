@@ -3,8 +3,9 @@
 Filtration (shared-peak counting in the index) is cheap; the paper's
 "computationally expensive spectrum-to-spectrum comparison operations"
 happen on the filtered survivors.  We implement a hyperscore-style
-score (as in X!Tandem/MSFragger): regenerate the candidate's fragments
-and match them against the query peaks within the fragment tolerance::
+score (as in X!Tandem/MSFragger): gather the candidate's theoretical
+fragments and match them against the query peaks within the fragment
+tolerance::
 
     score = ln(n_matched!) + ln(1 + sum of matched intensities)
 
@@ -28,10 +29,12 @@ fragments lie near no query peak, so matching runs in two stages:
    match; the coarse stage never decides one.
 
 Matched credits are scattered into a zeroed full-length vector and
-folded per candidate with ``np.add.reduceat``, so the reduction tree —
-and the last-ulp rounding — is that of a dense credit vector (see
-ROADMAP invariants).  Small gathers skip stage 1 (the table set-up
-would not repay) and take the exact test directly.
+folded per candidate with ``np.add.reduceat`` over the non-empty
+candidates' starts (:func:`_fold_credits`), so each candidate sums
+exactly its own fragments and the reduction tree — and the last-ulp
+rounding — is that of a dense credit vector (see ROADMAP invariants).
+Small gathers skip stage 1 (the table set-up would not repay) and take
+the exact test directly.
 
 Batches: :func:`score_many` scores runs of consecutive small-gather
 spectra — a precursor-windowed search scores a handful of candidates
@@ -39,16 +42,15 @@ per spectrum — as one *block* (:func:`_score_block`): one gather, one
 exact test, one credit vector and one fold for the whole run, so numpy
 call overhead is paid per block instead of per spectrum.  Each spectrum
 still binary-searches its own peaks, and each candidate's fold covers
-the same credits, zeros included, as in :func:`score_candidates`, so
+its own credits, zeros included, as in :func:`score_candidates`, so
 the outcomes are byte-identical.  Spectra with large gathers (every
 open-search spectrum) keep the per-spectrum two-stage path.
 
-Candidate fragments come from a flat
-:class:`~repro.index.arena.FragmentArena` (one vectorized range
-concatenation, residues from ``lengths``) or, for the reference paths
-the equivalence tests pin it against, from per-candidate ``fragments``
-arrays / :func:`~repro.chem.fragments.fragment_mzs`, concatenated in
-candidate order — the same operand sequence either way.
+Candidate fragments always come from a flat
+:class:`~repro.index.arena.FragmentArena`: one vectorized range
+concatenation in candidate order, residues from its ``lengths``.  The
+dense and per-candidate references the kernels are pinned against
+live with the tests, not here.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.chem.fragments import FragmentationSettings, fragment_mzs
-from repro.chem.peptide import Peptide
+from repro.chem.fragments import FragmentationSettings
 from repro.errors import ConfigurationError
 from repro.index.arena import FragmentArena, Workspace, thread_workspace
 from repro.spectra.model import Spectrum
@@ -161,38 +162,25 @@ def _coarse_survivors(
 
 def score_candidates(
     spectrum: Spectrum,
-    peptides: Sequence[Peptide] | None,
+    arena: FragmentArena,
     candidate_ids: np.ndarray,
     *,
     fragment_tolerance: float,
-    fragmentation: FragmentationSettings = FragmentationSettings(),
-    fragments: Sequence[np.ndarray] | None = None,
-    arena: FragmentArena | None = None,
     workspace: Workspace | None = None,
 ) -> ScoringOutcome:
-    """Score each candidate peptide against ``spectrum``.
+    """Score each candidate entry of ``arena`` against ``spectrum``.
 
     Parameters
     ----------
     spectrum:
         The (preprocessed) query spectrum.
-    peptides:
-        The peptide universe ``candidate_ids`` indexes into.  May be
-        ``None`` when ``arena`` carries per-entry ``lengths``.
+    arena:
+        The fragment arena ``candidate_ids`` index into; fragments come
+        from one vectorized gather, residues from its ``lengths``.
     candidate_ids:
-        Ids of filtration survivors.
+        Ids of filtration survivors (duplicates allowed).
     fragment_tolerance:
         ΔF in Da for fragment matching.
-    fragmentation:
-        Which ion series the candidates' theoretical spectra use (must
-        match the index settings for consistent shared-peak counts).
-    fragments:
-        Optional precomputed fragment arrays aligned with ``peptides``;
-        skips per-candidate fragment regeneration.
-    arena:
-        Optional flat fragment arena aligned with the id space; the
-        hot path (vectorized gather, no per-candidate loop).  Takes
-        precedence over ``fragments``.
     workspace:
         Scratch-buffer workspace for the gather/credit temporaries;
         defaults to the calling thread's shared workspace.  Engines
@@ -208,38 +196,9 @@ def score_candidates(
             residues_scored=0,
         )
     ws = workspace if workspace is not None else thread_workspace()
-    if arena is not None:
-        cids = np.asarray(candidate_ids, dtype=np.int64)
-        theo_all, sizes = arena.gather_flat(cids, workspace=ws)
-        if arena.lengths is not None:
-            residues = int(arena.lengths[cids].sum())
-        elif peptides is not None:
-            residues = sum(peptides[int(c)].length for c in cids)
-        else:
-            raise ConfigurationError(
-                "score_candidates needs peptides when the arena has no lengths"
-            )
-    else:
-        if peptides is None:
-            raise ConfigurationError(
-                "score_candidates needs peptides when no arena is given"
-            )
-        residues = 0
-        theo_parts: list[np.ndarray] = []
-        sizes = np.zeros(n, dtype=np.int64)
-        for i, cid in enumerate(candidate_ids):
-            pep = peptides[int(cid)]
-            residues += pep.length
-            theo = (
-                fragments[int(cid)]
-                if fragments is not None
-                else fragment_mzs(pep, fragmentation)
-            )
-            theo_parts.append(theo)
-            sizes[i] = theo.size
-        theo_all = (
-            np.concatenate(theo_parts) if theo_parts else np.empty(0, dtype=np.float64)
-        )
+    cids = np.asarray(candidate_ids, dtype=np.int64)
+    theo_all, sizes = arena.gather_flat(cids, workspace=ws)
+    residues = int(arena.lengths[cids].sum())
 
     q_mzs = spectrum.mzs
     q_int = spectrum.intensities
@@ -274,15 +233,7 @@ def score_candidates(
         credit = ws.take("score.credit", m, np.float64)
         credit.fill(0.0)
         credit[at] = q_int[nearest]
-
-        # Per-candidate sums must not depend on neighbouring
-        # candidates (bit-identical scores regardless of which rank
-        # scores which subset), so use reduceat — each segment is
-        # folded independently.
-        seg_starts = np.minimum(bounds[:-1], m - 1)
-        seg = np.add.reduceat(credit, seg_starts)
-        nonempty = sizes > 0
-        intensity_sums[nonempty] = seg[nonempty]
+        _fold_credits(credit, bounds, sizes, out=intensity_sums)
 
     scores = np.where(
         matched > 0,
@@ -297,15 +248,31 @@ def score_candidates(
     )
 
 
+def _fold_credits(
+    credit: np.ndarray, bounds: np.ndarray, sizes: np.ndarray, *, out: np.ndarray
+) -> None:
+    """Sum each candidate's own credits into ``out`` (empty ones stay 0).
+
+    ``reduceat`` folds over the starts of the non-empty candidates
+    only: a zero-fragment candidate occupies no credits, so each
+    non-empty candidate's segment runs exactly to the next non-empty
+    start (or the end) and covers its own fragments, zeros included.
+    Every segment is folded independently, so a candidate's sum does
+    not depend on its neighbours — scores stay bit-identical whichever
+    rank scores which subset.
+    """
+    nonempty = sizes > 0
+    out[nonempty] = np.add.reduceat(credit, bounds[:-1][nonempty])
+
+
 def score_many(
     spectra: Sequence[Spectrum],
     candidate_lists: Sequence[np.ndarray],
     *,
     fragment_tolerance: float,
-    fragmentation: FragmentationSettings = FragmentationSettings(),
-    arena: FragmentArena | None = None,
-    peptides: Sequence[Peptide] | None = None,
-    fragments: Sequence[np.ndarray] | None = None,
+    arena: FragmentArena,
+    # Unused (the arena holds the fragments); kept because the benchmark spine passes it.
+    fragmentation: FragmentationSettings | None = None,
     workspace: Workspace | None = None,
 ) -> List[ScoringOutcome]:
     """Score many spectra's candidate sets in one batched call.
@@ -314,14 +281,13 @@ def score_many(
     outcomes align with the inputs and are byte-identical to
     per-spectrum :func:`score_candidates` calls.
 
-    With an arena that carries ``lengths``, consecutive spectra whose
-    gathers are small (fewer than ``_COARSE_MIN_FRAGMENTS`` fragments,
-    so :func:`score_candidates` would skip the coarse stage) are scored
-    in blocks of up to :data:`_BLOCK_FRAGMENTS` fragments — one gather,
-    one exact test, one credit vector and one fold per block instead of
-    per spectrum (:func:`_score_block`).  Every other spectrum — a
-    large gather, or candidates but nothing to match — and every
-    reference path (``peptides`` / ``fragments``) goes through
+    Consecutive spectra whose gathers are small (fewer than
+    ``_COARSE_MIN_FRAGMENTS`` fragments, so :func:`score_candidates`
+    would skip the coarse stage) are scored in blocks of up to
+    :data:`_BLOCK_FRAGMENTS` fragments — one gather, one exact test,
+    one credit vector and one fold per block instead of per spectrum
+    (:func:`_score_block`).  Every other spectrum — a large gather, or
+    candidates but nothing to match — goes through
     :func:`score_candidates` itself.
     """
     if len(spectra) != len(candidate_lists):
@@ -332,18 +298,15 @@ def score_many(
     def one(i: int) -> ScoringOutcome:
         return score_candidates(
             spectra[i],
-            peptides,
+            arena,
             candidate_lists[i],
             fragment_tolerance=fragment_tolerance,
-            fragmentation=fragmentation,
-            fragments=fragments,
-            arena=arena,
             workspace=workspace,
         )
 
     n_spectra = len(spectra)
-    if arena is None or arena.lengths is None or not n_spectra:
-        return [one(i) for i in range(n_spectra)]
+    if not n_spectra:
+        return []
     ws = workspace if workspace is not None else thread_workspace()
 
     n_cands = np.fromiter((c.size for c in candidate_lists), np.int64, n_spectra)
@@ -407,10 +370,9 @@ def _score_block(
     and last peak repeated, so ``pos`` and ``pos + 1`` index exactly
     the ``max(pos - 1, 0)`` / ``min(pos, n - 1)`` neighbours
     :func:`score_candidates` compares.  The credit vector keeps every
-    zero and each candidate's fold starts where the per-spectrum fold
-    would (clipped to its spectrum's last fragment), so each segment
-    sums the same values in the same order: the scores are
-    byte-identical (ROADMAP invariant on ``reduceat``).
+    zero and :func:`_fold_credits` sums each candidate's own fragments,
+    exactly the segment the per-spectrum fold sums, in the same order:
+    the scores are byte-identical (ROADMAP invariant on ``reduceat``).
     """
     c0, c1 = cand_bounds[block[0]], cand_bounds[block[-1] + 1]
     members = [i for i in block if cand_bounds[i + 1] > cand_bounds[i]]
@@ -418,7 +380,7 @@ def _score_block(
     first = [cand_bounds[i] for i in members]
     stop = [cand_bounds[i + 1] for i in members]
     frag_lo = (frag_cum[first] - frag_cum[c0]).tolist()
-    frag_hi = frag_cum[stop] - frag_cum[c0]
+    frag_hi = (frag_cum[stop] - frag_cum[c0]).tolist()
     n_peaks = np.fromiter(
         (spectra[i].n_peaks for i in members), np.int64, len(members)
     )
@@ -433,7 +395,7 @@ def _score_block(
     q_start = (peak_end - n_peaks + 2 * np.arange(len(members))).tolist()
 
     pos = ws.take("score.block.pos", theo.size, np.intp)
-    for k, (i, a, b) in enumerate(zip(members, frag_lo, frag_hi.tolist())):
+    for k, (i, a, b) in enumerate(zip(members, frag_lo, frag_hi)):
         np.add(np.searchsorted(spectra[i].mzs, theo[a:b]), q_start[k], out=pos[a:b])
 
     d_left = np.abs(theo - q_mzs[pos])
@@ -448,11 +410,8 @@ def _score_block(
     credit = ws.take("score.credit", theo.size, np.float64)
     credit.fill(0.0)
     credit[hit] = q_int[nearest]
-    # Each fold starts where score_candidates starts it: clipped to
-    # the last fragment of the candidate's own spectrum.
-    last = np.repeat(frag_hi - 1, np.subtract(stop, first))
-    seg = np.add.reduceat(credit, np.minimum(bounds[:-1], last))
-    intensity_sums = np.where(sizes > 0, seg, 0.0)
+    intensity_sums = np.zeros(sizes.size, dtype=np.float64)
+    _fold_credits(credit, bounds, sizes, out=intensity_sums)
     scores = np.where(
         matched > 0, _lgamma_counts(matched) + np.log1p(intensity_sums), 0.0
     )

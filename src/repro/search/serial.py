@@ -88,9 +88,8 @@ class SerialSearchEngine:
         """The full index, built lazily and cached."""
         if self._index is None:
             self._index = SLMIndex(
-                self.database.entries,
+                self.database.arena_for(self.settings.fragmentation),
                 self.settings,
-                arena=self.database.arena_for(self.settings.fragmentation),
             )
         return self._index
 
@@ -121,7 +120,6 @@ class SerialSearchEngine:
             processed,
             [f.candidates for f in filtered],
             fragment_tolerance=self.settings.fragment_tolerance,
-            fragmentation=self.settings.fragmentation,
             arena=arena,
             workspace=ws,
         )

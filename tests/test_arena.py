@@ -1,18 +1,27 @@
 """Tests for the flat CSR fragment arena and its bit-identity guarantees.
 
-The arena refactor must be invisible in results: every score, matched
-count, work counter, and top-k ordering must equal what the pre-arena
-per-peptide-array path produces.  The legacy assembly path is still in
-``score_candidates`` (no ``arena``), and ``filter_bruteforce`` is the
-pre-CSR filtration reference, so these tests pin the hot path against
-both — across policies, rank counts, and the awkward edge cases
-(zero candidates, zero-fragment peptides, empty spectra).
+The arena is the only input the index and the scorer take, so it must
+be invisible in results: every score, matched count, work counter, and
+top-k ordering must equal what per-peptide fragment arrays produce.
+The references in ``tests/reference.py`` regenerate fragments per
+peptide — :func:`~reference.regenerated_score` for scoring,
+:func:`~reference.bruteforce_filter` for filtration — and these tests
+pin the arena path against both, across policies, rank counts, and the
+awkward edge cases (zero candidates, zero-fragment peptides, empty
+spectra).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from reference import (
+    arena_of,
+    bruteforce_filter,
+    fragments_of,
+    index_over,
+    regenerated_score,
+)
 from repro.chem.fragments import FRAGMENT_BLOCK, FragmentationSettings, fragment_mzs
 from repro.chem.peptide import Peptide
 from repro.errors import ConfigurationError
@@ -112,8 +121,7 @@ def test_arena_matches_per_peptide_arrays():
     expected = [fragment_mzs(p) for p in PEPTIDES]
     assert arena.n_ions == sum(a.size for a in expected)
     for i, exp in enumerate(expected):
-        assert np.array_equal(arena.fragments_of(i), exp)
-        assert np.array_equal(arena.views()[i], exp)
+        assert np.array_equal(fragments_of(arena, i), exp)
     assert arena.counts.tolist() == [a.size for a in expected]
     assert arena.counts[1] == 0  # zero-fragment peptide
     assert arena.lengths.tolist() == [p.length for p in PEPTIDES]
@@ -131,16 +139,9 @@ def test_arena_blocks_equal_one_row_runs(small_db, n):
     assert len(entries) == n
     settings = FragmentationSettings(charges=(1, 2))
     arena = FragmentArena.from_peptides(entries, settings)
-    rows = FragmentArena.from_arrays([fragment_mzs(p, settings) for p in entries])
+    rows = arena_of([fragment_mzs(p, settings) for p in entries])
     assert arena.mzs.tobytes() == rows.mzs.tobytes()
     assert arena.offsets.tobytes() == rows.offsets.tobytes()
-
-
-def test_arena_views_are_zero_copy_and_cached():
-    arena = FragmentArena.from_peptides(PEPTIDES)
-    views = arena.views()
-    assert views is arena.views()
-    assert views[0].base is arena.mzs
 
 
 def test_arena_buckets_cached_per_resolution():
@@ -159,7 +160,7 @@ def test_arena_take_gathers_everything():
     sub = arena.take(ids)
     assert sub.n_entries == 3
     for j, i in enumerate(ids):
-        assert np.array_equal(sub.fragments_of(j), arena.fragments_of(int(i)))
+        assert np.array_equal(fragments_of(sub, j), fragments_of(arena, int(i)))
     assert sub.lengths.tolist() == [PEPTIDES[int(i)].length for i in ids]
     assert np.array_equal(sub.masses, arena.masses[ids])
     # bucket cache travels with the selection
@@ -178,14 +179,27 @@ def test_arena_gather_flat_with_duplicates():
 
 
 def test_arena_validation():
+    one = dict(lengths=np.array([1]), masses=np.array([0.0]))
     with pytest.raises(ConfigurationError):
-        FragmentArena(np.zeros(3), np.array([0, 2]))  # offsets end short
+        FragmentArena(np.zeros(3), np.array([0, 2]), **one)  # offsets end short
     with pytest.raises(ConfigurationError):
-        FragmentArena(np.zeros(2), np.array([1, 2]))  # offsets not 0-based
-    with pytest.raises(ConfigurationError):
-        FragmentArena(np.zeros(2), np.array([0, 2]), lengths=np.array([1, 2]))
-    with pytest.raises(ConfigurationError, match="arena covers"):
-        SLMIndex(PEPTIDES, arena=FragmentArena.from_peptides(PEPTIDES[:2]))
+        FragmentArena(np.zeros(2), np.array([1, 2]), **one)  # offsets not 0-based
+    with pytest.raises(ConfigurationError, match="lengths"):
+        FragmentArena(
+            np.zeros(2), np.array([0, 2]), lengths=np.array([1, 2]), masses=np.zeros(1)
+        )
+    with pytest.raises(ConfigurationError, match="masses"):
+        FragmentArena(
+            np.zeros(2), np.array([0, 2]), lengths=np.array([1]), masses=np.zeros(2)
+        )
+
+
+def test_arena_requires_lengths_and_masses():
+    """Every arena is complete: no kernel has a fallback for missing metadata."""
+    with pytest.raises(TypeError):
+        FragmentArena(np.zeros(2), np.array([0, 2]))
+    with pytest.raises(TypeError):
+        FragmentArena(np.zeros(2), np.array([0, 2]), lengths=np.array([1]))
 
 
 def test_empty_arena():
@@ -194,7 +208,7 @@ def test_empty_arena():
     assert arena.n_ions == 0
     sub = arena.take(np.empty(0, dtype=np.int64))
     assert sub.n_entries == 0
-    idx = SLMIndex([], arena=arena)
+    idx = SLMIndex(arena, SLMIndexSettings())
     assert idx.n_ions == 0
 
 
@@ -204,9 +218,15 @@ def test_empty_arena():
 def test_index_from_arena_identical_to_legacy_paths():
     settings = SLMIndexSettings(shared_peak_threshold=2)
     arena = FragmentArena.from_peptides(PEPTIDES)
-    plain = SLMIndex(PEPTIDES, settings)
-    frags = SLMIndex(PEPTIDES, settings, fragments=[fragment_mzs(p) for p in PEPTIDES])
-    via_arena = SLMIndex(PEPTIDES, settings, arena=arena)
+    plain = index_over(PEPTIDES, settings)
+    frags = SLMIndex(
+        arena_of(
+            [fragment_mzs(p) for p in PEPTIDES],
+            masses=np.array([p.mass for p in PEPTIDES], dtype=np.float32),
+        ),
+        settings,
+    )
+    via_arena = SLMIndex(arena, settings)
     for other in (frags, via_arena):
         assert np.array_equal(plain.ion_parents, other.ion_parents)
         assert np.array_equal(plain.bucket_offsets, other.bucket_offsets)
@@ -214,7 +234,7 @@ def test_index_from_arena_identical_to_legacy_paths():
 
 
 def test_ions_of_constant_time_values():
-    idx = SLMIndex(PEPTIDES, SLMIndexSettings(shared_peak_threshold=2))
+    idx = index_over(PEPTIDES, SLMIndexSettings(shared_peak_threshold=2))
     for i, p in enumerate(PEPTIDES):
         expected = 0 if p.length < 2 else 2 * (p.length - 1)
         assert idx.ions_of(i) == expected
@@ -225,7 +245,7 @@ def test_ions_of_constant_time_values():
 
 
 def test_filter_many_matches_filter():
-    idx = SLMIndex(PEPTIDES, SLMIndexSettings(shared_peak_threshold=1))
+    idx = index_over(PEPTIDES, SLMIndexSettings(shared_peak_threshold=1))
     spectra = [spectrum_of(p, scan=i) for i, p in enumerate(PEPTIDES) if p.length > 1]
     spectra.append(Spectrum(99, 500.0, 2, np.array([]), np.array([])))
     batched = idx.filter_many(spectra)
@@ -244,8 +264,8 @@ def test_score_arena_bit_identical_to_legacy():
     arena = FragmentArena.from_peptides(PEPTIDES)
     q = spectrum_of(PEPTIDES[0])
     cands = np.arange(len(PEPTIDES), dtype=np.int64)
-    legacy = score_candidates(q, PEPTIDES, cands, fragment_tolerance=0.05)
-    hot = score_candidates(q, None, cands, fragment_tolerance=0.05, arena=arena)
+    legacy = regenerated_score(q, PEPTIDES, cands, fragment_tolerance=0.05)
+    hot = score_candidates(q, arena, cands, fragment_tolerance=0.05)
     assert np.array_equal(legacy.scores, hot.scores)
     assert np.array_equal(legacy.n_matched, hot.n_matched)
     assert legacy.candidates_scored == hot.candidates_scored
@@ -257,26 +277,18 @@ def test_score_arena_edge_cases():
     empty_q = Spectrum(1, 500.0, 2, np.array([]), np.array([]))
     # zero candidates
     out = score_candidates(
-        empty_q, None, np.empty(0, dtype=np.int64), fragment_tolerance=0.05,
-        arena=arena,
+        empty_q, arena, np.empty(0, dtype=np.int64), fragment_tolerance=0.05
     )
     assert out.candidates_scored == 0 and out.residues_scored == 0
     # zero-fragment candidate + empty spectrum
     out = score_candidates(
-        empty_q, None, np.array([1, 0]), fragment_tolerance=0.05, arena=arena
+        empty_q, arena, np.array([1, 0]), fragment_tolerance=0.05
     )
-    legacy = score_candidates(
+    legacy = regenerated_score(
         empty_q, PEPTIDES, np.array([1, 0]), fragment_tolerance=0.05
     )
     assert np.array_equal(out.scores, legacy.scores)
     assert out.residues_scored == legacy.residues_scored == PEPTIDES[1].length + PEPTIDES[0].length
-
-
-def test_score_requires_some_fragment_source():
-    with pytest.raises(ConfigurationError):
-        score_candidates(
-            spectrum_of(PEPTIDES[0]), None, np.array([0]), fragment_tolerance=0.05
-        )
 
 
 def test_score_many_matches_individual_calls():
@@ -291,7 +303,7 @@ def test_score_many_matches_individual_calls():
         spectra, cand_lists, fragment_tolerance=0.05, arena=arena
     )
     for s, c, got in zip(spectra, cand_lists, outs):
-        one = score_candidates(s, None, c, fragment_tolerance=0.05, arena=arena)
+        one = score_candidates(s, arena, c, fragment_tolerance=0.05)
         assert np.array_equal(got.scores, one.scores)
         assert np.array_equal(got.n_matched, one.n_matched)
     with pytest.raises(ConfigurationError):
@@ -301,7 +313,7 @@ def test_score_many_matches_individual_calls():
 @hsettings(max_examples=15, deadline=None)
 @given(st.data())
 def test_score_arena_property_bit_identical(data):
-    """Arena scoring == legacy per-candidate assembly on random inputs."""
+    """Arena scoring == per-candidate fragment regeneration on random inputs."""
     seqs = data.draw(
         st.lists(
             st.text(alphabet="ACDEFGHIKLMNPQRSTVWY", min_size=1, max_size=12),
@@ -329,8 +341,8 @@ def test_score_arena_property_bit_identical(data):
         else Spectrum(1, 500.0, 2, np.array([]), np.array([]))
     )
     tol = data.draw(st.sampled_from([0.0, 0.01, 0.05]))
-    legacy = score_candidates(q, peptides, cands, fragment_tolerance=tol)
-    hot = score_candidates(q, None, cands, fragment_tolerance=tol, arena=arena)
+    legacy = regenerated_score(q, peptides, cands, fragment_tolerance=tol)
+    hot = score_candidates(q, arena, cands, fragment_tolerance=tol)
     assert np.array_equal(legacy.scores, hot.scores)
     assert np.array_equal(legacy.n_matched, hot.n_matched)
     assert legacy.residues_scored == hot.residues_scored
@@ -385,11 +397,12 @@ def test_serial_distributed_equivalent_post_arena(
 def test_filter_against_bruteforce_with_zero_fragment_peptides():
     """The pre-CSR quadratic reference agrees on a universe containing
     zero-fragment peptides."""
-    idx = SLMIndex(PEPTIDES, SLMIndexSettings(shared_peak_threshold=1))
+    settings = SLMIndexSettings(shared_peak_threshold=1)
+    idx = index_over(PEPTIDES, settings)
     for p in PEPTIDES:
         if p.length < 2:
             continue
         q = spectrum_of(p)
-        fast, slow = idx.filter(q), idx.filter_bruteforce(q)
+        fast, slow = idx.filter(q), bruteforce_filter(PEPTIDES, settings, q)
         assert np.array_equal(fast.candidates, slow.candidates)
         assert np.array_equal(fast.shared_peaks, slow.shared_peaks)

@@ -26,7 +26,8 @@ from unittest import mock
 import numpy as np
 from hypothesis import event, given, settings as hsettings, strategies as st
 
-from repro.index.arena import FragmentArena, Workspace
+from reference import arena_of
+from repro.index.arena import Workspace
 from repro.search import scoring
 from repro.search.scoring import score_candidates, score_many
 from repro.spectra.model import Spectrum
@@ -53,7 +54,7 @@ def draw_batch(rng, n_spectra, n_entries, tol, *, edges):
             take = min(k, len(planted))
             frags[:take] = rng.permutation(planted)[:take]
         arrays.append(np.sort(frags))
-    arena = FragmentArena.from_arrays(
+    arena = arena_of(
         arrays, lengths=rng.integers(1, 40, n_entries).astype(np.int64)
     )
 
@@ -115,7 +116,7 @@ def test_score_many_equals_a_per_spectrum_loop(
         stack.enter_context(mock.patch.object(scoring, "_BLOCK_FRAGMENTS", block))
         stack.enter_context(mock.patch.object(scoring, "_COARSE_MIN_FRAGMENTS", cutoff))
         want = [
-            score_candidates(s, None, c, fragment_tolerance=tol, arena=arena, workspace=Workspace())
+            score_candidates(s, arena, c, fragment_tolerance=tol, workspace=Workspace())
             for s, c in zip(spectra, cands)
         ]
         stack.enter_context(mock.patch.object(scoring, "_score_block", spy))
@@ -144,6 +145,6 @@ def test_a_narrow_batch_is_scored_in_one_block():
     with mock.patch.object(scoring, "_score_block", spy):
         got = score_many(spectra, cands, fragment_tolerance=0.05, arena=arena)
     assert blocks == [48]
-    want = [score_candidates(s, None, c, fragment_tolerance=0.05, arena=arena) for s, c in zip(spectra, cands)]
+    want = [score_candidates(s, arena, c, fragment_tolerance=0.05) for s, c in zip(spectra, cands)]
     assert_identical(got, want)
     assert sum(int(o.n_matched.sum()) for o in got) > 0

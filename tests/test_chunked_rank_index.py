@@ -18,9 +18,10 @@ either side of it.
 import numpy as np
 from hypothesis import event, given, settings as hsettings, strategies as st
 
+from reference import arena_of, fragments_of
 from repro.constants import PROTON
 from repro.index import chunks
-from repro.index.arena import FragmentArena, Workspace
+from repro.index.arena import Workspace
 from repro.index.chunks import ChunkedIndex
 from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.search.rank import build_rank_index, run_rank_queries
@@ -43,7 +44,7 @@ def draw_arena(rng, n_entries, *, duplicate_masses):
         np.sort(rng.uniform(60.0, 1800.0, int(rng.integers(0, 30))))
         for _ in range(n_entries)
     ]
-    return FragmentArena.from_arrays(
+    return arena_of(
         arrays,
         lengths=rng.integers(2, 40, n_entries).astype(np.int64),
         masses=masses.astype(np.float32),
@@ -63,7 +64,7 @@ def draw_spectra(rng, arena, n_spectra, tol, *, mass_sorted):
         if n:
             target = int(rng.integers(0, n))
             mass = float(arena.masses[target])
-            frags = arena.fragments_of(target)
+            frags = fragments_of(arena, target)
         else:
             mass, frags = 1200.0, np.empty(0)
         offset = rng.choice([0.0, tol, -tol, 0.5 * tol, 3.0 * tol + 1.0, 5000.0])
@@ -110,7 +111,7 @@ def chunk_leaf(arena, ci, c):
     """
     size = ci.chunk_entries
     members = ci.positions[c * size : (c + 1) * size]
-    return SLMIndex(None, ci.settings, arena=arena.take(members))
+    return SLMIndex(arena.take(members), ci.settings)
 
 
 def assert_equals_flat(got, want):
@@ -156,7 +157,7 @@ def draw_case(
 @given(**CASES)
 def test_chunked_equals_flat_for_every_chunk_size(**case):
     arena, spectra, settings = draw_case(**case)
-    flat = SLMIndex(None, settings, arena=arena)
+    flat = SLMIndex(arena, settings)
     want = flat.filter_many(spectra)
     event(f"candidates found: {any(w.candidates.size for w in want)}")
     for size in chunk_sizes(arena.n_entries):
@@ -183,7 +184,7 @@ def test_open_search_settings_on_a_chunked_index_equal_flat(open_tol, **case):
         shared_peak_threshold=settings.shared_peak_threshold,
         precursor_tolerance=open_tol,
     )
-    want = SLMIndex(None, settings, arena=arena).filter_many(spectra)
+    want = SLMIndex(arena, settings).filter_many(spectra)
     for size in chunk_sizes(arena.n_entries):
         got = ChunkedIndex(arena, settings, chunk_entries=size).filter_many(spectra)
         assert_equals_flat(got, want)
@@ -195,7 +196,7 @@ def test_open_search_settings_on_a_chunked_index_equal_flat(open_tol, **case):
 @given(**CASES)
 def test_counters_sum_over_the_visited_leaves(**case):
     arena, spectra, settings = draw_case(**case)
-    flat = SLMIndex(None, settings, arena=arena).filter_many(spectra)
+    flat = SLMIndex(arena, settings).filter_many(spectra)
     for size in chunk_sizes(arena.n_entries):
         ci = ChunkedIndex(arena, settings, chunk_entries=size)
         leaf = [chunk_leaf(arena, ci, c) for c in range(ci.n_chunks)]
@@ -238,7 +239,7 @@ def test_rank_body_output_equals_flat(top_k, **case):
     arena, spectra, settings = draw_case(**case)
     entry_ids = np.random.default_rng(case["seed"]).permutation(arena.n_entries)
     flat_out = run_rank_queries(
-        SLMIndex(None, settings, arena=arena), arena, entry_ids, spectra, top_k=top_k
+        SLMIndex(arena, settings), arena, entry_ids, spectra, top_k=top_k
     )
     for size in chunk_sizes(arena.n_entries):
         out = run_rank_queries(
@@ -259,7 +260,7 @@ def test_rank_body_output_equals_flat(top_k, **case):
 
 def _arena_of(masses, frags=(100.0, 200.0, 300.0)):
     n = len(masses)
-    return FragmentArena.from_arrays(
+    return arena_of(
         [np.array(frags)] * n,
         lengths=np.full(n, 4),
         masses=np.asarray(masses, dtype=np.float32),
@@ -280,7 +281,7 @@ def test_equal_masses_straddling_a_chunk_cut():
     assert ci.chunks_for(s) == [0, 1, 2]  # the third holds the fifth 1000.0
     got = ci.filter(s)
     assert got.candidates.tolist() == [0, 1, 2, 3, 4]
-    assert_equals_flat([got], [SLMIndex(None, settings, arena=arena).filter(s)])
+    assert_equals_flat([got], [SLMIndex(arena, settings).filter(s)])
 
 
 def test_a_window_that_reaches_no_chunk_scans_nothing():
@@ -293,7 +294,7 @@ def test_a_window_that_reaches_no_chunk_scans_nothing():
         got = ci.filter_many([s])[0]
         assert got.candidates.size == 0 and got.candidates.dtype == np.int32
         assert (got.buckets_scanned, got.ions_scanned) == (0, 0)
-        assert SLMIndex(None, settings, arena=arena).filter(s).candidates.size == 0
+        assert SLMIndex(arena, settings).filter(s).candidates.size == 0
 
 
 def test_empty_manifest_and_empty_batch():
@@ -306,7 +307,7 @@ def test_empty_manifest_and_empty_batch():
 
 
 def test_zero_ion_entries_and_zero_peak_spectra():
-    arena = FragmentArena.from_arrays(
+    arena = arena_of(
         [np.empty(0), np.array([100.0, 200.0]), np.empty(0), np.empty(0)],
         lengths=np.full(4, 3),
         masses=np.array([1000.0, 1000.5, 1001.0, 1900.0], dtype=np.float32),
@@ -321,7 +322,7 @@ def test_zero_ion_entries_and_zero_peak_spectra():
 
 
 def test_leaf_offsets_are_int32_and_trimmed_to_the_chunks_top_bucket():
-    arena = FragmentArena.from_arrays(
+    arena = arena_of(
         [np.array([100.0]), np.array([100.0, 900.0])],
         lengths=np.full(2, 3),
         masses=np.array([500.0, 1500.0], dtype=np.float32),
@@ -358,7 +359,7 @@ def test_open_search_builds_the_flat_index_with_every_counter_unchanged():
     ):
         sub, index = build_rank_index(arena, ids, settings)
         assert type(index) is SLMIndex
-        want = SLMIndex(None, settings, arena=arena.take(ids)).filter_many(spectra)
+        want = SLMIndex(arena.take(ids), settings).filter_many(spectra)
         got = index.filter_many(spectra)
         assert_equals_flat(got, want)
         assert [(g.buckets_scanned, g.ions_scanned) for g in got] == [
@@ -379,7 +380,7 @@ def test_windowed_search_builds_the_chunked_index(monkeypatch):
     monkeypatch.setattr(chunks, "CHUNK_ENTRIES", 3)
     _, small = build_rank_index(arena, ids, settings)
     assert small.n_chunks == 7
-    want = SLMIndex(None, settings, arena=arena.take(ids)).filter_many(spectra)
+    want = SLMIndex(arena.take(ids), settings).filter_many(spectra)
     assert_equals_flat(index.filter_many(spectra), want)
     assert_equals_flat(small.filter_many(spectra), want)
     assert sum(r.ions_scanned for r in small.filter_many(spectra)) < sum(

@@ -7,18 +7,20 @@ cache, and fixed the precursor-window dtype inconsistency between flat
 and chunked filtration.  Everything here pins those changes to the
 per-spectrum reference paths bit-for-bit: candidates, shared peaks,
 and both work counters, across empty spectra, zero-candidate spectra,
-windowed + open search, chunked indexes, and tiny batch-key budgets
-that force multi-batch execution.
+windowed + open search, chunked indexes, and tiny gathered-ion budgets
+(``FILTER_BATCH_ION_BUDGET``) that force multi-batch execution.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from reference import bruteforce_filter, index_over
 from repro.chem.fragments import fragment_mzs
 from repro.chem.peptide import Peptide
 from repro.constants import PROTON
-from repro.errors import ConfigurationError
 from repro.index.arena import FragmentArena, Workspace, concat_ranges
 from repro.index.chunks import ChunkedIndex
 from repro.index.slm import SLMIndex, SLMIndexSettings
@@ -83,19 +85,23 @@ def assert_results_equal(got, expected):
 
 
 @pytest.mark.parametrize("precursor_tolerance", [None, 2.0, 0.0])
-@pytest.mark.parametrize("max_batch_keys", [1, 37, 1 << 22])
-def test_filter_many_bit_identical_to_filter(precursor_tolerance, max_batch_keys):
+@pytest.mark.parametrize("ion_budget", [1, 37, 1 << 22])
+def test_filter_many_bit_identical_to_filter(precursor_tolerance, ion_budget):
+    """Batched == per-spectrum whatever the gathered-ion budget: 1 and
+    37 force splits, 1 << 22 leaves the batch whole."""
     settings = SLMIndexSettings(
         shared_peak_threshold=1, precursor_tolerance=precursor_tolerance
     )
-    idx = SLMIndex(PEPTIDES, settings)
+    idx = index_over(PEPTIDES, settings)
     spectra = mixed_spectra()
-    batched = idx.filter_many(spectra, max_batch_keys=max_batch_keys)
-    assert_results_equal(batched, [idx.filter(s) for s in spectra])
+    expected = [idx.filter(s) for s in spectra]
+    with mock.patch("repro.index.slm.FILTER_BATCH_ION_BUDGET", ion_budget):
+        batched = idx.filter_many(spectra)
+    assert_results_equal(batched, expected)
 
 
 def test_filter_many_high_threshold_zero_candidates():
-    idx = SLMIndex(PEPTIDES, SLMIndexSettings(shared_peak_threshold=10_000))
+    idx = index_over(PEPTIDES, SLMIndexSettings(shared_peak_threshold=10_000))
     spectra = mixed_spectra()
     batched = idx.filter_many(spectra)
     for got, s in zip(batched, spectra):
@@ -106,13 +112,11 @@ def test_filter_many_high_threshold_zero_candidates():
 
 
 def test_filter_many_empty_inputs_and_validation():
-    idx = SLMIndex(PEPTIDES, SLMIndexSettings(shared_peak_threshold=1))
+    idx = index_over(PEPTIDES, SLMIndexSettings(shared_peak_threshold=1))
     assert idx.filter_many([]) == []
-    empty_idx = SLMIndex([], SLMIndexSettings(shared_peak_threshold=1))
+    empty_idx = index_over([], SLMIndexSettings(shared_peak_threshold=1))
     res = empty_idx.filter_many(mixed_spectra())
     assert all(r.candidates.size == 0 and r.ions_scanned == 0 for r in res)
-    with pytest.raises(ConfigurationError):
-        idx.filter_many(mixed_spectra(), max_batch_keys=0)
 
 
 def test_filter_many_ion_budget_split_bit_identical(monkeypatch):
@@ -120,7 +124,7 @@ def test_filter_many_ion_budget_split_bit_identical(monkeypatch):
     must not change (each spectrum depends only on its own slice)."""
     import repro.index.slm as slm_mod
 
-    idx = SLMIndex(PEPTIDES, SLMIndexSettings(shared_peak_threshold=1))
+    idx = index_over(PEPTIDES, SLMIndexSettings(shared_peak_threshold=1))
     spectra = mixed_spectra()
     expected = [idx.filter(s) for s in spectra]
     with monkeypatch.context() as m:
@@ -129,7 +133,7 @@ def test_filter_many_ion_budget_split_bit_identical(monkeypatch):
 
 
 def test_filter_many_private_workspace_matches_default():
-    idx = SLMIndex(PEPTIDES, SLMIndexSettings(shared_peak_threshold=1))
+    idx = index_over(PEPTIDES, SLMIndexSettings(shared_peak_threshold=1))
     spectra = mixed_spectra()
     ws = Workspace()
     assert_results_equal(
@@ -154,12 +158,11 @@ def test_filter_many_bit_identical_on_synthetic_run():
         settings = SLMIndexSettings(
             shared_peak_threshold=2, precursor_tolerance=ptol
         )
-        idx = SLMIndex(
-            db.entries, settings, arena=db.arena_for(settings.fragmentation)
-        )
-        for keys in (len(db.entries) * 3, 1 << 22):
-            batched = idx.filter_many(spectra, max_batch_keys=keys)
-            assert_results_equal(batched, [idx.filter(s) for s in spectra])
+        idx = SLMIndex(db.arena_for(settings.fragmentation), settings)
+        expected = [idx.filter(s) for s in spectra]
+        for budget in (1 << 10, 1 << 23):
+            with mock.patch("repro.index.slm.FILTER_BATCH_ION_BUDGET", budget):
+                assert_results_equal(idx.filter_many(spectra), expected)
 
 
 # -- chunked batched path ----------------------------------------------
@@ -193,7 +196,7 @@ def test_chunked_filter_many_matches_per_spectrum(precursor_tolerance, monkeypat
 def test_chunked_filter_many_matches_flat_index():
     settings = SLMIndexSettings(shared_peak_threshold=1, precursor_tolerance=2.0)
     ci = chunked(settings, 2)
-    flat = SLMIndex(PEPTIDES, settings)
+    flat = index_over(PEPTIDES, settings)
     for s, res in zip(mixed_spectra(), ci.filter_many(mixed_spectra())):
         fres = flat.filter(s)
         assert np.array_equal(res.candidates, fres.candidates)
@@ -235,7 +238,7 @@ def test_precursor_boundary_chunked_agrees_with_flat():
     assert target.mass - nm > tol
 
     settings = SLMIndexSettings(shared_peak_threshold=1, precursor_tolerance=tol)
-    flat = SLMIndex(PEPTIDES, settings)
+    flat = index_over(PEPTIDES, settings)
     ci = chunked(settings, 1)
     fres = flat.filter(q)
     cres = ci.filter(q)
@@ -256,8 +259,8 @@ def test_bruteforce_uses_same_window_predicate():
     nm = q.neutral_mass
     tol = float(np.abs(np.float64(np.float32(target.mass)) - nm))
     settings = SLMIndexSettings(shared_peak_threshold=1, precursor_tolerance=tol)
-    idx = SLMIndex(PEPTIDES, settings)
-    fast, slow = idx.filter(q), idx.filter_bruteforce(q)
+    idx = index_over(PEPTIDES, settings)
+    fast, slow = idx.filter(q), bruteforce_filter(PEPTIDES, settings, q)
     assert np.array_equal(fast.candidates, slow.candidates)
     assert np.array_equal(fast.shared_peaks, slow.shared_peaks)
 
@@ -377,10 +380,10 @@ def test_sub_arena_index_build_avoids_argsort(monkeypatch):
             "argsort",
             lambda *a, **k: pytest.fail("argsort during rank partial build"),
         )
-        rank_index = SLMIndex(sub_entries, settings, arena=sub)
+        rank_index = SLMIndex(sub, settings)
     # Bit-identical filtration vs an index built from scratch (fresh
     # argsort) over the same entries.
-    fresh_index = SLMIndex(sub_entries, settings)
+    fresh_index = index_over(sub_entries, settings)
     for p in sub_entries:
         if p.length < 2:
             continue
@@ -462,9 +465,9 @@ def test_loaded_index_batched_filtration_identical(tmp_path):
     from repro.index.serialize import load_index, save_index
 
     settings = SLMIndexSettings(shared_peak_threshold=1, precursor_tolerance=2.0)
-    idx = SLMIndex(PEPTIDES, settings)
-    path = save_index(tmp_path / "idx.npz", idx)
-    loaded = load_index(path)
+    idx = index_over(PEPTIDES, settings)
+    path = save_index(tmp_path / "idx.npz", idx, PEPTIDES)
+    _, loaded = load_index(path)
     spectra = mixed_spectra()
     assert_results_equal(
         loaded.filter_many(spectra), [idx.filter(s) for s in spectra]

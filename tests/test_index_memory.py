@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from reference import index_over
 from repro.chem.peptide import Peptide
 from repro.errors import ConfigurationError
 from repro.index import chunks
 from repro.index.chunks import ChunkedIndex
 from repro.index.memory import IndexMemoryModel, MemoryBreakdown
-from repro.index.slm import SLMIndex, SLMIndexSettings
+from repro.index.slm import SLMIndexSettings
 
 
 def test_shared_scales_linearly_in_entries():
@@ -156,9 +157,9 @@ def test_invalid_ranks_rejected():
 def test_measure_actual_tracks_model_proportionally():
     """The live numpy index's ion bytes must scale like the model."""
     peptides = [Peptide("ACDEFGHIK"), Peptide("LMNPQRSTVWYK"), Peptide("GGGGGGK")]
-    idx = SLMIndex(peptides, SLMIndexSettings())
+    idx = index_over(peptides, SLMIndexSettings())
     m = IndexMemoryModel()
-    actual = m.measure_actual(idx)
+    actual = m.measure_actual(idx, peptides)
     assert actual.ion_bytes == 4 * idx.n_ions  # int32 parents
     assert actual.offsets_bytes == 8 * (idx.n_buckets + 1)
 

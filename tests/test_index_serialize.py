@@ -5,9 +5,10 @@ import pytest
 
 from repro.chem.fragments import FragmentationSettings
 from repro.chem.peptide import Peptide
-from repro.errors import FormatError
+from reference import index_over
+from repro.errors import ConfigurationError, FormatError
 from repro.index.serialize import load_index, save_index
-from repro.index.slm import SLMIndex, SLMIndexSettings
+from repro.index.slm import SLMIndexSettings
 
 PEPTIDES = [
     Peptide("AAAGGGK", protein_id=3),
@@ -18,12 +19,12 @@ PEPTIDES = [
 
 @pytest.fixture()
 def index():
-    return SLMIndex(PEPTIDES, SLMIndexSettings(shared_peak_threshold=2))
+    return index_over(PEPTIDES, SLMIndexSettings(shared_peak_threshold=2))
 
 
 def test_roundtrip_structures(tmp_path, index):
-    path = save_index(tmp_path / "idx.npz", index)
-    loaded = load_index(path)
+    path = save_index(tmp_path / "idx.npz", index, PEPTIDES)
+    _, loaded = load_index(path)
     assert np.array_equal(loaded.ion_parents, index.ion_parents)
     assert np.array_equal(loaded.bucket_offsets, index.bucket_offsets)
     assert np.array_equal(loaded.masses, index.masses)
@@ -31,10 +32,10 @@ def test_roundtrip_structures(tmp_path, index):
 
 
 def test_roundtrip_peptides(tmp_path, index):
-    loaded = load_index(save_index(tmp_path / "idx.npz", index))
-    assert loaded.peptides == index.peptides
-    assert loaded.peptides[1].mods == ((0, 15.995),)
-    assert loaded.peptides[0].protein_id == 3
+    peptides, _ = load_index(save_index(tmp_path / "idx.npz", index, PEPTIDES))
+    assert peptides == PEPTIDES
+    assert peptides[1].mods == ((0, 15.995),)
+    assert peptides[0].protein_id == 3
 
 
 def test_roundtrip_settings_path(tmp_path):
@@ -45,8 +46,8 @@ def test_roundtrip_settings_path(tmp_path):
         precursor_tolerance=5.0,
         fragmentation=FragmentationSettings(charges=(1, 2), include_b=False),
     )
-    idx = SLMIndex(PEPTIDES, settings)
-    loaded = load_index(save_index(tmp_path / "s.npz", idx))
+    idx = index_over(PEPTIDES, settings)
+    _, loaded = load_index(save_index(tmp_path / "s.npz", idx, PEPTIDES))
     assert loaded.settings == settings
 
 
@@ -54,7 +55,7 @@ def test_loaded_filters_identically(tmp_path, index):
     from repro.chem.fragments import fragment_mzs
     from repro.spectra.model import Spectrum
 
-    loaded = load_index(save_index(tmp_path / "idx.npz", index))
+    _, loaded = load_index(save_index(tmp_path / "idx.npz", index, PEPTIDES))
     mzs = fragment_mzs(PEPTIDES[0])
     q = Spectrum(1, 500.0, 2, mzs, np.ones_like(mzs))
     a, b = index.filter(q), loaded.filter(q)
@@ -64,8 +65,9 @@ def test_loaded_filters_identically(tmp_path, index):
 
 
 def test_empty_index_roundtrip(tmp_path):
-    idx = SLMIndex([], SLMIndexSettings())
-    loaded = load_index(save_index(tmp_path / "e.npz", idx))
+    idx = index_over([], SLMIndexSettings())
+    peptides, loaded = load_index(save_index(tmp_path / "e.npz", idx, []))
+    assert peptides == []
     assert len(loaded) == 0
     assert loaded.n_ions == 0
 
@@ -79,7 +81,7 @@ def test_missing_field_rejected(tmp_path):
 def test_bad_version_rejected(tmp_path, index):
     import json
 
-    path = save_index(tmp_path / "idx.npz", index)
+    path = save_index(tmp_path / "idx.npz", index, PEPTIDES)
     with np.load(path) as data:
         fields = {k: data[k] for k in data.files}
     payload = json.loads(str(fields["settings"]))
@@ -94,8 +96,8 @@ def test_bad_version_rejected(tmp_path, index):
 
 
 def test_mmap_roundtrip_bit_identical(tmp_path, index):
-    path = save_index(tmp_path / "flat.npz", index, compress=False)
-    loaded = load_index(path, mmap_mode="r")
+    path = save_index(tmp_path / "flat.npz", index, PEPTIDES, compress=False)
+    _, loaded = load_index(path, mmap_mode="r")
     assert isinstance(loaded.ion_parents, np.memmap)
     assert isinstance(loaded.bucket_offsets, np.memmap)
     assert isinstance(loaded.masses, np.memmap)
@@ -106,8 +108,8 @@ def test_mmap_roundtrip_bit_identical(tmp_path, index):
 
 
 def test_mmap_views_reject_writes(tmp_path, index):
-    path = save_index(tmp_path / "flat.npz", index, compress=False)
-    loaded = load_index(path, mmap_mode="r")
+    path = save_index(tmp_path / "flat.npz", index, PEPTIDES, compress=False)
+    _, loaded = load_index(path, mmap_mode="r")
     with pytest.raises(ValueError):
         loaded.ion_parents[0] = 1
 
@@ -116,8 +118,8 @@ def test_mmap_loaded_filters_identically(tmp_path, index):
     from repro.chem.fragments import fragment_mzs
     from repro.spectra.model import Spectrum
 
-    path = save_index(tmp_path / "flat.npz", index, compress=False)
-    loaded = load_index(path, mmap_mode="r")
+    path = save_index(tmp_path / "flat.npz", index, PEPTIDES, compress=False)
+    _, loaded = load_index(path, mmap_mode="r")
     mzs = fragment_mzs(PEPTIDES[0])
     q = Spectrum(1, 500.0, 2, mzs, np.ones_like(mzs))
     a, b = index.filter(q), loaded.filter(q)
@@ -126,23 +128,20 @@ def test_mmap_loaded_filters_identically(tmp_path, index):
 
 
 def test_mmap_of_compressed_archive_rejected(tmp_path, index):
-    path = save_index(tmp_path / "packed.npz", index, compress=True)
+    path = save_index(tmp_path / "packed.npz", index, PEPTIDES, compress=True)
     with pytest.raises(FormatError, match="compress"):
         load_index(path, mmap_mode="r")
 
 
 def test_mmap_mode_validated(tmp_path, index):
-    from repro.errors import ConfigurationError
-
-    path = save_index(tmp_path / "flat.npz", index, compress=False)
+    path = save_index(tmp_path / "flat.npz", index, PEPTIDES, compress=False)
     with pytest.raises(ConfigurationError):
         load_index(path, mmap_mode="r+")
 
 
-def test_peptide_free_index_refuses_serialization(tmp_path, tiny_db):
-    from repro.errors import ConfigurationError
-
-    arena = tiny_db.arena_for()
-    idx = SLMIndex(None, SLMIndexSettings(), arena=arena)
-    with pytest.raises(ConfigurationError, match="peptide-free"):
-        save_index(tmp_path / "nope.npz", idx)
+def test_save_rejects_a_peptide_table_of_the_wrong_length(tmp_path, index):
+    with pytest.raises(ConfigurationError, match="peptide table"):
+        save_index(tmp_path / "short.npz", index, PEPTIDES[:2])
+    with pytest.raises(ConfigurationError, match="peptide table"):
+        save_index(tmp_path / "long.npz", index, PEPTIDES + PEPTIDES[:1])
+    assert not (tmp_path / "short.npz").exists()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from repro.chem.fragments import FragmentationSettings, fragment_mzs
+from reference import arena_of, bruteforce_filter, index_over
+from repro.chem.fragments import fragment_mzs
 from repro.chem.peptide import Peptide
 from repro.errors import ConfigurationError
 from repro.index.slm import SLMIndex, SLMIndexSettings
@@ -35,13 +36,13 @@ def spectrum_of(peptide, scan=1, charge=2):
 
 
 def test_index_sizes():
-    idx = SLMIndex(PEPTIDES, SETTINGS)
+    idx = index_over(PEPTIDES, SETTINGS)
     assert len(idx) == 5
     assert idx.n_ions == sum(2 * (p.length - 1) for p in PEPTIDES)
 
 
 def test_empty_index():
-    idx = SLMIndex([], SETTINGS)
+    idx = index_over([], SETTINGS)
     assert len(idx) == 0
     assert idx.n_ions == 0
     res = idx.filter(spectrum_of(PEPTIDES[0]))
@@ -49,7 +50,7 @@ def test_empty_index():
 
 
 def test_own_spectrum_is_top_candidate():
-    idx = SLMIndex(PEPTIDES, SETTINGS)
+    idx = index_over(PEPTIDES, SETTINGS)
     res = idx.filter(spectrum_of(PEPTIDES[2]))
     assert 2 in res.candidates
     best = res.candidates[np.argmax(res.shared_peaks)]
@@ -57,7 +58,7 @@ def test_own_spectrum_is_top_candidate():
 
 
 def test_exact_spectrum_matches_all_ions():
-    idx = SLMIndex(PEPTIDES, SETTINGS)
+    idx = index_over(PEPTIDES, SETTINGS)
     res = idx.filter(spectrum_of(PEPTIDES[0]))
     i = list(res.candidates).index(0)
     assert res.shared_peaks[i] >= 2 * (PEPTIDES[0].length - 1)
@@ -65,14 +66,14 @@ def test_exact_spectrum_matches_all_ions():
 
 def test_threshold_filters():
     strict = SLMIndexSettings(shared_peak_threshold=1000)
-    idx = SLMIndex(PEPTIDES, strict)
+    idx = index_over(PEPTIDES, strict)
     res = idx.filter(spectrum_of(PEPTIDES[0]))
     assert res.candidates.size == 0
 
 
 def test_precursor_window_filters():
     windowed = SLMIndexSettings(shared_peak_threshold=2, precursor_tolerance=0.1)
-    idx = SLMIndex(PEPTIDES, windowed)
+    idx = index_over(PEPTIDES, windowed)
     res = idx.filter(spectrum_of(PEPTIDES[0]))
     masses = idx.masses[res.candidates]
     assert np.all(np.abs(masses - PEPTIDES[0].mass) <= 0.1 + 1e-3)
@@ -85,14 +86,14 @@ def test_open_search_flag():
 
 
 def test_work_counters_positive():
-    idx = SLMIndex(PEPTIDES, SETTINGS)
+    idx = index_over(PEPTIDES, SETTINGS)
     res = idx.filter(spectrum_of(PEPTIDES[1]))
     assert res.buckets_scanned > 0
     assert res.ions_scanned > 0
 
 
 def test_empty_spectrum_no_work():
-    idx = SLMIndex(PEPTIDES, SETTINGS)
+    idx = index_over(PEPTIDES, SETTINGS)
     s = Spectrum(1, 500.0, 2, np.array([]), np.array([]))
     res = idx.filter(s)
     assert res.candidates.size == 0
@@ -100,16 +101,12 @@ def test_empty_spectrum_no_work():
 
 
 def test_precomputed_fragments_equivalent():
+    """An arena flattened from per-peptide fragment arrays indexes the same."""
     frags = [fragment_mzs(p) for p in PEPTIDES]
-    a = SLMIndex(PEPTIDES, SETTINGS)
-    b = SLMIndex(PEPTIDES, SETTINGS, fragments=frags)
+    a = index_over(PEPTIDES, SETTINGS)
+    b = SLMIndex(arena_of(frags), SETTINGS)
     assert np.array_equal(a.ion_parents, b.ion_parents)
     assert np.array_equal(a.bucket_offsets, b.bucket_offsets)
-
-
-def test_mismatched_fragments_rejected():
-    with pytest.raises(ConfigurationError, match="fragment arrays"):
-        SLMIndex(PEPTIDES, SETTINGS, fragments=[np.array([1.0])])
 
 
 def test_invalid_settings_rejected():
@@ -124,7 +121,7 @@ def test_invalid_settings_rejected():
 
 
 def test_ions_of():
-    idx = SLMIndex(PEPTIDES, SETTINGS)
+    idx = index_over(PEPTIDES, SETTINGS)
     assert idx.ions_of(0) == 2 * (PEPTIDES[0].length - 1)
 
 
@@ -133,9 +130,9 @@ def test_partition_union_equals_whole():
 
     This is the core invariant that makes distributed search correct.
     """
-    full = SLMIndex(PEPTIDES, SETTINGS)
-    part_a = SLMIndex(PEPTIDES[:2], SETTINGS)
-    part_b = SLMIndex(PEPTIDES[2:], SETTINGS)
+    full = index_over(PEPTIDES, SETTINGS)
+    part_a = index_over(PEPTIDES[:2], SETTINGS)
+    part_b = index_over(PEPTIDES[2:], SETTINGS)
     q = spectrum_of(PEPTIDES[4])
     res_full = full.filter(q)
     res_a, res_b = part_a.filter(q), part_b.filter(q)
@@ -163,10 +160,11 @@ def test_filter_matches_bruteforce_property(data):
         )
     )
     peptides = [Peptide(s) for s in seqs]
-    idx = SLMIndex(peptides, SLMIndexSettings(shared_peak_threshold=1))
+    settings = SLMIndexSettings(shared_peak_threshold=1)
+    idx = index_over(peptides, settings)
     target = data.draw(st.integers(min_value=0, max_value=len(peptides) - 1))
     q = spectrum_of(peptides[target])
     fast = idx.filter(q)
-    slow = idx.filter_bruteforce(q)
+    slow = bruteforce_filter(peptides, settings, q)
     assert np.array_equal(fast.candidates, slow.candidates)
     assert np.array_equal(fast.shared_peaks, slow.shared_peaks)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, FormatError
-from repro.index.slm import SLMIndex, SLMIndexSettings
+from repro.index.slm import SLMIndexSettings
 from repro.parallel.shared_arena import SharedArenaStore
 from repro.search.rank import build_rank_index
 
@@ -92,11 +92,15 @@ def test_partial_index_over_memmap_matches_master(master_arena, reopened):
 def test_spill_without_caches_loads_empty_caches(tiny_db, tmp_path):
     arena = tiny_db.arena_for()
     bare = SharedArenaStore.spill(
-        type(arena)(arena.mzs, arena.offsets), tmp_path / "bare"
+        type(arena)(
+            arena.mzs, arena.offsets, lengths=arena.lengths, masses=arena.masses
+        ),
+        tmp_path / "bare",
     )
     loaded = SharedArenaStore.open(bare.directory).load()
     assert loaded._bucket_cache == {} and loaded._order_cache == {}
-    assert loaded.lengths is None and loaded.masses is None
+    assert np.array_equal(loaded.lengths, arena.lengths)
+    assert np.array_equal(loaded.masses, arena.masses)
 
 
 def test_open_missing_store_raises(tmp_path):
@@ -117,15 +121,6 @@ def test_load_missing_file_raises(store, tmp_path):
     (broken_dir / "mzs.npy").unlink()
     with pytest.raises(FormatError):
         SharedArenaStore.open(broken_dir).load()
-
-
-def test_peptide_free_index_requires_masses(tiny_db):
-    arena = tiny_db.arena_for()
-    bare = type(arena)(arena.mzs, arena.offsets)
-    with pytest.raises(ConfigurationError):
-        SLMIndex(None, SLMIndexSettings(), arena=bare)
-    with pytest.raises(ConfigurationError):
-        SLMIndex(None, SLMIndexSettings())
 
 
 # -- the stale-store reaper --------------------------------------------

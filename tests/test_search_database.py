@@ -94,14 +94,15 @@ def test_expand_grouping_wrong_size_rejected():
 
 def test_fragment_cache_shared_and_correct():
     db = IndexedDatabase.from_peptides(BASES, MODS)
-    frags_a = db.fragments_for()
-    frags_b = db.fragments_for()
-    assert frags_a is frags_b  # cached
-    assert len(frags_a) == db.n_entries
+    arena_a = db.arena_for()
+    arena_b = db.arena_for()
+    assert arena_a is arena_b  # cached
+    assert arena_a.n_entries == db.n_entries
+    from reference import fragments_of
     from repro.chem.fragments import fragment_mzs
 
-    for pep, arr in zip(db.entries, frags_a):
-        assert np.allclose(arr, fragment_mzs(pep))
+    for i, pep in enumerate(db.entries):
+        assert np.allclose(fragments_of(arena_a, i), fragment_mzs(pep))
 
 
 def test_grouping_cache():

@@ -5,14 +5,14 @@ conservative coarse test and then the exact match expressions on the
 survivors only; filtration copies window slices of ``ion_parents``
 instead of building a per-ion index array; top-k partitions before it
 sorts.  Each is pinned here, bit for bit, to the dense formulation it
-replaced — kept in this file as **test-only** references, so ``src/``
-holds one implementation of each:
+replaced — the test-only references in ``tests/reference.py``, so
+``src/`` holds one implementation of each:
 
-* :func:`dense_score_candidates` — the pre-sparse scoring body (every
-  gathered fragment pays the binary search and the element-wise
-  passes),
-* :func:`index_gather_filter` — the ``concat_ranges`` + ``np.take``
-  filtration gather,
+* :func:`~reference.dense_score_candidates` — the pre-sparse scoring
+  body (every gathered fragment pays the binary search and the
+  element-wise passes),
+* :func:`~reference.index_gather_filter` — the ``concat_ranges`` +
+  ``np.take`` filtration gather,
 * a full ``lexsort`` for top-k.
 
 Inputs are drawn by Hypothesis (the numpy seed is an explicit argument,
@@ -27,92 +27,15 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings as hsettings, strategies as st
 
-from repro.index.arena import FragmentArena, Workspace, concat_ranges
-from repro.index.slm import FilterResult, SLMIndex, SLMIndexSettings
+from reference import arena_of, dense_score_candidates, index_gather_filter
+from repro.index.arena import Workspace
+from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.search import scoring
 from repro.search.rank import _top_k_order
-from repro.search.scoring import (
-    ScoringOutcome,
-    _coarse_survivors,
-    _lgamma_counts,
-    score_candidates,
-)
+from repro.search.scoring import ScoringOutcome, _coarse_survivors, score_candidates
 from repro.spectra.model import Spectrum
 
 PROPERTY = hsettings(max_examples=150, deadline=None, print_blob=True)
-
-
-# -- test-only dense references ----------------------------------------
-
-
-def dense_score_candidates(spectrum, candidate_ids, *, fragment_tolerance, arena):
-    """The dense scoring body: match every gathered fragment exactly."""
-    cids = np.asarray(candidate_ids, dtype=np.int64)
-    n = int(cids.size)
-    theo_all, sizes = arena.gather_flat(cids)
-    residues = int(arena.lengths[cids].sum())
-    q_mzs = spectrum.mzs
-    q_int = spectrum.intensities
-    bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sizes, out=bounds[1:])
-    m = theo_all.size
-    intensity_sums = np.zeros(n, dtype=np.float64)
-    if q_mzs.size and m:
-        qn = q_mzs.size
-        pos = np.searchsorted(q_mzs, theo_all)
-        left = np.maximum(pos - 1, 0)
-        right = np.minimum(pos, qn - 1)
-        d_left = np.abs(theo_all - q_mzs[left])
-        d_right = np.abs(theo_all - q_mzs[right])
-        use_left = d_left <= d_right
-        mask = np.minimum(d_left, d_right) <= fragment_tolerance
-        mask_cum = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(mask, out=mask_cum[1:])
-        matched = (mask_cum[bounds[1:]] - mask_cum[bounds[:-1]]).astype(np.int32)
-        nearest = np.where(use_left, left, right)
-        credit = q_int[nearest]
-        credit[~mask] = 0.0
-        seg_starts = np.minimum(bounds[:-1], m - 1)
-        seg = np.add.reduceat(credit, seg_starts)
-        nonempty = sizes > 0
-        intensity_sums[nonempty] = seg[nonempty]
-    else:
-        mask = np.zeros(m, dtype=bool)
-        matched = np.zeros(n, dtype=np.int32)
-    scores = np.where(
-        matched > 0, _lgamma_counts(matched) + np.log1p(intensity_sums), 0.0
-    )
-    outcome = ScoringOutcome(
-        scores=scores,
-        n_matched=matched,
-        candidates_scored=n,
-        residues_scored=residues,
-    )
-    return outcome, theo_all, mask
-
-
-def index_gather_filter(index: SLMIndex, spectrum: Spectrum) -> FilterResult:
-    """Per-spectrum filtration through an explicit per-ion index array."""
-    n = index.n_peptides
-    r = index.settings.resolution
-    tol = index.settings.fragment_tolerance
-    lo = np.floor((spectrum.mzs - tol) / r).astype(np.int64)
-    hi = np.floor((spectrum.mzs + tol) / r).astype(np.int64) + 1
-    np.clip(lo, 0, index.n_buckets, out=lo)
-    np.clip(hi, 0, index.n_buckets, out=hi)
-    valid = hi > lo
-    lo, hi = lo[valid], hi[valid]
-    gather = concat_ranges(index.bucket_offsets[lo], index.bucket_offsets[hi])
-    counts = np.bincount(np.take(index.ion_parents, gather), minlength=n)
-    if not index.settings.is_open_search:
-        index._apply_precursor_window(counts, spectrum.neutral_mass)
-    cands = np.flatnonzero(counts >= index.settings.shared_peak_threshold)
-    return FilterResult(
-        candidates=cands.astype(np.int32),
-        shared_peaks=counts[cands].astype(np.int32),
-        buckets_scanned=int((hi - lo).sum()),
-        ions_scanned=int(gather.size),
-    )
 
 
 # -- generators --------------------------------------------------------
@@ -177,7 +100,7 @@ def draw_case(seed, n_peaks, n_entries, tol, *, close_peaks, hostile, edges):
             )
             frags[rng.integers(0, k, bad.size)] = bad
         arrays.append(np.sort(frags))  # NaN sorts last, as any value may
-    arena = FragmentArena.from_arrays(
+    arena = arena_of(
         arrays, lengths=rng.integers(1, 40, n_entries).astype(np.int64)
     )
     return spectrum, arena, rng
@@ -234,10 +157,10 @@ def test_two_stage_scoring_equals_dense_reference(
             is not None
         )
         got = score_candidates(
-            spectrum, None, cands, fragment_tolerance=tol, arena=arena, workspace=ws
+            spectrum, arena, cands, fragment_tolerance=tol, workspace=ws
         )
         again = score_candidates(
-            spectrum, None, cands, fragment_tolerance=tol, arena=arena, workspace=ws
+            spectrum, arena, cands, fragment_tolerance=tol, workspace=ws
         )
     event(f"coarse stage ran: {took_coarse}")
     assert_outcomes_identical(got, want)
@@ -302,7 +225,7 @@ def test_scoring_identical_either_side_of_the_real_cutoff(delta):
         frags = rng.uniform(0.0, 1600.0, k)
         frags[::7] = rng.choice(q, frags[::7].size) + rng.normal(0, 0.04, frags[::7].size)
         arrays.append(np.sort(frags))
-    arena = FragmentArena.from_arrays(arrays, lengths=np.arange(64) + 5)
+    arena = arena_of(arrays, lengths=np.arange(64) + 5)
     cands = np.arange(64, dtype=np.int32)
     want, theo_all, _ = dense_score_candidates(
         spectrum, cands, fragment_tolerance=0.05, arena=arena
@@ -310,7 +233,7 @@ def test_scoring_identical_either_side_of_the_real_cutoff(delta):
     assert theo_all.size == m
     ran = _coarse_survivors(theo_all, q, 0.05, Workspace()) is not None
     assert ran == (delta >= 0)
-    got = score_candidates(spectrum, None, cands, fragment_tolerance=0.05, arena=arena)
+    got = score_candidates(spectrum, arena, cands, fragment_tolerance=0.05)
     assert want.n_matched.sum() > 0
     assert_outcomes_identical(got, want)
 
@@ -324,7 +247,7 @@ def test_scoring_identical_when_the_query_defeats_the_table(tail):
     q = np.concatenate([np.sort(rng.uniform(100.0, 900.0, 12)), tail])
     spectrum = Spectrum(1, 600.0, 2, q, np.ones(q.size))
     arrays = [np.sort(rng.choice(q[:12], 30) + rng.normal(0, 0.03, 30)) for _ in range(20)]
-    arena = FragmentArena.from_arrays(arrays, lengths=np.full(20, 9))
+    arena = arena_of(arrays, lengths=np.full(20, 9))
     cands = np.arange(20, dtype=np.int32)
     want, theo_all, _ = dense_score_candidates(
         spectrum, cands, fragment_tolerance=0.05, arena=arena
@@ -332,9 +255,7 @@ def test_scoring_identical_when_the_query_defeats_the_table(tail):
     with coarse_cutoff(1):
         if tail != [4.0e4, 4.5e4]:
             assert _coarse_survivors(theo_all, q, 0.05, Workspace()) is None
-        got = score_candidates(
-            spectrum, None, cands, fragment_tolerance=0.05, arena=arena
-        )
+        got = score_candidates(spectrum, arena, cands, fragment_tolerance=0.05)
     assert_outcomes_identical(got, want)
 
 
@@ -398,19 +319,18 @@ def test_slice_gather_filtration_equals_index_gather(
 ):
     rng = np.random.default_rng(seed)
     arrays = [np.sort(rng.uniform(100.0, 400.0, rng.integers(0, 25))) for _ in range(n_entries)]
-    arena = FragmentArena.from_arrays(
+    arena = arena_of(
         arrays,
         lengths=np.full(n_entries, 8),
         masses=rng.uniform(700.0, 900.0, n_entries).astype(np.float32),
     )
     index = SLMIndex(
-        None,
+        arena,
         SLMIndexSettings(
             fragment_tolerance=tol,
             shared_peak_threshold=threshold,
             precursor_tolerance=precursor,
         ),
-        arena=arena,
     )
     all_frags = np.concatenate(arrays + [np.array([250.0])])
     spectra = []

