@@ -51,7 +51,7 @@ from repro.chem.fragments import FragmentationSettings, fragment_mzs_batch
 from repro.chem.peptide import Peptide
 from repro.errors import ConfigurationError
 
-__all__ = ["FragmentArena", "Workspace", "concat_ranges", "thread_workspace"]
+__all__ = ["FragmentArena", "Workspace", "concat_ranges", "segment_kth", "thread_workspace"]
 
 
 class Workspace:
@@ -176,6 +176,38 @@ def concat_ranges(
         out += workspace.iota(total)
     else:
         out += np.arange(total, dtype=np.int64)
+    return out
+
+
+#: Cell budget of one NaN-padded :func:`segment_kth` matrix (64 MB).
+_KTH_BUDGET = 1 << 23
+
+
+def segment_kth(values: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
+    """The ``k``-th smallest value of each segment longer than ``k``; NaN elsewhere.
+
+    Segment ``i`` is ``values[offsets[i]:offsets[i + 1]]`` and NaN ranks
+    after every number, as in ``np.sort``.  Long segments are padded
+    with NaN into matrices of at most ``_KTH_BUDGET`` cells, grouped by
+    ascending width so one huge segment cannot widen the others, and
+    each matrix is one axis-1 ``np.partition``.
+    """
+    sizes = np.diff(offsets)
+    out = np.full(sizes.size, np.nan)
+    rows = np.flatnonzero(sizes > k)
+    rows = rows[np.argsort(sizes[rows], kind="stable")]
+    while rows.size:
+        widths = sizes[rows]
+        cells = np.arange(1, rows.size + 1) * widths
+        m = max(1, int(np.searchsorted(cells, _KTH_BUDGET, side="right")))
+        chunk, widths = rows[:m], widths[:m]
+        pad = np.full((m, int(widths[-1])), np.nan)
+        starts = offsets[chunk]
+        pad[np.repeat(np.arange(m), widths), concat_ranges(np.zeros(m), widths)] = values[
+            concat_ranges(starts, starts + widths)
+        ]
+        out[chunk] = np.partition(pad, k - 1, axis=1)[:, k - 1]
+        rows = rows[m:]
     return out
 
 

@@ -349,7 +349,10 @@ class DistributedSearchEngine:
         # Phase 5: gather to the master, then merge there.
         payloads: List[RankPayload] = [out.payload for out in outputs]
         starts = [clock.now for clock in clocks]
-        gather(clocks, [payload_nbytes(p) for p in payloads], cfg.comm)
+        # Charged at the per-spectrum list-of-arrays wire size the
+        # virtual-time model (and its pinned figures) was calibrated on.
+        nbytes = [payload_nbytes((counts, list(psms))) for counts, psms in payloads]
+        gather(clocks, nbytes, cfg.comm)
         for clock, t0, stats in zip(clocks, starts, all_stats):
             stats.comm_time = clock.now - t0
         merged, n_psms = merge_rank_payloads(

@@ -50,31 +50,37 @@ worth instead of the whole rank's (and the simulated engine charges
 virtual time accordingly).  ``counts``, ``candidates_scored``,
 ``residues_scored`` and the PSMs are the same to the last digit.
 
-Everything returned is plain numpy + builtins (picklable), because the
-process backend ships :class:`RankQueryOutput` across a pipe.
+Results are columnar end to end.  A rank returns its top-k of every
+spectrum as one CSR block, :class:`RankPsms` (bounds, local ids,
+scores, shared peaks), filled by one segmented top-k over the batch;
+it pickles as four arrays however many spectra the batch holds, which
+is what the process backend ships across a pipe.  The master's
+:func:`merge_rank_payloads` maps each block to global ids in one call
+and merges every rank with one ``lexsort``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.mapping import MappingTable
-from repro.index.arena import FragmentArena, Workspace, thread_workspace
+from repro.index.arena import FragmentArena, Workspace, segment_kth, thread_workspace
 from repro.index.chunks import ChunkedIndex
 from repro.index.slm import SLMIndex, SLMIndexSettings
-from repro.search.psm import RankStats, SpectrumResult
+from repro.search.psm import PSM, RankStats, SpectrumResult
 from repro.search.scoring import score_many
-from repro.search.serial import top_k_psms
 from repro.spectra.model import Spectrum
 
 __all__ = [
     "RankPayload",
+    "RankPsms",
     "RankQueryOutput",
     "build_rank_index",
     "run_rank_queries",
+    "top_k_block",
     "merge_rank_payloads",
     "observed_rank_speeds",
     "summarize_rank_output",
@@ -82,9 +88,39 @@ __all__ = [
     "worker_spans_from_report",
 ]
 
+
+@dataclass(frozen=True, slots=True)
+class RankPsms:
+    """One rank's top-k of every spectrum in a batch, as one CSR block.
+
+    Spectrum ``i`` owns ``bounds[i]:bounds[i + 1]`` of ``ids`` (int64
+    local ids), ``scores`` (float64) and ``shared`` (int64 shared-peak
+    counts), best first.  Indexing or iterating yields each spectrum's
+    ``(ids, scores, shared)`` as slice views.
+    """
+
+    bounds: np.ndarray
+    ids: np.ndarray
+    scores: np.ndarray
+    shared: np.ndarray
+
+    def __len__(self) -> int:
+        return self.bounds.size - 1
+
+    def __getitem__(self, i: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        i = range(len(self))[i]  # negative indices count from the end
+        lo, hi = int(self.bounds[i]), int(self.bounds[i + 1])
+        return self.ids[lo:hi], self.scores[lo:hi], self.shared[lo:hi]
+
+    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        bounds = self.bounds.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield self.ids[lo:hi], self.scores[lo:hi], self.shared[lo:hi]
+
+
 #: Per-rank payload the master merges: (scan-order candidate counts,
-#: per-scan (local ids, scores, shared-peak counts)).
-RankPayload = Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]
+#: the rank's top-k block).
+RankPayload = Tuple[np.ndarray, RankPsms]
 
 
 @dataclass(slots=True)
@@ -96,8 +132,8 @@ class RankQueryOutput:
     counts:
         int64, candidates that passed filtration per query spectrum.
     local_psms:
-        Per spectrum: (local candidate ids, scores, shared-peak
-        counts) of the rank's top-k, already globally tie-broken.
+        The rank's top-k of every spectrum (local candidate ids,
+        scores, shared-peak counts), already globally tie-broken.
     buckets_scanned / ions_scanned:
         int64 per-spectrum filtration work counters.
     candidates_scored / residues_scored:
@@ -109,7 +145,7 @@ class RankQueryOutput:
     """
 
     counts: np.ndarray
-    local_psms: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    local_psms: RankPsms
     buckets_scanned: np.ndarray
     ions_scanned: np.ndarray
     candidates_scored: np.ndarray
@@ -173,69 +209,96 @@ def run_rank_queries(
         arena=sub_arena,
         workspace=ws,
     )
-    n = len(filtered)
-    counts = np.zeros(n, dtype=np.int64)
-    buckets = np.zeros(n, dtype=np.int64)
-    ions = np.zeros(n, dtype=np.int64)
-    cands = np.zeros(n, dtype=np.int64)
-    residues = np.zeros(n, dtype=np.int64)
-    local_psms: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for si, (fres, outcome) in enumerate(zip(filtered, outcomes)):
-        buckets[si] = fres.buckets_scanned
-        ions[si] = fres.ions_scanned
-        cands[si] = outcome.candidates_scored
-        residues[si] = outcome.residues_scored
-        counts[si] = fres.candidates.size
-        keep = _top_k_order(entry_ids, fres.candidates, outcome.scores, top_k)
-        local_psms.append(
-            (
-                fres.candidates[keep].astype(np.int64),
-                outcome.scores[keep],
-                fres.shared_peaks[keep].astype(np.int64),
-            )
-        )
+    counts = np.array([f.candidates.size for f in filtered], np.int64)
+    offsets = np.zeros(counts.size + 1, np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    flat = lambda parts, dtype: np.concatenate([*parts, np.empty(0, dtype)])  # noqa: E731
     return RankQueryOutput(
         counts=counts,
-        local_psms=local_psms,
-        buckets_scanned=buckets,
-        ions_scanned=ions,
-        candidates_scored=cands,
-        residues_scored=residues,
+        local_psms=top_k_block(
+            entry_ids,
+            offsets,
+            flat((f.candidates for f in filtered), np.int64),
+            flat((o.scores for o in outcomes), np.float64),
+            flat((f.shared_peaks for f in filtered), np.int64),
+            top_k,
+        ),
+        buckets_scanned=np.array([f.buckets_scanned for f in filtered], np.int64),
+        ions_scanned=np.array([f.ions_scanned for f in filtered], np.int64),
+        candidates_scored=np.array([o.candidates_scored for o in outcomes], np.int64),
+        residues_scored=np.array([o.residues_scored for o in outcomes], np.int64),
     )
 
 
-def _top_k_order(
-    entry_ids: np.ndarray, candidates: np.ndarray, scores: np.ndarray, top_k: int
-) -> np.ndarray:
-    """Positions of the ``top_k`` best candidates, best first.
+def _best_first(
+    rows: np.ndarray, neg: np.ndarray, gids: np.ndarray, n: int, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions of each row's ``k`` best by (−score asc, global id asc).
 
-    Equal to ``np.lexsort((entry_ids[candidates], -scores))[:top_k]``:
-    ``np.partition`` finds the ``top_k``-th best score, and only the
-    candidates scoring at least that — every tie at the cut included —
-    go through the (score desc, global id asc) sort.
+    Returns the positions row by row, best first, and their CSR bounds
+    over the ``n`` rows.  NaN scores sort last, as in ``np.lexsort``.
     """
+    order = np.lexsort((gids, neg, rows))
+    ranked = rows[order]
+    keep = np.arange(ranked.size) - np.searchsorted(ranked, ranked) < k
+    bounds = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(ranked[keep], minlength=n), out=bounds[1:])
+    return order[keep], bounds
+
+
+def top_k_block(
+    entry_ids: np.ndarray,
+    offsets: np.ndarray,
+    candidates: np.ndarray,
+    scores: np.ndarray,
+    shared: np.ndarray,
+    top_k: int,
+) -> RankPsms:
+    """Every spectrum's ``top_k`` candidates as one :class:`RankPsms`.
+
+    Spectrum ``i`` owns ``offsets[i]:offsets[i + 1]`` of the flat
+    candidate columns.  Spectrum by spectrum this equals
+    ``np.lexsort((entry_ids[candidates], -scores))[:top_k]``.  A
+    :func:`~repro.index.arena.segment_kth` threshold pools each
+    spectrum's ``top_k`` best scores with every tie at the cut (or the
+    whole spectrum, when it holds at most ``top_k`` candidates or a NaN
+    sits at the cut), and one ``lexsort`` orders only that pool.
+    """
+    n = offsets.size - 1
     neg = -scores
-    if 0 < top_k < candidates.size:
-        pool = np.flatnonzero(neg <= np.partition(neg, top_k - 1)[top_k - 1])
-        if pool.size >= top_k:  # false only when a NaN score sits at the cut
-            order = np.lexsort((entry_ids[candidates[pool]], neg[pool]))[:top_k]
-            return pool[order]
-    return np.lexsort((entry_ids[candidates], neg))[:top_k]
+    rows = np.repeat(np.arange(n), np.diff(offsets))
+    if top_k > 0:
+        cut = segment_kth(neg, offsets, top_k)[rows]
+        pool = np.flatnonzero(np.isnan(cut) | (neg <= cut))
+    else:
+        pool = np.empty(0, np.int64)
+    best, bounds = _best_first(
+        rows[pool], neg[pool], entry_ids[candidates[pool]], n, top_k
+    )
+    keep = pool[best]
+    return RankPsms(
+        bounds=bounds,
+        ids=candidates[keep].astype(np.int64),
+        scores=scores[keep],
+        shared=shared[keep].astype(np.int64),
+    )
 
 
 def merge_rank_payloads(
-    gathered: Sequence[RankPayload],
+    gathered: Sequence[RankPayload | None],
     spectra: Sequence[Spectrum],
     mapping: MappingTable,
     top_k: int,
 ) -> Tuple[List[SpectrumResult], int]:
     """Combine per-rank payloads into global results (master side).
 
-    Local ids are translated through the mapping table (one array
-    access per id, as in the paper's Fig. 4); candidate counts add
-    up; top-k lists merge by (score desc, entry id asc).  Returns the
-    per-spectrum results and the total PSM count (the merge-cost
-    basis).
+    Each rank's block is translated to global ids in one mapping-table
+    access (the paper's Fig. 4); candidate counts add up; every rank's
+    lists merge in one ``lexsort`` by (spectrum, score desc, entry id
+    asc), cut at ``top_k`` per spectrum — per spectrum, exactly
+    :func:`~repro.search.serial.top_k_psms` over the union of the rank
+    lists.  Returns the per-spectrum results and the total PSM count
+    (the merge-cost basis).
 
     A ``None`` entry in ``gathered`` is a **degraded rank** (the
     service's ``degraded_ok`` mode after retries exhausted): it
@@ -243,41 +306,38 @@ def merge_rank_payloads(
     coverage mask (:attr:`~repro.search.psm.SearchResults.degraded_ranks`)
     so partial results are always explicit, never silent.
     """
-    results: List[SpectrumResult] = []
-    total_psms = 0
-    for si, spectrum in enumerate(spectra):
-        gids_parts: List[np.ndarray] = []
-        scores_parts: List[np.ndarray] = []
-        shared_parts: List[np.ndarray] = []
-        n_candidates = 0
-        for rank, payload in enumerate(gathered):
-            if payload is None:
-                continue
-            counts, local_psms = payload
-            n_candidates += int(counts[si])
-            local_ids, scores, shared = local_psms[si]
-            if local_ids.size:
-                gids_parts.append(mapping.to_global_batch(rank, local_ids))
-                scores_parts.append(scores)
-                shared_parts.append(shared)
-        if gids_parts:
-            gids = np.concatenate(gids_parts)
-            scores = np.concatenate(scores_parts)
-            shared = np.concatenate(shared_parts)
-        else:
-            gids = np.empty(0, dtype=np.int64)
-            scores = np.empty(0, dtype=np.float64)
-            shared = np.empty(0, dtype=np.int64)
-        psms = top_k_psms(spectrum.scan_id, gids, scores, shared, top_k)
-        total_psms += len(psms)
-        results.append(
-            SpectrumResult(
-                scan_id=spectrum.scan_id,
-                n_candidates=n_candidates,
-                psms=psms,
-            )
+    n = len(spectra)
+    n_candidates = np.zeros(n, np.int64)
+    empty = np.empty(0, np.int64)
+    parts = [(empty, np.empty(0), empty, empty)]
+    for rank, payload in enumerate(gathered):
+        if payload is None:
+            continue
+        counts, block = payload
+        n_candidates += counts
+        gids = mapping.to_global_batch(rank, block.ids)
+        rows = np.repeat(np.arange(n), np.diff(block.bounds))
+        parts.append((gids, block.scores, block.shared, rows))
+    gids, scores, shared, rows = map(np.concatenate, zip(*parts))
+    best, bounds = _best_first(rows, -scores, gids, n, top_k)
+    scan_ids = [s.scan_id for s in spectra]
+    psms = list(
+        map(
+            PSM,
+            [scan_ids[r] for r in rows[best].tolist()],
+            gids[best].tolist(),
+            scores[best].tolist(),
+            shared[best].tolist(),
         )
-    return results, total_psms
+    )
+    edges = bounds.tolist()
+    results = [
+        SpectrumResult(scan_id=scan_id, n_candidates=count, psms=psms[lo:hi])
+        for scan_id, count, lo, hi in zip(
+            scan_ids, n_candidates.tolist(), edges, edges[1:]
+        )
+    ]
+    return results, len(psms)
 
 
 def observed_rank_speeds(

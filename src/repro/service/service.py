@@ -12,7 +12,7 @@ Session lifecycle (the amortization structure)::
 interpreter import, the arena spill (through the process-wide spill
 cache, so sessions over the same database share it), and the per-rank
 partial-index build.  ``submit()`` then costs
-only: preprocess, pack the batch into flat
+only: preprocess the batch straight into flat
 :class:`~repro.spectra.packed.PackedSpectra` columns, one
 :class:`~repro.parallel.worker.QueryTask` carrying them to every
 worker, the workers' query phase, and the master merge — no file or
@@ -201,7 +201,7 @@ from repro.service.rebalance import (
 )
 from repro.spectra.model import Spectrum
 from repro.spectra.packed import PackedSpectra
-from repro.spectra.preprocess import PreprocessConfig, preprocess_batch
+from repro.spectra.preprocess import PreprocessConfig, preprocess_packed
 
 __all__ = [
     "ServiceConfig",
@@ -1144,11 +1144,10 @@ class SearchService:
         batch.wait_s = batch.t_start - batch.enqueued_at
         batch.prepared_overlapped = overlapped
         try:
-            # preprocess_batch constructs, and so validates, every
-            # spectrum it returns — the only value check a batch gets.
-            batch.packed = PackedSpectra.from_spectra(
-                preprocess_batch(batch.spectra, self.config.preprocess)
-            )
+            # The kernel validates every value on the packed columns
+            # before it preprocesses them — the only value check a batch
+            # gets, and it runs before any dispatch.
+            batch.packed = preprocess_packed(batch.spectra, self.config.preprocess)
             batch.prep_s = wall() - batch.t_start
             if self._tracer.enabled:
                 self._tracer.span(

@@ -73,8 +73,10 @@ class Spectrum:
             order = np.argsort(self.mzs, kind="stable")
             self.mzs = self.mzs[order]
             self.intensities = self.intensities[order]
-        if self.mzs.size and np.any(self.intensities < 0):
-            raise InvalidSpectrumError("intensities must be non-negative")
+        # NaN passes ``< 0`` too, and a NaN at a top-N cut breaks the
+        # selection: intensities must be finite.
+        if not np.all((self.intensities >= 0) & (self.intensities < np.inf)):
+            raise InvalidSpectrumError("intensities must be finite and non-negative")
 
     @property
     def n_peaks(self) -> int:

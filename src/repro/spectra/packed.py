@@ -4,10 +4,13 @@ HiCOPS's flat-array discipline (PAPERS.md) on the query side: a batch
 of :class:`~repro.spectra.model.Spectrum` objects travels — through a
 worker pipe or a :class:`~repro.parallel.shared_spectra.SharedSpectraStore`
 — as one :class:`PackedSpectra`, seven array headers to pickle however
-many spectra it holds.  Values are validated once, by the ``Spectrum``
-constructor on the packing side; the receiving side checks structure
-only (:meth:`PackedSpectra.defect`) — a truncated column or a broken
-offset table must be refused, never sliced.
+many spectra it holds.  The master builds the columns with
+:func:`~repro.spectra.preprocess.preprocess_packed`, which validates
+every value on the columns themselves (so a value written into a
+spectrum after its construction is caught too) before any batch is
+sent.  The receiving side checks structure only
+(:meth:`PackedSpectra.defect`) — a truncated column or a broken offset
+table must be refused, never sliced.
 """
 
 from __future__ import annotations

@@ -5,40 +5,37 @@ peaks from each query spectrum" (Section V-A.3).  Preprocessing is part
 of the *parallel* work each rank performs on every query, so the
 distributed engine charges its cost to the rank clocks.
 
-:func:`preprocess_batch` runs a **batched selection kernel**: spectra
-needing top-N selection are packed into one padded matrix and the
-selection runs as a single ``np.argpartition`` over the batch (O(peaks)
-instead of a per-spectrum O(n log n) double sort), with intensity ties
-at the cut resolved by m/z through a second masked partition.  Results
-are bit-identical to per-spectrum :func:`preprocess_spectrum` calls —
-the selected peak *sets* and their output order match exactly
-(test-enforced) — so the serial, parallel, and service engines all see
-the same query peaks regardless of which path preprocessed them.
+:func:`preprocess_packed` is the one batch kernel: it reads the input
+spectra straight into the flat :class:`~repro.spectra.packed.PackedSpectra`
+columns and works on those — validation, the ``min_mz`` mask, top-N
+selection (one NaN-padded ``np.partition`` per width group for every
+spectrum that needs one) and a segmented-max normalisation.  The
+service packs a batch with it; :func:`preprocess_batch` is its
+``to_spectra()``, so the serial oracle, the simulated engine and the
+service run the same kernel.  :func:`preprocess_spectrum` is the
+per-spectrum reference the kernel is pinned to byte for byte
+(test-enforced).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Sequence
 
 import numpy as np
 
 from repro.constants import DEFAULT_TOP_PEAKS
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvalidSpectrumError
+from repro.index.arena import segment_kth
 from repro.spectra.model import Spectrum
+from repro.spectra.packed import PackedSpectra
 
 __all__ = [
     "PreprocessConfig",
     "preprocess_spectrum",
+    "preprocess_packed",
     "preprocess_batch",
 ]
-
-#: Element budget of one padded selection matrix (rows × max peaks).
-#: Rows are grouped by ascending width and chunked under this bound,
-#: so a stray million-peak spectrum cannot blow the padding up to
-#: rows × 1e6 for the whole batch.  8M float64 elements ≈ 64 MB per
-#: matrix, two matrices live at once.
-_SELECT_BUDGET = 1 << 23
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,160 +96,113 @@ def preprocess_spectrum(
     )
 
 
-def _select_top_peaks(
-    mz_rows: List[np.ndarray], int_rows: List[np.ndarray], k: int
-) -> List[np.ndarray]:
-    """Batched top-``k`` selection over rows that all exceed ``k`` peaks.
+def _validated_columns(spectra: Sequence[Spectrum]) -> PackedSpectra:
+    """The batch as fresh packed columns, after every check ``Spectrum`` makes.
 
-    Packs the rows into one padded matrix (m/z padded with ``+inf``,
-    intensity with ``-inf`` so padding can never be selected) and picks
-    each row's ``k`` most intense peaks with a single axis-1
-    ``np.argpartition``.  Intensity ties straddling the cut are
-    resolved exactly as the per-spectrum path's ``lexsort((mz,
-    -intensity))`` does — smaller m/z wins — via a second partition
-    over the tie pool's m/z values; peaks tied on *both* intensity and
-    m/z at the cut are value-identical, so taking first occurrences
-    preserves bit-identity.  Both tie stages are skipped outright when
-    no row has a contested cut (the common case for real intensity
-    data).
-
-    Each row's m/z values must be ascending (every
-    :class:`~repro.spectra.model.Spectrum` guarantees this), which is
-    what lets the kernel read the final (m/z asc, intensity desc,
-    position asc) output order straight off the selection mask in
-    column order — only rows with duplicate selected m/z values (rare)
-    pay a small per-row re-sort.
-
-    Returns per-row index arrays into the original rows, ordered as the
-    per-spectrum path orders its output.
+    The checks run on the columns, so they also see values written into
+    a spectrum after its construction.
     """
-    m = len(mz_rows)
-    widths = np.fromiter((a.size for a in mz_rows), dtype=np.int64, count=m)
-    w = int(widths.max())
-    M = np.full((m, w), np.inf)
-    I = np.full((m, w), -np.inf)
-    for i, (mz, it) in enumerate(zip(mz_rows, int_rows)):
-        M[i, : mz.size] = mz
-        I[i, : it.size] = it
-
-    # Indices of each row's k largest intensities (boundary ties
-    # arbitrary — only the threshold value is read off them).
-    part = np.argpartition(I, w - k, axis=1)[:, w - k :]
-    thresh = np.take_along_axis(I, part, axis=1).min(axis=1)
-    above = I > thresh[:, None]
-    # The threshold element itself always ties, so 1 <= need <= k.
-    need = k - above.sum(axis=1)
-    tie = I == thresh[:, None]
-
-    if np.array_equal(tie.sum(axis=1), need):
-        # No contested cut anywhere: every tie is selected.
-        keep = above | tie
+    mz_rows = [s.mzs for s in spectra]
+    int_rows = [s.intensities for s in spectra]
+    shapes = [a.shape for a in mz_rows]
+    if any(len(shape) != 1 for shape in shapes) or shapes != [a.shape for a in int_rows]:
+        raise InvalidSpectrumError("peak arrays must be one-dimensional and equally long")
+    charges = np.array([s.charge for s in spectra], np.int64)
+    precursors = np.array([s.precursor_mz for s in spectra], np.float64)
+    if np.any(charges < 1):
+        raise InvalidSpectrumError(f"charge must be >= 1, got {charges.min()}")
+    if not np.all((precursors > 0) & (precursors < np.inf)):
+        raise InvalidSpectrumError("precursor m/z must be positive and finite")
+    offsets = np.zeros(len(spectra) + 1, np.int64)
+    np.cumsum([shape[0] for shape in shapes], out=offsets[1:])
+    if spectra:
+        mzs = np.concatenate(mz_rows, dtype=np.float64)
+        intensities = np.concatenate(int_rows, dtype=np.float64)
     else:
-        mz_tie = np.where(tie, M, np.inf)
-        # need-th smallest tie m/z per row; np.partition with the set
-        # of needed positions places each in sorted position rowwise.
-        kths = np.unique(need - 1)
-        part_mz = np.partition(mz_tie, kths, axis=1)
-        cutoff = part_mz[np.arange(m), need - 1]
-        below_cut = tie & (M < cutoff[:, None])
-        at_cut = tie & (M == cutoff[:, None])
-        need_at = need - below_cut.sum(axis=1)
-        # First `need_at` of the (value-identical) peaks at the cutoff.
-        at_rank = np.cumsum(at_cut, axis=1)
-        keep = above | below_cut | (at_cut & (at_rank <= need_at[:, None]))
-
-    # keep has exactly k true cells per row; nonzero's row-major order
-    # yields them per row in column order = ascending m/z already.
-    cols_kept = np.nonzero(keep)[1]
-    mz_kept = M[keep]
-    # Rows holding duplicate m/z values among their selected peaks need
-    # the per-spectrum path's (m/z asc, intensity desc, position asc)
-    # tie order restored; everyone else is already in final order.
-    dup = mz_kept[1:] == mz_kept[:-1]
-    dup[k - 1 :: k] = False  # row boundaries are not ties
-    orders = [cols_kept[i * k : (i + 1) * k] for i in range(m)]
-    if dup.any():
-        int_kept = I[keep]
-        for i in set((np.flatnonzero(dup) // k).tolist()):
-            seg = slice(i * k, (i + 1) * k)
-            fix = np.lexsort((-int_kept[seg], mz_kept[seg]))
-            orders[i] = orders[i][fix]
-    return orders
+        mzs = intensities = np.empty(0)
+    if np.any(mzs <= 0):  # NaN m/z passes, as it does the constructor
+        raise InvalidSpectrumError("fragment m/z values must be positive")
+    if not np.all((intensities >= 0) & (intensities < np.inf)):
+        raise InvalidSpectrumError("intensities must be finite and non-negative")
+    labels = [-1 if s.true_peptide is None else s.true_peptide for s in spectra]
+    return PackedSpectra(
+        mzs=mzs,
+        intensities=intensities,
+        offsets=offsets,
+        scan_ids=np.array([s.scan_id for s in spectra], np.int64),
+        precursor_mzs=precursors,
+        charges=charges,
+        true_peptides=np.array(labels, np.int64),
+    )
 
 
-def _normalized(intens: np.ndarray, normalize: bool) -> np.ndarray:
-    if normalize and intens.size and intens.max() > 0:
-        return intens / intens.max()
-    return intens
+def _reorder_rows(rows, offsets, mzs, intens, order_of) -> None:
+    """Re-order the peaks of each listed row in place by ``order_of(mzs, intens)``."""
+    for r in np.unique(rows).tolist():
+        lo, hi = offsets[r], offsets[r + 1]
+        order = order_of(mzs[lo:hi], intens[lo:hi]) + lo
+        mzs[lo:hi], intens[lo:hi] = mzs[order], intens[order]
+
+
+def preprocess_packed(
+    spectra: Sequence[Spectrum], config: PreprocessConfig = PreprocessConfig()
+) -> PackedSpectra:
+    """Validate and preprocess a batch straight into packed columns.
+
+    Byte for byte ``PackedSpectra.from_spectra([preprocess_spectrum(s,
+    config) for s in spectra])``, in array passes over the whole batch:
+    the ``Spectrum`` value checks (plus finite intensities); the
+    ``min_mz`` mask; rows left unsorted by a write after construction
+    sorted as the constructor sorts them, and rows wider than
+    ``top_peaks`` put in (m/z, NaN last, position) order; top-N as a
+    :func:`~repro.index.arena.segment_kth` intensity threshold whose
+    ties are taken in row order (the reference's smaller-m/z tie-break),
+    with picks that share an m/z re-ordered by intensity; and a
+    ``np.maximum.reduceat`` row maximum that divides each peak, as the
+    reference divides by ``intens.max()``.
+    """
+    packed = _validated_columns(list(spectra))
+    mzs, intens, offsets = packed.mzs, packed.intensities, packed.offsets
+    if config.min_mz > 0 and mzs.size:
+        keep = mzs >= config.min_mz
+        mzs, intens = mzs[keep], intens[keep]
+        offsets = np.concatenate(([0], np.cumsum(keep)))[offsets]
+    k, n = config.top_peaks, packed.n_spectra
+    wide = np.diff(offsets) > k
+    row = np.repeat(np.arange(n), np.diff(offsets))
+    within = row[1:] == row[:-1]
+    nan = np.isnan(mzs)
+    down = (mzs[1:] < mzs[:-1]) | (wide[row[1:]] & nan[:-1] & ~nan[1:])
+    stable = lambda m, _: np.argsort(m, kind="stable")  # noqa: E731
+    _reorder_rows(row[1:][within & down], offsets, mzs, intens, stable)
+    if wide.any():
+        neg = -intens
+        cut = segment_kth(neg, offsets, k)[row]  # NaN on rows kept whole
+        above = neg < cut
+        need = k - np.bincount(row[above], minlength=n)
+        tie = neg == cut
+        seen = np.cumsum(tie)
+        seen -= np.concatenate(([0], seen))[offsets[:-1]][row]
+        keep = np.isnan(cut) | above | (tie & (seen <= need[row]))
+        mzs, intens, row = mzs[keep], intens[keep], row[keep]
+        offsets = np.concatenate(([0], np.cumsum(keep)))[offsets]
+        nan = np.isnan(mzs)
+        same = (mzs[1:] == mzs[:-1]) | (nan[1:] & nan[:-1])
+        dup = row[1:][(row[1:] == row[:-1]) & wide[row[1:]] & same]
+        by_intensity = lambda m, i: np.lexsort((-i, m))  # noqa: E731
+        _reorder_rows(dup, offsets, mzs, intens, by_intensity)
+    if config.normalize and mzs.size:
+        filled = np.flatnonzero(np.diff(offsets))
+        peak = np.zeros(n)
+        peak[filled] = np.maximum.reduceat(intens, offsets[filled])
+        scale = peak[row]
+        positive = scale > 0
+        intens[positive] = intens[positive] / scale[positive]
+    return replace(packed, mzs=mzs, intensities=intens, offsets=offsets)
 
 
 def preprocess_batch(
     spectra: Sequence[Spectrum], config: PreprocessConfig = PreprocessConfig()
 ) -> List[Spectrum]:
-    """Preprocess every spectrum in ``spectra`` (batched kernel).
-
-    Bit-identical to mapping :func:`preprocess_spectrum` over the
-    batch — same peak sets, same order, same normalized values — but
-    the top-N selection of every spectrum that needs one runs in a
-    handful of whole-batch ``np.argpartition`` calls instead of two
-    sorts per spectrum.
-    """
-    spectra = list(spectra)
-    k = config.top_peaks
-
-    # Per-spectrum post-min_mz views, and which spectra need selection.
-    kept_mzs: List[np.ndarray] = []
-    kept_int: List[np.ndarray] = []
-    select: List[int] = []
-    for i, s in enumerate(spectra):
-        mzs, intens = s.mzs, s.intensities
-        if config.min_mz > 0 and mzs.size:
-            mask = mzs >= config.min_mz
-            mzs, intens = mzs[mask], intens[mask]
-        kept_mzs.append(mzs)
-        kept_int.append(intens)
-        if mzs.size > k:
-            select.append(i)
-
-    if select:
-        # Group by ascending width and chunk under the padding budget,
-        # so one huge spectrum cannot inflate every row's padding.
-        select.sort(key=lambda i: kept_mzs[i].size)
-        pos = 0
-        while pos < len(select):
-            end = pos + 1
-            while end < len(select):
-                rows = end - pos + 1
-                if rows * kept_mzs[select[end]].size > _SELECT_BUDGET:
-                    break
-                end += 1
-            chunk = select[pos:end]
-            orders = _select_top_peaks(
-                [kept_mzs[i] for i in chunk],
-                [kept_int[i] for i in chunk],
-                k,
-            )
-            for i, order in zip(chunk, orders):
-                kept_mzs[i] = kept_mzs[i][order]
-                kept_int[i] = kept_int[i][order]
-            pos = end
-
-    out: List[Spectrum] = []
-    for s, mzs, intens in zip(spectra, kept_mzs, kept_int):
-        # min_mz masking and top-N gathers already produced fresh
-        # arrays; only the pass-through case still aliases the input.
-        if mzs is s.mzs:
-            mzs = mzs.copy()
-        if intens is s.intensities:
-            intens = intens.copy()
-        out.append(
-            Spectrum(
-                scan_id=s.scan_id,
-                precursor_mz=s.precursor_mz,
-                charge=s.charge,
-                mzs=mzs,
-                intensities=_normalized(intens, config.normalize),
-                true_peptide=s.true_peptide,
-            )
-        )
-    return out
+    """:func:`preprocess_packed` as spectra (views of the packed columns)."""
+    return preprocess_packed(spectra, config).to_spectra()

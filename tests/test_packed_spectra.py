@@ -184,16 +184,16 @@ def test_torn_batch_fails_only_its_own_future(tiny_db, tiny_spectra, monkeypatch
     serial = SerialSearchEngine(tiny_db)
     calls = []
 
-    class TearingPacker:
-        @staticmethod
-        def from_spectra(spectra):
-            packed = PackedSpectra.from_spectra(spectra)
-            calls.append(packed.n_spectra)
-            if len(calls) == 2:
-                return replace(packed, mzs=packed.mzs[:-1])
-            return packed
+    pack = service_mod.preprocess_packed
 
-    monkeypatch.setattr(service_mod, "PackedSpectra", TearingPacker)
+    def tearing_pack(spectra, config):
+        packed = pack(spectra, config)
+        calls.append(packed.n_spectra)
+        if len(calls) == 2:
+            return replace(packed, mzs=packed.mzs[:-1])
+        return packed
+
+    monkeypatch.setattr(service_mod, "preprocess_packed", tearing_pack)
     with SearchService(tiny_db, ServiceConfig(n_workers=2)) as service:
         pids = service.worker_pids()
         futures = [service.submit_async(b) for b in batches]
@@ -305,6 +305,12 @@ def _hostile_batches(spectra):
     batch = fresh()
     batch[0].charge = 0
     out["zero charge"] = (batch, InvalidSpectrumError)
+    # NaN passes ``< 0`` too, and a NaN at a top-N cut poisons the
+    # selection threshold: intensities must be finite.
+    for name, bad in (("NaN", np.nan), ("infinite", np.inf)):
+        batch = fresh()
+        batch[6].intensities[1] = bad
+        out[f"{name} intensity"] = (batch, InvalidSpectrumError)
     # NaN passes ``<= 0``; a NaN neutral mass would make the flat
     # precursor window an open search and chunk/shard pruning drop all.
     for name, bad in (("NaN", np.nan), ("infinite", np.inf)):

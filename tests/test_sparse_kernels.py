@@ -13,7 +13,7 @@ replaced — the test-only references in ``tests/reference.py``, so
   element-wise passes),
 * :func:`~reference.index_gather_filter` — the ``concat_ranges`` +
   ``np.take`` filtration gather,
-* a full ``lexsort`` for top-k.
+* a full ``lexsort`` per spectrum for the segmented top-k.
 
 Inputs are drawn by Hypothesis (the numpy seed is an explicit argument,
 so a falsifying example prints it, and ``print_blob`` adds the
@@ -31,7 +31,7 @@ from reference import arena_of, dense_score_candidates, index_gather_filter
 from repro.index.arena import Workspace
 from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.search import scoring
-from repro.search.rank import _top_k_order
+from repro.search.rank import top_k_block
 from repro.search.scoring import ScoringOutcome, _coarse_survivors, score_candidates
 from repro.spectra.model import Spectrum
 
@@ -269,12 +269,13 @@ def test_workspace_zeros_is_zero_on_growth_and_keeps_callers_marks():
     assert grown.shape == (100_000,) and not grown.any()  # fresh zeros on growth
 
 
-# -- top-k: partition == full lexsort ----------------------------------
+# -- top-k: segmented partition == full lexsort per spectrum ----------
 
 
 @PROPERTY
 @given(
     seed=st.integers(0, 2**32 - 1),
+    n_spectra=st.integers(1, 6),
     n=st.integers(0, 80),
     n_levels=st.sampled_from([1, 2, 3, 50]),
     all_zero=st.booleans(),
@@ -282,23 +283,40 @@ def test_workspace_zeros_is_zero_on_growth_and_keeps_callers_marks():
     k_kind=st.sampled_from(["0", "1", "n-1", "n", "n+1", "any"]),
 )
 def test_partition_top_k_equals_full_lexsort(
-    seed, n, n_levels, all_zero, with_nan, k_kind
+    seed, n_spectra, n, n_levels, all_zero, with_nan, k_kind
 ):
+    """One segmented top-k over a multi-spectrum batch equals a full
+    ``lexsort`` per spectrum.  Segment sizes sit around ``n``, so each
+    ``k`` kind meets segments just below, at and above it."""
     rng = np.random.default_rng(seed)
     entry_ids = rng.permutation(500).astype(np.int64)  # local -> global, not monotone
-    candidates = np.sort(rng.permutation(500)[:n]).astype(np.int32)
     levels = rng.uniform(0.0, 30.0, n_levels)
-    scores = np.zeros(n) if all_zero else rng.choice(levels, n)
-    if with_nan and n:
-        scores[rng.integers(0, n, max(1, n // 4))] = np.nan
+    segments = []
+    for _ in range(n_spectra):
+        size = int(rng.choice([max(n - 1, 0), n, n + 1, int(rng.integers(0, n + 3))]))
+        candidates = np.sort(rng.permutation(500)[:size]).astype(np.int32)
+        scores = np.zeros(size) if all_zero else rng.choice(levels, size)
+        if with_nan and size:
+            scores[rng.integers(0, size, max(1, size // 4))] = np.nan
+        shared = rng.integers(0, 40, size).astype(np.int32)
+        segments.append((candidates, scores, shared))
     top_k = {
         "0": 0, "1": 1, "n-1": max(n - 1, 0), "n": n, "n+1": n + 1,
         "any": int(rng.integers(0, n + 3)),
     }[k_kind]
-    want = np.lexsort((entry_ids[candidates], -scores))[:top_k]
-    got = _top_k_order(entry_ids, candidates, scores, top_k)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    offsets = np.zeros(n_spectra + 1, np.int64)
+    np.cumsum([c.size for c, _, _ in segments], out=offsets[1:])
+    got = top_k_block(
+        entry_ids, offsets, *(np.concatenate(col) for col in zip(*segments)), top_k
+    )
+    assert got.ids.dtype == got.shared.dtype == np.int64
+    assert got.scores.dtype == np.float64
+    assert len(got) == n_spectra
+    for (candidates, scores, shared), (ids, kept, peaks) in zip(segments, got):
+        want = np.lexsort((entry_ids[candidates], -scores))[:top_k]
+        assert np.array_equal(ids, candidates[want])
+        assert kept.tobytes() == scores[want].tobytes()
+        assert np.array_equal(peaks, shared[want])
 
 
 # -- filtration: slice gather == index gather --------------------------

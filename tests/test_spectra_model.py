@@ -68,6 +68,13 @@ def test_negative_intensity_rejected():
         make([100.0, 200.0], [1.0, -1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_intensity_rejected(bad):
+    """NaN passes ``< 0``; it must not pass construction."""
+    with pytest.raises(InvalidSpectrumError, match="non-negative"):
+        make([100.0, 200.0], [1.0, bad])
+
+
 def test_empty_spectrum_allowed():
     s = make([], [])
     assert s.n_peaks == 0
