@@ -18,9 +18,13 @@ CSR structure:
   allocated and scratch stays at one block,
 * ``offsets`` — ``int64``, length ``n_entries + 1``; entry ``i`` owns
   ``mzs[offsets[i] : offsets[i + 1]]``,
-* per-resolution **bucket caches** — parallel ``int64`` arrays holding
-  ``floor(mz / r)``, quantized once per resolution and shared by every
-  index built over the arena,
+* per-resolution **quantization caches** — the ``int32`` bucket ids
+  ``floor(mz / r)`` and the ``int32`` bucket-major sort order, 8 B/ion
+  together, computed once per resolution and shared by every index
+  built over the arena.  ``int32`` positions and bucket ids bound an
+  arena below 2^31 ions (SLM-Transform's own 2G-ion limit) and its top
+  bucket below 2^31; both bounds raise
+  :class:`~repro.errors.ConfigurationError` rather than wrap,
 * parallel per-entry metadata, always present: ``lengths`` (residue
   counts, the scoring cost basis) and ``masses`` (float32 neutral
   masses, the precursor-filter input).
@@ -51,7 +55,31 @@ from repro.chem.fragments import FragmentationSettings, fragment_mzs_batch
 from repro.chem.peptide import Peptide
 from repro.errors import ConfigurationError
 
-__all__ = ["FragmentArena", "Workspace", "concat_ranges", "segment_kth", "thread_workspace"]
+__all__ = [
+    "INT32_LIMIT",
+    "FragmentArena",
+    "Workspace",
+    "check_ion_count",
+    "concat_ranges",
+    "segment_kth",
+    "thread_workspace",
+]
+
+#: Exclusive bound of every ``int32`` ion position and bucket id.
+INT32_LIMIT = 1 << 31
+
+#: Ions quantized per block by :meth:`FragmentArena.buckets_for`, so its
+#: float64 scratch is one block (512 KB), never ``n_ions`` wide.
+_QUANTIZE_BLOCK = 1 << 16
+
+
+def check_ion_count(n_ions: int) -> None:
+    """Raise :class:`ConfigurationError` unless ``n_ions`` ions fit ``int32`` positions."""
+    if n_ions >= INT32_LIMIT:
+        raise ConfigurationError(
+            f"{n_ions} ions reach the int32 ion limit ({INT32_LIMIT}); "
+            "split the database into smaller arenas"
+        )
 
 
 class Workspace:
@@ -252,6 +280,7 @@ class FragmentArena:
             raise ConfigurationError(
                 f"arena offsets end at {int(offsets[-1])} but mzs holds {mzs.size}"
             )
+        check_ion_count(mzs.size)
         n = offsets.size - 1
         if len(lengths) != n:
             raise ConfigurationError(f"{len(lengths)} lengths for {n} entries")
@@ -323,15 +352,33 @@ class FragmentArena:
     # -- quantization ---------------------------------------------------
 
     def buckets_for(self, resolution: float) -> np.ndarray:
-        """Flat ``floor(mz / resolution)`` array, quantized once per resolution.
+        """Flat ``int32`` ``floor(mz / resolution)`` array, quantized once per resolution.
 
         Uses the same ``mz * (1 / r)`` arithmetic as the original
-        per-peptide quantization, so bucket ids are bit-identical.
+        per-peptide quantization, so bucket ids are bit-identical.  The
+        ions are quantized in blocks of :data:`_QUANTIZE_BLOCK` straight
+        into the ``int32`` result.  A top bucket at or above 2^31 (a tiny
+        ``resolution`` or a huge m/z) raises
+        :class:`~repro.errors.ConfigurationError` instead of wrapping.
         """
         cached = self._bucket_cache.get(resolution)
         if cached is None:
             inv_r = 1.0 / resolution
-            cached = np.floor(self.mzs * inv_r).astype(np.int64)
+            n = self.n_ions
+            # floor(x * inv_r) is monotone in x, so the top bucket is the
+            # top m/z's.
+            if n and np.floor(self.mzs.max() * inv_r) >= INT32_LIMIT:
+                raise ConfigurationError(
+                    f"m/z {float(self.mzs.max())} at resolution {resolution} "
+                    f"reaches bucket id 2^31; use a coarser resolution"
+                )
+            cached = np.empty(n, dtype=np.int32)
+            scratch = np.empty(min(n, _QUANTIZE_BLOCK), dtype=np.float64)
+            for a in range(0, n, _QUANTIZE_BLOCK):
+                block = scratch[: min(n - a, _QUANTIZE_BLOCK)]
+                np.multiply(self.mzs[a : a + block.size], inv_r, out=block)
+                np.floor(block, out=block)
+                cached[a : a + block.size] = block
             self._bucket_cache[resolution] = cached
         return cached
 
@@ -340,14 +387,14 @@ class FragmentArena:
 
         Call once no more indexes will be built over this arena (e.g.
         a rank's sub-arena after its partial-index build): the flat
-        m/z data — all scoring needs — stays, but the 16 B/ion of
-        cached int64 quantization state is released.
+        m/z data — all scoring needs — stays, but the 8 B/ion of
+        cached ``int32`` quantization state is released.
         """
         self._bucket_cache.clear()
         self._order_cache.clear()
 
     def sort_order_for(self, resolution: float) -> np.ndarray:
-        """Stable bucket-major sort order of the arena's ions, cached.
+        """Stable bucket-major ``int32`` sort order of the arena's ions, cached.
 
         This is the argsort every :class:`~repro.index.slm.SLMIndex`
         over this arena needs at ``resolution``; it depends only on the
@@ -370,7 +417,9 @@ class FragmentArena:
         """
         cached = self._order_cache.get(resolution)
         if cached is None:
-            cached = np.argsort(self.buckets_for(resolution), kind="stable")
+            cached = np.argsort(self.buckets_for(resolution), kind="stable").astype(
+                np.int32
+            )
             self._order_cache[resolution] = cached
         return cached
 
@@ -384,7 +433,8 @@ class FragmentArena:
         Cached bucket-major sort orders are *derived* as well — a
         membership filter over the master order plus an id remap —
         so a rank's partial-index build never re-argsorts its ion
-        subset (see :meth:`sort_order_for` for the tie-order caveat).
+        subset (see :meth:`sort_order_for` for the tie-order caveat);
+        the remap goes through an ``int32`` master-position map.
         """
         ids = np.asarray(entry_ids, dtype=np.int64)
         starts = self.offsets[ids]
@@ -406,8 +456,8 @@ class FragmentArena:
         if self._order_cache and ids.size and np.unique(ids).size == ids.size:
             member = np.zeros(self.n_ions, dtype=bool)
             member[idx] = True
-            new_pos = np.empty(self.n_ions, dtype=np.int64)
-            new_pos[idx] = np.arange(idx.size, dtype=np.int64)
+            new_pos = np.empty(self.n_ions, dtype=np.int32)
+            new_pos[idx] = np.arange(idx.size, dtype=np.int32)
             for resolution, order in self._order_cache.items():
                 # Master order restricted to the kept ions is already
                 # bucket-major; remapping to sub positions preserves

@@ -64,7 +64,13 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.index import slm
-from repro.index.arena import FragmentArena, Workspace, concat_ranges, thread_workspace
+from repro.index.arena import (
+    FragmentArena,
+    Workspace,
+    check_ion_count,
+    concat_ranges,
+    thread_workspace,
+)
 from repro.index.slm import FilterResult, SLMIndexSettings
 from repro.spectra.model import Spectrum
 
@@ -146,6 +152,7 @@ class ChunkedIndex:
         size = CHUNK_ENTRIES if chunk_entries is None else int(chunk_entries)
         if size < 1:
             raise ConfigurationError(f"chunk_entries must be >= 1, got {size}")
+        check_ion_count(arena.n_ions)
         self.settings = settings
         self.chunk_entries = size
         n = arena.n_entries
@@ -173,9 +180,9 @@ class ChunkedIndex:
         ]
         ion_chunk = (ion_rank // size).astype(np.min_scalar_type(n_chunks))
         per_bucket = np.bincount(arena.buckets_for(resolution))
-        # Nothing below reads the caches, and the chunk sort (index +
-        # scratch, 16 B/ion) fits exactly in what they free: a worker's
-        # heap keeps the peak ``take`` left it at.
+        # Nothing below reads the caches: dropping their 8 B/ion of
+        # int32 buckets and order before the chunk sort (int64 index +
+        # scratch) lets the sort reuse that memory.
         arena.drop_quantization_caches()
         by_chunk = np.argsort(ion_chunk, kind="stable")
         del ion_chunk

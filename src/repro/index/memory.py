@@ -30,8 +30,9 @@ the C++ original's layout, cross-validated (in tests) against the
 Separately from the C++-layout terms above (which drop fragment m/z
 values after quantization), our reproduction retains a host-side
 **fragment arena** (:mod:`repro.index.arena`): one flat float64 m/z
-array plus int64 CSR offsets and one pre-quantized int64 bucket array
-per resolution, shared by every engine over a database.  It replaces
+array plus int64 CSR offsets and, per cached resolution, an ``int32``
+bucket array and an ``int32`` bucket-major sort order (8 B/ion
+together), shared by every engine over a database.  It replaces
 the old per-peptide list-of-arrays fragment cache — same payload
 bytes, but without the ~56-byte-per-entry numpy object headers and the
 list slots.  :meth:`IndexMemoryModel.arena_bytes` models it and
@@ -59,8 +60,9 @@ worker reopens it with read-only ``np.memmap``:
   distributed per-rank share :meth:`IndexMemoryModel.distributed`
   models.
 
-System-wide under the process backend: ``arena_bytes`` (the shared
-copy, counted once) + Σ per-worker sub-arena m/z (≈ 8 B × n_ions
+The spilled copy is 16 B/ion: the float64 m/z and the two ``int32``
+caches.  System-wide under the process backend: ``arena_bytes`` (the
+shared copy, counted once) + Σ per-worker sub-arena m/z (≈ 8 B × n_ions
 total across workers) + the per-rank index terms.  The same model
 applies to ``.npz`` archives opened with
 :func:`repro.index.serialize.load_index` ``(mmap_mode="r")``.
@@ -245,8 +247,8 @@ class IndexMemoryModel:
         """Host-side fragment-arena bytes over ``n_entries``.
 
         Flat float64 m/z (8 B/ion) + int64 CSR offsets (8 B/entry + 8)
-        + two int64 arrays per cached resolution (the pre-quantized
-        buckets and the shared bucket-major sort order, 16 B/ion
+        + two int32 arrays per cached resolution (the pre-quantized
+        buckets and the shared bucket-major sort order, 8 B/ion
         together).  This models **one** arena.  A distributed run
         holds the master arena *and* per-rank sub-arena copies of the
         same ion population (rank sub-arenas drop their quantization
@@ -267,7 +269,7 @@ class IndexMemoryModel:
         n_ions = n_entries * self.ions_per_entry
         mz = 8.0 * n_ions
         offsets = 8 * (n_entries + 1)
-        per_resolution = 16.0 * n_ions * n_resolutions
+        per_resolution = 8.0 * n_ions * n_resolutions
         return int(mz + offsets + per_resolution)
 
     def measure_arena(self, arena) -> int:  # noqa: ANN001
@@ -294,8 +296,9 @@ class IndexMemoryModel:
         count toward the peptide bytes).
 
         Used by tests to confirm the structural model tracks reality
-        (numpy's int64 offsets and float32 masses differ slightly from
-        the C++ layout; the test asserts proportionality, not equality).
+        (the live index's int32 offsets and float32 masses differ from
+        the C++ layout's terms; the test asserts proportionality, not
+        equality).
         """
         ion = int(index.ion_parents.nbytes)
         offsets = int(index.bucket_offsets.nbytes)

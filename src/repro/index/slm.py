@@ -7,7 +7,8 @@ Structure (mirroring the SLM-Transform C++ layout):
 * ion entries are stored bucket-major in one flat ``int32`` array of
   parent-peptide local ids (4 bytes/ion, as in the original whose 2G-ion
   limit equals 8 GB),
-* a bucket-offset array (CSR) maps a bucket id to its ion-entry slice,
+* an ``int32`` bucket-offset array (CSR) maps a bucket id to its
+  ion-entry slice (the ion limit keeps every offset below 2^31),
 * a mass table stores each entry's neutral mass (float32) for the
   optional precursor window filter.
 
@@ -48,7 +49,7 @@ from repro.constants import (
     DEFAULT_SHARED_PEAK_THRESHOLD,
 )
 from repro.errors import ConfigurationError
-from repro.index.arena import FragmentArena, Workspace, thread_workspace
+from repro.index.arena import FragmentArena, Workspace, check_ion_count, thread_workspace
 from repro.spectra.model import Spectrum
 
 __all__ = ["SLMIndexSettings", "FilterResult", "SLMIndex"]
@@ -155,6 +156,7 @@ class SLMIndex:
     """
 
     def __init__(self, arena: FragmentArena, settings: SLMIndexSettings) -> None:
+        check_ion_count(arena.n_ions)
         self.settings = settings
         n = arena.n_entries
         self.n_peptides = n
@@ -180,7 +182,7 @@ class SLMIndex:
         counts = np.bincount(
             all_buckets, minlength=self.n_buckets
         ) if all_buckets.size else np.zeros(0, dtype=np.int64)
-        self.bucket_offsets = np.zeros(self.n_buckets + 1, dtype=np.int64)
+        self.bucket_offsets = np.zeros(self.n_buckets + 1, dtype=np.int32)
         if self.n_buckets:
             np.cumsum(counts, out=self.bucket_offsets[1:])
 
@@ -196,8 +198,9 @@ class SLMIndex:
 
         ``ion_parents`` holds the parent local id of every ion in
         bucket-major order and ``bucket_offsets`` its CSR offsets (any
-        integer dtype; length = top bucket + 2), ``masses`` the float32
-        neutral mass per local id.  This is how an archive is reloaded
+        integer dtype, so archives written with ``int64`` offsets still
+        load; length = top bucket + 2), ``masses`` the float32 neutral
+        mass per local id.  This is how an archive is reloaded
         (:func:`~repro.index.serialize.load_index`).
         """
         index = cls.__new__(cls)

@@ -8,14 +8,17 @@ rather than be copied per worker; HiCOPS realizes that on flat arrays.
 
 * :meth:`SharedArenaStore.spill` writes each flat array — ``mzs``,
   ``offsets``, ``lengths``, ``masses``, plus every cached
-  per-resolution bucket quantization and bucket-major sort order — as
-  its own **uncompressed** ``.npy`` file under one directory, with a
-  small JSON manifest binding them together (resolutions are keyed by
-  ``float.hex`` so keys round-trip exactly),
+  per-resolution ``int32`` bucket quantization and bucket-major sort
+  order — as its own **uncompressed** ``.npy`` file under one
+  directory, with a small JSON manifest binding them together
+  (resolutions are keyed by ``float.hex`` so keys round-trip exactly);
+  that is 16 B/ion on disk (8 of m/z, 8 of caches),
 * :meth:`SharedArenaStore.load` reopens every array with
   ``np.load(..., mmap_mode="r")`` and rebuilds a read-only
   :class:`~repro.index.arena.FragmentArena` around the maps — O(metadata)
-  per process, no data copied.
+  per process, no data copied.  Every file's dtype and length are
+  checked against the manifest, so a torn, short, retyped or
+  older-format store raises :class:`~repro.errors.FormatError`.
 
 Memory model: however many worker processes ``load()`` the same store,
 the OS page cache holds **one** physical copy of the fragment data;
@@ -53,7 +56,7 @@ __all__ = [
 ]
 
 _MANIFEST_NAME = "arena_manifest.json"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 #: Temp-dir prefixes owned by this package (arena spills and
 #: per-session spectra stores); :func:`sweep_stale_stores` only ever
@@ -196,28 +199,40 @@ class SharedArenaStore:
             raise ConfigurationError(
                 f"mmap_mode must be 'r' or 'c', got {mmap_mode!r}"
             )
-        d = self.directory
+        n_entries, n_ions = self.n_entries, self.n_ions
+        mzs = self._map("mzs.npy", mmap_mode, np.float64, n_ions)
+        offsets = self._map("offsets.npy", mmap_mode, np.int64, n_entries + 1)
+        lengths = self._map("lengths.npy", mmap_mode, np.int64, n_entries)
+        masses = self._map("masses.npy", mmap_mode, np.float32, n_entries)
         try:
-            mzs = np.load(d / "mzs.npy", mmap_mode=mmap_mode)
-            offsets = np.load(d / "offsets.npy", mmap_mode=mmap_mode)
-            lengths = np.load(d / "lengths.npy", mmap_mode=mmap_mode)
-            masses = np.load(d / "masses.npy", mmap_mode=mmap_mode)
             arena = FragmentArena(mzs, offsets, lengths=lengths, masses=masses)
-            for entry in self.manifest["resolutions"]:
-                resolution = float.fromhex(entry["hex"])
-                if entry["buckets"] is not None:
-                    arena._bucket_cache[resolution] = np.load(
-                        d / entry["buckets"], mmap_mode=mmap_mode
-                    )
-                if entry["order"] is not None:
-                    arena._order_cache[resolution] = np.load(
-                        d / entry["order"], mmap_mode=mmap_mode
-                    )
-        except FileNotFoundError as missing:
-            raise FormatError(
-                f"arena store {d} is missing {missing.filename!r}"
-            ) from None
+        except ConfigurationError as bad:
+            raise FormatError(f"arena store {self.directory} is inconsistent: {bad}") from None
+        for entry in self.manifest["resolutions"]:
+            resolution = float.fromhex(entry["hex"])
+            for key, cache in (
+                ("buckets", arena._bucket_cache),
+                ("order", arena._order_cache),
+            ):
+                if entry[key] is not None:
+                    cache[resolution] = self._map(entry[key], mmap_mode, np.int32, n_ions)
         return arena
+
+    def _map(self, name: str, mmap_mode: str, dtype, length: int) -> np.ndarray:
+        """Memory-map one store file, refusing a torn, short or retyped one."""
+        path = self.directory / name
+        try:
+            array = np.load(path, mmap_mode=mmap_mode)
+        except FileNotFoundError:
+            raise FormatError(f"arena store {self.directory} is missing {name!r}") from None
+        except (ValueError, EOFError) as torn:
+            raise FormatError(f"arena store file {path} is unreadable: {torn}") from None
+        if array.dtype != dtype or array.shape != (length,):
+            raise FormatError(
+                f"arena store file {path} holds {array.dtype}{list(array.shape)}, "
+                f"expected {np.dtype(dtype)}[{length}]"
+            )
+        return array
 
     # -- introspection --------------------------------------------------
 

@@ -12,12 +12,16 @@ module holds
   and builds the partial index **once**, then every query round
   unpacks the batch's flat columns straight out of its
   :class:`QueryTask` — no file per batch,
+* :func:`release_heap` — the attach's last step: with the store
+  unmapped, glibc's ``malloc_trim(0)`` returns the build's freed heap
+  to the OS, so a resident worker holds its index, not its build peak,
 * tiny diagnostic programs (the ``resident_*`` family) used by the
   pool's tests and for smoke-checking a deployment.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import time
 from dataclasses import dataclass
@@ -37,6 +41,7 @@ from repro.spectra.packed import PackedSpectra
 __all__ = [
     "AttachTask",
     "QueryTask",
+    "release_heap",
     "service_attach_worker",
     "service_query_worker",
 ]
@@ -85,7 +90,10 @@ def service_attach_worker(rank: int, size: int, task: AttachTask) -> tuple:
     Returns ``(state, report)`` per the persistent-pool attach
     contract — the worker keeps ``state`` (sub-arena, partial index,
     manifest) across batches; the report carries partial-index stats
-    and real attach-phase seconds back to the master.
+    and real attach-phase seconds back to the master.  The state holds
+    private copies only: the store is unmapped and the build's heap
+    released before returning (a rebalance migration or a respawn runs
+    this same body, so it releases too).
     """
     t0 = time.perf_counter()
     store = SharedArenaStore.open(task.store_dir)
@@ -97,6 +105,8 @@ def service_attach_worker(rank: int, size: int, task: AttachTask) -> tuple:
     sub_arena, index = build_rank_index(arena, entry_ids, task.settings)
     build_wall = time.perf_counter() - t0
     build_cpu = time.process_time() - c0
+    del store, arena
+    release_heap()
 
     state = {
         "index": index,
@@ -165,6 +175,32 @@ def service_query_worker(rank: int, size: int, state: dict, task: QueryTask) -> 
         ),
     )
     return report
+
+
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or ``None`` where the C library lacks it."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+def release_heap() -> bool:
+    """Return the process's freed heap to the OS; False where unsupported.
+
+    numpy's freed build transients stay in the allocator's arenas
+    (glibc raises its mmap threshold after each large free), so a
+    process's resident size keeps its build peak until
+    ``malloc_trim(0)`` hands the free pages back.
+    """
+    trim = _malloc_trim()
+    if trim is None:
+        return False
+    trim(0)
+    return True
 
 
 # -- diagnostic programs (pool tests / deployment smoke checks) --------

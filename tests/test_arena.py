@@ -25,7 +25,9 @@ from reference import (
 from repro.chem.fragments import FRAGMENT_BLOCK, FragmentationSettings, fragment_mzs
 from repro.chem.peptide import Peptide
 from repro.errors import ConfigurationError
-from repro.index.arena import FragmentArena, Workspace, concat_ranges
+from repro.index import arena as arena_module
+from repro.index.arena import INT32_LIMIT, FragmentArena, Workspace, concat_ranges
+from repro.index.chunks import ChunkedIndex
 from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.search.database import IndexedDatabase
 from repro.search.engine import DistributedSearchEngine, EngineConfig
@@ -210,6 +212,74 @@ def test_empty_arena():
     assert sub.n_entries == 0
     idx = SLMIndex(arena, SLMIndexSettings())
     assert idx.n_ions == 0
+
+
+# -- int32 quantization state and its guards ---------------------------
+
+
+def _one_entry_arena(mzs):
+    mzs = np.asarray(mzs, dtype=np.float64)
+    return FragmentArena(
+        mzs, np.array([0, mzs.size]), lengths=np.array([1]), masses=np.array([0.0])
+    )
+
+
+def test_quantization_caches_are_int32():
+    arena = FragmentArena.from_peptides(PEPTIDES)
+    assert arena.buckets_for(0.01).dtype == np.int32
+    order = arena.sort_order_for(0.01)
+    assert order.dtype == np.int32
+    assert np.array_equal(order, np.argsort(arena.buckets_for(0.01), kind="stable"))
+    sub = arena.take(np.array([4, 2, 0]))
+    assert sub._bucket_cache[0.01].dtype == sub._order_cache[0.01].dtype == np.int32
+    assert SLMIndex(arena, SLMIndexSettings()).bucket_offsets.dtype == np.int32
+
+
+def test_blocked_quantization_equals_one_pass(small_db, monkeypatch):
+    """Blocks (here 7 ions, so most blocks straddle entries) change no bucket id."""
+    monkeypatch.setattr(arena_module, "_QUANTIZE_BLOCK", 7)
+    arena = small_db.arena_for()
+    fresh = FragmentArena(
+        arena.mzs, arena.offsets, lengths=arena.lengths, masses=arena.masses
+    )
+    for r in (0.01, 0.37):
+        assert np.array_equal(
+            fresh.buckets_for(r), np.floor(arena.mzs * (1.0 / r)).astype(np.int64)
+        )
+
+
+def test_bucket_id_at_the_int32_edge():
+    top = float(INT32_LIMIT - 1)
+    arena = _one_entry_arena([1.0, top + 0.5])
+    assert arena.buckets_for(1.0).tolist() == [1, INT32_LIMIT - 1]
+    assert arena.buckets_for(1.0).dtype == np.int32
+
+
+def test_bucket_id_past_int32_raises():
+    with pytest.raises(ConfigurationError, match="2\\^31"):
+        _one_entry_arena([1.0, float(INT32_LIMIT)]).buckets_for(1.0)
+    with pytest.raises(ConfigurationError, match="coarser resolution"):
+        _one_entry_arena([1000.0]).buckets_for(1e-7)
+
+
+def test_arena_at_the_int32_ion_limit_raises():
+    """2^31 ions cannot be addressed by int32 positions (no copy made here)."""
+    huge = np.broadcast_to(np.float64(100.0), (INT32_LIMIT,))
+    with pytest.raises(ConfigurationError, match="ion limit"):
+        FragmentArena(
+            huge,
+            np.array([0, INT32_LIMIT]),
+            lengths=np.array([1]),
+            masses=np.array([0.0]),
+        )
+
+
+@pytest.mark.parametrize("index_type", [SLMIndex, ChunkedIndex])
+def test_index_build_at_the_int32_ion_limit_raises(index_type, monkeypatch):
+    arena = FragmentArena.from_peptides(PEPTIDES)
+    monkeypatch.setattr(FragmentArena, "n_ions", property(lambda self: INT32_LIMIT))
+    with pytest.raises(ConfigurationError, match="ion limit"):
+        index_type(arena, SLMIndexSettings(precursor_tolerance=1.0))
 
 
 # -- index construction equivalence ------------------------------------

@@ -161,7 +161,7 @@ def test_measure_actual_tracks_model_proportionally():
     m = IndexMemoryModel()
     actual = m.measure_actual(idx, peptides)
     assert actual.ion_bytes == 4 * idx.n_ions  # int32 parents
-    assert actual.offsets_bytes == 8 * (idx.n_buckets + 1)
+    assert actual.offsets_bytes == 4 * (idx.n_buckets + 1)  # int32 offsets
 
 
 def test_arena_bytes_tracks_live_arena():
@@ -179,7 +179,7 @@ def test_arena_bytes_tracks_live_arena():
     structural = (
         8 * arena.n_ions  # float64 m/z
         + 8 * (arena.n_entries + 1)  # int64 offsets
-        + 16 * arena.n_ions  # int64 buckets + sort order
+        + 8 * arena.n_ions  # int32 buckets + sort order
     )
     assert measured >= structural
     assert measured - structural <= 16 * arena.n_entries  # lengths + masses
@@ -189,7 +189,7 @@ def test_arena_bytes_model_scales():
     m = IndexMemoryModel()
     base = m.arena_bytes(1_000_000, n_resolutions=0)
     with_res = m.arena_bytes(1_000_000, n_resolutions=1)
-    assert with_res - base == int(16 * 1_000_000 * m.ions_per_entry)
+    assert with_res - base == int(8 * 1_000_000 * m.ions_per_entry)
     assert m.arena_bytes(2_000_000, n_resolutions=0) == pytest.approx(
         2 * base, rel=1e-5
     )

@@ -64,6 +64,29 @@ def test_loaded_filters_identically(tmp_path, index):
     assert a.ions_scanned == b.ions_scanned
 
 
+@pytest.mark.parametrize("mmap_mode", [None, "r"])
+def test_archive_with_int64_offsets_still_loads(tmp_path, index, mmap_mode):
+    """Archives written before the offsets became int32 filter identically."""
+    from repro.chem.fragments import fragment_mzs
+    from repro.spectra.model import Spectrum
+
+    assert index.bucket_offsets.dtype == np.int32
+    path = save_index(tmp_path / "idx.npz", index, PEPTIDES, compress=False)
+    with np.load(path) as data:
+        fields = {k: data[k] for k in data.files}
+    fields["bucket_offsets"] = fields["bucket_offsets"].astype(np.int64)
+    np.savez(tmp_path / "old.npz", **fields)
+    _, loaded = load_index(tmp_path / "old.npz", mmap_mode=mmap_mode)
+    assert loaded.bucket_offsets.dtype == np.int64
+    for peptide in PEPTIDES:
+        mzs = fragment_mzs(peptide)
+        q = Spectrum(1, 500.0, 2, mzs, np.ones_like(mzs))
+        a, b = index.filter(q), loaded.filter(q)
+        assert np.array_equal(a.candidates, b.candidates)
+        assert np.array_equal(a.shared_peaks, b.shared_peaks)
+        assert (a.ions_scanned, a.buckets_scanned) == (b.ions_scanned, b.buckets_scanned)
+
+
 def test_empty_index_roundtrip(tmp_path):
     idx = index_over([], SLMIndexSettings())
     peptides, loaded = load_index(save_index(tmp_path / "e.npz", idx, []))

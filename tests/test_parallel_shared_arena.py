@@ -7,12 +7,19 @@ sort orders — while rejecting writes, so N workers can safely share
 one physical copy.
 """
 
+import json
+import mmap
+import shutil
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, FormatError
-from repro.index.slm import SLMIndexSettings
+from repro.index.chunks import ChunkedIndex
+from repro.index.slm import SLMIndex, SLMIndexSettings
+from repro.parallel import worker
 from repro.parallel.shared_arena import SharedArenaStore
+from repro.parallel.worker import AttachTask, service_attach_worker
 from repro.search.rank import build_rank_index
 
 RES = SLMIndexSettings().resolution
@@ -114,13 +121,122 @@ def test_load_rejects_writable_modes(store):
 
 
 def test_load_missing_file_raises(store, tmp_path):
-    import shutil
-
     broken_dir = tmp_path / "broken"
     shutil.copytree(store.directory, broken_dir)
     (broken_dir / "mzs.npy").unlink()
     with pytest.raises(FormatError):
         SharedArenaStore.open(broken_dir).load()
+
+
+def test_caches_spill_as_int32(store, reopened):
+    files = store.file_bytes()
+    for name in ("buckets_0.npy", "order_0.npy", "buckets_1.npy"):
+        assert 4 * store.n_ions < files[name] <= 4 * store.n_ions + 128  # + header
+    for cache in (reopened._bucket_cache, reopened._order_cache):
+        assert all(a.dtype == np.int32 for a in cache.values())
+
+
+# -- torn and stale stores: FormatError, never a bare ValueError --------
+
+
+def _copy_store(store, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(store.directory, copy)
+    return copy
+
+
+def test_load_truncated_cache_raises(store, tmp_path):
+    copy = _copy_store(store, tmp_path)
+    path = copy / "buckets_0.npy"
+    path.write_bytes(path.read_bytes()[:-12])
+    with pytest.raises(FormatError, match="buckets_0.npy"):
+        SharedArenaStore.open(copy).load()
+
+
+def test_load_short_cache_raises(store, tmp_path):
+    """A valid .npy holding fewer ids than the store has ions."""
+    copy = _copy_store(store, tmp_path)
+    np.save(copy / "buckets_0.npy", np.load(copy / "buckets_0.npy")[:-3])
+    with pytest.raises(FormatError, match="buckets_0.npy"):
+        SharedArenaStore.open(copy).load()
+
+
+def test_load_wrong_dtype_cache_raises(store, tmp_path):
+    copy = _copy_store(store, tmp_path)
+    np.save(copy / "order_0.npy", np.load(copy / "order_0.npy").astype(np.int64))
+    with pytest.raises(FormatError, match="int64"):
+        SharedArenaStore.open(copy).load()
+
+
+def test_open_version_2_store_raises(store, tmp_path):
+    """Version 2 spilled int64 caches; this reader refuses it outright."""
+    copy = _copy_store(store, tmp_path)
+    manifest_path = copy / "arena_manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["version"] = 2
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="version 2"):
+        SharedArenaStore.open(copy).load()
+
+
+# -- the worker attach releases the store and its build heap ----------
+
+
+def _arrays_in(obj):
+    """Every ndarray reachable from ``obj`` through containers and repro objects."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays_in(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _arrays_in(value)
+    elif type(obj).__module__.startswith("repro."):
+        names = getattr(type(obj), "__slots__", None) or list(vars(obj))
+        for name in names:
+            yield from _arrays_in(getattr(obj, name, None))
+
+
+def _maps_a_file(array):
+    base = array
+    while base is not None:
+        if isinstance(base, (np.memmap, mmap.mmap)):
+            return True
+        base = getattr(base, "base", None)
+    return False
+
+
+@pytest.mark.parametrize(
+    "precursor_tolerance, index_type", [(None, SLMIndex), (2.0, ChunkedIndex)]
+)
+def test_attach_state_holds_no_view_of_the_store(
+    store, master_arena, precursor_tolerance, index_type, monkeypatch
+):
+    trims = []
+    monkeypatch.setattr(worker, "release_heap", lambda: trims.append(1) or True)
+    ids = np.arange(1, master_arena.n_entries, 2, dtype=np.int64)
+    task = AttachTask(
+        str(store.directory), ids, SLMIndexSettings(precursor_tolerance=precursor_tolerance)
+    )
+    state, report = service_attach_worker(0, 2, task)
+    assert isinstance(state["index"], index_type)
+    assert report["n_ions"] == state["index"].n_ions > 0
+    arrays = list(_arrays_in(state))
+    assert len(arrays) > 5
+    assert not [a for a in arrays if _maps_a_file(a)]
+    assert trims == [1]
+
+
+def test_release_heap_is_a_noop_without_malloc_trim(monkeypatch):
+    monkeypatch.setattr(worker, "_malloc_trim", lambda: None)
+    assert worker.release_heap() is False
+
+
+def test_malloc_trim_lookup_tolerates_a_libc_without_it(monkeypatch):
+    monkeypatch.setattr(worker.ctypes, "CDLL", lambda name: object())
+    assert worker._malloc_trim() is None
+    assert worker.release_heap() is False
 
 
 # -- the stale-store reaper --------------------------------------------
