@@ -136,6 +136,9 @@ class ChunkedIndex:
         no ions) — the clip of every window over that chunk.
     n_ions:
         Total indexed ion entries.
+    ion_counts:
+        ``int64``; indexed ions per manifest position (the arena's
+        ``counts``, shared, not copied).
     mass_min / mass_max:
         ``float64``; each chunk's float32 mass extrema, widened — the
         *same* rounded masses the window predicate tests, so chunk
@@ -213,6 +216,7 @@ class ChunkedIndex:
                 out=self.bucket_offsets[o + 1 : o + top + 1],
             )
         self.n_ions = int(self.ion_parents.size)
+        self.ion_counts = arena.counts
 
     # -- introspection -------------------------------------------------
 
@@ -383,6 +387,26 @@ class ChunkedIndex:
             )
             for i in range(nb)
         ]
+
+    def match_bounds(
+        self,
+        spectra: Sequence[Spectrum],
+        filtered: Sequence[FilterResult],
+        *,
+        workspace: Workspace | None = None,
+    ) -> np.ndarray:
+        """Upper bounds on each candidate's matched-fragment count.
+
+        The same contract as :meth:`~repro.index.slm.SLMIndex.match_bounds`
+        (one ``int64`` array over ``filtered``'s candidates laid end to
+        end), answered with each candidate's fragment count: loose, but
+        no candidate matches more fragments than it has.  A windowed
+        search scores a handful of candidates per spectrum, so its
+        gathers rarely reach the size at which the rank body prunes.
+        """
+        return np.concatenate(
+            [np.empty(0, np.int64), *(self.ion_counts[f.candidates] for f in filtered)]
+        )
 
 
 def _empty_result(buckets: int, ions: int = 0) -> FilterResult:

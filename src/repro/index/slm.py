@@ -24,6 +24,10 @@ touched, candidates produced) which the distributed runtime converts to
 virtual time; this is what makes load-imbalance experiments
 deterministic.
 
+For the rank body's top-k pruning, :meth:`SLMIndex.match_bounds` caps
+each candidate's matched-fragment count with the same windows plus a
+one-bucket rim on either side (``search/rank.py``, "Top-k pruning").
+
 This flat index is the open-search rank index and the serial oracle's.
 A windowed rank index is :class:`~repro.index.chunks.ChunkedIndex`,
 which keeps its own flat precursor-major arrays and shares only
@@ -38,7 +42,7 @@ input: one complete :class:`~repro.index.arena.FragmentArena`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +53,13 @@ from repro.constants import (
     DEFAULT_SHARED_PEAK_THRESHOLD,
 )
 from repro.errors import ConfigurationError
-from repro.index.arena import FragmentArena, Workspace, check_ion_count, thread_workspace
+from repro.index.arena import (
+    FragmentArena,
+    Workspace,
+    check_ion_count,
+    concat_ranges,
+    thread_workspace,
+)
 from repro.spectra.model import Spectrum
 
 __all__ = ["SLMIndexSettings", "FilterResult", "SLMIndex"]
@@ -275,6 +285,23 @@ class SLMIndex:
         outside = np.abs(self.masses64 - neutral_mass) > prec_tol
         counts[outside] = 0
 
+    def _peak_windows(self, mzs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each peak's bucket window ``[lo, hi)``, clipped to the index.
+
+        The one statement of the window arithmetic, shared by
+        filtration and :meth:`match_bounds`.  After clipping, ``hi >=
+        lo`` always holds (``hi > lo`` before it and clipping is
+        monotone), so empty windows are zero-width spans that drop out
+        of every segment sum and out of the gather.
+        """
+        r = self.settings.resolution
+        frag_tol = self.settings.fragment_tolerance
+        lo = np.floor((mzs - frag_tol) / r).astype(np.int64)
+        hi = np.floor((mzs + frag_tol) / r).astype(np.int64) + 1
+        np.clip(lo, 0, self.n_buckets, out=lo)
+        np.clip(hi, 0, self.n_buckets, out=hi)
+        return lo, hi
+
     def filter(self, spectrum: Spectrum) -> FilterResult:
         """Shared-peak filtration of ``spectrum`` against this index.
 
@@ -349,8 +376,6 @@ class SLMIndex:
         """
         n = self.n_peptides
         nb = len(batch)
-        r = self.settings.resolution
-        frag_tol = self.settings.fragment_tolerance
 
         peak_counts = np.fromiter(
             (s.n_peaks for s in batch), dtype=np.int64, count=nb
@@ -362,13 +387,7 @@ class SLMIndex:
             return [self._empty_result() for _ in batch]
         all_mzs = np.concatenate([s.mzs for s in batch]) if nb > 1 else batch[0].mzs
 
-        # After clipping, hi >= lo always holds (hi > lo pre-clip and
-        # clip is monotone), so empty windows are zero-width spans that
-        # drop out of every segment sum and out of the gather.
-        lo = np.floor((all_mzs - frag_tol) / r).astype(np.int64)
-        hi = np.floor((all_mzs + frag_tol) / r).astype(np.int64) + 1
-        np.clip(lo, 0, self.n_buckets, out=lo)
-        np.clip(hi, 0, self.n_buckets, out=hi)
+        lo, hi = self._peak_windows(all_mzs)
         span_cum = np.zeros(total_peaks + 1, dtype=np.int64)
         np.cumsum(hi - lo, out=span_cum[1:])
         buckets_per_spec = span_cum[peak_bounds[1:]] - span_cum[peak_bounds[:-1]]
@@ -430,3 +449,61 @@ class SLMIndex:
                 )
             )
         return results
+
+    def match_bounds(
+        self,
+        spectra: Sequence[Spectrum],
+        filtered: Sequence[FilterResult],
+        *,
+        workspace: Workspace | None = None,
+    ) -> np.ndarray:
+        """Upper bounds on each candidate's matched-fragment count.
+
+        ``filtered`` is this index's :meth:`filter_many` output for
+        ``spectra``; the result is one ``int64`` array over their
+        candidates laid end to end.  A candidate's bound is its shared
+        peaks plus its ions in the **rim**: the one bucket on either
+        side of every peak window.  The scorer matches a fragment when
+        ``|fragment - peak| <= tolerance``; rounding in ``(peak ±
+        tolerance) / r`` against the fragment's own ``floor(mz * (1 /
+        r))`` can move that fragment one bucket outside the peak's
+        window (at ±0.05, peak 1486.35 matches fragment 1486.35 + 0.05
+        = 1486.3999999999999, whose bucket 148640 is the window's
+        exclusive end), never two.  So every matched fragment
+        lies in a window or its rim, and shared peaks alone can
+        undercount.  Windows clipped at the index edge give rims that
+        may count an extra bucket — a looser bound, still a bound.
+        """
+        bounds = np.concatenate(
+            [np.empty(0, np.int64), *(f.shared_peaks for f in filtered)]
+        ).astype(np.int64)
+        if not bounds.size:
+            return bounds
+        ws = workspace if workspace is not None else thread_workspace()
+        lo, hi = self._peak_windows(np.concatenate([s.mzs for s in spectra]))
+        offsets = self.bucket_offsets
+        # Each peak's two rims side by side, [lo - 1, lo) and [hi, hi + 1),
+        # gathered for the whole batch; a spectrum's rims are contiguous.
+        below = offsets[np.maximum(lo - 1, 0)]
+        above = offsets[np.minimum(hi + 1, self.n_buckets)]
+        starts = np.stack([below, offsets[hi]], axis=1).ravel()
+        stops = np.stack([offsets[lo], above], axis=1).ravel()
+        rim_cum = np.zeros(starts.size + 1, dtype=np.int64)
+        np.cumsum(stops - starts, out=rim_cum[1:])
+        peak_bounds = np.zeros(len(spectra) + 1, dtype=np.int64)
+        np.cumsum([s.n_peaks for s in spectra], out=peak_bounds[1:])
+        rim_bounds = rim_cum[2 * peak_bounds].tolist()
+        parents = self.ion_parents[concat_ranges(starts, stops, workspace=ws)]
+        # Candidate slot + 1 per local id, reset after each spectrum.  A
+        # slot left behind by an interrupted call can only add counts.
+        slot = ws.zeros("slm.match_bounds.slot", self.n_peptides, np.int32)
+        at = 0
+        for b, f in enumerate(filtered):
+            cands = f.candidates
+            slot[cands] = np.arange(1, cands.size + 1, dtype=np.int32)
+            rim = slot[parents[rim_bounds[b] : rim_bounds[b + 1]]]
+            slot[cands] = 0
+            hits = np.bincount(rim, minlength=cands.size + 1)
+            bounds[at : at + cands.size] += hits[1 : cands.size + 1]
+            at += cands.size
+        return bounds

@@ -50,6 +50,53 @@ worth instead of the whole rank's (and the simulated engine charges
 virtual time accordingly).  ``counts``, ``candidates_scored``,
 ``residues_scored`` and the PSMs are the same to the last digit.
 
+Top-k pruning
+-------------
+A rank keeps ``top_k`` of each spectrum's candidates — in open search
+5 of several hundred — and scoring is the expensive step.  So a
+spectrum with more than ``top_k`` candidates and a gather of at least
+``_COARSE_MIN_FRAGMENTS`` fragments (the cut above which ``score_many``
+takes its large-gather path) scores only the candidates that can still
+enter its top-k.  Every other spectrum takes one ``score_many`` pass
+over all its candidates, and the serial oracle always does.
+
+* **The bound.**  ``score = lgamma(n + 1) + log1p(credits)``, and each
+  of the ``n`` matched fragments credits one peak's intensity.  With
+  ``m >= n`` and the spectrum's largest intensity ``I``, ``score <=
+  lgamma(m + 1) + log1p(m * I)``
+  (:func:`~repro.search.scoring.score_upper_bounds`), where ``m =
+  min(match_bound, fragments)``.
+* **The rim.**  ``index.match_bounds`` gives ``match_bound``: for the
+  flat index, a candidate's shared peaks plus its ions in the one
+  bucket on either side of every peak window.  The rim is needed.  Peak
+  1486.35 and fragment 1486.35 + 0.05 (= 1486.3999999999999) pass the
+  scorer's ``|Δ| <= 0.05``, yet the fragment's bucket 148640 is the
+  window's exclusive end, so shared peaks alone can undercount.  The
+  chunked index answers with the fragment count, a loose but valid
+  bound; a windowed search scores a handful of candidates per
+  spectrum, so its gathers rarely reach the pruning cut.
+* **The margin.**  The scorer sums credits pairwise, which can round
+  above ``m * I`` by a relative ``n * ε``, and the logarithms round
+  too.  A bound is therefore widened by the relative
+  :data:`_BOUND_MARGIN` before it is compared (1e-9, against ``n * ε``
+  ≈ 1.1e-10 for a million fragments).
+* **The steps.**  (1) Score exactly the ``top_k`` candidates with the
+  highest bounds, ties pooled.  (2) Take ``L``, the ``top_k``-th best
+  of those scores.  (3) Drop every other candidate whose widened bound
+  is ``< L``.  (4) Score the rest.  :func:`top_k_block` then runs over
+  the scored candidates only.
+* **Why it is exact.**  A dropped candidate scores strictly below
+  ``L``, and the pool already holds ``top_k`` candidates scoring at
+  least ``L``, so it would rank behind all of them whatever its global
+  id.  The drop is strict because a bound equal to ``L`` may belong to
+  a candidate that ties ``L`` and wins on global id.  A score depends
+  only on its own candidate (each folds its own credits), so scoring a
+  subset gives the same bytes as scoring everything.
+
+The work counters do not see pruning: ``candidates_scored`` and
+``residues_scored`` count every filtration survivor, as the paper's
+virtual-time cost basis charges them (see :class:`RankQueryOutput`).
+
 Results are columnar end to end.  A rank returns its top-k of every
 spectrum as one CSR block, :class:`RankPsms` (bounds, local ids,
 scores, shared peaks), filled by one segmented top-k over the batch;
@@ -67,11 +114,17 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.mapping import MappingTable
-from repro.index.arena import FragmentArena, Workspace, segment_kth, thread_workspace
+from repro.index.arena import (
+    FragmentArena,
+    Workspace,
+    concat_ranges,
+    segment_kth,
+    thread_workspace,
+)
 from repro.index.chunks import ChunkedIndex
 from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.search.psm import PSM, RankStats, SpectrumResult
-from repro.search.scoring import score_many
+from repro.search.scoring import _COARSE_MIN_FRAGMENTS, score_many, score_upper_bounds
 from repro.spectra.model import Spectrum
 
 __all__ = [
@@ -118,6 +171,11 @@ class RankPsms:
             yield self.ids[lo:hi], self.scores[lo:hi], self.shared[lo:hi]
 
 
+#: Relative widening of a score bound before it is compared with the
+#: k-th best exact score (see "Top-k pruning" in the module docstring).
+_BOUND_MARGIN = 1e-9
+
+
 #: Per-rank payload the master merges: (scan-order candidate counts,
 #: the rank's top-k block).
 RankPayload = Tuple[np.ndarray, RankPsms]
@@ -137,7 +195,10 @@ class RankQueryOutput:
     buckets_scanned / ions_scanned:
         int64 per-spectrum filtration work counters.
     candidates_scored / residues_scored:
-        int64 per-spectrum scoring work counters.
+        int64 per-spectrum scoring work counters.  They count every
+        filtration survivor and its residues, whether or not top-k
+        pruning skipped its exact score: they are the paper's
+        virtual-time cost basis, not a trace of the kernel.
 
     The counters are arrays rather than totals so the simulated engine
     can charge virtual time spectrum-by-spectrum, exactly as it did
@@ -198,36 +259,103 @@ def run_rank_queries(
     the per-spectrum top-k is tie-broken by (score desc, **global** id
     asc) so the per-rank lists agree with the serial engine's global
     ordering (local-id order is grouped-order, not global order).
+    Spectra with more than ``top_k`` candidates and a gather of at
+    least ``_COARSE_MIN_FRAGMENTS`` fragments score only the
+    candidates that can still reach their top-k ("Top-k pruning" in
+    the module docstring); every other spectrum scores all of them.
     """
     entry_ids = np.asarray(entry_ids, dtype=np.int64)
     ws = workspace if workspace is not None else thread_workspace()
     filtered = index.filter_many(spectra, workspace=ws)
-    outcomes = score_many(
-        spectra,
-        [f.candidates for f in filtered],
-        fragment_tolerance=index.settings.fragment_tolerance,
-        arena=sub_arena,
-        workspace=ws,
-    )
     counts = np.array([f.candidates.size for f in filtered], np.int64)
     offsets = np.zeros(counts.size + 1, np.int64)
     np.cumsum(counts, out=offsets[1:])
     flat = lambda parts, dtype: np.concatenate([*parts, np.empty(0, dtype)])  # noqa: E731
+    candidates = flat((f.candidates for f in filtered), np.int64)
+    fragments = sub_arena.counts[candidates]
+    residues = np.zeros(candidates.size + 1, np.int64)
+    np.cumsum(sub_arena.lengths[candidates], out=residues[1:])
+    gathered = np.zeros(candidates.size + 1, np.int64)
+    np.cumsum(fragments, out=gathered[1:])
+    pruned = np.flatnonzero(
+        (counts > top_k) & (np.diff(gathered[offsets]) >= _COARSE_MIN_FRAGMENTS)
+    )
+
+    scores = np.zeros(candidates.size)
+
+    def score(mask: np.ndarray) -> None:
+        """Score the candidates ``mask`` marks: one ``score_many`` call."""
+        marked = np.zeros(mask.size + 1, np.int64)
+        np.cumsum(mask, out=marked[1:])
+        edges = marked[offsets].tolist()
+        picked = candidates[mask]
+        outcomes = score_many(
+            spectra,
+            [picked[a:b] for a, b in zip(edges, edges[1:])],
+            fragment_tolerance=index.settings.fragment_tolerance,
+            arena=sub_arena,
+            workspace=ws,
+        )
+        scores[mask] = flat((o.scores for o in outcomes), np.float64)
+
+    scored = np.ones(candidates.size, bool)
+    bound = None
+    if pruned.size:
+        # Pruned spectra's candidates, spectrum-major, and their rows.
+        at = concat_ranges(offsets[pruned], offsets[pruned + 1])
+        rows = np.repeat(np.arange(pruned.size), counts[pruned])
+        scored[at] = False
+        if top_k > 0:
+            matched = np.minimum(
+                index.match_bounds(
+                    [spectra[i] for i in pruned],
+                    [filtered[i] for i in pruned],
+                    workspace=ws,
+                ),
+                fragments[at],
+            )
+            peak_max = np.array([spectra[i].intensities.max() for i in pruned])
+            bound = score_upper_bounds(matched, peak_max[rows])
+            # 1. The top_k best bounds of each pruned spectrum, ties pooled.
+            pruned_offsets = np.zeros(pruned.size + 1, np.int64)
+            np.cumsum(counts[pruned], out=pruned_offsets[1:])
+            first = -bound <= segment_kth(-bound, pruned_offsets, top_k)[rows]
+            scored[at[first]] = True
+    score(scored)
+    if bound is not None:
+        # 2. The k-th best exact score of the pool; 3. drop the bounds
+        # below it, widened for summation rounding; 4. score the rest.
+        kth = _kth_best(scores[at[first]], rows[first], pruned.size, top_k)
+        rest = np.zeros(candidates.size, bool)
+        rest[at] = ~first & ~(bound * (1.0 + _BOUND_MARGIN) < kth[rows])
+        score(rest)
+        scored |= rest
+
+    kept = np.flatnonzero(scored)
     return RankQueryOutput(
         counts=counts,
         local_psms=top_k_block(
             entry_ids,
-            offsets,
-            flat((f.candidates for f in filtered), np.int64),
-            flat((o.scores for o in outcomes), np.float64),
-            flat((f.shared_peaks for f in filtered), np.int64),
+            np.searchsorted(kept, offsets),
+            candidates[kept],
+            scores[kept],
+            flat((f.shared_peaks for f in filtered), np.int64)[kept],
             top_k,
         ),
         buckets_scanned=np.array([f.buckets_scanned for f in filtered], np.int64),
         ions_scanned=np.array([f.ions_scanned for f in filtered], np.int64),
-        candidates_scored=np.array([o.candidates_scored for o in outcomes], np.int64),
-        residues_scored=np.array([o.residues_scored for o in outcomes], np.int64),
+        candidates_scored=counts.copy(),
+        residues_scored=np.diff(residues[offsets]),
     )
+
+
+def _kth_best(scores: np.ndarray, rows: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The ``k``-th highest of each row's ``scores``; every row holds ``k``.
+
+    ``rows`` is ascending and names each of the ``n`` rows.
+    """
+    order = np.lexsort((-scores, rows))
+    return scores[order[np.searchsorted(rows, np.arange(n)) + (k - 1)]]
 
 
 def _best_first(

@@ -46,6 +46,11 @@ its own credits, zeros included, as in :func:`score_candidates`, so
 the outcomes are byte-identical.  Spectra with large gathers (every
 open-search spectrum) keep the per-spectrum two-stage path.
 
+Not every candidate reaches this module: for spectra with many
+candidates and a large gather, the rank body scores only those whose
+:func:`score_upper_bounds` can still reach the top-k ("Top-k pruning"
+in :mod:`repro.search.rank`).  The serial oracle scores them all.
+
 Candidate fragments always come from a flat
 :class:`~repro.index.arena.FragmentArena`: one vectorized range
 concatenation in candidate order, residues from its ``lengths``.  The
@@ -66,7 +71,7 @@ from repro.errors import ConfigurationError
 from repro.index.arena import FragmentArena, Workspace, thread_workspace
 from repro.spectra.model import Spectrum
 
-__all__ = ["ScoringOutcome", "score_candidates", "score_many"]
+__all__ = ["ScoringOutcome", "score_candidates", "score_many", "score_upper_bounds"]
 
 
 @dataclass(slots=True)
@@ -246,6 +251,19 @@ def score_candidates(
         candidates_scored=n,
         residues_scored=residues,
     )
+
+
+def score_upper_bounds(matched: np.ndarray, max_intensity: np.ndarray) -> np.ndarray:
+    """``lgamma(m + 1) + log1p(m * max_intensity)``: a cap on each score.
+
+    A candidate with at most ``m`` matched fragments against peaks of
+    intensity at most ``max_intensity`` (both arrays, aligned) scores
+    no higher, up to the rounding of its credit sum: each matched
+    fragment credits one peak's intensity, and both terms rise with
+    ``m``.  The rank body prunes with it (``search/rank.py``, "Top-k
+    pruning").
+    """
+    return _lgamma_counts(matched) + np.log1p(matched * max_intensity)
 
 
 def _fold_credits(
