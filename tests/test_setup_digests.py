@@ -1,4 +1,4 @@
-"""Pinned set-up outputs: entry table, grouping, arena and plans, byte for byte.
+"""Pinned set-up outputs: entry table, grouping, arena, plans, bucket sort and rank indexes, byte for byte.
 
 The set-up kernels (single-pass database build, vectorised Algorithm 1,
 batched fragment arena) replaced per-item Python loops under a promise
@@ -16,8 +16,11 @@ import pytest
 
 from repro.db.fasta import FastaRecord
 from repro.db.proteome import ProteomeConfig, generate_proteome
+from repro.index.chunks import ChunkedIndex
+from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.search.database import DatabaseConfig, IndexedDatabase
 from repro.search.engine import make_lbe_plan
+from repro.search.rank import build_rank_index
 
 PINNED = {
     "grouping.order": "3caf4665c4c59d11622e6dceb916654db89c3c0c20c65a7fbf6ede1baf850e65",
@@ -155,3 +158,47 @@ def test_grouping_and_arena_match_pinned_digests(database):
 @pytest.mark.parametrize("policy", ["chunk", "cyclic", "random", "lpt"])
 def test_plan_manifests_match_pinned_digests(database, policy, n_ranks):
     assert plan_digest(database, policy, n_ranks) == PLAN_DIGESTS[f"{policy}/{n_ranks}"]
+
+
+# -- bucket sort order and the rank indexes built over it ---------------
+
+#: Recorded with the stable-argsort bucket sort.  The sort order is the
+#: one array every rank index is carved from (a rank's sub-arena derives
+#: its order from the master's), so these pin the tie order inside each
+#: bucket as well as the bucket-major layout.
+SORT_DIGESTS = {
+    "arena.sort_order/0.01": "d391a426ba4bc9fa384085b81c42166189094886477de7d76c87682ed56d7afe",
+    "slm.rank0/cyclic/2": "0af97e5d4210dca776eff98f4c2aba41e677b2470dc08bb0ba4031c15f7c05fd",
+    "chunked.rank0/cyclic/2": "1f01cfb8ebde9a02175387a7263b0dc505d124ecc218cbc929b516d49f8ac85f",
+}
+
+
+def rank0_index(db, settings):
+    """Rank 0's index over the master arena, built the way a worker builds it."""
+    arena = db.arena_for(settings.fragmentation)
+    arena.sort_order_for(settings.resolution)
+    plan = make_lbe_plan(db, n_ranks=2, policy="cyclic")
+    return build_rank_index(arena, plan.rank_global_ids(0), settings)[1]
+
+
+def test_sort_order_matches_pinned_digest(database):
+    order = database.arena_for().sort_order_for(0.01)
+    assert digest(order) == SORT_DIGESTS["arena.sort_order/0.01"]
+
+
+def test_open_search_rank_index_matches_pinned_digest(database):
+    index = rank0_index(database, SLMIndexSettings())
+    assert isinstance(index, SLMIndex)
+    assert (
+        digest(index.ion_parents, index.bucket_offsets)
+        == SORT_DIGESTS["slm.rank0/cyclic/2"]
+    )
+
+
+def test_windowed_rank_index_matches_pinned_digest(database):
+    index = rank0_index(database, SLMIndexSettings(precursor_tolerance=2.0))
+    assert isinstance(index, ChunkedIndex)
+    assert (
+        digest(index.ion_parents, index.bucket_offsets)
+        == SORT_DIGESTS["chunked.rank0/cyclic/2"]
+    )
