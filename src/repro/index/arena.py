@@ -69,7 +69,8 @@ __all__ = [
 INT32_LIMIT = 1 << 31
 
 #: Ions quantized per block by :meth:`FragmentArena.buckets_for`, so its
-#: float64 scratch is one block (512 KB), never ``n_ions`` wide.
+#: float64 scratch is one block (512 KB), never ``n_ions`` wide; also
+#: the block in which :meth:`FragmentArena.sort_order_for` packs keys.
 _QUANTIZE_BLOCK = 1 << 16
 
 
@@ -414,12 +415,35 @@ class FragmentArena:
         candidate id, never through the CSR — so every
         :class:`~repro.index.slm.FilterResult` and score is
         bit-identical either way.
+
+        The order is one in-place sort of packed ``int64`` keys
+        ``(bucket << 32) | position``, not a stable argsort.  Positions
+        are below 2^31 (:func:`check_ion_count`), so the low 32 bits
+        never carry into the bucket, and signed key order is bucket
+        order first — negative buckets included — then position order.
+        The keys are unique, so *any* correct sort, numpy's unstable
+        SIMD one included, yields the single order a stable argsort
+        gives; ``key & 0xFFFFFFFF`` is then the position.  The keys are
+        built in :data:`_QUANTIZE_BLOCK` blocks, so the peak is the
+        ``int64`` keys plus the ``int32`` result (12 B/ion), as it was
+        for the stable argsort's ``int64`` result and its ``int32``
+        copy.
         """
         cached = self._order_cache.get(resolution)
         if cached is None:
-            cached = np.argsort(self.buckets_for(resolution), kind="stable").astype(
-                np.int32
-            )
+            buckets = self.buckets_for(resolution)
+            n = buckets.size
+            keys = np.empty(n, dtype=np.int64)
+            positions = np.arange(min(n, _QUANTIZE_BLOCK), dtype=np.int64)
+            for a in range(0, n, _QUANTIZE_BLOCK):
+                block = keys[a : a + positions.size]
+                block[...] = buckets[a : a + block.size]
+                block <<= 32
+                block |= positions[: block.size]
+                positions += positions.size
+            keys.sort()
+            keys &= 0xFFFFFFFF
+            cached = keys.astype(np.int32)
             self._order_cache[resolution] = cached
         return cached
 

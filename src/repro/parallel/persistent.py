@@ -28,7 +28,11 @@ fault at stage         observed behavior
 crash before attach    ATTACH round fails for the rank; supervision
 (spawn / attach)       respawns it, the replayed attach IS the retry —
                        heals for R >= 1, else :class:`WorkerError` with
-                       the exit code.
+                       the exit code.  A session spawns its pool before
+                       it plans and spills, so a boot crash may land
+                       while the master is still spilling; nothing
+                       watches the pipe then, and the death surfaces in
+                       the ATTACH round and heals the same way.
 raise during attach    error reply, worker stays resident; retry
                        re-sends the attach payload — heals for R >= 1.
 death between rounds   the next dispatch respawns the rank without

@@ -335,12 +335,18 @@ class SharedSpill:
         self._finalizer = weakref.finalize(
             self, shutil.rmtree, str(self.directory), ignore_errors=True
         )
-        write_owner_marker(self.directory)
-        # Quantize and bucket-sort before spilling so workers that
-        # load the store never re-run floor() or argsort().
-        arena.buckets_for(self.resolution)
-        arena.sort_order_for(self.resolution)
-        self.store = SharedArenaStore.spill(arena, self.directory)
+        try:
+            write_owner_marker(self.directory)
+            # Quantize and bucket-sort before spilling so workers that
+            # load the store never re-run floor() or the sort.
+            arena.buckets_for(self.resolution)
+            arena.sort_order_for(self.resolution)
+            self.store = SharedArenaStore.spill(arena, self.directory)
+        except BaseException:
+            # The half-built handle may outlive the raise in a
+            # traceback; remove its tmpdir now, not when that dies.
+            self._finalizer()
+            raise
 
     @property
     def alive(self) -> bool:

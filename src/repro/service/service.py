@@ -928,9 +928,12 @@ class SearchService:
             sweep_stale_stores()
         except OSError:
             pass
-        plan = self.plan
-        arena = self.database.arena_for(cfg.index.fragmentation)
-        self._spill = shared_spill_for(arena, cfg.index.resolution)
+        # Spawn → plan → arena → spill → attach.  Workers spawn with
+        # no payload, so they boot (interpreter + imports, the bulk of
+        # a cold attach round) while the master plans, builds the
+        # arena and spills it, instead of after.  Attach is the first
+        # step that needs the spill, so it stays last.  Any failure
+        # closes the pool and drops this session's spill reference.
         pool = PersistentPool(
             cfg.n_workers,
             start_method=cfg.start_method,
@@ -944,6 +947,9 @@ class SearchService:
             tracer=self._tracer,
         )
         try:
+            plan = self.plan
+            arena = self.database.arena_for(cfg.index.fragmentation)
+            self._spill = shared_spill_for(arena, cfg.index.resolution)
             tasks = [
                 AttachTask(
                     store_dir=str(self._spill.store.directory),
@@ -959,6 +965,7 @@ class SearchService:
             self._attach_s = time.perf_counter() - t0
         except BaseException as exc:
             pool.close()
+            self._spill = None
             if isinstance(exc, WorkerError) and exc.flight_record is None:
                 exc.flight_record = flight_dump(
                     self._ring, cfg.flight_dir, "attach-failure"

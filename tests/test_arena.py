@@ -11,9 +11,11 @@ awkward edge cases (zero candidates, zero-fragment peptides, empty
 spectra).
 """
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
-from hypothesis import given, settings as hsettings, strategies as st
+from hypothesis import example, given, settings as hsettings, strategies as st
 
 from reference import (
     arena_of,
@@ -272,6 +274,64 @@ def test_arena_at_the_int32_ion_limit_raises():
             lengths=np.array([1]),
             masses=np.array([0.0]),
         )
+
+
+# -- packed-key bucket sort == stable argsort ---------------------------
+
+INT32_MIN = -INT32_LIMIT
+#: Few distinct values (so ties are common) including both int32 extremes.
+TIE_HEAVY_BUCKETS = st.sampled_from(
+    [INT32_MIN, INT32_MIN + 1, -7, -1, 0, 1, 3, INT32_LIMIT - 1]
+)
+
+
+def _sort_order_over(buckets, resolution=1.0):
+    """``sort_order_for`` over the given bucket ids (primed into the cache)."""
+    buckets = np.asarray(buckets, dtype=np.int32)
+    arena = _one_entry_arena(np.zeros(buckets.size))
+    arena._bucket_cache[resolution] = buckets
+    return arena, arena.sort_order_for(resolution)
+
+
+def _stable_order(buckets):
+    return np.argsort(np.asarray(buckets, dtype=np.int32), kind="stable").astype(np.int32)
+
+
+@hsettings(max_examples=200, deadline=None)
+@given(
+    buckets=st.lists(
+        TIE_HEAVY_BUCKETS | st.integers(INT32_MIN, INT32_LIMIT - 1), max_size=300
+    ),
+    block=st.sampled_from([1, 2, 7, 64, 1 << 16]),
+)
+@example(buckets=[], block=1 << 16)
+@example(buckets=[5], block=1 << 16)
+@example(buckets=[INT32_MIN], block=1)
+@example(buckets=[INT32_LIMIT - 1], block=1)
+@example(buckets=[3] * 40, block=7)
+@example(buckets=[INT32_MIN] * 33, block=1 << 16)
+@example(buckets=[-1] * 17, block=2)
+def test_packed_sort_equals_stable_argsort(buckets, block):
+    """Bucket-major, ties by position, whatever the ids and block size:
+    empty, single and all-equal arrays and both int32 extremes included."""
+    with patch.object(arena_module, "_QUANTIZE_BLOCK", block):
+        arena, order = _sort_order_over(buckets)
+    assert order.dtype == np.int32
+    assert np.array_equal(order, _stable_order(buckets))
+    assert arena.sort_order_for(1.0) is order  # cached, not re-sorted
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize("n_blocks", [1, 2])
+def test_packed_sort_across_block_boundaries(n_blocks, delta):
+    """Lengths straddling real block multiples, with heavy ties across blocks."""
+    n = n_blocks * arena_module._QUANTIZE_BLOCK + delta
+    rng = np.random.default_rng(n)
+    buckets = rng.integers(-40, 40, size=n).astype(np.int32)
+    buckets[::997] = INT32_MIN
+    buckets[1::991] = INT32_LIMIT - 1
+    _, order = _sort_order_over(buckets)
+    assert np.array_equal(order, _stable_order(buckets))
 
 
 @pytest.mark.parametrize("index_type", [SLMIndex, ChunkedIndex])

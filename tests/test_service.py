@@ -7,13 +7,19 @@ resident workers*, and the batch travels in-band as one pickle per
 round sent to every worker (payload-size accounting).
 """
 
+import multiprocessing
 import pickle
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError, ServiceError, WorkerError
+from repro.index.slm import SLMIndexSettings
+from repro.parallel.shared_arena import SharedArenaStore
 from repro.parallel.worker import QueryTask
+from repro.service import service as service_module
 from repro.search.serial import SerialSearchEngine
 from repro.service import BatchStats, SearchService, ServiceConfig
 from repro.spectra.packed import PackedSpectra
@@ -186,6 +192,53 @@ def test_worker_raise_mid_batch_fails_batch_not_session(
         assert_same_results(serial_refs[0], results)
         assert stats.respawned == 0
         assert service.worker_pids() == pids
+
+
+class _OpenStepFailed(RuntimeError):
+    pass
+
+
+def _spill_dirs():
+    return set(Path(tempfile.gettempdir()).glob("repro-arena-*"))
+
+
+@pytest.mark.parametrize("step", ["plan", "arena_for", "shared_spill_for", "spill_write"])
+def test_open_failure_after_early_spawn_cleans_up(tiny_db, monkeypatch, step):
+    """The pool spawns before the master plans, builds the arena and
+    spills; a raise in any of those re-raises unchanged and leaves no
+    live worker and no spill directory behind."""
+    error = _OpenStepFailed(step)
+    children_at_raise = []
+
+    def boom(*args, **kwargs):
+        children_at_raise.append(set(multiprocessing.active_children()))
+        raise error
+
+    if step == "plan":
+        monkeypatch.setattr(service_module.SearchService, "plan", property(boom))
+    elif step == "arena_for":
+        monkeypatch.setattr(tiny_db, "arena_for", boom)
+    elif step == "shared_spill_for":
+        monkeypatch.setattr(service_module, "shared_spill_for", boom)
+    else:  # the tmpdir exists and is half written when this raises
+        monkeypatch.setattr(SharedArenaStore, "spill", staticmethod(boom))
+    # A resolution no other test spills at, so the spill cache cannot
+    # hand back a live spill and skip the failing write.
+    config = ServiceConfig(n_workers=2, index=SLMIndexSettings(resolution=0.0125))
+    children_before = set(multiprocessing.active_children())
+    dirs_before = _spill_dirs()
+    service = SearchService(tiny_db, config)
+    with pytest.raises(_OpenStepFailed) as excinfo:
+        service.open()
+    assert excinfo.value is error
+    # The failing step ran after both workers had been spawned ...
+    assert len(children_at_raise[0] - children_before) == 2
+    # ... and the failed open reaped them and left no spill behind.
+    assert set(multiprocessing.active_children()) <= children_before
+    assert _spill_dirs() <= dirs_before
+    assert not service.is_open
+    service.close()
+    assert not service.is_open
 
 
 def test_config_validation():
