@@ -7,7 +7,7 @@ Subcommands mirror the paper's toolchain stages::
     python -m repro group    --fasta data/peptides.fasta --out data/clustered.fasta
     python -m repro search   --fasta data/proteome.fasta --ms2 data/run.ms2 \\
                              --ranks 8 --policy cyclic --report data/psms.tsv
-    python -m repro index    --fasta data/proteome.fasta --out data/index.npz
+    python -m repro index    --fasta data/proteome.fasta --out data/index/
     python -m repro serve    --fasta data/proteome.fasta --ranks 2 \\
                              --batch data/run.ms2 --batch data/run2.ms2
     python -m repro trace analyze data/trace.jsonl       # timeline analysis
@@ -25,8 +25,10 @@ paths via ``--batch``, or newline-separated on stdin) and prints
 per-batch latency and scatter accounting; ``--pipeline`` drives the
 stream through the service's overlapped session (preprocess batch N+1
 while the workers query batch N — identical results, higher
-throughput), and ``--index`` starts the session from a serialized
-archive (``repro index``) instead of re-digesting the FASTA.
+throughput), and ``--index`` starts the session from an index archive
+(``repro index``): the database's arena store plus its entry table,
+which the workers attach as it lies on disk — no digestion, arena
+build or spill.  SIGTERM drains the session like Ctrl-C does.
 
 ``trace`` is the consume side of the telemetry stack: ``analyze``
 reconstructs per-batch timelines (stage breakdown, per-rank
@@ -39,8 +41,11 @@ attributes a latency regression between two traces to stages/ranks.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import signal
 import sys
+import threading
 from contextlib import ExitStack
 from pathlib import Path
 from typing import List, Sequence
@@ -54,12 +59,12 @@ from repro.db.fasta import FastaRecord, read_fasta, write_fasta, write_grouped_f
 from repro.db.proteome import ProteomeConfig, generate_proteome
 from repro.errors import (
     ConfigurationError,
+    FormatError,
     ServiceError,
     ShardError,
     WorkerError,
 )
-from repro.index.serialize import load_index, save_index
-from repro.index.slm import SLMIndex, SLMIndexSettings
+from repro.index.slm import SLMIndexSettings
 from repro.obs import (
     NULL_TRACER,
     JsonlTracer,
@@ -140,13 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     idx = sub.add_parser(
         "index",
-        help="build an SLM index and serialize it (memmap-ready archive)",
+        help="write an index archive (arena store + entry table) for "
+        "serve --index",
     )
     idx.add_argument("--fasta", type=Path, required=True,
                      help="protein FASTA to digest and index")
     idx.add_argument("--out", type=Path, required=True,
-                     help="output .npz archive (uncompressed, so serve "
-                     "--index can memory-map it)")
+                     help="archive directory (absent or empty)")
     idx.add_argument("--max-variants", type=int, default=8)
 
     srv = sub.add_parser(
@@ -156,10 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--fasta", type=Path, default=None,
                      help="protein FASTA to digest and index")
     srv.add_argument("--index", type=Path, default=None,
-                     help="serialized index archive (repro index); starts "
-                     "the session from the archive's peptide table — no "
-                     "FASTA parse/digestion/variant enumeration (the "
-                     "fragment arena is still built at open())")
+                     help="index archive directory (repro index); the "
+                     "workers attach its arena store in place — no FASTA "
+                     "parse, digestion, variant enumeration, arena build "
+                     "or spill")
     srv.add_argument("--pipeline", action="store_true",
                      help="drive the batches through the overlapped "
                      "pipelined session (preprocess batch N+1 while the "
@@ -430,11 +435,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_index(args: argparse.Namespace) -> int:
     db = _build_database(args.fasta, args.max_variants)
     settings = SLMIndexSettings()
-    index = SLMIndex(db.arena_for(settings.fragmentation), settings)
-    save_index(args.out, index, db.entries, compress=False)
+    try:
+        db.save(args.out, settings)
+    except ConfigurationError as exc:
+        raise SystemExit(f"index: {exc}") from None
     print(
-        f"indexed {db.n_entries} entries ({index.n_ions} ions) from "
-        f"{db.n_bases} peptides -> {args.out} (uncompressed, memmap-ready)"
+        f"indexed {db.n_entries} entries "
+        f"({db.arena_for(settings.fragmentation).n_ions} ions) from "
+        f"{db.n_bases} peptides -> {args.out} (arena store + entry table)"
     )
     return 0
 
@@ -446,28 +454,36 @@ def _serve_database(args: argparse.Namespace):
             "serve: supply exactly one of --fasta or --index"
         )
     if args.index is not None:
-        # mmap_mode="r" keeps the archive's flat index arrays out of
-        # private memory while the peptide table is materialized; the
-        # session skips FASTA parsing, digestion, deduplication and
-        # variant enumeration.  The fragment arena is still generated
-        # from the peptide table at open() — the archive stores the
-        # built index's CSR, not the arena (see the ROADMAP open item).
-        peptides, index = load_index(args.index, mmap_mode="r")
-        return IndexedDatabase.from_index_entries(peptides), index.settings
+        return IndexedDatabase.load(args.index)
     return _build_database(args.fasta, args.max_variants), SLMIndexSettings()
+
+
+def _interrupt(signum, frame):
+    """SIGTERM handler: unwind exactly as Ctrl-C does, draining the session."""
+    raise KeyboardInterrupt
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     db, index_settings = _serve_database(args)
-    batch_paths = (
-        list(args.batch)
+    # Paths stream lazily: a stdin-fed session opens on its first path
+    # and serves each later one as it arrives.
+    paths = (
+        iter(args.batch)
         if args.batch
-        else [Path(line.strip()) for line in sys.stdin if line.strip()]
+        else (Path(line.strip()) for line in sys.stdin if line.strip())
     )
-    if not batch_paths:
+    first = next(paths, None)
+    if first is None:
         print("serve: no batches (pass --batch or pipe MS2 paths on stdin)",
               file=sys.stderr)
         return 2
+    batch_paths: List[Path] = []
+
+    def batches():
+        for path in itertools.chain([first], paths):
+            batch_paths.append(path)
+            yield list(read_ms2(path))
+
     if args.report_dir is not None:
         args.report_dir.mkdir(parents=True, exist_ok=True)
 
@@ -499,6 +515,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     source = "index archive" if args.index is not None else "FASTA"
     mode = "pipelined" if args.pipeline else "sequential"
     sharded = args.shards > 1 or args.shard_boundaries is not None
+    # Only an unsharded archive start attaches the archive's own store;
+    # each shard still builds and spills its own arena.
+    paid = (
+        "spawn + attach the archive's arena store"
+        if args.index is not None and not sharded
+        else "spawn + arena build + spill + attach"
+    )
     if args.shards < 1:
         raise SystemExit("serve: --shards must be >= 1")
     if sharded:
@@ -519,32 +542,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # event), then the tracer flushes and releases the file —
         # including when a batch fails and the error propagates.
         stack.callback(tracer.close)
+        if threading.current_thread() is threading.main_thread():
+            # SIGTERM unwinds this stack like Ctrl-C: the session drains
+            # and closes, then the previous handler comes back.
+            previous = signal.signal(signal.SIGTERM, _interrupt)
+            stack.callback(signal.signal, signal.SIGTERM, previous)
         service = stack.enter_context(service_cm)
         print(
             f"session: {db.n_entries} entries (from {source}), "
             f"{topology}, policy {args.policy}, "
             f"backend {args.backend}, {mode} submits; "
             f"open {service.open_s:.2f} s "
-            f"(spawn + arena spill + attach, paid once)"
+            f"({paid}, paid once)"
         )
         if args.pipeline:
             # The streaming driver keeps up to max_pending batches in
             # the pipeline; MS2 parsing of batch N+1 also overlaps the
             # workers' round for batch N through the lazy generator.
-            outcomes = service.stream(
-                list(read_ms2(path)) for path in batch_paths
-            )
+            outcomes = service.stream(batches())
         else:
-            outcomes = (
-                service.submit(list(read_ms2(path))) for path in batch_paths
-            )
+            outcomes = (service.submit(batch) for batch in batches())
         rows = []
-        for i, (path, (results, stats)) in enumerate(
-            zip(batch_paths, outcomes)
-        ):
+        for i, (results, stats) in enumerate(outcomes):
             row = [
                 i,
-                path.name,
+                batch_paths[i].name,
                 stats.n_spectra,
                 results.total_cpsms,
                 f"{stats.total_s * 1e3:.1f}",
@@ -572,7 +594,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(format_table(
             columns,
             rows,
-            title=f"session: {len(batch_paths)} batches on resident workers",
+            title=f"session: {len(rows)} batches on resident workers",
         ))
         all_stats = service.batch_stats
         session = aggregate_batch_stats(all_stats)
@@ -730,11 +752,13 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    Worker and service failures reaching this level are user-facing
-    operational faults, not programming errors: they print a one-line
-    diagnosis (rank, exit code, retry count) to stderr and exit
-    nonzero instead of dumping a traceback.  Everything else — actual
-    bugs — still propagates with a full traceback.
+    Worker and service failures and malformed input files reaching
+    this level are user-facing operational faults, not programming
+    errors: they print a one-line diagnosis (rank, exit code, retry
+    count) to stderr and exit nonzero instead of dumping a traceback,
+    as an interrupt (Ctrl-C, or SIGTERM under ``serve``) does with exit
+    code 130.  Everything else — actual bugs — still propagates with a
+    full traceback.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -745,10 +769,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ShardError as exc:
         print(f"repro {args.command}: {exc.brief}", file=sys.stderr)
         return 1
-    except ServiceError as exc:
+    except (ServiceError, FormatError) as exc:
         summary = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
         print(f"repro {args.command}: {summary}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print(f"repro {args.command}: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests calling main()

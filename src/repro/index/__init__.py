@@ -21,7 +21,6 @@ from repro.index.arena import FragmentArena, Workspace, concat_ranges
 from repro.index.slm import SLMIndex, SLMIndexSettings, FilterResult
 from repro.index.chunks import ChunkedIndex
 from repro.index.memory import IndexMemoryModel, MemoryBreakdown
-from repro.index.serialize import load_index, save_index
 
 __all__ = [
     "FragmentArena",
@@ -33,6 +32,4 @@ __all__ = [
     "ChunkedIndex",
     "IndexMemoryModel",
     "MemoryBreakdown",
-    "load_index",
-    "save_index",
 ]

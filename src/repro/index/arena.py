@@ -263,6 +263,7 @@ class FragmentArena:
         "_counts",
         "_bucket_cache",
         "_order_cache",
+        "__weakref__",
     )
 
     def __init__(

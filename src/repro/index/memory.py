@@ -63,9 +63,10 @@ worker reopens it with read-only ``np.memmap``:
 The spilled copy is 16 B/ion: the float64 m/z and the two ``int32``
 caches.  System-wide under the process backend: ``arena_bytes`` (the
 shared copy, counted once) + Σ per-worker sub-arena m/z (≈ 8 B × n_ions
-total across workers) + the per-rank index terms.  The same model
-applies to ``.npz`` archives opened with
-:func:`repro.index.serialize.load_index` ``(mmap_mode="r")``.
+total across workers) + the per-rank index terms.  An index archive
+(:meth:`repro.search.database.IndexedDatabase.save`) *is* such a store,
+so a session started from one maps the same 16 B/ion from the archive
+directory instead of a tmpdir, and its master holds no private arena.
 
 Service residency (persistent sessions)
 ---------------------------------------

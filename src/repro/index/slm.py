@@ -34,9 +34,10 @@ which keeps its own flat precursor-major arrays and shares only
 :class:`FilterResult`, the settings, :data:`FILTER_BATCH_ION_BUDGET`
 and the window predicate's form with this class.  Both take the same
 input: one complete :class:`~repro.index.arena.FragmentArena`
-(``SLMIndex(arena, settings)``).  An archive written by
-:func:`~repro.index.serialize.save_index` holds the built arrays, and
-:meth:`SLMIndex.from_sorted_arrays` wraps them again without a build.
+(``SLMIndex(arena, settings)``).  Nothing stores a built index: an
+index archive (:meth:`~repro.search.database.IndexedDatabase.save`)
+holds the arena with its bucket ids and sort order, so reopening one
+costs this build alone.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class SLMIndex:
         filter reads the arena's float32 ``masses``.  The index keeps
         those masses and the per-entry ion counts, not the arena, and
         holds no peptide table: callers that need peptides keep them
-        beside the index (see :func:`~repro.index.serialize.save_index`).
+        beside the index (an :class:`~repro.search.database.IndexedDatabase`).
     settings:
         Index/query settings.
 
@@ -171,7 +172,8 @@ class SLMIndex:
         n = arena.n_entries
         self.n_peptides = n
         self.masses = arena.masses
-        self._ion_counts: np.ndarray | None = arena.counts
+        #: Indexed ions per peptide (int64, length ``len(self)``).
+        self.ion_counts: np.ndarray = arena.counts
         self._masses64: np.ndarray | None = None
 
         # --- transient construction state (freed on return) ---------
@@ -196,34 +198,6 @@ class SLMIndex:
         if self.n_buckets:
             np.cumsum(counts, out=self.bucket_offsets[1:])
 
-    @classmethod
-    def from_sorted_arrays(
-        cls,
-        settings: SLMIndexSettings,
-        masses: np.ndarray,
-        ion_parents: np.ndarray,
-        bucket_offsets: np.ndarray,
-    ) -> "SLMIndex":
-        """Wrap already bucket-major arrays in an index, computing nothing.
-
-        ``ion_parents`` holds the parent local id of every ion in
-        bucket-major order and ``bucket_offsets`` its CSR offsets (any
-        integer dtype, so archives written with ``int64`` offsets still
-        load; length = top bucket + 2), ``masses`` the float32 neutral
-        mass per local id.  This is how an archive is reloaded
-        (:func:`~repro.index.serialize.load_index`).
-        """
-        index = cls.__new__(cls)
-        index.settings = settings
-        index.n_peptides = int(masses.size)
-        index.masses = masses
-        index._ion_counts = None  # recovered lazily from ion_parents on demand
-        index._masses64 = None  # widened lazily on the first windowed query
-        index.ion_parents = ion_parents
-        index.bucket_offsets = bucket_offsets
-        index.n_buckets = int(bucket_offsets.size - 1)
-        return index
-
     # -- introspection -------------------------------------------------
 
     def __len__(self) -> int:
@@ -233,19 +207,6 @@ class SLMIndex:
     def n_ions(self) -> int:
         """Total indexed ion entries."""
         return int(self.ion_parents.size)
-
-    @property
-    def ion_counts(self) -> np.ndarray:
-        """Indexed ions per peptide (int64, length ``len(self)``).
-
-        Taken from the arena offsets at construction; recovered from
-        ``ion_parents`` for indexes deserialized without an arena.
-        """
-        if self._ion_counts is None:
-            self._ion_counts = np.bincount(
-                self.ion_parents, minlength=self.n_peptides
-            ).astype(np.int64)
-        return self._ion_counts
 
     def ions_of(self, local_id: int) -> int:
         """Number of indexed ions of peptide ``local_id`` (O(1))."""

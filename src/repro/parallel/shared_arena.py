@@ -169,22 +169,19 @@ class SharedArenaStore:
     # -- reading --------------------------------------------------------
 
     @classmethod
-    def exists(cls, directory: Union[str, Path]) -> bool:
-        """True when ``directory`` holds a spilled store (a manifest)."""
-        return (Path(directory) / _MANIFEST_NAME).is_file()
-
-    @classmethod
     def open(cls, directory: Union[str, Path]) -> "SharedArenaStore":
         """Attach to a store written by :meth:`spill`."""
         directory = Path(directory)
         manifest_path = directory / _MANIFEST_NAME
         if not manifest_path.is_file():
             raise FormatError(f"no arena store at {directory} (missing manifest)")
-        manifest = json.loads(manifest_path.read_text(encoding="ascii"))
-        if manifest.get("version") != _FORMAT_VERSION:
-            raise FormatError(
-                f"unsupported arena store version {manifest.get('version')!r}"
-            )
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="ascii"))
+        except ValueError as bad:
+            raise FormatError(f"arena store manifest {manifest_path} is unreadable: {bad}") from None
+        version = manifest.get("version") if isinstance(manifest, dict) else None
+        if version != _FORMAT_VERSION:
+            raise FormatError(f"unsupported arena store version {version!r}")
         return cls(directory, manifest)
 
     def load(self, *, mmap_mode: str = "r") -> FragmentArena:
@@ -200,10 +197,10 @@ class SharedArenaStore:
                 f"mmap_mode must be 'r' or 'c', got {mmap_mode!r}"
             )
         n_entries, n_ions = self.n_entries, self.n_ions
-        mzs = self._map("mzs.npy", mmap_mode, np.float64, n_ions)
-        offsets = self._map("offsets.npy", mmap_mode, np.int64, n_entries + 1)
-        lengths = self._map("lengths.npy", mmap_mode, np.int64, n_entries)
-        masses = self._map("masses.npy", mmap_mode, np.float32, n_entries)
+        mzs = self.map("mzs.npy", np.float64, n_ions, mmap_mode)
+        offsets = self.map("offsets.npy", np.int64, n_entries + 1, mmap_mode)
+        lengths = self.map("lengths.npy", np.int64, n_entries, mmap_mode)
+        masses = self.map("masses.npy", np.float32, n_entries, mmap_mode)
         try:
             arena = FragmentArena(mzs, offsets, lengths=lengths, masses=masses)
         except ConfigurationError as bad:
@@ -215,11 +212,17 @@ class SharedArenaStore:
                 ("order", arena._order_cache),
             ):
                 if entry[key] is not None:
-                    cache[resolution] = self._map(entry[key], mmap_mode, np.int32, n_ions)
+                    cache[resolution] = self.map(entry[key], np.int32, n_ions, mmap_mode)
+        _LOADED_FROM[arena] = self
         return arena
 
-    def _map(self, name: str, mmap_mode: str, dtype, length: int) -> np.ndarray:
-        """Memory-map one store file, refusing a torn, short or retyped one."""
+    def map(self, name: str, dtype, length: int, mmap_mode: str = "r") -> np.ndarray:
+        """Memory-map one ``.npy`` file of the store directory.
+
+        A missing, torn, short or retyped file raises
+        :class:`~repro.errors.FormatError`.  Files written beside the
+        store (an index archive's entry table) are read through it too.
+        """
         path = self.directory / name
         try:
             array = np.load(path, mmap_mode=mmap_mode)
@@ -235,6 +238,14 @@ class SharedArenaStore:
         return array
 
     # -- introspection --------------------------------------------------
+
+    def holds(self, resolution: float) -> bool:
+        """True when both quantization caches of ``resolution`` are on disk."""
+        key = float(resolution).hex()
+        return any(
+            entry["hex"] == key and entry["buckets"] and entry["order"]
+            for entry in self.manifest["resolutions"]
+        )
 
     @property
     def n_entries(self) -> int:
@@ -314,34 +325,42 @@ def sweep_stale_stores(
 
 
 class SharedSpill:
-    """A refcounted temporary-directory spill of one arena.
+    """A refcounted spill of one arena at one resolution.
 
-    The handle owns its tmpdir: a ``weakref.finalize`` registered
+    A fresh spill owns its tmpdir: a ``weakref.finalize`` registered
     **before** any file is written removes the directory when the last
     holder drops the handle (or at interpreter exit), so a crash
-    mid-spill cannot leak it.  Engines and services that share one
-    database hold the *same* handle (via :func:`shared_spill_for`), so
-    the directory lives exactly as long as anyone is mapping it —
-    plain Python refcounting is the refcount.
+    mid-spill cannot leak it.  An arena that :meth:`SharedArenaStore.load`
+    rebuilt from a store already holding ``resolution`` (an index
+    archive) is not spilled again: the handle borrows that store, writes
+    nothing and never deletes a directory it did not create.  Engines
+    and services that share one database hold the *same* handle (via
+    :func:`shared_spill_for`), so the directory lives exactly as long as
+    anyone is mapping it — plain Python refcounting is the refcount.
     """
 
-    __slots__ = ("arena", "resolution", "directory", "store", "_finalizer", "__weakref__")
+    __slots__ = ("arena", "resolution", "store", "_finalizer", "__weakref__")
 
     def __init__(self, arena: FragmentArena, resolution: float) -> None:
-        sweep_stale_stores()
         self.arena = arena
         self.resolution = float(resolution)
-        self.directory = Path(tempfile.mkdtemp(prefix="repro-arena-"))
+        origin = _LOADED_FROM.get(arena)
+        if origin is not None and origin.holds(self.resolution):
+            self.store = origin
+            self._finalizer = None
+            return
+        sweep_stale_stores()
+        directory = Path(tempfile.mkdtemp(prefix="repro-arena-"))
         self._finalizer = weakref.finalize(
-            self, shutil.rmtree, str(self.directory), ignore_errors=True
+            self, shutil.rmtree, str(directory), ignore_errors=True
         )
         try:
-            write_owner_marker(self.directory)
+            write_owner_marker(directory)
             # Quantize and bucket-sort before spilling so workers that
             # load the store never re-run floor() or the sort.
             arena.buckets_for(self.resolution)
             arena.sort_order_for(self.resolution)
-            self.store = SharedArenaStore.spill(arena, self.directory)
+            self.store = SharedArenaStore.spill(arena, directory)
         except BaseException:
             # The half-built handle may outlive the raise in a
             # traceback; remove its tmpdir now, not when that dies.
@@ -350,8 +369,8 @@ class SharedSpill:
 
     @property
     def alive(self) -> bool:
-        """True while the tmpdir has not been finalized away."""
-        return self._finalizer.alive
+        """True while an owned tmpdir has not been finalized away."""
+        return self._finalizer is None or self._finalizer.alive
 
 
 #: Live spills keyed by (arena identity, quantization resolution).
@@ -361,6 +380,10 @@ class SharedSpill:
 _SPILL_CACHE: Dict[Tuple[int, str], "weakref.ref[SharedSpill]"] = {}
 _SPILL_LOCK = threading.Lock()
 
+#: The store each live :meth:`SharedArenaStore.load` arena came from,
+#: held weakly: how a spill recognises an arena that is already on disk.
+_LOADED_FROM: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
 
 def shared_spill_for(arena: FragmentArena, resolution: float) -> SharedSpill:
     """The one shared tmpdir spill of ``arena`` at ``resolution``.
@@ -369,7 +392,9 @@ def shared_spill_for(arena: FragmentArena, resolution: float) -> SharedSpill:
     :class:`~repro.search.database.IndexedDatabase` receive the same
     :class:`SharedSpill` handle instead of spilling twice; the tmpdir
     is removed only when the *last* holder dies, so one engine's death
-    never tears the memmaps out from under another.  Callers must keep
+    never tears the memmaps out from under another.  An arena loaded
+    from a store that already holds ``resolution`` gets that store's
+    own directory back, with nothing written.  Callers must keep
     the returned handle referenced for as long as they (or their
     workers) map the store.
     """

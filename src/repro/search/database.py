@@ -25,12 +25,24 @@ range, mass equal to ``peptide_mass``'s fold — holds by construction
 here: the digest's split at non-alphabet residues is what validates
 FASTA input.  Input from outside the build (an index archive, decoys)
 still goes through the validating ``Peptide(...)``.
+
+The one on-disk form is an *index archive* (:meth:`IndexedDatabase.save`,
+``repro index``): the entries' arena as a
+:class:`~repro.parallel.shared_arena.SharedArenaStore` with its bucket
+ids and sort order, and beside it the entry table, the base → entry
+offsets and the :class:`~repro.index.slm.SLMIndexSettings`.
+:meth:`IndexedDatabase.load` reopens it with the arena memory-mapped,
+and a session over the result attaches its workers to the archive's
+own files (``repro serve --index``).  Grouping and plan manifests are
+not stored: they depend on the serve-time rank count and policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+import json
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,10 +54,22 @@ from repro.db.dedup import first_occurrences
 from repro.db.digest import DigestionConfig, digest_rows, peptides_from_rows
 from repro.db.fasta import FastaRecord
 from repro.db.proteome import ProteomeConfig, generate_proteome
-from repro.errors import ConfigurationError, PartitionError
+from repro.errors import ConfigurationError, FormatError, InvalidSequenceError, PartitionError
 from repro.index.arena import FragmentArena, concat_ranges
+from repro.index.slm import SLMIndexSettings
+from repro.parallel.shared_arena import SharedArenaStore
 
 __all__ = ["DatabaseConfig", "IndexedDatabase"]
+
+#: The entry-table manifest an index archive keeps beside its arena store.
+_TABLE_NAME = "database.json"
+_TABLE_VERSION = 1
+
+
+def _settings_from(record: dict) -> SLMIndexSettings:
+    """Inverse of ``asdict(settings)`` (JSON turns tuples into lists)."""
+    frag = dict(record["fragmentation"], charges=tuple(record["fragmentation"]["charges"]))
+    return SLMIndexSettings(**dict(record, fragmentation=FragmentationSettings(**frag)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,36 +143,6 @@ class IndexedDatabase:
             entries.extend(enum.variants(pep))
             offsets[b + 1] = len(entries)
         return cls(list(base_peptides), entries, offsets)
-
-    @classmethod
-    def from_index_entries(
-        cls, entries: Sequence[Peptide]
-    ) -> "IndexedDatabase":
-        """Rebuild a database from a serialized index's peptide table.
-
-        A :func:`~repro.index.serialize.save_index` archive stores the
-        index's *entries* — every base peptide followed by its modified
-        variants, base-major, unmodified first (the layout
-        :meth:`from_peptides` produces).  This inverts that layout:
-        entry offsets are recovered from the unmodified-entry
-        boundaries, so a service started from an archive plans, groups,
-        and partitions identically to one built from the source FASTA
-        (grouping runs on the same base sequences, the manifests cover
-        the same entry-id space).  No digestion, deduplication, or
-        variant enumeration happens — that is the whole point of the
-        ``repro serve --index`` start path.
-        """
-        entries = list(entries)
-        if not entries:
-            raise ConfigurationError("cannot rebuild a database from 0 entries")
-        base_positions = [i for i, p in enumerate(entries) if not p.mods]
-        if not base_positions or base_positions[0] != 0:
-            raise ConfigurationError(
-                "entry table does not start with an unmodified base "
-                "peptide; this is not a base-major index archive"
-            )
-        offsets = np.asarray(base_positions + [len(entries)], dtype=np.int64)
-        return cls([entries[i] for i in base_positions], entries, offsets)
 
     @classmethod
     def build(
@@ -234,6 +228,107 @@ class IndexedDatabase:
             cached = FragmentArena.from_peptides(self.entries, fragmentation)
             self._arena_cache[fragmentation] = cached
         return cached
+
+    # -- on-disk form --------------------------------------------------------
+
+    def save(
+        self, directory: Union[str, Path], settings: SLMIndexSettings = SLMIndexSettings()
+    ) -> Path:
+        """Write the database as an index archive under ``directory``.
+
+        The entries' arena at ``settings.fragmentation`` is spilled as a
+        :class:`~repro.parallel.shared_arena.SharedArenaStore` carrying
+        the bucket ids and sort order of ``settings.resolution``.  Beside
+        it go the entry table (residues at full length, protein ids,
+        mods as CSR), the base → entry offsets and, last, so that a torn
+        write never loads, ``settings``.  ``directory`` must be absent or
+        empty.  Returns it.
+        """
+        directory = Path(directory)
+        if directory.exists() and (not directory.is_dir() or any(directory.iterdir())):
+            raise ConfigurationError(
+                f"{directory} is not an empty directory; an index archive needs its own"
+            )
+        arena = self.arena_for(settings.fragmentation)
+        arena.buckets_for(settings.resolution)
+        arena.sort_order_for(settings.resolution)
+        SharedArenaStore.spill(arena, directory)
+        entries = self.entries
+        mods = [mod for p in entries for mod in p.mods]
+        residues = "".join(p.sequence for p in entries).encode("ascii")
+        for name, array in {
+            "entry_offsets": self.entry_offsets.astype(np.int64),
+            "residues": np.frombuffer(residues, dtype=np.uint8),
+            "protein_ids": np.array([p.protein_id for p in entries], dtype=np.int64),
+            "mod_offsets": np.cumsum([0] + [len(p.mods) for p in entries], dtype=np.int64),
+            "mod_positions": np.array([m[0] for m in mods], dtype=np.int64),
+            "mod_deltas": np.array([m[1] for m in mods], dtype=np.float64),
+        }.items():
+            np.save(directory / f"{name}.npy", array)
+        table = {"version": _TABLE_VERSION, "n_bases": self.n_bases,
+                 "n_entries": self.n_entries, "settings": asdict(settings)}
+        (directory / _TABLE_NAME).write_text(json.dumps(table, indent=2) + "\n", encoding="ascii")
+        return directory
+
+    @classmethod
+    def load(cls, directory: Union[str, Path]) -> Tuple["IndexedDatabase", SLMIndexSettings]:
+        """Reopen an archive written by :meth:`save`: ``(database, settings)``.
+
+        Nothing is digested, enumerated or fragmented.  Entries come
+        from the stored table through the validating ``Peptide(...)``,
+        bases from the stored offsets, and the arena cache is seeded
+        with the store's memory-mapped arena, so a session over the
+        database spills nothing: its workers attach the archive's own
+        files.  A missing, torn, retyped, stale or inconsistent file
+        raises :class:`~repro.errors.FormatError`.
+        """
+        directory = Path(directory)
+        try:
+            table = json.loads((directory / _TABLE_NAME).read_text(encoding="ascii"))
+        except (OSError, ValueError) as bad:
+            raise FormatError(f"no readable index archive table in {directory}: {bad}") from None
+        version = table.get("version") if isinstance(table, dict) else None
+        if version != _TABLE_VERSION:
+            raise FormatError(f"unsupported index archive version {version!r}")
+        try:
+            settings = _settings_from(table["settings"])
+            n_bases, n_entries = int(table["n_bases"]), int(table["n_entries"])
+        except (KeyError, TypeError, ValueError) as bad:
+            raise FormatError(f"index archive table in {directory} is malformed: {bad!r}") from None
+        store = SharedArenaStore.open(directory)
+        if n_entries != store.n_entries or not store.holds(settings.resolution):
+            raise FormatError(
+                f"index archive entry table ({n_entries} entries at resolution "
+                f"{settings.resolution}) does not match its arena store "
+                f"({store.n_entries} entries)"
+            )
+        arena = store.load()
+        offsets = np.array(store.map("entry_offsets.npy", np.int64, n_bases + 1))
+        mod_offsets = store.map("mod_offsets.npy", np.int64, n_entries + 1).tolist()
+        mods = list(zip(
+            store.map("mod_positions.npy", np.int64, mod_offsets[-1]).tolist(),
+            store.map("mod_deltas.npy", np.float64, mod_offsets[-1]).tolist(),
+        ))
+        pids = store.map("protein_ids.npy", np.int64, n_entries).tolist()
+        ends = np.cumsum(arena.lengths).tolist()
+        residues = store.map("residues.npy", np.uint8, ends[-1] if ends else 0)
+        try:
+            text = residues.tobytes().decode("ascii")
+            entries = [
+                Peptide(text[start:stop], tuple(mods[mod_offsets[i]:mod_offsets[i + 1]]),
+                        protein_id=pids[i])
+                for i, (start, stop) in enumerate(zip([0] + ends[:-1], ends))
+            ]
+            database = cls([entries[b] for b in offsets[:-1].tolist()], entries, offsets)
+        except (ConfigurationError, IndexError, InvalidSequenceError, UnicodeDecodeError) as bad:
+            raise FormatError(f"index archive {directory} holds a bad entry table: {bad}") from None
+        masses = np.array([p.mass for p in entries], dtype=np.float32)
+        if offsets[0] != 0 or (np.diff(offsets) <= 0).any() or not np.array_equal(
+            masses, arena.masses
+        ):
+            raise FormatError(f"index archive {directory} entry table disagrees with its arena")
+        database._arena_cache[settings.fragmentation] = arena
+        return database, settings
 
     # -- grouping expansion ------------------------------------------------
 

@@ -1,11 +1,21 @@
 """Tests for the command-line interface (invoked in-process)."""
 
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.db.fasta import read_fasta, read_grouped_fasta
 from repro.search.report import read_psm_report
 from repro.spectra.ms2 import read_ms2
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +187,7 @@ def test_serve_requires_exactly_one_database_source(workspace):
     with pytest.raises(SystemExit, match="exactly one"):
         main([
             "serve", "--fasta", str(workspace / "proteome.fasta"),
-            "--index", str(workspace / "nope.npz"),
+            "--index", str(workspace / "nope"),
             "--batch", str(workspace / "run.ms2"),
         ])
 
@@ -210,42 +220,120 @@ def test_serve_pipeline_matches_sequential(workspace, capsys):
         assert seq == pipe and seq
 
 
-def test_index_then_serve_from_archive_matches_fasta_start(workspace, capsys):
-    """`repro index` + `serve --index` equals `serve --fasta` exactly:
-    the archive start path plans and searches identically."""
-    archive = workspace / "saved_index.npz"
-    rc = main([
+@pytest.fixture(scope="module")
+def archive(workspace):
+    """`repro index` output for the workspace FASTA: an archive directory."""
+    out = workspace / "saved_index"
+    assert main([
         "index", "--fasta", str(workspace / "proteome.fasta"),
-        "--out", str(archive),
+        "--out", str(out),
+    ]) == 0
+    return out
+
+
+def _serve_reports(workspace, source, out_dir, *extra):
+    assert main(
+        ["serve", *source,
+         "--batch", str(workspace / "run.ms2"),
+         "--batch", str(workspace / "run.ms2"),
+         "--ranks", "2", "--policy", "cyclic",
+         "--report-dir", str(out_dir), *extra]
+    ) == 0
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_index_then_serve_from_archive_matches_fasta_start(
+    workspace, archive, capsys
+):
+    """`repro index` + `serve --index` writes byte-identical PSM TSVs to
+    `serve --fasta`: the archive start path plans and searches identically."""
+    assert (archive / "database.json").is_file()
+    from_fasta = _serve_reports(
+        workspace, ["--fasta", str(workspace / "proteome.fasta")],
+        workspace / "serve_from_fasta",
+    )
+    from_index = _serve_reports(
+        workspace, ["--index", str(archive)], workspace / "serve_from_index"
+    )
+    out = capsys.readouterr().out
+    assert "from index archive" in out
+    assert "attach the archive's arena store" in out
+    assert from_fasta == from_index and len(from_fasta) == 2
+
+
+def test_sharded_serve_from_archive_matches_fasta_start(workspace, archive):
+    """With --shards 2 the archive start still writes the FASTA start's
+    PSM TSVs byte for byte (each shard builds its own arena)."""
+    from_fasta = _serve_reports(
+        workspace, ["--fasta", str(workspace / "proteome.fasta")],
+        workspace / "sharded_from_fasta", "--shards", "2",
+    )
+    from_index = _serve_reports(
+        workspace, ["--index", str(archive)],
+        workspace / "sharded_from_index", "--shards", "2",
+    )
+    assert from_fasta == from_index and len(from_fasta) == 2
+
+
+def test_index_refuses_a_non_empty_out(workspace, archive):
+    before = {p.name: p.stat().st_mtime_ns for p in archive.iterdir()}
+    with pytest.raises(SystemExit, match="not an empty directory"):
+        main([
+            "index", "--fasta", str(workspace / "proteome.fasta"),
+            "--out", str(archive),
+        ])
+    assert {p.name: p.stat().st_mtime_ns for p in archive.iterdir()} == before
+
+
+def test_serve_from_a_missing_archive_is_a_one_line_error(workspace, tmp_path, capsys):
+    rc = main([
+        "serve", "--index", str(tmp_path / "absent"),
+        "--batch", str(workspace / "run.ms2"),
     ])
-    assert rc == 0
-    assert "memmap-ready" in capsys.readouterr().out
-    fasta_dir = workspace / "serve_from_fasta"
-    index_dir = workspace / "serve_from_index"
-    tail = [
-        "--batch", str(workspace / "run.ms2"),
-        "--batch", str(workspace / "run.ms2"),
-        "--ranks", "2", "--policy", "cyclic",
-    ]
-    assert main(
-        ["serve", "--fasta", str(workspace / "proteome.fasta")]
-        + tail + ["--report-dir", str(fasta_dir)]
-    ) == 0
-    assert main(
-        ["serve", "--index", str(archive)]
-        + tail + ["--report-dir", str(index_dir)]
-    ) == 0
-    assert "from index archive" in capsys.readouterr().out
-    for i in range(2):
-        from_fasta = [
-            (p.scan_id, p.entry_id, p.score)
-            for p in read_psm_report(fasta_dir / f"batch_{i:04d}.tsv")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no readable index archive" in err
+
+
+def test_serve_drains_on_sigterm(workspace, tmp_path):
+    """SIGTERM to a stdin-fed `serve` drains like Ctrl-C: the process
+    exits, the trace ends with session.close, and its spill is gone."""
+    reports, trace = tmp_path / "reports", tmp_path / "trace.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR), TMPDIR=str(tmp_path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve",
+         "--fasta", str(workspace / "proteome.fasta"), "--ranks", "2",
+         "--trace", str(trace), "--report-dir", str(reports)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=env, text=True,
+    )
+
+    def owned_spills():
+        return [
+            d for d in tmp_path.glob("repro-arena-*")
+            if (d / "owner.pid").read_text().strip() == str(proc.pid)
         ]
-        from_index = [
-            (p.scan_id, p.entry_id, p.score)
-            for p in read_psm_report(index_dir / f"batch_{i:04d}.tsv")
-        ]
-        assert from_fasta == from_index and from_fasta
+
+    try:
+        proc.stdin.write(f"{workspace / 'run.ms2'}\n")
+        proc.stdin.flush()
+        deadline = time.monotonic() + 120
+        while not (reports / "batch_0000.tsv").exists():
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        assert owned_spills()  # the session is open, waiting on stdin
+        os.kill(proc.pid, signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 130, err
+    assert "interrupted" in err
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert (records[-1]["type"], records[-1]["kind"]) == ("event", "session.close")
+    assert not owned_spills()
 
 
 def test_figures_command(capsys):

@@ -458,16 +458,15 @@ def test_score_many_private_workspace_matches_default():
         assert np.array_equal(d.n_matched, p.n_matched)
 
 
-# -- serialized indexes use the batched path too -----------------------
+# -- indexes over an archived (memory-mapped) arena batch too ----------
 
 
 def test_loaded_index_batched_filtration_identical(tmp_path):
-    from repro.index.serialize import load_index, save_index
-
     settings = SLMIndexSettings(shared_peak_threshold=1, precursor_tolerance=2.0)
     idx = index_over(PEPTIDES, settings)
-    path = save_index(tmp_path / "idx.npz", idx, PEPTIDES)
-    _, loaded = load_index(path)
+    database = IndexedDatabase(list(PEPTIDES), list(PEPTIDES), np.arange(len(PEPTIDES) + 1))
+    archived, _ = IndexedDatabase.load(database.save(tmp_path / "idx", settings))
+    loaded = SLMIndex(archived.arena_for(settings.fragmentation), settings)
     spectra = mixed_spectra()
     assert_results_equal(
         loaded.filter_many(spectra), [idx.filter(s) for s in spectra]
