@@ -9,7 +9,9 @@ Python:
 * :mod:`repro.db` — proteome generation, digestion, dedup, FASTA
 * :mod:`repro.spectra` — MS/MS spectra, MS2 io, synthetic runs
 * :mod:`repro.index` — the SLM-Transform fragment-ion index
-* :mod:`repro.core` — **LBE itself**: grouping, partitioning, mapping
+* :mod:`repro.core` — **LBE itself**: grouping, partitioning, mapping,
+  the one plan constructor (``make_lbe_plan``) and the search
+  parameters every backend shares (``SearchParams``)
 * :mod:`repro.mpi` — virtual time: per-rank clocks, the comm cost
   model and the ledger collectives of the simulated engine
 * :mod:`repro.search` — serial + simulated-distributed search engines,
@@ -36,8 +38,8 @@ from repro.chem import Peptide, paper_modifications
 from repro.core import (
     GroupingConfig,
     group_peptides,
+    make_lbe_plan,
     make_policy,
-    plan_distribution,
 )
 from repro.db import DigestionConfig, ProteomeConfig, generate_proteome
 from repro.index import SLMIndex, SLMIndexSettings
@@ -58,8 +60,8 @@ __all__ = [
     "paper_modifications",
     "GroupingConfig",
     "group_peptides",
+    "make_lbe_plan",
     "make_policy",
-    "plan_distribution",
     "DigestionConfig",
     "ProteomeConfig",
     "generate_proteome",

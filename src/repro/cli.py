@@ -53,6 +53,7 @@ from typing import List, Sequence
 from repro.bench.experiments import ExperimentConfig, ExperimentSuite
 from repro.bench.reporting import series_table
 from repro.core.grouping import GroupingConfig, group_peptides
+from repro.core.partition import POLICIES
 from repro.db.dedup import first_occurrences
 from repro.db.digest import DigestionConfig, digest_rows
 from repro.db.fasta import FastaRecord, read_fasta, write_fasta, write_grouped_fasta
@@ -60,6 +61,7 @@ from repro.db.proteome import ProteomeConfig, generate_proteome
 from repro.errors import (
     ConfigurationError,
     FormatError,
+    InvalidSpectrumError,
     ServiceError,
     ShardError,
     WorkerError,
@@ -134,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "charged to virtual clocks (deterministic virtual "
                       "seconds); process = real OS workers over a "
                       "memmap-shared arena (real wall-clock seconds)")
-    srch.add_argument("--policy", default="cyclic",
-                      choices=("chunk", "cyclic", "random", "lpt"))
+    srch.add_argument("--policy", default="cyclic", choices=tuple(POLICIES))
     srch.add_argument("--report", type=Path, default=None,
                       help="write PSMs as TSV to this path")
     srch.add_argument("--max-variants", type=int, default=8)
@@ -173,11 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="MS2 file to submit as one batch (repeatable); "
                      "omitted = read newline-separated MS2 paths from stdin")
     srv.add_argument("--ranks", type=int, default=2)
-    srv.add_argument("--backend", default="process", choices=("process",),
-                     help="resident-worker backend (real OS processes over "
-                     "memmap-shared arena + spectra stores)")
-    srv.add_argument("--policy", default="cyclic",
-                     choices=("chunk", "cyclic", "random", "lpt"))
+    srv.add_argument("--policy", default="cyclic", choices=tuple(POLICIES))
     srv.add_argument("--report-dir", type=Path, default=None,
                      help="write each batch's PSMs as TSV under this dir")
     srv.add_argument("--max-variants", type=int, default=8)
@@ -411,7 +408,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     if args.compare_policies:
         rows = []
-        for policy in ("chunk", "cyclic", "random", "lpt"):
+        for policy in POLICIES:
             res = (
                 results if policy == args.policy
                 else _search_once(db, spectra, policy, args)
@@ -551,7 +548,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"session: {db.n_entries} entries (from {source}), "
             f"{topology}, policy {args.policy}, "
-            f"backend {args.backend}, {mode} submits; "
+            f"backend process, {mode} submits; "
             f"open {service.open_s:.2f} s "
             f"({paid}, paid once)"
         )
@@ -704,9 +701,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 a_name=args.file_a.name,
                 b_name=args.file_b.name,
             ))
-    except ConfigurationError as exc:
-        print(f"repro trace: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"repro trace: {exc}", file=sys.stderr)
         return 1
@@ -752,13 +746,13 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    Worker and service failures and malformed input files reaching
-    this level are user-facing operational faults, not programming
-    errors: they print a one-line diagnosis (rank, exit code, retry
-    count) to stderr and exit nonzero instead of dumping a traceback,
-    as an interrupt (Ctrl-C, or SIGTERM under ``serve``) does with exit
-    code 130.  Everything else — actual bugs — still propagates with a
-    full traceback.
+    Worker and service failures, malformed input files, invalid
+    parameters and invalid spectra reaching this level are user-facing
+    faults, not programming errors: they print a one-line diagnosis
+    (for a worker: rank, exit code, retry count) to stderr and exit
+    nonzero instead of dumping a traceback, as an interrupt (Ctrl-C,
+    or SIGTERM under ``serve``) does with exit code 130.  Everything
+    else — actual bugs — still propagates with a full traceback.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -769,7 +763,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ShardError as exc:
         print(f"repro {args.command}: {exc.brief}", file=sys.stderr)
         return 1
-    except (ServiceError, FormatError) as exc:
+    except (
+        ServiceError, FormatError, ConfigurationError, InvalidSpectrumError
+    ) as exc:
         summary = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
         print(f"repro {args.command}: {summary}", file=sys.stderr)
         return 1

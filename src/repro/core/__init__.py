@@ -9,9 +9,11 @@ The pipeline of Section III:
    the Chunk / Cyclic / Random policies of Section III-D;
 3. :mod:`~repro.core.mapping` builds the master's O(1)
    virtual-index → global-index mapping table (Fig. 4);
-4. :mod:`~repro.core.planner` ties the stages into an
-   :class:`~repro.core.planner.LBEPlan` consumed by the distributed
-   search engine.
+4. :mod:`~repro.core.planner` declares the shared
+   :class:`~repro.core.planner.SearchParams` and ties the stages into
+   an :class:`~repro.core.planner.LBEPlan` through
+   :func:`~repro.core.planner.make_lbe_plan`, the one plan constructor
+   every search backend uses.
 """
 
 from repro.core.editdist import EncodedSequences, edit_distance
@@ -26,7 +28,7 @@ from repro.core.partition import (
 )
 from repro.core.predict import PredictivePolicy, WorkModel
 from repro.core.mapping import MappingTable
-from repro.core.planner import LBEPlan, plan_distribution
+from repro.core.planner import LBEPlan, SearchParams, make_lbe_plan
 
 __all__ = [
     "EncodedSequences",
@@ -44,5 +46,6 @@ __all__ = [
     "make_policy",
     "MappingTable",
     "LBEPlan",
-    "plan_distribution",
+    "SearchParams",
+    "make_lbe_plan",
 ]

@@ -161,8 +161,3 @@ class ShardError(ServiceError):
         if self.flight_record:
             suffix += f" [flight record: {self.flight_record}]"
         return f"{summary}{suffix}"
-
-
-class SearchError(ReproError, RuntimeError):
-    """The search engine reached an inconsistent state (e.g. a partial
-    index references a peptide the mapping table does not know)."""

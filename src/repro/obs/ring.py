@@ -1,9 +1,10 @@
 """Flight recorder: a bounded in-memory ring of trace records.
 
 :class:`RingTracer` is the always-on counterpart of
-:class:`~repro.obs.trace.JsonlTracer`: it produces **identical record
-dicts** (same reserved keys, same bound-attribute merge, same
-rounding) but appends them to a bounded ``deque`` instead of a file —
+:class:`~repro.obs.trace.JsonlTracer`: the same record builder makes
+**identical record dicts** (same reserved keys, same bound-attribute
+merge, same rounding), which it appends to a bounded ``deque`` instead
+of a file —
 holding the last N records of the session, whatever happens.  The
 serving tier installs one by default whenever no file tracer was
 configured, so a session that never asked for ``--trace`` still
@@ -34,10 +35,10 @@ import tempfile
 import threading
 from collections import deque
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ConfigurationError
-from repro.obs.trace import Clock, Tracer, default_clock
+from repro.obs.trace import Clock, _RecordingTracer, default_clock
 
 __all__ = ["DEFAULT_CAPACITY", "RingTracer", "flight_dump"]
 
@@ -67,7 +68,7 @@ class _RingBuffer:
             self.n_seen += 1
 
 
-class RingTracer(Tracer):
+class RingTracer(_RecordingTracer):
     """Tracer retaining the last ``capacity`` records in memory.
 
     Record shape is bit-for-bit the :class:`~repro.obs.trace.JsonlTracer`
@@ -78,9 +79,7 @@ class RingTracer(Tracer):
     as schema-valid JSONL.
     """
 
-    __slots__ = ("_ring", "_clock", "_bound")
-
-    enabled = True
+    __slots__ = ()
 
     def __init__(
         self,
@@ -92,64 +91,30 @@ class RingTracer(Tracer):
             raise ConfigurationError(
                 f"ring capacity must be >= 1, got {capacity}"
             )
-        self._ring = _RingBuffer(capacity)
+        self._sink = _RingBuffer(capacity)
         self._clock = clock
         self._bound: Dict[str, Any] = {}
 
     @property
     def capacity(self) -> int:
         """Maximum records retained (older records are evicted)."""
-        return self._ring.records.maxlen or 0
+        return self._sink.records.maxlen or 0
 
     @property
     def n_records(self) -> int:
         """Records currently held (``<= capacity``)."""
-        with self._ring.lock:
-            return len(self._ring.records)
+        with self._sink.lock:
+            return len(self._sink.records)
 
     @property
     def n_seen(self) -> int:
         """Lifetime records emitted through this ring (all views)."""
-        return self._ring.n_seen
-
-    def span(
-        self,
-        name: str,
-        start: float,
-        duration: float,
-        attrs: Optional[Mapping[str, Any]] = None,
-    ) -> None:
-        record: Dict[str, Any] = dict(self._bound)
-        if attrs:
-            record.update(attrs)
-        record.update(
-            type="span",
-            name=name,
-            ts=round(float(start), 9),
-            dur=round(float(duration), 9),
-        )
-        self._ring.emit(record)
-
-    def event(
-        self, kind: str, attrs: Optional[Mapping[str, Any]] = None
-    ) -> None:
-        record: Dict[str, Any] = dict(self._bound)
-        if attrs:
-            record.update(attrs)
-        record.update(type="event", kind=kind, ts=round(self._clock(), 9))
-        self._ring.emit(record)
-
-    def bind(self, **attrs: Any) -> "RingTracer":
-        child = object.__new__(RingTracer)
-        child._ring = self._ring
-        child._clock = self._clock
-        child._bound = {**self._bound, **attrs}
-        return child
+        return self._sink.n_seen
 
     def records(self) -> List[Dict[str, Any]]:
         """Snapshot of the ring's current contents, oldest first."""
-        with self._ring.lock:
-            return list(self._ring.records)
+        with self._sink.lock:
+            return list(self._sink.records)
 
     def dump(self, path: Union[str, Path]) -> int:
         """Write the ring's contents to ``path`` as JSONL; returns the

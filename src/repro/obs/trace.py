@@ -133,48 +133,20 @@ class _JsonlSink:
                     fh.close()
 
 
-class JsonlTracer(Tracer):
-    """Tracer writing one JSON object per line to a file or stream.
+class _RecordingTracer(Tracer):
+    """Builds flat record dicts and hands each to ``self._sink.emit``.
 
-    Records are flat dicts::
-
-        {"type": "span", "name": "collect", "ts": 1.23, "dur": 0.04,
-         "batch": 7}
-        {"type": "event", "kind": "retry", "ts": 2.56, "rank": 1,
-         "attempt": 2}
-
-    ``ts`` is in the injected clock's timebase.  Bound attributes
-    (:meth:`bind`) and call-site ``attrs`` are merged into the top
-    level; the reserved keys (``type``/``name``/``kind``/``ts``/
-    ``dur``) win on collision.  Writes are serialized with a lock —
-    the pipeline thread, the caller's thread, and per-shard callbacks
-    all emit concurrently.  :meth:`bind` returns a view sharing the
-    sink, so closing any view (or the parent) closes the file once.
+    The one record builder of the recording tracers: subclasses only
+    supply the sink (a file writer, a ring) and their sink-specific
+    extras.  Bound attributes (:meth:`bind`) and call-site ``attrs``
+    are merged into the top level; the reserved keys (``type``/
+    ``name``/``kind``/``ts``/``dur``) win on collision.  :meth:`bind`
+    returns a view of the same class sharing the sink.
     """
 
     __slots__ = ("_sink", "_clock", "_bound")
 
     enabled = True
-
-    def __init__(
-        self,
-        sink: Union[str, Path, io.TextIOBase],
-        *,
-        clock: Clock = default_clock,
-    ) -> None:
-        if isinstance(sink, (str, Path)):
-            self._sink = _JsonlSink(
-                open(sink, "w", encoding="ascii"), owns=True
-            )
-        else:
-            self._sink = _JsonlSink(sink, owns=False)
-        self._clock = clock
-        self._bound: Dict[str, Any] = {}
-
-    @property
-    def n_records(self) -> int:
-        """Records written through this sink (all bound views included)."""
-        return self._sink.n_records
 
     def span(
         self,
@@ -203,12 +175,52 @@ class JsonlTracer(Tracer):
         record.update(type="event", kind=kind, ts=round(self._clock(), 9))
         self._sink.emit(record)
 
-    def bind(self, **attrs: Any) -> "JsonlTracer":
-        child = object.__new__(JsonlTracer)
+    def bind(self, **attrs: Any) -> "_RecordingTracer":
+        child = object.__new__(type(self))
         child._sink = self._sink
         child._clock = self._clock
         child._bound = {**self._bound, **attrs}
         return child
+
+
+class JsonlTracer(_RecordingTracer):
+    """Tracer writing one JSON object per line to a file or stream.
+
+    Records are flat dicts::
+
+        {"type": "span", "name": "collect", "ts": 1.23, "dur": 0.04,
+         "batch": 7}
+        {"type": "event", "kind": "retry", "ts": 2.56, "rank": 1,
+         "attempt": 2}
+
+    ``ts`` is in the injected clock's timebase.  Writes are
+    serialized with a lock —
+    the pipeline thread, the caller's thread, and per-shard callbacks
+    all emit concurrently.  :meth:`bind` returns a view sharing the
+    sink, so closing any view (or the parent) closes the file once.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        sink: Union[str, Path, io.TextIOBase],
+        *,
+        clock: Clock = default_clock,
+    ) -> None:
+        if isinstance(sink, (str, Path)):
+            self._sink = _JsonlSink(
+                open(sink, "w", encoding="ascii"), owns=True
+            )
+        else:
+            self._sink = _JsonlSink(sink, owns=False)
+        self._clock = clock
+        self._bound: Dict[str, Any] = {}
+
+    @property
+    def n_records(self) -> int:
+        """Records written through this sink (all bound views included)."""
+        return self._sink.n_records
 
     def flush(self) -> None:
         self._sink.flush()

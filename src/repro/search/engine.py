@@ -35,19 +35,14 @@ enforced by the integration tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.grouping import GroupingConfig
-from repro.core.mapping import MappingTable
-from repro.core.partition import PartitionAssignment, make_policy
-from repro.core.predict import WorkModel
-from repro.core.planner import LBEPlan
+from repro.core.planner import LBEPlan, SearchParams, make_lbe_plan
 from repro.errors import ConfigurationError
-from repro.index.arena import FragmentArena, concat_ranges
-from repro.index.slm import SLMIndexSettings
+from repro.index.arena import FragmentArena
 from repro.mpi.simtime import (
     CommCostModel,
     VirtualClock,
@@ -67,33 +62,23 @@ from repro.search.rank import (
     run_rank_queries,
 )
 from repro.spectra.model import Spectrum
-from repro.spectra.preprocess import PreprocessConfig, preprocess_batch
+from repro.spectra.preprocess import preprocess_batch
 from repro.util.rng import rng_from
 
-__all__ = ["EngineConfig", "DistributedSearchEngine", "make_lbe_plan"]
+__all__ = ["EngineConfig", "DistributedSearchEngine"]
 
 
 @dataclass(frozen=True, slots=True)
-class EngineConfig:
-    """Distributed engine configuration.
+class EngineConfig(SearchParams):
+    """Distributed engine configuration: the shared
+    :class:`~repro.core.planner.SearchParams` plus the simulated
+    cluster.
 
     Attributes
     ----------
     n_ranks:
-        MPI process count ``p``.
-    policy:
-        Partition policy name: ``chunk`` / ``cyclic`` / ``random`` /
-        ``lpt`` (predictive, weighted by each rank's machine speed).
-    policy_seed:
-        Seed for the Random policy's shuffles.
-    grouping:
-        Algorithm 1 parameters.
-    index:
-        SLM index/query settings.
-    preprocess:
-        Query peak-picking settings.
-    top_k:
-        PSMs retained per spectrum.
+        MPI process count ``p``.  Under ``lpt`` each rank is weighted
+        by its machine speed.
     query_costs / serial_costs:
         Virtual cost models.
     comm:
@@ -120,12 +105,6 @@ class EngineConfig:
     """
 
     n_ranks: int = 4
-    policy: str = "cyclic"
-    policy_seed: int = 0
-    grouping: GroupingConfig = GroupingConfig()
-    index: SLMIndexSettings = field(default_factory=SLMIndexSettings)
-    preprocess: PreprocessConfig = PreprocessConfig()
-    top_k: int = 5
     query_costs: QueryCostModel = QueryCostModel()
     serial_costs: SerialCostModel = SerialCostModel()
     comm: CommCostModel = CommCostModel()
@@ -135,10 +114,9 @@ class EngineConfig:
     intra_serial_fraction: float = 0.05
 
     def __post_init__(self) -> None:
+        SearchParams.__post_init__(self)
         if self.n_ranks < 1:
             raise ConfigurationError(f"n_ranks must be >= 1, got {self.n_ranks}")
-        if self.top_k < 1:
-            raise ConfigurationError(f"top_k must be >= 1, got {self.top_k}")
         if self.machine_jitter < 0:
             raise ConfigurationError(
                 f"machine_jitter must be >= 0, got {self.machine_jitter}"
@@ -170,63 +148,6 @@ class EngineConfig:
             return 1.0
         draw = float(rng_from(self.machine_seed, "machine", rank).standard_normal())
         return max(0.5, 1.0 + self.machine_jitter * draw)
-
-
-def make_lbe_plan(
-    database: IndexedDatabase,
-    *,
-    n_ranks: int,
-    policy: str,
-    policy_seed: int = 0,
-    grouping: GroupingConfig = GroupingConfig(),
-    rank_speeds: Sequence[float] | None = None,
-) -> LBEPlan:
-    """Partition ``database`` at *base-sequence* granularity, then expand.
-
-    The paper's clustered FASTA holds peptide sequences; each machine
-    extracts its sequence partition and SLM-Transform enumerates the
-    modified variants locally (Section III-D), so a base peptide and
-    all its variants are colocated by construction.  The mapping table
-    is still in entry-id space: each rank's entry manifest is the
-    concatenation of its bases' contiguous entry ranges.
-
-    Shared by every execution backend (simulated ledger, real
-    processes): identical plans are what make their results
-    comparable rank-for-rank.  ``rank_speeds`` feeds the predictive
-    ``lpt`` policy (relative per-rank speeds; ``None`` = homogeneous).
-    """
-    base_grouping = database.group_bases(grouping)
-    if policy == "lpt":
-        # Predictive policy (paper §VIII): structural work model over
-        # the bases; speeds come from the caller's machine model.
-        model = WorkModel()
-        weights = model.structural(
-            database.entry_counts(),
-            np.array(
-                [p.length for p in database.base_peptides], dtype=np.float64
-            ),
-        )
-        speeds = (
-            list(rank_speeds) if rank_speeds is not None else [1.0] * n_ranks
-        )
-        policy_obj = make_policy(policy, weights=weights, speeds=speeds)
-    else:
-        policy_obj = make_policy(policy, seed=policy_seed)
-    assignment: PartitionAssignment = policy_obj.assign(base_grouping, n_ranks)
-    offsets = database.entry_offsets
-    per_rank_entries = []
-    for rank in range(n_ranks):
-        base_ids = base_grouping.order[assignment.members(rank)]
-        per_rank_entries.append(
-            concat_ranges(offsets[base_ids], offsets[base_ids + 1])
-        )
-    mapping = MappingTable(per_rank_entries)
-    return LBEPlan(
-        grouping=base_grouping,
-        assignment=assignment,
-        mapping=mapping,
-        n_ranks=n_ranks,
-    )
 
 
 class DistributedSearchEngine:

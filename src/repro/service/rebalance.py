@@ -81,9 +81,11 @@ class RebalanceConfig:
         Windows to sit out after a migration, letting the new plan
         produce a full untainted window before being judged.
     min_workers / max_workers:
-        Pool-size clamp for elastic scaling.  ``None`` pins the size
-        (no automatic growth; explicit resizes are still clamped when
-        bounds are set).
+        Pool-size clamp for elastic scaling, and the one place the
+        bounds are checked and applied (:meth:`clamp`).  ``None`` pins
+        the size (no automatic growth; explicit resizes are still
+        clamped when bounds are set, through
+        :meth:`~repro.service.service.ServiceConfig.worker_bounds`).
     slow_rank_speed:
         Chronic-slow-rank trip wire: any rank whose inferred relative
         speed falls below this triggers even when the aggregate LI

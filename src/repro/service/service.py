@@ -158,9 +158,13 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.grouping import GroupingConfig
-from repro.core.planner import LBEPlan, changed_ranks
-from repro.core.predict import WorkModel
+from repro.core.planner import (
+    LBEPlan,
+    SearchParams,
+    changed_ranks,
+    make_lbe_plan,
+    structural_weights,
+)
 from repro.errors import (
     ConfigurationError,
     PipelineError,
@@ -168,7 +172,6 @@ from repro.errors import (
     ShardError,
     WorkerError,
 )
-from repro.index.slm import SLMIndexSettings
 from repro.obs.metrics import MetricsRegistry, global_registry, quantile
 from repro.obs.ring import RingTracer, flight_dump
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -186,7 +189,6 @@ from repro.parallel.worker import (
     service_query_worker,
 )
 from repro.search.database import IndexedDatabase
-from repro.search.engine import make_lbe_plan
 from repro.search.metrics import load_imbalance
 from repro.search.psm import RankStats, SearchResults
 from repro.search.rank import (
@@ -201,7 +203,7 @@ from repro.service.rebalance import (
 )
 from repro.spectra.model import Spectrum
 from repro.spectra.packed import PackedSpectra
-from repro.spectra.preprocess import PreprocessConfig, preprocess_packed
+from repro.spectra.preprocess import preprocess_packed
 
 __all__ = [
     "ServiceConfig",
@@ -230,27 +232,16 @@ _IDLE_POLL_S = 0.5
 
 
 @dataclass(frozen=True, slots=True)
-class ServiceConfig:
-    """Persistent-service configuration.
+class ServiceConfig(SearchParams):
+    """Persistent-service configuration: the shared
+    :class:`~repro.core.planner.SearchParams` plus the session's own
+    knobs.  The resident partial indexes are built against ``index``
+    at attach time; ``preprocess`` applies per submitted batch.
 
     Attributes
     ----------
     n_workers:
         Resident OS worker processes (the rank count).
-    policy:
-        Partition policy name: ``chunk`` / ``cyclic`` / ``random`` /
-        ``lpt``.
-    policy_seed:
-        Seed for the Random policy's shuffles.
-    grouping:
-        Algorithm 1 parameters.
-    index:
-        SLM index/query settings (shared by every batch — the resident
-        partial indexes are built against them at attach time).
-    preprocess:
-        Query peak-picking settings, applied per submitted batch.
-    top_k:
-        PSMs retained per spectrum.
     start_method:
         ``multiprocessing`` start method for the resident workers.
     timeout:
@@ -324,12 +315,6 @@ class ServiceConfig:
     """
 
     n_workers: int = 2
-    policy: str = "cyclic"
-    policy_seed: int = 0
-    grouping: GroupingConfig = GroupingConfig()
-    index: SLMIndexSettings = field(default_factory=SLMIndexSettings)
-    preprocess: PreprocessConfig = PreprocessConfig()
-    top_k: int = 5
     start_method: str = "spawn"
     timeout: float = 600.0
     max_pending: int = 4
@@ -361,13 +346,20 @@ class ServiceConfig:
             max_workers=self.max_workers,
         )
 
+    def worker_bounds(self) -> RebalanceConfig:
+        """The pool-size bounds alone.  They clamp explicit
+        :meth:`SearchService.rebalance` resizes whether or not the
+        automatic policy is armed."""
+        return RebalanceConfig(
+            min_workers=self.min_workers, max_workers=self.max_workers
+        )
+
     def __post_init__(self) -> None:
+        SearchParams.__post_init__(self)
         if self.n_workers < 1:
             raise ConfigurationError(
                 f"n_workers must be >= 1, got {self.n_workers}"
             )
-        if self.top_k < 1:
-            raise ConfigurationError(f"top_k must be >= 1, got {self.top_k}")
         if self.timeout <= 0:
             raise ConfigurationError(f"timeout must be > 0, got {self.timeout}")
         if self.max_pending < 1:
@@ -386,28 +378,9 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"hedge_after must be > 0 or None, got {self.hedge_after}"
             )
-        # Worker-pool bounds apply to explicit rebalance() clamping
-        # even when the automatic policy is unarmed, so validate them
-        # unconditionally.
-        if self.min_workers is not None and self.min_workers < 1:
-            raise ConfigurationError(
-                f"min_workers must be >= 1, got {self.min_workers}"
-            )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ConfigurationError(
-                f"max_workers must be >= 1, got {self.max_workers}"
-            )
-        if (
-            self.min_workers is not None
-            and self.max_workers is not None
-            and self.min_workers > self.max_workers
-        ):
-            raise ConfigurationError(
-                f"min_workers {self.min_workers} > max_workers "
-                f"{self.max_workers}"
-            )
-        # Validate the rebalance knobs eagerly (constructing the
-        # RebalanceConfig runs its own __post_init__).
+        # Validate the pool bounds and the rebalance knobs eagerly
+        # (constructing a RebalanceConfig runs its own __post_init__).
+        self.worker_bounds()
         self.rebalance_config()
 
 
@@ -1458,13 +1431,7 @@ class SearchService:
         """Per-base predicted work (cached): the speed-inference and
         re-planning weight vector, shared by every migration."""
         if self._work_weights is None:
-            base_lengths = np.array(
-                [p.length for p in self.database.base_peptides],
-                dtype=np.float64,
-            )
-            self._work_weights = WorkModel().structural(
-                self.database.entry_counts(), base_lengths
-            )
+            self._work_weights = structural_weights(self.database)
         return self._work_weights
 
     def _feed_rebalance(self, stats: BatchStats) -> None:
@@ -1697,13 +1664,7 @@ class SearchService:
             raise ConfigurationError(
                 f"n_workers must be >= 1, got {target}"
             )
-        # Clamp to the configured bounds whether or not the automatic
-        # policy is armed — bounds are a property of the pool, not of
-        # the trigger.
-        if self.config.min_workers is not None:
-            target = max(target, self.config.min_workers)
-        if self.config.max_workers is not None:
-            target = min(target, self.config.max_workers)
+        target = self.config.worker_bounds().clamp(target)
         if speeds is None:
             speed_vec = tuple(1.0 for _ in range(target))
         else:

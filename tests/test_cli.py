@@ -114,6 +114,65 @@ def test_search_process_backend_matches_simulated(workspace, capsys):
     assert sim == proc
 
 
+@pytest.fixture(scope="module")
+def nan_ms2(workspace):
+    """The workspace run with one peak intensity replaced by NaN."""
+    lines = (workspace / "run.ms2").read_text().splitlines()
+    first_peak = next(i for i, line in enumerate(lines) if line[:1].isdigit())
+    lines[first_peak] = lines[first_peak].split()[0] + " nan"
+    path = workspace / "nan.ms2"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+_NAN = "intensities must be finite and non-negative"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["search", "--ranks", "0"], "n_ranks must be >= 1, got 0"),
+        (["search", "--top-k", "0"], "top_k must be >= 1, got 0"),
+        (["serve", "--ranks", "0"], "n_workers must be >= 1, got 0"),
+        (["serve", "--shards", "3", "--shard-boundaries", "500"],
+         "3 shards need 2 boundaries, got 1"),
+        (["serve", "--min-workers", "3", "--max-workers", "2"],
+         "min_workers 3 > max_workers 2"),
+        (["search", "NAN"], _NAN),
+        (["search", "NAN", "--backend", "process", "--ranks", "2"], _NAN),
+        (["serve", "NAN"], _NAN),
+    ],
+    ids=[
+        "search-ranks-0", "search-top-k-0", "serve-ranks-0",
+        "serve-shard-boundaries", "serve-worker-bounds", "search-nan",
+        "search-process-nan", "serve-nan",
+    ],
+)
+def test_input_errors_are_one_line_errors(
+    workspace, nan_ms2, capsys, argv, message
+):
+    """Bad parameters and invalid spectra exit 1 with one stderr line
+    ``repro <cmd>: <message>`` and no traceback."""
+    command, rest = argv[0], argv[1:]
+    ms2 = workspace / "run.ms2"
+    if rest[:1] == ["NAN"]:
+        ms2, rest = nan_ms2, rest[1:]
+    source = ["--fasta", str(workspace / "proteome.fasta")]
+    source += ["--ms2", str(ms2)] if command == "search" else ["--batch", str(ms2)]
+    rc = main([command] + source + rest)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"repro {command}: {message}\n"
+    assert "Traceback" not in err
+
+
+def test_serve_has_no_backend_flag():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["serve", "--fasta", "x", "--batch", "y", "--backend", "process"]
+        )
+
+
 def test_search_lpt_policy(workspace, capsys):
     rc = main([
         "search",

@@ -5,9 +5,9 @@ import pytest
 
 from repro.chem.peptide import Peptide
 from repro.core.grouping import GroupingConfig
-from repro.core.partition import make_policy
-from repro.core.planner import plan_distribution
+from repro.core.planner import make_lbe_plan
 from repro.errors import ConfigurationError
+from repro.search.database import IndexedDatabase
 
 PEPTIDES = [
     Peptide(s)
@@ -19,9 +19,14 @@ PEPTIDES = [
     ]
 ]
 
+# No variants: entry ids equal base ids, so the plan's global ids are
+# positions in PEPTIDES.
+DB = IndexedDatabase.from_peptides(PEPTIDES, max_variants_per_peptide=0)
+
 
 def test_plan_covers_all_peptides():
-    plan = plan_distribution(PEPTIDES, make_policy("cyclic"), 3)
+    assert DB.n_bases == DB.n_entries == len(PEPTIDES)
+    plan = make_lbe_plan(DB, n_ranks=3, policy="cyclic")
     sizes = plan.partition_sizes()
     assert int(sizes.sum()) == len(PEPTIDES)
     all_ids = sorted(
@@ -30,16 +35,9 @@ def test_plan_covers_all_peptides():
     assert all_ids == list(range(len(PEPTIDES)))
 
 
-def test_rank_peptides_materialization():
-    plan = plan_distribution(PEPTIDES, make_policy("chunk"), 2)
-    peps = plan.rank_peptides(PEPTIDES, 0)
-    assert all(isinstance(p, Peptide) for p in peps)
-    assert len(peps) == plan.mapping.rank_size(0)
-
-
 def test_cyclic_spreads_similar_sequences():
     """The three AAAAAA* peptides must land on distinct ranks."""
-    plan = plan_distribution(PEPTIDES, make_policy("cyclic"), 3)
+    plan = make_lbe_plan(DB, n_ranks=3, policy="cyclic")
     family = {0, 1, 2}  # global ids of the AAAAAA* family
     owners = set()
     for r in range(3):
@@ -49,7 +47,7 @@ def test_cyclic_spreads_similar_sequences():
 
 
 def test_chunk_keeps_similar_sequences_together():
-    plan = plan_distribution(PEPTIDES, make_policy("chunk"), 4)
+    plan = make_lbe_plan(DB, n_ranks=4, policy="chunk")
     family = {0, 1, 2}
     owners = set()
     for r in range(4):
@@ -60,18 +58,18 @@ def test_chunk_keeps_similar_sequences_together():
 
 def test_zero_ranks_rejected():
     with pytest.raises(ConfigurationError):
-        plan_distribution(PEPTIDES, make_policy("chunk"), 0)
+        make_lbe_plan(DB, n_ranks=0, policy="chunk")
 
 
 def test_grouping_config_respected():
-    plan = plan_distribution(
-        PEPTIDES, make_policy("chunk"), 2, GroupingConfig(gsize=1)
+    plan = make_lbe_plan(
+        DB, n_ranks=2, policy="chunk", grouping=GroupingConfig(gsize=1)
     )
     assert plan.grouping.n_groups == len(PEPTIDES)
 
 
 def test_plan_deterministic():
-    a = plan_distribution(PEPTIDES, make_policy("random", seed=9), 3)
-    b = plan_distribution(PEPTIDES, make_policy("random", seed=9), 3)
+    a = make_lbe_plan(DB, n_ranks=3, policy="random", policy_seed=9)
+    b = make_lbe_plan(DB, n_ranks=3, policy="random", policy_seed=9)
     for r in range(3):
         assert np.array_equal(a.rank_global_ids(r), b.rank_global_ids(r))

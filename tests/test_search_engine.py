@@ -133,6 +133,8 @@ def test_invalid_config_rejected():
         EngineConfig(n_ranks=0)
     with pytest.raises(ConfigurationError):
         EngineConfig(top_k=0)
+    with pytest.raises(ConfigurationError, match="unknown policy"):
+        EngineConfig(policy="bogus")
 
 
 def test_policy_affects_placement_not_results(small_db, small_spectra):

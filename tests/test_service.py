@@ -246,6 +246,9 @@ def test_config_validation():
         ServiceConfig(n_workers=0)
     with pytest.raises(ConfigurationError):
         ServiceConfig(top_k=0)
+    # Checked at construction, before any pool spawns.
+    with pytest.raises(ConfigurationError, match="unknown policy"):
+        ServiceConfig(policy="bogus")
     with pytest.raises(ConfigurationError):
         ServiceConfig(timeout=0.0)
     with pytest.raises(ConfigurationError):
