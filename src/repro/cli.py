@@ -757,10 +757,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except WorkerError as exc:
-        print(f"repro {args.command}: {exc.brief}", file=sys.stderr)
-        return 1
-    except ShardError as exc:
+    except (WorkerError, ShardError) as exc:
         print(f"repro {args.command}: {exc.brief}", file=sys.stderr)
         return 1
     except (

@@ -13,6 +13,21 @@ class ReproError(Exception):
     """Base class of all intentional errors raised by :mod:`repro`."""
 
 
+def _brief(exc, fallback: str, fields) -> str:
+    """One-line diagnosis of a worker or shard failure: the message's
+    first line, the set ``(label, value)`` fields and the retry count
+    in parentheses, then the flight-record path."""
+    parts = [f"{label} {value}" for label, value in fields if value is not None]
+    if exc.retries:
+        parts.append(f"after {exc.retries} retr"
+                     + ("y" if exc.retries == 1 else "ies"))
+    summary = str(exc).splitlines()[0] if str(exc) else fallback
+    suffix = f" ({', '.join(parts)})" if parts else ""
+    if exc.flight_record:
+        suffix += f" [flight record: {exc.flight_record}]"
+    return f"{summary}{suffix}"
+
+
 class InvalidSequenceError(ReproError, ValueError):
     """A peptide/protein sequence contains characters outside the
     canonical amino-acid alphabet or is empty where a non-empty
@@ -80,19 +95,11 @@ class WorkerError(ReproError, RuntimeError):
     def brief(self) -> str:
         """One-line diagnosis (rank, exit code, retry count, flight
         record) — what the CLI prints instead of a raw traceback."""
-        parts = []
-        if self.rank is not None:
-            parts.append(f"rank {self.rank}")
-        if self.exit_code is not None:
-            parts.append(f"exit code {self.exit_code}")
-        if self.retries:
-            parts.append(f"after {self.retries} retr"
-                         + ("y" if self.retries == 1 else "ies"))
-        summary = str(self).splitlines()[0] if str(self) else "worker failure"
-        suffix = f" ({', '.join(parts)})" if parts else ""
-        if self.flight_record:
-            suffix += f" [flight record: {self.flight_record}]"
-        return f"{summary}{suffix}"
+        return _brief(
+            self,
+            "worker failure",
+            (("rank", self.rank), ("exit code", self.exit_code)),
+        )
 
 
 class ServiceError(ReproError, RuntimeError):
@@ -148,16 +155,6 @@ class ShardError(ServiceError):
     def brief(self) -> str:
         """One-line diagnosis (shard, rank, retry count, flight record)
         — what the CLI prints instead of a raw traceback."""
-        parts = []
-        if self.shard is not None:
-            parts.append(f"shard {self.shard}")
-        if self.rank is not None:
-            parts.append(f"rank {self.rank}")
-        if self.retries:
-            parts.append(f"after {self.retries} retr"
-                         + ("y" if self.retries == 1 else "ies"))
-        summary = str(self).splitlines()[0] if str(self) else "shard failure"
-        suffix = f" ({', '.join(parts)})" if parts else ""
-        if self.flight_record:
-            suffix += f" [flight record: {self.flight_record}]"
-        return f"{summary}{suffix}"
+        return _brief(
+            self, "shard failure", (("shard", self.shard), ("rank", self.rank))
+        )

@@ -261,9 +261,10 @@ def analyze_trace(
             )
         elif name.startswith("worker.") and isinstance(r.get("rank"), int):
             if fleet:
-                # Flatten (shard, rank) into the fleet rank space —
-                # shard s's rank r sits at s * workers_per_shard + r,
-                # matching ShardedBatchStats.query_wall_s ordering.
+                # Flatten (shard, rank) into the fleet rank space at
+                # open-time pool sizes — shard s's rank r sits at
+                # s * workers_per_shard + r, matching
+                # ShardedBatchStats.query_wall_s until a pool resizes.
                 sid = r.get("shard")
                 if not isinstance(sid, int) or not n_shards or not n_workers:
                     continue
@@ -277,8 +278,11 @@ def analyze_trace(
 
     # Fleet batch numbering desyncs from inner numbering as soon as a
     # shard is skipped for some batch (each inner session numbers only
-    # the batches it received) — recompute LI only when provably safe.
-    worker_mapping_safe = not fleet or shards_skipped == 0
+    # the batches it received), and the fleet rank numbering above
+    # holds only while every shard keeps its open-time pool size —
+    # recompute LI only when provably safe.
+    resized = any(r.get("kind") == "pool.resize" for r in records)
+    worker_mapping_safe = not fleet or (shards_skipped == 0 and not resized)
 
     all_batches = sorted(
         set(batch_events) | set(stage_spans) | set(worker_spans)

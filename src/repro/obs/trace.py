@@ -48,7 +48,7 @@ __all__ = [
 #: :func:`time.perf_counter` (monotonic, process-local epoch).
 Clock = Callable[[], float]
 
-#: The default clock shared by the tracer and :class:`~repro.util.timing.PhaseTimer`.
+#: The default clock of the tracers.
 default_clock: Clock = time.perf_counter
 
 

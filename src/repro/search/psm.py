@@ -131,8 +131,8 @@ class SearchResults:
         retries were exhausted).  Empty — full coverage — everywhere
         else; a non-empty mask means every candidate count and PSM
         list excludes those ranks' database partitions.  On the
-        sharded tier the rank space is the flattened fleet (shard
-        ``s``'s rank ``r`` appears as ``s * n_workers + r``).
+        sharded tier the rank space is the flattened fleet: a shard's
+        ranks come after every live rank of the shards before it.
     degraded_shards:
         Sharded serving tier only: shards whose **entire** mass range
         is missing from these results (every rank of the shard's pool

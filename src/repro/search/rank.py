@@ -135,6 +135,7 @@ __all__ = [
     "run_rank_queries",
     "top_k_block",
     "merge_rank_payloads",
+    "merge_top_k",
     "observed_rank_speeds",
     "summarize_rank_output",
     "rank_stats_from_report",
@@ -422,11 +423,8 @@ def merge_rank_payloads(
 
     Each rank's block is translated to global ids in one mapping-table
     access (the paper's Fig. 4); candidate counts add up; every rank's
-    lists merge in one ``lexsort`` by (spectrum, score desc, entry id
-    asc), cut at ``top_k`` per spectrum — per spectrum, exactly
-    :func:`~repro.search.serial.top_k_psms` over the union of the rank
-    lists.  Returns the per-spectrum results and the total PSM count
-    (the merge-cost basis).
+    lists merge through :func:`merge_top_k`.  Returns the per-spectrum
+    results and the total PSM count (the merge-cost basis).
 
     A ``None`` entry in ``gathered`` is a **degraded rank** (the
     service's ``degraded_ok`` mode after retries exhausted): it
@@ -436,8 +434,7 @@ def merge_rank_payloads(
     """
     n = len(spectra)
     n_candidates = np.zeros(n, np.int64)
-    empty = np.empty(0, np.int64)
-    parts = [(empty, np.empty(0), empty, empty)]
+    parts = []
     for rank, payload in enumerate(gathered):
         if payload is None:
             continue
@@ -446,9 +443,39 @@ def merge_rank_payloads(
         gids = mapping.to_global_batch(rank, block.ids)
         rows = np.repeat(np.arange(n), np.diff(block.bounds))
         parts.append((gids, block.scores, block.shared, rows))
-    gids, scores, shared, rows = map(np.concatenate, zip(*parts))
-    best, bounds = _best_first(rows, -scores, gids, n, top_k)
-    scan_ids = [s.scan_id for s in spectra]
+    return merge_top_k(parts, n_candidates, [s.scan_id for s in spectra], top_k)
+
+
+#: The zero-PSM block every merge starts from, so an all-empty merge
+#: still concatenates to typed columns.
+_NO_PSMS = (
+    np.empty(0, np.int64),
+    np.empty(0, np.float64),
+    np.empty(0, np.int64),
+    np.empty(0, np.int64),
+)
+
+
+def merge_top_k(
+    parts: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+    n_candidates: np.ndarray,
+    scan_ids: Sequence[int],
+    top_k: int,
+) -> Tuple[List[SpectrumResult], int]:
+    """Merge columnar PSM blocks into each spectrum's ``top_k`` results.
+
+    Each part is ``(global ids, scores, shared peaks, batch rows)``:
+    one block of PSMs, each tagged with the batch position of its
+    spectrum.  All parts merge in one ``lexsort`` by (row, score desc,
+    global id asc), cut at ``top_k`` per row — per spectrum, exactly
+    :func:`~repro.search.serial.top_k_psms` over the union.  This is
+    the one product top-k merge: the session merges its ranks' blocks
+    through it and the sharded fleet its shards'.  Returns the
+    per-spectrum results (``n_candidates[i]`` candidates for
+    ``scan_ids[i]``) and the total PSM count.
+    """
+    gids, scores, shared, rows = map(np.concatenate, zip(_NO_PSMS, *parts))
+    best, bounds = _best_first(rows, -scores, gids, len(scan_ids), top_k)
     psms = list(
         map(
             PSM,

@@ -154,7 +154,7 @@ from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -215,7 +215,7 @@ __all__ = [
 
 #: Most recent batches whose :class:`BatchStats` a session retains —
 #: enough for steady-state monitoring, O(1) for unbounded streams
-#: (:attr:`SearchService.n_batches` keeps the lifetime count).
+#: (:attr:`SessionCore.n_batches` keeps the lifetime count).
 _STATS_RETENTION = 1024
 
 #: Minimum predicted makespan gain (fractional) an automatic
@@ -617,6 +617,154 @@ def aggregate_batch_stats(stats: Sequence[BatchStats]) -> SessionStats:
     )
 
 
+def _settle(future: Future, outcome: Any) -> None:
+    """Resolve ``future`` with ``outcome`` — an exception fails it,
+    anything else is its result — unless it is already done (cancelled
+    while queued, or settled first by a racing path)."""
+    try:
+        if future.done():
+            return
+        if isinstance(outcome, BaseException):
+            future.set_exception(outcome)
+        else:
+            future.set_result(outcome)
+    except InvalidStateError:  # pragma: no cover - cancel()/settle race
+        pass
+
+
+class SessionCore:
+    """The session contract both service tiers implement.
+
+    A session is opened once, admits query batches through
+    :meth:`submit_async` (a :class:`concurrent.futures.Future` per
+    batch, resolving to ``(SearchResults, BatchStats)`` strictly in
+    submission order), and drains on :meth:`close`.  This base holds
+    what the tiers share: the flight-recorder rule, the context
+    manager, :meth:`submit` and :meth:`stream`, admission (at most
+    ``max_pending`` batches admitted at once, the next one rejected
+    with :class:`~repro.errors.ServiceError`), and bounded stats
+    retention.  A tier supplies ``open`` (returning the session),
+    ``close``, ``is_open``, and ``_admit``, which queues one admitted
+    batch and returns its future; a tier that refuses the batch there
+    gives its admission slot back.  Each tier resolves its futures in
+    order by its own mechanism and settles them through
+    :func:`_settle`.
+    """
+
+    def __init__(self, config: ServiceConfig) -> None:
+        self.config = config
+        self._tracer = config.tracer
+        # Flight recorder: with no file tracer configured, record into
+        # a bounded in-memory ring instead, dumped on failure paths.
+        # An enabled config tracer wins — its file already has it all.
+        self._ring: Optional[RingTracer] = None
+        if config.flight_recorder and not config.tracer.enabled:
+            self._ring = RingTracer()
+            self._tracer = self._ring
+        self._closed = False
+        self._n_submitted = 0
+        self._n_pending = 0
+        self._n_batches = 0
+        self._open_s = 0.0
+        # Bounded retention: a session serves an unbounded stream, so
+        # per-batch stats must not grow master memory linearly with it.
+        self._stats: deque[BatchStats] = deque(maxlen=_STATS_RETENTION)
+        self._admission = threading.Semaphore(config.max_pending)
+
+    def __enter__(self):
+        return self.open()
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def submit(
+        self, spectra: Sequence[Spectrum]
+    ) -> Tuple[SearchResults, BatchStats]:
+        """Search one query batch and block until it resolves.
+
+        A thin wrapper over :meth:`submit_async`: the batch rides the
+        same path, and the call returns the merged
+        :class:`SearchResults` — bit-identical to the serial engine over
+        the same batch — plus this batch's :class:`BatchStats`, or
+        raises the batch's own error (the session itself survives).
+        """
+        return self.submit_async(spectra).result()
+
+    def submit_async(
+        self, spectra: Sequence[Spectrum]
+    ) -> "Future[Tuple[SearchResults, BatchStats]]":
+        """Admit one query batch; return its future.
+
+        The future resolves to ``(SearchResults, BatchStats)`` —
+        futures of one session resolve strictly in submission order,
+        and a failing batch fails only its own future.  Raises
+        :class:`~repro.errors.ServiceError` synchronously when the
+        session is not open or ``max_pending`` batches are already
+        admitted.
+        """
+        if not self.is_open:
+            raise ServiceError(
+                "submit() on a service that is not open "
+                "(call open() first; closed sessions are not reusable)"
+            )
+        spectra = list(spectra)
+        if not spectra:
+            raise ConfigurationError("cannot submit an empty spectra batch")
+        if not self._admission.acquire(blocking=False):
+            raise ServiceError(
+                f"admission queue full ({self.config.max_pending} batches "
+                "already pending); retry after a pending batch completes"
+            )
+        return self._admit(spectra)
+
+    def stream(
+        self, batches: Iterable[Sequence[Spectrum]]
+    ) -> Iterator[Tuple[SearchResults, BatchStats]]:
+        """Drive an iterable of batches through the session, in order.
+
+        Keeps up to ``max_pending`` batches admitted at once (the
+        overlap window) and yields each batch's ``(results, stats)``
+        in submission order — the streaming loop for sustained
+        workloads.  A failing batch raises its error from the yield
+        that would have produced it; later batches are unaffected.
+        """
+        pending: deque[Future] = deque()
+        limit = self.config.max_pending
+        for spectra in batches:
+            while len(pending) >= limit:
+                yield pending.popleft().result()
+            pending.append(self.submit_async(spectra))
+        while pending:
+            yield pending.popleft().result()
+
+    def _record(self, stats: BatchStats) -> None:
+        """Count one merged batch and retain its stats."""
+        self._n_batches += 1
+        self._stats.append(stats)
+
+    @property
+    def n_batches(self) -> int:
+        """Batches merged over the session's lifetime."""
+        return self._n_batches
+
+    @property
+    def batch_stats(self) -> List[BatchStats]:
+        """Stats of the most recent batches (bounded retention), in
+        order; ``batch_index`` ties each entry to its lifetime position."""
+        return list(self._stats)
+
+    @property
+    def open_s(self) -> float:
+        """Wall seconds ``open()`` took (the amortized session cost)."""
+        return self._open_s
+
+    @property
+    def flight_recorder(self) -> Optional[RingTracer]:
+        """The installed in-memory flight recorder, or ``None`` when a
+        file tracer is active or ``flight_recorder=False``."""
+        return self._ring
+
+
 class _PendingBatch:
     """One admitted batch's mutable trip through the pipeline stages."""
 
@@ -732,11 +880,7 @@ def _pipeline_main(state: _PipelineState, service_ref) -> None:
                 state.items.clear()
             exc = ServiceError("service was garbage-collected mid-stream")
             for batch in orphans:
-                try:
-                    if not batch.future.done():
-                        batch.future.set_exception(exc)
-                except InvalidStateError:  # pragma: no cover - cancel race
-                    pass
+                _settle(batch.future, exc)
             return
         nxt = item if isinstance(item, _PendingBatch) else None
         try:
@@ -784,7 +928,7 @@ def _pipeline_main(state: _PipelineState, service_ref) -> None:
             del service  # drop the strong reference between cycles
 
 
-class SearchService:
+class SearchService(SessionCore):
     """A long-lived search session over a resident worker pool.
 
     Parameters
@@ -804,33 +948,16 @@ class SearchService:
     def __init__(
         self, database: IndexedDatabase, config: ServiceConfig = ServiceConfig()
     ) -> None:
+        super().__init__(config)
         self.database = database
-        self.config = config
-        self._tracer = config.tracer
-        # Flight recorder: with no file tracer configured, record into
-        # a bounded in-memory ring instead, dumped on failure paths.
-        # An enabled config tracer wins — its file already has it all.
-        self._ring: Optional[RingTracer] = None
-        if config.flight_recorder and not config.tracer.enabled:
-            self._ring = RingTracer()
-            self._tracer = self._ring
         self._metrics = config.metrics
         self._m_cache: tuple | None = None  # instruments, bound at open()
         self._plan: LBEPlan | None = None
         self._spill: SharedSpill | None = None
         self._pool: PersistentPool | None = None
-        self._closed = False
-        self._n_batches = 0
-        self._n_submitted = 0
-        self._n_pending = 0
         self._attach_stats: List[RankStats] = []
         self._attach_s = 0.0
-        self._open_s = 0.0
-        # Bounded retention: a session serves an unbounded stream, so
-        # per-batch stats must not grow master memory linearly with it.
-        self._stats: deque[BatchStats] = deque(maxlen=_STATS_RETENTION)
         self._dispatch_lock = threading.Lock()
-        self._admission = threading.Semaphore(config.max_pending)
         self._state: _PipelineState | None = None
         self._thread: threading.Thread | None = None
         # Elastic rebalancing: the decision policy (None when
@@ -863,12 +990,6 @@ class SearchService:
         return self._plan
 
     # -- lifecycle -------------------------------------------------------
-
-    def __enter__(self) -> "SearchService":
-        return self.open()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     @property
     def is_open(self) -> bool:
@@ -944,12 +1065,14 @@ class SearchService:
                     self._ring, cfg.flight_dir, "attach-failure"
                 )
             raise
+        # The mailbox exists before the pool is published: a session
+        # with a pool is open, and submits go straight to the mailbox.
+        self._state = _PipelineState()
         self._pool = pool
         self._attach_stats = [
             rank_stats_from_report(r, report)
             for r, report in enumerate(attach.results)
         ]
-        self._state = _PipelineState()
         self._thread = threading.Thread(
             target=_pipeline_main,
             args=(self._state, weakref.ref(self)),
@@ -1019,60 +1142,17 @@ class SearchService:
 
     # -- submission ------------------------------------------------------
 
-    def submit(
-        self, spectra: Sequence[Spectrum]
-    ) -> Tuple[SearchResults, BatchStats]:
-        """Search one query batch on the resident workers (blocking).
-
-        A thin wrapper over :meth:`submit_async` — the batch rides the
-        same pipeline and the call blocks until its future resolves.
-        Returns the merged :class:`SearchResults` — bit-identical to
-        the serial engine over the same batch — plus this batch's
-        :class:`BatchStats`.  Raises
-        :class:`~repro.errors.ServiceError` when the service is not
-        open or the admission bound is exceeded, and
-        :class:`~repro.errors.WorkerError` when a worker fails
-        mid-batch (the session itself survives).
-        """
-        return self.submit_async(spectra).result()
-
-    def submit_async(
-        self, spectra: Sequence[Spectrum]
-    ) -> "Future[Tuple[SearchResults, BatchStats]]":
-        """Admit one query batch into the pipeline; return its future.
-
-        The future resolves to ``(SearchResults, BatchStats)`` —
-        futures of one session resolve strictly in submission order,
-        and a failing batch (e.g. :class:`~repro.errors.WorkerError`)
-        fails only its own future.  Raises
-        :class:`~repro.errors.ServiceError` synchronously when the
-        service is not open or ``max_pending`` batches are already
-        admitted.
-        """
-        state = self._state
-        if self._closed or self._pool is None or state is None:
-            raise ServiceError(
-                "submit() on a service that is not open "
-                "(call open() first; closed sessions are not reusable)"
-            )
-        if state.broken:
-            raise ServiceError(
-                "service pipeline has crashed; close() and open a new session"
-            )
-        spectra = list(spectra)
-        if not spectra:
-            raise ConfigurationError("cannot submit an empty spectra batch")
-        if not self._admission.acquire(blocking=False):
-            raise ServiceError(
-                f"admission queue full ({self.config.max_pending} batches "
-                "already pending); retry after a pending batch completes"
-            )
+    def _admit(self, spectra: List[Spectrum]) -> Future:
+        """Queue one admitted batch for the pipeline thread."""
         future: Future = Future()
+        state = self._state
         with state.cond:
-            if self._closed or state.stopping:
+            if self._closed or state.stopping or state.broken:
                 self._admission.release()
                 raise ServiceError(
-                    "service was closed while this submit was being admitted"
+                    "service pipeline has crashed; close() and open a new session"
+                    if state.broken
+                    else "service was closed while this submit was being admitted"
                 )
             self._n_pending += 1
             batch = _PendingBatch(
@@ -1086,26 +1166,6 @@ class SearchService:
             state.items.append(batch)
             state.cond.notify_all()
         return future
-
-    def stream(
-        self, batches: Iterable[Sequence[Spectrum]]
-    ) -> Iterator[Tuple[SearchResults, BatchStats]]:
-        """Drive an iterable of batches through the pipeline, in order.
-
-        Keeps up to ``max_pending`` batches admitted at once (the
-        overlap window) and yields each batch's ``(results, stats)``
-        in submission order — the streaming driver for sustained
-        workloads.  A failing batch raises its error from the yield
-        that would have produced it; later batches are unaffected.
-        """
-        pending: deque[Future] = deque()
-        limit = self.config.max_pending
-        for spectra in batches:
-            while len(pending) >= limit:
-                yield pending.popleft().result()
-            pending.append(self.submit_async(spectra))
-        while pending:
-            yield pending.popleft().result()
 
     # -- pipeline stages (run on the pipeline thread) --------------------
 
@@ -1204,13 +1264,9 @@ class SearchService:
         except BaseException as exc:  # noqa: BLE001 - routed to the future
             self._fail_batch(batch, exc)
             return
-        self._n_batches += 1
-        self._stats.append(stats)
+        self._record(stats)
         self._release(batch)
-        try:
-            batch.future.set_result((results, stats))
-        except InvalidStateError:  # pragma: no cover - cancel()/resolve race
-            pass
+        _settle(batch.future, (results, stats))
 
     def _merge_batch(
         self, batch: _PendingBatch, merged_overlapped: bool
@@ -1407,11 +1463,7 @@ class SearchService:
                 batch=batch.batch_index,
             )
         self._release(batch)
-        try:
-            if not batch.future.done():
-                batch.future.set_exception(exc)
-        except InvalidStateError:  # pragma: no cover - cancel()/fail race
-            pass
+        _settle(batch.future, exc)
 
     def _release(self, batch: _PendingBatch) -> None:
         """Give the batch's admission slot back (exactly once per batch —
@@ -1497,22 +1549,14 @@ class SearchService:
         if future is not None and not future.set_running_or_notify_cancel():
             return  # explicit caller cancelled while queued
         try:
-            report = self._migrate(decision)
+            outcome = self._migrate(decision)
         except BaseException as exc:  # noqa: BLE001 - routed, never fatal
-            if future is not None:
-                try:
-                    future.set_exception(exc)
-                except InvalidStateError:  # pragma: no cover
-                    pass
             # Automatic trigger: the plan swap already happened (or
             # nothing changed); dead ranks heal on the next round's
             # respawn path.  The session itself stays serviceable.
-            return
+            outcome = exc
         if future is not None:
-            try:
-                future.set_result(report)
-            except InvalidStateError:  # pragma: no cover
-                pass
+            _settle(future, outcome)
 
     def _migrate(self, decision: RebalanceDecision) -> dict:
         """Re-plan with the decision's speeds and migrate the session.
@@ -1703,31 +1747,9 @@ class SearchService:
     # -- introspection ---------------------------------------------------
 
     @property
-    def n_batches(self) -> int:
-        """Batches served so far this session."""
-        return self._n_batches
-
-    @property
-    def flight_recorder(self) -> Optional[RingTracer]:
-        """The installed in-memory flight recorder, or ``None`` when a
-        file tracer is active or ``flight_recorder=False``."""
-        return self._ring
-
-    @property
-    def open_s(self) -> float:
-        """Wall seconds :meth:`open` took (the amortized session cost)."""
-        return self._open_s
-
-    @property
     def attach_s(self) -> float:
         """Wall seconds of the ATTACH round inside :meth:`open`."""
         return self._attach_s
-
-    @property
-    def batch_stats(self) -> List[BatchStats]:
-        """Stats of the most recent batches (bounded retention), in
-        order; ``batch_index`` ties each entry to its lifetime position."""
-        return list(self._stats)
 
     @property
     def n_workers(self) -> int:

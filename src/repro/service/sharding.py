@@ -37,19 +37,20 @@ order**, so shard-local entry ids map to global entry ids through a
 strictly increasing table (``DatabaseShard.entry_ids``).  The inner
 engines' per-rank and per-shard top-K tie-breaks (score desc, entry id
 asc) are then order-isomorphic to the global id space, and the fleet
-merge — translate each shard's PSMs to global ids, re-run
-:func:`~repro.search.serial.top_k_psms` over the union — reproduces
+merge — translate each shard's PSMs to global ids and batch rows, then
+run the one product top-k merge
+(:func:`~repro.search.rank.merge_top_k`) over the union — reproduces
 the serial engine's selection exactly (global entry ids are disjoint
-across shards, and the score arithmetic is untouched).  Demux is keyed
-by spectrum scan id (validated per result), not trusted batch
-position.
+across shards, and the score arithmetic is untouched).  Demux checks
+that each shard answered exactly the scan ids routed to it, in routed
+order, before trusting batch positions.
 
 Failure semantics (shard × fault → behavior)
 --------------------------------------------
 Per-shard supervision is the resident pool's matrix
 (:mod:`repro.parallel.persistent`), applied inside each shard's pool;
 this layer adds shard-level isolation on top.  With R =
-``max_retries`` and W = workers per shard:
+``max_retries``:
 
 =========================  =============================================
 fault at shard level       observed behavior
@@ -64,10 +65,11 @@ mid-batch                  bit-identical); for R = 0 without
                            *session* survives, later batches heal on
                            respawned workers.
 some ranks of a shard      partial shard coverage: the fleet mask
-exhaust retries            ``degraded_ranks`` names them as
-(``degraded_ok=True``)     ``shard * W + rank``; the shard still
-                           contributes its surviving ranks'
-                           partitions.
+exhaust retries            ``degraded_ranks`` names them in the fleet
+(``degraded_ok=True``)     rank space, where a shard's ranks come after
+                           every live rank of the shards before it;
+                           the shard still contributes its surviving
+                           ranks' partitions.
 every rank of a shard      the whole shard's mass range is lost:
 exhausts retries, or its   ``degraded_shards`` names it (its ranks all
 session breaks             appear in ``degraded_ranks``), results
@@ -89,25 +91,26 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ServiceError, ShardError
 from repro.index.arena import concat_ranges
 from repro.index.slm import SLMIndexSettings
-from repro.obs.ring import RingTracer, flight_dump
+from repro.obs.ring import flight_dump
 from repro.parallel.faults import FaultPlan
 from repro.search.database import IndexedDatabase
-from repro.search.psm import RankStats, SearchResults, SpectrumResult
-from repro.search.serial import top_k_psms
+from repro.search.psm import RankStats, SearchResults
+from repro.search.rank import merge_top_k
 from repro.service.service import (
-    _STATS_RETENTION,
     BatchStats,
     SearchService,
     ServiceConfig,
+    SessionCore,
+    _settle,
 )
 from repro.spectra.model import Spectrum
 
@@ -349,11 +352,12 @@ class ShardedBatchStats(BatchStats):
     **max** (the shards run concurrently), counters (``merge_s`` /
     ``scatter_bytes`` / ``peak_bytes`` / ``respawned`` / ``retries`` /
     ``hedged``) take the **sum**, and ``degraded_ranks`` is the
-    flattened fleet mask (shard ``s``'s rank ``r`` as
-    ``s * n_workers + r``).  ``total_s`` spans submit → merged at the
-    sharded layer.  The inherited ``query_wall_s`` / ``query_cpu_s``
-    vectors cover the **full fleet rank space** in that same order,
-    with 0.0 at the slots of skipped or wholly-failed shards — so the
+    flattened fleet mask: shard ``s``'s ranks come after every live
+    rank of the shards before it.  ``total_s`` spans submit → merged
+    at the sharded layer.  The inherited ``query_wall_s`` /
+    ``query_cpu_s`` vectors cover the **full fleet rank space** in that
+    same order, with 0.0 at the slots of skipped or wholly-failed
+    shards (as many as the shard's live workers) — so the
     fleet-level LI properties read routing selectivity as imbalance
     by design (an undispatched shard *is* idle capacity).
 
@@ -397,11 +401,11 @@ class _ShardedBatch:
         self.t_submit = 0.0
 
 
-class ShardedSearchService:
+class ShardedSearchService(SessionCore):
     """A routed fleet of per-shard resident sessions, one session API.
 
-    Mirrors :class:`~repro.service.service.SearchService`'s
-    ``open / submit / submit_async / stream / close`` contract exactly:
+    Implements the :class:`~repro.service.service.SessionCore` contract
+    that :class:`~repro.service.service.SearchService` implements:
     futures resolve strictly in submission order to ``(SearchResults,
     ShardedBatchStats)``, results are bit-identical to the unsharded
     engine, a failing batch fails only its own future, and ``close()``
@@ -448,36 +452,23 @@ class ShardedSearchService:
                 f"{len(shard_fault_plans)} shard fault plans for "
                 f"{n_shards} shards"
             )
-        self.database = database
-        self.config = config
-        self._tracer = config.tracer
         # Fleet flight recorder: one shared ring for the whole fleet —
         # each inner service records through a shard-bound view, so a
-        # black box interleaves every shard's timeline in arrival
-        # order.  An enabled config tracer wins, exactly as unsharded.
-        self._ring: Optional[RingTracer] = None
-        if config.flight_recorder and not config.tracer.enabled:
-            self._ring = RingTracer()
-            self._tracer = self._ring
+        # black box interleaves every shard's timeline in arrival order.
+        super().__init__(config)
+        self.database = database
         self.plan = ShardPlan.from_database(database, n_shards, boundaries)
         self._shard_fault_plans = (
             list(shard_fault_plans) if shard_fault_plans is not None else None
         )
         self._services: List[SearchService] = []
         self._opened = False
-        self._closed = False
         # Reentrant: inner futures' done-callbacks (inner pipeline
         # threads) and submit_async (caller thread) both take it, and
         # an inner future that is already done invokes its callback
         # synchronously inside submit_async.
         self._lock = threading.RLock()
         self._pending: deque[_ShardedBatch] = deque()
-        self._admission = threading.Semaphore(config.max_pending)
-        self._n_submitted = 0
-        self._n_pending = 0
-        self._n_batches = 0
-        self._stats: deque[ShardedBatchStats] = deque(maxlen=_STATS_RETENTION)
-        self._open_s = 0.0
         self._dispatch_total = 0
         self._skip_total = 0
 
@@ -488,22 +479,15 @@ class ShardedSearchService:
 
     # -- lifecycle -------------------------------------------------------
 
-    def __enter__(self) -> "ShardedSearchService":
-        self.open()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def open(self) -> None:
+    def open(self) -> "ShardedSearchService":
         """Open every shard's inner session (spawn + spill + attach).
 
-        Idempotent.  A shard that fails to open raises
+        Returns the session.  Idempotent.  A shard that fails to open raises
         :class:`~repro.errors.ShardError` (chained to the underlying
         cause) after the already-opened shards are closed again.
         """
         if self._opened:
-            return
+            return self
         if self._closed:
             raise ServiceError("sharded service is closed; cannot reopen")
         t0 = time.perf_counter()
@@ -552,6 +536,7 @@ class ShardedSearchService:
                     "fleet": True,
                 },
             )
+        return self
 
     def close(self) -> None:
         """Drain and shut every shard's session down; idempotent.
@@ -576,13 +561,7 @@ class ShardedSearchService:
             leftovers = list(self._pending)
             self._pending.clear()
         for batch in leftovers:
-            try:
-                if not batch.future.done():
-                    batch.future.set_exception(
-                        ServiceError("sharded service closed mid-batch")
-                    )
-            except InvalidStateError:  # pragma: no cover - settle race
-                pass
+            _settle(batch.future, ServiceError("sharded service closed mid-batch"))
         if self._opened and self._tracer.enabled:
             self._tracer.event(
                 "session.close",
@@ -591,37 +570,8 @@ class ShardedSearchService:
 
     # -- submission ------------------------------------------------------
 
-    def submit(
-        self, spectra: Sequence[Spectrum]
-    ) -> Tuple[SearchResults, ShardedBatchStats]:
-        """Blocking convenience: route, fan out, merge one batch."""
-        return self.submit_async(spectra).result()
-
-    def submit_async(
-        self, spectra: Sequence[Spectrum]
-    ) -> "Future[Tuple[SearchResults, ShardedBatchStats]]":
-        """Admit one batch: route to intersecting shards, fan out.
-
-        Returns a future resolving to ``(SearchResults,
-        ShardedBatchStats)``; futures resolve strictly in submission
-        order.  Raises :class:`~repro.errors.ServiceError` when the
-        session is not open or the ``max_pending`` admission bound is
-        exceeded.
-        """
-        if self._closed:
-            raise ServiceError(
-                "sharded service is closed; no further submits accepted"
-            )
-        if not self._opened:
-            raise ServiceError("sharded service is not open; call open() first")
-        spectra = list(spectra)
-        if not spectra:
-            raise ConfigurationError("cannot submit an empty spectra batch")
-        if not self._admission.acquire(blocking=False):
-            raise ServiceError(
-                f"admission queue full ({self.config.max_pending} batches "
-                "already pending); retry after a pending batch completes"
-            )
+    def _admit(self, spectra: List[Spectrum]) -> Future:
+        """Route one admitted batch to the shards it reaches; fan out."""
         t_route = time.perf_counter()
         routed = self.plan.route(spectra, self.config.index)
         batch = _ShardedBatch(spectra, routed)
@@ -676,23 +626,6 @@ class ShardedSearchService:
             )
         return batch.future
 
-    def stream(
-        self, batches: Iterable[Sequence[Spectrum]]
-    ) -> Iterator[Tuple[SearchResults, ShardedBatchStats]]:
-        """Drive an iterable of batches through the fleet, in order.
-
-        Keeps up to ``max_pending`` batches admitted at once (every
-        shard's inner pipeline overlaps underneath) and yields each
-        batch's ``(results, stats)`` in submission order.
-        """
-        window: deque[Future] = deque()
-        for spectra in batches:
-            while len(window) >= self.config.max_pending:
-                yield window.popleft().result()
-            window.append(self.submit_async(spectra))
-        while window:
-            yield window.popleft().result()
-
     # -- resolution (runs on inner pipeline threads) ---------------------
 
     def _shard_done(self, batch: _ShardedBatch) -> None:
@@ -739,33 +672,15 @@ class ShardedSearchService:
                 "shard-batch-error",
                 batch=batch.batch_index,
             )
-            self._settle(batch, error=failure)
+            _settle(batch.future, failure)
             return
         try:
             results, stats = self._merge(batch, shard_results, shard_stats, errors)
         except BaseException as exc:  # noqa: BLE001 - routed to the future
-            self._settle(batch, error=exc)
+            _settle(batch.future, exc)
             return
-        self._n_batches += 1
-        self._stats.append(stats)
-        self._settle(batch, value=(results, stats))
-
-    def _settle(
-        self,
-        batch: _ShardedBatch,
-        *,
-        value: Any = None,
-        error: Optional[BaseException] = None,
-    ) -> None:
-        try:
-            if batch.future.done():
-                return
-            if error is not None:
-                batch.future.set_exception(error)
-            else:
-                batch.future.set_result(value)
-        except InvalidStateError:  # pragma: no cover - settle race
-            pass
+        self._record(stats)
+        _settle(batch.future, (results, stats))
 
     # -- the fleet merge -------------------------------------------------
 
@@ -781,97 +696,59 @@ class ShardedSearchService:
         wall = time.perf_counter
         t_merge = wall()
         n_spectra = len(spectra)
-        w = cfg.n_workers
-        # Gather per-spectrum contributions across shards, demuxed by
-        # scan id (validated), translated to global entry ids.
-        gids: List[List[int]] = [[] for _ in range(n_spectra)]
-        scores: List[List[float]] = [[] for _ in range(n_spectra)]
-        shared: List[List[int]] = [[] for _ in range(n_spectra)]
-        counts = [0] * n_spectra
+        # Each shard's PSMs become one columnar block in global ids and
+        # batch rows, demuxed by position after checking that the
+        # shard answered exactly its routed scans, in routed order.
+        n_candidates = np.zeros(n_spectra, np.int64)
+        parts = []
         for sid, res in enumerate(shard_results):
             if res is None:
                 continue
             positions = batch.routed[sid]
-            if len(res.spectra) != len(positions):
+            routed_scans = [spectra[i].scan_id for i in positions]
+            if [sr.scan_id for sr in res.spectra] != routed_scans:
                 raise ShardError(
-                    f"shard {sid} returned {len(res.spectra)} results for "
-                    f"{len(positions)} routed spectra",
+                    f"shard {sid} returned results for scans that do not "
+                    f"match its {len(positions)} routed spectra",
                     shard=sid,
                 )
-            # Demux keyed by scan id: positions grouped per scan, FIFO
-            # within a scan (inner results preserve sub-batch order).
-            by_scan: Dict[int, deque] = {}
-            for i in positions:
-                by_scan.setdefault(spectra[i].scan_id, deque()).append(i)
-            entry_ids = self.plan.shards[sid].entry_ids
-            for sr in res.spectra:
-                slots = by_scan.get(sr.scan_id)
-                if not slots:
-                    raise ShardError(
-                        f"shard {sid} returned a result for scan "
-                        f"{sr.scan_id}, which was not routed to it",
-                        shard=sid,
-                    )
-                i = slots.popleft()
-                counts[i] += sr.n_candidates
-                for psm in sr.psms:
-                    gids[i].append(int(entry_ids[psm.entry_id]))
-                    scores[i].append(psm.score)
-                    shared[i].append(psm.shared_peaks)
-        merged: List[SpectrumResult] = []
-        for i, spectrum in enumerate(spectra):
-            merged.append(
-                SpectrumResult(
-                    scan_id=spectrum.scan_id,
-                    n_candidates=counts[i],
-                    psms=top_k_psms(
-                        spectrum.scan_id,
-                        np.asarray(gids[i], dtype=np.int64),
-                        np.asarray(scores[i], dtype=np.float64),
-                        np.asarray(shared[i], dtype=np.int64),
-                        cfg.top_k,
-                    ),
-                )
-            )
-        # Degradation masks: partial shards flatten into the fleet rank
-        # space; wholly-lost shards (every rank degraded, or the inner
-        # session failed under degraded_ok) are named shard-level too.
+            rows = np.asarray(positions, np.int64)
+            n_candidates[rows] += [sr.n_candidates for sr in res.spectra]
+            psms = [psm for sr in res.spectra for psm in sr.psms]
+            local = np.fromiter((p.entry_id for p in psms), np.int64, len(psms))
+            parts.append((
+                self.plan.shards[sid].entry_ids[local],
+                np.fromiter((p.score for p in psms), np.float64, len(psms)),
+                np.fromiter((p.shared_peaks for p in psms), np.int64, len(psms)),
+                np.repeat(rows, [len(sr.psms) for sr in res.spectra]),
+            ))
+        merged, _n_psms = merge_top_k(
+            parts, n_candidates, [s.scan_id for s in spectra], cfg.top_k
+        )
+        # The fleet rank space: shard s's ranks follow every live rank
+        # of the shards before it.  A dispatched shard brings the ranks
+        # its round ran on; a skipped or failed one its live pool size,
+        # as zeroed stats.  A shard is degraded when all its ranks are.
+        fleet_stats: List[RankStats] = []
         degraded_ranks: List[int] = []
         degraded_shards: List[int] = []
-        for sid in range(self.n_shards):
-            res = shard_results[sid]
-            if sid in errors:
+        for sid, res in enumerate(shard_results):
+            first = len(fleet_stats)
+            if res is not None:
+                fleet_stats.extend(
+                    replace(stats, rank=first + r)
+                    for r, stats in enumerate(res.rank_stats)
+                )
+                degraded = [first + r for r in res.degraded_ranks]
+            else:
+                width = self._services[sid].n_workers
+                fleet_stats.extend(
+                    RankStats(rank=first + r) for r in range(width)
+                )
+                degraded = list(range(first, first + width) if sid in errors else ())
+            degraded_ranks.extend(degraded)
+            if degraded and len(degraded) == len(fleet_stats) - first:
                 degraded_shards.append(sid)
-                degraded_ranks.extend(sid * w + r for r in range(w))
-            elif res is not None and res.degraded_ranks:
-                degraded_ranks.extend(sid * w + r for r in res.degraded_ranks)
-                if len(res.degraded_ranks) == w:
-                    degraded_shards.append(sid)
-        # Fleet rank stats: shard s's rank r at position s * w + r
-        # (zeroed for skipped / failed shards).
-        fleet_stats: List[RankStats] = []
-        for sid in range(self.n_shards):
-            res = shard_results[sid]
-            for r in range(w):
-                if res is not None and r < len(res.rank_stats):
-                    inner = res.rank_stats[r]
-                    fleet_stats.append(
-                        RankStats(
-                            rank=sid * w + r,
-                            n_entries=inner.n_entries,
-                            n_ions=inner.n_ions,
-                            buckets_scanned=inner.buckets_scanned,
-                            ions_scanned=inner.ions_scanned,
-                            candidates_scored=inner.candidates_scored,
-                            residues_scored=inner.residues_scored,
-                            build_time=inner.build_time,
-                            query_time=inner.query_time,
-                            comm_time=inner.comm_time,
-                            query_cpu_time=inner.query_cpu_time,
-                        )
-                    )
-                else:
-                    fleet_stats.append(RankStats(rank=sid * w + r))
         merge_s = wall() - t_merge
         total_s = wall() - batch.t_submit
         live = [s for s in shard_stats if s is not None]
@@ -913,9 +790,9 @@ class ShardedSearchService:
             rank_stats=fleet_stats,
             phase_times=phase_times,
             policy_name=cfg.policy,
-            n_ranks=self.n_shards * w,
-            degraded_ranks=tuple(sorted(degraded_ranks)),
-            degraded_shards=tuple(sorted(degraded_shards)),
+            n_ranks=len(fleet_stats),
+            degraded_ranks=tuple(degraded_ranks),
+            degraded_shards=tuple(degraded_shards),
         )
         dispatched = sum(1 for positions in batch.routed if positions)
         stats = ShardedBatchStats(
@@ -936,10 +813,10 @@ class ShardedSearchService:
             overlap_s=ssum("overlap_s"),
             retries=int(ssum("retries")),
             hedged=int(ssum("hedged")),
-            degraded_ranks=tuple(sorted(degraded_ranks)),
+            degraded_ranks=results.degraded_ranks,
             shards_dispatched=dispatched,
             shards_skipped=self.n_shards - dispatched,
-            degraded_shards=tuple(sorted(degraded_shards)),
+            degraded_shards=results.degraded_shards,
             shard_stats=shard_stats,
         )
         m = cfg.metrics
@@ -956,7 +833,7 @@ class ShardedSearchService:
                 merge_s,
                 {"batch": batch.batch_index},
             )
-            for sid in sorted(degraded_shards):
+            for sid in degraded_shards:
                 tracer.event(
                     "degraded.shard",
                     {"shard": sid, "batch": batch.batch_index},
@@ -997,30 +874,9 @@ class ShardedSearchService:
         return self._opened and not self._closed
 
     @property
-    def n_batches(self) -> int:
-        """Batches merged over the session's lifetime."""
-        return self._n_batches
-
-    @property
-    def flight_recorder(self) -> Optional[RingTracer]:
-        """The fleet-wide in-memory flight recorder, or ``None`` when
-        a file tracer is active or ``flight_recorder=False``."""
-        return self._ring
-
-    @property
-    def open_s(self) -> float:
-        """Wall seconds ``open()`` took (all shards, sequential)."""
-        return self._open_s
-
-    @property
     def attach_s(self) -> float:
         """Summed inner attach seconds across the shards."""
         return sum(s.attach_s for s in self._services)
-
-    @property
-    def batch_stats(self) -> List[ShardedBatchStats]:
-        """Per-batch stats, oldest first (bounded retention)."""
-        return list(self._stats)
 
     @property
     def respawn_total(self) -> int:

@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG handling, timers, text tables.
+"""Shared utilities: deterministic RNG handling, text tables and plots.
 
 These helpers are intentionally tiny and dependency-free so that every
 other subpackage can import them without cycles.
@@ -7,13 +7,6 @@ other subpackage can import them without cycles.
 from repro.util.ascii_plot import bar_chart, line_plot
 from repro.util.rng import derive_seed, rng_from
 from repro.util.tables import format_table
-from repro.util.timing import PhaseTimer
-from repro.util.validation import (
-    check_positive,
-    check_non_negative,
-    check_probability,
-    check_range,
-)
 
 __all__ = [
     "bar_chart",
@@ -21,9 +14,4 @@ __all__ = [
     "derive_seed",
     "rng_from",
     "format_table",
-    "PhaseTimer",
-    "check_positive",
-    "check_non_negative",
-    "check_probability",
-    "check_range",
 ]

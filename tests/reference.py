@@ -17,7 +17,8 @@ the product kernel with an independent statement of what it computes:
 
 Plus the builders the suites share: :func:`arena_of` (a complete arena
 from per-entry fragment arrays), :func:`fragments_of` and
-:func:`index_over` (the flat index over a peptide list).
+:func:`index_over` (the flat index over a peptide list), and the one
+oracle comparison, :func:`assert_same_results`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,22 @@ from repro.index.arena import FragmentArena, concat_ranges
 from repro.index.slm import FilterResult, SLMIndex, SLMIndexSettings
 from repro.search.scoring import ScoringOutcome, _lgamma_counts
 from repro.spectra.model import Spectrum
+
+# -- the oracle comparison ---------------------------------------------
+
+
+def assert_same_results(serial, results):
+    """``results`` equal the serial engine's ``serial`` spectrum by
+    spectrum: scan ids, candidate counts, and every PSM's (entry id,
+    score, shared peaks), in rank order."""
+    assert len(serial.spectra) == len(results.spectra)
+    for a, b in zip(serial.spectra, results.spectra):
+        assert a.scan_id == b.scan_id
+        assert a.n_candidates == b.n_candidates
+        assert [(p.entry_id, p.score, p.shared_peaks) for p in a.psms] == [
+            (p.entry_id, p.score, p.shared_peaks) for p in b.psms
+        ]
+
 
 # -- builders ----------------------------------------------------------
 

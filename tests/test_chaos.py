@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from reference import assert_same_results
 from repro.errors import ConfigurationError, WorkerError
 from repro.parallel import FaultInjected, FaultPlan, FaultSpec, PersistentPool, maybe_inject
 from repro.parallel.faults import FAULT_PLAN_ENV
@@ -56,16 +57,6 @@ def _config(kind: str, n_workers: int = 2, **kw) -> ServiceConfig:
     if kind == "hang":
         kw.setdefault("timeout", _HANG_TIMEOUT)
     return ServiceConfig(n_workers=n_workers, **kw)
-
-
-def assert_same_results(serial, service_results):
-    assert len(serial.spectra) == len(service_results.spectra)
-    for a, b in zip(serial.spectra, service_results.spectra):
-        assert a.scan_id == b.scan_id
-        assert a.n_candidates == b.n_candidates
-        assert [(p.entry_id, p.score, p.shared_peaks) for p in a.psms] == [
-            (p.entry_id, p.score, p.shared_peaks) for p in b.psms
-        ]
 
 
 @pytest.fixture(scope="module")

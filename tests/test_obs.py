@@ -40,7 +40,6 @@ from repro.service import (
     ServiceConfig,
     ShardedSearchService,
 )
-from repro.util.timing import PhaseTimer
 
 
 def _records(path):
@@ -238,17 +237,6 @@ def test_worker_spans_reanchor_on_master_clock():
     assert spans == [("worker.open", 100.0, 0.5),
                      ("worker.query", 100.5, 2.0)]
     assert worker_spans_from_report({}, anchor=0.0) == []
-
-
-def test_phase_timer_uses_injected_clock():
-    ticks = iter([1.0, 3.5, 10.0, 10.25]).__next__
-    timer = PhaseTimer(clock=ticks)
-    with timer.measure("query"):
-        pass
-    with timer.measure("merge"):
-        pass
-    assert timer.get("query") == pytest.approx(2.5)
-    assert timer.get("merge") == pytest.approx(0.25)
 
 
 # -- live session traces -----------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from reference import assert_same_results
 from repro.errors import (
     ConfigurationError,
     InvalidSpectrumError,
@@ -43,16 +44,6 @@ from repro.spectra.packed import PackedSpectra
 from repro.spectra.preprocess import preprocess_batch
 
 PROPERTY = hsettings(max_examples=150, deadline=None, print_blob=True)
-
-
-def assert_same_results(serial, service_results):
-    assert len(serial.spectra) == len(service_results.spectra)
-    for a, b in zip(serial.spectra, service_results.spectra):
-        assert a.scan_id == b.scan_id
-        assert a.n_candidates == b.n_candidates
-        assert [(p.entry_id, p.score, p.shared_peaks) for p in a.psms] == [
-            (p.entry_id, p.score, p.shared_peaks) for p in b.psms
-        ]
 
 
 def assert_same_spectra(expected, rebuilt):

@@ -20,20 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import assert_same_results
 from repro.search.serial import SerialSearchEngine
 from repro.service import ParallelSearchEngine, SearchService, ServiceConfig
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-
-
-def assert_same_results(serial, parallel):
-    assert len(serial.spectra) == len(parallel.spectra)
-    for a, b in zip(serial.spectra, parallel.spectra):
-        assert a.scan_id == b.scan_id
-        assert a.n_candidates == b.n_candidates
-        assert [(p.entry_id, p.score, p.shared_peaks) for p in a.psms] == [
-            (p.entry_id, p.score, p.shared_peaks) for p in b.psms
-        ]
 
 
 @pytest.fixture(scope="module")

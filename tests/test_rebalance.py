@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from reference import assert_same_results
 from repro.errors import ConfigurationError, ServiceError
 from repro.obs import Gauge, JsonlTracer, MetricsRegistry, validate_trace_file
 from repro.parallel.faults import FaultPlan, FaultSpec, maybe_inject
@@ -29,16 +30,6 @@ from repro.service import (
     ServiceConfig,
     ShardedSearchService,
 )
-
-
-def assert_same_results(serial, service_results):
-    assert len(serial.spectra) == len(service_results.spectra)
-    for a, b in zip(serial.spectra, service_results.spectra):
-        assert a.scan_id == b.scan_id
-        assert a.n_candidates == b.n_candidates
-        assert [(p.entry_id, p.score, p.shared_peaks) for p in a.psms] == [
-            (p.entry_id, p.score, p.shared_peaks) for p in b.psms
-        ]
 
 
 @pytest.fixture(scope="module")

@@ -12,21 +12,12 @@ import weakref
 import numpy as np
 import pytest
 
+from reference import assert_same_results
 import repro.search.engine as engine_module
 from repro.errors import ConfigurationError
 from repro.search.engine import DistributedSearchEngine, EngineConfig
 from repro.search.metrics import load_imbalance
 from repro.search.serial import SerialSearchEngine
-
-
-def assert_same_results(serial, distributed):
-    assert len(serial.spectra) == len(distributed.spectra)
-    for a, b in zip(serial.spectra, distributed.spectra):
-        assert a.scan_id == b.scan_id
-        assert a.n_candidates == b.n_candidates
-        assert [(p.entry_id, p.score, p.shared_peaks) for p in a.psms] == [
-            (p.entry_id, p.score, p.shared_peaks) for p in b.psms
-        ]
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from reference import assert_same_results
 from repro.errors import ConfigurationError, ServiceError, WorkerError
 from repro.index.slm import SLMIndexSettings
 from repro.parallel.shared_arena import SharedArenaStore
@@ -24,16 +25,6 @@ from repro.search.serial import SerialSearchEngine
 from repro.service import BatchStats, SearchService, ServiceConfig
 from repro.spectra.packed import PackedSpectra
 from repro.spectra.preprocess import preprocess_batch
-
-
-def assert_same_results(serial, service_results):
-    assert len(serial.spectra) == len(service_results.spectra)
-    for a, b in zip(serial.spectra, service_results.spectra):
-        assert a.scan_id == b.scan_id
-        assert a.n_candidates == b.n_candidates
-        assert [(p.entry_id, p.score, p.shared_peaks) for p in a.psms] == [
-            (p.entry_id, p.score, p.shared_peaks) for p in b.psms
-        ]
 
 
 @pytest.fixture(scope="module")

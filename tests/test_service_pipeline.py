@@ -17,21 +17,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference import assert_same_results
 from repro.errors import PipelineError, ServiceError, WorkerError
 from repro.parallel import FaultPlan, FaultSpec
 from repro.search.serial import SerialSearchEngine
 from repro.service import SearchService, ServiceConfig
 from repro.spectra.synthetic import SyntheticRunConfig, generate_run
-
-
-def assert_same_results(serial, service_results):
-    assert len(serial.spectra) == len(service_results.spectra)
-    for a, b in zip(serial.spectra, service_results.spectra):
-        assert a.scan_id == b.scan_id
-        assert a.n_candidates == b.n_candidates
-        assert [(p.entry_id, p.score, p.shared_peaks) for p in a.psms] == [
-            (p.entry_id, p.score, p.shared_peaks) for p in b.psms
-        ]
 
 
 @pytest.fixture(scope="module")

@@ -11,10 +11,12 @@ session.
 """
 
 import dataclasses
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from reference import assert_same_results
 from repro.errors import ConfigurationError, ServiceError, ShardError
 from repro.index.slm import SLMIndexSettings
 from repro.parallel import FaultPlan, FaultSpec
@@ -29,16 +31,6 @@ from repro.service import (
     ShardedSearchService,
     aggregate_batch_stats,
 )
-
-
-def assert_same_results(reference, results):
-    assert len(reference.spectra) == len(results.spectra)
-    for a, b in zip(reference.spectra, results.spectra):
-        assert a.scan_id == b.scan_id
-        assert a.n_candidates == b.n_candidates
-        assert [(p.entry_id, p.score, p.shared_peaks) for p in a.psms] == [
-            (p.entry_id, p.score, p.shared_peaks) for p in b.psms
-        ]
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +309,64 @@ def test_shard_failure_fails_loud_without_degraded_ok(tiny_db, batches, serial_r
         assert "shard 1" in excinfo.value.brief
         results, _ = svc.submit(batches[1])
     assert_same_results(serial_refs[1], results)
+
+
+def test_demux_rejects_results_misaligned_with_routed_scans(
+    tiny_db, batches, serial_refs, monkeypatch
+):
+    """A shard whose results do not line up with the scan ids routed
+    to it fails the batch with :class:`ShardError` naming that shard;
+    the session survives."""
+    config = ServiceConfig(n_workers=1)
+    with ShardedSearchService(tiny_db, config, n_shards=2) as svc:
+        assert len(svc.plan.route(batches[0], config.index)[1]) >= 2
+        inner = svc.services[1]
+        real_submit = inner.submit_async
+
+        def reversed_results(spectra):
+            relayed = Future()
+
+            def relay(done):
+                results, stats = done.result()
+                results.spectra.reverse()
+                relayed.set_result((results, stats))
+
+            real_submit(spectra).add_done_callback(relay)
+            return relayed
+
+        monkeypatch.setattr(inner, "submit_async", reversed_results)
+        with pytest.raises(ShardError) as excinfo:
+            svc.submit(batches[0])
+        assert excinfo.value.shard == 1
+        assert "shard 1" in str(excinfo.value)
+        monkeypatch.undo()
+        results, _ = svc.submit(batches[0])
+    assert_same_results(serial_refs[0], results)
+
+
+# -- live pool sizes ---------------------------------------------------
+
+
+def test_fleet_rank_space_follows_resized_shard_pools(
+    tiny_db, batches, serial_refs
+):
+    """Shard 0 grows from 1 to 2 workers: the next batch numbers 3
+    fleet ranks, covers every entry once, and stays bit-identical."""
+    with ShardedSearchService(
+        tiny_db, ServiceConfig(n_workers=1), n_shards=2
+    ) as svc:
+        svc.services[0].rebalance(n_workers=2)
+        results, stats = svc.submit(batches[0])
+        assert (
+            len(results.rank_stats)
+            == len(stats.query_wall_s)
+            == results.n_ranks
+            == svc.n_workers_total
+            == 3
+        )
+    assert [s.rank for s in results.rank_stats] == [0, 1, 2]
+    assert sum(s.n_entries for s in results.rank_stats) == tiny_db.n_entries
+    assert_same_results(serial_refs[0], results)
 
 
 # -- session contract --------------------------------------------------

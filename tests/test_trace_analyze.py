@@ -180,6 +180,31 @@ def test_fleet_analysis_and_shard_slice(tiny_db, tiny_spectra, tmp_path):
     assert shard0.n_batches == 2
 
 
+def test_fleet_analysis_skips_li_recompute_after_a_pool_resize(
+    tiny_db, tiny_spectra, tmp_path
+):
+    """Once a shard's pool resizes, worker spans no longer map onto
+    the open-time fleet rank numbering: the analyzer reports the batch
+    events' LI and recomputes none, instead of disagreeing."""
+    path = tmp_path / "resized.jsonl"
+    tracer = JsonlTracer(path)
+    config = ServiceConfig(
+        n_workers=1, tracer=tracer, metrics=MetricsRegistry()
+    )
+    with ShardedSearchService(tiny_db, config, n_shards=2) as svc:
+        svc.services[0].rebalance(n_workers=2)
+        all_stats = [
+            svc.submit(batch)[1]
+            for batch in (list(tiny_spectra), list(tiny_spectra[:7]))
+        ]
+    tracer.close()
+    fleet = analyze_trace_file(path)
+    assert fleet.li_agreement is True
+    for timeline, stats in zip(fleet.batches, all_stats):
+        assert timeline.li_recomputed is None
+        assert timeline.li_event == pytest.approx(stats.query_li, abs=1e-9)
+
+
 # -- regression attribution (diff) -------------------------------------
 
 

@@ -1,21 +1,10 @@
-"""Tests for the util subpackage (rng, tables, timing, validation)."""
-
-import re
-import time
+"""Tests for the util subpackage (rng, tables)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import ConfigurationError
 from repro.util.rng import derive_seed, rng_from
 from repro.util.tables import format_table
-from repro.util.timing import PhaseTimer
-from repro.util.validation import (
-    check_non_negative,
-    check_positive,
-    check_probability,
-    check_range,
-)
 
 
 # -- rng ------------------------------------------------------------------
@@ -78,72 +67,3 @@ def test_format_table_float_fmt():
 def test_format_table_bad_row():
     with pytest.raises(ValueError, match="cells"):
         format_table(["a", "b"], [(1,)])
-
-
-# -- timing ------------------------------------------------------------------
-
-
-def test_phase_timer_charge_accumulates():
-    t = PhaseTimer()
-    t.charge("query", 1.0)
-    t.charge("query", 0.5)
-    assert t.get("query") == 1.5
-    assert t.total() == 1.5
-
-
-def test_phase_timer_negative_rejected():
-    with pytest.raises(ValueError):
-        PhaseTimer().charge("x", -1.0)
-
-
-def test_phase_timer_measure():
-    t = PhaseTimer()
-    with t.measure("sleep"):
-        time.sleep(0.01)
-    assert t.get("sleep") >= 0.01
-
-
-def test_phase_timer_merge():
-    a, b = PhaseTimer(), PhaseTimer()
-    a.charge("x", 1.0)
-    b.charge("x", 2.0)
-    b.charge("y", 3.0)
-    a.merge(b)
-    assert a.get("x") == 3.0
-    assert a.get("y") == 3.0
-
-
-def test_phase_timer_as_dict_copy():
-    t = PhaseTimer()
-    t.charge("x", 1.0)
-    d = t.as_dict()
-    d["x"] = 99.0
-    assert t.get("x") == 1.0
-
-
-# -- validation ------------------------------------------------------------
-
-
-def test_check_positive():
-    check_positive("x", 1.0)
-    with pytest.raises(ConfigurationError):
-        check_positive("x", 0.0)
-
-
-def test_check_non_negative():
-    check_non_negative("x", 0.0)
-    with pytest.raises(ConfigurationError):
-        check_non_negative("x", -0.1)
-
-
-def test_check_probability():
-    check_probability("x", 0.0)
-    check_probability("x", 1.0)
-    with pytest.raises(ConfigurationError):
-        check_probability("x", 1.01)
-
-
-def test_check_range():
-    check_range("x", 1.0, 2.0)
-    with pytest.raises(ConfigurationError):
-        check_range("x", 2.0, 1.0)

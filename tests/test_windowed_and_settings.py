@@ -10,6 +10,7 @@ them.
 import numpy as np
 import pytest
 
+from reference import assert_same_results as assert_equals_serial
 from repro.chem.fragments import FragmentationSettings
 from repro.index import chunks
 from repro.index.slm import SLMIndexSettings
@@ -29,16 +30,6 @@ SETTINGS_MATRIX = {
     ),
     "coarse": SLMIndexSettings(resolution=0.1, fragment_tolerance=0.2),
 }
-
-
-def assert_equals_serial(serial, results):
-    assert len(serial.spectra) == len(results.spectra)
-    for a, b in zip(serial.spectra, results.spectra):
-        assert a.scan_id == b.scan_id
-        assert a.n_candidates == b.n_candidates
-        assert [(p.entry_id, p.score, p.shared_peaks) for p in a.psms] == [
-            (p.entry_id, p.score, p.shared_peaks) for p in b.psms
-        ]
 
 
 @pytest.mark.parametrize("name", sorted(SETTINGS_MATRIX))
