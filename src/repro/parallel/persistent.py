@@ -84,22 +84,25 @@ replayed ATTACH answered and the command follows.  Retries, respawn
 replays and hedges all obey it, and one rank's replay never moves
 another rank's deadline.
 
-Live reconfiguration (the rebalance actuator)
----------------------------------------------
-:meth:`PersistentPool.reconfigure` is the elastic-rebalancing
-primitive: **between rounds** (it refuses while a round is on the
-pipe) it atomically replaces the remembered ATTACH payloads, re-sends
-the ATTACH command to exactly the ranks whose payload changed (a live
+Attach and live reconfiguration (the rebalance actuator)
+--------------------------------------------------------
+:meth:`PersistentPool.reconfigure` is the one way resident state is
+installed, and :meth:`PersistentPool.attach` is its first use: a
+payload count check, then a reconfigure of every rank.  **Between
+rounds** (it refuses while a round is on the pipe) reconfigure
+atomically replaces the remembered ATTACH payloads, re-sends the
+ATTACH command to exactly the ranks whose payload changed (a live
 worker accepts a new ATTACH — its old state is simply dropped), and
 grows or shrinks the worker count: surplus ranks are shut down,
-fresh ranks are spawned and attached.  Respawn replay always uses the
-*new* payloads, so a worker that dies mid-reconfigure (or any time
-after) heals into the new plan, never the old one.  Untouched ranks
-keep their resident state — the whole point: migrating a plan that
-moved 10 % of the entries re-attaches only the ranks holding that
-10 %.  Note that surviving workers keep the ``size`` their entry loop
-was spawned with; command callables must not depend on it (the
-service's do not).
+fresh ranks are spawned and attached.  Either way the result is one
+supervised ATTACH round's :class:`PoolBatchResult`.  Respawn replay
+always uses the *new* payloads, so a worker that dies mid-reconfigure
+(or any time after) heals into the new plan, never the old one.
+Untouched ranks keep their resident state — the whole point:
+migrating a plan that moved 10 % of the entries re-attaches only the
+ranks holding that 10 %.  Note that surviving workers keep the
+``size`` their entry loop was spawned with; command callables must
+not depend on it (the service's do not).
 
 Fault injection for the chaos suite lives in
 :mod:`repro.parallel.faults`; the plan reaches every worker (and every
@@ -164,7 +167,12 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.parallel.faults import FaultPlan, maybe_inject
 from repro.parallel.transport import Transport, WorkerChannel, make_transport
 
-__all__ = ["PersistentPool", "PoolBatchResult", "RoundHandle"]
+__all__ = [
+    "PersistentPool",
+    "PoolBatchResult",
+    "RoundHandle",
+    "check_pool_settings",
+]
 
 _ATTACH = "attach"
 _QUERY = "query"
@@ -203,6 +211,42 @@ def _decide(
     return _FAIL
 
 
+def check_pool_settings(
+    n_workers: int,
+    *,
+    start_method: str,
+    timeout: float,
+    max_retries: int,
+    backoff_s: float,
+    hedge_after: Optional[float],
+    transport: "str | Transport",
+) -> Transport:
+    """Validate a pool's settings and return its resolved transport.
+
+    The one check behind :class:`PersistentPool` and
+    :class:`~repro.service.service.ServiceConfig`, so a bad setting
+    fails when the configuration is built, not when a session opens.
+    Raises :class:`~repro.errors.ConfigurationError`.
+    """
+    if n_workers < 1:
+        raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
+    if timeout <= 0:
+        raise ConfigurationError(f"timeout must be > 0, got {timeout}")
+    # Resolves the registry name and validates start_method.
+    resolved = make_transport(transport, start_method=start_method)
+    if max_retries < 0:
+        raise ConfigurationError(
+            f"max_retries must be >= 0, got {max_retries}"
+        )
+    if backoff_s < 0:
+        raise ConfigurationError(f"backoff_s must be >= 0, got {backoff_s}")
+    if hedge_after is not None and hedge_after <= 0:
+        raise ConfigurationError(
+            f"hedge_after must be > 0 or None, got {hedge_after}"
+        )
+    return resolved
+
+
 def _pickled(command: str, fn: Callable, payload: Any) -> bytes:
     return bytes(ForkingPickler.dumps((command, fn, payload)))
 
@@ -219,6 +263,12 @@ class PoolBatchResult:
     wall_times / cpu_times:
         Per-rank real elapsed / process-CPU seconds inside the
         callable (excludes pipe transfer).
+    sent_s:
+        Per rank, seconds after the round's dispatch at which the
+        command that answered went out: 0.0, or later when a retry,
+        a respawn's replayed ATTACH or a winning hedge sent it again.
+        A caller that times work inside the callable relative to its
+        start anchors it at dispatch + ``sent_s``.
     respawned:
         Workers that had to be respawned (and re-attached) for this
         round — before it (death between rounds) or during it (retry
@@ -242,6 +292,7 @@ class PoolBatchResult:
     results: List[Any]
     wall_times: List[float]
     cpu_times: List[float]
+    sent_s: List[float]
     respawned: int = 0
     scatter_bytes: int = 0
     retries: int = 0
@@ -264,8 +315,8 @@ class _Attempt:
     ATTACH answered), or ``[ATTACH]`` for an attach or re-attach.  The
     head is the one on the pipe.  ``state`` is the rank's place in the
     supervision machine; ``anchor`` is the master clock at which a
-    command sent after dispatch went out (its reply spans are offsets
-    from there).
+    command sent after dispatch went out (the round reports it as the
+    rank's ``sent_s``).
     """
 
     rank: int
@@ -308,8 +359,8 @@ class RoundHandle:
     __slots__ = (
         "_pool", "command", "fn", "payloads", "dispatched_at", "deadline",
         "respawned", "scatter_bytes", "retries", "hedged", "results",
-        "walls", "cpus", "tries", "failed", "degraded", "primary", "hedges",
-        "live", "_buffers", "_collected", "_aborted",
+        "walls", "cpus", "sent", "tries", "failed", "degraded", "primary",
+        "hedges", "live", "_buffers", "_collected", "_aborted",
     )
 
     def __init__(
@@ -331,6 +382,7 @@ class RoundHandle:
         self.results: List[Any] = [None] * n
         self.walls = [0.0] * n
         self.cpus = [0.0] * n
+        self.sent = [0.0] * n
         self.tries = [0] * n  # failures per rank so far
         self.failed: dict[int, WorkerError] = {}
         self.degraded: dict[int, WorkerError] = {}
@@ -370,6 +422,7 @@ class RoundHandle:
             results=self.results,
             wall_times=self.walls,
             cpu_times=self.cpus,
+            sent_s=self.sent,
             respawned=self.respawned,
             scatter_bytes=self.scatter_bytes,
             retries=self.retries,
@@ -553,22 +606,15 @@ class PersistentPool:
         transport: "str | Transport" = "pipe",
         tracer: Tracer = NULL_TRACER,
     ) -> None:
-        if n_workers < 1:
-            raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-        if timeout <= 0:
-            raise ConfigurationError(f"timeout must be > 0, got {timeout}")
-        # Resolves the registry name and validates start_method.
-        transport_obj = make_transport(transport, start_method=start_method)
-        if max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {max_retries}"
-            )
-        if backoff_s < 0:
-            raise ConfigurationError(f"backoff_s must be >= 0, got {backoff_s}")
-        if hedge_after is not None and hedge_after <= 0:
-            raise ConfigurationError(
-                f"hedge_after must be > 0 or None, got {hedge_after}"
-            )
+        transport_obj = check_pool_settings(
+            n_workers,
+            start_method=start_method,
+            timeout=timeout,
+            max_retries=max_retries,
+            backoff_s=backoff_s,
+            hedge_after=hedge_after,
+            transport=transport,
+        )
         self.n_workers = n_workers
         self.start_method = start_method
         self.timeout = timeout
@@ -668,25 +714,21 @@ class PersistentPool:
         """Build per-worker resident state: ``fn(rank, size, payload)``.
 
         ``fn`` must return ``(state, report)``; the worker keeps
-        ``state`` for subsequent :meth:`run_batch` calls and this
-        method gathers the reports.  The attach round is remembered
-        and **replayed automatically** whenever a dead worker is
-        respawned.
+        ``state`` for subsequent :meth:`run_batch` calls and the
+        round's ``results`` are the reports.  One payload per worker;
+        otherwise exactly :meth:`reconfigure` of every rank, so the
+        attach is remembered and **replayed automatically** whenever a
+        dead worker is respawned.
         """
-        self._check_open()
-        if len(payloads) != self.n_workers:
-            raise ConfigurationError(
-                f"{len(payloads)} payloads for {self.n_workers} workers"
-            )
-        self._attach = (fn, list(payloads))
-        return self._dispatch(_ATTACH, fn, self._attach[1]).collect()
+        self._check_width(payloads)
+        return self.reconfigure(fn, payloads)
 
     def reconfigure(
         self,
         fn: Callable[[int, int, Any], Any],
         payloads: Sequence[Any],
         changed: Optional[Sequence[int]] = None,
-    ) -> dict:
+    ) -> PoolBatchResult:
         """Swap the pool's attach payloads (and size) between rounds.
 
         ``len(payloads)`` becomes the new worker count: surplus ranks
@@ -702,8 +744,9 @@ class PersistentPool:
         is on the pipe: the caller drains the in-flight round first —
         that is the pipeline-safe migration barrier.
 
-        Returns ``{rank: (report, wall_s, cpu_s)}`` for every rank
-        that was (re-)attached.  The ranks re-attach concurrently, as
+        Returns the round's :class:`PoolBatchResult`: the reports of
+        the (re-)attached ranks, ``None`` (and 0.0 seconds) for the
+        untouched ones.  The ranks re-attach concurrently, as
         one supervised ATTACH round with the pool's standard
         respawn/backoff budget; a rank that exhausts it is
         **terminated** (so its next respawn replays the new payloads)
@@ -754,15 +797,7 @@ class PersistentPool:
                 )
             ranks = sorted(ranks | set(range(old_n, new_n)))
             job = RoundHandle(self, _ATTACH, fn, payloads, self.timeout)
-            result = self._supervise(self._scatter(job, ranks))
-            return {
-                rank: (
-                    result.results[rank],
-                    result.wall_times[rank],
-                    result.cpu_times[rank],
-                )
-                for rank in ranks
-            }
+            return self._supervise(self._scatter(job, ranks))
 
     def run_batch(
         self, fn: Callable[[int, int, Any, Any], Any], payloads: Sequence[Any]
@@ -784,20 +819,8 @@ class PersistentPool:
         previous handle is still pending raises
         :class:`~repro.errors.PipelineError`.
         """
-        return self._dispatch(_QUERY, fn, list(payloads))
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ServiceError("pool is closed; no further commands accepted")
-
-    def _dispatch(
-        self, command: str, fn: Callable, payloads: Sequence[Any]
-    ) -> RoundHandle:
         self._check_open()
-        if len(payloads) != self.n_workers:
-            raise ConfigurationError(
-                f"{len(payloads)} payloads for {self.n_workers} workers"
-            )
+        self._check_width(payloads)
         with self._round_lock:
             # Re-check under the lock: a concurrent close() that won
             # the lock first has already torn the pipes down.
@@ -807,9 +830,19 @@ class PersistentPool:
                     "a round is already on the pipe; collect() its handle "
                     "before dispatching the next one"
                 )
-            job = RoundHandle(self, command, fn, list(payloads), self.timeout)
+            job = RoundHandle(self, _QUERY, fn, list(payloads), self.timeout)
             self._inflight = self._scatter(job, range(self.n_workers))
             return job
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ServiceError("pool is closed; no further commands accepted")
+
+    def _check_width(self, payloads: Sequence[Any]) -> None:
+        if len(payloads) != self.n_workers:
+            raise ConfigurationError(
+                f"{len(payloads)} payloads for {self.n_workers} workers"
+            )
 
     def _collect(self, handle: RoundHandle) -> PoolBatchResult:
         with self._round_lock:
@@ -1045,18 +1078,9 @@ class PersistentPool:
                 hedge.channel.stop()  # its late duplicate must never merge
                 if self._tracer.enabled:
                     self._trace(job, "hedge.loss", rank, winner="original")
-        result, wall, cpu = outcome
-        if attempt.anchor is not None and isinstance(result, dict):
-            # Reply spans are offsets from the command's own send, not
-            # the round's dispatch; re-base them so merge-time
-            # re-anchoring lands them where the work really ran.
-            spans = result.get("spans")
-            if spans:
-                shift = attempt.anchor - job.dispatched_at
-                result["spans"] = tuple(
-                    (name, rel + shift, dur) for name, rel, dur in spans
-                )
-        job.results[rank], job.walls[rank], job.cpus[rank] = result, wall, cpu
+        job.results[rank], job.walls[rank], job.cpus[rank] = outcome
+        if attempt.anchor is not None:
+            job.sent[rank] = attempt.anchor - job.dispatched_at
 
     def _apply_rule(self, job: RoundHandle, attempt: _Attempt) -> None:
         """Carry out :func:`_decide` for a failed attempt."""

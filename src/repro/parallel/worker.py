@@ -112,6 +112,7 @@ def service_attach_worker(rank: int, size: int, task: AttachTask) -> tuple:
         "index": index,
         "sub_arena": sub_arena,
         "entry_ids": entry_ids,
+        "build_s": build_wall,
     }
     report = {
         "rank": rank,
@@ -129,7 +130,9 @@ def service_query_worker(rank: int, size: int, state: dict, task: QueryTask) -> 
 
     Unpacks the batch's columns into slice views and runs the exact
     rank body every other backend runs, so session results are
-    bit-identical to the serial engine by construction.
+    bit-identical to the serial engine by construction.  The report
+    also carries the resident index's size and build seconds, so each
+    batch's rank stats come from its own replies alone.
     """
     if state is None:
         raise ServiceError(
@@ -160,13 +163,15 @@ def service_query_worker(rank: int, size: int, state: dict, task: QueryTask) -> 
         batch_index=task.batch_index,
         n_entries=len(state["index"]),
         n_ions=state["index"].n_ions,
+        build_s=state["build_s"],
         open_s=open_wall,
         query_s=query_wall,
         query_cpu_s=query_cpu,
         # Worker-side spans as (name, start, dur) seconds *relative to
-        # this round's dispatch*; a ``perf_counter`` reading is not
+        # this command's arrival*; a ``perf_counter`` reading is not
         # comparable across processes, so the master re-anchors these
-        # on its own clock (see ``worker_spans_from_report``).  Riding
+        # on its own clock, at the dispatch plus the pool's ``sent_s``
+        # (see ``worker_spans_from_report``).  Riding
         # the existing reply payload keeps the pipe protocol at one
         # round per batch.
         spans=(

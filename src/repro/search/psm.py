@@ -82,6 +82,9 @@ class RankStats:
     build_time / query_time / comm_time:
         Seconds spent in each phase — virtual seconds under the
         simulated engine, real wall seconds under the process backend.
+        There, ``build_time`` is the rank's resident index build,
+        reported with every batch, and ``comm_time`` is the worker's
+        batch unpack time.
     query_cpu_time:
         Query-phase process CPU seconds (real backends only; the
         simulated engine leaves 0).  On a core-per-worker machine this

@@ -558,10 +558,10 @@ def summarize_rank_output(out: RankQueryOutput) -> dict:
 def rank_stats_from_report(rank: int, report: dict) -> RankStats:
     """Build one rank's :class:`RankStats` from a worker report dict.
 
-    Absent keys default to 0 — a resident worker's *query* report
-    carries no ``build_s`` because that cost was paid once at attach
-    time, and its *attach* report carries no query counters because no
-    spectrum has been searched yet.
+    A resident worker's query report carries everything, its index
+    size and resident build seconds included, with every batch.
+    Absent keys default to 0, so a degraded rank's missing reply
+    (``{}``) yields ``RankStats(rank=rank)``.
     """
     return RankStats(
         rank=rank,
@@ -584,10 +584,12 @@ def worker_spans_from_report(
     """Re-anchor a worker report's relative spans on the master clock.
 
     Workers ship spans as ``(name, start, dur)`` with ``start``
-    relative to their own round start — ``perf_counter`` readings are
-    not comparable across processes.  ``anchor`` is the master-clock
-    instant the round was dispatched, so the returned absolute spans
-    nest (modulo pipe latency) under the master's ``collect`` span.
+    relative to their own command start — ``perf_counter`` readings
+    are not comparable across processes.  ``anchor`` is the
+    master-clock instant that command went out (the round's dispatch
+    plus the pool's ``sent_s`` for the rank), so the returned absolute
+    spans nest (modulo pipe latency) under the master's ``collect``
+    span.
     Reports without a ``spans`` key (attach reports, older workers)
     yield an empty list.
     """

@@ -176,7 +176,11 @@ from repro.obs.metrics import MetricsRegistry, global_registry, quantile
 from repro.obs.ring import RingTracer, flight_dump
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.parallel.faults import FaultPlan
-from repro.parallel.persistent import PersistentPool, PoolBatchResult
+from repro.parallel.persistent import (
+    PersistentPool,
+    PoolBatchResult,
+    check_pool_settings,
+)
 from repro.parallel.shared_arena import (
     SharedSpill,
     shared_spill_for,
@@ -190,7 +194,7 @@ from repro.parallel.worker import (
 )
 from repro.search.database import IndexedDatabase
 from repro.search.metrics import load_imbalance
-from repro.search.psm import RankStats, SearchResults
+from repro.search.psm import SearchResults
 from repro.search.rank import (
     merge_rank_payloads,
     rank_stats_from_report,
@@ -356,27 +360,18 @@ class ServiceConfig(SearchParams):
 
     def __post_init__(self) -> None:
         SearchParams.__post_init__(self)
-        if self.n_workers < 1:
-            raise ConfigurationError(
-                f"n_workers must be >= 1, got {self.n_workers}"
-            )
-        if self.timeout <= 0:
-            raise ConfigurationError(f"timeout must be > 0, got {self.timeout}")
+        check_pool_settings(
+            self.n_workers,
+            start_method=self.start_method,
+            timeout=self.timeout,
+            max_retries=self.max_retries,
+            backoff_s=self.retry_backoff_s,
+            hedge_after=self.hedge_after,
+            transport=self.transport,
+        )
         if self.max_pending < 1:
             raise ConfigurationError(
                 f"max_pending must be >= 1, got {self.max_pending}"
-            )
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.retry_backoff_s < 0:
-            raise ConfigurationError(
-                f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}"
-            )
-        if self.hedge_after is not None and self.hedge_after <= 0:
-            raise ConfigurationError(
-                f"hedge_after must be > 0 or None, got {self.hedge_after}"
             )
         # Validate the pool bounds and the rebalance knobs eagerly
         # (constructing a RebalanceConfig runs its own __post_init__).
@@ -742,6 +737,53 @@ class SessionCore:
         self._n_batches += 1
         self._stats.append(stats)
 
+    def _publish(self, prefix: str, stats: BatchStats, **extras: Any) -> None:
+        """Publish one merged batch, the same way on both tiers.
+
+        Feeds the per-batch instruments named ``{prefix}.*`` (``service``
+        or ``fleet``) — unconditionally, so the live LI gauge and the
+        latency histograms stay current without a tracer — then emits
+        the ``batch`` event: the eight shared keys, then the tier's
+        ``extras``.  A degraded batch is a survived fault: it is
+        black-boxed after the event, so the dump carries the event.
+        """
+        m = self.config.metrics
+        m.counter(f"{prefix}.batches").inc()
+        m.histogram(f"{prefix}.batch_total_s").observe(stats.total_s)
+        m.histogram(f"{prefix}.batch_query_wall_s").observe(
+            stats.query_wall_max_s
+        )
+        m.gauge(f"{prefix}.batch_li_wall").set(stats.query_li)
+        m.gauge(f"{prefix}.batch_li_cpu").set(stats.query_li_cpu)
+        m.counter(f"{prefix}.retries").inc(stats.retries)
+        m.counter(f"{prefix}.hedged").inc(stats.hedged)
+        m.counter(f"{prefix}.respawned").inc(stats.respawned)
+        m.counter(f"{prefix}.degraded_batches").inc(
+            1 if stats.degraded_ranks else 0
+        )
+        if self._tracer.enabled:
+            self._tracer.event(
+                "batch",
+                {
+                    "batch": stats.batch_index,
+                    "n_spectra": stats.n_spectra,
+                    "total_s": round(stats.total_s, 9),
+                    "li_wall": round(stats.query_li, 9),
+                    "li_cpu": round(stats.query_li_cpu, 9),
+                    "retries": stats.retries,
+                    "hedged": stats.hedged,
+                    "respawned": stats.respawned,
+                    **extras,
+                },
+            )
+        if stats.degraded_ranks:
+            stats.flight_record = flight_dump(
+                self._ring,
+                self.config.flight_dir,
+                "degraded-batch",
+                batch=stats.batch_index,
+            )
+
     @property
     def n_batches(self) -> int:
         """Batches merged over the session's lifetime."""
@@ -773,7 +815,7 @@ class _PendingBatch:
         "packed", "handle",
         "dispatched_at", "round", "error", "t_start", "wait_s",
         "prep_s", "collect_wait_s", "parallel_s",
-        "prepared_overlapped", "released", "plan", "attach_stats",
+        "prepared_overlapped", "released", "plan",
     )
 
     def __init__(
@@ -798,12 +840,10 @@ class _PendingBatch:
         self.prepared_overlapped = False
         self.released = False
         # A rebalance migration may swap the session's plan between
-        # this batch's dispatch and its merge — the plan (and the
-        # attach stats that describe the resident indexes it was
-        # scored on) are stamped at dispatch time so the merge always
-        # uses the manifests its round actually ran against.
+        # this batch's dispatch and its merge — the plan is stamped at
+        # dispatch time so the merge always uses the manifests its
+        # round actually ran against.
         self.plan: Optional[LBEPlan] = None
-        self.attach_stats: List[RankStats] = []
 
 
 class _PipelineState:
@@ -950,12 +990,9 @@ class SearchService(SessionCore):
     ) -> None:
         super().__init__(config)
         self.database = database
-        self._metrics = config.metrics
-        self._m_cache: tuple | None = None  # instruments, bound at open()
         self._plan: LBEPlan | None = None
         self._spill: SharedSpill | None = None
         self._pool: PersistentPool | None = None
-        self._attach_stats: List[RankStats] = []
         self._attach_s = 0.0
         self._dispatch_lock = threading.Lock()
         self._state: _PipelineState | None = None
@@ -971,7 +1008,6 @@ class SearchService(SessionCore):
         ] = None
         self._rebalance_total = 0
         self._work_weights: Optional[np.ndarray] = None
-        self._m_rebalances = None
 
     # -- planning --------------------------------------------------------
 
@@ -1044,18 +1080,8 @@ class SearchService(SessionCore):
             plan = self.plan
             arena = self.database.arena_for(cfg.index.fragmentation)
             self._spill = shared_spill_for(arena, cfg.index.resolution)
-            tasks = [
-                AttachTask(
-                    store_dir=str(self._spill.store.directory),
-                    entry_ids=np.asarray(
-                        plan.rank_global_ids(r), dtype=np.int64
-                    ),
-                    settings=cfg.index,
-                )
-                for r in range(cfg.n_workers)
-            ]
             t0 = time.perf_counter()
-            attach = pool.attach(service_attach_worker, tasks)
+            self._install(pool, plan)
             self._attach_s = time.perf_counter() - t0
         except BaseException as exc:
             pool.close()
@@ -1069,10 +1095,6 @@ class SearchService(SessionCore):
         # with a pool is open, and submits go straight to the mailbox.
         self._state = _PipelineState()
         self._pool = pool
-        self._attach_stats = [
-            rank_stats_from_report(r, report)
-            for r, report in enumerate(attach.results)
-        ]
         self._thread = threading.Thread(
             target=_pipeline_main,
             args=(self._state, weakref.ref(self)),
@@ -1081,21 +1103,8 @@ class SearchService(SessionCore):
         )
         self._thread.start()
         self._open_s = time.perf_counter() - t_open
-        # Bind the per-batch instruments once: the merge path then pays
-        # attribute loads, not registry dict lookups, per batch.
-        m = self._metrics
-        self._m_cache = (
-            m.counter("service.batches"),
-            m.histogram("service.batch_total_s"),
-            m.histogram("service.batch_query_wall_s"),
-            m.gauge("service.batch_li_wall"),
-            m.gauge("service.batch_li_cpu"),
-            m.counter("service.retries"),
-            m.counter("service.hedged"),
-            m.counter("service.respawned"),
-            m.counter("service.degraded_batches"),
-        )
-        self._m_rebalances = m.counter("service.rebalances")
+        # Registered now so a session that never migrates reports 0.
+        cfg.metrics.counter("service.rebalances")
         rb = cfg.rebalance_config()
         if rb is not None:
             self._rebalance_policy = RebalancePolicy(
@@ -1216,7 +1225,6 @@ class SearchService(SessionCore):
             # migration between this dispatch and the merge must not
             # change how the round's payloads are interpreted.
             batch.plan = self.plan
-            batch.attach_stats = list(self._attach_stats)
             batch.dispatched_at = time.perf_counter()
             batch.handle = self._pool.dispatch(
                 service_query_worker, [task] * self._pool.n_workers
@@ -1297,35 +1305,21 @@ class SearchService(SessionCore):
         # Merge against the plan stamped at dispatch time — a
         # migration may already have swapped self.plan for the *next*
         # round, but this round's payloads are laid out by its own.
-        plan = batch.plan if batch.plan is not None else self.plan
+        plan = batch.plan
         merged, _n_psms = merge_rank_payloads(
             gathered, batch.spectra, plan.mapping, cfg.top_k
         )
         merge_s = wall() - t0
 
+        # Every reply carries its rank's index size and resident build
+        # seconds; a degraded rank has no reply and zeroed stats.
         all_stats = [
             rank_stats_from_report(r, report if report is not None else {})
             for r, report in enumerate(pool_round.results)
         ]
-        # Attach-time build stats stay visible on every batch's result:
-        # the resident index was built once, at open().  A degraded
-        # rank keeps them too — its partition is known, its query
-        # counters stay zero.
-        attach_stats = batch.attach_stats or self._attach_stats
-        for stats, attach in zip(all_stats, attach_stats):
-            stats.n_entries = attach.n_entries
-            stats.n_ions = attach.n_ions
-            stats.build_time = attach.build_time
 
         total_s = wall() - batch.t_start
-        worker_span = max(
-            (
-                report["open_s"] + report["query_s"]
-                for report in pool_round.results
-                if report is not None
-            ),
-            default=0.0,
-        )
+        worker_span = max(s.comm_time + s.query_time for s in all_stats)
         phase_times = {
             "serial_prep": batch.prep_s,
             "build": 0.0,  # paid once at open(), not per batch
@@ -1371,61 +1365,29 @@ class SearchService(SessionCore):
             round_wall_s=tuple(pool_round.wall_times),
             round_cpu_s=tuple(pool_round.cpu_times),
         )
-        self._observe_batch(batch, stats, pool_round, t0, merge_s)
-        # A degraded batch is a survived fault: black-box it too, after
-        # _observe_batch so the dump carries this batch's summary event.
-        if degraded:
-            stats.flight_record = flight_dump(
-                self._ring,
-                cfg.flight_dir,
-                "degraded-batch",
-                batch=batch.batch_index,
-            )
+        if self._tracer.enabled:
+            self._trace_round(batch, t0, merge_s)
+        self._publish("service", stats, degraded_ranks=list(degraded))
+        # After publishing: a trigger reads the LI gauge's watermarks,
+        # which must include this batch.
+        self._feed_rebalance(stats)
         return results, stats
 
-    def _observe_batch(
-        self,
-        batch: _PendingBatch,
-        stats: BatchStats,
-        pool_round: PoolBatchResult,
-        merge_start: float,
-        merge_s: float,
+    def _trace_round(
+        self, batch: _PendingBatch, merge_start: float, merge_s: float
     ) -> None:
-        """Feed the metrics registry and (when enabled) the tracer.
-
-        The registry feed is unconditional — a handful of attribute
-        writes per batch keeps the live LI gauge and latency
-        histograms current even without ``--trace``.  Span/event
-        emission is ``tracer.enabled``-guarded.
-        """
-        if self._m_cache is not None:
-            (
-                m_batches, m_total, m_query, m_li_wall, m_li_cpu,
-                m_retries, m_hedged, m_respawned, m_degraded,
-            ) = self._m_cache
-            m_batches.inc()
-            m_total.observe(stats.total_s)
-            m_query.observe(stats.query_wall_max_s)
-            m_li_wall.set(stats.query_li)
-            m_li_cpu.set(stats.query_li_cpu)
-            m_retries.inc(stats.retries)
-            m_hedged.inc(stats.hedged)
-            m_respawned.inc(stats.respawned)
-            if stats.degraded_ranks:
-                m_degraded.inc()
-        self._feed_rebalance(stats)
-        tracer = self._tracer
-        if not tracer.enabled:
-            return
-        bi = batch.batch_index
+        """Emit the batch's merge span and its ranks' worker spans
+        (call only when tracing)."""
+        tracer, bi, pool_round = self._tracer, batch.batch_index, batch.round
         tracer.span("merge", merge_start, merge_s, {"batch": bi})
-        # Worker spans rode back in the reply payloads as offsets
-        # relative to the round's dispatch; re-anchor them here.
+        # Worker spans rode back in the reply payloads as offsets from
+        # the moment the answering command went out: the dispatch, or
+        # later after a retry, a respawn's replay or a winning hedge.
         for rank, report in enumerate(pool_round.results):
             if report is None:
                 continue
             for name, start, dur in worker_spans_from_report(
-                report, batch.dispatched_at
+                report, batch.dispatched_at + pool_round.sent_s[rank]
             ):
                 attrs = {"batch": bi, "rank": rank}
                 if name == "worker.query":
@@ -1433,20 +1395,6 @@ class SearchService(SessionCore):
                         float(report.get("query_cpu_s", 0.0)), 9
                     )
                 tracer.span(name, start, dur, attrs)
-        tracer.event(
-            "batch",
-            {
-                "batch": bi,
-                "n_spectra": stats.n_spectra,
-                "total_s": round(stats.total_s, 9),
-                "li_wall": round(stats.query_li, 9),
-                "li_cpu": round(stats.query_li_cpu, 9),
-                "retries": stats.retries,
-                "hedged": stats.hedged,
-                "respawned": stats.respawned,
-                "degraded_ranks": list(stats.degraded_ranks),
-            },
-        )
 
     def _fail_batch(self, batch: _PendingBatch, exc: BaseException) -> None:
         # Black-box the failure: the ring holds the fault's whole
@@ -1488,7 +1436,7 @@ class SearchService(SessionCore):
 
     def _feed_rebalance(self, stats: BatchStats) -> None:
         """Feed one batch's per-rank vectors to the rebalance policy
-        (runs on the pipeline thread, from ``_observe_batch``)."""
+        (runs on the pipeline thread, from ``_merge_batch``)."""
         policy = self._rebalance_policy
         if (
             policy is None
@@ -1500,9 +1448,7 @@ class SearchService(SessionCore):
         # rank slowness — body, unpack, injected or real host skew
         # — so they, not the workers' self-reported query times, drive
         # the decision.
-        walls = stats.round_wall_s or stats.query_wall_s
-        cpus = stats.round_cpu_s or stats.query_cpu_s
-        decision = policy.observe(walls, cpus)
+        decision = policy.observe(stats.round_wall_s, stats.round_cpu_s)
         if decision is None:
             return
         with self._state.cond:
@@ -1513,9 +1459,9 @@ class SearchService(SessionCore):
             # Satellite: the LI gauge's windowed watermarks ride on the
             # trigger event — the peak imbalance the window actually saw,
             # not just its mean.  read-and-reset scopes them per trigger.
-            li_window = {"min": 0.0, "max": 0.0, "n_updates": 0}
-            if self._m_cache is not None:
-                li_window = self._m_cache[3].read_watermarks(reset=True)
+            li_window = self.config.metrics.gauge(
+                "service.batch_li_wall"
+            ).read_watermarks(reset=True)
             self._tracer.event(
                 "rebalance.trigger",
                 {
@@ -1558,15 +1504,42 @@ class SearchService(SessionCore):
         if future is not None:
             _settle(future, outcome)
 
+    def _install(
+        self,
+        pool: PersistentPool,
+        plan: LBEPlan,
+        changed: Optional[Sequence[int]] = None,
+    ) -> PoolBatchResult:
+        """Attach ``plan``'s rank manifests on ``pool`` and adopt ``plan``.
+
+        ``open()`` installs the first plan on every rank and each
+        migration a later one on its ``changed`` ranks, through one
+        :meth:`~repro.parallel.persistent.PersistentPool.reconfigure`
+        round.  The plan is adopted **even when the round raises**:
+        ``reconfigure`` guarantees every changed rank is either
+        attached to its new manifest or dead with the new attach
+        payload remembered, so the new plan is the only consistent
+        choice on every path.
+        """
+        tasks = [
+            AttachTask(
+                store_dir=str(self._spill.store.directory),
+                entry_ids=np.asarray(plan.rank_global_ids(r), dtype=np.int64),
+                settings=self.config.index,
+            )
+            for r in range(plan.n_ranks)
+        ]
+        try:
+            return pool.reconfigure(service_attach_worker, tasks, changed)
+        finally:
+            self._plan = plan
+
     def _migrate(self, decision: RebalanceDecision) -> dict:
         """Re-plan with the decision's speeds and migrate the session.
 
         Returns a summary dict (the explicit :meth:`rebalance` result).
         The plan swap is committed **even when the pool raises**
-        mid-re-attach: ``reconfigure`` guarantees every changed rank is
-        either re-attached to its new manifest or dead with the new
-        attach payload remembered, so adopting the new plan is the only
-        consistent choice on every path.
+        mid-re-attach (see :meth:`_install`).
         """
         cfg = self.config
         old_plan = self.plan
@@ -1611,48 +1584,19 @@ class SearchService(SessionCore):
                 "changed_ranks": [],
                 "reason": decision.reason,
             }
-        tasks = [
-            AttachTask(
-                store_dir=str(self._spill.store.directory),
-                entry_ids=np.asarray(
-                    new_plan.rank_global_ids(r), dtype=np.int64
-                ),
-                settings=cfg.index,
-            )
-            for r in range(new_n)
-        ]
         t0 = time.perf_counter()
         error: Optional[BaseException] = None
         try:
-            reports = self._pool.reconfigure(
-                service_attach_worker, tasks, changed=changed
-            )
+            self._install(self._pool, new_plan, changed)
         except WorkerError as exc:
-            reports = {}
             error = exc
         migrate_s = time.perf_counter() - t0
-        # Commit the new plan unconditionally (see docstring).  Rebuild
-        # the attach-stats vector: re-attached ranks from their fresh
-        # reports, untouched ranks keep their open()-time stats, ranks
-        # whose re-attach died get empty stats until their respawn.
-        self._plan = new_plan
-        new_attach: List[RankStats] = []
-        for r in range(new_n):
-            if r in reports:
-                report, _wall, _cpu = reports[r]
-                new_attach.append(rank_stats_from_report(r, report))
-            elif r < old_n and r not in changed:
-                new_attach.append(self._attach_stats[r])
-            else:
-                new_attach.append(rank_stats_from_report(r, {}))
-        self._attach_stats = new_attach
         if self._rebalance_policy is not None:
             self._rebalance_policy.rebalanced(
                 new_n, new_plan.rank_loads(self._structural_weights())
             )
         self._rebalance_total += 1
-        if self._m_rebalances is not None:
-            self._m_rebalances.inc()
+        cfg.metrics.counter("service.rebalances").inc()
         if self._tracer.enabled:
             self._tracer.event(
                 "rebalance.migrate",

@@ -820,50 +820,27 @@ class ShardedSearchService(SessionCore):
             shard_stats=shard_stats,
         )
         m = cfg.metrics
-        m.counter("fleet.batches").inc()
         m.counter("fleet.shards_dispatched").inc(dispatched)
         m.counter("fleet.shards_skipped").inc(self.n_shards - dispatched)
-        m.gauge("fleet.batch_li_wall").set(stats.query_li)
-        m.histogram("fleet.batch_total_s").observe(total_s)
         if self._tracer.enabled:
             tracer = self._tracer
             tracer.span(
-                "demux",
-                t_merge,
-                merge_s,
-                {"batch": batch.batch_index},
+                "demux", t_merge, merge_s, {"batch": batch.batch_index}
             )
             for sid in degraded_shards:
                 tracer.event(
                     "degraded.shard",
                     {"shard": sid, "batch": batch.batch_index},
                 )
-            tracer.event(
-                "batch",
-                {
-                    "batch": batch.batch_index,
-                    "n_spectra": n_spectra,
-                    "total_s": round(total_s, 9),
-                    "li_wall": round(stats.query_li, 9),
-                    "li_cpu": round(stats.query_li_cpu, 9),
-                    "retries": stats.retries,
-                    "hedged": stats.hedged,
-                    "respawned": stats.respawned,
-                    "fleet": True,
-                    "shards_dispatched": dispatched,
-                    "shards_skipped": self.n_shards - dispatched,
-                },
-            )
-        # A degraded fleet batch is a survived fault — black-box it,
-        # after the tracer block so the dump carries the degradation
-        # events and this batch's fleet summary.
-        if degraded_ranks or degraded_shards:
-            stats.flight_record = flight_dump(
-                self._ring,
-                cfg.flight_dir,
-                "degraded-batch",
-                batch=batch.batch_index,
-            )
+        # A degraded shard's ranks are all in degraded_ranks, so the
+        # publisher's degraded-batch rule covers lost shards too.
+        self._publish(
+            "fleet",
+            stats,
+            fleet=True,
+            shards_dispatched=dispatched,
+            shards_skipped=self.n_shards - dispatched,
+        )
         return results, stats
 
     # -- introspection ---------------------------------------------------

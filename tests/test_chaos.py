@@ -30,6 +30,7 @@ from repro.parallel.worker import (
     resident_echo,
     resident_sleep,
 )
+from repro.search.psm import RankStats
 from repro.search.report import read_psm_report, write_psm_report
 from repro.search.serial import SerialSearchEngine
 from repro.service import SearchService, ServiceConfig
@@ -174,6 +175,9 @@ def test_degraded_ok_returns_partial_results_with_exact_mask(
     assert degraded.degraded_ranks == (1,)
     assert stats.degraded_ranks == (1,)
     assert stats.retries == 1
+    # Rank stats come from the replies: the degraded rank has none.
+    assert degraded.rank_stats[1] == RankStats(rank=1)
+    assert degraded.rank_stats[0].build_time > 0
     # Partial coverage is real: rank 1's partition contributed nothing.
     assert degraded.total_cpsms < serial_refs[1].total_cpsms
     # ... and explicit on disk: the report is annotated and readable.

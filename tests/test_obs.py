@@ -341,6 +341,12 @@ def test_crash_fault_leaves_retry_backoff_respawn_events(
     (respawn,) = kinds["respawn"]
     assert respawn["rank"] == 1
     assert "hedge.launch" not in kinds and "degraded.rank" not in kinds
+    # The retried rank's span sits on the retry's timeline, not at the
+    # round's dispatch.
+    (query,) = [
+        r for r in kinds["worker.query"] if r["batch"] == 1 and r["rank"] == 1
+    ]
+    assert query["ts"] >= retry["ts"]
 
 
 def test_degraded_fault_leaves_degraded_rank_event(

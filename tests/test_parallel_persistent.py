@@ -164,10 +164,10 @@ def test_reconfigure_reattaches_ranks_concurrently():
         t0 = time.monotonic()
         reports = pool.reconfigure(
             resident_attach_flagged, [(f"new{r}", 1.5, ()) for r in range(3)]
-        )
+        ).results
         assert time.monotonic() - t0 < 3.0
-        assert sorted(reports) == [0, 1, 2]
-        assert [reports[r][0]["attached"] for r in range(3)] == ["new0", "new1", "new2"]
+        assert all(report is not None for report in reports)
+        assert [report["attached"] for report in reports] == ["new0", "new1", "new2"]
         res = pool.run_batch(resident_echo, ["x", "y", "z"])
         assert [r[1] for r in res.results] == ["new0", "new1", "new2"]
 

@@ -362,6 +362,19 @@ def test_explicit_grow_shrink_replan_bit_identical(
         assert service.rebalance_total >= 2
 
 
+def test_rank_stats_after_a_grow_come_from_the_new_ranks(
+    tiny_db, batches, serial_refs
+):
+    with SearchService(tiny_db, ServiceConfig(n_workers=2)) as service:
+        service.submit(batches[0])
+        service.rebalance(n_workers=3)
+        results, _ = service.submit(batches[1])
+    assert_same_results(serial_refs[1], results)
+    assert [s.rank for s in results.rank_stats] == [0, 1, 2]
+    assert all(s.build_time > 0 and s.n_ions > 0 for s in results.rank_stats)
+    assert sum(s.n_entries for s in results.rank_stats) == tiny_db.n_entries
+
+
 def test_explicit_rebalance_validation_and_clamping(tiny_db, batches):
     config = ServiceConfig(n_workers=2, min_workers=2, max_workers=3)
     with SearchService(tiny_db, config) as service:
