@@ -20,8 +20,8 @@ CSR structure:
   ``mzs[offsets[i] : offsets[i + 1]]``,
 * per-resolution **quantization caches** — the ``int32`` bucket ids
   ``floor(mz / r)`` and the ``int32`` bucket-major sort order, 8 B/ion
-  together, computed once per resolution and shared by every index
-  built over the arena.  ``int32`` positions and bucket ids bound an
+  together, held only while a step needs them (:meth:`FragmentArena.quantized`)
+  unless primed.  ``int32`` positions and bucket ids bound an
   arena below 2^31 ions (SLM-Transform's own 2G-ion limit) and its top
   bucket below 2^31; both bounds raise
   :class:`~repro.errors.ConfigurationError` rather than wrap,
@@ -47,13 +47,15 @@ arithmetic sees the same operand sequences as a per-entry layout.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
 from repro.chem.fragments import FragmentationSettings, fragment_mzs_batch
 from repro.chem.peptide import Peptide
 from repro.errors import ConfigurationError
+from repro.util.heap import release_heap
 
 __all__ = [
     "INT32_LIMIT",
@@ -385,24 +387,41 @@ class FragmentArena:
         return cached
 
     def drop_quantization_caches(self) -> None:
-        """Free the per-resolution bucket/sort-order caches.
+        """Free every per-resolution bucket/sort-order cache.
 
-        Call once no more indexes will be built over this arena (e.g.
-        a rank's sub-arena after its partial-index build): the flat
-        m/z data — all scoring needs — stays, but the 8 B/ion of
-        cached ``int32`` quantization state is released.
+        Call once no more indexes will be built over this arena (a
+        rank's sub-arena after its partial build keeps the m/z scoring
+        needs).  A master arena scopes the state with :meth:`quantized`
+        instead, which drops only what that scope computed.
         """
         self._bucket_cache.clear()
         self._order_cache.clear()
+
+    @contextmanager
+    def quantized(self, resolution: float) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Scope ``(buckets_for(r), sort_order_for(r))`` to one step.
+
+        On exit the caches this call computed are dropped and the freed
+        pages returned to the OS (:func:`~repro.util.heap.release_heap`);
+        state primed before the scope, a store's mapped caches included,
+        is kept.
+        """
+        fresh = [c for c in (self._bucket_cache, self._order_cache) if resolution not in c]
+        try:
+            yield self.buckets_for(resolution), self.sort_order_for(resolution)
+        finally:
+            if sum(cache.pop(resolution, None) is not None for cache in fresh):
+                release_heap()
 
     def sort_order_for(self, resolution: float) -> np.ndarray:
         """Stable bucket-major ``int32`` sort order of the arena's ions, cached.
 
         This is the argsort every :class:`~repro.index.slm.SLMIndex`
         over this arena needs at ``resolution``; it depends only on the
-        immutable fragment data, so repeated index builds (the serial
-        engine across a policy sweep, benchmark repetitions) pay for
-        the sort once.
+        immutable fragment data, so index builds that share it (the
+        distributed engine's ranks, benchmark repetitions) pay for the
+        sort once while it stays cached; one-shot builds scope it with
+        :meth:`quantized`.
 
         For a sub-arena carved with :meth:`take` from a master whose
         order was already cached, the cached entry is *derived* from

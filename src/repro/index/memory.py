@@ -30,9 +30,11 @@ the C++ original's layout, cross-validated (in tests) against the
 Separately from the C++-layout terms above (which drop fragment m/z
 values after quantization), our reproduction retains a host-side
 **fragment arena** (:mod:`repro.index.arena`): one flat float64 m/z
-array plus int64 CSR offsets and, per cached resolution, an ``int32``
-bucket array and an ``int32`` bucket-major sort order (8 B/ion
-together), shared by every engine over a database.  It replaces
+array plus int64 CSR offsets, shared by every engine over a database.
+Its per-resolution ``int32`` bucket array and ``int32`` bucket-major
+sort order (8 B/ion together) exist only inside the step that computes
+them (:meth:`~repro.index.arena.FragmentArena.quantized`) unless a
+caller primes them, as the simulated distributed engine does.  It replaces
 the old per-peptide list-of-arrays fragment cache — same payload
 bytes, but without the ~56-byte-per-entry numpy object headers and the
 list slots.  :meth:`IndexMemoryModel.arena_bytes` models it and
@@ -61,9 +63,10 @@ worker reopens it with read-only ``np.memmap``:
   models.
 
 The spilled copy is 16 B/ion: the float64 m/z and the two ``int32``
-caches.  System-wide under the process backend: ``arena_bytes`` (the
-shared copy, counted once) + Σ per-worker sub-arena m/z (≈ 8 B × n_ions
-total across workers) + the per-rank index terms.  An index archive
+caches; the master keeps only its 8 B/ion of m/z once the spill holds
+the caches.  System-wide under the process backend: ``arena_bytes`` (the
+shared copy, counted once) + the master's m/z + Σ per-worker sub-arena
+m/z (≈ 8 B × n_ions in all) + the per-rank index terms.  An index archive
 (:meth:`repro.search.database.IndexedDatabase.save`) *is* such a store,
 so a session started from one maps the same 16 B/ion from the archive
 directory instead of a tmpdir, and its master holds no private arena.
@@ -257,10 +260,12 @@ class IndexMemoryModel:
         its system-wide arena total is roughly this figure plus
         ``8 B × n_ions`` of rank-held m/z.
 
-        Under the process backend the master-arena term is the
-        memmap-shared store: one physical copy machine-wide however
+        Under the process backend this figure at ``n_resolutions=1`` is
+        the memmap-shared store: one physical copy machine-wide however
         many workers map it, resident only to the extent pages are
-        touched (see the module docstring's shared-arena model); the
+        touched (see the module docstring's shared-arena model).  The
+        master's own arena is this figure at ``n_resolutions=0``: it
+        keeps no quantization state once the spill holds it.  The
         per-worker sub-arena term is unchanged.
         """
         if n_resolutions < 0:

@@ -12,7 +12,8 @@ rather than be copied per worker; HiCOPS realizes that on flat arrays.
   order — as its own **uncompressed** ``.npy`` file under one
   directory, with a small JSON manifest binding them together
   (resolutions are keyed by ``float.hex`` so keys round-trip exactly);
-  that is 16 B/ion on disk (8 of m/z, 8 of caches),
+  that is 16 B/ion on disk (8 of m/z, 8 of caches), and the master
+  arena keeps only its 8 of m/z once the spill holds the caches,
 * :meth:`SharedArenaStore.load` reopens every array with
   ``np.load(..., mmap_mode="r")`` and rebuilds a read-only
   :class:`~repro.index.arena.FragmentArena` around the maps — O(metadata)
@@ -129,7 +130,9 @@ class SharedArenaStore:
         fresh directory for a different arena).  Quantization caches
         present on the arena travel along, so workers that
         :meth:`load` the store never re-quantize or re-argsort; spill
-        *after* ``buckets_for``/``sort_order_for`` on the master.
+        inside the master arena's
+        :meth:`~repro.index.arena.FragmentArena.quantized` scope, which
+        then drops the state the spill now holds.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -298,10 +301,10 @@ def sweep_stale_stores(
     Every error is swallowed — this must never break the caller.
     Returns the number of directories removed.
     """
-    base = Path(root) if root is not None else Path(tempfile.gettempdir())
     removed = 0
     now = time.time()
     try:
+        base = Path(root) if root is not None else Path(tempfile.gettempdir())
         candidates = [
             p
             for p in base.iterdir()
@@ -326,6 +329,12 @@ def sweep_stale_stores(
 
 class SharedSpill:
     """A refcounted spill of one arena at one resolution.
+
+    The spill is the one copy of the arena's quantization state at
+    ``resolution``: the arena computes it for the write inside
+    :meth:`~repro.index.arena.FragmentArena.quantized` and keeps none of
+    it afterwards (unless a caller primed it), so a spill made after an
+    earlier one was removed quantizes and sorts again.
 
     A fresh spill owns its tmpdir: a ``weakref.finalize`` registered
     **before** any file is written removes the directory when the last
@@ -356,11 +365,10 @@ class SharedSpill:
         )
         try:
             write_owner_marker(directory)
-            # Quantize and bucket-sort before spilling so workers that
-            # load the store never re-run floor() or the sort.
-            arena.buckets_for(self.resolution)
-            arena.sort_order_for(self.resolution)
-            self.store = SharedArenaStore.spill(arena, directory)
+            # Workers that load the store never re-run floor() or the
+            # sort; the master keeps the state only if it primed it.
+            with arena.quantized(self.resolution):
+                self.store = SharedArenaStore.spill(arena, directory)
         except BaseException:
             # The half-built handle may outlive the raise in a
             # traceback; remove its tmpdir now, not when that dies.

@@ -12,16 +12,15 @@ module holds
   and builds the partial index **once**, then every query round
   unpacks the batch's flat columns straight out of its
   :class:`QueryTask` — no file per batch,
-* :func:`release_heap` — the attach's last step: with the store
-  unmapped, glibc's ``malloc_trim(0)`` returns the build's freed heap
-  to the OS, so a resident worker holds its index, not its build peak,
+* the attach's last step, :func:`~repro.util.heap.release_heap`: with
+  the store unmapped, the build's freed heap goes back to the OS, so a
+  resident worker holds its index, not its build peak,
 * tiny diagnostic programs (the ``resident_*`` family) used by the
   pool's tests and for smoke-checking a deployment.
 """
 
 from __future__ import annotations
 
-import ctypes
 import os
 import time
 from dataclasses import dataclass
@@ -37,11 +36,11 @@ from repro.search.rank import (
     summarize_rank_output,
 )
 from repro.spectra.packed import PackedSpectra
+from repro.util.heap import release_heap
 
 __all__ = [
     "AttachTask",
     "QueryTask",
-    "release_heap",
     "service_attach_worker",
     "service_query_worker",
 ]
@@ -180,32 +179,6 @@ def service_query_worker(rank: int, size: int, state: dict, task: QueryTask) -> 
         ),
     )
     return report
-
-
-def _malloc_trim():
-    """glibc's ``malloc_trim``, or ``None`` where the C library lacks it."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (OSError, AttributeError, TypeError):
-        return None
-    trim.argtypes = [ctypes.c_size_t]
-    trim.restype = ctypes.c_int
-    return trim
-
-
-def release_heap() -> bool:
-    """Return the process's freed heap to the OS; False where unsupported.
-
-    numpy's freed build transients stay in the allocator's arenas
-    (glibc raises its mmap threshold after each large free), so a
-    process's resident size keeps its build peak until
-    ``malloc_trim(0)`` hands the free pages back.
-    """
-    trim = _malloc_trim()
-    if trim is None:
-        return False
-    trim(0)
-    return True
 
 
 # -- diagnostic programs (pool tests / deployment smoke checks) --------

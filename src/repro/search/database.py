@@ -250,9 +250,8 @@ class IndexedDatabase:
                 f"{directory} is not an empty directory; an index archive needs its own"
             )
         arena = self.arena_for(settings.fragmentation)
-        arena.buckets_for(settings.resolution)
-        arena.sort_order_for(settings.resolution)
-        SharedArenaStore.spill(arena, directory)
+        with arena.quantized(settings.resolution):
+            SharedArenaStore.spill(arena, directory)
         entries = self.entries
         mods = [mod for p in entries for mod in p.mods]
         residues = "".join(p.sequence for p in entries).encode("ascii")

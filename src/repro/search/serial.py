@@ -87,10 +87,9 @@ class SerialSearchEngine:
     def index(self) -> SLMIndex:
         """The full index, built lazily and cached."""
         if self._index is None:
-            self._index = SLMIndex(
-                self.database.arena_for(self.settings.fragmentation),
-                self.settings,
-            )
+            arena = self.database.arena_for(self.settings.fragmentation)
+            with arena.quantized(self.settings.resolution):
+                self._index = SLMIndex(arena, self.settings)
         return self._index
 
     def run(

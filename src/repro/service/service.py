@@ -1052,12 +1052,9 @@ class SearchService(SessionCore):
         cfg = self.config
         t_open = time.perf_counter()
         # Reap spill stores orphaned by earlier crashed sessions
-        # before creating our own — best-effort, a reaper
-        # hiccup must never block a session from opening.
-        try:
-            sweep_stale_stores()
-        except OSError:
-            pass
+        # before creating our own (best-effort: the sweep swallows
+        # its own errors, so it never blocks a session from opening).
+        sweep_stale_stores()
         # Spawn → plan → arena → spill → attach.  Workers spawn with
         # no payload, so they boot (interpreter + imports, the bulk of
         # a cold attach round) while the master plans, builds the

@@ -14,13 +14,20 @@ import shutil
 import numpy as np
 import pytest
 
+from reference import assert_same_results
+from repro.db.proteome import ProteomeConfig
 from repro.errors import ConfigurationError, FormatError
+from repro.index import arena as arena_module
 from repro.index.chunks import ChunkedIndex
 from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.parallel import worker
 from repro.parallel.shared_arena import SharedArenaStore
 from repro.parallel.worker import AttachTask, service_attach_worker
+from repro.search.database import DatabaseConfig, IndexedDatabase
 from repro.search.rank import build_rank_index
+from repro.search.serial import SerialSearchEngine
+from repro.service import SearchService, ServiceConfig
+from repro.util import heap
 
 RES = SLMIndexSettings().resolution
 RES_COARSE = 0.5
@@ -229,14 +236,119 @@ def test_attach_state_holds_no_view_of_the_store(
 
 
 def test_release_heap_is_a_noop_without_malloc_trim(monkeypatch):
-    monkeypatch.setattr(worker, "_malloc_trim", lambda: None)
-    assert worker.release_heap() is False
+    monkeypatch.setattr(heap, "_malloc_trim", lambda: None)
+    assert heap.release_heap() is False
 
 
 def test_malloc_trim_lookup_tolerates_a_libc_without_it(monkeypatch):
-    monkeypatch.setattr(worker.ctypes, "CDLL", lambda name: object())
-    assert worker._malloc_trim() is None
-    assert worker.release_heap() is False
+    monkeypatch.setattr(heap.ctypes, "CDLL", lambda name: object())
+    assert heap._malloc_trim() is None
+    assert heap.release_heap() is False
+
+
+# -- the master keeps no quantization state once the spill holds it -----
+
+
+def _fresh_db():
+    """A database equal to ``tiny_db`` whose arena nothing has touched."""
+    return IndexedDatabase.build(
+        DatabaseConfig(
+            proteome=ProteomeConfig(n_families=2, seed=77),
+            max_variants_per_peptide=3,
+        )
+    )
+
+
+def _caches(arena):
+    return dict(arena._bucket_cache), dict(arena._order_cache)
+
+
+def test_service_open_leaves_the_master_no_quantization_state(tiny_spectra):
+    db = _fresh_db()
+    with SearchService(db, ServiceConfig(n_workers=2)) as service:
+        arena = db.arena_for()
+        assert _caches(arena) == ({}, {})
+        assert arena.nbytes == arena.mzs.nbytes + arena.offsets.nbytes + (
+            arena.lengths.nbytes + arena.masses.nbytes
+        )
+        results, _ = service.submit(tiny_spectra)
+    assert_same_results(SerialSearchEngine(db).run(tiny_spectra), results)
+
+
+def test_serial_index_build_leaves_no_quantization_state():
+    db = _fresh_db()
+    settings = SLMIndexSettings(precursor_tolerance=2.0)
+    assert len(SerialSearchEngine(db, settings).index) == db.n_entries
+    assert _caches(db.arena_for()) == ({}, {})
+
+
+def test_primed_resolution_survives_open_and_serial_build(tiny_spectra):
+    db = _fresh_db()
+    arena = db.arena_for()
+    primed = arena.buckets_for(RES), arena.sort_order_for(RES)
+    with SearchService(db, ServiceConfig(n_workers=2)) as service:
+        service.submit(tiny_spectra[:3])
+    SerialSearchEngine(db).index
+    assert arena._bucket_cache[RES] is primed[0]
+    assert arena._order_cache[RES] is primed[1]
+    assert set(arena._bucket_cache) == set(arena._order_cache) == {RES}
+
+
+def test_store_loaded_arena_keeps_its_mapped_caches(tmp_path):
+    _fresh_db().save(tmp_path / "archive")
+    db, settings = IndexedDatabase.load(tmp_path / "archive")
+    arena = db.arena_for(settings.fragmentation)
+    before = _caches(arena)
+    SerialSearchEngine(db, settings).index
+    after = _caches(arena)
+    assert set(after[0]) == set(after[1]) == {settings.resolution}
+    for old, new in zip(before, after):
+        assert old[settings.resolution] is new[settings.resolution]
+        assert _maps_a_file(new[settings.resolution])
+
+
+def test_session_after_the_spill_is_removed_requantizes_bit_identically(tiny_spectra):
+    db = _fresh_db()
+    oracle = SerialSearchEngine(db).run(tiny_spectra)
+    with SearchService(db, ServiceConfig(n_workers=2)) as first:
+        spill_dir = first._spill.store.directory
+        assert_same_results(oracle, first.submit(tiny_spectra)[0])
+    assert not spill_dir.exists()
+    with SearchService(db, ServiceConfig(n_workers=2)) as second:
+        assert second._spill.store.directory != spill_dir
+        assert_same_results(oracle, second.submit(tiny_spectra)[0])
+    assert _caches(db.arena_for()) == ({}, {})
+
+
+def test_quantized_releases_the_heap_only_when_it_dropped_state(
+    master_arena, monkeypatch
+):
+    trims = []
+    monkeypatch.setattr(arena_module, "release_heap", lambda: trims.append(1) or True)
+    arena = master_arena.take(np.arange(master_arena.n_entries))
+    arena.drop_quantization_caches()
+    with arena.quantized(RES) as (buckets, order):
+        assert arena._bucket_cache[RES] is buckets
+        with arena.quantized(RES):  # nothing fresh: keeps and never trims
+            pass
+        assert trims == []
+    assert _caches(arena) == ({}, {}) and trims == [1]
+    primed = arena.buckets_for(RES)
+    with arena.quantized(RES):  # computes the order only, drops only it
+        pass
+    assert _caches(arena) == ({RES: primed}, {}) and trims == [1, 1]
+    arena.sort_order_for(RES)
+    with arena.quantized(RES):
+        pass
+    assert set(arena._order_cache) == {RES} and trims == [1, 1]
+    with pytest.raises(ValueError):
+        with arena.quantized(RES_COARSE):
+            raise ValueError("a failed step still drops its state")
+    assert RES_COARSE not in arena._bucket_cache and trims == [1, 1, 1]
+    with pytest.raises(ConfigurationError):  # computed nothing: no trim
+        with arena.quantized(1e-12):
+            pass
+    assert trims == [1, 1, 1]
 
 
 # -- the stale-store reaper --------------------------------------------
@@ -301,6 +413,19 @@ def test_sweep_never_touches_live_owner(tmp_path):
     )
     assert sweep_stale_stores(root=tmp_path) == 0
     assert live.exists()
+
+
+def test_sweep_swallows_a_missing_temp_dir(monkeypatch):
+    """No usable temp dir is one more error the sweep swallows."""
+    import tempfile
+
+    from repro.parallel.shared_arena import sweep_stale_stores
+
+    def no_temp_dir():
+        raise FileNotFoundError("no usable temporary directory")
+
+    monkeypatch.setattr(tempfile, "gettempdir", no_temp_dir)
+    assert sweep_stale_stores() == 0
 
 
 def test_service_open_runs_the_sweep(tiny_db, tmp_path, monkeypatch):
