@@ -398,17 +398,19 @@ class FragmentArena:
         self._order_cache.clear()
 
     @contextmanager
-    def quantized(self, resolution: float) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Scope ``(buckets_for(r), sort_order_for(r))`` to one step.
+    def quantized(self, resolution: float) -> Iterator[np.ndarray]:
+        """Scope the quantization state at ``resolution`` to one step.
 
-        On exit the caches this call computed are dropped and the freed
-        pages returned to the OS (:func:`~repro.util.heap.release_heap`);
-        state primed before the scope, a store's mapped caches included,
-        is kept.
+        Yields :meth:`buckets_for` of ``resolution``; an index built
+        inside the scope sorts on demand (:meth:`sort_order_for`).  On
+        exit the caches computed inside the scope are dropped and the
+        freed pages returned to the OS
+        (:func:`~repro.util.heap.release_heap`); state primed before the
+        scope, a store's mapped bucket ids included, is kept.
         """
         fresh = [c for c in (self._bucket_cache, self._order_cache) if resolution not in c]
         try:
-            yield self.buckets_for(resolution), self.sort_order_for(resolution)
+            yield self.buckets_for(resolution)
         finally:
             if sum(cache.pop(resolution, None) is not None for cache in fresh):
                 release_heap()
@@ -418,23 +420,11 @@ class FragmentArena:
 
         This is the argsort every :class:`~repro.index.slm.SLMIndex`
         over this arena needs at ``resolution``; it depends only on the
-        immutable fragment data, so index builds that share it (the
-        distributed engine's ranks, benchmark repetitions) pay for the
-        sort once while it stays cached; one-shot builds scope it with
-        :meth:`quantized`.
-
-        For a sub-arena carved with :meth:`take` from a master whose
-        order was already cached, the cached entry is *derived* from
-        the master order instead of re-argsorted.  The derived order is
-        bucket-major, but ions tied within one bucket follow **master**
-        arena position rather than sub-arena position; when the
-        ``take`` manifest is ascending the two coincide exactly with a
-        fresh stable argsort.  Per-bucket ion order is unobservable
-        downstream — filtration reduces parent ids with order-
-        independent integer counting, and scoring gathers fragments by
-        candidate id, never through the CSR — so every
-        :class:`~repro.index.slm.FilterResult` and score is
-        bit-identical either way.
+        immutable fragment data, so index builds that share it
+        (benchmark repetitions) pay for the sort once while it stays
+        cached; one-shot builds scope it with :meth:`quantized`.  A rank
+        sorts its own :meth:`take` sub-arena, so its build scales with
+        its slice, not with the master.
 
         The order is one in-place sort of packed ``int64`` keys
         ``(bucket << 32) | position``, not a stable argsort.  Positions
@@ -473,12 +463,8 @@ class FragmentArena:
         """Sub-arena of ``entry_ids`` (in the given order), one gather.
 
         Per-entry metadata travels along, and any already-quantized
-        bucket caches are gathered too, so ranks never re-quantize.
-        Cached bucket-major sort orders are *derived* as well — a
-        membership filter over the master order plus an id remap —
-        so a rank's partial-index build never re-argsorts its ion
-        subset (see :meth:`sort_order_for` for the tie-order caveat);
-        the remap goes through an ``int32`` master-position map.
+        bucket caches are gathered too, so ranks never re-quantize; the
+        sub-arena sorts its own ions when its index is built.
         """
         ids = np.asarray(entry_ids, dtype=np.int64)
         starts = self.offsets[ids]
@@ -494,20 +480,6 @@ class FragmentArena:
         )
         for resolution, buckets in self._bucket_cache.items():
             sub._bucket_cache[resolution] = buckets[idx]
-        # Duplicate entry ids would make the position remap ambiguous
-        # (and no engine manifest repeats an entry); only then fall
-        # back to the sub-arena argsorting on demand.
-        if self._order_cache and ids.size and np.unique(ids).size == ids.size:
-            member = np.zeros(self.n_ions, dtype=bool)
-            member[idx] = True
-            new_pos = np.empty(self.n_ions, dtype=np.int32)
-            new_pos[idx] = np.arange(idx.size, dtype=np.int32)
-            for resolution, order in self._order_cache.items():
-                # Master order restricted to the kept ions is already
-                # bucket-major; remapping to sub positions preserves
-                # that grouping.
-                kept = order[member[order]]
-                sub._order_cache[resolution] = new_pos[kept]
         return sub
 
     def gather_flat(

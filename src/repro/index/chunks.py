@@ -169,7 +169,7 @@ class ChunkedIndex:
         self.mass_max = self.masses64[np.minimum(first + size, n) - 1]
 
         # --- transient construction state (freed on return) ---------
-        # The arena's (derived, cached) order makes the ions
+        # The arena's (cached) sort order makes the ions
         # bucket-major; relabelling parents by mass rank and sorting
         # stably by chunk id — a radix pass, chunk ids are tiny ints —
         # regroups them (chunk, bucket)-major without a second

@@ -31,10 +31,12 @@ Separately from the C++-layout terms above (which drop fragment m/z
 values after quantization), our reproduction retains a host-side
 **fragment arena** (:mod:`repro.index.arena`): one flat float64 m/z
 array plus int64 CSR offsets, shared by every engine over a database.
-Its per-resolution ``int32`` bucket array and ``int32`` bucket-major
-sort order (8 B/ion together) exist only inside the step that computes
-them (:meth:`~repro.index.arena.FragmentArena.quantized`) unless a
-caller primes them, as the simulated distributed engine does.  It replaces
+Its per-resolution ``int32`` bucket array (4 B/ion) exists only inside
+the step that computes it
+(:meth:`~repro.index.arena.FragmentArena.quantized`) unless a caller
+primes it, as the simulated distributed engine does; the ``int32``
+bucket-major sort order (another 4 B/ion) lives only inside an index
+build, over the arena that build indexes.  It replaces
 the old per-peptide list-of-arrays fragment cache — same payload
 bytes, but without the ~56-byte-per-entry numpy object headers and the
 list slots.  :meth:`IndexMemoryModel.arena_bytes` models it and
@@ -62,13 +64,16 @@ worker reopens it with read-only ``np.memmap``:
   distributed per-rank share :meth:`IndexMemoryModel.distributed`
   models.
 
-The spilled copy is 16 B/ion: the float64 m/z and the two ``int32``
-caches; the master keeps only its 8 B/ion of m/z once the spill holds
-the caches.  System-wide under the process backend: ``arena_bytes`` (the
-shared copy, counted once) + the master's m/z + Σ per-worker sub-arena
-m/z (≈ 8 B × n_ions in all) + the per-rank index terms.  An index archive
+The spilled copy is 12 B/ion: 8 of float64 m/z and 4 of ``int32``
+bucket ids.  No sort order is spilled and no rank derives one from the
+master's: each worker sorts its own sub-arena while it builds, so that
+transient scales with its slice.  The master keeps only its 8 B/ion of
+m/z once the spill holds the bucket ids.  System-wide under the process
+backend: ``arena_bytes`` (the shared copy, counted once) + the master's
+m/z + Σ per-worker sub-arena m/z (≈ 8 B × n_ions in all) + the per-rank
+index terms.  An index archive
 (:meth:`repro.search.database.IndexedDatabase.save`) *is* such a store,
-so a session started from one maps the same 16 B/ion from the archive
+so a session started from one maps the same 12 B/ion from the archive
 directory instead of a tmpdir, and its master holds no private arena.
 
 Service residency (persistent sessions)
@@ -251,9 +256,10 @@ class IndexMemoryModel:
         """Host-side fragment-arena bytes over ``n_entries``.
 
         Flat float64 m/z (8 B/ion) + int64 CSR offsets (8 B/entry + 8)
-        + two int32 arrays per cached resolution (the pre-quantized
-        buckets and the shared bucket-major sort order, 8 B/ion
-        together).  This models **one** arena.  A distributed run
+        + one int32 bucket-id array per cached resolution (4 B/ion),
+        which is exactly what a spill writes.  This models **one**
+        arena; an index build over it adds a transient 4 B/ion sort
+        order per resolution it indexes.  A distributed run
         holds the master arena *and* per-rank sub-arena copies of the
         same ion population (rank sub-arenas drop their quantization
         caches after the partial build but keep their m/z slices), so
@@ -275,7 +281,7 @@ class IndexMemoryModel:
         n_ions = n_entries * self.ions_per_entry
         mz = 8.0 * n_ions
         offsets = 8 * (n_entries + 1)
-        per_resolution = 8.0 * n_ions * n_resolutions
+        per_resolution = 4.0 * n_ions * n_resolutions
         return int(mz + offsets + per_resolution)
 
     def measure_arena(self, arena) -> int:  # noqa: ANN001

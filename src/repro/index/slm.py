@@ -36,8 +36,8 @@ and the window predicate's form with this class.  Both take the same
 input: one complete :class:`~repro.index.arena.FragmentArena`
 (``SLMIndex(arena, settings)``).  Nothing stores a built index: an
 index archive (:meth:`~repro.search.database.IndexedDatabase.save`)
-holds the arena with its bucket ids and sort order, so reopening one
-costs this build alone.
+holds the arena with its bucket ids, so reopening one costs this
+build (its sort included) alone.
 """
 
 from __future__ import annotations

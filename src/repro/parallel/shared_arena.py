@@ -8,12 +8,14 @@ rather than be copied per worker; HiCOPS realizes that on flat arrays.
 
 * :meth:`SharedArenaStore.spill` writes each flat array — ``mzs``,
   ``offsets``, ``lengths``, ``masses``, plus every cached
-  per-resolution ``int32`` bucket quantization and bucket-major sort
-  order — as its own **uncompressed** ``.npy`` file under one
-  directory, with a small JSON manifest binding them together
-  (resolutions are keyed by ``float.hex`` so keys round-trip exactly);
-  that is 16 B/ion on disk (8 of m/z, 8 of caches), and the master
-  arena keeps only its 8 of m/z once the spill holds the caches,
+  per-resolution ``int32`` bucket quantization — as its own
+  **uncompressed** ``.npy`` file under one directory, with a small
+  JSON manifest binding them together (resolutions are keyed by
+  ``float.hex`` so keys round-trip exactly); that is 12 B/ion on disk
+  (8 of m/z, 4 of bucket ids), and the master arena keeps only its 8
+  of m/z once the spill holds the bucket ids.  No sort order is
+  stored: every rank sorts its own sub-arena, so its build scales
+  with its slice, and no rank derives its order from the master's,
 * :meth:`SharedArenaStore.load` reopens every array with
   ``np.load(..., mmap_mode="r")`` and rebuilds a read-only
   :class:`~repro.index.arena.FragmentArena` around the maps — O(metadata)
@@ -127,12 +129,12 @@ class SharedArenaStore:
 
         The directory is created if needed; an existing manifest is
         overwritten (stores are immutable once written — spill to a
-        fresh directory for a different arena).  Quantization caches
-        present on the arena travel along, so workers that
-        :meth:`load` the store never re-quantize or re-argsort; spill
-        inside the master arena's
+        fresh directory for a different arena).  Bucket caches present
+        on the arena travel along, so workers that :meth:`load` the
+        store never re-quantize; a cached sort order does not (each
+        rank sorts its own slice).  Spill inside the master arena's
         :meth:`~repro.index.arena.FragmentArena.quantized` scope, which
-        then drops the state the spill now holds.
+        then drops the bucket ids the spill now holds.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -146,24 +148,12 @@ class SharedArenaStore:
         }
         np.save(directory / "lengths.npy", arena.lengths)
         np.save(directory / "masses.npy", arena.masses)
-        resolutions = sorted(
-            set(arena._bucket_cache) | set(arena._order_cache)
-        )
-        for i, resolution in enumerate(resolutions):
-            entry = {
-                "hex": float(resolution).hex(),
-                "buckets": None,
-                "order": None,
-            }
-            buckets = arena._bucket_cache.get(resolution)
-            if buckets is not None:
-                entry["buckets"] = f"buckets_{i}.npy"
-                np.save(directory / entry["buckets"], buckets)
-            order = arena._order_cache.get(resolution)
-            if order is not None:
-                entry["order"] = f"order_{i}.npy"
-                np.save(directory / entry["order"], order)
-            manifest["resolutions"].append(entry)
+        for i, resolution in enumerate(sorted(arena._bucket_cache)):
+            name = f"buckets_{i}.npy"
+            np.save(directory / name, arena._bucket_cache[resolution])
+            manifest["resolutions"].append(
+                {"hex": float(resolution).hex(), "buckets": name, "order": None}
+            )
         (directory / _MANIFEST_NAME).write_text(
             json.dumps(manifest, indent=2) + "\n", encoding="ascii"
         )
@@ -193,7 +183,9 @@ class SharedArenaStore:
         ``mmap_mode="r"`` (default) yields read-only views: any
         attempted write raises, which is what guarantees N workers can
         share one physical copy safely.  ``"c"`` (copy-on-write) is
-        accepted for callers that must scribble on private pages.
+        accepted for callers that must scribble on private pages.  A
+        sort-order file that a store written before orders were dropped
+        still names is not mapped.
         """
         if mmap_mode not in ("r", "c"):
             raise ConfigurationError(
@@ -209,13 +201,10 @@ class SharedArenaStore:
         except ConfigurationError as bad:
             raise FormatError(f"arena store {self.directory} is inconsistent: {bad}") from None
         for entry in self.manifest["resolutions"]:
-            resolution = float.fromhex(entry["hex"])
-            for key, cache in (
-                ("buckets", arena._bucket_cache),
-                ("order", arena._order_cache),
-            ):
-                if entry[key] is not None:
-                    cache[resolution] = self.map(entry[key], np.int32, n_ions, mmap_mode)
+            if entry["buckets"] is not None:
+                arena._bucket_cache[float.fromhex(entry["hex"])] = self.map(
+                    entry["buckets"], np.int32, n_ions, mmap_mode
+                )
         _LOADED_FROM[arena] = self
         return arena
 
@@ -243,10 +232,10 @@ class SharedArenaStore:
     # -- introspection --------------------------------------------------
 
     def holds(self, resolution: float) -> bool:
-        """True when both quantization caches of ``resolution`` are on disk."""
+        """True when the bucket ids of ``resolution`` are on disk."""
         key = float(resolution).hex()
         return any(
-            entry["hex"] == key and entry["buckets"] and entry["order"]
+            entry["hex"] == key and entry["buckets"]
             for entry in self.manifest["resolutions"]
         )
 
@@ -330,11 +319,11 @@ def sweep_stale_stores(
 class SharedSpill:
     """A refcounted spill of one arena at one resolution.
 
-    The spill is the one copy of the arena's quantization state at
-    ``resolution``: the arena computes it for the write inside
-    :meth:`~repro.index.arena.FragmentArena.quantized` and keeps none of
-    it afterwards (unless a caller primed it), so a spill made after an
-    earlier one was removed quantizes and sorts again.
+    The spill is the one copy of the arena's bucket ids at
+    ``resolution``: the arena computes them for the write inside
+    :meth:`~repro.index.arena.FragmentArena.quantized` and keeps none
+    afterwards (unless a caller primed them), so a spill made after an
+    earlier one was removed quantizes again.  The master never sorts.
 
     A fresh spill owns its tmpdir: a ``weakref.finalize`` registered
     **before** any file is written removes the directory when the last
@@ -365,8 +354,8 @@ class SharedSpill:
         )
         try:
             write_owner_marker(directory)
-            # Workers that load the store never re-run floor() or the
-            # sort; the master keeps the state only if it primed it.
+            # Workers that load the store never re-run floor(); the
+            # master keeps the bucket ids only if it primed them.
             with arena.quantized(self.resolution):
                 self.store = SharedArenaStore.spill(arena, directory)
         except BaseException:

@@ -29,8 +29,9 @@ still goes through the validating ``Peptide(...)``.
 The one on-disk form is an *index archive* (:meth:`IndexedDatabase.save`,
 ``repro index``): the entries' arena as a
 :class:`~repro.parallel.shared_arena.SharedArenaStore` with its bucket
-ids and sort order, and beside it the entry table, the base → entry
-offsets and the :class:`~repro.index.slm.SLMIndexSettings`.
+ids (no sort order: every rank sorts its own slice), and beside it
+the entry table, the base → entry offsets and the
+:class:`~repro.index.slm.SLMIndexSettings`.
 :meth:`IndexedDatabase.load` reopens it with the arena memory-mapped,
 and a session over the result attaches its workers to the archive's
 own files (``repro serve --index``).  Grouping and plan manifests are
@@ -238,7 +239,9 @@ class IndexedDatabase:
 
         The entries' arena at ``settings.fragmentation`` is spilled as a
         :class:`~repro.parallel.shared_arena.SharedArenaStore` carrying
-        the bucket ids and sort order of ``settings.resolution``.  Beside
+        the bucket ids of ``settings.resolution`` and no sort order,
+        through the same quantize-and-spill step as a session's spill
+        (:class:`~repro.parallel.shared_arena.SharedSpill`).  Beside
         it go the entry table (residues at full length, protein ids,
         mods as CSR), the base → entry offsets and, last, so that a torn
         write never loads, ``settings``.  ``directory`` must be absent or

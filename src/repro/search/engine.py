@@ -203,11 +203,10 @@ class DistributedSearchEngine:
         plan = self.plan
         spectra = list(spectra)
         arena = db.arena_for(cfg.index.fragmentation)
-        # Quantize and bucket-sort once on the master arena; rank
-        # sub-arenas inherit the bucket slice and a derived sort order
-        # instead of re-running floor() and argsort() per rank.
+        # Quantize once on the master arena; rank sub-arenas inherit
+        # their bucket slice instead of re-running floor() per rank,
+        # and each sorts only its own ions.
         arena.buckets_for(cfg.index.resolution)
-        arena.sort_order_for(cfg.index.resolution)
         # Every rank preprocesses every query (charged to its clock);
         # the computation is deterministic and rank-independent, so the
         # real work is hoisted out of the rank loop and shared.

@@ -228,12 +228,14 @@ def build_rank_index(
 
     The sub-arena is gathered in C from the (possibly memmap-backed)
     master arena — fragments, masses, and any cached bucket
-    quantizations and sort orders travel with the manifest, so the
-    rank never re-quantizes or re-argsorts.  Local ids are manifest
-    positions and masses come from the arena; the index is flat for
-    open search, precursor-major for a windowed one (see the module
-    docstring).  The sub-arena's quantization caches are dropped after
-    the build: scoring only needs the flat m/z data.
+    quantizations travel with the manifest, so the rank never
+    re-quantizes — and the rank sorts its own slice (the packed-key
+    :meth:`~repro.index.arena.FragmentArena.sort_order_for`), so the
+    build scales with the rank's share, not the master's.  Local ids
+    are manifest positions and masses come from the arena; the index
+    is flat for open search, precursor-major for a windowed one (see
+    the module docstring).  The sub-arena's quantization caches are
+    dropped after the build: scoring only needs the flat m/z data.
     """
     ids = np.asarray(entry_ids, dtype=np.int64)
     sub = arena.take(ids)

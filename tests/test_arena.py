@@ -233,7 +233,7 @@ def test_quantization_caches_are_int32():
     assert order.dtype == np.int32
     assert np.array_equal(order, np.argsort(arena.buckets_for(0.01), kind="stable"))
     sub = arena.take(np.array([4, 2, 0]))
-    assert sub._bucket_cache[0.01].dtype == sub._order_cache[0.01].dtype == np.int32
+    assert sub._bucket_cache[0.01].dtype == sub.sort_order_for(0.01).dtype == np.int32
     assert SLMIndex(arena, SLMIndexSettings()).bucket_offsets.dtype == np.int32
 
 

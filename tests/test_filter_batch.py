@@ -1,13 +1,12 @@
 """Equivalence suite for the cross-spectrum batched filtration kernel.
 
-PR 2 replaced ``SLMIndex.filter_many``'s per-spectrum loop with one
-flattened gather + segmented bincount over a whole batch of spectra,
-made ``FragmentArena.take`` derive rank sort orders from the master
-cache, and fixed the precursor-window dtype inconsistency between flat
-and chunked filtration.  Everything here pins those changes to the
-per-spectrum reference paths bit-for-bit: candidates, shared peaks,
-and both work counters, across empty spectra, zero-candidate spectra,
-windowed + open search, chunked indexes, and tiny gathered-ion budgets
+``SLMIndex.filter_many`` runs one flattened gather + segmented
+bincount over a whole batch of spectra instead of a per-spectrum loop,
+and flat and chunked filtration share one precursor-window dtype.
+Everything here pins those kernels to the per-spectrum reference
+paths bit-for-bit: candidates, shared peaks, and both work counters,
+across empty spectra, zero-candidate spectra, windowed + open search,
+chunked indexes, and tiny gathered-ion budgets
 (``FILTER_BATCH_ION_BUDGET``) that force multi-batch execution.
 """
 
@@ -25,9 +24,7 @@ from repro.index.arena import FragmentArena, Workspace, concat_ranges
 from repro.index.chunks import ChunkedIndex
 from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.search.database import IndexedDatabase
-from repro.search.engine import DistributedSearchEngine, EngineConfig
 from repro.search.scoring import score_many
-from repro.search.serial import SerialSearchEngine
 from repro.spectra.model import Spectrum
 from repro.spectra.synthetic import SyntheticRunConfig, generate_run
 
@@ -328,49 +325,13 @@ def test_concat_ranges_workspace_views_alias_buffer():
     assert np.array_equal(second, np.array([3, 4, 5, 10, 11]))
 
 
-# -- derived sub-arena sort orders -------------------------------------
-
-
-def test_take_derives_order_monotone_manifest_exact():
-    arena = FragmentArena.from_peptides(PEPTIDES)
-    r = 0.01
-    arena.buckets_for(r)
-    arena.sort_order_for(r)
-    ids = np.array([0, 2, 5, 7], dtype=np.int64)  # ascending
-    sub = arena.take(ids)
-    assert r in sub._order_cache
-    derived = sub._order_cache[r]
-    fresh = np.argsort(sub.buckets_for(r), kind="stable")
-    assert np.array_equal(derived, fresh)
-
-
-def test_take_derives_order_shuffled_manifest_valid():
-    arena = FragmentArena.from_peptides(PEPTIDES)
-    r = 0.01
-    arena.sort_order_for(r)
-    ids = np.array([6, 0, 4, 2], dtype=np.int64)  # non-monotone
-    sub = arena.take(ids)
-    derived = sub._order_cache[r]
-    buckets = sub.buckets_for(r)
-    # A permutation that sorts the sub buckets bucket-major.
-    assert np.array_equal(np.sort(derived), np.arange(sub.n_ions))
-    assert np.all(np.diff(buckets[derived]) >= 0)
-
-
-def test_take_skips_order_derivation_for_duplicate_ids():
-    arena = FragmentArena.from_peptides(PEPTIDES)
-    arena.sort_order_for(0.01)
-    sub = arena.take(np.array([2, 2, 0], dtype=np.int64))
-    assert 0.01 not in sub._order_cache
-    # Still fully functional: the order is argsorted on demand.
-    assert np.all(np.diff(sub.buckets_for(0.01)[sub.sort_order_for(0.01)]) >= 0)
+# -- rank sub-arena index builds ---------------------------------------
 
 
 def test_sub_arena_index_build_avoids_argsort(monkeypatch):
     settings = SLMIndexSettings(shared_peak_threshold=1)
     arena = FragmentArena.from_peptides(PEPTIDES)
     arena.buckets_for(settings.resolution)
-    arena.sort_order_for(settings.resolution)
     ids = np.array([5, 1, 3, 0, 7], dtype=np.int64)  # shuffled manifest
     sub = arena.take(ids)
     sub_entries = [PEPTIDES[int(i)] for i in ids]
@@ -393,45 +354,6 @@ def test_sub_arena_index_build_avoids_argsort(monkeypatch):
     assert_results_equal(
         rank_index.filter_many(spectra), fresh_index.filter_many(spectra)
     )
-
-
-def test_distributed_build_never_re_argsorts_rank_subsets(monkeypatch):
-    db = IndexedDatabase.from_peptides(
-        [
-            Peptide(s)
-            for s in (
-                "AAAGGGKR", "CCDDEEKK", "MMNNQQRL", "WWYYFFKA",
-                "LLPPSSTK", "GGHHIIKK", "VVMMAACR", "TTSSPPLK",
-            )
-        ],
-        max_variants_per_peptide=2,
-    )
-    spectra = generate_run(db.entries, SyntheticRunConfig(n_spectra=4, seed=11))
-    cfg = EngineConfig(
-        n_ranks=3,
-        policy="cyclic",
-        index=SLMIndexSettings(shared_peak_threshold=2),
-    )
-    master = db.arena_for(cfg.index.fragmentation)
-    calls = []
-    orig = FragmentArena.sort_order_for
-
-    def spy(self, resolution):
-        calls.append((self, resolution in self._order_cache))
-        return orig(self, resolution)
-
-    with monkeypatch.context() as m:
-        m.setattr(FragmentArena, "sort_order_for", spy)
-        dist = DistributedSearchEngine(db, cfg).run(spectra)
-    sub_calls = [hit for arena, hit in calls if arena is not master]
-    assert sub_calls, "expected rank sub-arena index builds"
-    assert all(sub_calls), "a rank sub-arena re-argsorted its ion subset"
-    # And the run still matches the serial engine exactly.
-    serial = SerialSearchEngine(db, cfg.index).run(spectra)
-    for sr, dr in zip(serial.spectra, dist.spectra):
-        assert [(p.entry_id, p.score) for p in sr.psms] == [
-            (p.entry_id, p.score) for p in dr.psms
-        ]
 
 
 # -- workspace plumbing through scoring --------------------------------

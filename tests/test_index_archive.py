@@ -15,6 +15,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from reference import assert_same_results
 from repro.chem.peptide import Peptide
 from repro.errors import FormatError
 from repro.index.arena import FragmentArena
@@ -83,6 +84,27 @@ def test_session_from_archive_builds_and_spills_nothing(
         ]
 
 
+def test_archive_with_a_stored_order_loads_and_serves_identically(
+    archive, tiny_db, tiny_spectra, tmp_path
+):
+    """An archive written when stores still carried a sort order: the
+    order file is left unmapped, and the session serves bit-identically
+    to the serial engine."""
+    directory = _copy(archive, tmp_path)
+    manifest_path = directory / "arena_manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    buckets = np.load(directory / manifest["resolutions"][0]["buckets"])
+    np.save(directory / "order_0.npy", np.argsort(buckets, kind="stable").astype(np.int32))
+    manifest["resolutions"][0]["order"] = "order_0.npy"
+    manifest_path.write_text(json.dumps(manifest))
+    database, settings = IndexedDatabase.load(directory)
+    assert database.arena_for(settings.fragmentation)._order_cache == {}
+    with SearchService(database, ServiceConfig(n_workers=2, index=settings)) as service:
+        assert service._spill.store.directory == directory
+        results, _ = service.submit(tiny_spectra)
+    assert_same_results(SerialSearchEngine(tiny_db).run(tiny_spectra), results)
+
+
 def test_spill_of_an_archived_arena_borrows_only_a_stored_resolution(archive):
     database, settings = IndexedDatabase.load(archive)
     arena = database.arena_for(settings.fragmentation)
@@ -118,7 +140,7 @@ HOSTILE = {
     "store version": lambda d: _set_json(d / "arena_manifest.json", "version", 2),
     "settings version": lambda d: _set_json(d / "database.json", "version", 0),
     "malformed settings": lambda d: _set_json(d / "database.json", "settings", {}),
-    "truncated store npy": lambda d: _truncate(d / "order_0.npy"),
+    "truncated store npy": lambda d: _truncate(d / "buckets_0.npy"),
     "truncated table npy": lambda d: _truncate(d / "residues.npy"),
     "torn manifest": lambda d: _truncate(d / "arena_manifest.json"),
     "manifest not an object": lambda d: (d / "arena_manifest.json").write_text("[3]"),

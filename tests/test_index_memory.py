@@ -171,15 +171,14 @@ def test_arena_bytes_tracks_live_arena():
     peptides = [Peptide("ACDEFGHIK"), Peptide("LMNPQRSTVWYK"), Peptide("GGGGGGK")]
     arena = FragmentArena.from_peptides(peptides)
     arena.buckets_for(0.01)
-    arena.sort_order_for(0.01)
     m = IndexMemoryModel()
     measured = m.measure_arena(arena)
-    # Flat m/z + offsets + one resolution's bucket and order caches;
-    # the live arena adds only small per-entry metadata on top.
+    # Flat m/z + offsets + one resolution's bucket ids (what a spill
+    # writes); the live arena adds only small per-entry metadata on top.
     structural = (
         8 * arena.n_ions  # float64 m/z
         + 8 * (arena.n_entries + 1)  # int64 offsets
-        + 8 * arena.n_ions  # int32 buckets + sort order
+        + 4 * arena.n_ions  # int32 buckets
     )
     assert measured >= structural
     assert measured - structural <= 16 * arena.n_entries  # lengths + masses
@@ -189,7 +188,7 @@ def test_arena_bytes_model_scales():
     m = IndexMemoryModel()
     base = m.arena_bytes(1_000_000, n_resolutions=0)
     with_res = m.arena_bytes(1_000_000, n_resolutions=1)
-    assert with_res - base == int(8 * 1_000_000 * m.ions_per_entry)
+    assert with_res - base == int(4 * 1_000_000 * m.ions_per_entry)
     assert m.arena_bytes(2_000_000, n_resolutions=0) == pytest.approx(
         2 * base, rel=1e-5
     )

@@ -2,9 +2,9 @@
 
 The whole point of the store is that a worker's memmap view of the
 arena is indistinguishable (bit-for-bit) from the master's in-memory
-arrays — including the cached bucket quantizations and bucket-major
-sort orders — while rejecting writes, so N workers can safely share
-one physical copy.
+arrays — including the cached bucket quantizations — while rejecting
+writes, so N workers can safely share one physical copy.  No sort order
+is stored: each worker sorts its own slice.
 """
 
 import json
@@ -21,7 +21,8 @@ from repro.index import arena as arena_module
 from repro.index.chunks import ChunkedIndex
 from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.parallel import worker
-from repro.parallel.shared_arena import SharedArenaStore
+from repro.index.arena import FragmentArena
+from repro.parallel.shared_arena import SharedArenaStore, shared_spill_for
 from repro.parallel.worker import AttachTask, service_attach_worker
 from repro.search.database import DatabaseConfig, IndexedDatabase
 from repro.search.rank import build_rank_index
@@ -36,8 +37,8 @@ RES_COARSE = 0.5
 @pytest.fixture(scope="module")
 def master_arena(tiny_db):
     arena = tiny_db.arena_for()
-    # Two cached resolutions, one with a sort order, to exercise the
-    # manifest's partial-cache representation.
+    # Two cached resolutions, one with a sort order that the spill
+    # must leave out.
     arena.buckets_for(RES)
     arena.sort_order_for(RES)
     arena.buckets_for(RES_COARSE)
@@ -67,14 +68,11 @@ def test_roundtrip_flat_arrays_bit_identical(master_arena, reopened):
 
 def test_roundtrip_caches_bit_identical(master_arena, reopened):
     assert set(reopened._bucket_cache) == {RES, RES_COARSE}
-    assert set(reopened._order_cache) == {RES}
+    assert reopened._order_cache == {}
     for res in (RES, RES_COARSE):
         assert np.array_equal(
             master_arena._bucket_cache[res], reopened._bucket_cache[res]
         )
-    assert np.array_equal(
-        master_arena._order_cache[RES], reopened._order_cache[RES]
-    )
 
 
 def test_reopened_views_are_read_only(reopened):
@@ -137,10 +135,9 @@ def test_load_missing_file_raises(store, tmp_path):
 
 def test_caches_spill_as_int32(store, reopened):
     files = store.file_bytes()
-    for name in ("buckets_0.npy", "order_0.npy", "buckets_1.npy"):
+    for name in ("buckets_0.npy", "buckets_1.npy"):
         assert 4 * store.n_ions < files[name] <= 4 * store.n_ions + 128  # + header
-    for cache in (reopened._bucket_cache, reopened._order_cache):
-        assert all(a.dtype == np.int32 for a in cache.values())
+    assert all(a.dtype == np.int32 for a in reopened._bucket_cache.values())
 
 
 # -- torn and stale stores: FormatError, never a bare ValueError --------
@@ -170,7 +167,7 @@ def test_load_short_cache_raises(store, tmp_path):
 
 def test_load_wrong_dtype_cache_raises(store, tmp_path):
     copy = _copy_store(store, tmp_path)
-    np.save(copy / "order_0.npy", np.load(copy / "order_0.npy").astype(np.int64))
+    np.save(copy / "buckets_1.npy", np.load(copy / "buckets_1.npy").astype(np.int64))
     with pytest.raises(FormatError, match="int64"):
         SharedArenaStore.open(copy).load()
 
@@ -233,6 +230,47 @@ def test_attach_state_holds_no_view_of_the_store(
     assert len(arrays) > 5
     assert not [a for a in arrays if _maps_a_file(a)]
     assert trims == [1]
+
+
+@pytest.mark.parametrize("precursor_tolerance", [None, 2.0])
+def test_worker_index_equals_a_stable_argsort_build_of_its_manifest(
+    tiny_db, precursor_tolerance
+):
+    """A worker attached to a session spill sorts its own slice: its
+    index is the one a fresh stable argsort of the manifest's ions gives,
+    for a manifest that is not ascending."""
+    settings = SLMIndexSettings(precursor_tolerance=precursor_tolerance)
+    arena = tiny_db.arena_for(settings.fragmentation)
+    spill = shared_spill_for(arena, settings.resolution)
+    ids = np.random.default_rng(5).permutation(arena.n_entries)[: arena.n_entries // 2]
+    state, _ = service_attach_worker(
+        0, 2, AttachTask(str(spill.store.directory), ids, settings)
+    )
+    fresh = FragmentArena(
+        arena.mzs, arena.offsets, lengths=arena.lengths, masses=arena.masses
+    ).take(ids)
+    buckets = fresh.buckets_for(settings.resolution)
+    order = np.argsort(buckets, kind="stable")
+    assert np.array_equal(fresh.sort_order_for(settings.resolution), order)
+    expected = type(state["index"])(fresh, settings)
+    assert np.array_equal(state["index"].ion_parents, expected.ion_parents)
+    assert np.array_equal(state["index"].bucket_offsets, expected.bucket_offsets)
+    if precursor_tolerance is None:
+        parents = np.repeat(np.arange(ids.size, dtype=np.int32), fresh.counts)
+        assert np.array_equal(state["index"].ion_parents, parents[order])
+
+
+def test_spill_and_archive_hold_no_order_file(tmp_path):
+    db = _fresh_db()
+    arena = db.arena_for()
+    arena.sort_order_for(RES)  # a primed order still stays out of both
+    spill = shared_spill_for(arena, RES)
+    archive = db.save(tmp_path / "archive")
+    for directory in (spill.store.directory, archive):
+        assert not list(directory.glob("order_*.npy"))
+        assert (directory / "buckets_0.npy").is_file()
+        manifest = json.loads((directory / "arena_manifest.json").read_text())
+        assert [e["order"] for e in manifest["resolutions"]] == [None]
 
 
 def test_release_heap_is_a_noop_without_malloc_trim(monkeypatch):
@@ -298,13 +336,10 @@ def test_store_loaded_arena_keeps_its_mapped_caches(tmp_path):
     _fresh_db().save(tmp_path / "archive")
     db, settings = IndexedDatabase.load(tmp_path / "archive")
     arena = db.arena_for(settings.fragmentation)
-    before = _caches(arena)
+    mapped = arena._bucket_cache[settings.resolution]
     SerialSearchEngine(db, settings).index
-    after = _caches(arena)
-    assert set(after[0]) == set(after[1]) == {settings.resolution}
-    for old, new in zip(before, after):
-        assert old[settings.resolution] is new[settings.resolution]
-        assert _maps_a_file(new[settings.resolution])
+    assert _caches(arena) == ({settings.resolution: mapped}, {})
+    assert _maps_a_file(mapped)
 
 
 def test_session_after_the_spill_is_removed_requantizes_bit_identically(tiny_spectra):
@@ -327,15 +362,16 @@ def test_quantized_releases_the_heap_only_when_it_dropped_state(
     monkeypatch.setattr(arena_module, "release_heap", lambda: trims.append(1) or True)
     arena = master_arena.take(np.arange(master_arena.n_entries))
     arena.drop_quantization_caches()
-    with arena.quantized(RES) as (buckets, order):
+    with arena.quantized(RES) as buckets:
         assert arena._bucket_cache[RES] is buckets
+        assert arena._order_cache == {}  # the scope itself never sorts
         with arena.quantized(RES):  # nothing fresh: keeps and never trims
             pass
         assert trims == []
     assert _caches(arena) == ({}, {}) and trims == [1]
     primed = arena.buckets_for(RES)
-    with arena.quantized(RES):  # computes the order only, drops only it
-        pass
+    with arena.quantized(RES):  # an order sorted inside is dropped alone
+        arena.sort_order_for(RES)
     assert _caches(arena) == ({RES: primed}, {}) and trims == [1, 1]
     arena.sort_order_for(RES)
     with arena.quantized(RES):

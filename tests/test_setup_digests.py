@@ -162,10 +162,10 @@ def test_plan_manifests_match_pinned_digests(database, policy, n_ranks):
 
 # -- bucket sort order and the rank indexes built over it ---------------
 
-#: Recorded with the stable-argsort bucket sort.  The sort order is the
-#: one array every rank index is carved from (a rank's sub-arena derives
-#: its order from the master's), so these pin the tie order inside each
-#: bucket as well as the bucket-major layout.
+#: Recorded with the stable-argsort bucket sort.  Each rank index sorts
+#: its own sub-arena (ties in manifest-position order), so the rank
+#: digests pin the tie order inside each bucket as well as the
+#: bucket-major layout.
 SORT_DIGESTS = {
     "arena.sort_order/0.01": "d391a426ba4bc9fa384085b81c42166189094886477de7d76c87682ed56d7afe",
     "slm.rank0/cyclic/2": "0af97e5d4210dca776eff98f4c2aba41e677b2470dc08bb0ba4031c15f7c05fd",
@@ -176,7 +176,7 @@ SORT_DIGESTS = {
 def rank0_index(db, settings):
     """Rank 0's index over the master arena, built the way a worker builds it."""
     arena = db.arena_for(settings.fragmentation)
-    arena.sort_order_for(settings.resolution)
+    arena.buckets_for(settings.resolution)
     plan = make_lbe_plan(db, n_ranks=2, policy="cyclic")
     return build_rank_index(arena, plan.rank_global_ids(0), settings)[1]
 
