@@ -168,8 +168,8 @@ def test_plan_manifests_match_pinned_digests(database, policy, n_ranks):
 #: bucket-major layout.
 SORT_DIGESTS = {
     "arena.sort_order/0.01": "d391a426ba4bc9fa384085b81c42166189094886477de7d76c87682ed56d7afe",
-    "slm.rank0/cyclic/2": "0af97e5d4210dca776eff98f4c2aba41e677b2470dc08bb0ba4031c15f7c05fd",
-    "chunked.rank0/cyclic/2": "1f01cfb8ebde9a02175387a7263b0dc505d124ecc218cbc929b516d49f8ac85f",
+    "slm.rank0/cyclic/2": "a5dac58148586ccf7c10ade4607619cd0ae9bf5ad4112dec17cc86eac33049df",
+    "chunked.rank0/cyclic/2": "ffd7b07a4ac156174b8d19323400cfae29ce2b27f16e302dbe193af6dfdc4475",
 }
 
 
