@@ -31,12 +31,11 @@ Separately from the C++-layout terms above (which drop fragment m/z
 values after quantization), our reproduction retains a host-side
 **fragment arena** (:mod:`repro.index.arena`): one flat float64 m/z
 array plus int64 CSR offsets, shared by every engine over a database.
-Its per-resolution ``int32`` bucket array (4 B/ion) exists only inside
-the step that computes it
-(:meth:`~repro.index.arena.FragmentArena.quantized`) unless a caller
-primes it, as the simulated distributed engine does; the ``int32``
-bucket-major sort order (another 4 B/ion) lives only inside an index
-build, over the arena that build indexes.  It replaces
+Its per-resolution ``int32`` bucket array and ``int32`` bucket-major
+sort order (4 B/ion each) exist only inside an index build, over the
+arena that build indexes (the serial engine scopes them with
+:meth:`~repro.index.arena.FragmentArena.quantized`; a rank quantizes
+and sorts its own sub-arena), unless a caller primes them.  It replaces
 the old per-peptide list-of-arrays fragment cache — same payload
 bytes, but without the ~56-byte-per-entry numpy object headers and the
 list slots.  :meth:`IndexMemoryModel.arena_bytes` models it and
@@ -64,16 +63,17 @@ worker reopens it with read-only ``np.memmap``:
   distributed per-rank share :meth:`IndexMemoryModel.distributed`
   models.
 
-The spilled copy is 12 B/ion: 8 of float64 m/z and 4 of ``int32``
-bucket ids.  No sort order is spilled and no rank derives one from the
-master's: each worker sorts its own sub-arena while it builds, so that
-transient scales with its slice.  The master keeps only its 8 B/ion of
-m/z once the spill holds the bucket ids.  System-wide under the process
-backend: ``arena_bytes`` (the shared copy, counted once) + the master's
-m/z + Σ per-worker sub-arena m/z (≈ 8 B × n_ions in all) + the per-rank
-index terms.  An index archive
+The spilled copy is 8 B/ion, the float64 m/z alone.  Neither bucket ids
+nor a sort order are spilled, and no rank derives its order from the
+master's: each worker quantizes and sorts its own sub-arena while it
+builds, so those transients (4 + 4 B/ion, plus the sort's ``int64``
+keys) scale with its slice, and the master never computes them for a
+session.  System-wide under the process backend: ``arena_bytes`` at
+``n_resolutions=0`` (the shared copy, counted once) + the master's
+m/z + Σ per-worker sub-arena m/z (≈ 8 B × n_ions in all) + the
+per-rank index terms.  An index archive
 (:meth:`repro.search.database.IndexedDatabase.save`) *is* such a store,
-so a session started from one maps the same 12 B/ion from the archive
+so a session started from one maps the same 8 B/ion from the archive
 directory instead of a tmpdir, and its master holds no private arena.
 
 Service residency (persistent sessions)
@@ -257,21 +257,21 @@ class IndexMemoryModel:
 
         Flat float64 m/z (8 B/ion) + int64 CSR offsets (8 B/entry + 8)
         + one int32 bucket-id array per cached resolution (4 B/ion),
-        which is exactly what a spill writes.  This models **one**
-        arena; an index build over it adds a transient 4 B/ion sort
-        order per resolution it indexes.  A distributed run
+        each of which a spill writes too.  This models **one** arena;
+        an index build over it adds a transient 4 B/ion sort order per
+        resolution it indexes.  A distributed run
         holds the master arena *and* per-rank sub-arena copies of the
         same ion population (rank sub-arenas drop their quantization
         caches after the partial build but keep their m/z slices), so
         its system-wide arena total is roughly this figure plus
         ``8 B × n_ions`` of rank-held m/z.
 
-        Under the process backend this figure at ``n_resolutions=1`` is
-        the memmap-shared store: one physical copy machine-wide however
-        many workers map it, resident only to the extent pages are
-        touched (see the module docstring's shared-arena model).  The
-        master's own arena is this figure at ``n_resolutions=0``: it
-        keeps no quantization state once the spill holds it.  The
+        Under the process backend this figure at ``n_resolutions=0`` is
+        the memmap-shared store, since a session spills no quantization
+        state: one physical copy machine-wide however many workers map
+        it, resident only to the extent pages are touched (see the
+        module docstring's shared-arena model).  The master's own arena
+        is the same figure: it never quantizes for a session.  The
         per-worker sub-arena term is unchanged.
         """
         if n_resolutions < 0:

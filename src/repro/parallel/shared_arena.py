@@ -7,15 +7,15 @@ rather than be copied per worker; HiCOPS realizes that on flat arrays.
 :class:`~repro.index.arena.FragmentArena`:
 
 * :meth:`SharedArenaStore.spill` writes each flat array — ``mzs``,
-  ``offsets``, ``lengths``, ``masses``, plus every cached
-  per-resolution ``int32`` bucket quantization — as its own
-  **uncompressed** ``.npy`` file under one directory, with a small
-  JSON manifest binding them together (resolutions are keyed by
-  ``float.hex`` so keys round-trip exactly); that is 12 B/ion on disk
-  (8 of m/z, 4 of bucket ids), and the master arena keeps only its 8
-  of m/z once the spill holds the bucket ids.  No sort order is
-  stored: every rank sorts its own sub-arena, so its build scales
-  with its slice, and no rank derives its order from the master's,
+  ``offsets``, ``lengths``, ``masses``, plus any ``int32`` bucket
+  quantization a caller primed — as its own **uncompressed** ``.npy``
+  file under one directory, with a small JSON manifest binding them
+  together (resolutions are keyed by ``float.hex`` so keys round-trip
+  exactly).  A session's spill (:class:`SharedSpill`) quantizes
+  nothing, so it is 8 B/ion on disk, the m/z alone: every rank
+  quantizes and sorts its own sub-arena, so its build scales with its
+  slice, and no rank derives its order from the master's.  No sort
+  order is ever stored,
 * :meth:`SharedArenaStore.load` reopens every array with
   ``np.load(..., mmap_mode="r")`` and rebuilds a read-only
   :class:`~repro.index.arena.FragmentArena` around the maps — O(metadata)
@@ -125,16 +125,14 @@ class SharedArenaStore:
     def spill(
         cls, arena: FragmentArena, directory: Union[str, Path]
     ) -> "SharedArenaStore":
-        """Write ``arena`` (flat arrays + caches) under ``directory``.
+        """Write ``arena`` (flat arrays + bucket caches) under ``directory``.
 
         The directory is created if needed; an existing manifest is
         overwritten (stores are immutable once written — spill to a
-        fresh directory for a different arena).  Bucket caches present
-        on the arena travel along, so workers that :meth:`load` the
-        store never re-quantize; a cached sort order does not (each
-        rank sorts its own slice).  Spill inside the master arena's
-        :meth:`~repro.index.arena.FragmentArena.quantized` scope, which
-        then drops the bucket ids the spill now holds.
+        fresh directory for a different arena).  Bucket ids a caller
+        primed on the arena travel along and a worker gathers its slice
+        of them; without them it quantizes its own slice.  A cached sort
+        order never travels (each rank sorts its own slice).
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -231,14 +229,6 @@ class SharedArenaStore:
 
     # -- introspection --------------------------------------------------
 
-    def holds(self, resolution: float) -> bool:
-        """True when the bucket ids of ``resolution`` are on disk."""
-        key = float(resolution).hex()
-        return any(
-            entry["hex"] == key and entry["buckets"]
-            for entry in self.manifest["resolutions"]
-        )
-
     @property
     def n_entries(self) -> int:
         """Entries in the spilled arena."""
@@ -319,20 +309,19 @@ def sweep_stale_stores(
 class SharedSpill:
     """A refcounted spill of one arena at one resolution.
 
-    The spill is the one copy of the arena's bucket ids at
-    ``resolution``: the arena computes them for the write inside
-    :meth:`~repro.index.arena.FragmentArena.quantized` and keeps none
-    afterwards (unless a caller primed them), so a spill made after an
-    earlier one was removed quantizes again.  The master never sorts.
+    The spill writes the arena as it stands and computes nothing: no
+    bucket ids and no sort order, so the master keeps no quantization
+    state for a session, and each worker quantizes and sorts only its
+    own slice at ``resolution``.
 
     A fresh spill owns its tmpdir: a ``weakref.finalize`` registered
     **before** any file is written removes the directory when the last
     holder drops the handle (or at interpreter exit), so a crash
     mid-spill cannot leak it.  An arena that :meth:`SharedArenaStore.load`
-    rebuilt from a store already holding ``resolution`` (an index
-    archive) is not spilled again: the handle borrows that store, writes
-    nothing and never deletes a directory it did not create.  Engines
-    and services that share one database hold the *same* handle (via
+    rebuilt from a store (an index archive) is not spilled again, at any
+    resolution: the handle borrows that store, writes nothing and never
+    deletes a directory it did not create.  Engines and services that
+    share one database hold the *same* handle (via
     :func:`shared_spill_for`), so the directory lives exactly as long as
     anyone is mapping it — plain Python refcounting is the refcount.
     """
@@ -343,7 +332,7 @@ class SharedSpill:
         self.arena = arena
         self.resolution = float(resolution)
         origin = _LOADED_FROM.get(arena)
-        if origin is not None and origin.holds(self.resolution):
+        if origin is not None:
             self.store = origin
             self._finalizer = None
             return
@@ -354,10 +343,7 @@ class SharedSpill:
         )
         try:
             write_owner_marker(directory)
-            # Workers that load the store never re-run floor(); the
-            # master keeps the bucket ids only if it primed them.
-            with arena.quantized(self.resolution):
-                self.store = SharedArenaStore.spill(arena, directory)
+            self.store = SharedArenaStore.spill(arena, directory)
         except BaseException:
             # The half-built handle may outlive the raise in a
             # traceback; remove its tmpdir now, not when that dies.
@@ -390,8 +376,8 @@ def shared_spill_for(arena: FragmentArena, resolution: float) -> SharedSpill:
     :class:`SharedSpill` handle instead of spilling twice; the tmpdir
     is removed only when the *last* holder dies, so one engine's death
     never tears the memmaps out from under another.  An arena loaded
-    from a store that already holds ``resolution`` gets that store's
-    own directory back, with nothing written.  Callers must keep
+    from a store gets that store's own directory back, with nothing
+    written.  Callers must keep
     the returned handle referenced for as long as they (or their
     workers) map the store.
     """

@@ -28,9 +28,9 @@ still goes through the validating ``Peptide(...)``.
 
 The one on-disk form is an *index archive* (:meth:`IndexedDatabase.save`,
 ``repro index``): the entries' arena as a
-:class:`~repro.parallel.shared_arena.SharedArenaStore` with its bucket
-ids (no sort order: every rank sorts its own slice), and beside it
-the entry table, the base → entry offsets and the
+:class:`~repro.parallel.shared_arena.SharedArenaStore` (its m/z data:
+every rank quantizes and sorts its own slice), and beside it the
+entry table, the base → entry offsets and the
 :class:`~repro.index.slm.SLMIndexSettings`.
 :meth:`IndexedDatabase.load` reopens it with the arena memory-mapped,
 and a session over the result attaches its workers to the archive's
@@ -238,10 +238,10 @@ class IndexedDatabase:
         """Write the database as an index archive under ``directory``.
 
         The entries' arena at ``settings.fragmentation`` is spilled as a
-        :class:`~repro.parallel.shared_arena.SharedArenaStore` carrying
-        the bucket ids of ``settings.resolution`` and no sort order,
-        through the same quantize-and-spill step as a session's spill
-        (:class:`~repro.parallel.shared_arena.SharedSpill`).  Beside
+        :class:`~repro.parallel.shared_arena.SharedArenaStore` the way a
+        session spills it (:class:`~repro.parallel.shared_arena.SharedSpill`):
+        its m/z data, with no bucket ids or sort order computed for it,
+        since every rank quantizes and sorts its own slice.  Beside
         it go the entry table (residues at full length, protein ids,
         mods as CSR), the base → entry offsets and, last, so that a torn
         write never loads, ``settings``.  ``directory`` must be absent or
@@ -252,9 +252,7 @@ class IndexedDatabase:
             raise ConfigurationError(
                 f"{directory} is not an empty directory; an index archive needs its own"
             )
-        arena = self.arena_for(settings.fragmentation)
-        with arena.quantized(settings.resolution):
-            SharedArenaStore.spill(arena, directory)
+        SharedArenaStore.spill(self.arena_for(settings.fragmentation), directory)
         entries = self.entries
         mods = [mod for p in entries for mod in p.mods]
         residues = "".join(p.sequence for p in entries).encode("ascii")
@@ -298,11 +296,10 @@ class IndexedDatabase:
         except (KeyError, TypeError, ValueError) as bad:
             raise FormatError(f"index archive table in {directory} is malformed: {bad!r}") from None
         store = SharedArenaStore.open(directory)
-        if n_entries != store.n_entries or not store.holds(settings.resolution):
+        if n_entries != store.n_entries:
             raise FormatError(
-                f"index archive entry table ({n_entries} entries at resolution "
-                f"{settings.resolution}) does not match its arena store "
-                f"({store.n_entries} entries)"
+                f"index archive entry table ({n_entries} entries) does not "
+                f"match its arena store ({store.n_entries} entries)"
             )
         arena = store.load()
         offsets = np.array(store.map("entry_offsets.npy", np.int64, n_bases + 1))

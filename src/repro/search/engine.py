@@ -202,11 +202,8 @@ class DistributedSearchEngine:
         cfg = self.config
         plan = self.plan
         spectra = list(spectra)
+        # Each rank quantizes and sorts only its own sub-arena.
         arena = db.arena_for(cfg.index.fragmentation)
-        # Quantize once on the master arena; rank sub-arenas inherit
-        # their bucket slice instead of re-running floor() per rank,
-        # and each sorts only its own ions.
-        arena.buckets_for(cfg.index.resolution)
         # Every rank preprocesses every query (charged to its clock);
         # the computation is deterministic and rank-independent, so the
         # real work is hoisted out of the rank loop and shared.
@@ -309,8 +306,9 @@ def _run_rank(
     """One rank's real work: partial index build, then every query.
 
     The backend-agnostic body carves a sub-arena in C from the shared
-    arena (fragments, masses, bucket caches all travel with the
-    manifest) and builds the partial index over it.  Only
+    arena (fragments and masses travel with the manifest) and builds
+    the partial index over it, quantizing and sorting only its own
+    ions.  Only
     the work counters and the query output leave this function, so the
     index and sub-arena are freed before the next rank builds its own.
     """

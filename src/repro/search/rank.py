@@ -227,9 +227,9 @@ def build_rank_index(
     """Carve ``entry_ids``'s sub-arena and build the rank's partial index.
 
     The sub-arena is gathered in C from the (possibly memmap-backed)
-    master arena — fragments, masses, and any cached bucket
-    quantizations travel with the manifest, so the rank never
-    re-quantizes — and the rank sorts its own slice (the packed-key
+    master arena — fragments, masses, and any bucket ids a caller
+    primed on the master — and the rank quantizes (unless primed) and
+    sorts its own slice (the packed-key
     :meth:`~repro.index.arena.FragmentArena.sort_order_for`), so the
     build scales with the rank's share, not the master's.  Local ids
     are manifest positions and masses come from the arena; the index

@@ -93,29 +93,36 @@ def test_archive_with_a_stored_order_loads_and_serves_identically(
     directory = _copy(archive, tmp_path)
     manifest_path = directory / "arena_manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    buckets = np.load(directory / manifest["resolutions"][0]["buckets"])
+    buckets = FragmentArena(
+        np.load(directory / "mzs.npy"), np.load(directory / "offsets.npy"),
+        lengths=np.load(directory / "lengths.npy"), masses=np.load(directory / "masses.npy"),
+    ).buckets_for(SETTINGS.resolution)
+    np.save(directory / "buckets_0.npy", buckets)
     np.save(directory / "order_0.npy", np.argsort(buckets, kind="stable").astype(np.int32))
-    manifest["resolutions"][0]["order"] = "order_0.npy"
+    manifest["resolutions"] = [
+        {"hex": SETTINGS.resolution.hex(), "buckets": "buckets_0.npy", "order": "order_0.npy"}
+    ]
     manifest_path.write_text(json.dumps(manifest))
     database, settings = IndexedDatabase.load(directory)
-    assert database.arena_for(settings.fragmentation)._order_cache == {}
+    arena = database.arena_for(settings.fragmentation)
+    assert set(arena._bucket_cache) == {SETTINGS.resolution} and arena._order_cache == {}
     with SearchService(database, ServiceConfig(n_workers=2, index=settings)) as service:
         assert service._spill.store.directory == directory
         results, _ = service.submit(tiny_spectra)
     assert_same_results(SerialSearchEngine(tiny_db).run(tiny_spectra), results)
 
 
-def test_spill_of_an_archived_arena_borrows_only_a_stored_resolution(archive):
+def test_spill_of_an_archived_arena_borrows_it_at_every_resolution(archive):
+    """The archive stores m/z only, which serves every resolution: no
+    resolution spills the archived arena again."""
     database, settings = IndexedDatabase.load(archive)
     arena = database.arena_for(settings.fragmentation)
     borrowed = shared_spill_for(arena, settings.resolution)
-    assert borrowed.store.directory == archive and borrowed.alive
-    fresh = shared_spill_for(arena, settings.resolution * 2)
-    directory = fresh.store.directory
-    assert directory != archive and directory.name.startswith("repro-arena-")
-    del borrowed, fresh
+    other = shared_spill_for(arena, settings.resolution * 2)
+    assert borrowed.store.directory == other.store.directory == archive
+    assert borrowed.alive and other.alive
+    del borrowed, other
     gc.collect()
-    assert not directory.exists()
     assert (archive / "mzs.npy").is_file()
 
 
@@ -140,7 +147,7 @@ HOSTILE = {
     "store version": lambda d: _set_json(d / "arena_manifest.json", "version", 2),
     "settings version": lambda d: _set_json(d / "database.json", "version", 0),
     "malformed settings": lambda d: _set_json(d / "database.json", "settings", {}),
-    "truncated store npy": lambda d: _truncate(d / "buckets_0.npy"),
+    "truncated store npy": lambda d: _truncate(d / "lengths.npy"),
     "truncated table npy": lambda d: _truncate(d / "residues.npy"),
     "torn manifest": lambda d: _truncate(d / "arena_manifest.json"),
     "manifest not an object": lambda d: (d / "arena_manifest.json").write_text("[3]"),

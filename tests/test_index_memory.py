@@ -173,8 +173,8 @@ def test_arena_bytes_tracks_live_arena():
     arena.buckets_for(0.01)
     m = IndexMemoryModel()
     measured = m.measure_arena(arena)
-    # Flat m/z + offsets + one resolution's bucket ids (what a spill
-    # writes); the live arena adds only small per-entry metadata on top.
+    # Flat m/z + offsets + one primed resolution's bucket ids; the live
+    # arena adds only small per-entry metadata on top.
     structural = (
         8 * arena.n_ions  # float64 m/z
         + 8 * (arena.n_entries + 1)  # int64 offsets

@@ -128,10 +128,10 @@ def test_mmap_roundtrip_bit_identical(loaded):
         arena.mzs,
         arena.offsets,
         arena.masses,
-        arena.buckets_for(settings.resolution),
     ):
         assert isinstance(array, np.memmap) or isinstance(array.base, np.memmap)
-    assert arena._order_cache == {}  # no order is stored; a build sorts
+    # Nothing quantized is stored: a build quantizes and sorts.
+    assert arena._bucket_cache == {} and arena._order_cache == {}
 
 
 def test_mmap_views_reject_writes(loaded):
@@ -140,7 +140,7 @@ def test_mmap_views_reject_writes(loaded):
     with pytest.raises(ValueError):
         arena.mzs[0] = 1.0
     with pytest.raises(ValueError):
-        arena.buckets_for(settings.resolution)[0] = 1
+        arena.masses[0] = 1.0
 
 
 def test_mmap_loaded_filters_identically(loaded):

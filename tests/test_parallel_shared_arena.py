@@ -234,13 +234,13 @@ def test_attach_state_holds_no_view_of_the_store(
 
 @pytest.mark.parametrize("precursor_tolerance", [None, 2.0])
 def test_worker_index_equals_a_stable_argsort_build_of_its_manifest(
-    tiny_db, precursor_tolerance
+    precursor_tolerance,
 ):
-    """A worker attached to a session spill sorts its own slice: its
-    index is the one a fresh stable argsort of the manifest's ions gives,
-    for a manifest that is not ascending."""
+    """A worker attached to a session spill quantizes and sorts its own
+    slice: its index is the one a fresh stable argsort of the manifest's
+    ions gives, for a manifest that is not ascending."""
     settings = SLMIndexSettings(precursor_tolerance=precursor_tolerance)
-    arena = tiny_db.arena_for(settings.fragmentation)
+    arena = _fresh_db().arena_for(settings.fragmentation)
     spill = shared_spill_for(arena, settings.resolution)
     ids = np.random.default_rng(5).permutation(arena.n_entries)[: arena.n_entries // 2]
     state, _ = service_attach_worker(
@@ -261,16 +261,22 @@ def test_worker_index_equals_a_stable_argsort_build_of_its_manifest(
 
 
 def test_spill_and_archive_hold_no_order_file(tmp_path):
+    """A session spill and an archive hold the m/z data alone (8 B/ion);
+    an order primed on the master never travels, its bucket ids do."""
     db = _fresh_db()
     arena = db.arena_for()
-    arena.sort_order_for(RES)  # a primed order still stays out of both
     spill = shared_spill_for(arena, RES)
     archive = db.save(tmp_path / "archive")
-    for directory in (spill.store.directory, archive):
-        assert not list(directory.glob("order_*.npy"))
-        assert (directory / "buckets_0.npy").is_file()
-        manifest = json.loads((directory / "arena_manifest.json").read_text())
-        assert [e["order"] for e in manifest["resolutions"]] == [None]
+    arena.sort_order_for(RES)
+    primed = SharedArenaStore.spill(arena, tmp_path / "primed")
+    for store in (spill.store, SharedArenaStore.open(archive), primed):
+        assert not list(store.directory.glob("order_*.npy"))
+    for store in (spill.store, SharedArenaStore.open(archive)):
+        assert store.manifest["resolutions"] == []
+    assert spill.store.nbytes() - 8 * arena.n_ions <= 24 * arena.n_entries + 1024
+    assert primed.manifest["resolutions"] == [
+        {"hex": RES.hex(), "buckets": "buckets_0.npy", "order": None}
+    ]
 
 
 def test_release_heap_is_a_noop_without_malloc_trim(monkeypatch):
@@ -333,7 +339,9 @@ def test_primed_resolution_survives_open_and_serial_build(tiny_spectra):
 
 
 def test_store_loaded_arena_keeps_its_mapped_caches(tmp_path):
-    _fresh_db().save(tmp_path / "archive")
+    db = _fresh_db()
+    db.arena_for().buckets_for(RES)  # primed bucket ids are stored
+    db.save(tmp_path / "archive")
     db, settings = IndexedDatabase.load(tmp_path / "archive")
     arena = db.arena_for(settings.fragmentation)
     mapped = arena._bucket_cache[settings.resolution]

@@ -176,7 +176,6 @@ SORT_DIGESTS = {
 def rank0_index(db, settings):
     """Rank 0's index over the master arena, built the way a worker builds it."""
     arena = db.arena_for(settings.fragmentation)
-    arena.buckets_for(settings.resolution)
     plan = make_lbe_plan(db, n_ranks=2, policy="cyclic")
     return build_rank_index(arena, plan.rank_global_ids(0), settings)[1]
 
