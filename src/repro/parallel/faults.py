@@ -68,8 +68,10 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 import time
+import weakref
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Tuple
 
@@ -209,8 +211,21 @@ class FaultPlan:
 
     @classmethod
     def scoped(cls, *specs: FaultSpec) -> "FaultPlan":
-        """A plan with a fresh private ledger tmpdir (test harness)."""
-        return cls(tuple(specs), tempfile.mkdtemp(prefix="repro-faults-"))
+        """A plan with a fresh private ledger tmpdir (test harness).
+
+        The plan owns the ledger: a ``weakref.finalize`` removes it when
+        the plan is collected (or at interpreter exit), and its
+        ``owner.pid`` marker lets
+        :func:`~repro.parallel.shared_arena.sweep_stale_stores` reap it
+        once this process is gone without running finalizers.
+        """
+        from repro.parallel.shared_arena import write_owner_marker
+
+        ledger = tempfile.mkdtemp(prefix="repro-faults-")
+        plan = cls(tuple(specs), ledger)
+        weakref.finalize(plan, shutil.rmtree, ledger, ignore_errors=True)
+        write_owner_marker(ledger)
+        return plan
 
     # -- firing ----------------------------------------------------------
 

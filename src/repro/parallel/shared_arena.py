@@ -61,10 +61,10 @@ __all__ = [
 _MANIFEST_NAME = "arena_manifest.json"
 _FORMAT_VERSION = 3
 
-#: Temp-dir prefixes owned by this package (arena spills and
-#: per-session spectra stores); :func:`sweep_stale_stores` only ever
-#: touches directories matching these.
-_STORE_PREFIXES = ("repro-arena-", "repro-spectra-")
+#: Temp-dir prefixes owned by this package (arena spills, per-session
+#: spectra stores and fault-plan ledgers); :func:`sweep_stale_stores`
+#: only ever touches directories matching these.
+_STORE_PREFIXES = ("repro-arena-", "repro-spectra-", "repro-faults-")
 
 #: Liveness marker: the PID of the process that owns a store tmpdir.
 #: :func:`sweep_stale_stores` never touches a directory whose owner
@@ -260,7 +260,7 @@ def sweep_stale_stores(
     incomplete_age_s: float = 3600.0,
     complete_age_s: float = 3 * 86400.0,
 ) -> int:
-    """Best-effort removal of stale ``repro-arena-*``/``repro-spectra-*`` dirs.
+    """Best-effort removal of stale package tmpdirs (``_STORE_PREFIXES``).
 
     The normal cleanup path is a ``weakref.finalize`` on the spill
     handle, but a process that exits hard (kill -9, OOM) never runs
@@ -273,9 +273,10 @@ def sweep_stale_stores(
       (``owner.pid``, written at creation) is still alive — an idle
       long-running session outlasts any age threshold,
     * otherwise removed when *incomplete* (no ``*_manifest.json`` — a
-      torn spill) and older than ``incomplete_age_s``, or complete but
-      older than ``complete_age_s`` (an orphan whose owner died before
-      its finalizers ran).
+      torn spill, or a fault-plan ledger, which never has one) and
+      older than ``incomplete_age_s``, or complete but older than
+      ``complete_age_s`` (an orphan whose owner died before its
+      finalizers ran).
 
     Every error is swallowed — this must never break the caller.
     Returns the number of directories removed.

@@ -7,6 +7,11 @@ read-only with respect to these objects.
 
 from __future__ import annotations
 
+import gc
+import os
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from repro.db.proteome import ProteomeConfig
@@ -50,3 +55,37 @@ def tiny_spectra(tiny_db):
     return generate_run(
         tiny_db.entries, SyntheticRunConfig(n_spectra=12, seed=56)
     )
+
+
+#: Tmpdir prefixes the package creates: arena spills, spectra stores
+#: and fault-plan ledgers.
+_FENCED_PREFIXES = ("repro-arena-", "repro-spectra-", "repro-faults-")
+
+
+def _owned_tmpdirs() -> set:
+    """Package tmpdirs whose ``owner.pid`` marker names this process.
+
+    Other processes' directories (a parallel run on a shared host, a
+    spawned worker's) are never counted.
+    """
+    me = str(os.getpid())
+    owned = set()
+    for path in Path(tempfile.gettempdir()).iterdir():
+        if path.name.startswith(_FENCED_PREFIXES):
+            try:
+                if (path / "owner.pid").read_text(encoding="ascii").strip() == me:
+                    owned.add(path.name)
+            except OSError:
+                continue
+    return owned
+
+
+@pytest.fixture(scope="module", autouse=True)
+def resource_fence():
+    """Fail a module that leaves a package tmpdir of this process behind."""
+    before = _owned_tmpdirs()
+    yield
+    gc.collect()
+    leaked = sorted(_owned_tmpdirs() - before)
+    if leaked:
+        pytest.fail(f"module left {len(leaked)} tmpdir(s) behind: {leaked}", pytrace=False)

@@ -345,6 +345,30 @@ def test_once_only_ledger_claims_across_plan_copies(tmp_path):
     assert maybe_inject(None, 0, "query", 0) is None  # no plan: no-op
 
 
+def test_scoped_ledger_is_owned_and_removed_with_its_plan(tmp_path):
+    """A scoped plan's ledger names this process as its owner, goes
+    when the plan is collected, and an orphaned one is swept."""
+    import gc
+
+    from repro.parallel.shared_arena import sweep_stale_stores
+
+    plan = FaultPlan.scoped(FaultSpec(kind="raise", stage="query", rank=0, batch=0))
+    ledger = plan.ledger_dir
+    assert os.path.basename(ledger).startswith("repro-faults-")
+    with open(os.path.join(ledger, "owner.pid"), encoding="ascii") as marker:
+        assert int(marker.read()) == os.getpid()
+    with pytest.raises(FaultInjected):
+        maybe_inject(plan, 0, "query", 0)
+    del plan
+    gc.collect()
+    assert not os.path.exists(ledger)
+    orphan = tmp_path / "repro-faults-orphan"
+    orphan.mkdir()
+    (orphan / "spec0.fired").write_text("1\n", encoding="ascii")
+    os.utime(orphan, (time.time() - 7200.0,) * 2)
+    assert sweep_stale_stores(root=tmp_path) == 1 and not orphan.exists()
+
+
 def test_slow_fault_delays_without_failing():
     plan = FaultPlan.scoped(
         FaultSpec(kind="slow", stage="query", rank=0, batch=0, seconds=0.3)
