@@ -1078,7 +1078,7 @@ class SearchService(SessionCore):
             arena = self.database.arena_for(cfg.index.fragmentation)
             self._spill = shared_spill_for(arena, cfg.index.resolution)
             t0 = time.perf_counter()
-            self._install(pool, plan)
+            reports = self._install(pool, plan).results
             self._attach_s = time.perf_counter() - t0
         except BaseException as exc:
             pool.close()
@@ -1114,6 +1114,9 @@ class SearchService(SessionCore):
                     "n_workers": cfg.n_workers,
                     "open_s": round(self._open_s, 6),
                     "attach_s": round(self._attach_s, 6),
+                    # Each rank's store open and index build, in rank order.
+                    "rank_open_s": [round(r["open_s"], 6) for r in reports],
+                    "rank_build_s": [round(r["build_s"], 6) for r in reports],
                 },
             )
         return self

@@ -247,6 +247,19 @@ def batches(tiny_spectra):
     return [list(tiny_spectra), list(tiny_spectra[:7]), list(tiny_spectra[5:])]
 
 
+def test_session_open_event_carries_each_ranks_attach_times(tiny_db, tmp_path):
+    """Each rank's store open and own index build show on every open,
+    taken from the attach round's replies."""
+    trace = tmp_path / "trace.jsonl"
+    tracer = JsonlTracer(trace)
+    SearchService(tiny_db, ServiceConfig(n_workers=2, tracer=tracer)).open().close()
+    tracer.close()
+    (opened,) = _by_kind(_records(trace))["session.open"]
+    for key in ("rank_open_s", "rank_build_s"):
+        assert len(opened[key]) == 2 and all(s >= 0.0 for s in opened[key]), key
+    assert sum(opened["rank_build_s"]) > 0.0
+
+
 def test_session_trace_is_schema_valid_with_per_rank_spans_and_li_gauge(
     tiny_db, batches, tmp_path
 ):
