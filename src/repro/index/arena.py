@@ -462,9 +462,9 @@ class FragmentArena:
     def take(self, entry_ids: np.ndarray) -> "FragmentArena":
         """Sub-arena of ``entry_ids`` (in the given order), one gather.
 
-        Per-entry metadata travels along, and any already-quantized
-        bucket caches are gathered too, so ranks never re-quantize; the
-        sub-arena sorts its own ions when its index is built.
+        Per-entry metadata travels along, and so do bucket ids a caller
+        primed on this arena; otherwise the sub-arena quantizes its own
+        ions when its index is built, and it always sorts them itself.
         """
         ids = np.asarray(entry_ids, dtype=np.int64)
         starts = self.offsets[ids]
