@@ -259,11 +259,11 @@ class IndexMemoryModel:
         + one int32 bucket-id array per cached resolution (4 B/ion),
         each of which a spill writes too.  This models **one** arena;
         an index build over it adds a transient 4 B/ion sort order per
-        resolution it indexes.  A distributed run
-        holds the master arena *and* per-rank sub-arena copies of the
-        same ion population (rank sub-arenas drop their quantization
-        caches after the partial build but keep their m/z slices), so
-        its system-wide arena total is roughly this figure plus
+        resolution it indexes.  A distributed run holds the master
+        arena *and* per-rank sub-arena copies of the same ion
+        population (rank sub-arenas drop their quantization caches
+        after the partial build but keep their m/z slices), so its
+        system-wide arena total is roughly this figure plus
         ``8 B × n_ions`` of rank-held m/z.
 
         Under the process backend this figure at ``n_resolutions=0`` is

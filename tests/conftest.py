@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.db.proteome import ProteomeConfig
+from repro.parallel.shared_arena import _OWNER_MARKER, _STORE_PREFIXES
 from repro.search.database import DatabaseConfig, IndexedDatabase
 from repro.spectra.synthetic import SyntheticRunConfig, generate_run
 
@@ -57,13 +58,9 @@ def tiny_spectra(tiny_db):
     )
 
 
-#: Tmpdir prefixes the package creates: arena spills, spectra stores
-#: and fault-plan ledgers.
-_FENCED_PREFIXES = ("repro-arena-", "repro-spectra-", "repro-faults-")
-
-
 def _owned_tmpdirs() -> set:
-    """Package tmpdirs whose ``owner.pid`` marker names this process.
+    """Package tmpdirs (arena spills, spectra stores, fault-plan ledgers)
+    whose ``owner.pid`` marker names this process.
 
     Other processes' directories (a parallel run on a shared host, a
     spawned worker's) are never counted.
@@ -71,9 +68,9 @@ def _owned_tmpdirs() -> set:
     me = str(os.getpid())
     owned = set()
     for path in Path(tempfile.gettempdir()).iterdir():
-        if path.name.startswith(_FENCED_PREFIXES):
+        if path.name.startswith(_STORE_PREFIXES):
             try:
-                if (path / "owner.pid").read_text(encoding="ascii").strip() == me:
+                if (path / _OWNER_MARKER).read_text(encoding="ascii").strip() == me:
                     owned.add(path.name)
             except OSError:
                 continue
