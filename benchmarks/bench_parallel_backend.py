@@ -97,8 +97,6 @@ def run(quick: bool = False) -> dict:
     # in-process "rank" owning the whole database.  Build once (the
     # engines amortize builds the same way), time the query phase.
     arena = db.arena_for(settings.fragmentation)
-    arena.buckets_for(settings.resolution)
-    arena.sort_order_for(settings.resolution)
     all_ids = np.arange(db.n_entries, dtype=np.int64)
     sub, full_index = build_rank_index(arena, all_ids, settings)
     serial_query_s = float("inf")

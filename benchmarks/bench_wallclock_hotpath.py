@@ -236,22 +236,19 @@ def run(quick: bool = False, threshold: int = 4) -> dict:
 
     # Both paths start from precomputed fragment storage, as in real
     # runs: the legacy path gets the old list-of-arrays cache shape,
-    # the arena path gets the flat arena (quantized once, as every
-    # engine over a database shares the cached quantization).
+    # the arena path gets the database's flat arena.
     arena = db.arena_for(settings.fragmentation)
     bounds = arena.offsets.tolist()
     fragments = [arena.mzs[a:b].copy() for a, b in zip(bounds[:-1], bounds[1:])]
-    arena.buckets_for(settings.resolution)
 
     t_legacy_build, _ = _best_of(
         repeats, lambda: legacy_build(db.entries, settings, fragments)
     )
-    # Warm build = steady-state rebuild over the shared database arena
-    # (quantization + sort order cached, as every engine over a
-    # database sees after the first build).  Cold build = fresh arena
-    # from the same precomputed fragment arrays, paying flatten +
-    # quantize + sort, the apples-to-apples match for legacy_build
-    # (which re-quantizes and re-sorts every call).
+    # Warm build = rebuild over the shared database arena, which
+    # quantizes and sorts every time, as every product build does (the
+    # arena holds no quantization state).  Cold build = fresh arena
+    # from the same precomputed fragment arrays, paying the flatten
+    # too, the apples-to-apples match for legacy_build.
     t_arena_build, index = _best_of(repeats, lambda: SLMIndex(arena, settings))
     t_arena_build_cold, _ = _best_of(
         repeats,

@@ -5,11 +5,13 @@ al., 2019 — reference [6] of the LBE paper), the host data structure
 LBE partitions:
 
 * :mod:`~repro.index.arena` — the flat CSR fragment arena feeding the
-  hot-path kernels: one float64 m/z array + int64 offsets (+ cached
-  per-resolution bucket quantizations) per fragmentation setting.
+  hot-path kernels: one float64 m/z array + int64 offsets per
+  fragmentation setting, and nothing per resolution.
 * :mod:`~repro.index.slm` — the index proper: fragment ions quantized
-  at resolution ``r`` into a CSR bucket layout with parent-peptide
-  back-references; shared-peak filtration queries.
+  at resolution ``r`` (once per build,
+  :meth:`~repro.index.arena.FragmentArena.quantize`) into a CSR bucket
+  layout with parent-peptide back-references; shared-peak filtration
+  queries.
 * :mod:`~repro.index.chunks` — the paper's Fig. 1 scheme (sort by
   precursor mass, split into bounded chunks) over a rank's sub-arena:
   the rank index of every windowed search.

@@ -18,23 +18,25 @@ CSR structure:
   allocated and scratch stays at one block,
 * ``offsets`` — ``int64``, length ``n_entries + 1``; entry ``i`` owns
   ``mzs[offsets[i] : offsets[i + 1]]``,
-* per-resolution **quantization caches** — the ``int32`` bucket ids
-  ``floor(mz / r)`` and the ``int32`` bucket-major sort order, 8 B/ion
-  together, held only while a step needs them (:meth:`FragmentArena.quantized`)
-  unless primed.  ``int32`` positions and bucket ids bound an
-  arena below 2^31 ions (SLM-Transform's own 2G-ion limit) and its top
-  bucket below 2^31; both bounds raise
-  :class:`~repro.errors.ConfigurationError` rather than wrap,
 * parallel per-entry metadata, always present: ``lengths`` (residue
   counts, the scoring cost basis) and ``masses`` (float32 neutral
   masses, the precursor-filter input).
+
+The arena holds nothing that depends on a resolution.  An index build
+calls :meth:`FragmentArena.quantize` once: the ``int32`` bucket ids
+``floor(mz / r)`` and their ``int32`` bucket-major sort order
+(:func:`bucket_major_order`), 8 B/ion together, live only as that
+build's locals.  ``int32`` positions and bucket ids bound an arena
+below 2^31 ions (SLM-Transform's own 2G-ion limit) and its top bucket
+below 2^31; both bounds raise :class:`~repro.errors.ConfigurationError`
+rather than wrap.
 
 Consumers:
 
 * :class:`~repro.index.slm.SLMIndex` and
   :class:`~repro.index.chunks.ChunkedIndex` take one arena as their
-  only input and build their CSR structures from its cached bucket
-  quantization and sort order,
+  only input and build their CSR structures from one
+  :meth:`FragmentArena.quantize` of it,
 * :func:`~repro.search.scoring.score_candidates` gathers all candidate
   fragments with one vectorized range concatenation,
 * every rank carves its sub-arena with :meth:`FragmentArena.take`.
@@ -47,20 +49,19 @@ arithmetic sees the same operand sequences as a per-entry layout.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.chem.fragments import FragmentationSettings, fragment_mzs_batch
 from repro.chem.peptide import Peptide
 from repro.errors import ConfigurationError
-from repro.util.heap import release_heap
 
 __all__ = [
     "INT32_LIMIT",
     "FragmentArena",
     "Workspace",
+    "bucket_major_order",
     "check_ion_count",
     "concat_ranges",
     "segment_kth",
@@ -72,7 +73,7 @@ INT32_LIMIT = 1 << 31
 
 #: Ions quantized per block by :meth:`FragmentArena.buckets_for`, so its
 #: float64 scratch is one block (512 KB), never ``n_ions`` wide; also
-#: the block in which :meth:`FragmentArena.sort_order_for` packs keys.
+#: the block in which :func:`bucket_major_order` packs keys.
 _QUANTIZE_BLOCK = 1 << 16
 
 
@@ -242,6 +243,35 @@ def segment_kth(values: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def bucket_major_order(buckets: np.ndarray) -> np.ndarray:
+    """Stable bucket-major ``int32`` sort order of the ``int32`` ``buckets``.
+
+    The order is one in-place sort of packed ``int64`` keys
+    ``(bucket << 32) | position``, not a stable argsort.  Positions are
+    below 2^31 (:func:`check_ion_count`), so the low 32 bits never carry
+    into the bucket, and signed key order is bucket order first —
+    negative buckets included — then position order.  The keys are
+    unique, so *any* correct sort, numpy's unstable SIMD one included,
+    yields the single order a stable argsort gives; ``key & 0xFFFFFFFF``
+    is then the position.  The keys are built in
+    :data:`_QUANTIZE_BLOCK` blocks, so the peak is the ``int64`` keys
+    plus the ``int32`` result (12 B/ion), as it was for the stable
+    argsort's ``int64`` result and its ``int32`` copy.
+    """
+    n = buckets.size
+    keys = np.empty(n, dtype=np.int64)
+    positions = np.arange(min(n, _QUANTIZE_BLOCK), dtype=np.int64)
+    for a in range(0, n, _QUANTIZE_BLOCK):
+        block = keys[a : a + positions.size]
+        block[...] = buckets[a : a + block.size]
+        block <<= 32
+        block |= positions[: block.size]
+        positions += positions.size
+    keys.sort()
+    keys &= 0xFFFFFFFF
+    return keys.astype(np.int32)
+
+
 class FragmentArena:
     """Immutable CSR layout of an entry set's theoretical fragments.
 
@@ -263,8 +293,6 @@ class FragmentArena:
         "lengths",
         "masses",
         "_counts",
-        "_bucket_cache",
-        "_order_cache",
         "__weakref__",
     )
 
@@ -295,8 +323,6 @@ class FragmentArena:
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.masses = np.asarray(masses, dtype=np.float32)
         self._counts: np.ndarray | None = None
-        self._bucket_cache: Dict[float, np.ndarray] = {}
-        self._order_cache: Dict[float, np.ndarray] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -340,23 +366,18 @@ class FragmentArena:
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes: flat arrays, metadata, and bucket caches."""
-        total = (
+        """Resident bytes: the flat arrays and per-entry metadata."""
+        return (
             self.mzs.nbytes
             + self.offsets.nbytes
             + self.lengths.nbytes
             + self.masses.nbytes
         )
-        for cached in self._bucket_cache.values():
-            total += cached.nbytes
-        for cached in self._order_cache.values():
-            total += cached.nbytes
-        return total
 
     # -- quantization ---------------------------------------------------
 
     def buckets_for(self, resolution: float) -> np.ndarray:
-        """Flat ``int32`` ``floor(mz / resolution)`` array, quantized once per resolution.
+        """Flat ``int32`` ``floor(mz / resolution)`` array of the arena's ions.
 
         Uses the same ``mz * (1 / r)`` arithmetic as the original
         per-peptide quantization, so bucket ids are bit-identical.  The
@@ -365,106 +386,43 @@ class FragmentArena:
         ``resolution`` or a huge m/z) raises
         :class:`~repro.errors.ConfigurationError` instead of wrapping.
         """
-        cached = self._bucket_cache.get(resolution)
-        if cached is None:
-            inv_r = 1.0 / resolution
-            n = self.n_ions
-            # floor(x * inv_r) is monotone in x, so the top bucket is the
-            # top m/z's.
-            if n and np.floor(self.mzs.max() * inv_r) >= INT32_LIMIT:
-                raise ConfigurationError(
-                    f"m/z {float(self.mzs.max())} at resolution {resolution} "
-                    f"reaches bucket id 2^31; use a coarser resolution"
-                )
-            cached = np.empty(n, dtype=np.int32)
-            scratch = np.empty(min(n, _QUANTIZE_BLOCK), dtype=np.float64)
-            for a in range(0, n, _QUANTIZE_BLOCK):
-                block = scratch[: min(n - a, _QUANTIZE_BLOCK)]
-                np.multiply(self.mzs[a : a + block.size], inv_r, out=block)
-                np.floor(block, out=block)
-                cached[a : a + block.size] = block
-            self._bucket_cache[resolution] = cached
-        return cached
+        inv_r = 1.0 / resolution
+        n = self.n_ions
+        # floor(x * inv_r) is monotone in x, so the top bucket is the
+        # top m/z's.
+        if n and np.floor(self.mzs.max() * inv_r) >= INT32_LIMIT:
+            raise ConfigurationError(
+                f"m/z {float(self.mzs.max())} at resolution {resolution} "
+                f"reaches bucket id 2^31; use a coarser resolution"
+            )
+        buckets = np.empty(n, dtype=np.int32)
+        scratch = np.empty(min(n, _QUANTIZE_BLOCK), dtype=np.float64)
+        for a in range(0, n, _QUANTIZE_BLOCK):
+            block = scratch[: min(n - a, _QUANTIZE_BLOCK)]
+            np.multiply(self.mzs[a : a + block.size], inv_r, out=block)
+            np.floor(block, out=block)
+            buckets[a : a + block.size] = block
+        return buckets
 
-    def drop_quantization_caches(self) -> None:
-        """Free every per-resolution bucket/sort-order cache.
+    def quantize(self, resolution: float) -> Tuple[np.ndarray, np.ndarray]:
+        """``(buckets, order)``: :meth:`buckets_for` and its :func:`bucket_major_order`.
 
-        Call once no more indexes will be built over this arena (a
-        rank's sub-arena after its partial build keeps the m/z scoring
-        needs).  A master arena scopes the state with :meth:`quantized`
-        instead, which drops only what that scope computed.
+        The one quantization step of an index build, computed afresh on
+        every call and kept by nobody but the caller: an index build
+        holds both as locals, so the arena never carries them.  A rank
+        quantizes its own :meth:`take` sub-arena, so its build scales
+        with its slice, not with the master.
         """
-        self._bucket_cache.clear()
-        self._order_cache.clear()
-
-    @contextmanager
-    def quantized(self, resolution: float) -> Iterator[np.ndarray]:
-        """Scope the quantization state at ``resolution`` to one step.
-
-        Yields :meth:`buckets_for` of ``resolution``; an index built
-        inside the scope sorts on demand (:meth:`sort_order_for`).  On
-        exit the caches computed inside the scope are dropped and the
-        freed pages returned to the OS
-        (:func:`~repro.util.heap.release_heap`); state primed before the
-        scope, a store's mapped bucket ids included, is kept.
-        """
-        fresh = [c for c in (self._bucket_cache, self._order_cache) if resolution not in c]
-        try:
-            yield self.buckets_for(resolution)
-        finally:
-            if sum(cache.pop(resolution, None) is not None for cache in fresh):
-                release_heap()
-
-    def sort_order_for(self, resolution: float) -> np.ndarray:
-        """Stable bucket-major ``int32`` sort order of the arena's ions, cached.
-
-        This is the argsort every :class:`~repro.index.slm.SLMIndex`
-        over this arena needs at ``resolution``; it depends only on the
-        immutable fragment data, so index builds that share it
-        (benchmark repetitions) pay for the sort once while it stays
-        cached; one-shot builds scope it with :meth:`quantized`.  A rank
-        sorts its own :meth:`take` sub-arena, so its build scales with
-        its slice, not with the master.
-
-        The order is one in-place sort of packed ``int64`` keys
-        ``(bucket << 32) | position``, not a stable argsort.  Positions
-        are below 2^31 (:func:`check_ion_count`), so the low 32 bits
-        never carry into the bucket, and signed key order is bucket
-        order first — negative buckets included — then position order.
-        The keys are unique, so *any* correct sort, numpy's unstable
-        SIMD one included, yields the single order a stable argsort
-        gives; ``key & 0xFFFFFFFF`` is then the position.  The keys are
-        built in :data:`_QUANTIZE_BLOCK` blocks, so the peak is the
-        ``int64`` keys plus the ``int32`` result (12 B/ion), as it was
-        for the stable argsort's ``int64`` result and its ``int32``
-        copy.
-        """
-        cached = self._order_cache.get(resolution)
-        if cached is None:
-            buckets = self.buckets_for(resolution)
-            n = buckets.size
-            keys = np.empty(n, dtype=np.int64)
-            positions = np.arange(min(n, _QUANTIZE_BLOCK), dtype=np.int64)
-            for a in range(0, n, _QUANTIZE_BLOCK):
-                block = keys[a : a + positions.size]
-                block[...] = buckets[a : a + block.size]
-                block <<= 32
-                block |= positions[: block.size]
-                positions += positions.size
-            keys.sort()
-            keys &= 0xFFFFFFFF
-            cached = keys.astype(np.int32)
-            self._order_cache[resolution] = cached
-        return cached
+        buckets = self.buckets_for(resolution)
+        return buckets, bucket_major_order(buckets)
 
     # -- selection ------------------------------------------------------
 
     def take(self, entry_ids: np.ndarray) -> "FragmentArena":
         """Sub-arena of ``entry_ids`` (in the given order), one gather.
 
-        Per-entry metadata travels along, and so do bucket ids a caller
-        primed on this arena; otherwise the sub-arena quantizes its own
-        ions when its index is built, and it always sorts them itself.
+        Per-entry metadata travels along; the sub-arena's index build
+        quantizes and sorts its own ions.
         """
         ids = np.asarray(entry_ids, dtype=np.int64)
         starts = self.offsets[ids]
@@ -472,15 +430,12 @@ class FragmentArena:
         new_offsets = np.zeros(ids.size + 1, dtype=np.int64)
         np.cumsum(stops - starts, out=new_offsets[1:])
         idx = concat_ranges(starts, stops)
-        sub = FragmentArena(
+        return FragmentArena(
             self.mzs[idx],
             new_offsets,
             lengths=self.lengths[ids],
             masses=self.masses[ids],
         )
-        for resolution, buckets in self._bucket_cache.items():
-            sub._bucket_cache[resolution] = buckets[idx]
-        return sub
 
     def gather_flat(
         self, entry_ids: np.ndarray, *, workspace: Workspace | None = None

@@ -10,8 +10,9 @@ copies:
 
 * entries are ranked by their float32 mass (the value the window
   predicate tests) and cut into runs of :data:`CHUNK_ENTRIES`,
-* the rank's ions — already bucket-major through the arena's cached
-  sort order — are re-sorted **once**, stably, by chunk id, which makes
+* the rank's ions — bucket-major through the one
+  :meth:`~repro.index.arena.FragmentArena.quantize` of the build — are
+  re-sorted **once**, stably, by chunk id, which makes
   them ``(chunk, bucket)``-major in one flat ``int32`` array of parent
   mass ranks,
 * one flat ``int32`` bucket-offset CSR holds every chunk's offsets,
@@ -98,11 +99,10 @@ class ChunkedIndex:
     ----------
     arena:
         The rank's sub-arena (local ids are its entry positions — the
-        rank's manifest order); its ``masses`` order the entries.  Its
-        quantization caches are read once and then **dropped**
-        (:meth:`~repro.index.arena.FragmentArena.drop_quantization_caches`,
-        which :func:`~repro.search.rank.build_rank_index` would call on
-        return anyway) so the rest of the build reuses their memory.
+        rank's manifest order); its ``masses`` order the entries.  The
+        build quantizes it once and deletes the bucket ids and their
+        order as soon as it has read them, so the rest of the build
+        reuses their memory.
     settings:
         Index/query settings.
     chunk_entries:
@@ -169,24 +169,22 @@ class ChunkedIndex:
         self.mass_max = self.masses64[np.minimum(first + size, n) - 1]
 
         # --- transient construction state (freed on return) ---------
-        # The arena's (cached) sort order makes the ions
-        # bucket-major; relabelling parents by mass rank and sorting
-        # stably by chunk id — a radix pass, chunk ids are tiny ints —
-        # regroups them (chunk, bucket)-major without a second
-        # comparison sort.  The bucket-major bucket ids themselves need
-        # no gather: they are each bucket id repeated by its ion count.
-        resolution = settings.resolution
+        # The quantize's order makes the ions bucket-major; relabelling
+        # parents by mass rank and sorting stably by chunk id — a radix
+        # pass, chunk ids are tiny ints — regroups them (chunk,
+        # bucket)-major without a second comparison sort.  The
+        # bucket-major bucket ids themselves need no gather: they are
+        # each bucket id repeated by its ion count.
+        buckets, by_bucket = arena.quantize(settings.resolution)
         mass_rank = np.empty(n, dtype=np.int32)
         mass_rank[order] = np.arange(n, dtype=np.int32)
-        ion_rank = np.repeat(mass_rank, arena.counts)[
-            arena.sort_order_for(resolution)
-        ]
+        ion_rank = np.repeat(mass_rank, arena.counts)[by_bucket]
         ion_chunk = (ion_rank // size).astype(np.min_scalar_type(n_chunks))
-        per_bucket = np.bincount(arena.buckets_for(resolution))
-        # Nothing below reads the caches: dropping their 8 B/ion of
-        # int32 buckets and order before the chunk sort (int64 index +
+        per_bucket = np.bincount(buckets)
+        # Nothing below reads them: deleting the 8 B/ion of int32
+        # buckets and order before the chunk sort (int64 index +
         # scratch) lets the sort reuse that memory.
-        arena.drop_quantization_caches()
+        del buckets, by_bucket
         by_chunk = np.argsort(ion_chunk, kind="stable")
         del ion_chunk
         self.ion_parents = ion_rank[by_chunk]

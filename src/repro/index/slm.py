@@ -34,10 +34,11 @@ which keeps its own flat precursor-major arrays and shares only
 :class:`FilterResult`, the settings, :data:`FILTER_BATCH_ION_BUDGET`
 and the window predicate's form with this class.  Both take the same
 input: one complete :class:`~repro.index.arena.FragmentArena`
-(``SLMIndex(arena, settings)``).  Nothing stores a built index: an
-index archive (:meth:`~repro.search.database.IndexedDatabase.save`)
-holds the arena with its bucket ids, so reopening one costs this
-build (its sort included) alone.
+(``SLMIndex(arena, settings)``), which each quantizes and sorts once
+(:meth:`~repro.index.arena.FragmentArena.quantize`).  Nothing stores a
+built index: an index archive
+(:meth:`~repro.search.database.IndexedDatabase.save`) holds the arena's
+m/z data, so reopening one costs this build alone.
 """
 
 from __future__ import annotations
@@ -149,12 +150,13 @@ class SLMIndex:
     ----------
     arena:
         The :class:`~repro.index.arena.FragmentArena` to index; local
-        ids are its entry positions.  The build reuses the arena's
-        cached bucket quantization and sort order, and the precursor
-        filter reads the arena's float32 ``masses``.  The index keeps
-        those masses and the per-entry ion counts, not the arena, and
-        holds no peptide table: callers that need peptides keep them
-        beside the index (an :class:`~repro.search.database.IndexedDatabase`).
+        ids are its entry positions.  The build quantizes and sorts
+        it once (:meth:`~repro.index.arena.FragmentArena.quantize`),
+        and the precursor filter reads the arena's float32
+        ``masses``.  The index keeps those masses and the per-entry
+        ion counts, not the arena, and holds no peptide table: callers
+        that need peptides keep them beside the index (an
+        :class:`~repro.search.database.IndexedDatabase`).
     settings:
         Index/query settings.
 
@@ -178,16 +180,14 @@ class SLMIndex:
 
         # --- transient construction state (freed on return) ---------
         # The flat bucket array is entry-major (zero-fragment entries
-        # contribute nothing), so the (arena-cached) stable sort order
-        # makes the ions bucket-major with ties in entry order; bucket
-        # counts come straight from the unsorted array (bincount is
+        # contribute nothing), so its stable sort order makes the ions
+        # bucket-major with ties in entry order; bucket counts come
+        # straight from the unsorted array (bincount is
         # order-independent).
-        all_buckets = arena.buckets_for(settings.resolution)
+        all_buckets, order = arena.quantize(settings.resolution)
         all_parents = np.repeat(
             np.arange(n, dtype=np.int32), arena.counts
         ) if n else np.empty(0, dtype=np.int32)
-
-        order = arena.sort_order_for(settings.resolution)
         self.ion_parents: np.ndarray = all_parents[order]
 
         self.n_buckets = int(all_buckets.max()) + 1 if all_buckets.size else 0

@@ -6,22 +6,21 @@ rather than be copied per worker; HiCOPS realizes that on flat arrays.
 :class:`SharedArenaStore` is our equivalent for the
 :class:`~repro.index.arena.FragmentArena`:
 
-* :meth:`SharedArenaStore.spill` writes each flat array — ``mzs``,
-  ``offsets``, ``lengths``, ``masses``, plus any ``int32`` bucket
-  quantization a caller primed — as its own **uncompressed** ``.npy``
-  file under one directory, with a small JSON manifest binding them
-  together (resolutions are keyed by ``float.hex`` so keys round-trip
-  exactly).  A session's spill (:class:`SharedSpill`) quantizes
-  nothing, so it is 8 B/ion on disk, the m/z alone: every rank
-  quantizes and sorts its own sub-arena, so its build scales with its
-  slice, and no rank derives its order from the master's.  No sort
-  order is ever stored,
-* :meth:`SharedArenaStore.load` reopens every array with
+* :meth:`SharedArenaStore.spill` writes the arena's four flat arrays —
+  ``mzs``, ``offsets``, ``lengths``, ``masses`` — each as its own
+  **uncompressed** ``.npy`` file under one directory, with a small JSON
+  manifest binding them together.  That is 8 B/ion on disk, the m/z
+  alone: the arena holds no bucket ids or sort order to write, and
+  every rank quantizes and sorts its own sub-arena, so its build scales
+  with its slice,
+* :meth:`SharedArenaStore.load` reopens those four arrays with
   ``np.load(..., mmap_mode="r")`` and rebuilds a read-only
   :class:`~repro.index.arena.FragmentArena` around the maps — O(metadata)
   per process, no data copied.  Every file's dtype and length are
   checked against the manifest, so a torn, short, retyped or
-  older-format store raises :class:`~repro.errors.FormatError`.
+  older-format store raises :class:`~repro.errors.FormatError`.  An
+  older store's bucket and order files, which its manifest still
+  names, are left unmapped.
 
 Memory model: however many worker processes ``load()`` the same store,
 the OS page cache holds **one** physical copy of the fragment data;
@@ -60,6 +59,10 @@ __all__ = [
 
 _MANIFEST_NAME = "arena_manifest.json"
 _FORMAT_VERSION = 3
+
+#: The arena arrays a store holds, one ``<name>.npy`` each: everything
+#: :meth:`SharedArenaStore.load` maps.
+_ARENA_ARRAYS = ("mzs", "offsets", "lengths", "masses")
 
 #: Temp-dir prefixes owned by this package (arena spills, per-session
 #: spectra stores and fault-plan ledgers); :func:`sweep_stale_stores`
@@ -125,33 +128,24 @@ class SharedArenaStore:
     def spill(
         cls, arena: FragmentArena, directory: Union[str, Path]
     ) -> "SharedArenaStore":
-        """Write ``arena`` (flat arrays + bucket caches) under ``directory``.
+        """Write ``arena``'s four flat arrays under ``directory``.
 
         The directory is created if needed; an existing manifest is
         overwritten (stores are immutable once written — spill to a
-        fresh directory for a different arena).  Bucket ids a caller
-        primed on the arena travel along and a worker gathers its slice
-        of them; without them it quantizes its own slice.  A cached sort
-        order never travels (each rank sorts its own slice).
+        fresh directory for a different arena).  The manifest keeps the
+        format's empty ``resolutions`` list, so every version-3 reader
+        opens the store.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        np.save(directory / "mzs.npy", arena.mzs)
-        np.save(directory / "offsets.npy", arena.offsets)
-        manifest: dict = {
+        for name in _ARENA_ARRAYS:
+            np.save(directory / f"{name}.npy", getattr(arena, name))
+        manifest = {
             "version": _FORMAT_VERSION,
             "n_entries": int(arena.n_entries),
             "n_ions": int(arena.n_ions),
             "resolutions": [],
         }
-        np.save(directory / "lengths.npy", arena.lengths)
-        np.save(directory / "masses.npy", arena.masses)
-        for i, resolution in enumerate(sorted(arena._bucket_cache)):
-            name = f"buckets_{i}.npy"
-            np.save(directory / name, arena._bucket_cache[resolution])
-            manifest["resolutions"].append(
-                {"hex": float(resolution).hex(), "buckets": name, "order": None}
-            )
         (directory / _MANIFEST_NAME).write_text(
             json.dumps(manifest, indent=2) + "\n", encoding="ascii"
         )
@@ -181,9 +175,9 @@ class SharedArenaStore:
         ``mmap_mode="r"`` (default) yields read-only views: any
         attempted write raises, which is what guarantees N workers can
         share one physical copy safely.  ``"c"`` (copy-on-write) is
-        accepted for callers that must scribble on private pages.  A
-        sort-order file that a store written before orders were dropped
-        still names is not mapped.
+        accepted for callers that must scribble on private pages.
+        Bucket and order files that an older store's manifest names are
+        not mapped.
         """
         if mmap_mode not in ("r", "c"):
             raise ConfigurationError(
@@ -198,11 +192,6 @@ class SharedArenaStore:
             arena = FragmentArena(mzs, offsets, lengths=lengths, masses=masses)
         except ConfigurationError as bad:
             raise FormatError(f"arena store {self.directory} is inconsistent: {bad}") from None
-        for entry in self.manifest["resolutions"]:
-            if entry["buckets"] is not None:
-                arena._bucket_cache[float.fromhex(entry["hex"])] = self.map(
-                    entry["buckets"], np.int32, n_ions, mmap_mode
-                )
         _LOADED_FROM[arena] = self
         return arena
 
@@ -240,10 +229,14 @@ class SharedArenaStore:
         return int(self.manifest["n_ions"])
 
     def file_bytes(self) -> Dict[str, int]:
-        """On-disk bytes per store file (the shared-copy footprint)."""
+        """On-disk bytes of each file :meth:`load` maps (the shared-copy footprint).
+
+        Other files in the directory — an index archive's entry table,
+        an older store's bucket and order files — are not counted.
+        """
         return {
-            p.name: p.stat().st_size
-            for p in sorted(self.directory.glob("*.npy"))
+            f"{name}.npy": (self.directory / f"{name}.npy").stat().st_size
+            for name in _ARENA_ARRAYS
         }
 
     def nbytes(self) -> int:
@@ -310,10 +303,9 @@ def sweep_stale_stores(
 class SharedSpill:
     """A refcounted spill of one arena at one resolution.
 
-    The spill writes the arena as it stands and computes nothing: no
-    bucket ids and no sort order, so the master keeps no quantization
-    state for a session, and each worker quantizes and sorts only its
-    own slice at ``resolution``.
+    The spill writes the arena's m/z data and computes nothing, so the
+    master keeps no quantization state for a session, and each worker
+    quantizes and sorts only its own slice at ``resolution``.
 
     A fresh spill owns its tmpdir: a ``weakref.finalize`` registered
     **before** any file is written removes the directory when the last

@@ -240,8 +240,9 @@ class IndexedDatabase:
         The entries' arena at ``settings.fragmentation`` is spilled as a
         :class:`~repro.parallel.shared_arena.SharedArenaStore` the way a
         session spills it (:class:`~repro.parallel.shared_arena.SharedSpill`):
-        its m/z data, with no bucket ids or sort order computed for it,
-        since every rank quantizes and sorts its own slice.  Beside
+        its four flat arrays, the m/z data and per-entry metadata, since
+        the arena holds no quantization state and every rank quantizes
+        and sorts its own slice.  Beside
         it go the entry table (residues at full length, protein ids,
         mods as CSR), the base → entry offsets and, last, so that a torn
         write never loads, ``settings``.  ``directory`` must be absent or

@@ -226,25 +226,20 @@ def build_rank_index(
 ) -> Tuple[FragmentArena, SLMIndex | ChunkedIndex]:
     """Carve ``entry_ids``'s sub-arena and build the rank's partial index.
 
-    The sub-arena is gathered in C from the (possibly memmap-backed)
-    master arena — fragments, masses, and any bucket ids a caller
-    primed on the master — and the rank quantizes (unless primed) and
-    sorts its own slice (the packed-key
-    :meth:`~repro.index.arena.FragmentArena.sort_order_for`), so the
-    build scales with the rank's share, not the master's.  Local ids
-    are manifest positions and masses come from the arena; the index
-    is flat for open search, precursor-major for a windowed one (see
-    the module docstring).  The sub-arena's quantization caches are
-    dropped after the build: scoring only needs the flat m/z data.
+    The sub-arena's fragments and masses are gathered in C from the
+    (possibly memmap-backed) master arena, and the index build
+    quantizes and sorts that slice once
+    (:meth:`~repro.index.arena.FragmentArena.quantize`), so the build
+    scales with the rank's share, not the master's.  Local ids are
+    manifest positions and masses come from the arena; the index is
+    flat for open search, precursor-major for a windowed one (see the
+    module docstring).  The sub-arena keeps only its flat m/z data,
+    which is all scoring needs.
     """
-    ids = np.asarray(entry_ids, dtype=np.int64)
-    sub = arena.take(ids)
+    sub = arena.take(np.asarray(entry_ids, dtype=np.int64))
     if settings.is_open_search:
-        index = SLMIndex(sub, settings)
-    else:
-        index = ChunkedIndex(sub, settings)
-    sub.drop_quantization_caches()
-    return sub, index
+        return sub, SLMIndex(sub, settings)
+    return sub, ChunkedIndex(sub, settings)
 
 
 def run_rank_queries(

@@ -23,6 +23,7 @@ from repro.search.scoring import score_many
 from repro.spectra.model import Spectrum
 from repro.spectra.preprocess import PreprocessConfig, preprocess_batch
 from repro.errors import ConfigurationError
+from repro.util.heap import release_heap
 
 __all__ = ["SerialSearchEngine"]
 
@@ -85,11 +86,17 @@ class SerialSearchEngine:
 
     @property
     def index(self) -> SLMIndex:
-        """The full index, built lazily and cached."""
+        """The full index, built lazily and cached.
+
+        The build's bucket ids and sort order die with it, and the
+        freed pages go back to the OS
+        (:func:`~repro.util.heap.release_heap`).
+        """
         if self._index is None:
-            arena = self.database.arena_for(self.settings.fragmentation)
-            with arena.quantized(self.settings.resolution):
-                self._index = SLMIndex(arena, self.settings)
+            self._index = SLMIndex(
+                self.database.arena_for(self.settings.fragmentation), self.settings
+            )
+            release_heap()
         return self._index
 
     def run(

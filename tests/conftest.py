@@ -8,6 +8,7 @@ read-only with respect to these objects.
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import os
 import tempfile
 from pathlib import Path
@@ -77,12 +78,23 @@ def _owned_tmpdirs() -> set:
     return owned
 
 
+@pytest.fixture
+def owned_tmpdirs():
+    """:func:`_owned_tmpdirs`, for tests that count their own spills."""
+    return _owned_tmpdirs
+
+
 @pytest.fixture(scope="module", autouse=True)
 def resource_fence():
-    """Fail a module that leaves a package tmpdir of this process behind."""
-    before = _owned_tmpdirs()
+    """Fail a module that leaves a package tmpdir of this process, or a
+    child process, behind."""
+    tmpdirs = _owned_tmpdirs()
+    children = set(multiprocessing.active_children())
     yield
     gc.collect()
-    leaked = sorted(_owned_tmpdirs() - before)
+    leaked = sorted(_owned_tmpdirs() - tmpdirs)
     if leaked:
         pytest.fail(f"module left {len(leaked)} tmpdir(s) behind: {leaked}", pytrace=False)
+    alive = [p for p in multiprocessing.active_children() if p not in children]
+    if alive:
+        pytest.fail(f"module left {len(alive)} child process(es) alive: {alive}", pytrace=False)

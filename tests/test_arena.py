@@ -28,7 +28,13 @@ from repro.chem.fragments import FRAGMENT_BLOCK, FragmentationSettings, fragment
 from repro.chem.peptide import Peptide
 from repro.errors import ConfigurationError
 from repro.index import arena as arena_module
-from repro.index.arena import INT32_LIMIT, FragmentArena, Workspace, concat_ranges
+from repro.index.arena import (
+    INT32_LIMIT,
+    FragmentArena,
+    Workspace,
+    bucket_major_order,
+    concat_ranges,
+)
 from repro.index.chunks import ChunkedIndex
 from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.search.database import IndexedDatabase
@@ -148,10 +154,12 @@ def test_arena_blocks_equal_one_row_runs(small_db, n):
     assert arena.offsets.tobytes() == rows.offsets.tobytes()
 
 
-def test_arena_buckets_cached_per_resolution():
+def test_arena_buckets_per_resolution():
+    """Each call quantizes afresh: equal ids, never a kept array."""
     arena = FragmentArena.from_peptides(PEPTIDES)
     b1 = arena.buckets_for(0.01)
-    assert arena.buckets_for(0.01) is b1
+    again = arena.buckets_for(0.01)
+    assert again is not b1 and np.array_equal(again, b1)
     expected = np.floor(arena.mzs * (1.0 / 0.01)).astype(np.int64)
     assert np.array_equal(b1, expected)
     assert not np.array_equal(arena.buckets_for(0.5), b1)
@@ -159,7 +167,6 @@ def test_arena_buckets_cached_per_resolution():
 
 def test_arena_take_gathers_everything():
     arena = FragmentArena.from_peptides(PEPTIDES)
-    arena.buckets_for(0.01)
     ids = np.array([4, 1, 2], dtype=np.int64)
     sub = arena.take(ids)
     assert sub.n_entries == 3
@@ -167,7 +174,7 @@ def test_arena_take_gathers_everything():
         assert np.array_equal(fragments_of(sub, j), fragments_of(arena, int(i)))
     assert sub.lengths.tolist() == [PEPTIDES[int(i)].length for i in ids]
     assert np.array_equal(sub.masses, arena.masses[ids])
-    # bucket cache travels with the selection
+    # the sub-arena's own quantization is the master's, gathered
     assert np.array_equal(sub.buckets_for(0.01), arena.buckets_for(0.01)[
         concat_ranges(arena.offsets[ids], arena.offsets[ids + 1])
     ])
@@ -216,7 +223,7 @@ def test_empty_arena():
     assert idx.n_ions == 0
 
 
-# -- int32 quantization state and its guards ---------------------------
+# -- int32 quantization and its guards ---------------------------------
 
 
 def _one_entry_arena(mzs):
@@ -226,15 +233,28 @@ def _one_entry_arena(mzs):
     )
 
 
-def test_quantization_caches_are_int32():
+def test_quantize_is_int32():
     arena = FragmentArena.from_peptides(PEPTIDES)
-    assert arena.buckets_for(0.01).dtype == np.int32
-    order = arena.sort_order_for(0.01)
-    assert order.dtype == np.int32
-    assert np.array_equal(order, np.argsort(arena.buckets_for(0.01), kind="stable"))
-    sub = arena.take(np.array([4, 2, 0]))
-    assert sub._bucket_cache[0.01].dtype == sub.sort_order_for(0.01).dtype == np.int32
+    buckets, order = arena.quantize(0.01)
+    assert buckets.dtype == order.dtype == np.int32
+    assert np.array_equal(buckets, arena.buckets_for(0.01))
+    assert np.array_equal(order, np.argsort(buckets, kind="stable"))
+    sub_buckets, sub_order = arena.take(np.array([4, 2, 0])).quantize(0.01)
+    assert sub_buckets.dtype == sub_order.dtype == np.int32
     assert SLMIndex(arena, SLMIndexSettings()).bucket_offsets.dtype == np.int32
+
+
+def test_arena_has_no_slot_for_quantization_state():
+    """Index builds leave nothing behind because the arena cannot hold it."""
+    assert set(FragmentArena.__slots__) == {
+        "mzs", "offsets", "lengths", "masses", "_counts", "__weakref__"
+    }
+    arena = FragmentArena.from_peptides(PEPTIDES)
+    SLMIndex(arena, SLMIndexSettings())
+    ChunkedIndex(arena, SLMIndexSettings(precursor_tolerance=1.0))
+    assert arena.nbytes == sum(
+        getattr(arena, name).nbytes for name in ("mzs", "offsets", "lengths", "masses")
+    )
 
 
 def test_blocked_quantization_equals_one_pass(small_db, monkeypatch):
@@ -285,14 +305,6 @@ TIE_HEAVY_BUCKETS = st.sampled_from(
 )
 
 
-def _sort_order_over(buckets, resolution=1.0):
-    """``sort_order_for`` over the given bucket ids (primed into the cache)."""
-    buckets = np.asarray(buckets, dtype=np.int32)
-    arena = _one_entry_arena(np.zeros(buckets.size))
-    arena._bucket_cache[resolution] = buckets
-    return arena, arena.sort_order_for(resolution)
-
-
 def _stable_order(buckets):
     return np.argsort(np.asarray(buckets, dtype=np.int32), kind="stable").astype(np.int32)
 
@@ -315,10 +327,9 @@ def test_packed_sort_equals_stable_argsort(buckets, block):
     """Bucket-major, ties by position, whatever the ids and block size:
     empty, single and all-equal arrays and both int32 extremes included."""
     with patch.object(arena_module, "_QUANTIZE_BLOCK", block):
-        arena, order = _sort_order_over(buckets)
+        order = bucket_major_order(np.asarray(buckets, dtype=np.int32))
     assert order.dtype == np.int32
     assert np.array_equal(order, _stable_order(buckets))
-    assert arena.sort_order_for(1.0) is order  # cached, not re-sorted
 
 
 @pytest.mark.parametrize("delta", [-1, 0, 1])
@@ -330,8 +341,7 @@ def test_packed_sort_across_block_boundaries(n_blocks, delta):
     buckets = rng.integers(-40, 40, size=n).astype(np.int32)
     buckets[::997] = INT32_MIN
     buckets[1::991] = INT32_LIMIT - 1
-    _, order = _sort_order_over(buckets)
-    assert np.array_equal(order, _stable_order(buckets))
+    assert np.array_equal(bucket_major_order(buckets), _stable_order(buckets))
 
 
 @pytest.mark.parametrize("index_type", [SLMIndex, ChunkedIndex])

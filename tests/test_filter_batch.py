@@ -331,7 +331,6 @@ def test_concat_ranges_workspace_views_alias_buffer():
 def test_sub_arena_index_build_avoids_argsort(monkeypatch):
     settings = SLMIndexSettings(shared_peak_threshold=1)
     arena = FragmentArena.from_peptides(PEPTIDES)
-    arena.buckets_for(settings.resolution)
     ids = np.array([5, 1, 3, 0, 7], dtype=np.int64)  # shuffled manifest
     sub = arena.take(ids)
     sub_entries = [PEPTIDES[int(i)] for i in ids]

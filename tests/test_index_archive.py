@@ -20,7 +20,7 @@ from repro.chem.peptide import Peptide
 from repro.errors import FormatError
 from repro.index.arena import FragmentArena
 from repro.index.slm import SLMIndexSettings
-from repro.parallel.shared_arena import shared_spill_for
+from repro.parallel.shared_arena import SharedArenaStore, shared_spill_for
 from repro.search.database import IndexedDatabase
 from repro.search.serial import SerialSearchEngine
 from repro.service import SearchService, ServiceConfig
@@ -87,29 +87,40 @@ def test_session_from_archive_builds_and_spills_nothing(
 def test_archive_with_a_stored_order_loads_and_serves_identically(
     archive, tiny_db, tiny_spectra, tmp_path
 ):
-    """An archive written when stores still carried a sort order: the
-    order file is left unmapped, and the session serves bit-identically
-    to the serial engine."""
+    """An archive written when stores still carried bucket ids and a
+    sort order: both files are left unmapped and uncounted, and the
+    session serves bit-identically to the serial engine."""
     directory = _copy(archive, tmp_path)
     manifest_path = directory / "arena_manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    buckets = FragmentArena(
+    buckets, order = FragmentArena(
         np.load(directory / "mzs.npy"), np.load(directory / "offsets.npy"),
         lengths=np.load(directory / "lengths.npy"), masses=np.load(directory / "masses.npy"),
-    ).buckets_for(SETTINGS.resolution)
+    ).quantize(SETTINGS.resolution)
     np.save(directory / "buckets_0.npy", buckets)
-    np.save(directory / "order_0.npy", np.argsort(buckets, kind="stable").astype(np.int32))
+    np.save(directory / "order_0.npy", order)
     manifest["resolutions"] = [
         {"hex": SETTINGS.resolution.hex(), "buckets": "buckets_0.npy", "order": "order_0.npy"}
     ]
     manifest_path.write_text(json.dumps(manifest))
     database, settings = IndexedDatabase.load(directory)
-    arena = database.arena_for(settings.fragmentation)
-    assert set(arena._bucket_cache) == {SETTINGS.resolution} and arena._order_cache == {}
+    assert SharedArenaStore.open(directory).nbytes() == SharedArenaStore.open(archive).nbytes()
     with SearchService(database, ServiceConfig(n_workers=2, index=settings)) as service:
         assert service._spill.store.directory == directory
         results, _ = service.submit(tiny_spectra)
     assert_same_results(SerialSearchEngine(tiny_db).run(tiny_spectra), results)
+
+
+def test_archive_footprint_counts_the_arena_files_alone(archive):
+    """The entry table beside the arena store is not the shared copy."""
+    store = SharedArenaStore.open(archive)
+    arena_files = ("mzs.npy", "offsets.npy", "lengths.npy", "masses.npy")
+    assert store.file_bytes() == {
+        name: (archive / name).stat().st_size for name in arena_files
+    }
+    every_npy = sum(p.stat().st_size for p in archive.glob("*.npy"))
+    assert store.nbytes() < every_npy
+    assert store.nbytes() - 8 * store.n_ions <= 24 * store.n_entries + 1024
 
 
 def test_spill_of_an_archived_arena_borrows_it_at_every_resolution(archive):

@@ -9,7 +9,7 @@ from repro.errors import ConfigurationError
 from repro.index import chunks
 from repro.index.chunks import ChunkedIndex
 from repro.index.memory import IndexMemoryModel, MemoryBreakdown
-from repro.index.slm import SLMIndexSettings
+from repro.index.slm import SLMIndex, SLMIndexSettings
 
 
 def test_shared_scales_linearly_in_entries():
@@ -170,27 +170,18 @@ def test_arena_bytes_tracks_live_arena():
 
     peptides = [Peptide("ACDEFGHIK"), Peptide("LMNPQRSTVWYK"), Peptide("GGGGGGK")]
     arena = FragmentArena.from_peptides(peptides)
-    arena.buckets_for(0.01)
+    SLMIndex(arena, SLMIndexSettings())  # a build leaves nothing on the arena
     m = IndexMemoryModel()
     measured = m.measure_arena(arena)
-    # Flat m/z + offsets + one primed resolution's bucket ids; the live
-    # arena adds only small per-entry metadata on top.
-    structural = (
-        8 * arena.n_ions  # float64 m/z
-        + 8 * (arena.n_entries + 1)  # int64 offsets
-        + 4 * arena.n_ions  # int32 buckets
-    )
+    # Flat m/z + offsets; the live arena adds only small per-entry
+    # metadata on top.
+    structural = 8 * arena.n_ions + 8 * (arena.n_entries + 1)
     assert measured >= structural
     assert measured - structural <= 16 * arena.n_entries  # lengths + masses
 
 
 def test_arena_bytes_model_scales():
     m = IndexMemoryModel()
-    base = m.arena_bytes(1_000_000, n_resolutions=0)
-    with_res = m.arena_bytes(1_000_000, n_resolutions=1)
-    assert with_res - base == int(4 * 1_000_000 * m.ions_per_entry)
-    assert m.arena_bytes(2_000_000, n_resolutions=0) == pytest.approx(
-        2 * base, rel=1e-5
-    )
-    with pytest.raises(ConfigurationError):
-        m.arena_bytes(1_000_000, n_resolutions=-1)
+    base = m.arena_bytes(1_000_000)
+    assert base == int(8 * 1_000_000 * m.ions_per_entry) + 8 * 1_000_001
+    assert m.arena_bytes(2_000_000) == pytest.approx(2 * base, rel=1e-5)

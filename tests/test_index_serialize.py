@@ -40,19 +40,14 @@ def _query(peptide):
 
 
 def test_roundtrip_structures(loaded):
-    """The loaded arena, caches included, equals the one that was saved."""
+    """The loaded arena, and what it quantizes to, equals the one that was saved."""
     database, _ = loaded
     built = _database().arena_for(SETTINGS.fragmentation)
     arena = database.arena_for(SETTINGS.fragmentation)
     for name in ("mzs", "offsets", "lengths", "masses"):
         assert np.array_equal(getattr(arena, name), getattr(built, name)), name
-    assert np.array_equal(
-        arena.buckets_for(SETTINGS.resolution), built.buckets_for(SETTINGS.resolution)
-    )
-    assert np.array_equal(
-        arena.sort_order_for(SETTINGS.resolution),
-        built.sort_order_for(SETTINGS.resolution),
-    )
+    for a, b in zip(arena.quantize(SETTINGS.resolution), built.quantize(SETTINGS.resolution)):
+        assert np.array_equal(a, b)
     a, b = SLMIndex(arena, SETTINGS), SLMIndex(built, SETTINGS)
     assert np.array_equal(a.ion_parents, b.ion_parents)
     assert np.array_equal(a.bucket_offsets, b.bucket_offsets)
@@ -120,7 +115,7 @@ def test_bad_version_rejected(tmp_path):
 # -- zero-copy (memmap) loading ----------------------------------------
 
 
-def test_mmap_roundtrip_bit_identical(loaded):
+def test_mmap_roundtrip_bit_identical(loaded, tmp_path):
     """The loaded arena maps the archive's files; nothing is copied."""
     database, settings = loaded
     arena = database.arena_for(settings.fragmentation)
@@ -131,7 +126,7 @@ def test_mmap_roundtrip_bit_identical(loaded):
     ):
         assert isinstance(array, np.memmap) or isinstance(array.base, np.memmap)
     # Nothing quantized is stored: a build quantizes and sorts.
-    assert arena._bucket_cache == {} and arena._order_cache == {}
+    assert not list((tmp_path / "idx").glob("buckets_*.npy"))
 
 
 def test_mmap_views_reject_writes(loaded):

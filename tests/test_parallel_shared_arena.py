@@ -2,14 +2,16 @@
 
 The whole point of the store is that a worker's memmap view of the
 arena is indistinguishable (bit-for-bit) from the master's in-memory
-arrays — including the cached bucket quantizations — while rejecting
-writes, so N workers can safely share one physical copy.  No sort order
-is stored: each worker sorts its own slice.
+arrays while rejecting writes, so N workers can safely share one
+physical copy.  A store holds the four flat arena arrays and nothing
+quantized: each worker quantizes and sorts its own slice.
 """
 
+import gc
 import json
 import mmap
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ import pytest
 from reference import assert_same_results
 from repro.db.proteome import ProteomeConfig
 from repro.errors import ConfigurationError, FormatError
-from repro.index import arena as arena_module
 from repro.index.chunks import ChunkedIndex
 from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.parallel import worker
@@ -28,21 +29,16 @@ from repro.search.database import DatabaseConfig, IndexedDatabase
 from repro.search.rank import build_rank_index
 from repro.search.serial import SerialSearchEngine
 from repro.service import SearchService, ServiceConfig
+from repro.search import serial as serial_module
 from repro.util import heap
 
 RES = SLMIndexSettings().resolution
-RES_COARSE = 0.5
+ARENA_FILES = {"mzs.npy", "offsets.npy", "lengths.npy", "masses.npy"}
 
 
 @pytest.fixture(scope="module")
 def master_arena(tiny_db):
-    arena = tiny_db.arena_for()
-    # Two cached resolutions, one with a sort order that the spill
-    # must leave out.
-    arena.buckets_for(RES)
-    arena.sort_order_for(RES)
-    arena.buckets_for(RES_COARSE)
-    return arena
+    return tiny_db.arena_for()
 
 
 @pytest.fixture(scope="module")
@@ -66,15 +62,6 @@ def test_roundtrip_flat_arrays_bit_identical(master_arena, reopened):
     assert reopened.offsets.dtype == np.int64
 
 
-def test_roundtrip_caches_bit_identical(master_arena, reopened):
-    assert set(reopened._bucket_cache) == {RES, RES_COARSE}
-    assert reopened._order_cache == {}
-    for res in (RES, RES_COARSE):
-        assert np.array_equal(
-            master_arena._bucket_cache[res], reopened._bucket_cache[res]
-        )
-
-
 def test_reopened_views_are_read_only(reopened):
     for arr in (reopened.mzs, reopened.offsets, reopened.masses):
         with pytest.raises(ValueError):
@@ -83,7 +70,7 @@ def test_reopened_views_are_read_only(reopened):
 
 def test_store_reports_footprint(store, master_arena):
     files = store.file_bytes()
-    assert "mzs.npy" in files and "offsets.npy" in files
+    assert set(files) == ARENA_FILES
     # One shared copy on disk covers at least the fragment payload.
     assert store.nbytes() >= master_arena.mzs.nbytes
     assert store.n_entries == master_arena.n_entries
@@ -99,20 +86,6 @@ def test_partial_index_over_memmap_matches_master(master_arena, reopened):
     assert np.array_equal(from_master.ion_parents, from_store.ion_parents)
     assert np.array_equal(from_master.bucket_offsets, from_store.bucket_offsets)
     assert np.array_equal(from_master.masses, from_store.masses)
-
-
-def test_spill_without_caches_loads_empty_caches(tiny_db, tmp_path):
-    arena = tiny_db.arena_for()
-    bare = SharedArenaStore.spill(
-        type(arena)(
-            arena.mzs, arena.offsets, lengths=arena.lengths, masses=arena.masses
-        ),
-        tmp_path / "bare",
-    )
-    loaded = SharedArenaStore.open(bare.directory).load()
-    assert loaded._bucket_cache == {} and loaded._order_cache == {}
-    assert np.array_equal(loaded.lengths, arena.lengths)
-    assert np.array_equal(loaded.masses, arena.masses)
 
 
 def test_open_missing_store_raises(tmp_path):
@@ -133,13 +106,6 @@ def test_load_missing_file_raises(store, tmp_path):
         SharedArenaStore.open(broken_dir).load()
 
 
-def test_caches_spill_as_int32(store, reopened):
-    files = store.file_bytes()
-    for name in ("buckets_0.npy", "buckets_1.npy"):
-        assert 4 * store.n_ions < files[name] <= 4 * store.n_ions + 128  # + header
-    assert all(a.dtype == np.int32 for a in reopened._bucket_cache.values())
-
-
 # -- torn and stale stores: FormatError, never a bare ValueError --------
 
 
@@ -147,29 +113,6 @@ def _copy_store(store, tmp_path):
     copy = tmp_path / "copy"
     shutil.copytree(store.directory, copy)
     return copy
-
-
-def test_load_truncated_cache_raises(store, tmp_path):
-    copy = _copy_store(store, tmp_path)
-    path = copy / "buckets_0.npy"
-    path.write_bytes(path.read_bytes()[:-12])
-    with pytest.raises(FormatError, match="buckets_0.npy"):
-        SharedArenaStore.open(copy).load()
-
-
-def test_load_short_cache_raises(store, tmp_path):
-    """A valid .npy holding fewer ids than the store has ions."""
-    copy = _copy_store(store, tmp_path)
-    np.save(copy / "buckets_0.npy", np.load(copy / "buckets_0.npy")[:-3])
-    with pytest.raises(FormatError, match="buckets_0.npy"):
-        SharedArenaStore.open(copy).load()
-
-
-def test_load_wrong_dtype_cache_raises(store, tmp_path):
-    copy = _copy_store(store, tmp_path)
-    np.save(copy / "buckets_1.npy", np.load(copy / "buckets_1.npy").astype(np.int64))
-    with pytest.raises(FormatError, match="int64"):
-        SharedArenaStore.open(copy).load()
 
 
 def test_open_version_2_store_raises(store, tmp_path):
@@ -249,9 +192,9 @@ def test_worker_index_equals_a_stable_argsort_build_of_its_manifest(
     fresh = FragmentArena(
         arena.mzs, arena.offsets, lengths=arena.lengths, masses=arena.masses
     ).take(ids)
-    buckets = fresh.buckets_for(settings.resolution)
+    buckets, packed = fresh.quantize(settings.resolution)
     order = np.argsort(buckets, kind="stable")
-    assert np.array_equal(fresh.sort_order_for(settings.resolution), order)
+    assert np.array_equal(packed, order)
     expected = type(state["index"])(fresh, settings)
     assert np.array_equal(state["index"].ion_parents, expected.ion_parents)
     assert np.array_equal(state["index"].bucket_offsets, expected.bucket_offsets)
@@ -261,22 +204,26 @@ def test_worker_index_equals_a_stable_argsort_build_of_its_manifest(
 
 
 def test_spill_and_archive_hold_no_order_file(tmp_path):
-    """A session spill and an archive hold the m/z data alone (8 B/ion);
-    an order primed on the master never travels, its bucket ids do."""
+    """A spill holds exactly the four arena files and the manifest (a
+    session's tmpdir also its owner marker), the m/z data alone at
+    8 B/ion; an archive adds only its entry table."""
     db = _fresh_db()
     arena = db.arena_for()
+    SLMIndex(arena, SLMIndexSettings())  # an index build leaves nothing to spill
     spill = shared_spill_for(arena, RES)
-    archive = db.save(tmp_path / "archive")
-    arena.sort_order_for(RES)
-    primed = SharedArenaStore.spill(arena, tmp_path / "primed")
-    for store in (spill.store, SharedArenaStore.open(archive), primed):
-        assert not list(store.directory.glob("order_*.npy"))
-    for store in (spill.store, SharedArenaStore.open(archive)):
+    direct = SharedArenaStore.spill(arena, tmp_path / "direct")
+    archive = SharedArenaStore.open(db.save(tmp_path / "archive"))
+    manifest = {"arena_manifest.json"}
+    assert {p.name for p in spill.store.directory.iterdir()} == ARENA_FILES | manifest | {
+        "owner.pid"
+    }
+    assert {p.name for p in direct.directory.iterdir()} == ARENA_FILES | manifest
+    assert not list(archive.directory.glob("buckets_*.npy"))
+    assert not list(archive.directory.glob("order_*.npy"))
+    for store in (spill.store, direct, archive):
         assert store.manifest["resolutions"] == []
+        assert store.nbytes() == direct.nbytes()
     assert spill.store.nbytes() - 8 * arena.n_ions <= 24 * arena.n_entries + 1024
-    assert primed.manifest["resolutions"] == [
-        {"hex": RES.hex(), "buckets": "buckets_0.npy", "order": None}
-    ]
 
 
 def test_release_heap_is_a_noop_without_malloc_trim(monkeypatch):
@@ -290,7 +237,7 @@ def test_malloc_trim_lookup_tolerates_a_libc_without_it(monkeypatch):
     assert heap.release_heap() is False
 
 
-# -- the master keeps no quantization state once the spill holds it -----
+# -- the master keeps no quantization state ---------------------------
 
 
 def _fresh_db():
@@ -303,51 +250,43 @@ def _fresh_db():
     )
 
 
-def _caches(arena):
-    return dict(arena._bucket_cache), dict(arena._order_cache)
+def _watch_quantize(monkeypatch):
+    """Weak references to every array ``FragmentArena.quantize`` returns."""
+    made = []
+    real = FragmentArena.quantize
+
+    def watched(self, resolution):
+        out = real(self, resolution)
+        made.extend(weakref.ref(array) for array in out)
+        return out
+
+    monkeypatch.setattr(FragmentArena, "quantize", watched)
+    return made
 
 
-def test_service_open_leaves_the_master_no_quantization_state(tiny_spectra):
+def test_service_open_leaves_the_master_no_quantization_state(tiny_spectra, monkeypatch):
+    """The master never quantizes for a session: its workers do."""
     db = _fresh_db()
+    made = _watch_quantize(monkeypatch)
     with SearchService(db, ServiceConfig(n_workers=2)) as service:
-        arena = db.arena_for()
-        assert _caches(arena) == ({}, {})
-        assert arena.nbytes == arena.mzs.nbytes + arena.offsets.nbytes + (
-            arena.lengths.nbytes + arena.masses.nbytes
-        )
         results, _ = service.submit(tiny_spectra)
+    assert made == []
     assert_same_results(SerialSearchEngine(db).run(tiny_spectra), results)
 
 
-def test_serial_index_build_leaves_no_quantization_state():
+def test_serial_index_build_leaves_no_quantization_state(monkeypatch):
+    """The serial build's bucket ids and order die with it, and the
+    build trims the heap once, not on every ``index`` read."""
+    trims = []
+    monkeypatch.setattr(serial_module, "release_heap", lambda: trims.append(1) or True)
+    made = _watch_quantize(monkeypatch)
     db = _fresh_db()
-    settings = SLMIndexSettings(precursor_tolerance=2.0)
-    assert len(SerialSearchEngine(db, settings).index) == db.n_entries
-    assert _caches(db.arena_for()) == ({}, {})
-
-
-def test_primed_resolution_survives_open_and_serial_build(tiny_spectra):
-    db = _fresh_db()
-    arena = db.arena_for()
-    primed = arena.buckets_for(RES), arena.sort_order_for(RES)
-    with SearchService(db, ServiceConfig(n_workers=2)) as service:
-        service.submit(tiny_spectra[:3])
-    SerialSearchEngine(db).index
-    assert arena._bucket_cache[RES] is primed[0]
-    assert arena._order_cache[RES] is primed[1]
-    assert set(arena._bucket_cache) == set(arena._order_cache) == {RES}
-
-
-def test_store_loaded_arena_keeps_its_mapped_caches(tmp_path):
-    db = _fresh_db()
-    db.arena_for().buckets_for(RES)  # primed bucket ids are stored
-    db.save(tmp_path / "archive")
-    db, settings = IndexedDatabase.load(tmp_path / "archive")
-    arena = db.arena_for(settings.fragmentation)
-    mapped = arena._bucket_cache[settings.resolution]
-    SerialSearchEngine(db, settings).index
-    assert _caches(arena) == ({settings.resolution: mapped}, {})
-    assert _maps_a_file(mapped)
+    engine = SerialSearchEngine(db, SLMIndexSettings(precursor_tolerance=2.0))
+    assert len(engine.index) == db.n_entries
+    assert engine.index is engine.index
+    gc.collect()
+    assert len(made) == 2 and all(ref() is None for ref in made)
+    assert trims == [1]
 
 
 def test_session_after_the_spill_is_removed_requantizes_bit_identically(tiny_spectra):
@@ -360,39 +299,6 @@ def test_session_after_the_spill_is_removed_requantizes_bit_identically(tiny_spe
     with SearchService(db, ServiceConfig(n_workers=2)) as second:
         assert second._spill.store.directory != spill_dir
         assert_same_results(oracle, second.submit(tiny_spectra)[0])
-    assert _caches(db.arena_for()) == ({}, {})
-
-
-def test_quantized_releases_the_heap_only_when_it_dropped_state(
-    master_arena, monkeypatch
-):
-    trims = []
-    monkeypatch.setattr(arena_module, "release_heap", lambda: trims.append(1) or True)
-    arena = master_arena.take(np.arange(master_arena.n_entries))
-    arena.drop_quantization_caches()
-    with arena.quantized(RES) as buckets:
-        assert arena._bucket_cache[RES] is buckets
-        assert arena._order_cache == {}  # the scope itself never sorts
-        with arena.quantized(RES):  # nothing fresh: keeps and never trims
-            pass
-        assert trims == []
-    assert _caches(arena) == ({}, {}) and trims == [1]
-    primed = arena.buckets_for(RES)
-    with arena.quantized(RES):  # an order sorted inside is dropped alone
-        arena.sort_order_for(RES)
-    assert _caches(arena) == ({RES: primed}, {}) and trims == [1, 1]
-    arena.sort_order_for(RES)
-    with arena.quantized(RES):
-        pass
-    assert set(arena._order_cache) == {RES} and trims == [1, 1]
-    with pytest.raises(ValueError):
-        with arena.quantized(RES_COARSE):
-            raise ValueError("a failed step still drops its state")
-    assert RES_COARSE not in arena._bucket_cache and trims == [1, 1, 1]
-    with pytest.raises(ConfigurationError):  # computed nothing: no trim
-        with arena.quantized(1e-12):
-            pass
-    assert trims == [1, 1, 1]
 
 
 # -- the stale-store reaper --------------------------------------------

@@ -9,9 +9,7 @@ round sent to every worker (payload-size accounting).
 
 import multiprocessing
 import pickle
-import tempfile
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -189,20 +187,24 @@ class _OpenStepFailed(RuntimeError):
     pass
 
 
-def _spill_dirs():
-    return set(Path(tempfile.gettempdir()).glob("repro-arena-*"))
-
-
 @pytest.mark.parametrize("step", ["plan", "arena_for", "shared_spill_for", "spill_write"])
-def test_open_failure_after_early_spawn_cleans_up(tiny_db, monkeypatch, step):
+def test_open_failure_after_early_spawn_cleans_up(tiny_db, monkeypatch, step, owned_tmpdirs):
     """The pool spawns before the master plans, builds the arena and
     spills; a raise in any of those re-raises unchanged and leaves no
-    live worker and no spill directory behind."""
+    live worker and no spill directory behind.  Only this process's
+    spills are counted (a concurrent run may spill beside it); a spill
+    marks its owner before it writes a file, so the half-written one
+    is among them."""
     error = _OpenStepFailed(step)
     children_at_raise = []
+    dirs_at_raise = []
+
+    def spill_dirs():
+        return {name for name in owned_tmpdirs() if name.startswith("repro-arena-")}
 
     def boom(*args, **kwargs):
         children_at_raise.append(set(multiprocessing.active_children()))
+        dirs_at_raise.append(spill_dirs())
         raise error
 
     if step == "plan":
@@ -217,7 +219,7 @@ def test_open_failure_after_early_spawn_cleans_up(tiny_db, monkeypatch, step):
     # hand back a live spill and skip the failing write.
     config = ServiceConfig(n_workers=2, index=SLMIndexSettings(resolution=0.0125))
     children_before = set(multiprocessing.active_children())
-    dirs_before = _spill_dirs()
+    dirs_before = spill_dirs()
     service = SearchService(tiny_db, config)
     with pytest.raises(_OpenStepFailed) as excinfo:
         service.open()
@@ -226,7 +228,9 @@ def test_open_failure_after_early_spawn_cleans_up(tiny_db, monkeypatch, step):
     assert len(children_at_raise[0] - children_before) == 2
     # ... and the failed open reaped them and left no spill behind.
     assert set(multiprocessing.active_children()) <= children_before
-    assert _spill_dirs() <= dirs_before
+    if step == "spill_write":
+        assert dirs_at_raise[0] - dirs_before
+    assert spill_dirs() <= dirs_before
     assert not service.is_open
     service.close()
     assert not service.is_open

@@ -181,7 +181,7 @@ def rank0_index(db, settings):
 
 
 def test_sort_order_matches_pinned_digest(database):
-    order = database.arena_for().sort_order_for(0.01)
+    _, order = database.arena_for().quantize(0.01)
     assert digest(order) == SORT_DIGESTS["arena.sort_order/0.01"]
 
 
