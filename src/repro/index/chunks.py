@@ -86,6 +86,14 @@ __all__ = ["CHUNK_ENTRIES", "ChunkedIndex"]
 #: virtual-time cost model charges, so changing it moves them.
 CHUNK_ENTRIES = 8192
 
+#: Bound on the ions one filtration batch gathers and on its counting
+#: key space (the dominant transients: 4 B/ion of gathered ``int32``
+#: parent ids, 32 MB at this default, and the per-key counts).  A batch
+#: projected past either is split by spectrum; a single spectrum may
+#: still exceed it.  The flat :class:`~repro.index.slm.SLMIndex`
+#: gathers one spectrum at a time and needs no such bound.
+FILTER_BATCH_ION_BUDGET = 1 << 23
+
 #: Relative widening of the per-spectrum mass-rank interval, so the
 #: interval (found by ``searchsorted`` on ``neutral ∓ tol``) holds every
 #: entry the difference-form predicate keeps despite rounding.
@@ -265,7 +273,7 @@ class ChunkedIndex:
 
         The whole batch is one array pass (see the module docstring);
         a batch projected to gather more than
-        :data:`~repro.index.slm.FILTER_BATCH_ION_BUDGET` ions, or to
+        :data:`FILTER_BATCH_ION_BUDGET` ions, or to
         count over a larger key space, is split by spectrum.
         ``workspace`` supplies scratch buffers; it defaults to the
         calling thread's.
@@ -282,8 +290,6 @@ class ChunkedIndex:
         """One bounded batch of the windowed filtration kernel."""
         nb = len(batch)
         settings = self.settings
-        r = settings.resolution
-        frag_tol = settings.fragment_tolerance
         neutral = np.fromiter((s.neutral_mass for s in batch), np.float64, nb)
         peak_counts = np.fromiter((s.n_peaks for s in batch), np.int64, nb)
         peak_bounds = np.zeros(nb + 1, dtype=np.int64)
@@ -296,13 +302,12 @@ class ChunkedIndex:
         # One window per (reached pair, peak of its spectrum), in
         # spectrum-major order, clipped to the pair's chunk.
         all_mzs = np.concatenate([s.mzs for s in batch])
-        lo = np.floor((all_mzs - frag_tol) / r).astype(np.int64)
-        hi = np.floor((all_mzs + frag_tol) / r).astype(np.int64) + 1
+        lo, hi = slm.peak_windows(all_mzs, settings, int(self.chunk_buckets.max()))
         win_peak = concat_ranges(peak_bounds[spec], peak_bounds[spec + 1], workspace=ws)
         win_chunk = np.repeat(chunk, peak_counts[spec])
         top = self.chunk_buckets[win_chunk]
-        lo = np.clip(lo[win_peak], 0, top)
-        hi = np.clip(hi[win_peak], 0, top)
+        lo = np.minimum(lo[win_peak], top)
+        hi = np.minimum(hi[win_peak], top)
         base = self.offset_bounds[win_chunk]
         ion_base = self.ion_bounds[win_chunk]
         starts = self.bucket_offsets[base + lo] + ion_base
@@ -333,7 +338,7 @@ class ChunkedIndex:
             width = int((rank_hi - rank_lo).max())
         keys = nb * width
 
-        budget = slm.FILTER_BATCH_ION_BUDGET
+        budget = FILTER_BATCH_ION_BUDGET
         if (total > budget or keys > budget) and nb > 1:
             # Split by spectrum at half the gathered ions (each
             # spectrum's result depends only on its own windows).

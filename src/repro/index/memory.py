@@ -94,7 +94,10 @@ not *terms*:
   (~16 B × batch peaks), held by the master until the round is
   collected and by each worker for the round — steady-state spectra
   residency is two batches on the master, one per worker, not the
-  stream, and nothing on disk.
+  stream, and nothing on disk,
+* **query scratch** does not grow with the batch: flat filtration
+  gathers one spectrum at a time into a reused per-thread buffer of
+  4 B/ion of the largest single spectrum's gather.
 """
 
 from __future__ import annotations

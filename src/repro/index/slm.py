@@ -28,11 +28,16 @@ For the rank body's top-k pruning, :meth:`SLMIndex.match_bounds` caps
 each candidate's matched-fragment count with the same windows plus a
 one-bucket rim on either side (``search/rank.py``, "Top-k pruning").
 
+Batched filtration (:meth:`SLMIndex.filter_many`) does the window
+arithmetic once per batch but gathers and counts one spectrum at a
+time, so its only ion-sized scratch is 4 B/ion of the largest single
+spectrum's gather, whatever the batch size.
+
 This flat index is the open-search rank index and the serial oracle's.
 A windowed rank index is :class:`~repro.index.chunks.ChunkedIndex`,
 which keeps its own flat precursor-major arrays and shares only
-:class:`FilterResult`, the settings, :data:`FILTER_BATCH_ION_BUDGET`
-and the window predicate's form with this class.  Both take the same
+:class:`FilterResult`, the settings, :func:`peak_windows` and the
+window predicate's form with this class.  Both take the same
 input: one complete :class:`~repro.index.arena.FragmentArena`
 (``SLMIndex(arena, settings)``), which each quantizes and sorts once
 (:meth:`~repro.index.arena.FragmentArena.quantize`).  Nothing stores a
@@ -65,13 +70,6 @@ from repro.index.arena import (
 from repro.spectra.model import Spectrum
 
 __all__ = ["SLMIndexSettings", "FilterResult", "SLMIndex"]
-
-#: Bound on the ions gathered by one batch (the dominant transient:
-#: 4 B/ion of gathered ``int32`` parent ids, 32 MB at this default).
-#: A batch projected to gather more is split by spectrum; a single
-#: spectrum may still exceed it.  :class:`~repro.index.chunks.ChunkedIndex`
-#: splits by it too, and also bounds its counting key space with it.
-FILTER_BATCH_ION_BUDGET = 1 << 23
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,6 +139,33 @@ class FilterResult:
     shared_peaks: np.ndarray
     buckets_scanned: int
     ions_scanned: int
+
+
+def peak_windows(
+    mzs: np.ndarray, settings: SLMIndexSettings, top: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each peak's bucket window ``[lo, hi)``, clipped to ``[0, top]``.
+
+    The one statement of the window arithmetic, shared by flat and
+    chunked filtration and :meth:`SLMIndex.match_bounds`.  After
+    clipping, ``hi >= lo`` always holds (``hi > lo`` before it and
+    clipping is monotone), so empty windows are zero-width spans that
+    drop out of every segment sum and out of the gather.  A NaN or
+    ±inf peak gets the empty window ``[0, 0)``; the bounds are clipped
+    while still floats, so the ``int64`` cast is exact and no window
+    depends on how the platform casts a non-finite value.
+    """
+    r = settings.resolution
+    frag_tol = settings.fragment_tolerance
+    lo = np.floor((mzs - frag_tol) / r)
+    hi = np.floor((mzs + frag_tol) / r) + 1
+    void = ~np.isfinite(mzs)
+    if void.any():
+        lo[void] = 0
+        hi[void] = 0
+    np.clip(lo, 0, top, out=lo)
+    np.clip(hi, 0, top, out=hi)
+    return lo.astype(np.int64), hi.astype(np.int64)
 
 
 class SLMIndex:
@@ -246,23 +271,6 @@ class SLMIndex:
         outside = np.abs(self.masses64 - neutral_mass) > prec_tol
         counts[outside] = 0
 
-    def _peak_windows(self, mzs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Each peak's bucket window ``[lo, hi)``, clipped to the index.
-
-        The one statement of the window arithmetic, shared by
-        filtration and :meth:`match_bounds`.  After clipping, ``hi >=
-        lo`` always holds (``hi > lo`` before it and clipping is
-        monotone), so empty windows are zero-width spans that drop out
-        of every segment sum and out of the gather.
-        """
-        r = self.settings.resolution
-        frag_tol = self.settings.fragment_tolerance
-        lo = np.floor((mzs - frag_tol) / r).astype(np.int64)
-        hi = np.floor((mzs + frag_tol) / r).astype(np.int64) + 1
-        np.clip(lo, 0, self.n_buckets, out=lo)
-        np.clip(hi, 0, self.n_buckets, out=hi)
-        return lo, hi
-
     def filter(self, spectrum: Spectrum) -> FilterResult:
         """Shared-peak filtration of ``spectrum`` against this index.
 
@@ -291,15 +299,12 @@ class SLMIndex:
     ) -> List[FilterResult]:
         """Batched filtration: one :class:`FilterResult` per spectrum.
 
-        Instead of walking the spectra one at a time, every spectrum's
-        peak-tolerance windows are flattened into **one** vectorized
-        window pass over ``bucket_offsets`` and one slice-copy gather
-        of ``ion_parents`` for the whole batch, followed by segmented
-        per-spectrum bincounts over contiguous slices of the shared
-        gather — the HiCOPS-style cache-friendly array pass that
-        amortizes kernel-launch overhead across the whole query batch.
-        A batch projected to gather more than
-        :data:`FILTER_BATCH_ION_BUDGET` ions is split by spectrum.
+        Every spectrum's peak-tolerance windows are flattened into
+        **one** vectorized window pass over ``bucket_offsets`` for the
+        whole batch; each spectrum's ions are then gathered from
+        ``ion_parents`` into one reused scratch and counted with a
+        bincount.  The scratch holds one spectrum's gather at a time —
+        4 B/ion of the largest spectrum's gather, not of the batch's.
 
         Results are **bit-identical** to per-spectrum :meth:`filter`
         calls (which run the same kernel on a batch of one): counting
@@ -319,21 +324,23 @@ class SLMIndex:
     def _filter_batch(
         self, batch: Sequence[Spectrum], ws: Workspace
     ) -> List[FilterResult]:
-        """One bounded batch of the cross-spectrum filtration kernel.
+        """The cross-spectrum filtration kernel.
 
         The window arithmetic and the bucket-offset lookups run
         **once** over every spectrum's peaks concatenated.  A peak's
         window is a contiguous bucket range, and the index is
         bucket-major, so the ions it touches are one contiguous slice
-        ``ion_parents[start:stop]``: the gather is a concatenation of
-        those slices, copied straight into the ``int32`` scratch — no
-        per-ion index array is ever built.  Counting then walks the
-        gathered parents per spectrum segment: each spectrum's bincount
+        ``ion_parents[start:stop]``: a spectrum's gather is a
+        concatenation of its peaks' slices, copied straight into the
+        ``int32`` scratch ``slm.filter_batch.parents`` — no per-ion
+        index array is ever built.  Each spectrum's bincount then
         scatters into its own small histogram, which stays
         cache-resident — profiling showed this beats one keyed
         ``spectrum * n + parent`` bincount over the combined key space,
         whose key construction alone costs two extra passes over every
-        gathered ion.
+        gathered ion.  The scratch is sized for the largest single
+        spectrum's gather; a spectrum's result depends only on its own
+        gather, so gathering one at a time changes no output.
         """
         n = self.n_peptides
         nb = len(batch)
@@ -348,53 +355,32 @@ class SLMIndex:
             return [self._empty_result() for _ in batch]
         all_mzs = np.concatenate([s.mzs for s in batch]) if nb > 1 else batch[0].mzs
 
-        lo, hi = self._peak_windows(all_mzs)
+        lo, hi = peak_windows(all_mzs, self.settings, self.n_buckets)
         span_cum = np.zeros(total_peaks + 1, dtype=np.int64)
         np.cumsum(hi - lo, out=span_cum[1:])
-        buckets_per_spec = span_cum[peak_bounds[1:]] - span_cum[peak_bounds[:-1]]
+        buckets = (span_cum[peak_bounds[1:]] - span_cum[peak_bounds[:-1]]).tolist()
 
         starts = self.bucket_offsets[lo]
         stops = self.bucket_offsets[hi]
-        sizes = stops - starts
         size_cum = np.zeros(total_peaks + 1, dtype=np.int64)
-        np.cumsum(sizes, out=size_cum[1:])
-        total = int(size_cum[-1])
-        # Gathered ions stay grouped by spectrum, so each spectrum owns
-        # one contiguous slice of the parent gather.
-        ion_bounds = size_cum[peak_bounds]
-
-        if total > FILTER_BATCH_ION_BUDGET and nb > 1:
-            # The projected gather exceeds the scratch budget (wide
-            # windows, many spectra): split at the spectrum boundary
-            # nearest half the gathered ions and redo the (cheap)
-            # window pass per half.  Each spectrum's result depends
-            # only on its own gather slice, so splitting cannot change
-            # any output.
-            cut = int(np.searchsorted(ion_bounds, total // 2))
-            cut = min(max(cut, 1), nb - 1)
-            return self._filter_batch(batch[:cut], ws) + self._filter_batch(
-                batch[cut:], ws
-            )
-
-        parents_hit = ws.take("slm.filter_batch.parents", total, np.int32)
-        if total:
-            ion_parents = self.ion_parents
-            np.concatenate(
-                [
-                    ion_parents[a:b]
-                    for a, b in zip(starts.tolist(), stops.tolist())
-                    if b > a
-                ],
-                out=parents_hit,
-            )
+        np.cumsum(stops - starts, out=size_cum[1:])
+        per_spec = np.diff(size_cum[peak_bounds])
+        ions = per_spec.tolist()
+        # One slice per peak, empty ones kept, so a spectrum's peaks
+        # index the list directly.
+        ion_parents = self.ion_parents
+        slices = [ion_parents[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
+        parents = ws.take("slm.filter_batch.parents", int(per_spec.max()), np.int32)
+        pb = peak_bounds.tolist()
 
         windowed = not self.settings.is_open_search
         threshold = self.settings.shared_peak_threshold
 
         results: List[FilterResult] = []
         for b in range(nb):
-            seg = parents_hit[ion_bounds[b] : ion_bounds[b + 1]]
-            if seg.size:
+            if ions[b]:
+                seg = parents[: ions[b]]
+                np.concatenate(slices[pb[b] : pb[b + 1]], out=seg)
                 counts = np.bincount(seg, minlength=n)
             else:
                 counts = np.zeros(n, dtype=np.int64)
@@ -405,8 +391,8 @@ class SLMIndex:
                 FilterResult(
                     candidates=cands,
                     shared_peaks=counts[cands].astype(np.int32),
-                    buckets_scanned=int(buckets_per_spec[b]),
-                    ions_scanned=int(ion_bounds[b + 1] - ion_bounds[b]),
+                    buckets_scanned=buckets[b],
+                    ions_scanned=ions[b],
                 )
             )
         return results
@@ -441,7 +427,9 @@ class SLMIndex:
         if not bounds.size:
             return bounds
         ws = workspace if workspace is not None else thread_workspace()
-        lo, hi = self._peak_windows(np.concatenate([s.mzs for s in spectra]))
+        lo, hi = peak_windows(
+            np.concatenate([s.mzs for s in spectra]), self.settings, self.n_buckets
+        )
         offsets = self.bucket_offsets
         # Each peak's two rims side by side, [lo - 1, lo) and [hi, hi + 1),
         # gathered for the whole batch; a spectrum's rims are contiguous.

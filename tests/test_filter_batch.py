@@ -1,13 +1,15 @@
 """Equivalence suite for the cross-spectrum batched filtration kernel.
 
-``SLMIndex.filter_many`` runs one flattened gather + segmented
-bincount over a whole batch of spectra instead of a per-spectrum loop,
+``SLMIndex.filter_many`` runs one window pass over a whole batch of
+spectra, then a gather + bincount per spectrum into one reused scratch,
 and flat and chunked filtration share one precursor-window dtype.
 Everything here pins those kernels to the per-spectrum reference
 paths bit-for-bit: candidates, shared peaks, and both work counters,
-across empty spectra, zero-candidate spectra, windowed + open search,
-chunked indexes, and tiny gathered-ion budgets
-(``FILTER_BATCH_ION_BUDGET``) that force multi-batch execution.
+across empty spectra, zero-candidate spectra, non-finite peaks,
+windowed + open search, and chunked indexes under tiny gathered-ion
+budgets (``repro.index.chunks.FILTER_BATCH_ION_BUDGET``) that force
+multi-batch execution.  The flat kernel's scratch is bounded by one
+spectrum's gather, not by the batch's.
 """
 
 from unittest import mock
@@ -84,17 +86,20 @@ def assert_results_equal(got, expected):
 @pytest.mark.parametrize("precursor_tolerance", [None, 2.0, 0.0])
 @pytest.mark.parametrize("ion_budget", [1, 37, 1 << 22])
 def test_filter_many_bit_identical_to_filter(precursor_tolerance, ion_budget):
-    """Batched == per-spectrum whatever the gathered-ion budget: 1 and
-    37 force splits, 1 << 22 leaves the batch whole."""
+    """Flat batched == per-spectrum (the flat kernel has no budget), and
+    chunked batched == per-spectrum whatever the chunked gathered-ion
+    budget: 1 and 37 force splits, 1 << 22 leaves the batch whole."""
     settings = SLMIndexSettings(
         shared_peak_threshold=1, precursor_tolerance=precursor_tolerance
     )
     idx = index_over(PEPTIDES, settings)
     spectra = mixed_spectra()
     expected = [idx.filter(s) for s in spectra]
-    with mock.patch("repro.index.slm.FILTER_BATCH_ION_BUDGET", ion_budget):
-        batched = idx.filter_many(spectra)
-    assert_results_equal(batched, expected)
+    assert_results_equal(idx.filter_many(spectra), expected)
+    ci = chunked(settings, 3)
+    chunked_expected = [ci.filter(s) for s in spectra]
+    with mock.patch("repro.index.chunks.FILTER_BATCH_ION_BUDGET", ion_budget):
+        assert_results_equal(ci.filter_many(spectra), chunked_expected)
 
 
 def test_filter_many_high_threshold_zero_candidates():
@@ -117,16 +122,76 @@ def test_filter_many_empty_inputs_and_validation():
 
 
 def test_filter_many_ion_budget_split_bit_identical(monkeypatch):
-    """A tiny gather budget forces recursive batch splitting; results
-    must not change (each spectrum depends only on its own slice)."""
-    import repro.index.slm as slm_mod
+    """Flat batched == per-spectrum; a tiny gather budget forces the
+    chunked kernel's recursive batch splitting, and its results must
+    not change either (each spectrum depends only on its own slice)."""
+    import repro.index.chunks as chunks_mod
 
-    idx = index_over(PEPTIDES, SLMIndexSettings(shared_peak_threshold=1))
+    settings = SLMIndexSettings(shared_peak_threshold=1)
+    idx = index_over(PEPTIDES, settings)
     spectra = mixed_spectra()
     expected = [idx.filter(s) for s in spectra]
+    assert_results_equal(idx.filter_many(spectra), expected)
+    ci = chunked(settings, 3)
+    chunked_expected = [ci.filter(s) for s in spectra]
     with monkeypatch.context() as m:
-        m.setattr(slm_mod, "FILTER_BATCH_ION_BUDGET", 8)
-        assert_results_equal(idx.filter_many(spectra), expected)
+        m.setattr(chunks_mod, "FILTER_BATCH_ION_BUDGET", 8)
+        assert_results_equal(ci.filter_many(spectra), chunked_expected)
+
+
+def parents_scratch(ws):
+    """Bytes held by ``ws``'s flat-filtration gather scratch."""
+    return ws.take("slm.filter_batch.parents", 0, np.int32).base.nbytes
+
+
+@pytest.mark.parametrize("precursor_tolerance", [None, 2.0])
+def test_filter_many_scratch_is_bounded_by_one_spectrum(precursor_tolerance):
+    """A batch of many copies of one spectrum leaves the gather scratch
+    no larger than one copy does: the kernel gathers one spectrum at a
+    time, so the batch never holds more than one spectrum's ions."""
+    settings = SLMIndexSettings(
+        shared_peak_threshold=1, precursor_tolerance=precursor_tolerance
+    )
+    idx = index_over(PEPTIDES, settings)
+    one = spectrum_of(PEPTIDES[3])
+    ws = Workspace()
+    (single,) = idx.filter_many([one], workspace=ws)
+    held = parents_scratch(ws)
+    assert 0 < single.ions_scanned <= held // 4
+    # Enough copies to gather four times what the scratch holds.
+    copies = 4 * (held // 4) // single.ions_scanned + 1
+    batched = idx.filter_many([one] * copies, workspace=ws)
+    assert sum(r.ions_scanned for r in batched) > held
+    assert parents_scratch(ws) == held
+    assert_results_equal(batched, [single] * copies)
+
+
+def test_non_finite_peaks_add_no_work():
+    """NaN and ±inf peaks get empty windows on every platform: flat and
+    chunked filtration and the flat match bounds raise no invalid-value
+    error and equal the same spectra without those peaks."""
+    clean = mixed_spectra()
+    dirty = []
+    for s in clean:
+        d = Spectrum(s.scan_id, s.precursor_mz, s.charge, s.mzs, s.intensities)
+        # Set after validation, which rejects -inf.
+        d.mzs = np.concatenate([[-np.inf], s.mzs, [np.inf, np.nan, np.nan]])
+        d.intensities = np.ones_like(d.mzs)
+        dirty.append(d)
+    for ptol in (None, 2.0):
+        settings = SLMIndexSettings(shared_peak_threshold=1, precursor_tolerance=ptol)
+        flat = index_over(PEPTIDES, settings)
+        ci = chunked(settings, 3)
+        with np.errstate(invalid="raise"):
+            got = flat.filter_many(dirty)
+            got_chunked = ci.filter_many(dirty)
+            got_bounds = flat.match_bounds(dirty, got)
+            got_one = [flat.filter(d) for d in dirty]
+        want = flat.filter_many(clean)
+        assert_results_equal(got, want)
+        assert_results_equal(got_one, want)
+        assert_results_equal(got_chunked, ci.filter_many(clean))
+        assert np.array_equal(got_bounds, flat.match_bounds(clean, want))
 
 
 def test_filter_many_private_workspace_matches_default():
@@ -157,9 +222,7 @@ def test_filter_many_bit_identical_on_synthetic_run():
         )
         idx = SLMIndex(db.arena_for(settings.fragmentation), settings)
         expected = [idx.filter(s) for s in spectra]
-        for budget in (1 << 10, 1 << 23):
-            with mock.patch("repro.index.slm.FILTER_BATCH_ION_BUDGET", budget):
-                assert_results_equal(idx.filter_many(spectra), expected)
+        assert_results_equal(idx.filter_many(spectra), expected)
 
 
 # -- chunked batched path ----------------------------------------------
@@ -167,7 +230,7 @@ def test_filter_many_bit_identical_on_synthetic_run():
 
 @pytest.mark.parametrize("precursor_tolerance", [None, 1.0])
 def test_chunked_filter_many_matches_per_spectrum(precursor_tolerance, monkeypatch):
-    import repro.index.slm as slm_mod
+    import repro.index.chunks as chunks_mod
 
     settings = SLMIndexSettings(
         shared_peak_threshold=1, precursor_tolerance=precursor_tolerance
@@ -184,7 +247,7 @@ def test_chunked_filter_many_matches_per_spectrum(precursor_tolerance, monkeypat
         calls.append(len(batch))
         return kernel(self, batch, ws)
 
-    monkeypatch.setattr(slm_mod, "FILTER_BATCH_ION_BUDGET", 1)
+    monkeypatch.setattr(chunks_mod, "FILTER_BATCH_ION_BUDGET", 1)
     monkeypatch.setattr(ChunkedIndex, "_filter_batch", spy)
     assert_results_equal(ci.filter_many(spectra), batched)
     assert calls.count(1) >= len(spectra) - 2  # spectra without ions need no split

@@ -330,10 +330,9 @@ def test_partition_top_k_equals_full_lexsort(
     tol=st.sampled_from([0.0, 0.01, 0.05, 0.3]),
     threshold=st.integers(1, 4),
     precursor=st.sampled_from([None, 0.5, 50.0]),
-    ion_budget=st.sampled_from([1, 64, 1 << 23]),
 )
 def test_slice_gather_filtration_equals_index_gather(
-    seed, n_entries, n_spectra, tol, threshold, precursor, ion_budget
+    seed, n_entries, n_spectra, tol, threshold, precursor
 ):
     rng = np.random.default_rng(seed)
     arrays = [np.sort(rng.uniform(100.0, 400.0, rng.integers(0, 25))) for _ in range(n_entries)]
@@ -369,8 +368,7 @@ def test_slice_gather_filtration_equals_index_gather(
     spectra.append(Spectrum(99, 400.0, 2, np.array([]), np.array([])))
 
     want = [index_gather_filter(index, s) for s in spectra]
-    with mock.patch("repro.index.slm.FILTER_BATCH_ION_BUDGET", ion_budget):
-        batched = index.filter_many(spectra)
+    batched = index.filter_many(spectra)
     single = [index.filter(s) for s in spectra]
     for got in (batched, single):
         assert len(got) == len(want)
