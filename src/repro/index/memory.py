@@ -68,12 +68,14 @@ holds nothing else per ion: each worker quantizes and sorts its own
 sub-arena while it builds, so those transients (4 + 4 B/ion, plus the
 sort's ``int64`` keys) scale with its slice, and the master never
 computes them for a session.  System-wide under the process backend:
-``arena_bytes`` (the shared copy, counted once) + the master's m/z +
-Σ per-worker sub-arena m/z (≈ 8 B × n_ions in all) + the per-rank
-index terms.  An index archive
-(:meth:`repro.search.database.IndexedDatabase.save`) *is* such a store,
-so a session started from one maps the same 8 B/ion from the archive
-directory instead of a tmpdir, and its master holds no private arena.
+``arena_bytes`` (the shared copy, counted once) + Σ per-worker
+sub-arena m/z (≈ 8 B × n_ions in all) + the per-rank index terms.  The
+master holds no private arena: once it has spilled the arena it built,
+its database keeps the store's read-only map in place of the heap
+copy, and pages of that map are resident only where it reads them.
+An index archive (:meth:`repro.search.database.IndexedDatabase.save`)
+*is* such a store, so a session started from one maps the same
+8 B/ion from the archive directory instead of a tmpdir.
 
 Service residency (persistent sessions)
 ---------------------------------------

@@ -28,8 +28,10 @@ each worker's private (unique) footprint is only what it materializes
 itself — its :meth:`~repro.index.arena.FragmentArena.take` sub-arena,
 O(arena / n_workers).  Pages of the shared copy fault in lazily, so a
 worker that only touches its partition's slices never pages in the
-rest.  This is exactly the ROADMAP's "memory-map the arena to share
-across processes" item.
+rest.  The master that spilled the arena keeps the store's map in
+place of its heap copy (:class:`SharedSpill`), so a session holds one
+physical arena copy machine-wide.  This is exactly the ROADMAP's
+"memory-map the arena to share across processes" item.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import threading
 import time
 import weakref
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -301,31 +303,39 @@ def sweep_stale_stores(
 
 
 class SharedSpill:
-    """A refcounted spill of one arena at one resolution.
+    """A refcounted spill of one arena, shared by every resolution.
 
     The spill writes the arena's m/z data and computes nothing, so the
     master keeps no quantization state for a session, and each worker
-    quantizes and sorts only its own slice at ``resolution``.
+    quantizes and sorts only its own slice at its session's resolution.
+
+    :attr:`arena` is the store's read-only mapping, not the arena that
+    was spilled: a session's database swaps its cached arena for it
+    (:meth:`~repro.search.database.IndexedDatabase.swap_arena`), so the
+    heap copy can be freed and the master holds no private arena.  The
+    handle does not hold the heap arena it spilled; the spill cache
+    keys it weakly.
 
     A fresh spill owns its tmpdir: a ``weakref.finalize`` registered
     **before** any file is written removes the directory when the last
     holder drops the handle (or at interpreter exit), so a crash
-    mid-spill cannot leak it.  An arena that :meth:`SharedArenaStore.load`
-    rebuilt from a store (an index archive) is not spilled again, at any
-    resolution: the handle borrows that store, writes nothing and never
-    deletes a directory it did not create.  Engines and services that
-    share one database hold the *same* handle (via
+    mid-spill cannot leak it.  Its mapping is borrowed only while the
+    handle lives: once the directory is gone, spilling the mapping
+    writes a new store.  An arena that :meth:`SharedArenaStore.load`
+    rebuilt from a store (an index archive) is not spilled again: the
+    handle borrows that store and that very arena, writes nothing and
+    never deletes a directory it did not create.  Engines and services
+    that share one database hold the *same* handle (via
     :func:`shared_spill_for`), so the directory lives exactly as long as
     anyone is mapping it — plain Python refcounting is the refcount.
     """
 
-    __slots__ = ("arena", "resolution", "store", "_finalizer", "__weakref__")
+    __slots__ = ("arena", "store", "_finalizer", "__weakref__")
 
-    def __init__(self, arena: FragmentArena, resolution: float) -> None:
-        self.arena = arena
-        self.resolution = float(resolution)
+    def __init__(self, arena: FragmentArena) -> None:
         origin = _LOADED_FROM.get(arena)
         if origin is not None:
+            self.arena = arena
             self.store = origin
             self._finalizer = None
             return
@@ -337,6 +347,9 @@ class SharedSpill:
         try:
             write_owner_marker(directory)
             self.store = SharedArenaStore.spill(arena, directory)
+            self.arena = self.store.load()
+            # This store goes with the handle: no later spill may borrow it.
+            del _LOADED_FROM[self.arena]
         except BaseException:
             # The half-built handle may outlive the raise in a
             # traceback; remove its tmpdir now, not when that dies.
@@ -349,11 +362,11 @@ class SharedSpill:
         return self._finalizer is None or self._finalizer.alive
 
 
-#: Live spills keyed by (arena identity, quantization resolution).
-#: Values are weak: the cache never keeps a spill alive — holders do.
-#: The key stays valid while the spill lives because the spill holds
-#: the arena strongly (so ``id(arena)`` cannot be recycled under it).
-_SPILL_CACHE: Dict[Tuple[int, str], "weakref.ref[SharedSpill]"] = {}
+#: The live spill of each arena, keyed by the arena object itself: both
+#: the arena that was spilled and the spill's mapping of it find the
+#: handle.  Keys and values are weak: the cache keeps neither an arena
+#: nor a spill alive — holders do.
+_SPILL_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _SPILL_LOCK = threading.Lock()
 
 #: The store each live :meth:`SharedArenaStore.load` arena came from,
@@ -362,26 +375,28 @@ _LOADED_FROM: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def shared_spill_for(arena: FragmentArena, resolution: float) -> SharedSpill:
-    """The one shared tmpdir spill of ``arena`` at ``resolution``.
+    """The one shared tmpdir spill of ``arena``.
 
     Two engines (or a service and an engine) over the same
     :class:`~repro.search.database.IndexedDatabase` receive the same
-    :class:`SharedSpill` handle instead of spilling twice; the tmpdir
-    is removed only when the *last* holder dies, so one engine's death
-    never tears the memmaps out from under another.  An arena loaded
-    from a store gets that store's own directory back, with nothing
-    written.  Callers must keep
-    the returned handle referenced for as long as they (or their
-    workers) map the store.
+    :class:`SharedSpill` handle instead of spilling twice, whether they
+    pass the arena that was spilled or the spill's own mapping of it;
+    the tmpdir is removed only when the *last* holder dies, so one
+    engine's death never tears the memmaps out from under another.  An
+    arena loaded from a store gets that store's own directory back,
+    with nothing written.  Callers must keep the returned handle
+    referenced for as long as they (or their workers) map the store.
+
+    ``resolution`` is unused: a store holds m/z only, which serves every
+    resolution, so sessions at two resolutions share one spill.  The
+    parameter stays for callers that pass it.
     """
-    key = (id(arena), float(resolution).hex())
     with _SPILL_LOCK:
-        ref = _SPILL_CACHE.get(key)
+        ref = _SPILL_CACHE.get(arena)
         spill = ref() if ref is not None else None
-        if spill is not None and spill.arena is arena and spill.alive:
+        if spill is not None and spill.alive:
             return spill
-        spill = SharedSpill(arena, resolution)
-        _SPILL_CACHE[key] = weakref.ref(
-            spill, lambda _ref, _key=key: _SPILL_CACHE.pop(_key, None)
-        )
+        spill = SharedSpill(arena)
+        ref = weakref.ref(spill)
+        _SPILL_CACHE[arena] = _SPILL_CACHE[spill.arena] = ref
         return spill

@@ -223,12 +223,31 @@ class IndexedDatabase:
         also carries per-entry residue counts and float32 masses, so
         consumers never loop over :class:`Peptide` objects on the hot
         path.
+
+        Once a session has opened over the database, the arena may be
+        store-backed: the read-only memory map of the session's spill
+        (:meth:`swap_arena`), as a loaded archive's arena always is.
         """
         cached = self._arena_cache.get(fragmentation)
         if cached is None:
             cached = FragmentArena.from_peptides(self.entries, fragmentation)
             self._arena_cache[fragmentation] = cached
         return cached
+
+    def swap_arena(
+        self, fragmentation: FragmentationSettings, arena: FragmentArena
+    ) -> bool:
+        """Cache ``arena``, a copy of the arena at ``fragmentation``, in its place.
+
+        A session passes its spill's memory map of the arena it built,
+        so the heap copy can be freed.  The copy is not read: every page
+        read here would stay resident.  Returns whether the cached arena
+        changed.
+        """
+        if self._arena_cache.get(fragmentation) is arena:
+            return False
+        self._arena_cache[fragmentation] = arena
+        return True
 
     # -- on-disk form --------------------------------------------------------
 

@@ -10,8 +10,9 @@ Session lifecycle (the amortization structure)::
 
 ``open()`` pays every once-per-session cost — worker spawn +
 interpreter import, the arena spill (through the process-wide spill
-cache, so sessions over the same database share it), and the per-rank
-partial-index build.  ``submit()`` then costs
+cache, so sessions over the same database share it, after which the
+database keeps the spill's read-only map in place of its heap arena),
+and the per-rank partial-index build.  ``submit()`` then costs
 only: preprocess the batch straight into flat
 :class:`~repro.spectra.packed.PackedSpectra` columns, one
 :class:`~repro.parallel.worker.QueryTask` carrying them to every
@@ -208,6 +209,7 @@ from repro.service.rebalance import (
 from repro.spectra.model import Spectrum
 from repro.spectra.packed import PackedSpectra
 from repro.spectra.preprocess import preprocess_packed
+from repro.util.heap import release_heap
 
 __all__ = [
     "ServiceConfig",
@@ -1077,6 +1079,11 @@ class SearchService(SessionCore):
             plan = self.plan
             arena = self.database.arena_for(cfg.index.fragmentation)
             self._spill = shared_spill_for(arena, cfg.index.resolution)
+            # The master keeps the spill's map, not the heap arena: one
+            # physical copy machine-wide.  Nothing here reads the map.
+            del arena
+            if self.database.swap_arena(cfg.index.fragmentation, self._spill.arena):
+                release_heap()
             t0 = time.perf_counter()
             reports = self._install(pool, plan).results
             self._attach_s = time.perf_counter() - t0

@@ -66,8 +66,8 @@ class Spectrum:
             raise InvalidSpectrumError(
                 f"precursor m/z must be positive and finite, got {self.precursor_mz}"
             )
-        if self.mzs.size and np.any(self.mzs <= 0):
-            raise InvalidSpectrumError("fragment m/z values must be positive")
+        if self.mzs.size and np.any((self.mzs <= 0) | (self.mzs == np.inf)):
+            raise InvalidSpectrumError("fragment m/z values must be positive and below +inf")
         if self.mzs.size and np.any(np.diff(self.mzs) < 0):
             # Sort once here so every consumer can assume ascending order.
             order = np.argsort(self.mzs, kind="stable")

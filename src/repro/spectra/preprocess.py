@@ -120,8 +120,8 @@ def _validated_columns(spectra: Sequence[Spectrum]) -> PackedSpectra:
         intensities = np.concatenate(int_rows, dtype=np.float64)
     else:
         mzs = intensities = np.empty(0)
-    if np.any(mzs <= 0):  # NaN m/z passes, as it does the constructor
-        raise InvalidSpectrumError("fragment m/z values must be positive")
+    if np.any((mzs <= 0) | (mzs == np.inf)):  # NaN m/z passes, as it does the constructor
+        raise InvalidSpectrumError("fragment m/z values must be positive and below +inf")
     if not np.all((intensities >= 0) & (intensities < np.inf)):
         raise InvalidSpectrumError("intensities must be finite and non-negative")
     labels = [-1 if s.true_peptide is None else s.true_peptide for s in spectra]

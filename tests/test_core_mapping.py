@@ -42,6 +42,20 @@ def test_duplicate_globals_rejected():
         MappingTable([np.array([1, 2]), np.array([2])])
 
 
+@pytest.mark.parametrize(
+    "ranks",
+    [
+        [[3, 1, 2, 1]],  # within one rank, not adjacent
+        [[0, 4], [9, 7, 9]],  # within the last rank
+        [[8, 5], [6], [2, 5]],  # across ranks, not adjacent after concatenation
+        [[-1, 0], [-1]],  # negative ids sort first
+    ],
+)
+def test_duplicates_within_and_across_ranks_rejected(ranks):
+    with pytest.raises(PartitionError, match="duplicate"):
+        MappingTable([np.array(r, dtype=np.int64) for r in ranks])
+
+
 def test_empty_table_rejected():
     with pytest.raises(ConfigurationError):
         MappingTable([])

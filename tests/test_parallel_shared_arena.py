@@ -12,6 +12,7 @@ import json
 import mmap
 import shutil
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.search.rank import build_rank_index
 from repro.search.serial import SerialSearchEngine
 from repro.service import SearchService, ServiceConfig
 from repro.search import serial as serial_module
+from repro.service import service as service_module
 from repro.util import heap
 
 RES = SLMIndexSettings().resolution
@@ -287,6 +289,93 @@ def test_serial_index_build_leaves_no_quantization_state(monkeypatch):
     gc.collect()
     assert len(made) == 2 and all(ref() is None for ref in made)
     assert trims == [1]
+
+
+# -- the master maps the arena it spilled -----------------------------
+
+
+def _count_spills(monkeypatch):
+    """Directories :meth:`SharedArenaStore.spill` writes from now on."""
+    written = []
+    real = SharedArenaStore.spill
+
+    def counted(arena, directory):
+        written.append(directory)
+        return real(arena, directory)
+
+    monkeypatch.setattr(SharedArenaStore, "spill", staticmethod(counted))
+    return written
+
+
+def _maps_file(array, path):
+    """True when ``array`` is a view of a memory map of the file ``path``."""
+    while array is not None and not isinstance(array, np.memmap):
+        array = getattr(array, "base", None)
+    return array is not None and Path(array.filename) == Path(path)
+
+
+def test_open_swaps_the_heap_arena_for_the_store_map(tiny_spectra, monkeypatch):
+    """After ``open()`` the database's arena is the read-only map of the
+    session's store, the heap arena is gone and the heap is trimmed
+    once; results stay bit-identical."""
+    trims = []
+    monkeypatch.setattr(service_module, "release_heap", lambda: trims.append(1) or True)
+    db = _fresh_db()
+    heap_arena = weakref.ref(db.arena_for())
+    with SearchService(db, ServiceConfig(n_workers=2)) as service:
+        mapped = db.arena_for()
+        directory = service._spill.store.directory
+        assert mapped is service._spill.arena
+        for name in ("mzs", "offsets", "lengths", "masses"):
+            array = getattr(mapped, name)
+            assert _maps_file(array, directory / f"{name}.npy")
+            assert not array.flags.writeable
+        gc.collect()
+        assert heap_arena() is None
+        assert trims == [1]
+        fresh = _fresh_db().arena_for()
+        assert np.array_equal(mapped.mzs, fresh.mzs)
+        assert np.array_equal(mapped.masses, fresh.masses)
+        results, _ = service.submit(tiny_spectra)
+    assert trims == [1]
+    assert_same_results(SerialSearchEngine(_fresh_db()).run(tiny_spectra), results)
+
+
+def test_archive_session_keeps_the_archive_arena(tmp_path, monkeypatch):
+    trims = []
+    monkeypatch.setattr(service_module, "release_heap", lambda: trims.append(1) or True)
+    database, settings = IndexedDatabase.load(_fresh_db().save(tmp_path / "archive"))
+    written = _count_spills(monkeypatch)
+    arena = database.arena_for(settings.fragmentation)
+    with SearchService(database, ServiceConfig(n_workers=2, index=settings)):
+        assert database.arena_for(settings.fragmentation) is arena
+    assert written == [] and trims == []
+
+
+@pytest.mark.parametrize("resolution", [RES, RES * 2])
+def test_a_second_open_session_writes_no_second_store(resolution, monkeypatch):
+    """Sessions over one database share one store, at any resolution."""
+    written = _count_spills(monkeypatch)
+    db = _fresh_db()
+    with SearchService(db, ServiceConfig(n_workers=2)) as first:
+        config = ServiceConfig(n_workers=1, index=SLMIndexSettings(resolution=resolution))
+        with SearchService(db, config) as second:
+            assert second._spill is first._spill
+            assert db.arena_for() is first._spill.arena
+    assert len(written) == 1
+
+
+def test_open_reuses_a_spill_made_before_it(monkeypatch):
+    """Spilling the heap arena before ``open()``, as the spine's set-up
+    walk does, leaves ``open()`` that handle: one store."""
+    written = _count_spills(monkeypatch)
+    db = _fresh_db()
+    spill = shared_spill_for(db.arena_for(), RES)
+    with SearchService(db, ServiceConfig(n_workers=2)) as service:
+        assert service._spill is spill
+        assert db.arena_for() is spill.arena
+    assert len(written) == 1
+    assert shared_spill_for(spill.arena, RES * 3) is spill
 
 
 def test_session_after_the_spill_is_removed_requantizes_bit_identically(tiny_spectra):

@@ -37,6 +37,7 @@ VALID = ["none", "nan m/z", "nan m/z at construction", "unsorted", "unsorted + n
 #: Post-construction writes the kernel must refuse.
 INVALID = [
     "zero m/z",
+    "+inf m/z",
     "negative intensity",
     "NaN intensity",
     "infinite intensity",
@@ -95,8 +96,8 @@ def write_after_construction(rng, batch, kind):
         return True  # nothing to corrupt: the batch stays valid
     victim = with_peaks[int(rng.integers(0, len(with_peaks)))]
     j = int(rng.integers(0, victim.n_peaks))
-    if kind == "zero m/z":
-        victim.mzs[j] = 0.0
+    if kind in ("zero m/z", "+inf m/z"):
+        victim.mzs[j] = 0.0 if kind == "zero m/z" else np.inf
     elif kind == "length mismatch":
         victim.intensities = victim.intensities[:-1]
     else:
@@ -170,6 +171,20 @@ def test_nan_intensity_in_a_wide_spectrum_is_refused():
     s.intensities[4] = np.nan
     with pytest.raises(InvalidSpectrumError, match="non-negative"):
         preprocess_batch([s], PreprocessConfig(top_peaks=5))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mzs", [[100.0, np.inf], [100.0, np.inf, np.inf]])
+def test_plus_inf_mz_is_refused_at_both_boundaries(mzs):
+    """+inf m/z is refused as -inf is, by the constructor and by the
+    packed kernel, before any sort check subtracts inf from inf."""
+    mzs = np.array(mzs)
+    with pytest.raises(InvalidSpectrumError, match=r"\+inf"):
+        Spectrum(1, 500.0, 2, mzs, np.ones(mzs.size))
+    s = Spectrum(1, 500.0, 2, np.arange(1.0, mzs.size + 1) * 100.0, np.ones(mzs.size))
+    s.mzs[:] = mzs
+    with pytest.raises(InvalidSpectrumError, match=r"\+inf"):
+        preprocess_packed([s], PreprocessConfig())
 
 
 def test_nan_mz_tied_at_the_cut_keeps_top_peaks():

@@ -12,6 +12,7 @@ session.
 
 import dataclasses
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +151,20 @@ def test_sharded_session_bit_identical_to_serial(
         assert results.n_ranks == n_shards * n_workers
         assert isinstance(stats, ShardedBatchStats)
         assert stats.shards_dispatched + stats.shards_skipped == n_shards
+
+
+def test_shard_databases_map_their_stores_after_open(tiny_db, batches, serial_refs):
+    """Each shard's master-side arena is the read-only map of that
+    shard's own store, and the fleet stays bit-identical."""
+    config = ServiceConfig(n_workers=2)
+    with ShardedSearchService(tiny_db, config, n_shards=2) as svc:
+        for shard, inner in zip(svc.plan.shards, svc.services):
+            arena = shard.database.arena_for(config.index.fragmentation)
+            assert arena is inner._spill.arena
+            assert isinstance(arena.mzs.base, np.memmap) and not arena.mzs.flags.writeable
+            assert Path(arena.mzs.base.filename).parent == inner._spill.store.directory
+        results, _ = svc.submit(batches[0])
+    assert_same_results(serial_refs[0], results)
 
 
 def test_sharded_matches_unsharded_service_windowed(tiny_db, batches):

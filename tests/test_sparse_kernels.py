@@ -245,7 +245,9 @@ def test_scoring_identical_when_the_query_defeats_the_table(tail):
     """Query m/z the coarse table cannot hold: exact stage on everything."""
     rng = np.random.default_rng(3)
     q = np.concatenate([np.sort(rng.uniform(100.0, 900.0, 12)), tail])
-    spectrum = Spectrum(1, 600.0, 2, q, np.ones(q.size))
+    # The constructor refuses +inf m/z; a caller's later write does not.
+    spectrum = Spectrum(1, 600.0, 2, np.where(q == np.inf, 1e9, q), np.ones(q.size))
+    spectrum.mzs[:] = q
     arrays = [np.sort(rng.choice(q[:12], 30) + rng.normal(0, 0.03, 30)) for _ in range(20)]
     arena = arena_of(arrays, lengths=np.full(20, 9))
     cands = np.arange(20, dtype=np.int32)
