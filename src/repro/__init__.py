@@ -32,52 +32,32 @@ Quickstart::
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+from repro._exports import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.search.psm import SearchResults
+
 __version__ = "1.0.0"
 
-from repro.chem import Peptide, paper_modifications
-from repro.core import (
-    GroupingConfig,
-    group_peptides,
-    make_lbe_plan,
-    make_policy,
-)
-from repro.db import DigestionConfig, ProteomeConfig, generate_proteome
-from repro.index import SLMIndex, SLMIndexSettings
-from repro.search import (
-    DatabaseConfig,
-    DistributedSearchEngine,
-    EngineConfig,
-    IndexedDatabase,
-    SearchResults,
-    SerialSearchEngine,
-    load_imbalance,
-)
-from repro.spectra import SyntheticRunConfig, generate_run
-
-__all__ = [
-    "__version__",
-    "Peptide",
-    "paper_modifications",
-    "GroupingConfig",
-    "group_peptides",
-    "make_lbe_plan",
-    "make_policy",
-    "DigestionConfig",
-    "ProteomeConfig",
-    "generate_proteome",
-    "SLMIndex",
-    "SLMIndexSettings",
-    "DatabaseConfig",
-    "DistributedSearchEngine",
-    "EngineConfig",
-    "IndexedDatabase",
-    "SearchResults",
-    "SerialSearchEngine",
-    "load_imbalance",
-    "SyntheticRunConfig",
-    "generate_run",
-    "quick_pipeline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.chem.peptide": ("Peptide",),
+    "repro.chem.modifications": ("paper_modifications",),
+    "repro.core.grouping": ("GroupingConfig", "group_peptides"),
+    "repro.core.planner": ("make_lbe_plan",),
+    "repro.core.partition": ("make_policy",),
+    "repro.db.digest": ("DigestionConfig",),
+    "repro.db.proteome": ("ProteomeConfig", "generate_proteome"),
+    "repro.index.slm": ("SLMIndex", "SLMIndexSettings"),
+    "repro.search.database": ("DatabaseConfig", "IndexedDatabase"),
+    "repro.search.engine": ("DistributedSearchEngine", "EngineConfig"),
+    "repro.search.psm": ("SearchResults",),
+    "repro.search.serial": ("SerialSearchEngine",),
+    "repro.search.metrics": ("load_imbalance",),
+    "repro.spectra.synthetic": ("SyntheticRunConfig", "generate_run"),
+})
+__all__ += ["__version__", "quick_pipeline"]
 
 
 def quick_pipeline(
@@ -93,6 +73,11 @@ def quick_pipeline(
     Builds a small synthetic workload and runs the LBE-distributed
     engine; see ``examples/quickstart.py`` for the narrated version.
     """
+    from repro.db.proteome import ProteomeConfig
+    from repro.search.database import DatabaseConfig, IndexedDatabase
+    from repro.search.engine import DistributedSearchEngine, EngineConfig
+    from repro.spectra.synthetic import SyntheticRunConfig, generate_run
+
     db = IndexedDatabase.build(
         DatabaseConfig(proteome=ProteomeConfig(n_families=n_families, seed=seed))
     )

@@ -9,17 +9,10 @@
 * :mod:`~repro.bench.reporting` — table/CSV rendering of the series.
 """
 
-from repro.bench.workloads import Workload, WorkloadConfig, make_workload
-from repro.bench.experiments import ExperimentConfig, ExperimentSuite, default_suite
-from repro.bench.reporting import rows_to_csv, series_table
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Workload",
-    "WorkloadConfig",
-    "make_workload",
-    "ExperimentConfig",
-    "ExperimentSuite",
-    "default_suite",
-    "rows_to_csv",
-    "series_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.bench.workloads": ("Workload", "WorkloadConfig", "make_workload"),
+    "repro.bench.experiments": ("ExperimentConfig", "ExperimentSuite", "default_suite"),
+    "repro.bench.reporting": ("rows_to_csv", "series_table"),
+})

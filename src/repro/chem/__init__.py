@@ -12,24 +12,19 @@ Provides the value types and mass arithmetic that every layer above
   the source of the ions the SLM index stores.
 """
 
-from repro.chem.peptide import Peptide, peptide_mass, validate_sequence
-from repro.chem.modifications import (
-    Modification,
-    ModificationSet,
-    VariantEnumerator,
-    paper_modifications,
-)
-from repro.chem.fragments import FragmentationSettings, fragment_mzs, theoretical_spectrum
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Peptide",
-    "peptide_mass",
-    "validate_sequence",
-    "Modification",
-    "ModificationSet",
-    "VariantEnumerator",
-    "paper_modifications",
-    "FragmentationSettings",
-    "fragment_mzs",
-    "theoretical_spectrum",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.chem.peptide": ("Peptide", "peptide_mass", "validate_sequence"),
+    "repro.chem.modifications": (
+        "Modification",
+        "ModificationSet",
+        "VariantEnumerator",
+        "paper_modifications",
+    ),
+    "repro.chem.fragments": (
+        "FragmentationSettings",
+        "fragment_mzs",
+        "theoretical_spectrum",
+    ),
+})

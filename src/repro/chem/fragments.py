@@ -27,13 +27,15 @@ bit-for-bit the sorted fragments of that entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
 
-from repro.chem.peptide import Peptide
 from repro.constants import AA_MONO, PROTON, WATER_MONO
 from repro.errors import ConfigurationError, InvalidSequenceError
+
+if TYPE_CHECKING:
+    from repro.chem.peptide import Peptide
 
 __all__ = [
     "FRAGMENT_BLOCK",

@@ -16,36 +16,20 @@ The pipeline of Section III:
    every search backend uses.
 """
 
-from repro.core.editdist import EncodedSequences, edit_distance
-from repro.core.grouping import Grouping, GroupingConfig, group_peptides
-from repro.core.partition import (
-    PartitionAssignment,
-    PartitionPolicy,
-    ChunkPolicy,
-    CyclicPolicy,
-    RandomPolicy,
-    make_policy,
-)
-from repro.core.predict import PredictivePolicy, WorkModel
-from repro.core.mapping import MappingTable
-from repro.core.planner import LBEPlan, SearchParams, make_lbe_plan
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EncodedSequences",
-    "edit_distance",
-    "Grouping",
-    "GroupingConfig",
-    "group_peptides",
-    "PartitionAssignment",
-    "PartitionPolicy",
-    "ChunkPolicy",
-    "CyclicPolicy",
-    "RandomPolicy",
-    "PredictivePolicy",
-    "WorkModel",
-    "make_policy",
-    "MappingTable",
-    "LBEPlan",
-    "SearchParams",
-    "make_lbe_plan",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.editdist": ("EncodedSequences", "edit_distance"),
+    "repro.core.grouping": ("Grouping", "GroupingConfig", "group_peptides"),
+    "repro.core.partition": (
+        "PartitionAssignment",
+        "PartitionPolicy",
+        "ChunkPolicy",
+        "CyclicPolicy",
+        "RandomPolicy",
+        "make_policy",
+    ),
+    "repro.core.predict": ("PredictivePolicy", "WorkModel"),
+    "repro.core.mapping": ("MappingTable",),
+    "repro.core.planner": ("LBEPlan", "SearchParams", "make_lbe_plan"),
+})

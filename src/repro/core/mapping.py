@@ -11,12 +11,14 @@ chunks may differ by one entry because ranks may own unequal counts.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
-from repro.core.partition import PartitionAssignment
 from repro.errors import ConfigurationError, PartitionError
+
+if TYPE_CHECKING:
+    from repro.core.partition import PartitionAssignment
 
 __all__ = ["MappingTable"]
 

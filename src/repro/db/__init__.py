@@ -12,30 +12,22 @@ pipeline (Section V-A.1):
   Algorithm 1) → :mod:`~repro.db.fasta`.
 """
 
-from repro.db.fasta import (
-    FastaRecord,
-    read_fasta,
-    write_fasta,
-    read_grouped_fasta,
-    write_grouped_fasta,
-)
-from repro.db.proteome import ProteomeConfig, SyntheticProteome, generate_proteome
-from repro.db.digest import DigestionConfig, digest_protein, digest_proteome, digest_rows
-from repro.db.dedup import deduplicate_peptides, first_occurrences
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FastaRecord",
-    "read_fasta",
-    "write_fasta",
-    "read_grouped_fasta",
-    "write_grouped_fasta",
-    "ProteomeConfig",
-    "SyntheticProteome",
-    "generate_proteome",
-    "DigestionConfig",
-    "digest_rows",
-    "digest_protein",
-    "digest_proteome",
-    "first_occurrences",
-    "deduplicate_peptides",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.db.fasta": (
+        "FastaRecord",
+        "read_fasta",
+        "write_fasta",
+        "read_grouped_fasta",
+        "write_grouped_fasta",
+    ),
+    "repro.db.proteome": ("ProteomeConfig", "SyntheticProteome", "generate_proteome"),
+    "repro.db.digest": (
+        "DigestionConfig",
+        "digest_rows",
+        "digest_protein",
+        "digest_proteome",
+    ),
+    "repro.db.dedup": ("first_occurrences", "deduplicate_peptides"),
+})

@@ -19,19 +19,11 @@ LBE partitions:
   reproduce Fig. 5 at paper scale.
 """
 
-from repro.index.arena import FragmentArena, Workspace, concat_ranges
-from repro.index.slm import SLMIndex, SLMIndexSettings, FilterResult
-from repro.index.chunks import ChunkedIndex
-from repro.index.memory import IndexMemoryModel, MemoryBreakdown
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FragmentArena",
-    "Workspace",
-    "concat_ranges",
-    "SLMIndex",
-    "SLMIndexSettings",
-    "FilterResult",
-    "ChunkedIndex",
-    "IndexMemoryModel",
-    "MemoryBreakdown",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.index.arena": ("FragmentArena", "Workspace", "concat_ranges"),
+    "repro.index.slm": ("SLMIndex", "SLMIndexSettings", "FilterResult"),
+    "repro.index.chunks": ("ChunkedIndex",),
+    "repro.index.memory": ("IndexMemoryModel", "MemoryBreakdown"),
+})

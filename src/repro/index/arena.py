@@ -49,13 +49,15 @@ arithmetic sees the same operand sequences as a per-entry layout.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.chem.fragments import FragmentationSettings, fragment_mzs_batch
-from repro.chem.peptide import Peptide
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.chem.peptide import Peptide
 
 __all__ = [
     "INT32_LIMIT",

@@ -19,20 +19,15 @@ Public API:
   :func:`~repro.mpi.simtime.gather` — the ledger collectives
 """
 
-from repro.mpi.simtime import (
-    CommCostModel,
-    VirtualClock,
-    barrier,
-    gather,
-    payload_nbytes,
-    scatter,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CommCostModel",
-    "VirtualClock",
-    "payload_nbytes",
-    "scatter",
-    "barrier",
-    "gather",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.mpi.simtime": (
+        "CommCostModel",
+        "VirtualClock",
+        "payload_nbytes",
+        "scatter",
+        "barrier",
+        "gather",
+    ),
+})

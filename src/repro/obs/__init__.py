@@ -79,72 +79,43 @@ Extra attributes are always allowed (bound views add e.g.
 checks required keys only.
 """
 
-from repro.obs.analyze import (
-    TraceAnalysis,
-    TraceDiff,
-    analyze_trace,
-    analyze_trace_file,
-    diff_traces,
-    load_trace,
-    render_analysis,
-    render_diff,
-    render_gantt,
-)
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    global_registry,
-    quantile,
-)
-from repro.obs.ring import DEFAULT_CAPACITY, RingTracer, flight_dump
-from repro.obs.schema import (
-    EVENT_ATTRS,
-    SPAN_ATTRS,
-    trace_stats,
-    validate_record,
-    validate_trace_file,
-    validate_trace_lines,
-)
-from repro.obs.trace import (
-    NULL_TRACER,
-    Clock,
-    JsonlTracer,
-    Tracer,
-    default_clock,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Clock",
-    "default_clock",
-    "Tracer",
-    "NULL_TRACER",
-    "JsonlTracer",
-    "RingTracer",
-    "DEFAULT_CAPACITY",
-    "flight_dump",
-    "TraceAnalysis",
-    "TraceDiff",
-    "load_trace",
-    "analyze_trace",
-    "analyze_trace_file",
-    "diff_traces",
-    "render_analysis",
-    "render_gantt",
-    "render_diff",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "global_registry",
-    "quantile",
-    "DEFAULT_LATENCY_BUCKETS_S",
-    "SPAN_ATTRS",
-    "EVENT_ATTRS",
-    "validate_record",
-    "validate_trace_lines",
-    "validate_trace_file",
-    "trace_stats",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.obs.trace": (
+        "Clock",
+        "default_clock",
+        "Tracer",
+        "NULL_TRACER",
+        "JsonlTracer",
+    ),
+    "repro.obs.ring": ("RingTracer", "DEFAULT_CAPACITY", "flight_dump"),
+    "repro.obs.analyze": (
+        "TraceAnalysis",
+        "TraceDiff",
+        "load_trace",
+        "analyze_trace",
+        "analyze_trace_file",
+        "diff_traces",
+        "render_analysis",
+        "render_gantt",
+        "render_diff",
+    ),
+    "repro.obs.metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "global_registry",
+        "quantile",
+        "DEFAULT_LATENCY_BUCKETS_S",
+    ),
+    "repro.obs.schema": (
+        "SPAN_ATTRS",
+        "EVENT_ATTRS",
+        "validate_record",
+        "validate_trace_lines",
+        "validate_trace_file",
+        "trace_stats",
+    ),
+})

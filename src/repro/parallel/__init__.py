@@ -43,43 +43,25 @@ batch) to drive:
   local spawn pipes for a socket transport never touches supervision.
 """
 
-from repro.parallel.faults import FaultInjected, FaultPlan, FaultSpec, maybe_inject
-from repro.parallel.persistent import PersistentPool, PoolBatchResult, RoundHandle
-from repro.parallel.transport import (
-    TRANSPORTS,
-    PipeTransport,
-    Transport,
-    WorkerChannel,
-    make_transport,
-    register_transport,
-)
-from repro.parallel.shared_arena import (
-    SharedArenaStore,
-    SharedSpill,
-    shared_spill_for,
-    sweep_stale_stores,
-    write_owner_marker,
-)
-from repro.parallel.shared_spectra import SharedSpectraStore
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FaultInjected",
-    "FaultPlan",
-    "FaultSpec",
-    "maybe_inject",
-    "PersistentPool",
-    "PipeTransport",
-    "PoolBatchResult",
-    "RoundHandle",
-    "Transport",
-    "TRANSPORTS",
-    "WorkerChannel",
-    "make_transport",
-    "register_transport",
-    "SharedArenaStore",
-    "SharedSpectraStore",
-    "SharedSpill",
-    "shared_spill_for",
-    "sweep_stale_stores",
-    "write_owner_marker",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.parallel.faults": ("FaultInjected", "FaultPlan", "FaultSpec", "maybe_inject"),
+    "repro.parallel.persistent": ("PersistentPool", "PoolBatchResult", "RoundHandle"),
+    "repro.parallel.transport": (
+        "PipeTransport",
+        "Transport",
+        "TRANSPORTS",
+        "WorkerChannel",
+        "make_transport",
+        "register_transport",
+    ),
+    "repro.parallel.shared_arena": (
+        "SharedArenaStore",
+        "SharedSpill",
+        "shared_spill_for",
+        "sweep_stale_stores",
+        "write_owner_marker",
+    ),
+    "repro.parallel.shared_spectra": ("SharedSpectraStore",),
+})

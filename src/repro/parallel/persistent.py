@@ -214,7 +214,6 @@ def _decide(
 def check_pool_settings(
     n_workers: int,
     *,
-    start_method: str,
     timeout: float,
     max_retries: int,
     backoff_s: float,
@@ -232,8 +231,7 @@ def check_pool_settings(
         raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
     if timeout <= 0:
         raise ConfigurationError(f"timeout must be > 0, got {timeout}")
-    # Resolves the registry name and validates start_method.
-    resolved = make_transport(transport, start_method=start_method)
+    resolved = make_transport(transport)
     if max_retries < 0:
         raise ConfigurationError(
             f"max_retries must be >= 0, got {max_retries}"
@@ -543,9 +541,6 @@ class PersistentPool:
     ----------
     n_workers:
         Worker count (the rank space is ``0 .. n_workers - 1``).
-    start_method:
-        ``multiprocessing`` start method; ``spawn`` (default) for a
-        fresh interpreter per worker on every platform.
     timeout:
         Real-seconds deadline per awaited reply (attach or batch);
         per-rank, restarted by a retry or a replayed attach.
@@ -596,7 +591,6 @@ class PersistentPool:
         self,
         n_workers: int,
         *,
-        start_method: str = "spawn",
         timeout: float = 600.0,
         max_retries: int = 0,
         backoff_s: float = 0.05,
@@ -608,7 +602,6 @@ class PersistentPool:
     ) -> None:
         transport_obj = check_pool_settings(
             n_workers,
-            start_method=start_method,
             timeout=timeout,
             max_retries=max_retries,
             backoff_s=backoff_s,
@@ -616,7 +609,6 @@ class PersistentPool:
             transport=transport,
         )
         self.n_workers = n_workers
-        self.start_method = start_method
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_s = backoff_s

@@ -159,24 +159,15 @@ class Transport:
 class PipeTransport(Transport):
     """Local ``multiprocessing`` workers on bidirectional OS pipes (default).
 
-    Parameters
-    ----------
-    start_method:
-        ``multiprocessing`` start method; ``spawn`` (default) imports a
-        fresh interpreter per worker — slower to start but immune to
-        inherited locks/threads, and identical across platforms.
+    Workers always start by ``spawn``: a fresh interpreter per worker,
+    slower to start than ``fork`` but immune to inherited locks and
+    threads, and identical across platforms.
     """
 
     name = "pipe"
 
-    def __init__(self, start_method: str = "spawn") -> None:
-        if start_method not in mp.get_all_start_methods():
-            raise ConfigurationError(
-                f"start method {start_method!r} not available "
-                f"(have {mp.get_all_start_methods()})"
-            )
-        self.start_method = start_method
-        self._ctx = mp.get_context(start_method)
+    def __init__(self) -> None:
+        self._ctx = mp.get_context("spawn")
 
     def spawn(
         self, target: Callable, args: Tuple = (), *, name: str
@@ -206,12 +197,9 @@ def register_transport(cls: Type[Transport]) -> Type[Transport]:
     return cls
 
 
-def make_transport(
-    spec: "str | Transport", *, start_method: str = "spawn"
-) -> Transport:
+def make_transport(spec: "str | Transport") -> Transport:
     """Resolve a transport: an instance passes through, a name is
-    looked up in :data:`TRANSPORTS` and constructed with
-    ``start_method``."""
+    looked up in :data:`TRANSPORTS` and constructed."""
     if isinstance(spec, Transport):
         return spec
     try:
@@ -220,4 +208,4 @@ def make_transport(
         raise ConfigurationError(
             f"unknown transport {spec!r} (have {sorted(TRANSPORTS)})"
         ) from None
-    return cls(start_method=start_method)
+    return cls()

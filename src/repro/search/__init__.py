@@ -13,52 +13,28 @@ Pipeline objects:
   time, speedup and Amdahl utilities used by the benchmark harness.
 """
 
-from repro.search.database import DatabaseConfig, IndexedDatabase
-from repro.search.costs import QueryCostModel, SerialCostModel
-from repro.search.psm import PSM, SpectrumResult, SearchResults, RankStats
-from repro.search.scoring import score_candidates, ScoringOutcome
-from repro.search.serial import SerialSearchEngine
-from repro.search.engine import DistributedSearchEngine, EngineConfig
-from repro.search.fdr import (
-    combined_target_decoy,
-    estimate_fdr,
-    make_decoy_peptides,
-    qvalues,
-)
-from repro.search.report import read_psm_report, write_psm_report
-from repro.search.metrics import (
-    load_imbalance,
-    wasted_cpu_time,
-    policy_cpu_speedup,
-    speedup_series,
-    amdahl_speedup,
-    estimate_serial_fraction,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DatabaseConfig",
-    "IndexedDatabase",
-    "QueryCostModel",
-    "SerialCostModel",
-    "PSM",
-    "SpectrumResult",
-    "SearchResults",
-    "RankStats",
-    "score_candidates",
-    "ScoringOutcome",
-    "SerialSearchEngine",
-    "DistributedSearchEngine",
-    "EngineConfig",
-    "load_imbalance",
-    "wasted_cpu_time",
-    "policy_cpu_speedup",
-    "speedup_series",
-    "amdahl_speedup",
-    "estimate_serial_fraction",
-    "combined_target_decoy",
-    "estimate_fdr",
-    "make_decoy_peptides",
-    "qvalues",
-    "read_psm_report",
-    "write_psm_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.search.database": ("DatabaseConfig", "IndexedDatabase"),
+    "repro.search.costs": ("QueryCostModel", "SerialCostModel"),
+    "repro.search.psm": ("PSM", "SpectrumResult", "SearchResults", "RankStats"),
+    "repro.search.scoring": ("score_candidates", "ScoringOutcome"),
+    "repro.search.serial": ("SerialSearchEngine",),
+    "repro.search.engine": ("DistributedSearchEngine", "EngineConfig"),
+    "repro.search.metrics": (
+        "load_imbalance",
+        "wasted_cpu_time",
+        "policy_cpu_speedup",
+        "speedup_series",
+        "amdahl_speedup",
+        "estimate_serial_fraction",
+    ),
+    "repro.search.fdr": (
+        "combined_target_decoy",
+        "estimate_fdr",
+        "make_decoy_peptides",
+        "qvalues",
+    ),
+    "repro.search.report": ("read_psm_report", "write_psm_report"),
+})

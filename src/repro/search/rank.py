@@ -109,11 +109,10 @@ and merges every rank with one ``lexsort``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.mapping import MappingTable
 from repro.index.arena import (
     FragmentArena,
     Workspace,
@@ -126,6 +125,9 @@ from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.search.psm import PSM, RankStats, SpectrumResult
 from repro.search.scoring import _COARSE_MIN_FRAGMENTS, score_many, score_upper_bounds
 from repro.spectra.model import Spectrum
+
+if TYPE_CHECKING:
+    from repro.core.mapping import MappingTable
 
 __all__ = [
     "RankPayload",

@@ -53,38 +53,26 @@ stdin manifest of paths (``--shards N`` selects the sharded tier;
 ``--rebalance-li`` arms elastic rebalancing).
 """
 
-from repro.service.engine import ParallelSearchEngine
-from repro.service.rebalance import (
-    RebalanceConfig,
-    RebalanceDecision,
-    RebalancePolicy,
-)
-from repro.service.service import (
-    BatchStats,
-    SearchService,
-    ServiceConfig,
-    SessionStats,
-    aggregate_batch_stats,
-)
-from repro.service.sharding import (
-    DatabaseShard,
-    ShardedBatchStats,
-    ShardedSearchService,
-    ShardPlan,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BatchStats",
-    "DatabaseShard",
-    "ParallelSearchEngine",
-    "RebalanceConfig",
-    "RebalanceDecision",
-    "RebalancePolicy",
-    "SearchService",
-    "ServiceConfig",
-    "SessionStats",
-    "ShardedBatchStats",
-    "ShardedSearchService",
-    "ShardPlan",
-    "aggregate_batch_stats",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.service.engine": ("ParallelSearchEngine",),
+    "repro.service.rebalance": (
+        "RebalanceConfig",
+        "RebalanceDecision",
+        "RebalancePolicy",
+    ),
+    "repro.service.service": (
+        "BatchStats",
+        "SearchService",
+        "ServiceConfig",
+        "SessionStats",
+        "aggregate_batch_stats",
+    ),
+    "repro.service.sharding": (
+        "DatabaseShard",
+        "ShardedBatchStats",
+        "ShardedSearchService",
+        "ShardPlan",
+    ),
+})

@@ -248,8 +248,6 @@ class ServiceConfig(SearchParams):
     ----------
     n_workers:
         Resident OS worker processes (the rank count).
-    start_method:
-        ``multiprocessing`` start method for the resident workers.
     timeout:
         Real-seconds deadline per pool round (attach or batch).
     max_pending:
@@ -321,7 +319,6 @@ class ServiceConfig(SearchParams):
     """
 
     n_workers: int = 2
-    start_method: str = "spawn"
     timeout: float = 600.0
     max_pending: int = 4
     max_retries: int = 0
@@ -364,7 +361,6 @@ class ServiceConfig(SearchParams):
         SearchParams.__post_init__(self)
         check_pool_settings(
             self.n_workers,
-            start_method=self.start_method,
             timeout=self.timeout,
             max_retries=self.max_retries,
             backoff_s=self.retry_backoff_s,
@@ -1065,7 +1061,6 @@ class SearchService(SessionCore):
         # closes the pool and drops this session's spill reference.
         pool = PersistentPool(
             cfg.n_workers,
-            start_method=cfg.start_method,
             timeout=cfg.timeout,
             max_retries=cfg.max_retries,
             backoff_s=cfg.retry_backoff_s,

@@ -10,21 +10,15 @@ Stands in for the paper's query-side pipeline (Section V-A.2):
 * the master → worker wire form → :mod:`~repro.spectra.packed`.
 """
 
-from repro.spectra.model import Spectrum
-from repro.spectra.ms2 import read_ms2, write_ms2
-from repro.spectra.mzml_lite import read_mzml_lite, write_mzml_lite
-from repro.spectra.preprocess import PreprocessConfig, preprocess_spectrum, preprocess_batch
-from repro.spectra.synthetic import SyntheticRunConfig, generate_run
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Spectrum",
-    "read_ms2",
-    "write_ms2",
-    "read_mzml_lite",
-    "write_mzml_lite",
-    "PreprocessConfig",
-    "preprocess_spectrum",
-    "preprocess_batch",
-    "SyntheticRunConfig",
-    "generate_run",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.spectra.model": ("Spectrum",),
+    "repro.spectra.ms2": ("read_ms2", "write_ms2"),
+    "repro.spectra.preprocess": (
+        "PreprocessConfig",
+        "preprocess_spectrum",
+        "preprocess_batch",
+    ),
+    "repro.spectra.synthetic": ("SyntheticRunConfig", "generate_run"),
+})

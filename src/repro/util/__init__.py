@@ -4,14 +4,10 @@ These helpers are intentionally tiny and dependency-free so that every
 other subpackage can import them without cycles.
 """
 
-from repro.util.ascii_plot import bar_chart, line_plot
-from repro.util.rng import derive_seed, rng_from
-from repro.util.tables import format_table
+from repro._exports import lazy_exports
 
-__all__ = [
-    "bar_chart",
-    "line_plot",
-    "derive_seed",
-    "rng_from",
-    "format_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.util.ascii_plot": ("bar_chart", "line_plot"),
+    "repro.util.rng": ("derive_seed", "rng_from"),
+    "repro.util.tables": ("format_table",),
+})

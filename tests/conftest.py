@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.db.proteome import ProteomeConfig
+from repro.obs.ring import _DUMP_PREFIX
 from repro.parallel.shared_arena import _OWNER_MARKER, _STORE_PREFIXES
 from repro.search.database import DatabaseConfig, IndexedDatabase
 from repro.spectra.synthetic import SyntheticRunConfig, generate_run
@@ -78,6 +79,15 @@ def _owned_tmpdirs() -> set:
     return owned
 
 
+def _system_flight_dumps() -> set:
+    """Flight-recorder black boxes in the system temp dir.
+
+    Tests dump into their own ``flight_dir``; the shared temp dir's
+    rotation deletes the oldest dumps whoever wrote them.
+    """
+    return {p.name for p in Path(tempfile.gettempdir()).glob(f"{_DUMP_PREFIX}*.jsonl")}
+
+
 @pytest.fixture
 def owned_tmpdirs():
     """:func:`_owned_tmpdirs`, for tests that count their own spills."""
@@ -86,15 +96,22 @@ def owned_tmpdirs():
 
 @pytest.fixture(scope="module", autouse=True)
 def resource_fence():
-    """Fail a module that leaves a package tmpdir of this process, or a
-    child process, behind."""
+    """Fail a module that leaves a package tmpdir of this process, a
+    flight dump in the system temp dir, or a child process behind."""
     tmpdirs = _owned_tmpdirs()
+    dumps = _system_flight_dumps()
     children = set(multiprocessing.active_children())
     yield
     gc.collect()
     leaked = sorted(_owned_tmpdirs() - tmpdirs)
     if leaked:
         pytest.fail(f"module left {len(leaked)} tmpdir(s) behind: {leaked}", pytrace=False)
+    dumped = sorted(_system_flight_dumps() - dumps)
+    if dumped:
+        pytest.fail(
+            f"module dumped {len(dumped)} flight record(s) into the system temp dir: {dumped}",
+            pytrace=False,
+        )
     alive = [p for p in multiprocessing.active_children() if p not in children]
     if alive:
         pytest.fail(f"module left {len(alive)} child process(es) alive: {alive}", pytrace=False)

@@ -165,7 +165,7 @@ def test_degraded_ok_returns_partial_results_with_exact_mask(
         FaultSpec(kind="crash", stage="query", rank=1, batch=1, once=False)
     )
     config = _config(
-        "crash", max_retries=1, degraded_ok=True, fault_plan=plan
+        "crash", max_retries=1, degraded_ok=True, fault_plan=plan, flight_dir=tmp_path
     )
     outcomes = _run_session(tiny_db, batches, config, pipelined=False)
     assert_same_results(serial_refs[0], outcomes[0][0])
@@ -189,14 +189,14 @@ def test_degraded_ok_returns_partial_results_with_exact_mask(
     )
 
 
-def test_default_is_fail_loud_with_structured_diagnosis(tiny_db, batches):
+def test_default_is_fail_loud_with_structured_diagnosis(tiny_db, batches, tmp_path):
     """Without ``degraded_ok`` the same persistent fault fails the
     batch with a structured WorkerError; the session survives it."""
     plan = FaultPlan.scoped(
         FaultSpec(kind="crash", stage="query", rank=1, batch=0,
                   once=False, exit_code=23)
     )
-    config = _config("crash", max_retries=1, fault_plan=plan)
+    config = _config("crash", max_retries=1, fault_plan=plan, flight_dir=tmp_path)
     with SearchService(tiny_db, config) as service:
         with pytest.raises(WorkerError) as excinfo:
             service.submit(batches[0])

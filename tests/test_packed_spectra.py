@@ -168,7 +168,7 @@ def test_torn_payload_is_refused_in_the_worker(tiny_spectra):
             service_query_worker(0, 2, {}, task)
 
 
-def test_torn_batch_fails_only_its_own_future(tiny_db, tiny_spectra, monkeypatch):
+def test_torn_batch_fails_only_its_own_future(tiny_db, tiny_spectra, monkeypatch, tmp_path):
     """Tear the second batch between pack and send: its future carries
     the workers' refusal, its neighbours are served, nobody respawns."""
     batches = [list(tiny_spectra), list(tiny_spectra[:7]), list(tiny_spectra[5:])]
@@ -185,7 +185,7 @@ def test_torn_batch_fails_only_its_own_future(tiny_db, tiny_spectra, monkeypatch
         return packed
 
     monkeypatch.setattr(service_mod, "preprocess_packed", tearing_pack)
-    with SearchService(tiny_db, ServiceConfig(n_workers=2)) as service:
+    with SearchService(tiny_db, ServiceConfig(n_workers=2, flight_dir=tmp_path)) as service:
         pids = service.worker_pids()
         futures = [service.submit_async(b) for b in batches]
         outcomes = []
@@ -350,9 +350,9 @@ def test_hostile_batches_fail_structured_or_equal_serial(tiny_db, tiny_spectra):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_hostile_batches_through_the_sharded_fleet(tiny_db, tiny_spectra):
+def test_hostile_batches_through_the_sharded_fleet(tiny_db, tiny_spectra, tmp_path):
     serial = SerialSearchEngine(tiny_db)
-    config = ServiceConfig(n_workers=1, metrics=MetricsRegistry())
+    config = ServiceConfig(n_workers=1, metrics=MetricsRegistry(), flight_dir=tmp_path)
     with ShardedSearchService(tiny_db, config, n_shards=2) as fleet:
         with pytest.raises(ConfigurationError, match="empty"):
             fleet.submit([])
@@ -371,7 +371,7 @@ def test_hostile_batches_through_the_sharded_fleet(tiny_db, tiny_spectra):
         assert fleet.respawn_total == 0
 
 
-def test_windowed_sessions_refuse_a_nan_precursor(tiny_db, tiny_spectra):
+def test_windowed_sessions_refuse_a_nan_precursor(tiny_db, tiny_spectra, tmp_path):
     """Windowed routing and chunk pruning both compare against the
     neutral mass: a NaN must be refused, not routed nowhere and
     answered with silence."""
@@ -379,7 +379,9 @@ def test_windowed_sessions_refuse_a_nan_precursor(tiny_db, tiny_spectra):
     serial = SerialSearchEngine(tiny_db, windowed)
     batch = [s.copy() for s in tiny_spectra]
     batch[2].precursor_mz = np.nan
-    config = ServiceConfig(n_workers=1, index=windowed, metrics=MetricsRegistry())
+    config = ServiceConfig(
+        n_workers=1, index=windowed, metrics=MetricsRegistry(), flight_dir=tmp_path
+    )
     with SearchService(tiny_db, config) as service:
         with pytest.raises(InvalidSpectrumError, match="precursor"):
             service.submit(batch)

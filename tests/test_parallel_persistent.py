@@ -381,8 +381,6 @@ def test_config_validation():
         PersistentPool(0)
     with pytest.raises(ConfigurationError):
         PersistentPool(1, timeout=0.0)
-    with pytest.raises(ConfigurationError):
-        PersistentPool(1, start_method="teleport")
     pool = PersistentPool(2, timeout=30.0)
     try:
         with pytest.raises(ConfigurationError):

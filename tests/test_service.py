@@ -15,7 +15,8 @@ import pytest
 
 from reference import assert_same_results
 from repro.errors import ConfigurationError, ServiceError, WorkerError
-from repro.index.slm import SLMIndexSettings
+from repro.db.proteome import ProteomeConfig
+from repro.search.database import DatabaseConfig, IndexedDatabase
 from repro.parallel.shared_arena import SharedArenaStore
 from repro.parallel.worker import QueryTask
 from repro.service import service as service_module
@@ -188,13 +189,18 @@ class _OpenStepFailed(RuntimeError):
 
 
 @pytest.mark.parametrize("step", ["plan", "arena_for", "shared_spill_for", "spill_write"])
-def test_open_failure_after_early_spawn_cleans_up(tiny_db, monkeypatch, step, owned_tmpdirs):
+def test_open_failure_after_early_spawn_cleans_up(monkeypatch, step, owned_tmpdirs):
     """The pool spawns before the master plans, builds the arena and
     spills; a raise in any of those re-raises unchanged and leaves no
     live worker and no spill directory behind.  Only this process's
     spills are counted (a concurrent run may spill beside it); a spill
     marks its owner before it writes a file, so the half-written one
     is among them."""
+    # A database of its own: no live spill of another session can hold
+    # its arena, so the spill cache cannot skip the failing write.
+    db = IndexedDatabase.build(
+        DatabaseConfig(proteome=ProteomeConfig(n_families=1, seed=5), max_variants_per_peptide=1)
+    )
     error = _OpenStepFailed(step)
     children_at_raise = []
     dirs_at_raise = []
@@ -210,20 +216,19 @@ def test_open_failure_after_early_spawn_cleans_up(tiny_db, monkeypatch, step, ow
     if step == "plan":
         monkeypatch.setattr(service_module.SearchService, "plan", property(boom))
     elif step == "arena_for":
-        monkeypatch.setattr(tiny_db, "arena_for", boom)
+        monkeypatch.setattr(db, "arena_for", boom)
     elif step == "shared_spill_for":
         monkeypatch.setattr(service_module, "shared_spill_for", boom)
     else:  # the tmpdir exists and is half written when this raises
         monkeypatch.setattr(SharedArenaStore, "spill", staticmethod(boom))
-    # A resolution no other test spills at, so the spill cache cannot
-    # hand back a live spill and skip the failing write.
-    config = ServiceConfig(n_workers=2, index=SLMIndexSettings(resolution=0.0125))
     children_before = set(multiprocessing.active_children())
     dirs_before = spill_dirs()
-    service = SearchService(tiny_db, config)
+    service = SearchService(db, ServiceConfig(n_workers=2))
     with pytest.raises(_OpenStepFailed) as excinfo:
         service.open()
     assert excinfo.value is error
+    # The failing step (for ``spill_write``, ``SharedArenaStore.spill``) ran once.
+    assert len(children_at_raise) == 1
     # The failing step ran after both workers had been spawned ...
     assert len(children_at_raise[0] - children_before) == 2
     # ... and the failed open reaped them and left no spill behind.
@@ -251,5 +256,3 @@ def test_config_validation():
     # The pool's own settings fail here too, not at open().
     with pytest.raises(ConfigurationError, match="unknown transport"):
         ServiceConfig(transport="socket")
-    with pytest.raises(ConfigurationError, match="start method"):
-        ServiceConfig(start_method="teleport")

@@ -95,7 +95,7 @@ def test_pipelined_equals_sequential_submits(
 
 
 def test_worker_death_fails_only_its_batch(
-    tiny_db, stream_batches, stream_refs
+    tiny_db, stream_batches, stream_refs, tmp_path
 ):
     """Rank 1 dies while it holds batch 1's query (batch 2 is already
     spilled by then — the pipeline prepares N+1 during N's round):
@@ -105,6 +105,7 @@ def test_worker_death_fails_only_its_batch(
     config = ServiceConfig(
         n_workers=2,
         max_pending=4,
+        flight_dir=tmp_path,
         fault_plan=FaultPlan.scoped(
             FaultSpec(kind="crash", stage="query", rank=1, batch=1)
         ),

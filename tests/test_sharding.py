@@ -258,7 +258,7 @@ def test_shard_worker_crash_heals_bit_identical(tiny_db, batches, serial_refs):
     assert outcomes[0][1].respawned >= 1
 
 
-def test_dead_shard_degrades_coverage_not_session(tiny_db, batches):
+def test_dead_shard_degrades_coverage_not_session(tiny_db, batches, tmp_path):
     """Every rank of shard 1 crashes persistently with retries
     exhausted under ``degraded_ok``: the batch reports the exact
     ``degraded_shards`` mask (and its flattened rank mask), covers the
@@ -271,7 +271,8 @@ def test_dead_shard_degrades_coverage_not_session(tiny_db, batches):
         ),
     ]
     config = ServiceConfig(
-        n_workers=2, max_retries=0, retry_backoff_s=0.01, degraded_ok=True
+        n_workers=2, max_retries=0, retry_backoff_s=0.01, degraded_ok=True,
+        flight_dir=tmp_path,
     )
     with ShardedSearchService(
         tiny_db, config, n_shards=2, shard_fault_plans=plans
@@ -303,7 +304,9 @@ def test_dead_shard_degrades_coverage_not_session(tiny_db, batches):
     assert read_psm_report(buffer)
 
 
-def test_shard_failure_fails_loud_without_degraded_ok(tiny_db, batches, serial_refs):
+def test_shard_failure_fails_loud_without_degraded_ok(
+    tiny_db, batches, serial_refs, tmp_path
+):
     """Retries exhausted without ``degraded_ok``: the batch's future
     raises :class:`ShardError` naming the shard; the session survives
     and the next batch heals on respawned workers."""
@@ -314,7 +317,9 @@ def test_shard_failure_fails_loud_without_degraded_ok(tiny_db, batches, serial_r
                       once=False)
         ),
     ]
-    config = ServiceConfig(n_workers=2, max_retries=0, retry_backoff_s=0.01)
+    config = ServiceConfig(
+        n_workers=2, max_retries=0, retry_backoff_s=0.01, flight_dir=tmp_path
+    )
     with ShardedSearchService(
         tiny_db, config, n_shards=2, shard_fault_plans=plans
     ) as svc:
