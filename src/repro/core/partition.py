@@ -192,7 +192,7 @@ class RandomPolicy(PartitionPolicy):
 
 #: Registry of available policies by name.  ``lpt`` (the predictive,
 #: heterogeneity-aware policy of :mod:`repro.core.predict`) registers
-#: itself on import to avoid a circular dependency.
+#: itself in POLICIES, and this module imports it at its end.
 POLICIES: Dict[str, Type[PartitionPolicy]] = {
     ChunkPolicy.name: ChunkPolicy,
     CyclicPolicy.name: CyclicPolicy,
@@ -218,3 +218,7 @@ def make_policy(name: str, *, seed: int = 0, **kwargs) -> PartitionPolicy:
     if cls.name == "lpt":
         return cls(**kwargs)
     return cls()
+
+
+# Registers "lpt"; last, because predict imports the names above.
+from repro.core import predict as _predict  # noqa: E402,F401

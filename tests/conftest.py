@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.db.proteome import ProteomeConfig
-from repro.obs.ring import _DUMP_PREFIX
+from repro.obs.ring import RingTracer
 from repro.parallel.shared_arena import _OWNER_MARKER, _STORE_PREFIXES
 from repro.search.database import DatabaseConfig, IndexedDatabase
 from repro.spectra.synthetic import SyntheticRunConfig, generate_run
@@ -79,13 +79,25 @@ def _owned_tmpdirs() -> set:
     return owned
 
 
-def _system_flight_dumps() -> set:
-    """Flight-recorder black boxes in the system temp dir.
+@pytest.fixture(scope="session")
+def flight_dumps():
+    """Paths of the flight records this process writes.
 
-    Tests dump into their own ``flight_dir``; the shared temp dir's
-    rotation deletes the oldest dumps whoever wrote them.
+    Dump names carry no owner, so the fence counts what this process's
+    :meth:`RingTracer.dump_to_dir` returns rather than globbing the
+    shared temp dir, where another suite or a spine run may dump.
     """
-    return {p.name for p in Path(tempfile.gettempdir()).glob(f"{_DUMP_PREFIX}*.jsonl")}
+    written = []
+    dump_to_dir = RingTracer.dump_to_dir
+
+    def recording_dump_to_dir(self, *args, **kwargs):
+        path = dump_to_dir(self, *args, **kwargs)
+        written.append(Path(path))
+        return path
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RingTracer, "dump_to_dir", recording_dump_to_dir)
+        yield written
 
 
 @pytest.fixture
@@ -95,18 +107,20 @@ def owned_tmpdirs():
 
 
 @pytest.fixture(scope="module", autouse=True)
-def resource_fence():
+def resource_fence(flight_dumps):
     """Fail a module that leaves a package tmpdir of this process, a
-    flight dump in the system temp dir, or a child process behind."""
+    flight dump of this process in the system temp dir, or a child
+    process behind."""
     tmpdirs = _owned_tmpdirs()
-    dumps = _system_flight_dumps()
+    n_dumps = len(flight_dumps)
     children = set(multiprocessing.active_children())
     yield
     gc.collect()
     leaked = sorted(_owned_tmpdirs() - tmpdirs)
     if leaked:
         pytest.fail(f"module left {len(leaked)} tmpdir(s) behind: {leaked}", pytrace=False)
-    dumped = sorted(_system_flight_dumps() - dumps)
+    system_tmp = Path(tempfile.gettempdir()).resolve()
+    dumped = [str(p) for p in flight_dumps[n_dumps:] if p.parent.resolve() == system_tmp]
     if dumped:
         pytest.fail(
             f"module dumped {len(dumped)} flight record(s) into the system temp dir: {dumped}",

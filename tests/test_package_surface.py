@@ -199,3 +199,17 @@ def test_worker_import_loads_only_the_rank_body():
 
 def test_package_import_loads_only_the_export_helper():
     assert _fresh_import("import repro") == ["repro", "repro._exports"]
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import repro.core.partition as p; assert 'lpt' in p.POLICIES",
+        "from repro import make_policy; make_policy('lpt')",
+    ],
+    ids=["partition-registry", "package-factory"],
+)
+def test_lpt_registers_in_a_fresh_interpreter(statement):
+    """``lpt`` lives in core.predict; loading core.partition alone must
+    still offer it, whatever was imported before."""
+    assert "repro.core.predict" in _fresh_import(statement)
