@@ -48,16 +48,9 @@ import sys
 import threading
 from contextlib import ExitStack
 from pathlib import Path
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
-from repro.bench.experiments import ExperimentConfig, ExperimentSuite
-from repro.bench.reporting import series_table
-from repro.core.grouping import GroupingConfig, group_peptides
 from repro.core.partition import POLICIES
-from repro.db.dedup import first_occurrences
-from repro.db.digest import DigestionConfig, digest_rows
-from repro.db.fasta import FastaRecord, read_fasta, write_fasta, write_grouped_fasta
-from repro.db.proteome import ProteomeConfig, generate_proteome
 from repro.errors import (
     ConfigurationError,
     FormatError,
@@ -67,32 +60,12 @@ from repro.errors import (
     WorkerError,
 )
 from repro.index.slm import SLMIndexSettings
-from repro.obs import (
-    NULL_TRACER,
-    JsonlTracer,
-    MetricsRegistry,
-    analyze_trace,
-    diff_traces,
-    load_trace,
-    render_analysis,
-    render_diff,
-    render_gantt,
-    validate_trace_file,
-)
-from repro.search.database import DatabaseConfig, IndexedDatabase
-from repro.search.engine import DistributedSearchEngine, EngineConfig
-from repro.search.metrics import load_imbalance
-from repro.search.report import write_psm_report
-from repro.service import (
-    ParallelSearchEngine,
-    SearchService,
-    ServiceConfig,
-    ShardedSearchService,
-    aggregate_batch_stats,
-)
-from repro.spectra.ms2 import read_ms2, write_ms2
-from repro.spectra.synthetic import SyntheticRunConfig, generate_run
-from repro.util.tables import format_table
+
+if TYPE_CHECKING:
+    from repro.search.database import IndexedDatabase
+
+# Each command imports what it runs inside its handler, so ``--help``
+# loads no service, parallel or obs module.
 
 __all__ = ["main", "build_parser"]
 
@@ -298,6 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_database(fasta: Path, max_variants: int) -> IndexedDatabase:
     """The FASTA → digest → dedup → variant-expansion build, shared by
     every command that indexes a proteome (`search`, `index`, `serve`)."""
+    from repro.db.fasta import read_fasta
+    from repro.search.database import DatabaseConfig, IndexedDatabase
+
     return IndexedDatabase.build(
         DatabaseConfig(max_variants_per_peptide=max_variants),
         records=list(read_fasta(fasta)),
@@ -305,6 +281,12 @@ def _build_database(fasta: Path, max_variants: int) -> IndexedDatabase:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.db.fasta import write_fasta
+    from repro.db.proteome import ProteomeConfig, generate_proteome
+    from repro.search.database import DatabaseConfig, IndexedDatabase
+    from repro.spectra.ms2 import write_ms2
+    from repro.spectra.synthetic import SyntheticRunConfig, generate_run
+
     args.out_dir.mkdir(parents=True, exist_ok=True)
     proteome = generate_proteome(
         ProteomeConfig(n_families=args.families, seed=args.seed)
@@ -326,6 +308,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_digest(args: argparse.Namespace) -> int:
+    from repro.db.dedup import first_occurrences
+    from repro.db.digest import DigestionConfig, digest_rows
+    from repro.db.fasta import FastaRecord, read_fasta, write_fasta
+
     records = list(read_fasta(args.fasta))
     config = DigestionConfig(
         missed_cleavages=args.missed_cleavages,
@@ -343,6 +329,9 @@ def _cmd_digest(args: argparse.Namespace) -> int:
 
 
 def _cmd_group(args: argparse.Namespace) -> int:
+    from repro.core.grouping import GroupingConfig, group_peptides
+    from repro.db.fasta import read_fasta, write_grouped_fasta
+
     sequences = [rec.sequence for rec in read_fasta(args.fasta)]
     grouping = group_peptides(
         sequences, GroupingConfig(criterion=args.criterion, gsize=args.gsize)
@@ -364,6 +353,8 @@ def _search_once(
     args: argparse.Namespace,
 ):
     if getattr(args, "backend", "simulated") == "process":
+        from repro.service import ParallelSearchEngine, ServiceConfig
+
         engine = ParallelSearchEngine(
             db,
             ServiceConfig(
@@ -374,6 +365,8 @@ def _search_once(
             ),
         )
         return engine.run(spectra)
+    from repro.search.engine import DistributedSearchEngine, EngineConfig
+
     engine = DistributedSearchEngine(
         db,
         EngineConfig(
@@ -387,6 +380,11 @@ def _search_once(
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from repro.search.metrics import load_imbalance
+    from repro.search.report import write_psm_report
+    from repro.spectra.ms2 import read_ms2
+    from repro.util.tables import format_table
+
     db = _build_database(args.fasta, args.max_variants)
     spectra = list(read_ms2(args.ms2))
     clock = "real" if args.backend == "process" else "virtual"
@@ -451,6 +449,8 @@ def _serve_database(args: argparse.Namespace):
             "serve: supply exactly one of --fasta or --index"
         )
     if args.index is not None:
+        from repro.search.database import IndexedDatabase
+
         return IndexedDatabase.load(args.index)
     return _build_database(args.fasta, args.max_variants), SLMIndexSettings()
 
@@ -461,6 +461,13 @@ def _interrupt(signum, frame):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.obs import NULL_TRACER, JsonlTracer, MetricsRegistry
+    from repro.search.report import write_psm_report
+    from repro.service import SearchService, ServiceConfig, ShardedSearchService
+    from repro.service import aggregate_batch_stats
+    from repro.spectra.ms2 import read_ms2
+    from repro.util.tables import format_table
+
     db, index_settings = _serve_database(args)
     # Paths stream lazily: a stdin-fed session opens on its first path
     # and serves each later one as it arrives.
@@ -665,6 +672,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _validated_records(path: Path) -> List[dict]:
     """Load a trace for analysis, failing loud on schema violations."""
+    from repro.obs import load_trace, validate_trace_file
+
     n, errors = validate_trace_file(path)
     if errors:
         for e in errors[:10]:
@@ -676,28 +685,30 @@ def _validated_records(path: Path) -> List[dict]:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro import obs
+
     try:
         if args.trace_command == "analyze":
-            analysis = analyze_trace(
+            analysis = obs.analyze_trace(
                 _validated_records(args.file), shard=args.shard
             )
-            print(render_analysis(analysis, source=str(args.file)))
+            print(obs.render_analysis(analysis, source=str(args.file)))
         elif args.trace_command == "gantt":
-            analysis = analyze_trace(
+            analysis = obs.analyze_trace(
                 _validated_records(args.file), shard=args.shard
             )
-            print(render_gantt(
+            print(obs.render_gantt(
                 analysis, batch=args.batch, width=args.width
             ))
         else:  # diff
-            a = analyze_trace(
+            a = obs.analyze_trace(
                 _validated_records(args.file_a), shard=args.shard
             )
-            b = analyze_trace(
+            b = obs.analyze_trace(
                 _validated_records(args.file_b), shard=args.shard
             )
-            print(render_diff(
-                diff_traces(a, b),
+            print(obs.render_diff(
+                obs.diff_traces(a, b),
                 a_name=args.file_a.name,
                 b_name=args.file_b.name,
             ))
@@ -708,6 +719,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    from repro.bench.experiments import ExperimentConfig, ExperimentSuite
+    from repro.bench.reporting import series_table
+
     suite = ExperimentSuite(
         ExperimentConfig(
             sizes_m=tuple(args.sizes), n_spectra=args.spectra, seed=args.seed

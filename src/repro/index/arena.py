@@ -39,7 +39,8 @@ Consumers:
   :meth:`FragmentArena.quantize` of it,
 * :func:`~repro.search.scoring.score_candidates` gathers all candidate
   fragments with one vectorized range concatenation,
-* every rank carves its sub-arena with :meth:`FragmentArena.take`.
+* every rank builds its index over a :meth:`FragmentArena.take`
+  sub-arena and scores from an :class:`ArenaView` of the arena.
 
 The arena is exactly the concatenation of each entry's
 :func:`~repro.chem.fragments.fragment_mzs` array, so downstream float
@@ -49,6 +50,7 @@ arithmetic sees the same operand sequences as a per-entry layout.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 import numpy as np
@@ -61,6 +63,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "INT32_LIMIT",
+    "ArenaView",
     "FragmentArena",
     "Workspace",
     "bucket_major_order",
@@ -448,11 +451,44 @@ class FragmentArena:
         (duplicate ids allowed); ``sizes`` the per-id fragment counts.
         With ``workspace`` the flat array is a scratch view.
         """
+        whole = ArenaView(self.mzs, self.offsets[:-1], self.counts, self.lengths)
+        return whole.gather_flat(entry_ids, workspace=workspace)
+
+
+@dataclass(frozen=True, slots=True)
+class ArenaView:
+    """Entries of an arena read in place: a rank's scoring input.
+
+    Entry ``i`` owns ``mzs[starts[i] : starts[i] + counts[i]]`` of the
+    arena's own m/z array, so no m/z is copied: a worker scores from the
+    store map its attach built from.  ``counts`` and ``lengths`` are the
+    rank's per-entry arrays, shared with its index build's sub-arena.
+    The view offers what the rank body reads of a :class:`FragmentArena`.
+    """
+
+    mzs: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    lengths: np.ndarray
+
+    @property
+    def n_entries(self) -> int:
+        """Number of entries the view covers."""
+        return self.starts.size
+
+    @property
+    def n_ions(self) -> int:
+        """Fragments of the viewed entries."""
+        return int(self.counts.sum())
+
+    def gather_flat(
+        self, entry_ids: np.ndarray, *, workspace: Workspace | None = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`FragmentArena.gather_flat` over the view's own entry ids."""
         ids = np.asarray(entry_ids, dtype=np.int64)
-        starts = self.offsets[ids]
-        stops = self.offsets[ids + 1]
-        sizes = stops - starts
-        idx = concat_ranges(starts, stops, workspace=workspace)
+        starts = self.starts[ids]
+        sizes = self.counts[ids]
+        idx = concat_ranges(starts, starts + sizes, workspace=workspace)
         if workspace is not None:
             flat = workspace.take("arena.gather.mzs", idx.size, np.float64)
             # idx comes from the offsets, so it is in range; "clip"

@@ -55,27 +55,30 @@ worker reopens it with read-only ``np.memmap``:
   does *not* multiply by the worker count the way pickled-per-worker
   clones would,
 * a worker's page-cache **residency** is only the pages it touches:
-  carving its :meth:`~repro.index.arena.FragmentArena.take` sub-arena
-  reads just its manifest's slices, so cold pages of other ranks'
-  entries never fault in,
-* each worker's *private* (unique) bytes are its gathered sub-arena —
-  O(arena / n_workers) — plus its partial index, exactly the
-  distributed per-rank share :meth:`IndexMemoryModel.distributed`
-  models.
+  its index build and its scoring read just its manifest's slices, so
+  cold pages of other ranks' entries never fault in,
+* each worker's *private* (unique) bytes are its partial index and its
+  per-entry arrays, exactly the distributed per-rank share
+  :meth:`IndexMemoryModel.distributed` models: it scores from an
+  :class:`~repro.index.arena.ArenaView` of the store's ``mzs.npy`` map,
+  and its build's :meth:`~repro.index.arena.FragmentArena.take`
+  sub-arena is a transient.
 
 The spilled copy is 8 B/ion, the float64 m/z alone, since the arena
 holds nothing else per ion: each worker quantizes and sorts its own
 sub-arena while it builds, so those transients (4 + 4 B/ion, plus the
 sort's ``int64`` keys) scale with its slice, and the master never
 computes them for a session.  System-wide under the process backend:
-``arena_bytes`` (the shared copy, counted once) + Σ per-worker
-sub-arena m/z (≈ 8 B × n_ions in all) + the per-rank index terms.  The
-master holds no private arena: once it has spilled the arena it built,
-its database keeps the store's read-only map in place of the heap
-copy, and pages of that map are resident only where it reads them.
+``arena_bytes`` (the shared copy, counted once) + the per-rank index
+terms.  The master holds no private arena: once it has spilled the
+arena it built, its database keeps the store's read-only map in place
+of the heap copy, and pages of that map are resident only where it
+reads them.
 An index archive (:meth:`repro.search.database.IndexedDatabase.save`)
 *is* such a store, so a session started from one maps the same
-8 B/ion from the archive directory instead of a tmpdir.
+8 B/ion from the archive directory instead of a tmpdir.  Its workers
+keep that map for the whole session, as a respawn already assumed, so
+an archive's files are never rewritten in place under a live session.
 
 Service residency (persistent sessions)
 ---------------------------------------
@@ -89,8 +92,8 @@ not *terms*:
   is garbage-collected — N concurrent sessions still count
   ``arena_bytes`` once,
 * each worker's **private bytes are unchanged** at O(arena/n_workers)
-  — the ``take`` sub-arena plus partial index — but now resident for
-  the whole session instead of being rebuilt per run,
+  — its partial index, beside its share of the store's m/z map — but
+  now resident for the whole session instead of being rebuilt per run,
 * **query batches** add a per-session term: one
   :class:`~repro.spectra.packed.PackedSpectra` per in-flight batch
   (~16 B × batch peaks), held by the master until the round is
@@ -262,17 +265,15 @@ class IndexMemoryModel:
         Flat float64 m/z (8 B/ion) + int64 CSR offsets (8 B/entry + 8),
         both of which a spill writes too.  This models **one** arena;
         an index build over it adds transient int32 bucket ids and sort
-        order (4 + 4 B/ion) while it runs.  A distributed run holds the
-        master arena *and* per-rank sub-arena copies of the same ion
-        population (rank sub-arenas keep their m/z slices for
-        scoring), so its system-wide arena total is roughly this
-        figure plus ``8 B × n_ions`` of rank-held m/z.
+        order (4 + 4 B/ion) while it runs.  A distributed rank's build
+        also gathers its slice's m/z as a transient, but the rank scores
+        from a view of this arena, so the system-wide total is this.
 
         Under the process backend this figure is also the memmap-shared
         store: one physical copy machine-wide however many workers map
         it, resident only to the extent pages are touched (see the
-        module docstring's shared-arena model).  The per-worker
-        sub-arena term is unchanged.
+        module docstring's shared-arena model).  No worker adds an
+        m/z term of its own.
         """
         n_ions = n_entries * self.ions_per_entry
         return int(8.0 * n_ions + 8 * (n_entries + 1))

@@ -24,9 +24,9 @@ rather than be copied per worker; HiCOPS realizes that on flat arrays.
 
 Memory model: however many worker processes ``load()`` the same store,
 the OS page cache holds **one** physical copy of the fragment data;
-each worker's private (unique) footprint is only what it materializes
-itself — its :meth:`~repro.index.arena.FragmentArena.take` sub-arena,
-O(arena / n_workers).  Pages of the shared copy fault in lazily, so a
+each worker's private (unique) footprint is its partial index: it keeps
+the ``mzs.npy`` map to score from, and its build's ``take`` sub-arena
+is a transient.  Pages of the shared copy fault in lazily, so a
 worker that only touches its partition's slices never pages in the
 rest.  The master that spilled the arena keeps the store's map in
 place of its heap copy (:class:`SharedSpill`), so a session holds one

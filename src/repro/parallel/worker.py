@@ -11,10 +11,11 @@ module holds
   attach/query boundary: attach opens the memmap-shared arena store
   and builds the partial index **once**, then every query round
   unpacks the batch's flat columns straight out of its
-  :class:`QueryTask` — no file per batch,
+  :class:`QueryTask` — no file per batch — and scores from the
+  store's ``mzs.npy`` map the attach keeps,
 * the attach's last step, :func:`~repro.util.heap.release_heap`: with
-  the store unmapped, the build's freed heap goes back to the OS, so a
-  resident worker holds its index, not its build peak,
+  the store's other maps dropped, the build's freed heap goes back to
+  the OS, so a resident worker holds its index, not its build peak,
 * tiny diagnostic programs (the ``resident_*`` family) used by the
   pool's tests and for smoke-checking a deployment.
 """
@@ -87,12 +88,14 @@ def service_attach_worker(rank: int, size: int, task: AttachTask) -> tuple:
     """ATTACH body: build this rank's resident index state, once.
 
     Returns ``(state, report)`` per the persistent-pool attach
-    contract — the worker keeps ``state`` (sub-arena, partial index,
+    contract — the worker keeps ``state`` (scoring view, partial index,
     manifest) across batches; the report carries partial-index stats
-    and real attach-phase seconds back to the master.  The state holds
-    private copies only: the store is unmapped and the build's heap
-    released before returning (a rebalance migration or a respawn runs
-    this same body, so it releases too).
+    and real attach-phase seconds back to the master.  The view reads
+    the store's read-only ``mzs.npy`` map in place, the one file-backed
+    array the state keeps (so no store, archive included, is rewritten
+    under a live session); the other maps are dropped and the build's
+    heap released before returning (a rebalance migration or a respawn
+    runs this same body, so it releases too).
     """
     t0 = time.perf_counter()
     store = SharedArenaStore.open(task.store_dir)

@@ -33,13 +33,16 @@ nothing else:
   and a spectrum filtered only against the chunks its ``±ΔM`` window
   reaches.
 
+Either index is built over the rank's sub-arena, a local of the build;
+the rank scores from an :class:`~repro.index.arena.ArenaView` that
+reads the arena the sub-arena was carved from in place.
 :class:`~repro.search.serial.SerialSearchEngine` builds its own flat
 index either way — it is the oracle the rank body is checked against.
 
 Both indexes return candidates as **manifest positions, ascending**
 (the chunked one maps its mass ranks back and sorts), which
 is the id space everything after filtration lives in: scoring gathers
-fragments from the manifest-ordered sub-arena, top-k tie-breaks through
+fragments through the manifest-ordered view, top-k tie-breaks through
 ``entry_ids[candidates]``, and the master's mapping table translates
 manifest positions to global ids.  None of them can tell which index
 ran.
@@ -114,6 +117,7 @@ from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from repro.index.arena import (
+    ArenaView,
     FragmentArena,
     Workspace,
     concat_ranges,
@@ -225,28 +229,29 @@ def build_rank_index(
     arena: FragmentArena,
     entry_ids: np.ndarray,
     settings: SLMIndexSettings,
-) -> Tuple[FragmentArena, SLMIndex | ChunkedIndex]:
-    """Carve ``entry_ids``'s sub-arena and build the rank's partial index.
+) -> Tuple[ArenaView, SLMIndex | ChunkedIndex]:
+    """Build ``entry_ids``'s partial index; return its scoring view too.
 
-    The sub-arena's fragments and masses are gathered in C from the
-    (possibly memmap-backed) master arena, and the index build
-    quantizes and sorts that slice once
-    (:meth:`~repro.index.arena.FragmentArena.quantize`), so the build
-    scales with the rank's share, not the master's.  Local ids are
-    manifest positions and masses come from the arena; the index is
-    flat for open search, precursor-major for a windowed one (see the
-    module docstring).  The sub-arena keeps only its flat m/z data,
-    which is all scoring needs.
+    The build gathers the rank's sub-arena in C from the (possibly
+    memmap-backed) master arena and quantizes and sorts that slice once
+    (:meth:`~repro.index.arena.FragmentArena.quantize`), so it scales
+    with the rank's share, not the master's.  Local ids are manifest
+    positions; the index is flat for open search, precursor-major for a
+    windowed one (see the module docstring).  The gathered m/z is a
+    local of the build: the rank scores from an
+    :class:`~repro.index.arena.ArenaView` that reads ``arena.mzs`` in
+    place and shares the sub-arena's per-entry counts and lengths.
     """
-    sub = arena.take(np.asarray(entry_ids, dtype=np.int64))
-    if settings.is_open_search:
-        return sub, SLMIndex(sub, settings)
-    return sub, ChunkedIndex(sub, settings)
+    ids = np.asarray(entry_ids, dtype=np.int64)
+    starts = arena.offsets[ids]
+    sub = arena.take(ids)
+    index = (SLMIndex if settings.is_open_search else ChunkedIndex)(sub, settings)
+    return ArenaView(arena.mzs, starts, sub.counts, sub.lengths), index
 
 
 def run_rank_queries(
     index: SLMIndex | ChunkedIndex,
-    sub_arena: FragmentArena,
+    sub_arena: ArenaView | FragmentArena,
     entry_ids: np.ndarray,
     spectra: Sequence[Spectrum],
     *,

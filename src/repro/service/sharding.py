@@ -97,7 +97,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ServiceError, ShardError
+from repro.errors import ConfigurationError, ServiceError, ShardError, WorkerError
 from repro.index.arena import concat_ranges
 from repro.index.slm import SLMIndexSettings
 from repro.obs.ring import flight_dump
@@ -664,14 +664,15 @@ class ShardedSearchService(SessionCore):
                 retries=getattr(cause, "retries", 0),
             )
             failure.__cause__ = cause
-            # Black-box the fleet's last seconds: the shared ring holds
-            # every shard's supervision timeline around the fault.
-            failure.flight_record = flight_dump(
-                self._ring,
-                self.config.flight_dir,
-                "shard-batch-error",
-                batch=batch.batch_index,
-            )
+            # Black-box a worker fault, not a shard master's input rejection:
+            # the shared ring holds every shard's timeline around the fault.
+            if isinstance(cause, (WorkerError, ShardError)):
+                failure.flight_record = flight_dump(
+                    self._ring,
+                    self.config.flight_dir,
+                    "shard-batch-error",
+                    batch=batch.batch_index,
+                )
             _settle(batch.future, failure)
             return
         try:

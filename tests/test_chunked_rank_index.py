@@ -16,6 +16,7 @@ either side of it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings as hsettings, strategies as st
 
 from reference import arena_of, fragments_of
@@ -25,6 +26,7 @@ from repro.index.arena import Workspace
 from repro.index.chunks import ChunkedIndex
 from repro.index.slm import SLMIndex, SLMIndexSettings
 from repro.search.rank import build_rank_index, run_rank_queries
+from repro.search.scoring import _COARSE_MIN_FRAGMENTS
 from repro.spectra.model import Spectrum
 
 PROPERTY = hsettings(max_examples=150, deadline=None, print_blob=True)
@@ -387,3 +389,57 @@ def test_windowed_search_builds_the_chunked_index(monkeypatch):
         r.ions_scanned for r in want
     )
 
+
+
+@pytest.mark.parametrize("precursor_tolerance", [None, 1e6], ids=["flat", "chunked"])
+def test_rank_scores_from_a_view_of_the_arena_it_was_carved_from(precursor_tolerance):
+    """The rank body's scoring input reads the arena's m/z in place and
+    scores exactly as the gathered sub-arena does, zero-fragment entries
+    and a non-ascending manifest included, through the top-k pruning
+    path and the small-gather path alike."""
+    rng = np.random.default_rng(8)
+    grid = np.round(rng.uniform(100.0, 1500.0, 120), 2)
+    arrays = [np.sort(rng.choice(grid, int(rng.integers(0, 30)))) for _ in range(600)]
+    arrays[3] = arrays[17] = arrays[250] = np.empty(0)
+    arena = arena_of(
+        arrays,
+        lengths=rng.integers(2, 40, 600).astype(np.int64),
+        masses=rng.uniform(600.0, 2400.0, 600).astype(np.float32),
+    )
+    ids = rng.permutation(600)[:450]
+    assert {3, 17, 250} & set(ids.tolist()) and np.any(np.diff(ids) < 0)
+    spectra = [
+        Spectrum(
+            scan_id=s,
+            precursor_mz=1200.0,
+            charge=2,
+            mzs=np.sort(rng.choice(grid, n, replace=False)),
+            intensities=rng.uniform(0.5, 2.0, n),
+        )
+        for s, n in enumerate([40, 3, 0, 25, 1])
+    ]
+    settings = SLMIndexSettings(
+        shared_peak_threshold=1, precursor_tolerance=precursor_tolerance
+    )
+    view, index = build_rank_index(arena, ids, settings)
+    assert np.shares_memory(view.mzs, arena.mzs)
+    sub = arena.take(ids)
+    assert (view.n_entries, view.n_ions) == (sub.n_entries, sub.n_ions)
+    got = run_rank_queries(index, view, ids, spectra, top_k=5)
+    want = run_rank_queries(index, sub, ids, spectra, top_k=5)
+    assert int(sub.counts[got.local_psms.ids].sum()) > 0
+    assert max(int(sub.counts[f.candidates].sum()) for f in index.filter_many(spectra)) >= (
+        _COARSE_MIN_FRAGMENTS
+    )
+    for name in (
+        "counts",
+        "buckets_scanned",
+        "ions_scanned",
+        "candidates_scored",
+        "residues_scored",
+    ):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("bounds", "ids", "scores", "shared"):
+        a, b = getattr(got.local_psms, name), getattr(want.local_psms, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

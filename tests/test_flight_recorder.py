@@ -319,6 +319,7 @@ def test_fleet_shares_one_ring_and_dumps_on_shard_error(
     exc = excinfo.value
     assert exc.flight_record is not None
     assert exc.flight_record in exc.brief
+    assert exc.flight_record in map(str, tmp_path.glob("repro-flight-*"))
     n, errors = validate_trace_file(exc.flight_record)
     assert errors == [] and n > 0
     records = _records(exc.flight_record)

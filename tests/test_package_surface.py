@@ -197,6 +197,14 @@ def test_worker_import_loads_only_the_rank_body():
     assert len(loaded) <= 30, loaded
 
 
+def test_cli_import_loads_no_service_parallel_or_obs_module():
+    """The parser needs none of them: each command imports what it runs."""
+    loaded = _fresh_import("import repro.cli")
+    tiers = ("repro.service", "repro.parallel", "repro.obs")
+    pulled = [m for m in loaded if any(m == t or m.startswith(t + ".") for t in tiers)]
+    assert "repro.cli" in loaded and not pulled, pulled
+
+
 def test_package_import_loads_only_the_export_helper():
     assert _fresh_import("import repro") == ["repro", "repro._exports"]
 

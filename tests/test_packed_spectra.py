@@ -366,9 +366,12 @@ def test_hostile_batches_through_the_sharded_fleet(tiny_db, tiny_spectra, tmp_pa
                 with pytest.raises(ShardError, match="shard") as excinfo:
                     fleet.submit_async(batch).result(timeout=60)
                 assert excinfo.value.shard is not None, name
+                # No worker failed, so there is no black box to cut.
+                assert excinfo.value.flight_record is None, name
         results, _ = fleet.submit(tiny_spectra)
         assert_same_results(serial.run(tiny_spectra), results)
         assert fleet.respawn_total == 0
+    assert not list(tmp_path.glob("repro-flight-*"))
 
 
 def test_windowed_sessions_refuse_a_nan_precursor(tiny_db, tiny_spectra, tmp_path):
@@ -388,7 +391,9 @@ def test_windowed_sessions_refuse_a_nan_precursor(tiny_db, tiny_spectra, tmp_pat
         results, _ = service.submit(tiny_spectra)
         assert_same_results(serial.run(tiny_spectra), results)
     with ShardedSearchService(tiny_db, config, n_shards=2) as fleet:
-        with pytest.raises(ShardError, match="shard"):
+        with pytest.raises(ShardError, match="shard") as excinfo:
             fleet.submit(batch)
+        assert excinfo.value.flight_record is None
         results, _ = fleet.submit(tiny_spectra)
         assert_same_results(serial.run(tiny_spectra), results)
+    assert not list(tmp_path.glob("repro-flight-*"))

@@ -128,7 +128,7 @@ def test_open_version_2_store_raises(store, tmp_path):
         SharedArenaStore.open(copy).load()
 
 
-# -- the worker attach releases the store and its build heap ----------
+# -- the worker attach keeps the store's m/z map and releases its heap --
 
 
 def _arrays_in(obj):
@@ -147,21 +147,25 @@ def _arrays_in(obj):
             yield from _arrays_in(getattr(obj, name, None))
 
 
-def _maps_a_file(array):
+def _file_map(array):
+    """The memmap or mmap ``array`` reads a file through, or None."""
     base = array
     while base is not None:
         if isinstance(base, (np.memmap, mmap.mmap)):
-            return True
+            return base
         base = getattr(base, "base", None)
-    return False
+    return None
 
 
 @pytest.mark.parametrize(
     "precursor_tolerance, index_type", [(None, SLMIndex), (2.0, ChunkedIndex)]
 )
-def test_attach_state_holds_no_view_of_the_store(
+def test_attach_state_maps_only_the_store_mzs(
     store, master_arena, precursor_tolerance, index_type, monkeypatch
 ):
+    """The attach keeps the store's read-only m/z map to score from and
+    nothing else of the store, holds no private m/z copy of its slice,
+    and trims the heap once."""
     trims = []
     monkeypatch.setattr(worker, "release_heap", lambda: trims.append(1) or True)
     ids = np.arange(1, master_arena.n_entries, 2, dtype=np.int64)
@@ -173,7 +177,15 @@ def test_attach_state_holds_no_view_of_the_store(
     assert report["n_ions"] == state["index"].n_ions > 0
     arrays = list(_arrays_in(state))
     assert len(arrays) > 5
-    assert not [a for a in arrays if _maps_a_file(a)]
+    mapped = [a for a in arrays if _file_map(a) is not None]
+    assert mapped
+    for a in mapped:
+        assert Path(_file_map(a).filename) == store.directory / "mzs.npy"
+        assert not a.flags.writeable and a.dtype == np.float64
+    private = [a for a in arrays if _file_map(a) is None]
+    assert not [
+        a for a in private if a.dtype == np.float64 and a.size == report["n_ions"]
+    ]
     assert trims == [1]
 
 
