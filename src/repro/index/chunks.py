@@ -20,16 +20,19 @@ copies:
   bucket; :attr:`ChunkedIndex.offset_bounds` says where each chunk's
   run starts, :attr:`ChunkedIndex.ion_bounds` where its ions start.
 
-Filtration is one array pass per batch (:meth:`ChunkedIndex.filter_many`):
-every (spectrum, reached chunk, peak) window is expanded at once, its
-ions are gathered in one ``concat_ranges`` + ``take``, and only the
-ions whose parent can pass the precursor window are counted — a
-conservative mass-rank interval per spectrum (masses are sorted, so
-the window is one run of ranks) filters the gather, the few survivors
-are counted and thresholded, and the exact difference-form predicate
+Filtration is one window pass per batch (:meth:`ChunkedIndex.filter_many`):
+every (spectrum, reached chunk, peak) window is expanded at once.  Their
+ions are then gathered and counted in blocks of whole spectra, at most
+:data:`FILTER_BATCH_ION_BUDGET` ions each (windows are spectrum-major,
+so a block's windows are one slice), and only the ions whose parent can
+pass the precursor window are counted — a conservative mass-rank
+interval per spectrum (masses are sorted, so the window is one run of
+ranks) filters each block's gather, and the few survivors are counted
+and thresholded.  Once per batch, the exact difference-form predicate
 ``|float64(mass) - neutral| <= tol`` decides the rest.  That equals
 counting everything and masking after, because the window mask only
-ever zeroes counts.
+ever zeroes counts.  A worker's query scratch is bounded by a block,
+not by the batch.
 
 Who builds it: :func:`repro.search.rank.build_rank_index`, and only
 when the settings carry a precursor window.  Open search would visit
@@ -86,17 +89,17 @@ __all__ = ["CHUNK_ENTRIES", "ChunkedIndex"]
 #: virtual-time cost model charges, so changing it moves them.
 CHUNK_ENTRIES = 8192
 
-#: Bound on the ions one filtration batch gathers and on its counting
-#: key space (the dominant transients: 4 B/ion of gathered ``int32``
-#: parent ids, 32 MB at this default, and the per-key counts).  A batch
-#: projected past either is split by spectrum; a single spectrum may
-#: still exceed it.  The flat :class:`~repro.index.slm.SLMIndex`
-#: gathers one spectrum at a time and needs no such bound.
-FILTER_BATCH_ION_BUDGET = 1 << 23
+#: Block size of windowed filtration: the most ions, and the most
+#: (spectrum, rank) counting keys, one gather-and-count pass holds (a
+#: spectrum past it is a block of its own).  Query scratch is one
+#: block's: 12 B/ion kept in the workspace (``int32`` parent ranks,
+#: ``int64`` iota) and at most 8 B/ion of transients.  The flat
+#: :class:`~repro.index.slm.SLMIndex` gathers one spectrum at a time.
+FILTER_BATCH_ION_BUDGET = 1 << 16
 
-#: Relative widening of the per-spectrum mass-rank interval, so the
-#: interval (found by ``searchsorted`` on ``neutral ∓ tol``) holds every
-#: entry the difference-form predicate keeps despite rounding.
+#: Relative widening of the mass-rank interval (``searchsorted`` on
+#: ``neutral ∓ tol``) so it holds every entry the difference-form predicate
+#: keeps; see ``test_interval_slack_keeps_an_entry_at_the_window_edge``.
 _INTERVAL_SLACK = 1e-9
 
 
@@ -271,24 +274,17 @@ class ChunkedIndex:
     ) -> List[FilterResult]:
         """Batched filtration: one :class:`FilterResult` per spectrum.
 
-        The whole batch is one array pass (see the module docstring);
-        a batch projected to gather more than
-        :data:`FILTER_BATCH_ION_BUDGET` ions, or to
-        count over a larger key space, is split by spectrum.
-        ``workspace`` supplies scratch buffers; it defaults to the
-        calling thread's.
+        The windowed filtration kernel: one window pass over the batch,
+        then gather-and-count in blocks of whole spectra, each within
+        :data:`FILTER_BATCH_ION_BUDGET` ions and keys (see the module
+        docstring).  ``workspace`` supplies scratch buffers; it
+        defaults to the calling thread's.
         """
-        spectra = list(spectra)
-        if not spectra or self.n_ions == 0:
-            return [_empty_result(0) for _ in spectra]
-        ws = workspace if workspace is not None else thread_workspace()
-        return self._filter_batch(spectra, ws)
-
-    def _filter_batch(
-        self, batch: Sequence[Spectrum], ws: Workspace
-    ) -> List[FilterResult]:
-        """One bounded batch of the windowed filtration kernel."""
+        batch = list(spectra)
         nb = len(batch)
+        if not nb or self.n_ions == 0:
+            return [_empty_result(0) for _ in batch]
+        ws = workspace if workspace is not None else thread_workspace()
         settings = self.settings
         neutral = np.fromiter((s.neutral_mass for s in batch), np.float64, nb)
         peak_counts = np.fromiter((s.n_peaks for s in batch), np.int64, nb)
@@ -296,14 +292,12 @@ class ChunkedIndex:
         np.cumsum(peak_counts, out=peak_bounds[1:])
         reached = self._reached(neutral)
         spec, chunk = np.nonzero(reached)  # spectrum-major (spectrum, chunk) pairs
-        if not spec.size or not peak_bounds[-1]:
-            return [_empty_result(0) for _ in batch]
 
         # One window per (reached pair, peak of its spectrum), in
         # spectrum-major order, clipped to the pair's chunk.
         all_mzs = np.concatenate([s.mzs for s in batch])
         lo, hi = slm.peak_windows(all_mzs, settings, int(self.chunk_buckets.max()))
-        win_peak = concat_ranges(peak_bounds[spec], peak_bounds[spec + 1], workspace=ws)
+        win_peak = concat_ranges(peak_bounds[spec], peak_bounds[spec + 1])
         win_chunk = np.repeat(chunk, peak_counts[spec])
         top = self.chunk_buckets[win_chunk]
         lo = np.minimum(lo[win_peak], top)
@@ -318,8 +312,9 @@ class ChunkedIndex:
         np.cumsum(reached.sum(axis=1) * peak_counts, out=win_bounds[1:])
         span_cum = np.zeros(hi.size + 1, dtype=np.int64)
         np.cumsum(hi - lo, out=span_cum[1:])
+        spans = stops - starts
         size_cum = np.zeros(hi.size + 1, dtype=np.int64)
-        np.cumsum(stops - starts, out=size_cum[1:])
+        np.cumsum(spans, out=size_cum[1:])
         ion_bounds = size_cum[win_bounds]
         total = int(ion_bounds[-1])
 
@@ -336,17 +331,6 @@ class ChunkedIndex:
             rank_lo = np.searchsorted(self.masses64, neutral - tol - slack, "left")
             rank_hi = np.searchsorted(self.masses64, neutral + tol + slack, "right")
             width = int((rank_hi - rank_lo).max())
-        keys = nb * width
-
-        budget = FILTER_BATCH_ION_BUDGET
-        if (total > budget or keys > budget) and nb > 1:
-            # Split by spectrum at half the gathered ions (each
-            # spectrum's result depends only on its own windows).
-            cut = int(np.searchsorted(ion_bounds, total // 2)) if total > budget else nb // 2
-            cut = min(max(cut, 1), nb - 1)
-            return self._filter_batch(batch[:cut], ws) + self._filter_batch(
-                batch[cut:], ws
-            )
 
         buckets = (span_cum[win_bounds[1:]] - span_cum[win_bounds[:-1]]).tolist()
         per_spec = np.diff(ion_bounds)
@@ -354,32 +338,47 @@ class ChunkedIndex:
         if not total or not width:
             return [_empty_result(b, i) for b, i in zip(buckets, ions)]
 
-        parents = ws.take("chunks.parents", total, np.int32)
-        # The gather index is in range by construction; "clip" only
-        # skips the buffered copy mode="raise" pays with out=.
-        np.take(
-            self.ion_parents,
-            concat_ranges(starts, stops, workspace=ws),
-            out=parents,
-            mode="clip",
-        )
-        rel = ws.take("chunks.rel", total, np.int32)
-        np.subtract(parents, np.repeat(rank_lo.astype(np.int32), per_spec), out=rel)
-        kept = np.flatnonzero(rel.view(np.uint32) < width)
+        # Count ranges of whole spectra within one block of ions and of
+        # keys ``spectrum * width + rank - rank_lo``, in scratch sized to
+        # a block; the batch's ion j, in window w, is ion_parents[j + jump[w]].
+        caps = np.searchsorted(ion_bounds, ion_bounds + FILTER_BATCH_ION_BUDGET, "right")
+        per_range = max(FILTER_BATCH_ION_BUDGET // width, 1)
+        jump = starts - size_cum[:-1]
+        hits, shared = [], []
+        a = 0
+        while a < nb:
+            b = min(max(int(caps[a]) - 1, a + 1), a + per_range, nb)
+            first, m = int(ion_bounds[a]), int(ion_bounds[b] - ion_bounds[a])
+            if m:
+                size = max(m, min(total, FILTER_BATCH_ION_BUDGET))
+                w = slice(win_bounds[a], win_bounds[b])
+                gather = np.repeat(jump[w] + first, spans[w])
+                gather += ws.iota(size)[:m]
+                rel = ws.take("chunks.parents", size, np.int32)[:m]
+                # In range by construction; "clip" only skips the
+                # buffered copy mode="raise" pays with out=.
+                np.take(self.ion_parents, gather, out=rel, mode="clip")
+                del gather
+                rel -= np.repeat(rank_lo[a:b].astype(np.int32), per_spec[a:b])
+                kept = np.flatnonzero(rel.view(np.uint32) < width)
+                kept_spec = np.searchsorted(ion_bounds[a:b], first + kept, "right") - 1
+                keys = kept_spec * width + rel[kept]
+                counts = np.bincount(keys, minlength=(b - a) * width)
+                found = np.flatnonzero(counts >= settings.shared_peak_threshold)
+                hits.append(found + a * width)
+                shared.append(counts[found])
+            a = b
+        hits, shared = np.concatenate(hits), np.concatenate(shared)
 
-        # Count the survivors over (spectrum, rank - rank_lo) keys.
-        kept_spec = np.searchsorted(ion_bounds, kept, "right") - 1
-        counts = np.bincount(kept_spec * width + rel[kept], minlength=keys)
-        hits = np.flatnonzero(counts >= settings.shared_peak_threshold)
         hit_spec = hits // width
         hit_rank = hits - hit_spec * width + rank_lo[hit_spec]
         if not settings.is_open_search:
             inside = ~(np.abs(self.masses64[hit_rank] - neutral[hit_spec]) > tol)
-            hits, hit_spec, hit_rank = hits[inside], hit_spec[inside], hit_rank[inside]
+            shared, hit_spec, hit_rank = shared[inside], hit_spec[inside], hit_rank[inside]
         cands = self.positions[hit_rank]
         order = np.lexsort((cands, hit_spec))
         cands = cands[order]
-        shared = counts[hits[order]].astype(np.int32)
+        shared = shared[order].astype(np.int32)
         cand_bounds = np.searchsorted(hit_spec[order], np.arange(nb + 1)).tolist()
         return [
             FilterResult(

@@ -102,7 +102,11 @@ not *terms*:
   stream, and nothing on disk,
 * **query scratch** does not grow with the batch: flat filtration
   gathers one spectrum at a time into a reused per-thread buffer of
-  4 B/ion of the largest single spectrum's gather.
+  4 B/ion of the largest single spectrum's gather, and windowed
+  filtration gathers one block of whole spectra at a time (at most
+  :data:`~repro.index.chunks.FILTER_BATCH_ION_BUDGET` ions unless one
+  spectrum gathers more): 12 B/ion of a block kept per thread, and at
+  most 8 B/ion more while the block is counted.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ and flat and chunked filtration share one precursor-window dtype.
 Everything here pins those kernels to the per-spectrum reference
 paths bit-for-bit: candidates, shared peaks, and both work counters,
 across empty spectra, zero-candidate spectra, non-finite peaks,
-windowed + open search, and chunked indexes under tiny gathered-ion
-budgets (``repro.index.chunks.FILTER_BATCH_ION_BUDGET``) that force
-multi-batch execution.  The flat kernel's scratch is bounded by one
-spectrum's gather, not by the batch's.
+windowed + open search, and chunked indexes under tiny gather blocks
+(``repro.index.chunks.FILTER_BATCH_ION_BUDGET``) that force many
+blocks per batch.  The flat kernel's scratch is bounded by one
+spectrum's gather and the chunked kernel's by one block, not by the
+batch's.
 """
 
 from unittest import mock
@@ -87,8 +88,8 @@ def assert_results_equal(got, expected):
 @pytest.mark.parametrize("ion_budget", [1, 37, 1 << 22])
 def test_filter_many_bit_identical_to_filter(precursor_tolerance, ion_budget):
     """Flat batched == per-spectrum (the flat kernel has no budget), and
-    chunked batched == per-spectrum whatever the chunked gathered-ion
-    budget: 1 and 37 force splits, 1 << 22 leaves the batch whole."""
+    chunked batched == per-spectrum whatever the chunked gather block:
+    1 and 37 force many blocks, 1 << 22 leaves the batch one block."""
     settings = SLMIndexSettings(
         shared_peak_threshold=1, precursor_tolerance=precursor_tolerance
     )
@@ -122,8 +123,8 @@ def test_filter_many_empty_inputs_and_validation():
 
 
 def test_filter_many_ion_budget_split_bit_identical(monkeypatch):
-    """Flat batched == per-spectrum; a tiny gather budget forces the
-    chunked kernel's recursive batch splitting, and its results must
+    """Flat batched == per-spectrum; a tiny gather block makes the
+    chunked kernel count the batch in many ranges, and its results must
     not change either (each spectrum depends only on its own slice)."""
     import repro.index.chunks as chunks_mod
 
@@ -163,6 +164,39 @@ def test_filter_many_scratch_is_bounded_by_one_spectrum(precursor_tolerance):
     batched = idx.filter_many([one] * copies, workspace=ws)
     assert sum(r.ions_scanned for r in batched) > held
     assert parents_scratch(ws) == held
+    assert_results_equal(batched, [single] * copies)
+
+
+def chunked_scratch(ws):
+    """Bytes held by ``ws``'s chunked gather scratch and its iota."""
+    parents = ws.take("chunks.parents", 0, np.int32).base.nbytes
+    return parents, ws.iota(0).base.nbytes
+
+
+@pytest.mark.parametrize("precursor_tolerance", [None, 2.0], ids=["open", "windowed"])
+def test_chunked_filter_scratch_is_bounded_by_the_block(precursor_tolerance):
+    """The chunked gather scratch and the iota hold one block, whatever
+    the batch: a batch just past one block sizes them to the block, and
+    one gathering four blocks' worth of ions leaves them there, because
+    the kernel gathers and counts a block of whole spectra at a time."""
+    settings = SLMIndexSettings(
+        shared_peak_threshold=1, precursor_tolerance=precursor_tolerance
+    )
+    ci = chunked(settings, 3)
+    one = spectrum_of(PEPTIDES[3])
+    (single,) = ci.filter_many([one])
+    block = 1 << 14
+    past_one = block // single.ions_scanned + 1
+    copies = 4 * block // single.ions_scanned + 1
+    ws = Workspace()
+    with mock.patch("repro.index.chunks.FILTER_BATCH_ION_BUDGET", block):
+        first = ci.filter_many([one] * past_one, workspace=ws)
+        held = chunked_scratch(ws)
+        batched = ci.filter_many([one] * copies, workspace=ws)
+    assert held == (4 * block, 8 * block)  # int32 parents, int64 iota
+    assert sum(r.ions_scanned for r in batched) > 4 * block
+    assert chunked_scratch(ws) == held
+    assert_results_equal(first, [single] * past_one)
     assert_results_equal(batched, [single] * copies)
 
 
@@ -239,18 +273,47 @@ def test_chunked_filter_many_matches_per_spectrum(precursor_tolerance, monkeypat
     spectra = mixed_spectra()
     batched = ci.filter_many(spectra)
     assert_results_equal(batched, [ci.filter(s) for s in spectra])
-    # A one-ion budget splits the batch by spectrum down to batches of one.
-    calls = []
-    kernel = ChunkedIndex._filter_batch
+    # A one-ion block counts each spectrum that gathers ions on its own:
+    # one bincount per range, over one spectrum's keys.
+    ranges = []
+    bincount = np.bincount
 
-    def spy(self, batch, ws):
-        calls.append(len(batch))
-        return kernel(self, batch, ws)
+    def spy(keys, minlength=0):
+        ranges.append(minlength)
+        return bincount(keys, minlength=minlength)
 
     monkeypatch.setattr(chunks_mod, "FILTER_BATCH_ION_BUDGET", 1)
-    monkeypatch.setattr(ChunkedIndex, "_filter_batch", spy)
-    assert_results_equal(ci.filter_many(spectra), batched)
-    assert calls.count(1) >= len(spectra) - 2  # spectra without ions need no split
+    monkeypatch.setattr(np, "bincount", spy)
+    got = ci.filter_many(spectra)
+    monkeypatch.undo()
+    assert_results_equal(got, batched)
+    assert len(ranges) == sum(r.ions_scanned > 0 for r in batched)
+    assert len(set(ranges)) == 1  # every range is one spectrum wide
+
+
+@hsettings(max_examples=40, deadline=None)
+@given(
+    budget=st.integers(1, 64),
+    precursor_tolerance=st.one_of(st.none(), st.floats(0.0, 300.0)),
+    chunk_entries=st.integers(1, 9),
+    threshold=st.integers(1, 3),
+    picks=st.lists(st.integers(0, 8), min_size=1, max_size=12),
+)
+def test_chunked_blocks_match_per_spectrum(
+    budget, precursor_tolerance, chunk_entries, threshold, picks
+):
+    """Any gather block, windowed or open: the batched call equals
+    per-spectrum filtration on candidates, shared peaks and both
+    work counters."""
+    settings = SLMIndexSettings(
+        shared_peak_threshold=threshold, precursor_tolerance=precursor_tolerance
+    )
+    ci = chunked(settings, chunk_entries)
+    pool = mixed_spectra()
+    spectra = [pool[i] for i in picks]
+    expected = [ci.filter(s) for s in spectra]
+    with mock.patch("repro.index.chunks.FILTER_BATCH_ION_BUDGET", budget):
+        assert_results_equal(ci.filter_many(spectra), expected)
 
 
 def test_chunked_filter_many_matches_flat_index():
@@ -311,6 +374,47 @@ def test_precursor_boundary_chunked_agrees_with_flat():
     # The batched kernels agree too.
     assert_results_equal(flat.filter_many([q]), [fres])
     assert_results_equal(ci.filter_many([q]), [cres])
+
+
+def test_interval_slack_keeps_an_entry_at_the_window_edge():
+    """An entry the difference-form predicate keeps, one ulp outside
+    ``searchsorted``'s interval on the rounded ``neutral + tol``.
+
+    The two disagree only when the window edge ``neutral ± tol`` lies
+    in a finer binade than ``tol``: a negative neutral mass (a precursor
+    m/z below a proton, which ``Spectrum`` accepts) or a tolerance ~2^29
+    times the mass.  A search of float64 neighbourhoods of ``mass ±
+    tol`` found no case outside those.  This one has an entry mass just
+    below 1024 Da and a tolerance just past it; the interval's slack
+    must keep the entry, as the flat index does.
+    """
+    base = FragmentArena.from_peptides(PEPTIDES)
+    masses = base.masses.copy()
+    target = 3
+    masses[target] = np.nextafter(np.float32(1024), np.float32(0))
+    arena = FragmentArena(base.mzs, base.offsets, lengths=base.lengths, masses=masses)
+    mass = float(masses[target])
+    mzs = fragment_mzs(PEPTIDES[target])
+
+    def edge_cases():
+        for precursor_mz in np.linspace(0.05, 1.0, 40):
+            q = Spectrum(1, float(precursor_mz), 1, mzs, np.ones_like(mzs))
+            tol = mass - q.neutral_mass
+            for _ in range(4):  # the tolerances within 3 ulps above
+                yield q, tol
+                tol = float(np.nextafter(tol, np.inf))
+
+    q, tol = next(
+        (q, tol)
+        for q, tol in edge_cases()
+        if not abs(mass - q.neutral_mass) > tol and mass > q.neutral_mass + tol
+    )
+    settings = SLMIndexSettings(shared_peak_threshold=1, precursor_tolerance=tol)
+    fres = SLMIndex(arena, settings).filter(q)
+    cres = ChunkedIndex(arena, settings, chunk_entries=1).filter(q)
+    assert target in fres.candidates.tolist()
+    assert np.array_equal(cres.candidates, fres.candidates)
+    assert np.array_equal(cres.shared_peaks, fres.shared_peaks)
 
 
 def test_bruteforce_uses_same_window_predicate():

@@ -33,7 +33,8 @@ from repro.service import (
 
 
 def _records(path):
-    return [json.loads(line) for line in open(path, encoding="ascii")]
+    with open(path, encoding="ascii") as f:
+        return [json.loads(line) for line in f]
 
 
 def _by_kind(records):
