@@ -1,10 +1,10 @@
 """Real-parallel backend benchmark: LBE speedup in actual seconds.
 
-Measures the query phase of the process backend
-(:class:`~repro.service.ParallelSearchEngine` — real OS workers over
-a memmap-shared fragment arena) against the in-process serial query
-phase *on the same kernels*, for LBE (cyclic) and naive (chunk)
-partitioning at 1/2/3 workers.  This is the paper's headline claim —
+Measures the query phase of the process backend (one
+:class:`~repro.service.SearchService` session per run — real OS
+workers over a memmap-shared fragment arena) against the in-process
+serial query phase *on the same kernels*, for LBE (cyclic) and naive
+(chunk) partitioning at 1/2/3 workers.  This is the paper's headline claim —
 wall-clock speedup from load-balanced parallel peptide search —
 finally measured on real processes instead of virtual clocks.
 
@@ -45,7 +45,7 @@ from pathlib import Path
 
 from repro.db.proteome import ProteomeConfig
 from repro.index.slm import SLMIndexSettings
-from repro.service import ParallelSearchEngine, ServiceConfig
+from repro.service import SearchService, ServiceConfig
 from repro.search.database import DatabaseConfig, IndexedDatabase
 from repro.search.metrics import load_imbalance
 from repro.search.rank import build_rank_index, run_rank_queries
@@ -111,20 +111,19 @@ def run(quick: bool = False) -> dict:
     identical = True
     for policy in ("cyclic", "chunk"):
         for n_workers in worker_counts:
-            engine = ParallelSearchEngine(
-                db,
-                ServiceConfig(
-                    n_workers=n_workers, policy=policy, index=settings
-                ),
+            config = ServiceConfig(
+                n_workers=n_workers, policy=policy, index=settings
             )
             best = None
             open_s = None
             for _ in range(repeats):
-                res = engine.run(spectra)
-                # Every run opens its own session; the first run's
-                # open (spill + spawn + attach) is the cold cost.
+                # Every run opens its own session, so each worker's
+                # query is its first after spawn; the first run's open
+                # (spill + spawn + attach) is the cold cost.
+                with SearchService(db, config) as service:
+                    res, _stats = service.submit(spectra)
                 if open_s is None:
-                    open_s = res.phase_times["open"]
+                    open_s = service.open_s
                 identical = identical and same_results(serial_reference, res)
                 if best is None or res.phase_times["query_cpu"] < best.phase_times["query_cpu"]:
                     best = res

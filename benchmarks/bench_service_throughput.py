@@ -3,10 +3,10 @@
 Measures what the persistent service (:mod:`repro.service`) actually
 amortizes, on a stream of identical-shape query batches:
 
-* **one-shot** — a fresh :class:`~repro.service.ParallelSearchEngine`
-  per batch, i.e. a session opened and closed around every batch: each
-  batch pays worker spawn + interpreter import + arena spill + attach
-  (~0.5 s on a laptop-class host),
+* **one-shot** — a fresh :class:`~repro.service.SearchService`
+  session opened and closed around every batch: each batch pays
+  worker spawn + interpreter import + arena spill + attach (~0.5 s on
+  a laptop-class host),
 * **resident** — one :class:`~repro.service.SearchService` session:
   spawn + spill + attach are paid once in ``open()``; each
   ``submit()`` sends the packed batch in the round's one command,
@@ -70,7 +70,6 @@ from repro.obs import (
 from repro.search.database import DatabaseConfig, IndexedDatabase
 from repro.search.serial import SerialSearchEngine
 from repro.service import (
-    ParallelSearchEngine,
     SearchService,
     ServiceConfig,
     aggregate_batch_stats,
@@ -122,17 +121,16 @@ def run(quick: bool = False) -> dict:
     references = [serial.run(batch) for batch in batches]
     identical = True
 
-    # -- one-shot: a fresh engine (fresh spawn) per batch ---------------
+    # -- one-shot: a fresh session (fresh spawn) per batch --------------
+    # Each total is the batch's open-through-close wall time.
     oneshot_totals = []
     for i, batch in enumerate(batches):
-        engine = ParallelSearchEngine(
-            db,
-            ServiceConfig(n_workers=N_WORKERS, index=settings),
-        )
-        res = engine.run(batch)
+        config = ServiceConfig(n_workers=N_WORKERS, index=settings)
+        t_start = time.perf_counter()
+        with SearchService(db, config) as service:
+            res, _stats = service.submit(batch)
+        oneshot_totals.append(time.perf_counter() - t_start)
         identical = identical and same_results(references[i], res)
-        oneshot_totals.append(res.phase_times["total"])
-        del engine
 
     # -- resident: one session, the same stream ------------------------
     resident_totals = []

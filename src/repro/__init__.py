@@ -18,8 +18,8 @@ Python:
   the shared rank body, metrics
 * :mod:`repro.parallel` — real OS worker processes: the resident pool,
   the memmap-shared arena, fault injection
-* :mod:`repro.service` — real-process search: the one-shot engine, the
-  resident session, the sharded fleet, elastic rebalancing
+* :mod:`repro.service` — real-process search: the resident session,
+  the sharded fleet, elastic rebalancing
 * :mod:`repro.obs` — tracing, metrics, flight recorder, trace analysis
 * :mod:`repro.bench` — the experiment harness for Figures 5–11
 

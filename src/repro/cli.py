@@ -19,7 +19,9 @@ Every command is deterministic under ``--seed`` and prints a short
 summary table; ``search`` additionally reports per-policy load
 imbalance when ``--compare-policies`` is set, and runs on real OS
 worker processes over a memmap-shared arena (real wall-clock times,
-identical results) with ``--backend process``.  ``serve`` keeps those
+identical results) with ``--backend process``: one service session
+opened and closed around the one batch, its ``total`` the
+open-through-close wall time.  ``serve`` keeps those
 workers *resident* across an unbounded stream of query batches (MS2
 paths via ``--batch``, or newline-separated on stdin) and prints
 per-batch latency and scatter accounting; ``--pipeline`` drives the
@@ -46,6 +48,7 @@ import json
 import signal
 import sys
 import threading
+import time
 from contextlib import ExitStack
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Sequence
@@ -353,18 +356,31 @@ def _search_once(
     args: argparse.Namespace,
 ):
     if getattr(args, "backend", "simulated") == "process":
-        from repro.service import ParallelSearchEngine, ServiceConfig
+        from repro.search.psm import RankStats, SearchResults
+        from repro.service import SearchService, ServiceConfig
 
-        engine = ParallelSearchEngine(
-            db,
-            ServiceConfig(
-                n_workers=args.ranks,
-                policy=policy,
-                policy_seed=args.seed,
-                top_k=args.top_k,
-            ),
+        config = ServiceConfig(
+            n_workers=args.ranks,
+            policy=policy,
+            policy_seed=args.seed,
+            top_k=args.top_k,
         )
-        return engine.run(spectra)
+        if not spectra:
+            # Nothing to search: no worker needs to exist.
+            return SearchResults(
+                spectra=[],
+                rank_stats=[RankStats(rank=r) for r in range(args.ranks)],
+                phase_times={},
+                policy_name=policy,
+                n_ranks=args.ranks,
+            )
+        # One session for the one batch: ``total`` spans open
+        # through close.
+        t_start = time.perf_counter()
+        with SearchService(db, config) as service:
+            results, _stats = service.submit(spectra)
+        results.phase_times["total"] = time.perf_counter() - t_start
+        return results
     from repro.search.engine import DistributedSearchEngine, EngineConfig
 
     engine = DistributedSearchEngine(

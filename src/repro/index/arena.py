@@ -97,8 +97,11 @@ class Workspace:
     The filtration/scoring hot loops need a handful of temporary
     arrays per spectrum (gather indices, credit vectors, prefix sums).
     Allocating them per call is measurable at volume; a workspace hands
-    out views into persistent buffers that grow geometrically and are
-    reused across calls.
+    out views into persistent buffers that grow to the largest request
+    (at least 1024 slots) and are reused across calls.  Growth is exact,
+    not geometric: the kernels size their requests to a bounded block,
+    so a request just past a buffer's size must not double it for the
+    rest of the process.
 
     A view returned by :meth:`take` is valid only until the next
     :meth:`take` with the same name — callers must consume it before
@@ -112,7 +115,7 @@ class Workspace:
         self._buffers: Dict[Tuple[str, str], np.ndarray] = {}
 
     def _grow(self, name: str, size: int, dtype, factory) -> np.ndarray:
-        """Length-``size`` view of the named buffer, grown geometrically.
+        """Length-``size`` view of the named buffer, grown to ``size``.
 
         ``factory(length, dtype=...)`` builds a replacement buffer when
         the cached one is absent or too small.
@@ -121,8 +124,7 @@ class Workspace:
         key = (name, dt.str)
         buf = self._buffers.get(key)
         if buf is None or buf.size < size:
-            grown = buf.size * 2 if buf is not None else 0
-            buf = factory(max(size, grown, 1024), dtype=dt)
+            buf = factory(max(size, 1024), dtype=dt)
             self._buffers[key] = buf
         return buf[:size]
 

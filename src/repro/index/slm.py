@@ -414,11 +414,13 @@ class SLMIndex:
         ``|fragment - peak| <= tolerance``; rounding in ``(peak ±
         tolerance) / r`` against the fragment's own ``floor(mz * (1 /
         r))`` can move that fragment one bucket outside the peak's
-        window (at ±0.05, peak 1486.35 matches fragment 1486.35 + 0.05
-        = 1486.3999999999999, whose bucket 148640 is the window's
-        exclusive end), never two.  So every matched fragment
-        lies in a window or its rim, and shared peaks alone can
-        undercount.  Windows clipped at the index edge give rims that
+        window, never two, and on either side: at ±0.05 and r = 0.01,
+        peak 1486.35 matches fragment 1486.35 + 0.05 =
+        1486.3999999999999, whose bucket 148640 is the window's
+        exclusive end; at r = 0.003, peak 539.1949999999999 matches
+        fragment 539.145, whose bucket 179714 is the window's
+        ``lo - 1``.  So every matched fragment lies in a window or its
+        rim, and shared peaks alone can undercount.  Windows clipped at the index edge give rims that
         may count an extra bucket — a looser bound, still a bound.
         """
         bounds = np.concatenate(

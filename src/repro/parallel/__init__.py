@@ -5,9 +5,8 @@ and charges a ledger of virtual clocks — ideal for deterministic
 load-imbalance experiments, useless for measuring the paper's actual
 claim: wall-clock speedup from load-balanced parallel peptide search.  This package executes the
 same rank program (:mod:`repro.search.rank`) on real OS processes, for
-:mod:`repro.service` (the resident session and the one-shot
-:class:`~repro.service.engine.ParallelSearchEngine`, a session for one
-batch) to drive:
+:mod:`repro.service` (the resident session and the sharded fleet built
+from it) to drive:
 
 * :mod:`repro.parallel.shared_arena` — spill a
   :class:`~repro.index.arena.FragmentArena` to a directory of raw
@@ -36,11 +35,11 @@ batch) to drive:
   :class:`~repro.parallel.shared_spectra.SharedSpectraStore`, a file
   carrier for a :class:`~repro.spectra.packed.PackedSpectra` batch
   (library use; the service ships the same columns in-band),
-* :mod:`repro.parallel.transport` — the pluggable
-  :class:`~repro.parallel.transport.Transport` registry behind the
-  pool's worker bootstrap: the pool speaks only the
-  :class:`~repro.parallel.transport.WorkerChannel` API, so swapping
-  local spawn pipes for a socket transport never touches supervision.
+* :mod:`repro.parallel.transport` — how the pool starts and reaches a
+  worker: :func:`~repro.parallel.transport.spawn_worker` (a spawn
+  process on an OS pipe) and the
+  :class:`~repro.parallel.transport.WorkerChannel` API the pool speaks
+  to it through, the seam a second transport would implement.
 """
 
 from repro._exports import lazy_exports
@@ -48,14 +47,7 @@ from repro._exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.parallel.faults": ("FaultInjected", "FaultPlan", "FaultSpec", "maybe_inject"),
     "repro.parallel.persistent": ("PersistentPool", "PoolBatchResult", "RoundHandle"),
-    "repro.parallel.transport": (
-        "PipeTransport",
-        "Transport",
-        "TRANSPORTS",
-        "WorkerChannel",
-        "make_transport",
-        "register_transport",
-    ),
+    "repro.parallel.transport": ("WorkerChannel", "spawn_worker"),
     "repro.parallel.shared_arena": (
         "SharedArenaStore",
         "SharedSpill",

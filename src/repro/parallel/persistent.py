@@ -1,8 +1,8 @@
 """Long-lived spawn workers looping on a command pipe.
 
 :class:`PersistentPool` is the one real-process pool: every search
-that runs on OS workers — a resident session, a sharded fleet, and
-the one-shot engine (a session for one batch) — runs through it.  It
+that runs on OS workers — a session, whether it serves a stream or
+one batch, and each shard of a sharded fleet — runs through it.  It
 keeps the workers *resident*: each worker is spawned once with only
 ``(rank, n_workers, fault_plan)`` as arguments, receives one
 ``ATTACH`` command that builds its long-lived state (for the search
@@ -108,18 +108,18 @@ Fault injection for the chaos suite lives in
 :mod:`repro.parallel.faults`; the plan reaches every worker (and every
 hedge) as a spawn argument, or via the ``REPRO_FAULT_PLAN`` env var.
 
-Transports and the sharded fleet
---------------------------------
-Worker bootstrap goes through the pluggable
-:class:`~repro.parallel.transport.Transport` registry: the pool asks
-its transport for one :class:`~repro.parallel.transport.WorkerChannel`
-per rank (and per hedge) and speaks only the channel API — in-process
-``multiprocessing`` pipes today (``transport="pipe"``), a socket
-transport tomorrow, with the supervision loop unchanged.  The sharded
-serving tier (:mod:`repro.service.sharding`) composes one pool per
-database shard; the failure matrix above stays strictly per-pool — a
-whole shard lost after retries degrades fleet *coverage* at the
-sharded layer (``degraded_shards``), never this pool's contract.
+Worker channels and the sharded fleet
+-------------------------------------
+Every worker (resident rank or hedge) starts through
+:func:`~repro.parallel.transport.spawn_worker`, and the pool speaks to
+it only through the :class:`~repro.parallel.transport.WorkerChannel`
+API.  Local spawn workers on OS pipes are the one implementation; the
+channel is the seam a second transport would implement, with the
+supervision loop unchanged.  The sharded serving tier
+(:mod:`repro.service.sharding`) composes one pool per database shard;
+the failure matrix above stays strictly per-pool — a whole shard lost
+after retries degrades fleet *coverage* at the sharded layer
+(``degraded_shards``), never this pool's contract.
 
 Split rounds (the pipelining substrate)
 ---------------------------------------
@@ -165,7 +165,7 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError, PipelineError, ServiceError, WorkerError
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.parallel.faults import FaultPlan, maybe_inject
-from repro.parallel.transport import Transport, WorkerChannel, make_transport
+from repro.parallel.transport import WorkerChannel, spawn_worker
 
 __all__ = [
     "PersistentPool",
@@ -218,9 +218,8 @@ def check_pool_settings(
     max_retries: int,
     backoff_s: float,
     hedge_after: Optional[float],
-    transport: "str | Transport",
-) -> Transport:
-    """Validate a pool's settings and return its resolved transport.
+) -> None:
+    """Validate a pool's settings.
 
     The one check behind :class:`PersistentPool` and
     :class:`~repro.service.service.ServiceConfig`, so a bad setting
@@ -231,7 +230,6 @@ def check_pool_settings(
         raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
     if timeout <= 0:
         raise ConfigurationError(f"timeout must be > 0, got {timeout}")
-    resolved = make_transport(transport)
     if max_retries < 0:
         raise ConfigurationError(
             f"max_retries must be >= 0, got {max_retries}"
@@ -242,7 +240,6 @@ def check_pool_settings(
         raise ConfigurationError(
             f"hedge_after must be > 0 or None, got {hedge_after}"
         )
-    return resolved
 
 
 def _pickled(command: str, fn: Callable, payload: Any) -> bytes:
@@ -567,14 +564,6 @@ class PersistentPool:
         Chaos-testing injection schedule handed to every spawned
         worker; defaults to :meth:`FaultPlan.from_env` so a plan in
         ``REPRO_FAULT_PLAN`` reaches a whole CLI session.
-    transport:
-        Worker bootstrap mechanism: a registry name (``"pipe"`` —
-        local spawn workers on OS pipes — is the default and currently
-        the only built-in) or a ready
-        :class:`~repro.parallel.transport.Transport` instance.  The
-        pool only ever speaks the
-        :class:`~repro.parallel.transport.WorkerChannel` API, so a
-        socket transport drops in without touching supervision.
     tracer:
         Observability sink (:mod:`repro.obs`): every supervision
         transition — retry, backoff, respawn, hedge launch/win/loss,
@@ -597,16 +586,14 @@ class PersistentPool:
         hedge_after: Optional[float] = None,
         degraded_ok: bool = False,
         fault_plan: Optional[FaultPlan] = None,
-        transport: "str | Transport" = "pipe",
         tracer: Tracer = NULL_TRACER,
     ) -> None:
-        transport_obj = check_pool_settings(
+        check_pool_settings(
             n_workers,
             timeout=timeout,
             max_retries=max_retries,
             backoff_s=backoff_s,
             hedge_after=hedge_after,
-            transport=transport,
         )
         self.n_workers = n_workers
         self.timeout = timeout
@@ -617,7 +604,6 @@ class PersistentPool:
         self._fault_plan = (
             fault_plan if fault_plan is not None else FaultPlan.from_env()
         )
-        self._transport = transport_obj
         self._tracer = tracer
         self._attach: Optional[Tuple[Callable, List[Any]]] = None
         self._closed = False
@@ -692,7 +678,7 @@ class PersistentPool:
         ]
 
     def _spawn(self, rank: int, role: str = "resident") -> WorkerChannel:
-        return self._transport.spawn(
+        return spawn_worker(
             _persistent_worker_entry,
             (rank, self.n_workers, self._fault_plan),
             name=f"repro-{role}-{rank}",

@@ -1,20 +1,18 @@
-"""Pluggable worker transports: how pool workers are spawned and reached.
+"""How pool workers are spawned and reached: one channel per worker.
 
-The resident pool (:mod:`repro.parallel.persistent`) never constructs
-``multiprocessing`` pipes or processes itself — inline construction
-would weld every layer above it (one-shot engine, service, sharded
-serving tier) to one bootstrap mechanism.  This module is the seam, in
-the style of chainermn's communicator registry: the pool speaks to a
-:class:`WorkerChannel` (send a command, receive a reply, observe
-liveness) and a named :class:`Transport` decides what is behind it —
-an in-process ``multiprocessing`` pipe today
-(:class:`PipeTransport`), a socket to a remote host tomorrow, without
-touching the supervision or routing layers.
+The resident pool (:mod:`repro.parallel.persistent`) never touches
+``multiprocessing`` pipes or processes itself: it starts each worker
+through :func:`spawn_worker` and speaks only the :class:`WorkerChannel`
+API (send a command, receive a reply, observe liveness, tear down).
+Local spawn workers on OS pipes are the one implementation.  The
+channel is the seam a second way of reaching workers (an in-thread or
+socket transport) would implement; a choice between transports comes
+back only when that second implementation exists.
 
-Contract every transport must honor (what the pool's crash/deadline
+Contract a channel must honor (what the pool's crash/deadline
 supervision is written against):
 
-* :meth:`Transport.spawn` returns a channel whose worker is already
+* :func:`spawn_worker` returns a channel whose worker is already
   running its command loop,
 * a dead worker is observable **without blocking**: its
   ``wait_objects()`` become ready, ``alive`` turns false, and reading
@@ -26,18 +24,9 @@ supervision is written against):
 from __future__ import annotations
 
 import multiprocessing as mp
-from typing import Any, Callable, Dict, Tuple, Type
+from typing import Any, Callable, Tuple
 
-from repro.errors import ConfigurationError
-
-__all__ = [
-    "WorkerChannel",
-    "Transport",
-    "PipeTransport",
-    "TRANSPORTS",
-    "register_transport",
-    "make_transport",
-]
+__all__ = ["WorkerChannel", "spawn_worker"]
 
 
 class WorkerChannel:
@@ -131,81 +120,27 @@ class WorkerChannel:
         self.close()
 
 
-class Transport:
-    """How a pool bootstraps workers and reaches them.
+_SPAWN = mp.get_context("spawn")
 
-    Subclasses implement :meth:`spawn`; everything else the pool does
-    goes through the returned :class:`WorkerChannel`.  Register new
-    transports in :data:`TRANSPORTS` (or via :func:`register_transport`)
-    and select them by name — the engine/service/sharding layers carry
-    the name, never the mechanics.
+
+def spawn_worker(target: Callable, args: Tuple = (), *, name: str) -> WorkerChannel:
+    """Start one worker running ``target(conn, *args)`` and return the
+    master's end of its channel.
+
+    Workers always start by ``spawn`` on a bidirectional OS pipe: a
+    fresh interpreter per worker, slower to start than ``fork`` but
+    immune to inherited locks and threads, and identical across
+    platforms.
     """
-
-    #: Registry key (subclasses override).
-    name = "abstract"
-
-    def spawn(
-        self, target: Callable, args: Tuple = (), *, name: str
-    ) -> WorkerChannel:
-        """Start one worker running ``target(conn, *args)``.
-
-        The transport constructs the channel endpoint handed to the
-        worker as its first argument; the returned
-        :class:`WorkerChannel` is the master's end.
-        """
-        raise NotImplementedError
-
-
-class PipeTransport(Transport):
-    """Local ``multiprocessing`` workers on bidirectional OS pipes (default).
-
-    Workers always start by ``spawn``: a fresh interpreter per worker,
-    slower to start than ``fork`` but immune to inherited locks and
-    threads, and identical across platforms.
-    """
-
-    name = "pipe"
-
-    def __init__(self) -> None:
-        self._ctx = mp.get_context("spawn")
-
-    def spawn(
-        self, target: Callable, args: Tuple = (), *, name: str
-    ) -> WorkerChannel:
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=target,
-            args=(child_conn, *args),
-            name=name,
-            daemon=True,
-        )
-        proc.start()
-        # Drop the master's copy of the child end so a dead worker
-        # reads as EOF/sentinel, never as an open idle pipe.
-        child_conn.close()
-        return WorkerChannel(proc, parent_conn)
-
-
-#: Name → transport class.  ``pipe`` is the in-process default; a
-#: socket transport slots in here without touching the pool.
-TRANSPORTS: Dict[str, Type[Transport]] = {PipeTransport.name: PipeTransport}
-
-
-def register_transport(cls: Type[Transport]) -> Type[Transport]:
-    """Add ``cls`` to :data:`TRANSPORTS` under its ``name`` (decorator)."""
-    TRANSPORTS[cls.name] = cls
-    return cls
-
-
-def make_transport(spec: "str | Transport") -> Transport:
-    """Resolve a transport: an instance passes through, a name is
-    looked up in :data:`TRANSPORTS` and constructed."""
-    if isinstance(spec, Transport):
-        return spec
-    try:
-        cls = TRANSPORTS[spec]
-    except (KeyError, TypeError):
-        raise ConfigurationError(
-            f"unknown transport {spec!r} (have {sorted(TRANSPORTS)})"
-        ) from None
-    return cls()
+    parent_conn, child_conn = _SPAWN.Pipe()
+    proc = _SPAWN.Process(
+        target=target,
+        args=(child_conn, *args),
+        name=name,
+        daemon=True,
+    )
+    proc.start()
+    # Drop the master's copy of the child end so a dead worker
+    # reads as EOF/sentinel, never as an open idle pipe.
+    child_conn.close()
+    return WorkerChannel(proc, parent_conn)

@@ -19,11 +19,9 @@ once per session:
   are bit-identical to the serial engine for every policy × worker
   count — the workers run the same :mod:`repro.search.rank` body as
   every other backend, and the pipeline reorders when stages run,
-  never what they compute.
-* :class:`~repro.service.engine.ParallelSearchEngine` — the one-shot
-  form: ``run(spectra)`` opens a session, submits the one batch, and
-  closes it, reporting the whole open-through-close cost as its
-  ``total`` phase time (``repro search --backend process``).
+  never what they compute.  Every real-process search is a session:
+  ``repro search --backend process`` opens one for its one batch,
+  ``repro serve`` keeps one open for a stream.
 * Per-batch :class:`~repro.service.service.BatchStats` record real
   wall/CPU phase seconds and the actual pickled scatter bytes, so the
   amortization claim is measurable, not aspirational
@@ -56,7 +54,6 @@ stdin manifest of paths (``--shards N`` selects the sharded tier;
 from repro._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "repro.service.engine": ("ParallelSearchEngine",),
     "repro.service.rebalance": (
         "RebalanceConfig",
         "RebalanceDecision",

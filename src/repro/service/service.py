@@ -269,10 +269,6 @@ class ServiceConfig(SearchParams):
         Chaos-testing fault schedule for the workers (tests only;
         production sessions leave it ``None`` and may use the
         ``REPRO_FAULT_PLAN`` env var instead).
-    transport:
-        Worker bootstrap mechanism for the resident pool — a
-        :mod:`repro.parallel.transport` registry name (default
-        ``"pipe"``: local spawn workers on OS pipes).
     tracer:
         Observability sink (:mod:`repro.obs`): pipeline-stage spans,
         per-rank worker spans, the per-batch summary event, and every
@@ -326,7 +322,6 @@ class ServiceConfig(SearchParams):
     hedge_after: Optional[float] = None
     degraded_ok: bool = False
     fault_plan: Optional[FaultPlan] = None
-    transport: str = "pipe"
     tracer: Tracer = NULL_TRACER
     metrics: MetricsRegistry = field(default_factory=global_registry)
     flight_recorder: bool = True
@@ -365,7 +360,6 @@ class ServiceConfig(SearchParams):
             max_retries=self.max_retries,
             backoff_s=self.retry_backoff_s,
             hedge_after=self.hedge_after,
-            transport=self.transport,
         )
         if self.max_pending < 1:
             raise ConfigurationError(
@@ -1033,11 +1027,11 @@ class SearchService(SessionCore):
     def open(self) -> "SearchService":
         """Spawn the pool, spill the arena, attach every worker.
 
-        Everything here is the once-per-session cost (a one-shot
-        engine run pays it per batch); :attr:`open_s` records it.  Idempotent —
-        reopening an open session is a no-op; reopening a closed one
-        raises.  Serialized on the dispatch lock so concurrent
-        ``open()`` calls cannot double-spawn pools.
+        Everything here is the once-per-session cost (a session
+        opened for one batch pays it per batch); :attr:`open_s` records
+        it.  Idempotent — reopening an open session is a no-op;
+        reopening a closed one raises.  Serialized on the dispatch lock
+        so concurrent ``open()`` calls cannot double-spawn pools.
         """
         with self._dispatch_lock:
             return self._open_locked()
@@ -1067,7 +1061,6 @@ class SearchService(SessionCore):
             hedge_after=cfg.hedge_after,
             degraded_ok=cfg.degraded_ok,
             fault_plan=cfg.fault_plan,
-            transport=cfg.transport,
             tracer=self._tracer,
         )
         try:

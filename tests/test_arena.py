@@ -118,6 +118,9 @@ def test_workspace_reuses_and_grows():
     assert a.base is b.base  # same backing buffer
     big = ws.take("x", 100_000, np.int64)
     assert big.size == 100_000
+    # Just past capacity: the buffer grows to exactly the request.
+    past = ws.take("x", 100_001, np.int64)
+    assert past.size == 100_001 and past.base.size == 100_001
     f = ws.take("x", 8, np.float64)  # same name, new dtype → distinct buffer
     assert f.dtype == np.float64
 

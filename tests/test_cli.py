@@ -114,6 +114,37 @@ def test_search_process_backend_matches_simulated(workspace, capsys):
     assert sim == proc
 
 
+def test_search_empty_ms2_writes_header_only_report(
+    workspace, capsys, monkeypatch
+):
+    """An empty MS2 file exits 0 on both backends with identical
+    header-only reports; the process backend spawns no worker."""
+    import repro.parallel.persistent as persistent
+
+    def no_spawn(*args, **kwargs):
+        raise AssertionError("a worker was spawned for an empty run")
+
+    monkeypatch.setattr(persistent, "spawn_worker", no_spawn)
+    empty = workspace / "empty.ms2"
+    empty.write_text("")
+    reports = {}
+    for backend in ("simulated", "process"):
+        reports[backend] = workspace / f"psms_empty_{backend}.tsv"
+        assert main([
+            "search",
+            "--fasta", str(workspace / "proteome.fasta"),
+            "--ms2", str(empty),
+            "--ranks", "3", "--policy", "cyclic",
+            "--backend", backend,
+            "--report", str(reports[backend]),
+        ]) == 0
+    out = capsys.readouterr().out
+    assert "queries: 0 spectra" in out and "0 cPSMs" in out
+    sim = reports["simulated"].read_bytes()
+    assert reports["process"].read_bytes() == sim
+    assert len(sim.splitlines()) == 1  # the header alone
+
+
 @pytest.fixture(scope="module")
 def nan_ms2(workspace):
     """The workspace run with one peak intensity replaced by NaN."""

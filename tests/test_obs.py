@@ -43,7 +43,8 @@ from repro.service import (
 
 
 def _records(path):
-    return [json.loads(line) for line in open(path, encoding="ascii")]
+    with open(path, encoding="ascii") as fh:
+        return [json.loads(line) for line in fh]
 
 
 def _by_kind(records):

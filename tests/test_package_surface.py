@@ -96,10 +96,7 @@ SURFACE = {
     "repro.parallel": {
         "repro.parallel.faults": "FaultInjected FaultPlan FaultSpec maybe_inject",
         "repro.parallel.persistent": "PersistentPool PoolBatchResult RoundHandle",
-        "repro.parallel.transport": (
-            "PipeTransport Transport TRANSPORTS WorkerChannel make_transport "
-            "register_transport"
-        ),
+        "repro.parallel.transport": "WorkerChannel spawn_worker",
         "repro.parallel.shared_arena": (
             "SharedArenaStore SharedSpill shared_spill_for sweep_stale_stores "
             "write_owner_marker"
@@ -127,7 +124,6 @@ SURFACE = {
         "repro.service.sharding": (
             "DatabaseShard ShardedBatchStats ShardedSearchService ShardPlan"
         ),
-        "repro.service.engine": "ParallelSearchEngine",
         "repro.service.rebalance": "RebalanceConfig RebalanceDecision RebalancePolicy",
     },
     "repro.spectra": {

@@ -18,9 +18,9 @@ things make that exact, and this suite pins both:
 Draws crowd a shared peak pool with fragments, plant fragments at
 ``peak ± tol`` and one ulp either side, duplicate entries (ties at the
 cut), give spectra equal, zero or above-one intensities and NaN m/z
-peaks, and take ``top_k`` from {0, 1, n - 1, n, n + 1}.  Three built
-cases fail if the rim, the summation margin or the strict ``<`` of
-the drop rule is removed.
+peaks, and take ``top_k`` from {0, 1, n - 1, n, n + 1}.  Built cases
+fail if either side of the rim, the summation margin or the strict
+``<`` of the drop rule is removed.
 """
 
 import numpy as np
@@ -195,6 +195,33 @@ def test_rim_fragment_is_counted(kind):
     arena = arena_of([np.array([500.0, fragment])])
     spectrum = Spectrum(0, 600.0, 2, np.array([500.0, peak]), np.array([1.0, 1.0]))
     index = build(kind, arena, OPEN)
+    filtered = index.filter_many([spectrum])
+    outcome, _, _ = dense_score_candidates(
+        spectrum, filtered[0].candidates, fragment_tolerance=TOL, arena=arena
+    )
+    assert filtered[0].candidates.tolist() == [0]
+    assert outcome.n_matched.tolist() == [2]
+    assert filtered[0].shared_peaks.tolist() == [1]  # shared peaks alone undercount
+    assert index.match_bounds([spectrum], filtered).tolist() == [2]
+
+
+@pytest.mark.parametrize("kind", ["slm", "chunked"])
+def test_lower_rim_fragment_is_counted(kind):
+    """Peak 539.195 matches 539.145 from the bucket below its window.
+
+    Off the default resolution, ``floor((peak - tol) / r)`` can land one
+    bucket above the matched fragment's own ``floor(mz * (1 / r))``, so
+    the rim below the window is needed too.
+    """
+    settings = SLMIndexSettings(
+        resolution=0.003, fragment_tolerance=TOL, shared_peak_threshold=1
+    )
+    peak, fragment = 539.1949999999999, 539.145
+    assert abs(fragment - peak) <= TOL
+    assert np.floor(fragment * (1 / 0.003)) == np.floor((peak - TOL) / 0.003) - 1
+    arena = arena_of([np.array([300.0, fragment])])
+    spectrum = Spectrum(0, 600.0, 2, np.array([300.0, peak]), np.array([1.0, 1.0]))
+    index = build(kind, arena, settings)
     filtered = index.filter_many([spectrum])
     outcome, _, _ = dense_score_candidates(
         spectrum, filtered[0].candidates, fragment_tolerance=TOL, arena=arena

@@ -253,6 +253,3 @@ def test_config_validation():
         ServiceConfig(timeout=0.0)
     with pytest.raises(ConfigurationError):
         ServiceConfig(max_pending=0)
-    # The pool's own settings fail here too, not at open().
-    with pytest.raises(ConfigurationError, match="unknown transport"):
-        ServiceConfig(transport="socket")

@@ -40,16 +40,15 @@ def traced_session(tiny_db, tiny_spectra, tmp_path_factory):
     """One traced 3-batch session plus everything it reported live."""
     path = tmp_path_factory.mktemp("analyze") / "trace.jsonl"
     metrics = MetricsRegistry()
-    config = ServiceConfig(
-        n_workers=2, tracer=JsonlTracer(path), metrics=metrics
-    )
     batches = [
         list(tiny_spectra),
         list(tiny_spectra[:7]),
         list(tiny_spectra[5:]),
     ]
-    with SearchService(tiny_db, config) as service:
-        all_stats = [service.submit(batch)[1] for batch in batches]
+    with JsonlTracer(path) as tracer:
+        config = ServiceConfig(n_workers=2, tracer=tracer, metrics=metrics)
+        with SearchService(tiny_db, config) as service:
+            all_stats = [service.submit(batch)[1] for batch in batches]
     return path, all_stats, metrics
 
 
